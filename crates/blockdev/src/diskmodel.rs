@@ -7,7 +7,7 @@
 
 use crate::{BlockDevice, BlockNo, IoCost, Result, BLOCK_SIZE};
 use simkit::units::Bytes;
-use simkit::{Sim, SimDuration};
+use simkit::{MetricHandle, Sim, SimDuration};
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
@@ -79,9 +79,11 @@ pub struct DiskModel<D> {
     /// Block just past the previous request (for sequentiality).
     head: Cell<Option<BlockNo>>,
     stats: RefCell<DiskStats>,
-    /// Observability handle; devices sit below the layers that own an
-    /// `Rc<Sim>`, so the testbed attaches one explicitly.
-    sim: RefCell<Option<Rc<Sim>>>,
+    /// Observability handles; devices sit below the layers that own an
+    /// `Rc<Sim>`, so the testbed attaches one explicitly. The service
+    /// histogram is resolved once, at attach time: `service` runs per
+    /// member I/O and must not format a name or look one up.
+    sim: RefCell<Option<(Rc<Sim>, MetricHandle)>>,
 }
 
 impl<D: BlockDevice> DiskModel<D> {
@@ -100,7 +102,10 @@ impl<D: BlockDevice> DiskModel<D> {
     /// then recorded in the `disk.<name>.service` histogram and (when
     /// tracing is enabled) as a `disk` span.
     pub fn instrument(&self, sim: Rc<Sim>) {
-        *self.sim.borrow_mut() = Some(sim);
+        let service = sim
+            .metrics()
+            .handle(&format!("disk.{}.service", self.inner.name()));
+        *self.sim.borrow_mut() = Some((sim, service));
     }
 
     /// The timing parameters in use.
@@ -140,9 +145,8 @@ impl<D: BlockDevice> DiskModel<D> {
         }
         s.busy += t;
         drop(s);
-        if let Some(sim) = self.sim.borrow().as_ref() {
-            sim.metrics()
-                .record_duration(&format!("disk.{}.service", self.inner.name()), t);
+        if let Some((sim, service)) = self.sim.borrow().as_ref() {
+            service.record_duration(t);
             let tracer = sim.tracer();
             if tracer.enabled() {
                 let now = sim.now();

@@ -3,7 +3,35 @@
 use crate::{check_request, BlockDevice, BlockNo, IoCost, Result, BLOCK_SIZE};
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
+
+/// Block-number hasher: one multiply and a fold. The keys are this
+/// program's own dense block numbers, never outside input, so SipHash's
+/// collision resistance buys nothing here, and a fixed function keeps
+/// the map's layout the same on every run.
+#[derive(Debug, Default, Clone, Copy)]
+struct BlockHasher(u64);
+
+impl Hasher for BlockHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        let h = (self.0 ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = h ^ (h >> 32);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b as u64);
+        }
+    }
+}
+
+/// Hash state of the block maps behind [`DiskImage`] and [`MemDisk`].
+type BlockHash = BuildHasherDefault<BlockHasher>;
 
 /// An immutable, shareable image of a [`MemDisk`]'s contents.
 ///
@@ -15,7 +43,7 @@ use std::sync::Arc;
 pub struct DiskImage {
     name: String,
     blocks: u64,
-    data: HashMap<BlockNo, Arc<[u8; BLOCK_SIZE]>>,
+    data: HashMap<BlockNo, Arc<[u8; BLOCK_SIZE]>, BlockHash>,
 }
 
 impl DiskImage {
@@ -59,8 +87,8 @@ impl std::fmt::Debug for DiskImage {
 pub struct MemDisk {
     name: String,
     blocks: u64,
-    base: Option<Arc<DiskImage>>,
-    data: RefCell<HashMap<BlockNo, Box<[u8; BLOCK_SIZE]>>>,
+    base: RefCell<Option<Arc<DiskImage>>>,
+    data: RefCell<HashMap<BlockNo, Box<[u8; BLOCK_SIZE]>, BlockHash>>,
 }
 
 impl MemDisk {
@@ -69,8 +97,8 @@ impl MemDisk {
         MemDisk {
             name: name.into(),
             blocks,
-            base: None,
-            data: RefCell::new(HashMap::new()),
+            base: RefCell::new(None),
+            data: RefCell::new(HashMap::default()),
         }
     }
 
@@ -81,8 +109,8 @@ impl MemDisk {
         MemDisk {
             name: image.name.clone(),
             blocks: image.blocks,
-            base: Some(image),
-            data: RefCell::new(HashMap::new()),
+            base: RefCell::new(Some(image)),
+            data: RefCell::new(HashMap::default()),
         }
     }
 
@@ -90,7 +118,7 @@ impl MemDisk {
     /// overlay and any base image (logical footprint).
     pub fn touched_blocks(&self) -> usize {
         let data = self.data.borrow();
-        match &self.base {
+        match &*self.base.borrow() {
             None => data.len(),
             Some(img) => {
                 let unshadowed = img.data.keys().filter(|b| !data.contains_key(b)).count();
@@ -111,10 +139,11 @@ impl MemDisk {
     /// locally written blocks are copied.
     pub fn image(&self) -> DiskImage {
         let overlay = self.data.borrow();
-        let mut data: HashMap<BlockNo, Arc<[u8; BLOCK_SIZE]>> = match &self.base {
-            Some(img) => img.data.clone(),
-            None => HashMap::new(),
-        };
+        let mut data: HashMap<BlockNo, Arc<[u8; BLOCK_SIZE]>, BlockHash> =
+            match &*self.base.borrow() {
+                Some(img) => img.data.clone(),
+                None => HashMap::default(),
+            };
         for (&block, content) in overlay.iter() {
             data.insert(block, Arc::new(**content));
         }
@@ -129,6 +158,7 @@ impl MemDisk {
     /// (used to emulate reinitialization between experiments).
     pub fn clear(&self) {
         self.data.borrow_mut().clear();
+        *self.base.borrow_mut() = None;
     }
 }
 
@@ -144,15 +174,11 @@ impl BlockDevice for MemDisk {
     fn read(&self, start: BlockNo, nblocks: u32, buf: &mut [u8]) -> Result<IoCost> {
         check_request(self.blocks, start, nblocks as u64, buf.len())?;
         let data = self.data.borrow();
-        for i in 0..nblocks as u64 {
-            let dst = &mut buf[(i as usize) * BLOCK_SIZE..][..BLOCK_SIZE];
-            match data.get(&(start + i)) {
+        let base = self.base.borrow();
+        for (bno, dst) in (start..).zip(buf.chunks_exact_mut(BLOCK_SIZE)) {
+            match data.get(&bno) {
                 Some(block) => dst.copy_from_slice(&block[..]),
-                None => match self
-                    .base
-                    .as_ref()
-                    .and_then(|img| img.data.get(&(start + i)))
-                {
+                None => match base.as_ref().and_then(|img| img.data.get(&bno)) {
                     Some(block) => dst.copy_from_slice(&block[..]),
                     None => dst.fill(0),
                 },
@@ -165,12 +191,10 @@ impl BlockDevice for MemDisk {
         let nblocks = (data.len() / BLOCK_SIZE) as u64;
         check_request(self.blocks, start, nblocks, data.len())?;
         let mut map = self.data.borrow_mut();
-        for i in 0..nblocks {
-            let src = &data[(i as usize) * BLOCK_SIZE..][..BLOCK_SIZE];
-            let entry = map
-                .entry(start + i)
-                .or_insert_with(|| Box::new([0u8; BLOCK_SIZE]));
-            entry.copy_from_slice(src);
+        for (bno, src) in (start..).zip(data.chunks_exact(BLOCK_SIZE)) {
+            map.entry(bno)
+                .or_insert_with(|| Box::new([0u8; BLOCK_SIZE]))
+                .copy_from_slice(src);
         }
         Ok(IoCost::FREE)
     }
@@ -226,6 +250,23 @@ mod tests {
         let mut buf = vec![9u8; BLOCK_SIZE];
         d.read(10, 1, &mut buf).unwrap();
         assert!(buf.iter().all(|&b| b == 0));
+    }
+
+    #[test]
+    fn clear_on_fork_reads_zero() {
+        let d = MemDisk::new("m", 16);
+        d.write(3, &vec![7u8; BLOCK_SIZE]).unwrap();
+        let img = Arc::new(d.image());
+        let fork = MemDisk::from_image(Arc::clone(&img));
+        fork.write(4, &vec![8u8; BLOCK_SIZE]).unwrap();
+        fork.clear();
+        assert_eq!(fork.touched_blocks(), 0);
+        assert_eq!(fork.diverged_blocks(), 0);
+        let mut buf = vec![9u8; 2 * BLOCK_SIZE];
+        fork.read(3, 2, &mut buf).unwrap();
+        assert!(buf.iter().all(|&b| b == 0), "base and overlay both gone");
+        assert_eq!(fork.image().touched_blocks(), 0);
+        assert_eq!(img.touched_blocks(), 1, "the shared image is untouched");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! property tests validate parity maintenance.
 
 use crate::{check_request, BlockDevice, BlockError, BlockNo, IoCost, Result, BLOCK_SIZE};
-use simkit::{Sim, SimDuration};
+use simkit::{MetricHandle, Sim, SimDuration};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -34,8 +34,9 @@ pub struct Raid5 {
     geometry: Raid5Geometry,
     failed: RefCell<Vec<bool>>,
     capacity: u64,
-    /// Observability handle, attached by the testbed.
-    sim: RefCell<Option<Rc<Sim>>>,
+    /// Observability handles, attached by the testbed; the
+    /// parity-update histogram is resolved once, at attach time.
+    sim: RefCell<Option<(Rc<Sim>, MetricHandle)>>,
 }
 
 impl std::fmt::Debug for Raid5 {
@@ -94,15 +95,17 @@ impl Raid5 {
     /// recorded in the `raid5.<name>.parity_update` histogram and
     /// (when tracing is enabled) as `raid5` spans.
     pub fn instrument(&self, sim: Rc<Sim>) {
-        *self.sim.borrow_mut() = Some(sim);
+        let parity_update = sim
+            .metrics()
+            .handle(&format!("raid5.{}.parity_update", self.name));
+        *self.sim.borrow_mut() = Some((sim, parity_update));
     }
 
     /// Records one parity-update cycle (the RMW penalty the paper
     /// measures as RAID-5's small-write cost).
     fn note_parity_update(&self, lb: BlockNo, t: SimDuration, degraded: bool) {
-        if let Some(sim) = self.sim.borrow().as_ref() {
-            sim.metrics()
-                .record_duration(&format!("raid5.{}.parity_update", self.name), t);
+        if let Some((sim, parity_update)) = self.sim.borrow().as_ref() {
+            parity_update.record_duration(t);
             let tracer = sim.tracer();
             if tracer.enabled() {
                 let now = sim.now();
@@ -183,7 +186,7 @@ impl Raid5 {
     /// other members.
     fn reconstruct(&self, disk: usize, block: BlockNo, out: &mut [u8]) -> Result<IoCost> {
         out.fill(0);
-        let mut tmp = vec![0u8; BLOCK_SIZE];
+        let mut tmp = [0u8; BLOCK_SIZE];
         let mut cost = SimDuration::ZERO;
         for (i, _) in self.members.iter().enumerate() {
             if i == disk {
@@ -218,15 +221,13 @@ impl Raid5 {
         let p = self.placement(lb);
         let data_ok = !self.is_failed(p.data_disk);
         let parity_ok = !self.is_failed(p.parity_disk);
-        let mut old_data = vec![0u8; BLOCK_SIZE];
-        let mut parity = vec![0u8; BLOCK_SIZE];
+        let mut old_data = [0u8; BLOCK_SIZE];
+        let mut parity = [0u8; BLOCK_SIZE];
 
         if data_ok && parity_ok {
             let r1 = self.read_member(p.data_disk, p.member_block, &mut old_data)?;
             let r2 = self.read_member(p.parity_disk, p.member_block, &mut parity)?;
-            for i in 0..BLOCK_SIZE {
-                parity[i] ^= old_data[i] ^ data[i];
-            }
+            fold_parity(&mut parity, &old_data, data);
             let w1 = self.write_member(p.data_disk, p.member_block, data)?;
             let w2 = self.write_member(p.parity_disk, p.member_block, &parity)?;
             // Reads in parallel, then writes in parallel.
@@ -243,9 +244,7 @@ impl Raid5 {
             // reconstructing the old data first.
             let rc = self.reconstruct(p.data_disk, p.member_block, &mut old_data)?;
             let r2 = self.read_member(p.parity_disk, p.member_block, &mut parity)?;
-            for i in 0..BLOCK_SIZE {
-                parity[i] ^= old_data[i] ^ data[i];
-            }
+            fold_parity(&mut parity, &old_data, data);
             let w = self.write_member(p.parity_disk, p.member_block, &parity)?;
             let t = rc.time.max(r2.time) + w.time;
             self.note_parity_update(lb, t, true);
@@ -255,6 +254,15 @@ impl Raid5 {
                 device: self.name.clone(),
             })
         }
+    }
+}
+
+/// `parity ^= old ^ new`: swaps one data block's contribution to its
+/// stripe's parity.
+fn fold_parity(parity: &mut [u8; BLOCK_SIZE], old: &[u8; BLOCK_SIZE], new: &[u8]) {
+    debug_assert_eq!(new.len(), BLOCK_SIZE);
+    for ((p, o), n) in parity.iter_mut().zip(old).zip(new) {
+        *p ^= o ^ n;
     }
 }
 

@@ -8,6 +8,7 @@
 //! pdflush-style daemon).
 
 use blockdev::{BlockNo, BLOCK_SIZE};
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Dirty state of a cached block.
@@ -78,17 +79,39 @@ impl BufferCache {
         (self.hits, self.misses)
     }
 
-    /// Looks up a block, counting a hit or miss.
-    pub fn get(&mut self, bno: BlockNo) -> Option<&[u8; BLOCK_SIZE]> {
-        match self.map.get_mut(&bno) {
-            Some(b) => {
+    /// Looks up a block, counting a hit (and setting its reference
+    /// bit) or a miss. On a miss `load` fills the image — from the
+    /// journal's pinned copy or the device — and the block becomes
+    /// resident and clean with its reference bit clear. The borrow
+    /// handed back is the cache's own storage: callers read in place.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `load` returns; the miss stays counted and nothing is
+    /// inserted.
+    pub fn get_or_load<E>(
+        &mut self,
+        bno: BlockNo,
+        load: impl FnOnce(&mut [u8; BLOCK_SIZE]) -> Result<(), E>,
+    ) -> Result<&[u8; BLOCK_SIZE], E> {
+        match self.map.entry(bno) {
+            Entry::Occupied(e) => {
                 self.hits += 1;
+                let b = e.into_mut();
                 b.referenced = true;
-                Some(&*b.data)
+                Ok(&b.data)
             }
-            None => {
+            Entry::Vacant(v) => {
                 self.misses += 1;
-                None
+                let mut data = Box::new([0u8; BLOCK_SIZE]);
+                load(&mut data)?;
+                self.ring.push_back(bno);
+                let b = v.insert(Buf {
+                    data,
+                    dirty: DirtyKind::Clean,
+                    referenced: false,
+                });
+                Ok(&b.data)
             }
         }
     }
@@ -103,7 +126,8 @@ impl BufferCache {
         self.insert(bno, data, DirtyKind::Clean);
     }
 
-    /// Inserts or overwrites a block with the given dirty state.
+    /// Inserts a block, or overwrites a resident one in place, with the
+    /// given dirty state.
     pub fn insert(&mut self, bno: BlockNo, data: &[u8], dirty: DirtyKind) {
         match dirty {
             DirtyKind::Data => {
@@ -114,23 +138,25 @@ impl BufferCache {
             }
         }
         debug_assert_eq!(data.len(), BLOCK_SIZE);
-        let mut boxed = Box::new([0u8; BLOCK_SIZE]);
-        boxed.copy_from_slice(data);
         // The reference bit starts clear: a block earns its second
         // chance by being *used* after insertion, as in classic CLOCK.
-        if self
-            .map
-            .insert(
-                bno,
-                Buf {
+        match self.map.entry(bno) {
+            Entry::Occupied(e) => {
+                let b = e.into_mut();
+                b.data.copy_from_slice(data);
+                b.dirty = dirty;
+                b.referenced = false;
+            }
+            Entry::Vacant(v) => {
+                let mut boxed = Box::new([0u8; BLOCK_SIZE]);
+                boxed.copy_from_slice(data);
+                v.insert(Buf {
                     data: boxed,
                     dirty,
                     referenced: false,
-                },
-            )
-            .is_none()
-        {
-            self.ring.push_back(bno);
+                });
+                self.ring.push_back(bno);
+            }
         }
     }
 
@@ -204,10 +230,10 @@ impl BufferCache {
         self.map.values().filter(|b| b.dirty == kind).count()
     }
 
-    /// A copy of the block's bytes (for journal commit images and
-    /// write-back), without touching LRU state.
-    pub fn peek(&self, bno: BlockNo) -> Option<[u8; BLOCK_SIZE]> {
-        self.map.get(&bno).map(|b| *b.data)
+    /// The block's bytes (for journal commit images and write-back),
+    /// without touching hit/miss or CLOCK state.
+    pub fn peek(&self, bno: BlockNo) -> Option<&[u8; BLOCK_SIZE]> {
+        self.map.get(&bno).map(|b| &*b.data)
     }
 
     /// Evicts clean blocks (CLOCK second-chance order) until the cache
@@ -256,13 +282,41 @@ mod tests {
         vec![fill; BLOCK_SIZE]
     }
 
+    /// A lookup whose miss path must not run.
+    fn hit(c: &mut BufferCache, bno: BlockNo) -> &[u8; BLOCK_SIZE] {
+        c.get_or_load(bno, |_| Err(())).expect("resident")
+    }
+
     #[test]
     fn hit_and_miss_accounting() {
         let mut c = BufferCache::new(16);
-        assert!(c.get(5).is_none());
-        c.insert_clean(5, &blk(1));
-        assert_eq!(c.get(5).unwrap()[0], 1);
-        assert_eq!(c.stats(), (1, 1));
+        assert!(c.get_or_load(5, |_| Err(())).is_err());
+        assert!(!c.contains(5), "a failed load inserts nothing");
+        let load = |b: &mut [u8; BLOCK_SIZE]| {
+            b.fill(1);
+            Ok::<(), ()>(())
+        };
+        assert_eq!(c.get_or_load(5, load).unwrap()[0], 1);
+        assert_eq!(hit(&mut c, 5)[0], 1);
+        assert_eq!(c.stats(), (1, 2));
+        assert_eq!(c.dirty_kind(5), DirtyKind::Clean);
+    }
+
+    #[test]
+    fn insert_overwrites_in_place() {
+        let mut c = BufferCache::new(8);
+        c.insert(3, &blk(1), DirtyKind::Data);
+        hit(&mut c, 3); // sets the reference bit
+        c.insert(3, &blk(2), DirtyKind::Clean);
+        assert_eq!(c.peek(3).unwrap()[0], 2);
+        assert_eq!(c.dirty_count(DirtyKind::Data), 0);
+        // Still one ring entry, and the overwrite cleared the
+        // reference bit: the block is the first victim.
+        for i in 10..18 {
+            c.insert_clean(i, &blk(0));
+        }
+        assert_eq!(c.shrink_to_capacity(), 1);
+        assert!(!c.contains(3));
     }
 
     #[test]
@@ -292,7 +346,7 @@ mod tests {
         for i in 0..8 {
             c.insert_clean(i, &blk(i as u8));
         }
-        c.get(0); // 0 is now most recent
+        hit(&mut c, 0); // 0 is now most recent
         c.insert_clean(100, &blk(0));
         assert_eq!(c.shrink_to_capacity(), 1);
         assert!(c.contains(0), "recently used survives");

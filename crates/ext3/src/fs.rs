@@ -153,6 +153,11 @@ pub(crate) struct State {
     pub layouts: Vec<GroupLayout>,
     pub cache: BufferCache,
     pub journal: Journal,
+    /// Gather buffer for merged device commands (read-ahead runs,
+    /// write-back runs, journal commits, checkpoints): one allocation
+    /// that grows to the largest command and is reused, its contents
+    /// meaningless between uses.
+    pub scratch: Vec<u8>,
     ra: HashMap<Ino, RaState>,
     alloc_hint: HashMap<u32, usize>,
     dir_group_hint: HashMap<Ino, u32>,
@@ -395,6 +400,7 @@ impl Ext3 {
             layouts,
             cache: BufferCache::new(opts.cache_blocks),
             journal,
+            scratch: Vec::new(),
             ra: HashMap::new(),
             alloc_hint: HashMap::new(),
             dir_group_hint: HashMap::new(),
@@ -599,24 +605,25 @@ impl IntoDuration for SimDuration {
 // Block and inode primitives
 // ---------------------------------------------------------------------
 
-/// Reads a block through the cache (foreground cost on miss). Checks
-/// the journal's checkpoint-pending images before the device: their
-/// home locations are stale until checkpointed.
-pub(crate) fn bread(inner: &Inner, st: &mut State, bno: BlockNo) -> FsResult<[u8; BLOCK_SIZE]> {
-    if let Some(b) = st.cache.get(bno) {
-        return Ok(*b);
-    }
-    if let Some(img) = st.journal.pending_image(bno) {
-        st.cache.insert_clean(bno, &img);
-        return Ok(img);
-    }
-    let mut buf = vec![0u8; BLOCK_SIZE];
-    let cost = inner.dev.read(bno, 1, &mut buf)?;
-    inner.charge(cost);
-    st.cache.insert_clean(bno, &buf);
-    let mut out = [0u8; BLOCK_SIZE];
-    out.copy_from_slice(&buf);
-    Ok(out)
+/// Reads a block through the cache (foreground cost on miss) and
+/// lends out the cached image. Checks the journal's checkpoint-pending
+/// images before the device: their home locations are stale until
+/// checkpointed.
+pub(crate) fn bread<'a>(
+    inner: &Inner,
+    st: &'a mut State,
+    bno: BlockNo,
+) -> FsResult<&'a [u8; BLOCK_SIZE]> {
+    let State { cache, journal, .. } = st;
+    cache.get_or_load(bno, |buf| {
+        if let Some(img) = journal.pending_image(bno) {
+            *buf = *img;
+            return Ok(());
+        }
+        let cost = inner.dev.read(bno, 1, buf)?;
+        inner.charge(cost);
+        Ok(())
+    })
 }
 
 /// Modifies a block in cache, loading it first if needed, and tags it
@@ -717,13 +724,13 @@ fn alloc_inode_in(inner: &Inner, st: &mut State, goal_group: u32) -> FsResult<In
             continue;
         }
         let bmap_block = st.groups[g as usize].inode_bitmap;
-        let img = bread(inner, st, bmap_block)?;
         let start = if g == 0 {
             (FIRST_FREE_INO - 1) as usize
         } else {
             0
         };
-        if let Some(idx) = alloc::find_zero(&img, start, INODES_PER_GROUP as usize) {
+        let img = bread(inner, st, bmap_block)?;
+        if let Some(idx) = alloc::find_zero(img, start, INODES_PER_GROUP as usize) {
             bmodify(inner, st, bmap_block, DirtyKind::Meta, |b| {
                 alloc::set_bit(b, idx);
             })?;
@@ -761,13 +768,13 @@ pub(crate) fn alloc_block(inner: &Inner, st: &mut State, goal_group: u32) -> FsR
         }
         let lay = st.layouts[g as usize];
         let bmap_block = st.groups[g as usize].block_bitmap;
-        let img = bread(inner, st, bmap_block)?;
         let limit = (lay.end - lay.start) as usize;
         let hint = *st
             .alloc_hint
             .get(&g)
             .unwrap_or(&((lay.data_start - lay.start) as usize));
-        if let Some(idx) = alloc::find_zero(&img, hint, limit) {
+        let img = bread(inner, st, bmap_block)?;
+        if let Some(idx) = alloc::find_zero(img, hint, limit) {
             bmodify(inner, st, bmap_block, DirtyKind::Meta, |b| {
                 alloc::set_bit(b, idx);
             })?;
@@ -823,11 +830,12 @@ pub(crate) fn commit_journal(inner: &Inner, st: &mut State) {
             let _ = checkpoint(inner, st);
         }
         let State {
-            ref mut journal,
-            ref mut cache,
+            journal,
+            cache,
+            scratch,
             ..
-        } = *st;
-        let plan = journal.commit(|bno| cache.peek(bno).unwrap_or([0u8; BLOCK_SIZE]));
+        } = st;
+        let plan = journal.commit(|bno| cache.peek(bno), scratch);
         let Some(plan) = plan else { return };
         // Issue the merged commands to the device, bracketed by a span
         // so per-command device work (disk service or remote CDBs)
@@ -836,16 +844,13 @@ pub(crate) fn commit_journal(inner: &Inner, st: &mut State) {
         // trace_host says whose machine's journal this is.
         let tracer = inner.sim.tracer();
         let ctx = tracer.open_span(Some(inner.opts.trace_host));
-        let mut widx = 0usize;
         let mut commit_time = SimDuration::ZERO;
         let mut failed = false;
+        let mut bytes = &scratch[..];
         for &(start, len) in &plan.commands {
-            let mut buf = Vec::with_capacity(len as usize * BLOCK_SIZE);
-            for _ in 0..len {
-                buf.extend_from_slice(&plan.writes[widx].1);
-                widx += 1;
-            }
-            match inner.dev.write(start, &buf) {
+            let (cmd, rest) = bytes.split_at(len as usize * BLOCK_SIZE);
+            bytes = rest;
+            match inner.dev.write(start, cmd) {
                 Ok(cost) => {
                     commit_time += cost.time;
                     inner.charge(cost);
@@ -861,9 +866,15 @@ pub(crate) fn commit_journal(inner: &Inner, st: &mut State) {
             tracer.close_span(ctx, "ext3", "journal_commit", now, now, Vec::new());
             return;
         }
-        // Meta blocks are now stable in the log.
-        for (bno, _) in plan.writes.iter().skip(1).take(plan.writes.len() - 2) {
-            st.cache.mark_clean(*bno);
+        // Meta blocks are now stable in the log. Known deviation
+        // (EXPERIMENTS.md): the numbers cleaned here are the images'
+        // *journal slots*, not their home blocks, so committed meta-data
+        // stays `DirtyKind::Meta` and unevictable. Cleaning the home
+        // blocks changes eviction and with it virtual time.
+        let (desc_slot, burst) = plan.commands[0];
+        let meta_blocks = burst - 1; // the descriptor leads the burst
+        for slot in desc_slot + 1..=desc_slot + meta_blocks as u64 {
+            st.cache.mark_clean(slot);
         }
         inner.sim.counters().incr("ext3.journal.commits");
         inner
@@ -876,8 +887,7 @@ pub(crate) fn commit_journal(inner: &Inner, st: &mut State) {
         } else {
             vec![
                 ("seq", plan.seq.to_string()),
-                // Descriptor + commit block bracket the meta images.
-                ("meta_blocks", (plan.writes.len() - 2).to_string()),
+                ("meta_blocks", meta_blocks.to_string()),
             ]
         };
         tracer.close_span(ctx, "ext3", "journal_commit", now, now + commit_time, attrs);
@@ -890,21 +900,16 @@ pub(crate) fn commit_journal(inner: &Inner, st: &mut State) {
 /// sequence in the superblock.
 pub(crate) fn checkpoint(inner: &Inner, st: &mut State) -> FsResult<()> {
     let pending = st.journal.take_checkpoint();
-    if !pending.is_empty() {
-        let runs = merge_runs(
-            pending.iter().map(|(b, _)| *b),
-            inner.opts.max_write_cmd_blocks,
-        );
-        let images: HashMap<BlockNo, &[u8; BLOCK_SIZE]> =
-            pending.iter().map(|(b, i)| (*b, i)).collect();
-        for (start, len) in runs {
-            let mut buf = Vec::with_capacity(len as usize * BLOCK_SIZE);
-            for i in 0..len as u64 {
-                buf.extend_from_slice(&images[&(start + i)][..]);
-            }
-            let cost = inner.dev.write(start, &buf)?;
-            inner.charge(cost);
+    let runs = merge_runs(pending.keys().copied(), inner.opts.max_write_cmd_blocks);
+    // Runs and images are both in block order: walk them in step.
+    let mut images = pending.values();
+    for (start, len) in runs {
+        st.scratch.clear();
+        for img in images.by_ref().take(len as usize) {
+            st.scratch.extend_from_slice(img);
         }
+        let cost = inner.dev.write(start, &st.scratch)?;
+        inner.charge(cost);
     }
     st.sb.journal_seq = st.journal.next_seq();
     let cost = inner.dev.write(0, &st.sb.encode())?;
@@ -924,24 +929,36 @@ pub(crate) fn flush_data(inner: &Inner, st: &mut State, limit: usize) -> usize {
     let runs = merge_runs(dirty, inner.opts.max_write_cmd_blocks);
     let mut cleaned = 0usize;
     for (start, len) in runs {
-        let mut buf = Vec::with_capacity(len as usize * BLOCK_SIZE);
-        for i in 0..len as u64 {
-            buf.extend_from_slice(&st.cache.peek(start + i).expect("dirty block resident"));
+        if write_back_run(inner, st, start, len).is_ok() {
+            cleaned += len as usize;
         }
-        match inner.dev.write(start, &buf) {
-            Ok(cost) => inner.charge(cost),
-            Err(_) => continue,
-        }
-        for i in 0..len as u64 {
-            st.cache.mark_clean(start + i);
-        }
-        cleaned += len as usize;
     }
     inner
         .sim
         .counters()
         .add("ext3.writeback.blocks", cleaned as u64);
     cleaned
+}
+
+/// Writes the resident dirty run `[start, start + len)` to the device
+/// as one command and marks its blocks clean.
+pub(crate) fn write_back_run(
+    inner: &Inner,
+    st: &mut State,
+    start: BlockNo,
+    len: u32,
+) -> FsResult<()> {
+    let State { cache, scratch, .. } = st;
+    scratch.clear();
+    for bno in start..start + len as u64 {
+        scratch.extend_from_slice(cache.peek(bno).expect("dirty block resident"));
+    }
+    let cost = inner.dev.write(start, scratch)?;
+    inner.charge(cost);
+    for bno in start..start + len as u64 {
+        cache.mark_clean(bno);
+    }
+    Ok(())
 }
 
 /// Coalesces sorted block numbers into `(start, len)` runs capped at
@@ -983,7 +1000,7 @@ pub(crate) fn readahead_window(st: &mut State, ino: Ino, fblock: u64, max: u32) 
     });
     if fblock == ra.next_expected {
         ra.window = (ra.window * 2).min(max);
-    } else if fblock != ra.next_expected {
+    } else {
         ra.window = 1;
     }
     ra.window

@@ -71,8 +71,7 @@ impl crate::Ext3 {
                     let mut entries = Vec::new();
                     for fb in 0..inode.size / BLOCK_SIZE as u64 {
                         if let Some(bno) = bmap(inner, st, &inode, fb)? {
-                            let img = bread(inner, st, bno)?;
-                            entries.extend(dir::entries(&img));
+                            entries.extend(dir::entries(bread(inner, st, bno)?));
                         }
                     }
                     for e in entries {
@@ -135,11 +134,12 @@ impl crate::Ext3 {
 
             // Bitmap cross-check.
             for (g, lay) in st.layouts.clone().into_iter().enumerate() {
+                let gd_free = st.groups[g].free_blocks as usize;
                 let bimg = bread(inner, st, lay.block_bitmap)?;
                 let limit = (lay.end - lay.start) as usize;
                 for i in 0..limit {
                     let bno = lay.start + i as u64;
-                    let marked = alloc::test_bit(&bimg, i);
+                    let marked = alloc::test_bit(bimg, i);
                     let is_meta = bno < lay.data_start;
                     let reachable = used_blocks.contains(&bno);
                     if marked && !is_meta && !reachable {
@@ -155,8 +155,7 @@ impl crate::Ext3 {
                 }
                 // Group-descriptor free-block count must agree with
                 // the bitmap.
-                let gd_free = st.groups[g].free_blocks as usize;
-                let bitmap_free = alloc::count_zeros(&bimg, limit);
+                let bitmap_free = alloc::count_zeros(bimg, limit);
                 if gd_free != bitmap_free {
                     report.errors.push(format!(
                         "group {g}: descriptor says {gd_free} free blocks, bitmap says {bitmap_free}"
@@ -165,7 +164,7 @@ impl crate::Ext3 {
                 let iimg = bread(inner, st, lay.inode_bitmap)?;
                 for idx in 0..INODES_PER_GROUP as usize {
                     let ino = (g as u64 * INODES_PER_GROUP + idx as u64 + 1) as Ino;
-                    let marked = alloc::test_bit(&iimg, idx);
+                    let marked = alloc::test_bit(iimg, idx);
                     let reserved = g == 0 && (idx as u32) < FIRST_FREE_INO - 1;
                     let reachable = used_inos.contains_key(&ino);
                     if marked && !reserved && !reachable && ino != ROOT_INO {

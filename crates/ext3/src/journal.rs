@@ -47,15 +47,15 @@ pub struct Journal {
     checkpoint_pending: BTreeMap<BlockNo, [u8; BLOCK_SIZE]>,
 }
 
-/// The device writes a commit turns into. `commands` groups them the
-/// way the block layer would merge them: one sequential burst for
-/// descriptor + images, one for the commit record.
+/// The device writes a commit turns into, over the byte image
+/// [`Journal::commit`] assembled: descriptor, block images and commit
+/// record, contiguous and in journal order.
 #[derive(Debug)]
 pub struct CommitPlan {
-    /// `(device block, image)` pairs, in write order.
-    pub writes: Vec<(BlockNo, Vec<u8>)>,
-    /// `(start block, number of blocks)` per merged write command.
-    pub commands: Vec<(BlockNo, u32)>,
+    /// `(start block, number of blocks)` per merged write command, the
+    /// way the block layer would merge them: one sequential burst for
+    /// descriptor + images, one for the commit record after a barrier.
+    pub commands: [(BlockNo, u32); 2],
     /// Sequence number committed.
     pub seq: u64,
 }
@@ -107,9 +107,10 @@ impl Journal {
     }
 
     /// Builds the commit plan for the running transaction, given a
-    /// snapshot function that returns the current image of each dirty
-    /// block. Clears the running transaction and moves its blocks to
-    /// the checkpoint-pending set.
+    /// lookup of the current image of each dirty block (a block no
+    /// longer resident commits as zeros), and assembles the bytes to
+    /// write into `out` (cleared first). Clears the running transaction
+    /// and moves its blocks to the checkpoint-pending set.
     ///
     /// Returns `None` when there is nothing to commit.
     ///
@@ -117,9 +118,10 @@ impl Journal {
     ///
     /// Panics if the region is full — callers must checkpoint first
     /// (see [`needs_checkpoint`](Journal::needs_checkpoint)).
-    pub fn commit(
+    pub fn commit<'a>(
         &mut self,
-        mut image_of: impl FnMut(BlockNo) -> [u8; BLOCK_SIZE],
+        image_of: impl Fn(BlockNo) -> Option<&'a [u8; BLOCK_SIZE]>,
+        out: &mut Vec<u8>,
     ) -> Option<CommitPlan> {
         if self.running.is_empty() {
             return None;
@@ -137,8 +139,12 @@ impl Journal {
             self.running.remove(t);
         }
 
+        out.clear();
+        out.resize((targets.len() + 2) * BLOCK_SIZE, 0);
+        let (desc, rest) = out.split_at_mut(BLOCK_SIZE);
+        let (images, commit) = rest.split_at_mut(targets.len() * BLOCK_SIZE);
+
         // Descriptor block.
-        let mut desc = vec![0u8; BLOCK_SIZE];
         desc[0..4].copy_from_slice(&DESC_MAGIC.to_le_bytes());
         desc[4..12].copy_from_slice(&seq.to_le_bytes());
         desc[12..16].copy_from_slice(&(targets.len() as u32).to_le_bytes());
@@ -146,31 +152,23 @@ impl Journal {
             desc[16 + i * 8..24 + i * 8].copy_from_slice(&t.to_le_bytes());
         }
 
-        let mut writes = Vec::with_capacity(targets.len() + 2);
-        let base = self.start + self.head;
-        writes.push((base, desc));
-        for (i, &t) in targets.iter().enumerate() {
-            let img = image_of(t);
-            self.checkpoint_pending.insert(t, img);
-            writes.push((base + 1 + i as u64, img.to_vec()));
+        for (&t, slot) in targets.iter().zip(images.chunks_exact_mut(BLOCK_SIZE)) {
+            if let Some(img) = image_of(t) {
+                slot.copy_from_slice(img);
+            }
+            let pinned: [u8; BLOCK_SIZE] = (&*slot).try_into().expect("one block per slot");
+            self.checkpoint_pending.insert(t, pinned);
         }
 
         // Commit record.
-        let mut commit = vec![0u8; BLOCK_SIZE];
         commit[0..4].copy_from_slice(&COMMIT_MAGIC.to_le_bytes());
         commit[4..12].copy_from_slice(&seq.to_le_bytes());
+
+        let base = self.start + self.head;
         let commit_block = base + 1 + targets.len() as u64;
-        writes.push((commit_block, commit));
-
-        let commands = vec![
-            (base, 1 + targets.len() as u32), // descriptor + images, merged
-            (commit_block, 1),                // commit record after a barrier
-        ];
-
         self.head += 2 + targets.len() as u64;
         Some(CommitPlan {
-            writes,
-            commands,
+            commands: [(base, 1 + targets.len() as u32), (commit_block, 1)],
             seq,
         })
     }
@@ -178,11 +176,9 @@ impl Journal {
     /// Takes the checkpoint-pending images (sorted by target block)
     /// and resets the log head. The caller writes them in place and
     /// persists the advanced sequence number in the superblock.
-    pub fn take_checkpoint(&mut self) -> Vec<(BlockNo, [u8; BLOCK_SIZE])> {
+    pub fn take_checkpoint(&mut self) -> BTreeMap<BlockNo, [u8; BLOCK_SIZE]> {
         self.head = 0;
         std::mem::take(&mut self.checkpoint_pending)
-            .into_iter()
-            .collect()
     }
 
     /// Number of blocks awaiting checkpoint.
@@ -193,8 +189,8 @@ impl Journal {
     /// The committed image of `bno` if it awaits checkpoint. Readers
     /// must prefer this over the device: the home location is stale
     /// until the checkpoint writes it back.
-    pub fn pending_image(&self, bno: BlockNo) -> Option<[u8; BLOCK_SIZE]> {
-        self.checkpoint_pending.get(&bno).copied()
+    pub fn pending_image(&self, bno: BlockNo) -> Option<&[u8; BLOCK_SIZE]> {
+        self.checkpoint_pending.get(&bno)
     }
 }
 
@@ -257,11 +253,13 @@ mod tests {
         [fill; BLOCK_SIZE]
     }
 
-    fn region_from(writes: &[(BlockNo, Vec<u8>)], start: BlockNo, len: u64) -> Vec<u8> {
+    /// Lays committed byte images out in a journal region of `len`
+    /// blocks starting at device block `start`.
+    fn region_from(commits: &[(&CommitPlan, &[u8])], start: BlockNo, len: u64) -> Vec<u8> {
         let mut region = vec![0u8; (len as usize) * BLOCK_SIZE];
-        for (bno, data) in writes {
-            let off = ((bno - start) as usize) * BLOCK_SIZE;
-            region[off..off + BLOCK_SIZE].copy_from_slice(data);
+        for (plan, bytes) in commits {
+            let off = ((plan.commands[0].0 - start) as usize) * BLOCK_SIZE;
+            region[off..off + bytes.len()].copy_from_slice(bytes);
         }
         region
     }
@@ -269,7 +267,7 @@ mod tests {
     #[test]
     fn empty_transaction_commits_nothing() {
         let mut j = Journal::new(2, 64, 1);
-        assert!(j.commit(|_| image(0)).is_none());
+        assert!(j.commit(|_| None, &mut Vec::new()).is_none());
         assert_eq!(j.blocks_needed(), 0);
     }
 
@@ -280,26 +278,45 @@ mod tests {
         j.add(50);
         j.add(100); // duplicate folds away
         assert_eq!(j.blocks_needed(), 4); // desc + 2 images + commit
-        let plan = j.commit(|b| image(b as u8)).unwrap();
-        assert_eq!(plan.commands.len(), 2);
-        assert_eq!(plan.commands[0], (2, 3));
-        assert_eq!(plan.commands[1], (5, 1));
-        assert_eq!(plan.writes.len(), 4);
+        let (i50, i100) = (image(50), image(100));
+        let mut out = Vec::new();
+        let plan = j
+            .commit(|b| Some(if b == 50 { &i50 } else { &i100 }), &mut out)
+            .unwrap();
+        assert_eq!(plan.commands, [(2, 3), (5, 1)]);
+        assert_eq!(out.len(), 4 * BLOCK_SIZE);
+        // Images follow the descriptor in target order.
+        assert_eq!(out[BLOCK_SIZE], 50);
+        assert_eq!(out[2 * BLOCK_SIZE], 100);
         assert!(j.running_is_empty());
         assert_eq!(j.checkpoint_pending_len(), 2);
+        assert_eq!(j.pending_image(50), Some(&i50));
+    }
+
+    #[test]
+    fn evicted_block_commits_as_zeros() {
+        let mut j = Journal::new(2, 64, 1);
+        j.add(100);
+        let mut out = vec![0xFFu8; 8 * BLOCK_SIZE]; // stale scratch
+        j.commit(|_| None, &mut out).unwrap();
+        assert_eq!(out.len(), 3 * BLOCK_SIZE);
+        assert!(out[BLOCK_SIZE..2 * BLOCK_SIZE].iter().all(|&b| b == 0));
+        assert_eq!(j.pending_image(100), Some(&image(0)));
     }
 
     #[test]
     fn replay_recovers_committed_transactions() {
         let mut j = Journal::new(2, 64, 1);
+        let (one, two, nine) = (image(1), image(2), image(9));
+        let (mut b1, mut b2) = (Vec::new(), Vec::new());
         j.add(100);
-        let p1 = j.commit(|_| image(1)).unwrap();
+        let p1 = j.commit(|_| Some(&one), &mut b1).unwrap();
         j.add(200);
         j.add(100); // overwrite 100 in a later txn
-        let p2 = j.commit(|b| image(if b == 100 { 9 } else { 2 })).unwrap();
-        let mut all = p1.writes.clone();
-        all.extend(p2.writes.clone());
-        let region = region_from(&all, 2, 64);
+        let p2 = j
+            .commit(|b| Some(if b == 100 { &nine } else { &two }), &mut b2)
+            .unwrap();
+        let region = region_from(&[(&p1, &b1), (&p2, &b2)], 2, 64);
         let (rec, next) = replay_scan(&region, 1).unwrap();
         assert_eq!(next, 3);
         assert_eq!(rec.len(), 2);
@@ -310,15 +327,15 @@ mod tests {
     #[test]
     fn replay_ignores_torn_commit() {
         let mut j = Journal::new(2, 64, 1);
+        let (one, two) = (image(1), image(2));
+        let (mut b1, mut b2) = (Vec::new(), Vec::new());
         j.add(100);
-        let p1 = j.commit(|_| image(1)).unwrap();
+        let p1 = j.commit(|_| Some(&one), &mut b1).unwrap();
         j.add(200);
-        let mut p2 = j.commit(|_| image(2)).unwrap();
+        let p2 = j.commit(|_| Some(&two), &mut b2).unwrap();
         // Drop the commit record of txn 2 ("crash mid-commit").
-        p2.writes.pop();
-        let mut all = p1.writes.clone();
-        all.extend(p2.writes);
-        let region = region_from(&all, 2, 64);
+        b2.truncate(b2.len() - BLOCK_SIZE);
+        let region = region_from(&[(&p1, &b1), (&p2, &b2)], 2, 64);
         let (rec, next) = replay_scan(&region, 1).unwrap();
         assert_eq!(next, 2);
         assert!(rec.contains_key(&100));
@@ -329,8 +346,10 @@ mod tests {
     fn replay_respects_min_seq() {
         let mut j = Journal::new(2, 64, 5);
         j.add(100);
-        let p = j.commit(|_| image(1)).unwrap();
-        let region = region_from(&p.writes, 2, 64);
+        let one = image(1);
+        let mut bytes = Vec::new();
+        let p = j.commit(|_| Some(&one), &mut bytes).unwrap();
+        let region = region_from(&[(&p, &bytes)], 2, 64);
         // Already checkpointed past seq 5: nothing to replay.
         let (rec, next) = replay_scan(&region, 6).unwrap();
         assert!(rec.is_empty());
@@ -340,9 +359,11 @@ mod tests {
     #[test]
     fn checkpoint_resets_head() {
         let mut j = Journal::new(2, 8, 1);
+        let img = image(1);
+        let mut out = Vec::new();
         j.add(100);
         j.add(101);
-        j.commit(|_| image(1)).unwrap();
+        j.commit(|_| Some(&img), &mut out).unwrap();
         // head = 4 of 8; a 3-block txn (2 targets) fits exactly…
         j.add(102);
         assert!(!j.needs_checkpoint());
@@ -351,10 +372,9 @@ mod tests {
         // desc + 3 + commit = 5 > remaining 4.
         assert!(j.needs_checkpoint());
         let cp = j.take_checkpoint();
-        assert_eq!(cp.len(), 2);
-        assert_eq!(cp[0].0, 100);
+        assert_eq!(cp.keys().copied().collect::<Vec<_>>(), [100, 101]);
         assert!(!j.needs_checkpoint());
-        assert!(j.commit(|_| image(2)).is_some());
+        assert!(j.commit(|_| Some(&img), &mut out).is_some());
     }
 
     #[test]

@@ -417,6 +417,81 @@ mod tests {
         assert!(fs.getattr(f).unwrap().atime > before);
     }
 
+    /// A fixed script whose cache hits/misses, residency, dirty counts,
+    /// background device time and virtual clock were recorded at the
+    /// commit before blocks started crossing `bread` by reference: any
+    /// change to the numbers is a change to cache or clock behaviour.
+    ///
+    /// It also pins a known model deviation (EXPERIMENTS.md, "Known
+    /// deviations"): `commit_journal` marks the *journal-slot* block
+    /// numbers clean, so the 58 meta-data blocks dirtied by 50 mkdirs
+    /// stay `DirtyKind::Meta` after their commit.
+    #[test]
+    fn cache_accounting_is_unchanged() {
+        use blockdev::{DiskModel, DiskParams};
+        const REQ: usize = blockdev::BLOCK_SIZE;
+        const FILE_BLOCKS: u64 = 6 * 1024 * 1024 / REQ as u64;
+        let dirty = |fs: &Ext3| {
+            let st = fs.inner.state.borrow();
+            (
+                st.cache.dirty_count(DirtyKind::Meta),
+                st.cache.dirty_count(DirtyKind::Data),
+            )
+        };
+        let block = |i: u64| vec![(i % 251) as u8; REQ];
+
+        let sim = Sim::new(7);
+        let disk = Rc::new(DiskModel::new(
+            MemDisk::new("d0", 300_000),
+            DiskParams::ultra160_10k(),
+        ));
+        let fs = Ext3::mkfs(sim.clone(), disk, Options::default()).unwrap();
+
+        for i in 0..50 {
+            fs.mkdir(fs.root(), &format!("d{i}"), 0o755).unwrap();
+        }
+        sim.advance(SimDuration::from_secs(6)); // one commit
+        assert_eq!(dirty(&fs), (58, 0), "after 50 mkdirs + one commit");
+        assert_eq!(fs.cache_stats(), (398, 7));
+        assert_eq!(fs.cached_blocks(), 58);
+
+        // 6 MB in 4 KB requests: direct, single- and double-indirect.
+        let f = fs.create(fs.root(), "big", 0o644).unwrap();
+        for i in 0..FILE_BLOCKS {
+            fs.write(f, i * REQ as u64, &block(i)).unwrap();
+        }
+        assert_eq!(dirty(&fs), (62, 1536), "after the write phase");
+        assert_eq!(fs.cache_stats(), (7522, 8));
+        assert_eq!(fs.cached_blocks(), 1598);
+
+        fs.drop_caches().unwrap();
+        assert_eq!(dirty(&fs), (0, 0), "after drop_caches");
+        assert_eq!(fs.cached_blocks(), 0);
+
+        for i in 0..FILE_BLOCKS {
+            assert_eq!(fs.read(f, i * REQ as u64, REQ).unwrap(), block(i));
+        }
+        assert_eq!(fs.cache_stats(), (28_806, 12), "after the sequential read");
+        let mut x = 12345u64;
+        for _ in 0..200 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let i = (x >> 33) % FILE_BLOCKS;
+            assert_eq!(fs.read(f, i * REQ as u64, REQ).unwrap(), block(i));
+        }
+        assert_eq!(fs.cache_stats(), (29_723, 12), "after 200 random reads");
+        assert_eq!(dirty(&fs), (1, 0));
+        assert_eq!(fs.cached_blocks(), 1540);
+
+        fs.unlink(fs.root(), "big").unwrap();
+        assert_eq!(fs.cache_stats(), (29_731, 16), "after unlink");
+        assert_eq!(dirty(&fs), (8, 0));
+        assert_eq!(fs.cached_blocks(), 1544);
+        assert_eq!(fs.background_busy(), SimDuration::from_nanos(14_241_600));
+        assert_eq!(sim.now().as_nanos(), 6_700_099_200);
+    }
+
     #[test]
     fn operations_take_simulated_time() {
         let (sim, _disk, fs) = newfs();

@@ -116,7 +116,7 @@ impl crate::Ext3 {
             }
             let ino = alloc_dir_inode(inner, st, dir)?;
             let blk = alloc_block(inner, st, group_of_ino(ino))?;
-            let mut img = vec![0u8; BLOCK_SIZE];
+            let mut img = [0u8; BLOCK_SIZE];
             dir::init_block(&mut img);
             dir::insert(&mut img, ".", ino, FileType::Directory);
             dir::insert(&mut img, "..", dir, FileType::Directory);
@@ -246,7 +246,7 @@ impl crate::Ext3 {
                 inode.set_fast_symlink_target(target);
             } else {
                 let blk = alloc_block(inner, st, group_of_ino(ino))?;
-                let mut img = vec![0u8; BLOCK_SIZE];
+                let mut img = [0u8; BLOCK_SIZE];
                 img[..target.len()].copy_from_slice(target.as_bytes());
                 binstall(inner, st, blk, &img, DirtyKind::Meta);
                 inode.block[0] = blk as u32;
@@ -389,8 +389,7 @@ impl crate::Ext3 {
             let mut out = Vec::new();
             for fb in 0..inode.size / BS {
                 if let Some(bno) = bmap(inner, st, &inode, fb)? {
-                    let img = bread(inner, st, bno)?;
-                    out.extend(dir::entries(&img));
+                    out.extend(dir::entries(bread(inner, st, bno)?));
                 }
             }
             if inner.opts.atime {
@@ -431,8 +430,7 @@ impl crate::Ext3 {
                 };
                 match bmap(inner, st, &inode, fb)? {
                     Some(bno) => {
-                        let img = bread(inner, st, bno)?;
-                        out.extend_from_slice(&img[within_start..within_end]);
+                        out.extend_from_slice(&bread(inner, st, bno)?[within_start..within_end])
                     }
                     None => out.extend(std::iter::repeat_n(0, within_end - within_start)),
                 }
@@ -488,11 +486,10 @@ impl crate::Ext3 {
                     }
                     None => bmap_alloc(inner, st, ino, &mut inode, fb)?,
                 };
-                if st.cache.contains(bno) {
-                    st.cache.modify(bno, DirtyKind::Data, |b| {
-                        b[within_start..within_end].copy_from_slice(chunk);
-                    });
-                } else {
+                let resident = st.cache.modify(bno, DirtyKind::Data, |b| {
+                    b[within_start..within_end].copy_from_slice(chunk);
+                });
+                if !resident {
                     let mut img = [0u8; BLOCK_SIZE];
                     img[within_start..within_end].copy_from_slice(chunk);
                     st.cache.insert(bno, &img, DirtyKind::Data);
@@ -534,15 +531,7 @@ impl crate::Ext3 {
             }
             dirty.sort_unstable();
             for (start, len) in merge_runs(dirty, inner.opts.max_write_cmd_blocks) {
-                let mut buf = Vec::with_capacity(len as usize * BLOCK_SIZE);
-                for i in 0..len as u64 {
-                    buf.extend_from_slice(&st.cache.peek(start + i).expect("dirty resident"));
-                }
-                let cost = inner.dev.write(start, &buf)?;
-                inner.charge(cost);
-                for i in 0..len as u64 {
-                    st.cache.mark_clean(start + i);
-                }
+                write_back_run(inner, st, start, len)?;
             }
             Ok(())
         })
@@ -593,8 +582,7 @@ fn find_entry(inner: &Inner, st: &mut State, dir: Ino, name: &str) -> FsResult<(
     }
     for fb in 0..inode.size / BS {
         if let Some(bno) = bmap(inner, st, &inode, fb)? {
-            let img = bread(inner, st, bno)?;
-            if let Some((ino, _)) = dir::find(&img, name) {
+            if let Some((ino, _)) = dir::find(bread(inner, st, bno)?, name) {
                 return Ok((ino, bno));
             }
         }
@@ -631,7 +619,7 @@ fn add_entry(
     // All blocks full: grow the directory.
     let fb = dnode.size / BS;
     let bno = bmap_alloc(inner, st, dir, &mut dnode, fb)?;
-    let mut img = vec![0u8; BLOCK_SIZE];
+    let mut img = [0u8; BLOCK_SIZE];
     dir::init_block(&mut img);
     let ok = dir::insert(&mut img, name, ino, ftype);
     debug_assert!(ok);
@@ -657,8 +645,7 @@ fn remove_entry(inner: &Inner, st: &mut State, dir: Ino, name: &str) -> FsResult
 fn dir_is_empty(inner: &Inner, st: &mut State, inode: &Inode) -> FsResult<bool> {
     for fb in 0..inode.size / BS {
         if let Some(bno) = bmap(inner, st, inode, fb)? {
-            let img = bread(inner, st, bno)?;
-            if !dir::is_effectively_empty(&img) {
+            if !dir::is_effectively_empty(bread(inner, st, bno)?) {
                 return Ok(false);
             }
         }
@@ -684,8 +671,7 @@ pub(crate) fn bmap(
         if ind == 0 {
             return Ok(None);
         }
-        let img = bread(inner, st, ind as BlockNo)?;
-        let p = read_ptr(&img, fblock as usize);
+        let p = read_ptr(bread(inner, st, ind as BlockNo)?, fblock as usize);
         return Ok((p != 0).then_some(p as BlockNo));
     }
     let fblock = fblock - PPB;
@@ -694,13 +680,11 @@ pub(crate) fn bmap(
         if dind == 0 {
             return Ok(None);
         }
-        let img = bread(inner, st, dind as BlockNo)?;
-        let i1 = read_ptr(&img, (fblock / PPB) as usize);
+        let i1 = read_ptr(bread(inner, st, dind as BlockNo)?, (fblock / PPB) as usize);
         if i1 == 0 {
             return Ok(None);
         }
-        let img = bread(inner, st, i1 as BlockNo)?;
-        let p = read_ptr(&img, (fblock % PPB) as usize);
+        let p = read_ptr(bread(inner, st, i1 as BlockNo)?, (fblock % PPB) as usize);
         return Ok((p != 0).then_some(p as BlockNo));
     }
     Err(FsError::InvalidArgument)
@@ -731,7 +715,7 @@ fn bmap_alloc(
     if rel < PPB {
         if inode.block[N_DIRECT] == 0 {
             let b = alloc_block(inner, st, g)?;
-            binstall(inner, st, b, &vec![0u8; BLOCK_SIZE], DirtyKind::Meta);
+            binstall(inner, st, b, &[0u8; BLOCK_SIZE], DirtyKind::Meta);
             inode.block[N_DIRECT] = b as u32;
             inode.nblocks += 1;
             write_inode(inner, st, ino, inode)?;
@@ -743,18 +727,17 @@ fn bmap_alloc(
     if rel < PPB * PPB {
         if inode.block[N_DIRECT + 1] == 0 {
             let b = alloc_block(inner, st, g)?;
-            binstall(inner, st, b, &vec![0u8; BLOCK_SIZE], DirtyKind::Meta);
+            binstall(inner, st, b, &[0u8; BLOCK_SIZE], DirtyKind::Meta);
             inode.block[N_DIRECT + 1] = b as u32;
             inode.nblocks += 1;
             write_inode(inner, st, ino, inode)?;
         }
         let dind = inode.block[N_DIRECT + 1] as BlockNo;
         let i1_idx = (rel / PPB) as usize;
-        let img = bread(inner, st, dind)?;
-        let mut i1 = read_ptr(&img, i1_idx) as BlockNo;
+        let mut i1 = read_ptr(bread(inner, st, dind)?, i1_idx) as BlockNo;
         if i1 == 0 {
             i1 = alloc_block(inner, st, g)?;
-            binstall(inner, st, i1, &vec![0u8; BLOCK_SIZE], DirtyKind::Meta);
+            binstall(inner, st, i1, &[0u8; BLOCK_SIZE], DirtyKind::Meta);
             let val = i1 as u32;
             bmodify(inner, st, dind, DirtyKind::Meta, |b| {
                 write_ptr(b, i1_idx, val);
@@ -776,8 +759,7 @@ fn alloc_in_ptr_block(
     idx: usize,
     g: u32,
 ) -> FsResult<BlockNo> {
-    let img = bread(inner, st, ptr_block)?;
-    let p = read_ptr(&img, idx);
+    let p = read_ptr(bread(inner, st, ptr_block)?, idx);
     if p != 0 {
         return Ok(p as BlockNo);
     }
@@ -793,6 +775,15 @@ fn alloc_in_ptr_block(
 
 fn read_ptr(img: &[u8; BLOCK_SIZE], idx: usize) -> u32 {
     u32::from_le_bytes(img[idx * 4..idx * 4 + 4].try_into().unwrap())
+}
+
+/// The non-zero pointers of a pointer block, as `(index, pointer)` in
+/// index order.
+fn live_ptrs(img: &[u8; BLOCK_SIZE]) -> Vec<(usize, u32)> {
+    (0..PTRS_PER_BLOCK)
+        .map(|i| (i, read_ptr(img, i)))
+        .filter(|&(_, p)| p != 0)
+        .collect()
 }
 
 fn write_ptr(img: &mut [u8; BLOCK_SIZE], idx: usize, val: u32) {
@@ -865,8 +856,13 @@ fn flush_run(inner: &Inner, st: &mut State, run: &mut Option<(u64, u64, bool)>) 
     let Some((start, len, demand)) = run.take() else {
         return Ok(());
     };
-    let mut buf = vec![0u8; (len as usize) * BLOCK_SIZE];
-    let cost = inner.dev.read(start, len as u32, &mut buf)?;
+    let bytes = (len as usize) * BLOCK_SIZE;
+    if st.scratch.len() < bytes {
+        st.scratch.resize(bytes, 0);
+    }
+    let State { cache, scratch, .. } = st;
+    let buf = &mut scratch[..bytes];
+    let cost = inner.dev.read(start, len as u32, buf)?;
     if demand {
         inner.charge(cost);
     } else {
@@ -874,9 +870,8 @@ fn flush_run(inner: &Inner, st: &mut State, run: &mut Option<(u64, u64, bool)>) 
             cost.time / inner.opts.prefetch_pipeline.max(1) as u64,
         ));
     }
-    for i in 0..len {
-        st.cache
-            .insert_clean(start + i, &buf[(i as usize) * BLOCK_SIZE..][..BLOCK_SIZE]);
+    for (bno, img) in (start..).zip(buf.chunks_exact(BLOCK_SIZE)) {
+        cache.insert_clean(bno, img);
     }
     Ok(())
 }
@@ -919,13 +914,9 @@ fn truncate_inode(inner: &Inner, st: &mut State, inode: &mut Inode, new_size: u6
     if inode.block[N_DIRECT + 1] != 0 {
         let dind = inode.block[N_DIRECT + 1] as BlockNo;
         let base = nd + PPB;
-        let img = bread(inner, st, dind)?;
+        let segments = live_ptrs(bread(inner, st, dind)?);
         let mut any_left = false;
-        for i1 in 0..PTRS_PER_BLOCK {
-            let p1 = read_ptr(&img, i1);
-            if p1 == 0 {
-                continue;
-            }
+        for (i1, p1) in segments {
             let seg_start = base + (i1 as u64) * PPB;
             let start = keep.saturating_sub(seg_start).min(PPB);
             let freed_all = free_ptr_range(inner, st, p1 as BlockNo, start as usize, inode)?;
@@ -960,20 +951,9 @@ fn free_ptr_range(
     start: usize,
     inode: &mut Inode,
 ) -> FsResult<bool> {
-    let img = bread(inner, st, ptr_block)?;
-    let mut to_free = Vec::new();
-    let mut any_left = false;
-    for i in 0..PTRS_PER_BLOCK {
-        let p = read_ptr(&img, i);
-        if p == 0 {
-            continue;
-        }
-        if i >= start {
-            to_free.push((i, p));
-        } else {
-            any_left = true;
-        }
-    }
+    let mut to_free = live_ptrs(bread(inner, st, ptr_block)?);
+    let any_left = to_free.first().is_some_and(|&(i, _)| i < start);
+    to_free.retain(|&(i, _)| i >= start);
     for &(i, p) in &to_free {
         free_block(inner, st, p as BlockNo)?;
         inode.nblocks -= 1;

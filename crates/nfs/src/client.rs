@@ -872,9 +872,12 @@ impl NfsClient {
             } else {
                 PAGE_SIZE
             };
-            match self.pages.get(fh, page) {
-                Some(p) => out.extend_from_slice(&p[ws..we]),
-                None => out.extend(std::iter::repeat_n(0, we - ws)),
+            if self
+                .pages
+                .get(fh, page, |p| out.extend_from_slice(&p[ws..we]))
+                .is_none()
+            {
+                out.extend(std::iter::repeat_n(0, we - ws));
             }
         }
         Ok(out)

@@ -6,6 +6,7 @@
 
 use crate::Fh;
 use std::cell::RefCell;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 /// Page size: 4 KiB, as on the paper's testbed.
@@ -26,6 +27,13 @@ struct FileState {
     validated_at: u64,
     /// Server mtime observed at validation.
     mtime: u64,
+}
+
+/// The keys of every page of `fh`: the map orders by file handle first,
+/// so one file's pages are a contiguous range and per-file sweeps need
+/// not walk the whole cache.
+fn file_range(fh: Fh) -> std::ops::RangeInclusive<(Fh, u64)> {
+    (fh, 0)..=(fh, u64::MAX)
 }
 
 /// A page cache with CLOCK (second-chance) eviction and dirty pinning.
@@ -59,12 +67,14 @@ impl PageCache {
         self.pages.borrow().is_empty()
     }
 
-    /// Copies a cached page out, if resident.
-    pub fn get(&self, fh: Fh, page: u64) -> Option<[u8; PAGE_SIZE]> {
+    /// Lends a cached page to `f`, if resident, and sets its reference
+    /// bit; `None` (and `f` not called) if absent. The page stays where
+    /// it is: the caller copies out only the bytes it needs.
+    pub fn get<R>(&self, fh: Fh, page: u64, f: impl FnOnce(&[u8; PAGE_SIZE]) -> R) -> Option<R> {
         let mut pages = self.pages.borrow_mut();
         pages.get_mut(&(fh, page)).map(|p| {
             p.referenced = true;
-            *p.data
+            f(&p.data)
         })
     }
 
@@ -78,25 +88,28 @@ impl PageCache {
         self.insert(fh, page, data, false);
     }
 
-    /// Installs or overwrites a page.
+    /// Installs a page, or overwrites a resident one in place. A short
+    /// `data` is zero-padded to the page.
     pub fn insert(&self, fh: Fh, page: u64, data: &[u8], dirty: bool) {
         debug_assert!(data.len() <= PAGE_SIZE);
-        let mut boxed = Box::new([0u8; PAGE_SIZE]);
-        boxed[..data.len()].copy_from_slice(data);
-        if self
-            .pages
-            .borrow_mut()
-            .insert(
-                (fh, page),
-                Page {
+        match self.pages.borrow_mut().entry((fh, page)) {
+            Entry::Occupied(e) => {
+                let p = e.into_mut();
+                p.data[..data.len()].copy_from_slice(data);
+                p.data[data.len()..].fill(0);
+                p.dirty = dirty;
+                p.referenced = false;
+            }
+            Entry::Vacant(v) => {
+                let mut boxed = Box::new([0u8; PAGE_SIZE]);
+                boxed[..data.len()].copy_from_slice(data);
+                v.insert(Page {
                     data: boxed,
                     dirty,
                     referenced: false,
-                },
-            )
-            .is_none()
-        {
-            self.ring.borrow_mut().push_back((fh, page));
+                });
+                self.ring.borrow_mut().push_back((fh, page));
+            }
         }
         self.shrink();
     }
@@ -125,10 +138,8 @@ impl PageCache {
 
     /// Marks every page of the file clean (after a COMMIT).
     pub fn clean_file(&self, fh: Fh) {
-        for ((f, _), p) in self.pages.borrow_mut().iter_mut() {
-            if *f == fh {
-                p.dirty = false;
-            }
+        for p in self.pages.borrow_mut().range_mut(file_range(fh)) {
+            p.1.dirty = false;
         }
     }
 
@@ -140,7 +151,11 @@ impl PageCache {
     /// Drops every page of `fh` (cache invalidation after an mtime
     /// mismatch).
     pub fn invalidate_file(&self, fh: Fh) {
-        self.pages.borrow_mut().retain(|(f, _), _| *f != fh);
+        let mut pages = self.pages.borrow_mut();
+        let doomed: Vec<(Fh, u64)> = pages.range(file_range(fh)).map(|(&k, _)| k).collect();
+        for k in &doomed {
+            pages.remove(k);
+        }
         self.files.borrow_mut().remove(&fh);
     }
 
@@ -202,8 +217,8 @@ mod tests {
     fn insert_get_round_trip() {
         let c = PageCache::new(16);
         c.insert_clean(F, 3, &[9u8; PAGE_SIZE]);
-        assert_eq!(c.get(F, 3).unwrap()[0], 9);
-        assert!(c.get(F, 4).is_none());
+        assert_eq!(c.get(F, 3, |p| p[0]), Some(9));
+        assert_eq!(c.get(F, 4, |p| p[0]), None);
     }
 
     #[test]
@@ -245,6 +260,22 @@ mod tests {
     }
 
     #[test]
+    fn per_file_sweeps_stop_at_the_file_boundary() {
+        let c = PageCache::new(16);
+        // Neighbouring handles, with pages at both ends of the key space.
+        for fh in [Fh(6), F, Fh(8)] {
+            c.insert(fh, 0, &[1u8; PAGE_SIZE], true);
+            c.insert(fh, u64::MAX, &[1u8; PAGE_SIZE], true);
+        }
+        c.clean_file(F);
+        assert_eq!(c.dirty_pages(), 4, "only F's two pages were cleaned");
+        c.invalidate_file(F);
+        assert_eq!(c.len(), 4);
+        assert!(!c.contains(F, 0) && !c.contains(F, u64::MAX));
+        assert!(c.contains(Fh(6), u64::MAX) && c.contains(Fh(8), 0));
+    }
+
+    #[test]
     fn validation_round_trips() {
         let c = PageCache::new(16);
         assert!(c.validation(F).is_none());
@@ -256,8 +287,10 @@ mod tests {
     fn partial_page_insert_zero_pads() {
         let c = PageCache::new(16);
         c.insert_clean(F, 0, &[5u8; 100]);
-        let p = c.get(F, 0).unwrap();
-        assert_eq!(p[99], 5);
-        assert_eq!(p[100], 0);
+        assert_eq!(c.get(F, 0, |p| (p[99], p[100])), Some((5, 0)));
+        // An in-place overwrite pads too: no byte of the old page
+        // survives past the new data.
+        c.insert_clean(F, 0, &[6u8; 10]);
+        assert_eq!(c.get(F, 0, |p| (p[9], p[10], p[99])), Some((6, 0, 0)));
     }
 }

@@ -1,0 +1,197 @@
+//! Allocation budgets for the block path (tier 1).
+//!
+//! A 4 KB block crosses every boundary under `vfs` by reference; the
+//! only heap traffic a warm data operation may cause is the buffer it
+//! hands back to its caller. These budgets hold that in place with
+//! exact, host-independent counts: an allocation that creeps back into
+//! `DiskModel::service`, `Raid5::write_one`, `ext3::fs::bread` or
+//! `nfs::PageCache::get` fails here before any stopwatch notices.
+//!
+//! The allocator counts per thread, so the tests stay independent
+//! under the harness's parallel runner.
+
+use blockdev::{
+    BlockDevice, DiskModel, DiskParams, MemDisk, Raid5, Raid5Geometry, WriteCache, BLOCK_SIZE,
+};
+use cpu::{CostModel, CpuAccount};
+use ext3::{Ext3, Options};
+use net::{Fabric, LinkParams};
+use nfs::{NfsClient, NfsConfig, NfsServer, Version};
+use rpc::{RpcClient, RpcConfig};
+use simkit::{HostId, Sim, SimDuration};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::rc::Rc;
+
+struct Counting;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    // A thread that is tearing down its locals no longer counts.
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counting touches only
+// a const-initialised thread-local `Cell` (no lazy initialiser and no
+// destructor, so it never allocates) and never the returned memory.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: same layout the caller vouched for.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: same layout the caller vouched for.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        // SAFETY: `ptr` was allocated by `System` with `layout` (all
+        // allocation goes through this type), as the caller vouches.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` was allocated by `System` with `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Heap allocations (including reallocations) this thread makes in `f`.
+fn allocs_in<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = ALLOCS.with(Cell::get);
+    let out = f();
+    (ALLOCS.with(Cell::get) - before, out)
+}
+
+fn instrumented_member(sim: &Rc<Sim>, name: &str) -> Rc<DiskModel<MemDisk>> {
+    let d = Rc::new(DiskModel::new(
+        MemDisk::new(name, 4096),
+        DiskParams::ultra160_10k(),
+    ));
+    d.instrument(Rc::clone(sim));
+    d
+}
+
+fn instrumented_raid(sim: &Rc<Sim>) -> Raid5 {
+    let members = (0..5)
+        .map(|i| instrumented_member(sim, &format!("sd{i}")) as Rc<dyn BlockDevice>)
+        .collect();
+    let r5 = Raid5::new("raid5", members, Raid5Geometry::default());
+    r5.instrument(Rc::clone(sim));
+    r5
+}
+
+#[test]
+fn instrumented_disk_io_allocates_nothing() {
+    let sim = Sim::new(1);
+    let d = instrumented_member(&sim, "sd0");
+    let block = [7u8; BLOCK_SIZE];
+    let mut buf = [0u8; BLOCK_SIZE];
+    d.write(5, &block).unwrap(); // the store takes ownership of block 5
+    let (n, ()) = allocs_in(|| {
+        d.read(5, 1, &mut buf).unwrap();
+        d.write(5, &block).unwrap();
+    });
+    assert_eq!(
+        n, 0,
+        "one-block read + overwrite through DiskModel<MemDisk>"
+    );
+    assert_eq!(buf, block);
+    let h = sim.metrics().histogram("disk.sd0.service").unwrap();
+    assert_eq!(h.count(), 3, "every request is still recorded");
+}
+
+#[test]
+fn raid5_small_write_over_existing_blocks_allocates_nothing() {
+    let sim = Sim::new(1);
+    let r5 = instrumented_raid(&sim);
+    r5.write(9, &[1u8; BLOCK_SIZE]).unwrap(); // data + parity now exist
+    let (n, ()) = allocs_in(|| {
+        r5.write(9, &[2u8; BLOCK_SIZE]).unwrap();
+    });
+    assert_eq!(n, 0, "read-modify-write of one block");
+    let h = sim
+        .metrics()
+        .histogram("raid5.raid5.parity_update")
+        .unwrap();
+    assert_eq!(h.count(), 2);
+}
+
+#[test]
+fn warm_ext3_read_past_single_indirect_allocates_only_its_result() {
+    let sim = Sim::new(1);
+    let fs = Ext3::mkfs(
+        Rc::clone(&sim),
+        Rc::new(MemDisk::new("d0", 300_000)),
+        Options::default(),
+    )
+    .unwrap();
+    let f = fs.create(fs.root(), "big", 0o644).unwrap();
+    // Direct blocks map 48 KB and the single-indirect block 4 MB more:
+    // this offset is mapped through the double-indirect tree.
+    let off = 5 * 1024 * 1024;
+    fs.write(f, off, &[3u8; 2 * BLOCK_SIZE]).unwrap();
+    fs.read(f, off, BLOCK_SIZE).unwrap(); // read-ahead state, atime in the transaction
+    let (n, got) = allocs_in(|| fs.read(f, off, BLOCK_SIZE).unwrap());
+    assert!(n <= 1, "{n} allocations; only the returned Vec is allowed");
+    assert_eq!(got, [3u8; BLOCK_SIZE]);
+}
+
+#[test]
+fn warm_nfs_read_of_a_cached_page_allocates_only_its_result() {
+    let sim = Sim::new(1);
+    let cpu_at = |host| {
+        let cpu = Rc::new(CpuAccount::new());
+        cpu.instrument(Rc::clone(&sim), host);
+        cpu
+    };
+    let cost = CostModel::p3_933();
+    let raid = Rc::new(WriteCache::new(
+        instrumented_raid(&sim),
+        SimDuration::from_micros(250),
+    ));
+    let fs = Ext3::mkfs(Rc::clone(&sim), raid, Options::default()).unwrap();
+    let server = Rc::new(NfsServer::new(fs, cpu_at(HostId::SERVER), cost));
+    let cfg = NfsConfig::for_version(Version::V3);
+    let fabric = Fabric::new(Rc::clone(&sim), LinkParams::gigabit_lan());
+    let rpc = RpcClient::new(
+        fabric
+            .host("c0")
+            .channel_flows("nfs", Version::V3.transport(), Some(cfg.nconnect)),
+        RpcConfig::default(),
+    );
+    let client = NfsClient::new(
+        Rc::clone(&sim),
+        rpc,
+        server,
+        cfg,
+        cpu_at(HostId::client(0)),
+        cost,
+    );
+    let root = client.mount();
+    let fh = client.create(root, "f", 0o644).unwrap();
+    client.write(fh, 0, &[4u8; 2 * BLOCK_SIZE]).unwrap();
+    client.close(fh);
+    client.read(fh, 0, BLOCK_SIZE).unwrap(); // page resident, stream state set up
+    let msgs = sim.counters().get("net.nfs.msgs");
+    assert!(msgs > 0, "set-up went over the wire");
+    let (n, got) = allocs_in(|| client.read(fh, 0, BLOCK_SIZE).unwrap());
+    assert!(n <= 1, "{n} allocations; only the returned Vec is allowed");
+    assert_eq!(got, [4u8; BLOCK_SIZE]);
+    assert_eq!(
+        sim.counters().get("net.nfs.msgs"),
+        msgs,
+        "the read was served from the page cache"
+    );
+}
