@@ -89,12 +89,26 @@ pub struct FrontierRun {
 }
 
 /// The shard-sized topology a cell's snapshot is captured for: k
-/// clients on one server. iSCSI LUNs are `volume / k`, so the volume
-/// is grown when a large shard would push a LUN below the ext3
-/// minimum (the growth is part of the snapshot key).
-fn shard_topology(protocol: Protocol, shard_clients: usize) -> TopologyConfig {
+/// clients on one server, the volume grown past the calibrated size
+/// when k clients need more (the growth is part of the snapshot key).
+/// NFS clients share one file system, 4096 blocks each. An iSCSI
+/// client formats its own `volume / k` LUN, so its share is what ext3
+/// needs before it holds a file, plus the directory tree and twice the
+/// pool at its largest file size (transactions create as often as they
+/// delete).
+fn shard_topology(protocol: Protocol, shard_clients: usize, files: usize) -> TopologyConfig {
+    let per_client = match protocol {
+        Protocol::Iscsi => {
+            let pm = client_pm(files, 0, 0, 0);
+            let file_blocks = pm.max_size.div_ceil(blockdev::BLOCK_SIZE) as u64;
+            ext3::min_volume_blocks(calibration::JOURNAL_BLOCKS)
+                + 2 * files as u64 * file_blocks
+                + pm.subdirs as u64
+        }
+        _ => 4096,
+    };
     let mut topo = TopologyConfig::new(protocol).with_clients(shard_clients);
-    topo.base.volume_blocks = calibration::VOLUME_BLOCKS.max(shard_clients as u64 * 4096);
+    topo.base.volume_blocks = calibration::VOLUME_BLOCKS.max(shard_clients as u64 * per_client);
     topo
 }
 
@@ -162,7 +176,7 @@ pub(crate) fn frontier_run_seeded(
         "static sharding needs clients ({clients}) to be a multiple of servers ({servers})"
     );
     let k = clients / servers;
-    let shard = shard_topology(protocol, k);
+    let shard = shard_topology(protocol, k, files);
     let seed = seed.unwrap_or(shard.base.seed);
     let per_client = (transactions / clients).max(1);
 

@@ -492,8 +492,8 @@ impl Testbed {
     ///
     /// Panics if `clients` is zero or the underlying mkfs fails (for
     /// iSCSI, each client's LUN partition must still hold a file
-    /// system: keep `volume_blocks / clients` comfortably above the
-    /// ext3 minimum).
+    /// system: keep `volume_blocks / clients` comfortably above
+    /// [`ext3::min_volume_blocks`]).
     pub fn build_topology(topo: TopologyConfig) -> Testbed {
         Self::construct_topology(topo, None)
     }

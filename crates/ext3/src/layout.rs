@@ -355,20 +355,31 @@ pub fn group_layout(g: u32, journal_len: u64, blocks_count: u64) -> GroupLayout 
     }
 }
 
+/// Smallest group worth laying out: its metadata (two bitmaps and the
+/// inode table) plus a few data blocks.
+const MIN_GROUP_BLOCKS: u64 = 2 + ITABLE_BLOCKS + 64;
+
+/// Smallest volume [`groups_for`] (hence mkfs) accepts with a journal
+/// of `journal_len` blocks: superblock, descriptors, the journal, and
+/// one block more than a minimal group. Callers that carve volumes
+/// (per-client iSCSI LUNs) size against this instead of repeating the
+/// arithmetic.
+pub const fn min_volume_blocks(journal_len: u64) -> u64 {
+    2 + journal_len + MIN_GROUP_BLOCKS + 1
+}
+
 /// Number of groups for a volume of `blocks_count` blocks and a
 /// journal of `journal_len` blocks (partial trailing groups allowed as
 /// long as they can hold their metadata).
 pub fn groups_for(blocks_count: u64, journal_len: u64) -> u32 {
-    let meta_end = 2 + journal_len;
     assert!(
-        blocks_count > meta_end + 2 + ITABLE_BLOCKS + 64,
+        blocks_count >= min_volume_blocks(journal_len),
         "volume too small"
     );
-    let usable = blocks_count - meta_end;
+    let usable = blocks_count - (2 + journal_len);
     let full = usable / BLOCKS_PER_GROUP;
     let rem = usable % BLOCKS_PER_GROUP;
-    let min_group = 2 + ITABLE_BLOCKS + 64; // metadata + a few data blocks
-    (full + u64::from(rem >= min_group)).max(1) as u32
+    (full + u64::from(rem >= MIN_GROUP_BLOCKS)).max(1) as u32
 }
 
 #[cfg(test)]

@@ -56,7 +56,7 @@ pub use dir::DirEntry;
 pub use error::{FsError, FsResult};
 pub use fs::{Attr, Ext3, Ino, Options, SetAttr, StatFs};
 pub use fsck::FsckReport;
-pub use layout::{FileType, FAST_SYMLINK_MAX, NAME_MAX, ROOT_INO};
+pub use layout::{min_volume_blocks, FileType, FAST_SYMLINK_MAX, NAME_MAX, ROOT_INO};
 
 #[cfg(test)]
 mod tests {

@@ -133,6 +133,9 @@ pub struct NfsClient {
     /// borrowed `&str` instead of building an owned `(Fh, String)` key
     /// per resolution.
     dentries: RefCell<BTreeMap<Fh, DirEntries>>,
+    /// Entries across all of `dentries`, maintained wherever the maps
+    /// change so the gauge probe is a load, not a walk.
+    dentry_count: Cell<usize>,
     pages: PageCache,
     /// Completion times (ns) of in-flight async writes.
     pending: RefCell<VecDeque<u64>>,
@@ -154,15 +157,7 @@ impl std::fmt::Debug for NfsClient {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NfsClient")
             .field("version", &self.cfg.version)
-            .field(
-                "cached_dentries",
-                &self
-                    .dentries
-                    .borrow()
-                    .values()
-                    .map(|m| m.len())
-                    .sum::<usize>(),
-            )
+            .field("cached_dentries", &self.dentry_count.get())
             .finish()
     }
 }
@@ -186,6 +181,7 @@ impl NfsClient {
             cost,
             attrs: RefCell::new(BTreeMap::new()),
             dentries: RefCell::new(BTreeMap::new()),
+            dentry_count: Cell::new(0),
             pages: PageCache::new(cfg.page_cache_pages),
             pending: RefCell::new(VecDeque::new()),
             dirty_queue: RefCell::new(VecDeque::new()),
@@ -226,7 +222,7 @@ impl NfsClient {
     /// Directory entries currently cached across all dentry maps
     /// (gauge probe).
     pub fn cached_dentry_count(&self) -> usize {
-        self.dentries.borrow().values().map(|m| m.len()).sum()
+        self.dentry_count.get()
     }
 
     /// Performs the mount handshake and returns the root handle. For
@@ -271,6 +267,7 @@ impl NfsClient {
     pub fn drop_caches(&self) {
         self.attrs.borrow_mut().clear();
         self.dentries.borrow_mut().clear();
+        self.dentry_count.set(0);
         self.pages.clear();
         self.seq.borrow_mut().clear();
         self.delegations.borrow_mut().clear();
@@ -328,17 +325,29 @@ impl NfsClient {
     }
 
     fn prime_dentry(&self, dir: Fh, name: &str, fh: Fh) {
-        self.dentries
+        let replaced = self
+            .dentries
             .borrow_mut()
             .entry(dir)
             .or_default()
             .insert(name.to_owned(), (fh, self.now_ns()));
+        if replaced.is_none() {
+            self.dentry_count.set(self.dentry_count.get() + 1);
+        }
     }
 
-    fn drop_dentry(&self, dir: Fh, name: &str) {
-        if let Some(entries) = self.dentries.borrow_mut().get_mut(&dir) {
-            entries.remove(name);
+    /// Removes one cached entry, returning it; the only place an entry
+    /// leaves `dentries` short of `drop_caches`.
+    fn drop_dentry(&self, dir: Fh, name: &str) -> Option<(Fh, u64)> {
+        let removed = self
+            .dentries
+            .borrow_mut()
+            .get_mut(&dir)
+            .and_then(|entries| entries.remove(name));
+        if removed.is_some() {
+            self.dentry_count.set(self.dentry_count.get() - 1);
         }
+        removed
     }
 
     /// Borrowed-key dentry probe: no allocation on the hit path.
@@ -683,12 +692,7 @@ impl NfsClient {
         self.update_op(sdir, procs, |s| {
             s.rename(self.id(), sdir, sname, ddir, dname)
         })?;
-        let moved = self
-            .dentries
-            .borrow_mut()
-            .get_mut(&sdir)
-            .and_then(|entries| entries.remove(sname));
-        if let Some((fh, _)) = moved {
+        if let Some((fh, _)) = self.drop_dentry(sdir, sname) {
             self.prime_dentry(ddir, dname, fh);
         }
         Ok(())
@@ -1140,5 +1144,107 @@ impl NfsClient {
         self.prime_attr(fh, &attr);
         self.prime_dentry(dir, name, fh);
         Ok(fh)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::NfsServer;
+    use blockdev::MemDisk;
+    use net::{LinkParams, Network};
+    use proptest::prelude::*;
+    use rpc::RpcConfig;
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Lookup(bool, u8),
+        Create(bool, u8),
+        Unlink(bool, u8),
+        Rename(bool, u8, bool, u8),
+        Advance(u8),
+        DropCaches,
+    }
+
+    fn op_strategy() -> impl Strategy<Value = Op> {
+        let sub = || prop_oneof![Just(false), Just(true)];
+        prop_oneof![
+            (sub(), 0u8..6).prop_map(|(d, f)| Op::Lookup(d, f)),
+            (sub(), 0u8..6).prop_map(|(d, f)| Op::Create(d, f)),
+            (sub(), 0u8..6).prop_map(|(d, f)| Op::Unlink(d, f)),
+            (sub(), 0u8..6, sub(), 0u8..6).prop_map(|(sd, s, dd, d)| Op::Rename(sd, s, dd, d)),
+            (1u8..5).prop_map(Op::Advance),
+            Just(Op::DropCaches),
+        ]
+    }
+
+    fn client(seed: u64) -> NfsClient {
+        let sim = Sim::new(seed);
+        let netw = Network::new(sim.clone(), LinkParams::gigabit_lan());
+        let fs = ext3::Ext3::mkfs(
+            sim.clone(),
+            Rc::new(MemDisk::new("srv", 100_000)),
+            ext3::Options::default(),
+        )
+        .unwrap();
+        let server = Rc::new(NfsServer::new(
+            fs,
+            Rc::new(CpuAccount::new()),
+            CostModel::p3_933(),
+        ));
+        let rpcc = RpcClient::new(
+            netw.channel("nfs", Version::V3.transport()),
+            RpcConfig::default(),
+        );
+        NfsClient::new(
+            sim,
+            rpcc,
+            server,
+            NfsConfig::for_version(Version::V3),
+            Rc::new(CpuAccount::new()),
+            CostModel::p3_933(),
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The maintained count is the walk it replaced. The walk lives
+        /// here and not behind a `debug_assert` in the probe, which
+        /// would put the O(clients) cost back into every debug-profile
+        /// gauge tick.
+        #[test]
+        fn dentry_count_tracks_the_maps(
+            ops in prop::collection::vec(op_strategy(), 1..80),
+            seed in 0u64..100,
+        ) {
+            let c = client(seed);
+            let root = c.root();
+            let sub = c.mkdir(root, "d", 0o755).unwrap();
+            let dir = |in_sub: bool| if in_sub { sub } else { root };
+            let name = |i: u8| format!("f{i}");
+            for op in &ops {
+                match *op {
+                    Op::Lookup(d, f) => {
+                        let _ = c.lookup(dir(d), &name(f));
+                    }
+                    Op::Create(d, f) => {
+                        let _ = c.create(dir(d), &name(f), 0o644);
+                    }
+                    Op::Unlink(d, f) => {
+                        let _ = c.unlink(dir(d), &name(f));
+                    }
+                    Op::Rename(sd, s, dd, d) => {
+                        let _ = c.rename(dir(sd), &name(s), dir(dd), &name(d));
+                    }
+                    // Past the 3 s meta-data timeout a lookup re-primes
+                    // an entry that is already cached.
+                    Op::Advance(secs) => c.sim().advance(SimDuration::from_secs(secs as u64)),
+                    Op::DropCaches => c.drop_caches(),
+                }
+                let walked: usize = c.dentries.borrow().values().map(|m| m.len()).sum();
+                prop_assert_eq!(c.cached_dentry_count(), walked, "after {:?}", op);
+            }
+        }
     }
 }

@@ -91,6 +91,13 @@ pub fn encode_lookup_args(dir: Fh, name: &str) -> Vec<u8> {
     out
 }
 
+/// Length of [`encode_lookup_args`]' output, without building it: the
+/// handle (length word + 8 bytes), the name's length word, and the
+/// name padded to 4 bytes.
+pub fn lookup_args_len(name: &str) -> usize {
+    (4 + 8) + 4 + name.len().div_ceil(4) * 4
+}
+
 /// Decodes LOOKUP3args.
 pub fn decode_lookup_args(b: &[u8]) -> Option<(Fh, String)> {
     let mut off = 0;
@@ -143,7 +150,7 @@ pub fn lookup_call_len(name: &str) -> usize {
         auth: rpc::wire::AuthFlavor::Unix,
     }
     .encoded_len()
-        + encode_lookup_args(Fh(0), name).len()
+        + lookup_args_len(name)
 }
 
 /// Wire size of a LOOKUP reply carrying post-op attributes.
@@ -198,6 +205,23 @@ mod tests {
         assert_eq!(name, "hello_world.txt");
         // XDR padding keeps everything 4-aligned.
         assert_eq!(enc.len() % 4, 0);
+    }
+
+    #[test]
+    fn lookup_args_len_matches_the_encoding() {
+        for len in 0..=300usize {
+            // ASCII, then two- and three-byte UTF-8 sequences, each
+            // filled out with ASCII to exactly `len` bytes.
+            for unit in ["n", "é", "名"] {
+                let name = "n".repeat(len % unit.len()) + &unit.repeat(len / unit.len());
+                assert_eq!(name.len(), len);
+                assert_eq!(
+                    lookup_args_len(&name),
+                    encode_lookup_args(Fh(7), &name).len(),
+                    "{len}-byte name of {unit:?}"
+                );
+            }
+        }
     }
 
     #[test]

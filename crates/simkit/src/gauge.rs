@@ -92,7 +92,9 @@ pub struct GaugeSampler {
     /// Next sampling instant, always an absolute multiple of `period`.
     next: Cell<u64>,
     gauges: RefCell<Vec<(String, GaugeFn)>>,
-    stats: RefCell<BTreeMap<String, GaugeStats>>,
+    /// Parallel to `gauges` (registration order), so a tick indexes
+    /// instead of looking names up; sorted by name only in `stats()`.
+    stats: RefCell<Vec<GaugeStats>>,
 }
 
 impl std::fmt::Debug for GaugeSampler {
@@ -116,7 +118,7 @@ impl GaugeSampler {
             period,
             next: Cell::new(period.as_nanos()),
             gauges: RefCell::new(Vec::new()),
-            stats: RefCell::new(BTreeMap::new()),
+            stats: RefCell::new(Vec::new()),
         }
     }
 
@@ -127,9 +129,8 @@ impl GaugeSampler {
     /// the gauge — unless the name is per-host (see the module docs),
     /// in which case the row only materializes once it has samples.
     pub fn register(&self, name: impl Into<String>, f: impl Fn() -> u64 + 'static) {
-        let name = name.into();
-        self.stats.borrow_mut().entry(name.clone()).or_default();
-        self.gauges.borrow_mut().push((name, Box::new(f)));
+        self.stats.borrow_mut().push(GaugeStats::default());
+        self.gauges.borrow_mut().push((name.into(), Box::new(f)));
     }
 
     /// Re-arms the schedule from `now` (next sample at the next
@@ -140,22 +141,21 @@ impl GaugeSampler {
         let p = self.period.as_nanos();
         let n = now.as_nanos();
         self.next.set((n / p + 1) * p);
-        let mut stats = self.stats.borrow_mut();
-        for v in stats.values_mut() {
-            *v = GaugeStats::default();
-        }
+        self.stats.borrow_mut().fill(GaugeStats::default());
     }
 
     /// Snapshot of the per-gauge summaries. Registered-but-never-
     /// sampled gauges appear with `samples == 0`, except per-host
     /// names (see the module docs), which are filtered while empty.
     pub fn stats(&self) -> BTreeMap<String, GaugeStats> {
-        self.stats
-            .borrow()
-            .iter()
-            .filter(|(name, g)| g.samples > 0 || !per_host_gauge(name))
-            .map(|(name, g)| (name.clone(), *g))
-            .collect()
+        let mut out: BTreeMap<String, GaugeStats> = BTreeMap::new();
+        for ((name, _), g) in self.gauges.borrow().iter().zip(self.stats.borrow().iter()) {
+            if g.samples > 0 || !per_host_gauge(name) {
+                // Two gauges registered under one name share a row.
+                out.entry(name.clone()).or_default().merge(g);
+            }
+        }
+        out
     }
 
     /// The next sampling instant, or `None` when no gauges are
@@ -183,8 +183,8 @@ impl Daemon for GaugeSampler {
         }
         let gauges = self.gauges.borrow();
         let mut stats = self.stats.borrow_mut();
-        for (name, f) in gauges.iter() {
-            stats.entry(name.clone()).or_default().observe(f());
+        for ((_, f), g) in gauges.iter().zip(stats.iter_mut()) {
+            g.observe(f());
         }
         self.next.set(next + self.period.as_nanos());
         Some(SimTime::from_nanos(self.next.get()))

@@ -19,6 +19,9 @@ pub struct SplitMix64 {
     state: u64,
 }
 
+/// The state increment ("gamma") of every draw.
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
 impl SplitMix64 {
     /// Creates a generator from a seed. Distinct seeds yield
     /// independent-looking streams.
@@ -28,11 +31,33 @@ impl SplitMix64 {
 
     /// Next 64 uniformly distributed bits.
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        self.state = self.state.wrapping_add(GAMMA);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^ (z >> 31)
+    }
+
+    /// Discards the next `n` draws in O(1): a draw advances the state
+    /// by a constant, so `n` of them advance it by `n` times that
+    /// (wrapping). The stream continues exactly as after `n` calls of
+    /// [`next_u64`](SplitMix64::next_u64) — every other draw method
+    /// consumes exactly one of those per call.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use simkit::SplitMix64;
+    /// let mut a = SplitMix64::new(9);
+    /// let mut b = a.clone();
+    /// for _ in 0..5 {
+    ///     a.next_u64();
+    /// }
+    /// b.skip(5);
+    /// assert_eq!(a, b);
+    /// ```
+    pub fn skip(&mut self, n: u64) {
+        self.state = self.state.wrapping_add(n.wrapping_mul(GAMMA));
     }
 
     /// Derives an independent generator for stream `stream_id` without
@@ -57,7 +82,7 @@ impl SplitMix64 {
     pub fn fork(&self, stream_id: u64) -> SplitMix64 {
         let mut z = self
             .state
-            .wrapping_add(0x9E37_79B9_7F4A_7C15)
+            .wrapping_add(GAMMA)
             .wrapping_add(stream_id.wrapping_mul(0xD1B5_4A32_D192_ED03));
         for _ in 0..2 {
             z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -162,6 +187,41 @@ mod tests {
         assert_eq!(sorted, (0..100).collect::<Vec<_>>());
         // With overwhelming probability the shuffle moved something.
         assert_ne!(v, (0..100).collect::<Vec<_>>());
+    }
+
+    /// `n` draws from `seed`, the slow way.
+    fn drawn(seed: u64, n: u64) -> SplitMix64 {
+        let mut r = SplitMix64::new(seed);
+        for _ in 0..n {
+            r.next_u64();
+        }
+        r
+    }
+
+    #[test]
+    fn skip_equals_that_many_draws() {
+        // u64::MAX - 3·γ: the state wraps around zero within a few
+        // draws.
+        let near_wrap = u64::MAX.wrapping_sub(GAMMA.wrapping_mul(3));
+        for seed in [0, 42, near_wrap] {
+            for n in [0, 1, 94, 9_977, 1 << 16] {
+                let mut skipped = SplitMix64::new(seed);
+                skipped.skip(n);
+                let mut stepped = drawn(seed, n);
+                assert_eq!(skipped, stepped, "seed {seed:#x}, n {n}");
+                assert_eq!(skipped.next_u64(), stepped.next_u64());
+            }
+            // 2^33 draws one at a time is minutes of test time; 2^17
+            // skips of 2^16 — each just shown equal to 2^16 draws —
+            // cover the same distance, many wrap-arounds included.
+            let mut skipped = SplitMix64::new(seed);
+            skipped.skip(1 << 33);
+            let mut chunked = SplitMix64::new(seed);
+            for _ in 0..1 << 17 {
+                chunked.skip(1 << 16);
+            }
+            assert_eq!(skipped, chunked, "seed {seed:#x}, n 2^33");
+        }
     }
 
     #[test]

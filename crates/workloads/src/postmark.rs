@@ -168,7 +168,9 @@ impl<'a> Session<'a> {
     /// image that already holds the pool: the session must use the
     /// same config (seed included) the captured setup ran with, after
     /// which [`step`](Session::step) continues the exact transaction
-    /// stream a never-snapshotted run would have produced.
+    /// stream a never-snapshotted run would have produced. O(files):
+    /// each file's payload draws are skipped in one
+    /// [`SplitMix64::skip`](simkit::SplitMix64::skip), not replayed.
     pub fn resume_setup(&mut self) {
         for _ in 0..self.cfg.file_count {
             let id = self.next_id;
@@ -178,9 +180,7 @@ impl<'a> Session<'a> {
                 .range_inclusive(self.cfg.min_size as u64, self.cfg.max_size as u64)
                 as usize;
             // One draw per payload byte, as payload() consumed them.
-            for _ in 0..size {
-                let _ = self.rng.below(94);
-            }
+            self.rng.skip(size as u64);
             self.report.created += 1;
             self.report.bytes_written += Bytes::new(size as u64);
             self.pool.push((id, size));
@@ -294,11 +294,137 @@ pub fn run(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ext3::FsResult;
+    use vfs::Fd;
 
     #[test]
     fn config_defaults_are_sane() {
         let c = PostmarkConfig::default();
         assert!(c.min_size < c.max_size);
         assert!(c.transactions > 0);
+    }
+
+    /// A file system that does nothing but log the calls PostMark
+    /// makes, arguments and written bytes included.
+    #[derive(Default)]
+    struct CallLog(std::cell::RefCell<Vec<String>>);
+
+    impl CallLog {
+        fn log(&self, call: String) {
+            self.0.borrow_mut().push(call);
+        }
+    }
+
+    impl FileSystem for CallLog {
+        fn mkdir(&self, path: &str) -> FsResult<()> {
+            self.log(format!("mkdir {path}"));
+            Ok(())
+        }
+        fn creat(&self, path: &str) -> FsResult<()> {
+            self.log(format!("creat {path}"));
+            Ok(())
+        }
+        fn open(&self, path: &str) -> FsResult<Fd> {
+            self.log(format!("open {path}"));
+            Ok(Fd(self.0.borrow().len() as u64))
+        }
+        fn close(&self, fd: Fd) -> FsResult<()> {
+            self.log(format!("close {}", fd.0));
+            Ok(())
+        }
+        fn unlink(&self, path: &str) -> FsResult<()> {
+            self.log(format!("unlink {path}"));
+            Ok(())
+        }
+        fn read(&self, fd: Fd, off: u64, len: usize) -> FsResult<Vec<u8>> {
+            self.log(format!("read {} {off} {len}", fd.0));
+            Ok(vec![0; len])
+        }
+        fn write(&self, fd: Fd, off: u64, data: &[u8]) -> FsResult<usize> {
+            self.log(format!(
+                "write {} {off} {}",
+                fd.0,
+                String::from_utf8_lossy(data)
+            ));
+            Ok(data.len())
+        }
+        fn chdir(&self, _: &str) -> FsResult<()> {
+            unimplemented!()
+        }
+        fn readdir(&self, _: &str) -> FsResult<Vec<String>> {
+            unimplemented!()
+        }
+        fn rmdir(&self, _: &str) -> FsResult<()> {
+            unimplemented!()
+        }
+        fn symlink(&self, _: &str, _: &str) -> FsResult<()> {
+            unimplemented!()
+        }
+        fn readlink(&self, _: &str) -> FsResult<String> {
+            unimplemented!()
+        }
+        fn link(&self, _: &str, _: &str) -> FsResult<()> {
+            unimplemented!()
+        }
+        fn rename(&self, _: &str, _: &str) -> FsResult<()> {
+            unimplemented!()
+        }
+        fn truncate(&self, _: &str, _: u64) -> FsResult<()> {
+            unimplemented!()
+        }
+        fn chmod(&self, _: &str, _: u16) -> FsResult<()> {
+            unimplemented!()
+        }
+        fn chown(&self, _: &str, _: u32, _: u32) -> FsResult<()> {
+            unimplemented!()
+        }
+        fn access(&self, _: &str) -> FsResult<()> {
+            unimplemented!()
+        }
+        fn stat(&self, _: &str) -> FsResult<ext3::Attr> {
+            unimplemented!()
+        }
+        fn utime(&self, _: &str) -> FsResult<()> {
+            unimplemented!()
+        }
+        fn fsync(&self, _: Fd) -> FsResult<()> {
+            unimplemented!()
+        }
+        fn statfs(&self) -> FsResult<ext3::StatFs> {
+            unimplemented!()
+        }
+    }
+
+    #[test]
+    fn resume_setup_leaves_the_session_where_setup_does() {
+        let cfg = PostmarkConfig {
+            file_count: 120,
+            transactions: 200,
+            subdirs: 7,
+            seed: 0xfeed,
+            ..PostmarkConfig::default()
+        };
+        let (built_fs, resumed_fs) = (CallLog::default(), CallLog::default());
+        let mut built = Session::new(&built_fs, "/pm", cfg);
+        built.setup().unwrap();
+        let mut resumed = Session::new(&resumed_fs, "/pm", cfg);
+        resumed.resume_setup();
+        assert!(resumed_fs.0.borrow().is_empty(), "resuming issues no call");
+
+        assert_eq!(resumed.rng, built.rng);
+        assert_eq!(resumed.pool, built.pool);
+        assert_eq!(resumed.next_id, built.next_id);
+        assert_eq!(resumed.report, built.report);
+
+        // ...so the transaction streams are the same, call for call
+        // and payload byte for payload byte.
+        built_fs.0.borrow_mut().clear();
+        for _ in 0..200 {
+            assert!(built.step().unwrap());
+            assert!(resumed.step().unwrap());
+        }
+        assert_eq!(*resumed_fs.0.borrow(), *built_fs.0.borrow());
+        assert_eq!(resumed.report, built.report);
+        assert_eq!(resumed.rng, built.rng);
     }
 }

@@ -5,7 +5,9 @@
 //! hands back to its caller. These budgets hold that in place with
 //! exact, host-independent counts: an allocation that creeps back into
 //! `DiskModel::service`, `Raid5::write_one`, `ext3::fs::bread` or
-//! `nfs::PageCache::get` fails here before any stopwatch notices.
+//! `nfs::PageCache::get` fails here before any stopwatch notices. The
+//! same goes for the two per-cell overheads of big topologies: a gauge
+//! tick allocates nothing and a LOOKUP is sized without being encoded.
 //!
 //! The allocator counts per thread, so the tests stay independent
 //! under the harness's parallel runner.
@@ -18,7 +20,7 @@ use ext3::{Ext3, Options};
 use net::{Fabric, LinkParams};
 use nfs::{NfsClient, NfsConfig, NfsServer, Version};
 use rpc::{RpcClient, RpcConfig};
-use simkit::{HostId, Sim, SimDuration};
+use simkit::{Daemon, GaugeSampler, HostId, Sim, SimDuration};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::rc::Rc;
@@ -66,6 +68,12 @@ unsafe impl GlobalAlloc for Counting {
 
 #[global_allocator]
 static GLOBAL: Counting = Counting;
+
+/// What a cold `NfsClient::lookup` allocates: the owned dentry name
+/// and nothing else once the cache maps have their nodes. 3ac4b8b
+/// measured 4: it also built the encoded LOOKUP arguments (a `Vec`
+/// grown twice) only to take their length.
+const COLD_LOOKUP_ALLOCS: u64 = 1;
 
 /// Heap allocations (including reallocations) this thread makes in `f`.
 fn allocs_in<T>(f: impl FnOnce() -> T) -> (u64, T) {
@@ -148,23 +156,23 @@ fn warm_ext3_read_past_single_indirect_allocates_only_its_result() {
     assert_eq!(got, [3u8; BLOCK_SIZE]);
 }
 
-#[test]
-fn warm_nfs_read_of_a_cached_page_allocates_only_its_result() {
-    let sim = Sim::new(1);
+/// An NFSv3 client on a one-host fabric over an instrumented RAID-5
+/// server, mounted.
+fn mounted_nfs_client(sim: &Rc<Sim>) -> (NfsClient, nfs::Fh) {
     let cpu_at = |host| {
         let cpu = Rc::new(CpuAccount::new());
-        cpu.instrument(Rc::clone(&sim), host);
+        cpu.instrument(Rc::clone(sim), host);
         cpu
     };
     let cost = CostModel::p3_933();
     let raid = Rc::new(WriteCache::new(
-        instrumented_raid(&sim),
+        instrumented_raid(sim),
         SimDuration::from_micros(250),
     ));
-    let fs = Ext3::mkfs(Rc::clone(&sim), raid, Options::default()).unwrap();
+    let fs = Ext3::mkfs(Rc::clone(sim), raid, Options::default()).unwrap();
     let server = Rc::new(NfsServer::new(fs, cpu_at(HostId::SERVER), cost));
     let cfg = NfsConfig::for_version(Version::V3);
-    let fabric = Fabric::new(Rc::clone(&sim), LinkParams::gigabit_lan());
+    let fabric = Fabric::new(Rc::clone(sim), LinkParams::gigabit_lan());
     let rpc = RpcClient::new(
         fabric
             .host("c0")
@@ -172,7 +180,7 @@ fn warm_nfs_read_of_a_cached_page_allocates_only_its_result() {
         RpcConfig::default(),
     );
     let client = NfsClient::new(
-        Rc::clone(&sim),
+        Rc::clone(sim),
         rpc,
         server,
         cfg,
@@ -180,6 +188,13 @@ fn warm_nfs_read_of_a_cached_page_allocates_only_its_result() {
         cost,
     );
     let root = client.mount();
+    (client, root)
+}
+
+#[test]
+fn warm_nfs_read_of_a_cached_page_allocates_only_its_result() {
+    let sim = Sim::new(1);
+    let (client, root) = mounted_nfs_client(&sim);
     let fh = client.create(root, "f", 0o644).unwrap();
     client.write(fh, 0, &[4u8; 2 * BLOCK_SIZE]).unwrap();
     client.close(fh);
@@ -194,4 +209,48 @@ fn warm_nfs_read_of_a_cached_page_allocates_only_its_result() {
         msgs,
         "the read was served from the page cache"
     );
+}
+
+#[test]
+fn cold_nfs_lookup_does_not_allocate_to_size_its_call() {
+    let sim = Sim::new(1);
+    let (client, root) = mounted_nfs_client(&sim);
+    for name in ["f", "g"] {
+        client.create(root, name, 0o644).unwrap();
+    }
+    client.drop_caches();
+    client.lookup(root, "g").unwrap(); // the dentry and attribute maps have their nodes
+    let msgs = sim.counters().get("net.nfs.msgs");
+    let (n, fh) = allocs_in(|| client.lookup(root, "f"));
+    fh.unwrap();
+    assert_eq!(
+        sim.counters().get("net.nfs.msgs"),
+        msgs + 2,
+        "the lookup went to the server"
+    );
+    assert_eq!(n, COLD_LOOKUP_ALLOCS, "LOOKUP call + reply, dentry primed");
+}
+
+#[test]
+fn gauge_tick_allocates_nothing() {
+    let g = GaugeSampler::new(SimDuration::from_millis(100));
+    for name in [
+        "link.util_pct",
+        "disk.busy_pct",
+        "disk.s0.busy_pct",
+        "disk.s1.busy_pct",
+        "disk.s2.busy_pct",
+        "disk.s3.busy_pct",
+        "cache.pagecache_blocks",
+        "cache.dentries",
+    ] {
+        g.register(name, || 7);
+    }
+    let tick = g.next_wake().unwrap();
+    let (n, next) = allocs_in(|| g.fire(tick));
+    assert_eq!(n, 0, "one sample of 8 gauges");
+    assert!(next.unwrap() > tick);
+    let stats = g.stats();
+    assert_eq!(stats.len(), 8);
+    assert!(stats.values().all(|s| (s.samples, s.sum) == (1, 7)));
 }

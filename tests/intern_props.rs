@@ -107,3 +107,14 @@ fn thousand_client_cell_completes_in_tier1() {
     assert!(r.ops_per_sec > 0.0, "cell made progress");
     assert!(r.msgs_per_client > 0);
 }
+
+/// iSCSI shards past k = 237 clients used to carve LUNs below the ext3
+/// minimum and die in mkfs ("volume too small"); the per-LUN floor now
+/// comes from ext3 itself. k = 240 here.
+#[test]
+fn large_iscsi_shard_gets_luns_ext3_can_format() {
+    let r = frontier_run(Protocol::Iscsi, 480, 2, 10, 480);
+    assert_eq!((r.clients, r.servers), (480, 2));
+    assert_eq!(r.transactions, 480);
+    assert!(r.ops_per_sec > 0.0, "cell made progress");
+}
