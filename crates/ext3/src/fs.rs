@@ -8,8 +8,8 @@ use crate::error::{FsError, FsResult};
 use crate::journal::Journal;
 use crate::layout::*;
 use blockdev::{BlockDevice, BlockNo, IoCost, BLOCK_SIZE};
-use simkit::{Daemon, Sim, SimDuration, SimTime};
-use std::cell::{Cell, RefCell};
+use simkit::{CounterHandle, Daemon, Sim, SimDuration, SimTime};
+use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::HashMap;
 use std::rc::{Rc, Weak};
 
@@ -174,6 +174,55 @@ pub(crate) struct Inner {
     fg_cost: Cell<SimDuration>,
     bg_busy: Cell<SimDuration>,
     mode: Cell<IoMode>,
+    /// Each [`Op`]'s counter in `sim.counters()`, resolved by the first
+    /// [`Inner::count`] of that op.
+    op_counters: [OnceCell<CounterHandle>; Op::COUNT],
+}
+
+/// What this file system counts once per occurrence: every file
+/// operation, and journal commits.
+#[derive(Clone, Copy)]
+pub(crate) enum Op {
+    Lookup,
+    Getattr,
+    Setattr,
+    Create,
+    Mkdir,
+    Rmdir,
+    Unlink,
+    Link,
+    Symlink,
+    Readlink,
+    Rename,
+    Readdir,
+    Read,
+    Write,
+    JournalCommit,
+}
+
+impl Op {
+    /// One past the last variant.
+    const COUNT: usize = Op::JournalCommit as usize + 1;
+
+    fn counter_name(self) -> &'static str {
+        match self {
+            Op::Lookup => "ext3.op.lookup",
+            Op::Getattr => "ext3.op.getattr",
+            Op::Setattr => "ext3.op.setattr",
+            Op::Create => "ext3.op.create",
+            Op::Mkdir => "ext3.op.mkdir",
+            Op::Rmdir => "ext3.op.rmdir",
+            Op::Unlink => "ext3.op.unlink",
+            Op::Link => "ext3.op.link",
+            Op::Symlink => "ext3.op.symlink",
+            Op::Readlink => "ext3.op.readlink",
+            Op::Rename => "ext3.op.rename",
+            Op::Readdir => "ext3.op.readdir",
+            Op::Read => "ext3.op.read",
+            Op::Write => "ext3.op.write",
+            Op::JournalCommit => "ext3.journal.commits",
+        }
+    }
 }
 
 /// An ext3-like journaling file system over a block device.
@@ -416,6 +465,7 @@ impl Ext3 {
             fg_cost: Cell::new(SimDuration::ZERO),
             bg_busy: Cell::new(SimDuration::ZERO),
             mode: Cell::new(IoMode::Foreground),
+            op_counters: Default::default(),
         });
         let timers: Rc<dyn Daemon> = Rc::new(JournalTimers {
             inner: Rc::downgrade(&inner),
@@ -571,6 +621,15 @@ impl Ext3 {
 }
 
 impl Inner {
+    /// Bumps `op`'s counter through its handle. The name is interned
+    /// on the first bump, not at mount, so an operation that never ran
+    /// leaves no zero row in any report.
+    pub(crate) fn count(&self, op: Op) {
+        self.op_counters[op as usize]
+            .get_or_init(|| self.sim.counters().handle(op.counter_name()))
+            .incr();
+    }
+
     pub(crate) fn charge(&self, cost: IoCost) {
         match self.mode.get() {
             IoMode::Foreground => self.fg_cost.set(self.fg_cost.get() + cost.time),
@@ -876,7 +935,7 @@ pub(crate) fn commit_journal(inner: &Inner, st: &mut State) {
         for slot in desc_slot + 1..=desc_slot + meta_blocks as u64 {
             st.cache.mark_clean(slot);
         }
-        inner.sim.counters().incr("ext3.journal.commits");
+        inner.count(Op::JournalCommit);
         inner
             .sim
             .metrics()

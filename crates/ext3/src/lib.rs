@@ -90,6 +90,28 @@ mod tests {
     }
 
     #[test]
+    fn op_counters_exist_only_once_bumped() {
+        let (sim, _disk, fs) = newfs();
+        let op_counters = || -> Vec<(String, u64)> {
+            let mut all = sim.counters().to_vec();
+            all.retain(|(name, _)| name.starts_with("ext3.op."));
+            all
+        };
+        assert_eq!(op_counters(), [], "mkfs runs no file operation");
+        fs.create(fs.root(), "f", 0o644).unwrap();
+        for _ in 0..3 {
+            fs.lookup(fs.root(), "f").unwrap();
+        }
+        assert_eq!(
+            op_counters(),
+            [
+                ("ext3.op.create".to_string(), 1),
+                ("ext3.op.lookup".to_string(), 3)
+            ]
+        );
+    }
+
+    #[test]
     fn write_read_round_trip_small() {
         let (_sim, _disk, fs) = newfs();
         let f = fs.create(fs.root(), "f", 0o644).unwrap();

@@ -28,7 +28,7 @@ impl crate::Ext3 {
     /// `dir` is not a directory.
     pub fn lookup(&self, dir: Ino, name: &str) -> FsResult<Ino> {
         self.with_op(|inner, st| {
-            inner.sim.counters().incr("ext3.op.lookup");
+            inner.count(Op::Lookup);
             let (ino, _) = find_entry(inner, st, dir, name)?;
             Ok(ino)
         })
@@ -41,7 +41,7 @@ impl crate::Ext3 {
     /// [`FsError::NotFound`] if the inode is free.
     pub fn getattr(&self, ino: Ino) -> FsResult<Attr> {
         self.with_op(|inner, st| {
-            inner.sim.counters().incr("ext3.op.getattr");
+            inner.count(Op::Getattr);
             let inode = live_inode(inner, st, ino)?;
             attr_of(ino, &inode)
         })
@@ -55,7 +55,7 @@ impl crate::Ext3 {
     /// [`FsError::IsADirectory`] when truncating a directory.
     pub fn setattr(&self, ino: Ino, set: SetAttr) -> FsResult<Attr> {
         self.with_op(|inner, st| {
-            inner.sim.counters().incr("ext3.op.setattr");
+            inner.count(Op::Setattr);
             let mut inode = live_inode(inner, st, ino)?;
             if let Some(size) = set.size {
                 if inode.file_type()? == FileType::Directory {
@@ -88,7 +88,7 @@ impl crate::Ext3 {
     /// name is taken.
     pub fn create(&self, dir: Ino, name: &str, perm: u16) -> FsResult<Ino> {
         self.with_op(|inner, st| {
-            inner.sim.counters().incr("ext3.op.create");
+            inner.count(Op::Create);
             dir::check_name(name)?;
             must_not_exist(inner, st, dir, name)?;
             let ino = alloc_inode(inner, st, group_of_ino(dir))?;
@@ -107,7 +107,7 @@ impl crate::Ext3 {
     /// [`FsError::TooManyLinks`] if the parent is at `LINK_MAX`.
     pub fn mkdir(&self, dir: Ino, name: &str, perm: u16) -> FsResult<Ino> {
         self.with_op(|inner, st| {
-            inner.sim.counters().incr("ext3.op.mkdir");
+            inner.count(Op::Mkdir);
             dir::check_name(name)?;
             must_not_exist(inner, st, dir, name)?;
             let parent = live_inode(inner, st, dir)?;
@@ -148,7 +148,7 @@ impl crate::Ext3 {
     /// [`FsError::NotADirectory`] if the name is not a directory.
     pub fn rmdir(&self, dir: Ino, name: &str) -> FsResult<()> {
         self.with_op(|inner, st| {
-            inner.sim.counters().incr("ext3.op.rmdir");
+            inner.count(Op::Rmdir);
             let (ino, _) = find_entry(inner, st, dir, name)?;
             let inode = live_inode(inner, st, ino)?;
             if inode.file_type()? != FileType::Directory {
@@ -178,7 +178,7 @@ impl crate::Ext3 {
     /// [`FsError::IsADirectory`] for directories.
     pub fn unlink(&self, dir: Ino, name: &str) -> FsResult<()> {
         self.with_op(|inner, st| {
-            inner.sim.counters().incr("ext3.op.unlink");
+            inner.count(Op::Unlink);
             let (ino, _) = find_entry(inner, st, dir, name)?;
             let mut inode = live_inode(inner, st, ino)?;
             if inode.file_type()? == FileType::Directory {
@@ -208,7 +208,7 @@ impl crate::Ext3 {
     /// [`FsError::TooManyLinks`], [`FsError::Exists`].
     pub fn link(&self, dir: Ino, name: &str, target: Ino) -> FsResult<()> {
         self.with_op(|inner, st| {
-            inner.sim.counters().incr("ext3.op.link");
+            inner.count(Op::Link);
             dir::check_name(name)?;
             let mut inode = live_inode(inner, st, target)?;
             let ftype = inode.file_type()?;
@@ -234,7 +234,7 @@ impl crate::Ext3 {
     /// or over-long target.
     pub fn symlink(&self, dir: Ino, name: &str, target: &str) -> FsResult<Ino> {
         self.with_op(|inner, st| {
-            inner.sim.counters().incr("ext3.op.symlink");
+            inner.count(Op::Symlink);
             dir::check_name(name)?;
             if target.is_empty() || target.len() >= BLOCK_SIZE {
                 return Err(FsError::InvalidArgument);
@@ -266,7 +266,7 @@ impl crate::Ext3 {
     /// [`FsError::NotASymlink`] for other types.
     pub fn readlink(&self, ino: Ino) -> FsResult<String> {
         self.with_op(|inner, st| {
-            inner.sim.counters().incr("ext3.op.readlink");
+            inner.count(Op::Readlink);
             let mut inode = live_inode(inner, st, ino)?;
             if inode.file_type()? != FileType::Symlink {
                 return Err(FsError::NotASymlink);
@@ -295,7 +295,7 @@ impl crate::Ext3 {
     /// mismatches.
     pub fn rename(&self, sdir: Ino, sname: &str, ddir: Ino, dname: &str) -> FsResult<()> {
         self.with_op(|inner, st| {
-            inner.sim.counters().incr("ext3.op.rename");
+            inner.count(Op::Rename);
             dir::check_name(dname)?;
             let (sino, _) = find_entry(inner, st, sdir, sname)?;
             let sinode = live_inode(inner, st, sino)?;
@@ -381,7 +381,7 @@ impl crate::Ext3 {
     /// [`FsError::NotADirectory`].
     pub fn readdir(&self, dir: Ino) -> FsResult<Vec<DirEntry>> {
         self.with_op(|inner, st| {
-            inner.sim.counters().incr("ext3.op.readdir");
+            inner.count(Op::Readdir);
             let mut inode = live_inode(inner, st, dir)?;
             if inode.file_type()? != FileType::Directory {
                 return Err(FsError::NotADirectory);
@@ -408,7 +408,7 @@ impl crate::Ext3 {
     /// [`FsError::IsADirectory`] for directories.
     pub fn read(&self, ino: Ino, off: u64, len: usize) -> FsResult<Vec<u8>> {
         self.with_op(|inner, st| {
-            inner.sim.counters().incr("ext3.op.read");
+            inner.count(Op::Read);
             let mut inode = live_inode(inner, st, ino)?;
             if inode.file_type()? == FileType::Directory {
                 return Err(FsError::IsADirectory);
@@ -455,7 +455,7 @@ impl crate::Ext3 {
     /// [`FsError::IsADirectory`], [`FsError::NoSpace`].
     pub fn write(&self, ino: Ino, off: u64, data: &[u8]) -> FsResult<usize> {
         self.with_op(|inner, st| {
-            inner.sim.counters().incr("ext3.op.write");
+            inner.count(Op::Write);
             let mut inode = live_inode(inner, st, ino)?;
             if inode.file_type()? == FileType::Directory {
                 return Err(FsError::IsADirectory);

@@ -30,7 +30,7 @@ impl SplitMix64 {
     }
 
     /// Next 64 uniformly distributed bits.
-    pub fn next_u64(&mut self) -> u64 {
+    pub const fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(GAMMA);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -98,7 +98,7 @@ impl SplitMix64 {
     /// # Panics
     ///
     /// Panics if `bound` is zero.
-    pub fn below(&mut self, bound: u64) -> u64 {
+    pub const fn below(&mut self, bound: u64) -> u64 {
         assert!(bound > 0, "below(0) is meaningless");
         ((self.next_u64() as u128 * bound as u128) >> 64) as u64
     }

@@ -13,10 +13,35 @@
 //! transactions round-robin on the shared simulation clock. `run` is
 //! implemented on top of `Session` and draws the identical RNG
 //! sequence it always has.
+//!
+//! File contents come from a text pool, as in Katcher's program: one
+//! buffer of random text, every write a slice of it at a random
+//! offset. No layer of the model looks at payload bytes, so what they
+//! are is not simulated output; how many RNG draws a payload costs is
+//! (DESIGN.md §8, the draw-budget rule).
 
 use simkit::units::Bytes;
 use simkit::SplitMix64;
+use std::fmt::Write as _;
 use vfs::FileSystem;
+
+/// Length of the text pool, and so the largest `max_size` a
+/// [`Session`] accepts.
+pub const TEXT_POOL_LEN: usize = 16 * 1024;
+
+/// The random text every payload is a slice of: printable bytes
+/// 32..=125 from a constant seed, built at compile time, so a session
+/// pays nothing for it.
+static TEXT_POOL: [u8; TEXT_POOL_LEN] = {
+    let mut rng = SplitMix64::new(0x706f_7374_6d61_726b); // "postmark"
+    let mut text = [0u8; TEXT_POOL_LEN];
+    let mut i = 0;
+    while i < TEXT_POOL_LEN {
+        text[i] = rng.below(94) as u8 + 32;
+        i += 1;
+    }
+    text
+};
 
 /// PostMark parameters.
 #[derive(Debug, Clone, Copy)]
@@ -84,6 +109,9 @@ pub struct Session<'a> {
     /// Live files: `(id, size)`.
     pool: Vec<(u64, usize)>,
     remaining: usize,
+    /// The current transaction's file, rebuilt in place by
+    /// [`set_path`](Session::set_path).
+    path: String,
 }
 
 impl<'a> Session<'a> {
@@ -92,9 +120,15 @@ impl<'a> Session<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if `min_size > max_size` or `file_count == 0`.
+    /// Panics if `min_size > max_size`, `file_count == 0`, or
+    /// `max_size > TEXT_POOL_LEN` (a payload is one slice of the pool).
     pub fn new(fs: &'a dyn FileSystem, dir: &str, cfg: PostmarkConfig) -> Session<'a> {
         assert!(cfg.min_size <= cfg.max_size && cfg.file_count > 0);
+        assert!(
+            cfg.max_size <= TEXT_POOL_LEN,
+            "max_size {} exceeds the {TEXT_POOL_LEN}-byte text pool",
+            cfg.max_size
+        );
         Session {
             fs,
             dir: dir.to_string(),
@@ -103,6 +137,7 @@ impl<'a> Session<'a> {
             next_id: 0,
             pool: Vec::with_capacity(cfg.file_count),
             remaining: cfg.transactions,
+            path: String::new(),
             cfg,
         }
     }
@@ -111,13 +146,26 @@ impl<'a> Session<'a> {
         self.cfg.subdirs.max(1) as u64
     }
 
-    fn path(&self, id: u64) -> String {
-        format!("{}/s{}/pm{id}", self.dir, id % self.subdirs())
+    /// Points `self.path` at file `id`.
+    fn set_path(&mut self, id: u64) {
+        let subdir = id % self.subdirs();
+        self.path.clear();
+        write!(self.path, "{}/s{subdir}/pm{id}", self.dir).expect("writing to a String");
     }
 
-    /// "Random text": mixed printable bytes, deterministic.
-    fn payload(&mut self, len: usize) -> Vec<u8> {
-        (0..len).map(|_| (self.rng.below(94) + 32) as u8).collect()
+    /// "Random text": `len` bytes of [`TEXT_POOL`] from a random
+    /// offset. Consumes exactly `len` draws — the offset, then
+    /// `len - 1` discarded — which is what one draw per byte used to
+    /// cost, so every later size and pick is what it always was and
+    /// [`resume_setup`](Session::resume_setup) can skip a payload
+    /// knowing only its length.
+    fn payload(&mut self, len: usize) -> &'static [u8] {
+        if len == 0 {
+            return &[];
+        }
+        let off = self.rng.below((TEXT_POOL_LEN - len + 1) as u64) as usize;
+        self.rng.skip(len as u64 - 1);
+        &TEXT_POOL[off..off + len]
     }
 
     /// Creates one pool file of random size (used by both the setup
@@ -129,10 +177,11 @@ impl<'a> Session<'a> {
             .rng
             .range_inclusive(self.cfg.min_size as u64, self.cfg.max_size as u64)
             as usize;
-        self.fs.creat(&self.path(id))?;
-        let fd = self.fs.open(&self.path(id))?;
+        self.set_path(id);
+        self.fs.creat(&self.path)?;
+        let fd = self.fs.open(&self.path)?;
         let data = self.payload(size);
-        self.fs.write(fd, 0, &data)?;
+        self.fs.write(fd, 0, data)?;
         self.fs.close(fd)?;
         self.report.created += 1;
         self.report.bytes_written += Bytes::new(size as u64);
@@ -179,7 +228,7 @@ impl<'a> Session<'a> {
                 .rng
                 .range_inclusive(self.cfg.min_size as u64, self.cfg.max_size as u64)
                 as usize;
-            // One draw per payload byte, as payload() consumed them.
+            // payload() consumes one draw per byte.
             self.rng.skip(size as u64);
             self.report.created += 1;
             self.report.bytes_written += Bytes::new(size as u64);
@@ -211,15 +260,18 @@ impl<'a> Session<'a> {
                 // Delete a random file.
                 let idx = self.rng.below(self.pool.len() as u64) as usize;
                 let (id, _) = self.pool.swap_remove(idx);
-                self.fs.unlink(&self.path(id))?;
+                self.set_path(id);
+                self.fs.unlink(&self.path)?;
                 self.report.deleted += 1;
             }
         } else if !self.pool.is_empty() {
             let idx = self.rng.below(self.pool.len() as u64) as usize;
-            if self.rng.below(2) == 0 {
+            let read = self.rng.below(2) == 0;
+            let (id, size) = self.pool[idx];
+            self.set_path(id);
+            if read {
                 // Read the whole file in io_unit chunks.
-                let (id, size) = self.pool[idx];
-                let fd = self.fs.open(&self.path(id))?;
+                let fd = self.fs.open(&self.path)?;
                 let mut off = 0usize;
                 while off < size {
                     let n = self.fs.read(fd, off as u64, self.cfg.io_unit)?.len();
@@ -233,14 +285,13 @@ impl<'a> Session<'a> {
                 self.report.bytes_read += Bytes::new(size as u64);
             } else {
                 // Append a random amount.
-                let (id, size) = self.pool[idx];
                 let extra = self
                     .rng
                     .range_inclusive(self.cfg.min_size as u64, self.cfg.max_size as u64)
                     as usize;
-                let fd = self.fs.open(&self.path(id))?;
+                let fd = self.fs.open(&self.path)?;
                 let data = self.payload(extra);
-                self.fs.write(fd, size as u64, &data)?;
+                self.fs.write(fd, size as u64, data)?;
                 self.fs.close(fd)?;
                 self.pool[idx].1 = size + extra;
                 self.report.appends += 1;
@@ -256,9 +307,9 @@ impl<'a> Session<'a> {
     ///
     /// Propagates file-system errors.
     pub fn teardown(&mut self) -> Result<(), ext3::FsError> {
-        let pool: Vec<(u64, usize)> = self.pool.drain(..).collect();
-        for (id, _) in pool {
-            self.fs.unlink(&self.path(id))?;
+        for (id, _) in std::mem::take(&mut self.pool) {
+            self.set_path(id);
+            self.fs.unlink(&self.path)?;
             self.report.deleted += 1;
         }
         Ok(())
@@ -278,7 +329,7 @@ impl<'a> Session<'a> {
 ///
 /// # Panics
 ///
-/// Panics if `min_size > max_size` or `file_count == 0`.
+/// Panics where [`Session::new`] does.
 pub fn run(
     fs: &dyn FileSystem,
     dir: &str,
@@ -395,15 +446,78 @@ mod tests {
         }
     }
 
-    #[test]
-    fn resume_setup_leaves_the_session_where_setup_does() {
-        let cfg = PostmarkConfig {
+    /// 120 files x 200 transactions, the size the two stream tests use.
+    fn small() -> PostmarkConfig {
+        PostmarkConfig {
             file_count: 120,
             transactions: 200,
             subdirs: 7,
             seed: 0xfeed,
             ..PostmarkConfig::default()
+        }
+    }
+
+    /// FNV-1a over the logged calls, one per line, with each write's
+    /// payload replaced by its length.
+    fn decision_hash(log: &[String]) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for call in log {
+            let line = match call.strip_prefix("write ") {
+                Some(args) => {
+                    let mut it = args.splitn(3, ' ');
+                    let (fd, off) = (it.next().unwrap(), it.next().unwrap());
+                    format!("write {fd} {off} {}", it.next().map_or(0, str::len))
+                }
+                None => call.clone(),
+            };
+            for b in line.bytes().chain([b'\n']) {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// The generator's decisions — every path, offset and length, in
+    /// call order — are pinned to what 9001dc5 (one draw per payload
+    /// byte) produced. Payload content is free to change; this is not.
+    #[test]
+    fn decision_stream_is_pinned() {
+        let fs = CallLog::default();
+        run(&fs, "/pm", small()).unwrap();
+        let log = fs.0.borrow();
+        assert_eq!(
+            (log.len(), decision_hash(&log)),
+            (1242, 0x44b4_6ab0_8fe7_8469)
+        );
+    }
+
+    #[test]
+    fn payload_consumes_len_draws() {
+        let fs = CallLog::default();
+        let mut s = Session::new(&fs, "/pm", small());
+        for len in [0, 1, 500, 9_977, TEXT_POOL_LEN] {
+            let mut skipped = s.rng.clone();
+            skipped.skip(len as u64);
+            let data = s.payload(len);
+            assert_eq!(data.len(), len);
+            assert!(data.iter().all(|b| (32..=125).contains(b)));
+            assert_eq!(s.rng, skipped, "len {len}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the 16384-byte text pool")]
+    fn sizes_past_the_pool_are_rejected() {
+        let cfg = PostmarkConfig {
+            max_size: TEXT_POOL_LEN + 1,
+            ..small()
         };
+        Session::new(&CallLog::default(), "/pm", cfg);
+    }
+
+    #[test]
+    fn resume_setup_leaves_the_session_where_setup_does() {
+        let cfg = small();
         let (built_fs, resumed_fs) = (CallLog::default(), CallLog::default());
         let mut built = Session::new(&built_fs, "/pm", cfg);
         built.setup().unwrap();
