@@ -1,31 +1,30 @@
 //! Discrete-event core benchmark: measures the calendar queue's raw
 //! schedule/pop throughput (events/sec, heap depth) and the scaling
-//! experiment's cells/sec under the event core vs the legacy
-//! round-robin core, then writes both to `BENCH_events.json` (and
-//! stdout).
+//! experiment's cells/sec, then writes both to `BENCH_events.json`
+//! (and stdout).
 //!
 //! ```text
 //! event_bench [--quick] [--out PATH]
 //! ```
 //!
-//! The byte-identity flags are hard assertions, not advisory: the two
-//! cores must produce the exact same table + report bytes (the event
-//! interleaving reproduces round-robin's; see
-//! `tests/topology_regression.rs` for the in-tree audit), and the
-//! queue drain must pop keys in strictly increasing `(time, host,
-//! seq)` order. Wall-clock numbers vary per host (see the `host`
-//! section); everything behind the flags is deterministic.
+//! The pass-based stepping loop the event core replaced is gone; its
+//! last recording on the full grid is carried as the `FROZEN_*`
+//! constants below (the scheduling itself lives on as the oracle of
+//! `core::experiments::closedloop`'s unit test). `pop_order_strict` is
+//! a hard assertion, not advisory: the queue drain must pop keys in
+//! strictly increasing `(time, host, seq)` order. Wall-clock numbers
+//! vary per host (see the `host` section).
 
 use ipstorage_core::experiments::scale;
-use ipstorage_core::stepcore::{set_step_core, StepCore};
-use ipstorage_core::{RunReport, Table};
 use simkit::{EventQueue, HostId, SimTime, SplitMix64};
 use std::time::Instant;
 
-/// Reconstruct the bytes `tables --json` writes for one runner.
-fn runner_stdout(t: &Table, r: &RunReport) -> String {
-    format!("{}\n\n{}\n", t.render(), r.to_json())
-}
+/// The pass-based loop's last recording (PR 7, the full 8-cell grid,
+/// 200 files / 600 transactions, a 1-core host), kept as the baseline
+/// of record.
+const FROZEN_COMMIT: &str = "PR 7";
+const FROZEN_PASS_LOOP_SECS: f64 = 1.3221;
+const FROZEN_PASS_LOOP_CELLS_PER_SEC: f64 = 6.051;
 
 /// Fill-then-drain: schedule `n` events at SplitMix64 times, pop them
 /// all, and check the pop order is strictly increasing. Returns
@@ -86,15 +85,11 @@ fn churn(window: u64, rounds: u64) -> (f64, u64) {
     (ops as f64 / secs, q.stats().max_heap as u64)
 }
 
-/// One timed scale run: the full grid under `core`, returning the
-/// elapsed seconds and the exact runner bytes.
-fn timed_scale(core: StepCore, counts: &[usize], files: usize, txns: usize) -> (f64, String) {
-    set_step_core(core);
+/// One timed scale run over the grid, in seconds.
+fn timed_scale(counts: &[usize], files: usize, txns: usize) -> f64 {
     let t0 = Instant::now();
-    let (t, r) = scale::scale_report_with(counts, files, txns);
-    let secs = t0.elapsed().as_secs_f64();
-    set_step_core(StepCore::Events);
-    (secs, runner_stdout(&t, &r))
+    let _ = scale::scale_report_with(counts, files, txns);
+    t0.elapsed().as_secs_f64()
 }
 
 fn main() {
@@ -121,15 +116,10 @@ fn main() {
 
     eprintln!(
         "event_bench: scale grid N={counts:?} x {{NFSv3, iSCSI}}, \
-         {files} files / {txns} transactions, both cores"
+         {files} files / {txns} transactions"
     );
-    let _ = timed_scale(StepCore::Events, &[1], 50, 100); // warm-up
-    let (secs_rr, out_rr) = timed_scale(StepCore::RoundRobin, counts, files, txns);
-    let (secs_ev, out_ev) = timed_scale(StepCore::Events, counts, files, txns);
-    assert_eq!(
-        out_rr, out_ev,
-        "event core must be byte-identical to round-robin"
-    );
+    let _ = timed_scale(&[1], 50, 100); // warm-up
+    let secs_ev = timed_scale(counts, files, txns);
 
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -143,10 +133,11 @@ fn main() {
             "\"fill_drain\":{{\"events_per_sec\":{fdr:.0},\"max_heap\":{fdd}}},",
             "\"churn\":{{\"window\":1024,\"events_per_sec\":{chr:.0},\"max_heap\":{chd}}}}},",
             "\"scale\":{{\"cells\":{cells},\"files\":{files},\"transactions\":{txns},",
-            "\"roundrobin\":{{\"secs\":{srr:.4},\"cells_per_sec\":{crr:.3}}},",
             "\"events\":{{\"secs\":{sev:.4},\"cells_per_sec\":{cev:.3}}},",
-            "\"speedup\":{sp:.3}}},",
-            "\"byte_identical\":true,\"pop_order_strict\":true}}"
+            "\"frozen_pass_loop\":{{\"commit\":\"{fc}\",\"cells\":8,\"files\":200,",
+            "\"transactions\":600,\"host_cores\":1,",
+            "\"secs\":{fs:.4},\"cells_per_sec\":{fr:.3}}}}},",
+            "\"pop_order_strict\":true}}"
         ),
         cores = cores,
         os = std::env::consts::OS,
@@ -160,11 +151,11 @@ fn main() {
         cells = cells,
         files = files,
         txns = txns,
-        srr = secs_rr,
-        crr = cells as f64 / secs_rr,
         sev = secs_ev,
         cev = cells as f64 / secs_ev,
-        sp = secs_rr / secs_ev,
+        fc = FROZEN_COMMIT,
+        fs = FROZEN_PASS_LOOP_SECS,
+        fr = FROZEN_PASS_LOOP_CELLS_PER_SEC,
     );
     std::fs::write(&out_path, format!("{json}\n")).expect("write BENCH_events.json");
     println!("{json}");

@@ -21,10 +21,6 @@ use simkit::critpath::BUCKETS;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Environment variable that enables attribution mode when set (any
-/// value) — the scriptable equivalent of `tables --attribution`.
-pub const ATTRIBUTION_ENV: &str = "IPSTORAGE_ATTRIBUTION";
-
 /// Process-wide switch installed by [`set_attribution_enabled`].
 static ATTRIBUTION_ENABLED: AtomicBool = AtomicBool::new(false);
 
@@ -37,10 +33,9 @@ pub fn set_attribution_enabled(on: bool) {
 }
 
 /// Whether attribution mode is currently on (default: no, unless
-/// [`set_attribution_enabled`]`(true)` was called or
-/// [`ATTRIBUTION_ENV`] is set).
+/// [`set_attribution_enabled`]`(true)` was called).
 pub fn attribution_enabled() -> bool {
-    ATTRIBUTION_ENABLED.load(Ordering::Relaxed) || std::env::var_os(ATTRIBUTION_ENV).is_some()
+    ATTRIBUTION_ENABLED.load(Ordering::Relaxed)
 }
 
 /// One operation type's decoded attribution row.

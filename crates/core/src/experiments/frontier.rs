@@ -47,21 +47,13 @@
 //! switch (when capped) or the per-client protocol overheads floor
 //! the curve.
 
+use super::closedloop::{build_pools, client_pm, run_clients, CellCtx};
 use crate::report::{ReportBuilder, RunReport};
 use crate::snapshot::{SetupKey, Snapshot, SnapshotCache};
-use crate::stepcore::{step_core, StepCore};
 use crate::sweep::Sweep;
 use crate::table::{fmt_f, Table};
-use crate::{calibration, Protocol, Testbed, TopologyConfig};
-use simkit::{EventQueue, Histogram, HostId, SimDuration};
-use workloads::PostmarkSession;
-
-use super::scale::client_pm;
-
-/// Every how many transactions a shard's writer/pollers touch the
-/// shared file (same pattern as [`super::scale`], one writer per
-/// shard).
-const SHARED_PERIOD: usize = 50;
+use crate::{calibration, Protocol, TopologyConfig};
+use simkit::SimDuration;
 
 /// One (protocol, clients, servers) cell of the frontier.
 #[derive(Debug, Clone, Copy)]
@@ -153,183 +145,50 @@ pub fn frontier_run_cached(
         servers,
         files,
         transactions,
-        None,
-        None,
-        cache,
+        CellCtx::standalone(cache),
     )
 }
 
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn frontier_run_seeded(
     protocol: Protocol,
     clients: usize,
     servers: usize,
     files: usize,
     transactions: usize,
-    seed: Option<u64>,
-    rb: Option<&mut ReportBuilder>,
-    cache: &SnapshotCache,
+    ctx: CellCtx<'_>,
 ) -> FrontierRun {
     assert!(servers >= 1, "need at least one server shard");
     assert!(
         clients >= servers && clients.is_multiple_of(servers),
         "static sharding needs clients ({clients}) to be a multiple of servers ({servers})"
     );
-    let k = clients / servers;
-    let shard = shard_topology(protocol, k, files);
-    let seed = seed.unwrap_or(shard.base.seed);
+    let shard = shard_topology(protocol, clients / servers, files);
+    let seed = ctx.seed.unwrap_or(shard.base.seed);
     let per_client = (transactions / clients).max(1);
 
     // The snapshot is the single k-client shard; every (k·M, M) cell
-    // forks M replicas of it. Setup mirrors scale: per-client pool
-    // plus the shared file, transaction count zeroed (not keyed).
+    // forks M replicas of it. Setup is scale's: per-client pool plus
+    // the shared file.
     let key = SetupKey::new(&shard, &format!("frontier:files{files}"));
-    let snap = cache.get_or_build(&key, |setup_seed| {
-        let mut topo = shard.clone();
-        topo.base.seed = setup_seed;
-        let tb = Testbed::build_topology(topo);
-        tb.set_active_clients(k as u32);
-        for l in 0..k {
-            let mut s = PostmarkSession::new(
-                tb.client_fs(l),
-                &format!("/postmark{l}"),
-                client_pm(files, 0, setup_seed, l),
-            );
-            s.setup().expect("postmark setup");
-            let fs = tb.client_fs(l);
-            match fs.mkdir("/shared") {
-                Ok(()) | Err(ext3::FsError::Exists) => {}
-                Err(e) => panic!("mkdir /shared: {e:?}"),
-            }
-            match fs.creat("/shared/config") {
-                Ok(()) | Err(ext3::FsError::Exists) => {}
-                Err(e) => panic!("creat /shared/config: {e:?}"),
-            }
-        }
-        Snapshot::capture(tb, key.clone())
+    let snap = ctx.cache.get_or_build(&key, |setup_seed| {
+        Snapshot::capture(build_pools(shard, files, setup_seed), key.clone())
     });
     let tb = snap.fork_sharded(seed, servers, None);
-    tb.set_active_clients(clients as u32);
-    let master = tb.setup_info().expect("forked testbed").setup_seed;
-
-    // Global client i is local i / M on shard i % M: it resumes the
-    // pool the captured shard prepared for that local client, under
-    // that local client's seed.
-    let mut sessions: Vec<PostmarkSession> = (0..clients)
-        .map(|i| {
-            let l = i / servers;
-            let mut s = PostmarkSession::new(
-                tb.client_fs(i),
-                &format!("/postmark{l}"),
-                client_pm(files, per_client, master, l),
-            );
-            s.resume_setup();
-            s
-        })
-        .collect();
-    tb.settle();
-
-    let counters = tb.sim().counters();
-    let snap_ctr = counters.snapshot();
-    let busy0: Vec<SimDuration> = (0..servers)
-        .map(|j| tb.server_cpu_at(j).total_busy())
-        .collect();
-    let mut demand = vec![SimDuration::ZERO; clients];
-    let mut latency = vec![Histogram::new(); clients];
-    // One shared-file offset per shard: each shard's local client 0
-    // (globals 0..M-1) is its writer.
-    let mut shared_off = vec![0u64; servers];
-
-    let mut step_session =
-        |i: usize, sessions: &mut [PostmarkSession], demand: &mut [SimDuration]| {
-            let t0 = tb.now();
-            sessions[i].step().expect("postmark step");
-            if sessions[i].remaining() % SHARED_PERIOD == 0 {
-                let fs = tb.client_fs(i);
-                if i < servers {
-                    let off = &mut shared_off[i];
-                    let fd = fs.open("/shared/config").expect("open shared");
-                    fs.write(fd, *off, &[0x55; 128]).expect("write shared");
-                    fs.close(fd).expect("close shared");
-                    *off += 128;
-                } else {
-                    fs.stat("/shared/config").expect("stat shared");
-                    let fd = fs.open("/shared/config").expect("open shared");
-                    fs.read(fd, 0, 4096).expect("read shared");
-                    fs.close(fd).expect("close shared");
-                }
-            }
-            let d = tb.now().since(t0);
-            demand[i] += d;
-            latency[i].record(d.as_nanos() / 1_000);
-        };
-
-    match step_core() {
-        StepCore::Events => {
-            let mut wakeups: EventQueue<usize> = EventQueue::with_capacity(clients);
-            for (i, s) in sessions.iter().enumerate() {
-                if s.remaining() > 0 {
-                    wakeups.schedule(tb.now(), HostId::client(i as u32), i);
-                }
-            }
-            while let Some((_, i)) = wakeups.pop() {
-                step_session(i, &mut sessions, &mut demand);
-                if sessions[i].remaining() > 0 {
-                    wakeups.schedule(tb.now(), HostId::client(i as u32), i);
-                }
-            }
-        }
-        StepCore::RoundRobin => {
-            let mut live: Vec<usize> = (0..clients)
-                .filter(|&i| sessions[i].remaining() > 0)
-                .collect();
-            while !live.is_empty() {
-                for &i in &live {
-                    step_session(i, &mut sessions, &mut demand);
-                }
-                live.retain(|&i| sessions[i].remaining() > 0);
-            }
-        }
-    }
-    for (i, s) in sessions.iter_mut().enumerate() {
-        let t0 = tb.now();
-        s.teardown().expect("postmark teardown");
-        demand[i] += tb.now().since(t0);
-    }
-    drop(sessions);
-    tb.settle();
-    let server_busy = (0..servers)
-        .map(|j| tb.server_cpu_at(j).total_busy() - busy0[j])
-        .max()
-        .unwrap_or(SimDuration::ZERO);
-    let msgs = counters.delta_since(&snap_ctr, protocol.txn_counter());
-    if let Some(rb) = rb {
+    let run = run_clients(&tb, files, per_client, |_, _| {});
+    if let Some(rb) = ctx.rb {
         rb.absorb(&tb);
     }
-
-    let slowest_client = demand.iter().copied().max().unwrap_or(SimDuration::ZERO);
-    let completion = slowest_client.max(server_busy);
-    let total_txns = (clients * per_client) as u64;
-    let secs = completion.as_secs_f64();
     FrontierRun {
         protocol,
         clients,
         servers,
-        transactions: total_txns,
-        completion,
-        slowest_client,
-        server_busy,
-        ops_per_sec: if secs > 0.0 {
-            simkit::units::to_f64(total_txns) / secs
-        } else {
-            0.0
-        },
-        server_cpu_pct: if secs > 0.0 {
-            100.0 * server_busy.as_secs_f64() / secs
-        } else {
-            0.0
-        },
-        msgs_per_client: msgs / clients as u64,
+        transactions: run.transactions,
+        completion: run.completion,
+        slowest_client: run.slowest_client,
+        server_busy: run.server_busy,
+        ops_per_sec: run.ops_per_sec,
+        server_cpu_pct: run.server_cpu_pct,
+        msgs_per_client: run.msgs_per_client,
     }
 }
 
@@ -377,16 +236,12 @@ pub fn frontier_report_jobs(
     let results = sweep.run_with_costs(cells.len(), &costs, |cell| {
         let (n, m, proto) = cells[cell.index];
         let mut frag = ReportBuilder::new("");
-        let r = frontier_run_seeded(
-            proto,
-            n,
-            m,
-            files,
-            transactions,
-            Some(cell.seed),
-            Some(&mut frag),
-            snaps,
-        );
+        let ctx = CellCtx {
+            seed: Some(cell.seed),
+            rb: Some(&mut frag),
+            cache: snaps,
+        };
+        let r = frontier_run_seeded(proto, n, m, files, transactions, ctx);
         (r, frag.finish())
     });
     let mut runs = Vec::with_capacity(cells.len());
@@ -452,23 +307,23 @@ mod tests {
     fn equal_shard_sizes_share_one_snapshot() {
         let cache = SnapshotCache::new();
         // (4, 2) and (6, 3) both need a k = 2 shard: one build.
-        frontier_run_seeded(Protocol::NfsV3, 4, 2, 30, 200, None, None, &cache);
-        frontier_run_seeded(Protocol::NfsV3, 6, 3, 30, 200, None, None, &cache);
+        frontier_run_cached(Protocol::NfsV3, 4, 2, 30, 200, &cache);
+        frontier_run_cached(Protocol::NfsV3, 6, 3, 30, 200, &cache);
         assert_eq!(
             cache.builds(),
             1,
             "per-shard snapshot is reused across cells"
         );
         // A different shard size is a different setup.
-        frontier_run_seeded(Protocol::NfsV3, 4, 1, 30, 200, None, None, &cache);
+        frontier_run_cached(Protocol::NfsV3, 4, 1, 30, 200, &cache);
         assert_eq!(cache.builds(), 2);
     }
 
     #[test]
     fn sharding_divides_the_server_cpu_term() {
         let cache = SnapshotCache::new();
-        let one = frontier_run_seeded(Protocol::NfsV3, 8, 1, 40, 800, None, None, &cache);
-        let four = frontier_run_seeded(Protocol::NfsV3, 8, 4, 40, 800, None, None, &cache);
+        let one = frontier_run_cached(Protocol::NfsV3, 8, 1, 40, 800, &cache);
+        let four = frontier_run_cached(Protocol::NfsV3, 8, 4, 40, 800, &cache);
         assert!(
             four.server_busy < one.server_busy,
             "busiest shard does a fraction of the single server's work: {:?} vs {:?}",

@@ -5,6 +5,7 @@
 //! tests assert the paper's qualitative findings against.
 
 pub mod ablation;
+pub(crate) mod closedloop;
 pub mod data;
 pub mod enhance;
 pub mod frontier;

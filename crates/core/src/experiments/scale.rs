@@ -9,14 +9,15 @@
 //! difference. For each client count N it builds a
 //! [`TopologyConfig`]-based testbed (N NFS clients on one export, or N
 //! iSCSI sessions with one LUN partition each), runs one PostMark
-//! session per client interleaved round-robin on the shared simulated
-//! clock, and layers a small shared-file pattern on top: client `c0`
-//! periodically appends to `/shared/config` while every other client
-//! stats and reads it — the classic "one writer, N−1 pollers"
-//! configuration-file pattern. On NFS the pollers' attribute caches go
-//! stale against the writer's mtime updates and revalidation GETATTRs
-//! appear on the wire; on iSCSI each client only ever sees its own
-//! private copy and no consistency traffic exists.
+//! session per client interleaved on the shared simulated clock (the
+//! `closedloop` driver next door), and layers a small shared-file
+//! pattern on top: client `c0` periodically appends to
+//! `/shared/config` while every other client stats and reads it — the
+//! classic "one writer, N−1 pollers" configuration-file pattern. On
+//! NFS the pollers' attribute caches go stale against the writer's
+//! mtime updates and revalidation GETATTRs appear on the wire; on iSCSI
+//! each client only ever sees its own private copy and no consistency
+//! traffic exists.
 //!
 //! # The overlap model
 //!
@@ -40,36 +41,13 @@
 //! `T_i`) or the server CPU (the second term) saturates, and then
 //! flattens — the curve `BENCH_scale.json` records.
 
+use super::closedloop::{build_pools, run_clients, CellCtx};
 use crate::report::{ReportBuilder, RunReport};
 use crate::snapshot::{snapshot_cell_with, SetupKey, SnapshotCache};
-use crate::stepcore::{step_core, StepCore};
 use crate::sweep::Sweep;
 use crate::table::{fmt_f, Table};
-use crate::{Protocol, Testbed, TopologyConfig};
-use simkit::{EventQueue, Histogram, HostId, SimDuration};
-use workloads::{PostmarkConfig, PostmarkSession};
-
-/// Every how many transactions a client touches the shared file.
-const SHARED_PERIOD: usize = 50;
-
-/// Client `i`'s PostMark configuration: seeds fan out from `master`
-/// (the snapshot's setup seed) so each client draws an independent
-/// stream, yet the whole topology's pool is a pure function of the
-/// setup key.
-pub(crate) fn client_pm(
-    files: usize,
-    transactions: usize,
-    master: u64,
-    i: usize,
-) -> PostmarkConfig {
-    PostmarkConfig {
-        file_count: files,
-        transactions,
-        subdirs: (files / 500).clamp(10, 100),
-        seed: master ^ (0x9e37_79b9_7f4a_7c15_u64.wrapping_mul(i as u64 + 1)),
-        ..PostmarkConfig::default()
-    }
-}
+use crate::{Protocol, TopologyConfig};
+use simkit::{Histogram, SimDuration};
 
 /// One (protocol, client-count) cell of the scaling experiment.
 #[derive(Debug, Clone, Copy)]
@@ -103,22 +81,21 @@ pub struct ScaleRun {
     pub tcp_retx_segs: u64,
 }
 
-/// Runs one cell: `clients` PostMark sessions interleaved round-robin.
+/// Runs one cell: `clients` interleaved PostMark sessions.
 pub fn scale_run(
     protocol: Protocol,
     clients: usize,
     files: usize,
     transactions: usize,
 ) -> ScaleRun {
+    let cache = SnapshotCache::new();
     scale_run_seeded(
         protocol,
         clients,
         files,
         transactions,
         None,
-        None,
-        &SnapshotCache::new(),
-        None,
+        CellCtx::standalone(&cache),
     )
 }
 
@@ -136,31 +113,27 @@ pub fn scale_run_congested(
     transactions: usize,
     link: net::LinkParams,
 ) -> ScaleRun {
+    let cache = SnapshotCache::new();
     scale_run_seeded(
         protocol,
         clients,
         files,
         transactions,
-        None,
-        None,
-        &SnapshotCache::new(),
         Some(link),
+        CellCtx::standalone(&cache),
     )
 }
 
-#[allow(clippy::too_many_arguments)]
 fn scale_run_seeded(
     protocol: Protocol,
     clients: usize,
     files: usize,
     transactions: usize,
-    seed: Option<u64>,
-    rb: Option<&mut ReportBuilder>,
-    cache: &SnapshotCache,
     link: Option<net::LinkParams>,
+    ctx: CellCtx<'_>,
 ) -> ScaleRun {
     let topo = TopologyConfig::new(protocol).with_clients(clients);
-    let seed = seed.unwrap_or(topo.base.seed);
+    let seed = ctx.seed.unwrap_or(topo.base.seed);
     // Phase 1 is the snapshot: every client's pool plus the shared
     // file, identical for every transaction count — all scales fork
     // the same captured topology.
@@ -170,58 +143,11 @@ fn scale_run_seeded(
             c.link = l;
         }
     };
-    let tb = snapshot_cell_with(cache, key, seed, tweak, |setup_seed| {
-        let mut topo = TopologyConfig::new(protocol).with_clients(clients);
-        topo.base.seed = setup_seed;
-        let tb = Testbed::build_topology(topo);
-        tb.set_active_clients(clients as u32);
-        // Every client builds its own pool, plus the shared file
-        // (created once on NFS — later clients see `Exists` — and
-        // once per private volume on iSCSI). Each client works in its
-        // own directory: on NFS the namespace is shared, so the pools
-        // must not collide. The transaction count is zeroed: setup
-        // must not depend on it, since it is not part of the key.
-        for i in 0..clients {
-            let mut s = PostmarkSession::new(
-                tb.client_fs(i),
-                &format!("/postmark{i}"),
-                client_pm(files, 0, setup_seed, i),
-            );
-            s.setup().expect("postmark setup");
-            let fs = tb.client_fs(i);
-            match fs.mkdir("/shared") {
-                Ok(()) | Err(ext3::FsError::Exists) => {}
-                Err(e) => panic!("mkdir /shared: {e:?}"),
-            }
-            match fs.creat("/shared/config") {
-                Ok(()) | Err(ext3::FsError::Exists) => {}
-                Err(e) => panic!("creat /shared/config: {e:?}"),
-            }
-        }
-        tb
+    let tb = snapshot_cell_with(ctx.cache, key, seed, tweak, |setup_seed| {
+        build_pools(topo, files, setup_seed)
     });
-    tb.set_active_clients(clients as u32);
-    let master = tb.setup_info().expect("forked testbed").setup_seed;
-    let mut sessions: Vec<PostmarkSession> = (0..clients)
-        .map(|i| {
-            let mut s = PostmarkSession::new(
-                tb.client_fs(i),
-                &format!("/postmark{i}"),
-                client_pm(files, transactions, master, i),
-            );
-            s.resume_setup();
-            s
-        })
-        .collect();
-    tb.settle();
 
-    // Transaction phase, with the books opened after setup.
-    let counters = tb.sim().counters();
-    let snap = counters.snapshot();
-    let busy0 = tb.server_cpu().total_busy();
-    let mut demand = vec![SimDuration::ZERO; clients];
     let mut latency = vec![Histogram::new(); clients];
-    let mut shared_off = 0u64;
     // Per-client latency series, interned once — the per-transaction
     // path must not format a key per step.
     let txn_metric: Vec<simkit::MetricHandle> = (0..clients)
@@ -231,116 +157,26 @@ fn scale_run_seeded(
                 .handle(&format!("scale.{}.txn", tb.host_name(i)))
         })
         .collect();
-
-    // One measured client step: a PostMark transaction plus, every
-    // `SHARED_PERIOD` transactions, the shared-file writer/poller
-    // pattern.
-    let mut step_session = |i: usize,
-                            sessions: &mut [PostmarkSession],
-                            demand: &mut [SimDuration],
-                            latency: &mut [Histogram]| {
-        let t0 = tb.now();
-        sessions[i].step().expect("postmark step");
-        if sessions[i].remaining() % SHARED_PERIOD == 0 {
-            let fs = tb.client_fs(i);
-            if i == 0 {
-                // The writer appends a small update.
-                let fd = fs.open("/shared/config").expect("open shared");
-                fs.write(fd, shared_off, &[0x55; 128])
-                    .expect("write shared");
-                fs.close(fd).expect("close shared");
-                shared_off += 128;
-            } else {
-                // Pollers revalidate and read the current copy.
-                fs.stat("/shared/config").expect("stat shared");
-                let fd = fs.open("/shared/config").expect("open shared");
-                fs.read(fd, 0, 4096).expect("read shared");
-                fs.close(fd).expect("close shared");
-            }
-        }
-        let d = tb.now().since(t0);
-        demand[i] += d;
+    let run = run_clients(&tb, files, transactions, |i, d| {
         latency[i].record(d.as_nanos() / 1_000);
         txn_metric[i].record_duration(d);
-    };
-
-    match step_core() {
-        StepCore::Events => {
-            // Per-session wakeups: each live session is re-armed at
-            // the instant its last step completed, so popping the
-            // earliest wakeup yields the least-recently-stepped live
-            // session — the same interleaving the round-robin pass
-            // produced, with finished sessions costing nothing
-            // (they simply never re-arm).
-            let mut wakeups: EventQueue<usize> = EventQueue::with_capacity(clients);
-            for (i, s) in sessions.iter().enumerate() {
-                if s.remaining() > 0 {
-                    wakeups.schedule(tb.now(), HostId::client(i as u32), i);
-                }
-            }
-            while let Some((_, i)) = wakeups.pop() {
-                step_session(i, &mut sessions, &mut demand, &mut latency);
-                if sessions[i].remaining() > 0 {
-                    wakeups.schedule(tb.now(), HostId::client(i as u32), i);
-                }
-            }
-        }
-        StepCore::RoundRobin => {
-            // Legacy pass-based loop, with a live-list instead of the
-            // original rescan of every (possibly finished) session —
-            // the fair baseline for BENCH_events.json.
-            let mut live: Vec<usize> = (0..clients)
-                .filter(|&i| sessions[i].remaining() > 0)
-                .collect();
-            while !live.is_empty() {
-                for &i in &live {
-                    step_session(i, &mut sessions, &mut demand, &mut latency);
-                }
-                live.retain(|&i| sessions[i].remaining() > 0);
-            }
-        }
-    }
-    // Teardown is part of the measured run (for iSCSI the bulk of the
-    // wire traffic is the deferred write-back it forces), attributed
-    // to the client doing the deleting; the final settle drains every
-    // client's dirty state.
-    for (i, s) in sessions.iter_mut().enumerate() {
-        let t0 = tb.now();
-        s.teardown().expect("postmark teardown");
-        demand[i] += tb.now().since(t0);
-    }
-    drop(sessions);
-    tb.settle();
-    let server_busy = tb.server_cpu().total_busy() - busy0;
-    let msgs = counters.delta_since(&snap, protocol.txn_counter());
-    let getattrs = counters.delta_since(&snap, "nfs.server.proc.getattr");
-    let tcp_retx_segs = counters.delta_since(&snap, "net.tcp.retx_segs");
-    if let Some(rb) = rb {
+    });
+    let counters = tb.sim().counters();
+    let getattrs = counters.delta_since(&run.before, "nfs.server.proc.getattr");
+    let tcp_retx_segs = counters.delta_since(&run.before, "net.tcp.retx_segs");
+    if let Some(rb) = ctx.rb {
         rb.absorb(&tb);
     }
-
-    let slowest_client = demand.iter().copied().max().unwrap_or(SimDuration::ZERO);
-    let completion = slowest_client.max(server_busy);
-    let total_txns = (clients * transactions) as u64;
-    let secs = completion.as_secs_f64();
     ScaleRun {
         protocol,
         clients,
-        transactions: total_txns,
-        completion,
-        slowest_client,
-        server_busy,
-        ops_per_sec: if secs > 0.0 {
-            simkit::units::to_f64(total_txns) / secs
-        } else {
-            0.0
-        },
-        server_cpu_pct: if secs > 0.0 {
-            100.0 * server_busy.as_secs_f64() / secs
-        } else {
-            0.0
-        },
-        msgs_per_client: msgs / clients as u64,
+        transactions: run.transactions,
+        completion: run.completion,
+        slowest_client: run.slowest_client,
+        server_busy: run.server_busy,
+        ops_per_sec: run.ops_per_sec,
+        server_cpu_pct: run.server_cpu_pct,
+        msgs_per_client: run.msgs_per_client,
         p95_us: latency.iter().map(|h| h.quantile(0.95)).max().unwrap_or(0),
         getattrs,
         tcp_retx_segs,
@@ -395,16 +231,12 @@ pub fn scale_report_jobs(
     let results = sweep.run_with_costs(cells.len(), &costs, |cell| {
         let (n, proto) = cells[cell.index];
         let mut frag = ReportBuilder::new("");
-        let r = scale_run_seeded(
-            proto,
-            n,
-            files,
-            transactions,
-            Some(cell.seed),
-            Some(&mut frag),
-            snaps,
-            None,
-        );
+        let ctx = CellCtx {
+            seed: Some(cell.seed),
+            rb: Some(&mut frag),
+            cache: snaps,
+        };
+        let r = scale_run_seeded(proto, n, files, transactions, None, ctx);
         (r, frag.finish())
     });
     let mut runs = Vec::with_capacity(cells.len());
@@ -451,16 +283,12 @@ pub fn scale_curve(client_counts: &[usize], files: usize, transactions: usize) -
     let snaps = sweep.snapshots();
     sweep.run_with_costs(cells.len(), &costs, |cell| {
         let (n, proto) = cells[cell.index];
-        scale_run_seeded(
-            proto,
-            n,
-            files,
-            transactions,
-            Some(cell.seed),
-            None,
-            snaps,
-            None,
-        )
+        let ctx = CellCtx {
+            seed: Some(cell.seed),
+            rb: None,
+            cache: snaps,
+        };
+        scale_run_seeded(proto, n, files, transactions, None, ctx)
     })
 }
 
@@ -484,16 +312,12 @@ pub fn scale_curve_congested(
     let snaps = sweep.snapshots();
     sweep.run_with_costs(cells.len(), &costs, |cell| {
         let (n, proto) = cells[cell.index];
-        scale_run_seeded(
-            proto,
-            n,
-            files,
-            transactions,
-            Some(cell.seed),
-            None,
-            snaps,
-            Some(link),
-        )
+        let ctx = CellCtx {
+            seed: Some(cell.seed),
+            rb: None,
+            cache: snaps,
+        };
+        scale_run_seeded(proto, n, files, transactions, Some(link), ctx)
     })
 }
 
@@ -554,16 +378,12 @@ mod tests {
     #[test]
     fn report_carries_per_host_latency_histograms() {
         let mut rb = ReportBuilder::new("t");
-        scale_run_seeded(
-            Protocol::NfsV3,
-            2,
-            40,
-            80,
-            None,
-            Some(&mut rb),
-            &SnapshotCache::new(),
-            None,
-        );
+        let ctx = CellCtx {
+            seed: None,
+            rb: Some(&mut rb),
+            cache: &SnapshotCache::new(),
+        };
+        scale_run_seeded(Protocol::NfsV3, 2, 40, 80, None, ctx);
         let rep = rb.finish();
         assert!(rep.histograms.contains_key("scale.c0.txn"));
         assert!(rep.histograms.contains_key("scale.c1.txn"));

@@ -13,6 +13,11 @@
 //! assert!(tb.messages() > 0);
 //! ```
 //!
+//! [`Testbed::build`] is the one-client, one-server case of
+//! [`Testbed::build_topology`]: a single construction path builds every
+//! shape, from the paper's pair to N clients over M server shards
+//! ([`TopologyConfig`], placed by a [`ShardPolicy`]).
+//!
 //! The [`experiments`] module regenerates every result:
 //!
 //! | Paper result | Runner |
@@ -35,7 +40,6 @@ pub mod experiments;
 pub mod plot;
 pub mod report;
 pub mod snapshot;
-pub mod stepcore;
 pub mod sweep;
 pub mod table;
 mod testbed;
@@ -49,7 +53,7 @@ pub use snapshot::{
     set_snapshots_enabled, snapshots_enabled, SetupInfo, SetupKey, Snapshot, SnapshotCache,
 };
 pub use table::Table;
-pub use testbed::{Protocol, Testbed, TestbedConfig, TopologyConfig};
+pub use testbed::{Protocol, ShardPolicy, Testbed, TestbedConfig, TopologyConfig};
 
 #[cfg(test)]
 mod tests {

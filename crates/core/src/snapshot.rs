@@ -23,10 +23,9 @@
 //! **The invariant:** snapshotting is a wall-clock optimization, never
 //! a semantic one. Every cell — cold or cache-hit — goes through the
 //! identical capture→fork path; disabling the cache (the
-//! `--no-snapshot` flag, [`set_snapshots_enabled`], or the
-//! `IPSTORAGE_NO_SNAPSHOT` environment variable) only stops *sharing*
-//! across cells, so reports, counters, and histograms are byte-
-//! identical either way. CI diffs both modes on every push.
+//! `--no-snapshot` flag, i.e. [`set_snapshots_enabled`]) only stops
+//! *sharing* across cells, so reports, counters, and histograms are
+//! byte-identical either way. CI diffs both modes on every push.
 
 use crate::testbed::{ShardPolicy, Testbed, TestbedConfig, TopologyConfig};
 use blockdev::DiskImage;
@@ -34,10 +33,6 @@ use simkit::{SimDuration, SimTime};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-
-/// Environment variable that disables snapshot sharing when set (any
-/// value) — the scriptable equivalent of `tables --no-snapshot`.
-pub const NO_SNAPSHOT_ENV: &str = "IPSTORAGE_NO_SNAPSHOT";
 
 /// Process-wide kill switch installed by [`set_snapshots_enabled`].
 static SNAPSHOTS_DISABLED: AtomicBool = AtomicBool::new(false);
@@ -51,10 +46,9 @@ pub fn set_snapshots_enabled(on: bool) {
 }
 
 /// Whether snapshot sharing is currently enabled (default: yes,
-/// unless [`set_snapshots_enabled`]`(false)` was called or
-/// [`NO_SNAPSHOT_ENV`] is set).
+/// unless [`set_snapshots_enabled`]`(false)` was called).
 pub fn snapshots_enabled() -> bool {
-    !SNAPSHOTS_DISABLED.load(Ordering::Relaxed) && std::env::var_os(NO_SNAPSHOT_ENV).is_none()
+    !SNAPSHOTS_DISABLED.load(Ordering::Relaxed)
 }
 
 /// Identity of a setup prefix: the seed-normalized configuration, the

@@ -1,17 +1,25 @@
-//! The testbed builder: N clients, one server, a Gigabit LAN, and a
-//! RAID-5 array — wired either as NFS (file system at the server) or
-//! as iSCSI (file system at the client over a remote disk), exactly as
-//! in the paper's Figure 2.
+//! The testbed builder: N clients, M servers, a Gigabit LAN, and a
+//! RAID-5 array per server — wired either as NFS (file system at the
+//! server) or as iSCSI (file system at the client over a remote disk),
+//! exactly as in the paper's Figure 2.
 //!
-//! The default [`Testbed::build`] is the paper's single-client pair.
-//! [`Testbed::build_topology`] generalizes it: N client hosts on a
+//! There is one construction path, [`Testbed::construct`], and the
+//! paper's single-client pair is its (N = 1, M = 1) case:
+//! [`Testbed::build`] is [`Testbed::build_topology`] on a default
+//! [`TopologyConfig`]. With more clients, hosts `c0..c<N-1>` on a
 //! [`net::Fabric`] share the server link (and contend for its
 //! bandwidth), NFS clients share one server file system with per-client
 //! RPC channels and CPU accounts, and iSCSI initiators run private
 //! sessions against disjoint LUN partitions of the same RAID volume —
-//! the sharing contrast at the heart of the paper's discussion.
-//! `clients: 1` is the degenerate topology and stays byte-identical to
-//! the point-to-point build.
+//! the sharing contrast at the heart of the paper's discussion. With
+//! more servers, each shard is an independent machine behind its own
+//! edge link under a shared core switch.
+//!
+//! What the counts change is data, not code path: (1, 1) talks over a
+//! bare unnamed link (no `net.c0.*` counters) and exports the whole
+//! volume as its one LUN; the core switch, the per-shard
+//! `disk.s<j>.busy_pct` gauges, the ×M link capacity and the
+//! [`ShardPolicy`] exist only when M > 1.
 
 use crate::calibration;
 use crate::snapshot::SetupInfo;
@@ -209,8 +217,8 @@ impl ShardPolicy {
 /// A multi-client topology: the shared single-pair configuration plus
 /// how many client hosts to instantiate.
 ///
-/// With `clients: 1` the build is byte-identical to
-/// [`Testbed::build`]; with more, hosts `c0..c<N-1>` are placed on a
+/// With `clients: 1` and `servers: 1` this *is* [`Testbed::build`]'s
+/// pair; with more clients, hosts `c0..c<N-1>` are placed on a
 /// [`net::Fabric`] (per-host counters under `net.<host>.<label>.*`,
 /// shared server-link bandwidth) and each gets its own CPU account and
 /// mount — N `NfsClient`s against one `NfsServer`, or N iSCSI sessions
@@ -229,24 +237,20 @@ pub struct TopologyConfig {
     pub clients: usize,
     /// Number of server shards (default 1: the paper's single server).
     pub servers: usize,
-    /// Client→shard assignment (default [`ShardPolicy::Static`]).
+    /// Client→shard assignment (default [`ShardPolicy::Static`]);
+    /// inert with one server.
     pub policy: ShardPolicy,
-    /// Core-switch bandwidth capping the sum of the server edges.
+    /// Core-switch bandwidth capping the sum of the server edges
+    /// (there is no core above a single server).
     /// `None` (default) sizes the core at `servers ×` the edge rate —
     /// non-binding, so a sharded topology scales until edges saturate.
     pub core_bandwidth_bps: Option<Bps>,
 }
 
 impl TopologyConfig {
-    /// The paper's defaults for `protocol` with `clients` hosts.
+    /// The paper's defaults for `protocol`: one client, one server.
     pub fn new(protocol: Protocol) -> TopologyConfig {
-        TopologyConfig {
-            base: TestbedConfig::new(protocol),
-            clients: 1,
-            servers: 1,
-            policy: ShardPolicy::Static,
-            core_bandwidth_bps: None,
-        }
+        TopologyConfig::from_base(TestbedConfig::new(protocol))
     }
 
     /// Wraps an existing per-pair configuration (single client/server).
@@ -289,21 +293,22 @@ impl TopologyConfig {
     }
 }
 
-/// One client host of the topology: its name, CPU account, and mount.
+/// One client host of the topology: its name, CPU account, mount, the
+/// server shard it is attached to, and its end of the link to it.
 struct ClientHost {
     name: String,
     cpu: Rc<CpuAccount>,
     kind: MountKind,
+    port: u32,
+    link: Rc<Network>,
 }
 
 /// A built testbed: the workload-facing [`FileSystem`] plus the
 /// instrumentation handles every experiment reads.
 pub struct Testbed {
     sim: Rc<Sim>,
-    /// Client 0's link endpoint (the whole link in the single-client
-    /// topology).
-    network: Rc<Network>,
-    /// The multi-host fabric, present when `clients > 1`.
+    /// The multi-host fabric the client links hang off; the (1, 1)
+    /// pair's link is point-to-point and has none.
     fabric: Option<Rc<Fabric>>,
     config: TestbedConfig,
     clients: Vec<ClientHost>,
@@ -314,9 +319,6 @@ pub struct Testbed {
     policy: ShardPolicy,
     /// Core-switch override the topology was built with.
     core_bandwidth_bps: Option<Bps>,
-    /// Fabric port (= server shard) each client is attached to; empty
-    /// in the single-client build.
-    client_ports: Vec<u32>,
     /// Backing stores of the RAID members (shard-major: server 0's
     /// members first), kept so a snapshot capture can export them as
     /// shared images.
@@ -367,97 +369,262 @@ impl std::fmt::Debug for Testbed {
     }
 }
 
+/// The timed RAID members of one server, as the gauge sampler watches
+/// them.
+type MemberDisks = Vec<Rc<DiskModel<Rc<MemDisk>>>>;
+
 impl Testbed {
-    /// Builds a testbed for `config`.
+    /// Builds the paper's single-client, single-server testbed for
+    /// `config`: the (1, 1) case of [`Testbed::build_topology`].
     ///
     /// # Panics
     ///
     /// Panics if the underlying mkfs fails (volume too small).
     pub fn build(config: TestbedConfig) -> Testbed {
-        Self::construct_single(config, None)
+        Self::construct(TopologyConfig::from_base(config), None)
     }
 
-    /// The single-client construction path, cold or resumed: the only
-    /// difference a snapshot makes is mounts instead of mkfs, disks
-    /// forked from images instead of blank ones, and the clock
-    /// starting at the captured epoch.
-    fn construct_single(config: TestbedConfig, resume: Option<Resume>) -> Testbed {
+    /// Builds a topology of `clients` hosts `c0..c<N-1>` over `servers`
+    /// shards.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `clients` or `servers` is zero, if there are fewer
+    /// clients than servers or the policy leaves a shard without any,
+    /// if [`ShardPolicy::StripedLuns`] is asked of an NFS protocol
+    /// (there are no LUNs to stripe), or if the underlying mkfs fails
+    /// (for iSCSI, each client's LUN partition must still hold a file
+    /// system: keep `volume_blocks / clients` comfortably above
+    /// [`ext3::min_volume_blocks`]).
+    pub fn build_topology(topo: TopologyConfig) -> Testbed {
+        Self::construct(topo, None)
+    }
+
+    /// The construction path, cold or resumed: the only difference a
+    /// snapshot makes is mounts instead of mkfs, disks forked from
+    /// images instead of blank ones, and the clock starting at the
+    /// captured epoch. M server machines — RAID array, CPU account
+    /// ([`HostId::server`]) and file system or iSCSI target each — and
+    /// N clients distributed over them per the [`ShardPolicy`].
+    fn construct(topo: TopologyConfig, resume: Option<Resume>) -> Testbed {
+        let config = topo.base;
+        let (n, m) = (topo.clients, topo.servers);
+        assert!(n >= 1, "a topology needs at least one client");
+        assert!(m >= 1, "a topology needs at least one server");
+        assert!(n >= m, "need at least one client per server shard");
+        let version = config.protocol.nfs_version();
+        assert!(
+            version.is_none() || topo.policy != ShardPolicy::StripedLuns,
+            "StripedLuns stripes iSCSI LUNs; {:?} exports none",
+            config.protocol
+        );
+        // A single server has no shards to assign and no core above
+        // its one edge: both knobs are inert there, and a capture
+        // records them as such.
+        let (policy, core_bandwidth_bps) = if m > 1 {
+            (topo.policy, topo.core_bandwidth_bps)
+        } else {
+            (ShardPolicy::Static, None)
+        };
+        let rm = calibration::RAID_MEMBERS;
+
         let sim = Sim::new(config.seed);
         if let Some(r) = &resume {
             // Restore the captured epoch before any component exists:
             // daemons registered below align their cadence to it
             // exactly as the captured testbed's did.
             sim.advance_to(r.epoch);
+            assert_eq!(
+                r.images.len(),
+                m * rm,
+                "resume images must cover every shard"
+            );
         }
-        let network = Network::new(sim.clone(), config.link);
-        let client_cpu = Rc::new(CpuAccount::new());
-        let server_cpu = Rc::new(CpuAccount::new());
-        client_cpu.instrument(sim.clone(), HostId::client(0));
-        server_cpu.instrument(sim.clone(), HostId::SERVER);
+        // The pair's link is point-to-point: an unnamed endpoint, so no
+        // per-host `net.c0.*` counters. More hosts share a fabric, one
+        // port per server, under a core switch once there are several.
+        let fabric = (n > 1 || m > 1).then(|| {
+            if m == 1 {
+                return Fabric::new(sim.clone(), config.link);
+            }
+            let core_bps = core_bandwidth_bps
+                .unwrap_or_else(|| config.link.bandwidth_bps.saturating_mul(m as u64));
+            let fabric = Fabric::with_core(sim.clone(), config.link, core_bps);
+            for _ in 0..m {
+                fabric.add_port();
+            }
+            fabric
+        });
 
         let remount = resume.is_some();
-        let (raid, members, disks) =
-            Self::build_raid(&sim, &config, resume.as_ref().map(|r| r.images.as_slice()));
+        let mut server_cpus: Vec<Rc<CpuAccount>> = Vec::with_capacity(m);
+        let mut members: Vec<Rc<MemDisk>> = Vec::with_capacity(m * rm);
+        let mut raids: Vec<Rc<dyn BlockDevice>> = Vec::with_capacity(m);
+        let mut disk_groups: Vec<MemberDisks> = Vec::with_capacity(m);
+        for j in 0..m {
+            let cpu = Rc::new(CpuAccount::new());
+            cpu.instrument(sim.clone(), HostId::server(j as u32));
+            let shard_images = resume.as_ref().map(|r| &r.images[j * rm..(j + 1) * rm]);
+            let (raid, stores, disks) = Self::build_raid(&sim, &config, shard_images);
+            server_cpus.push(cpu);
+            members.extend(stores);
+            raids.push(raid);
+            disk_groups.push(disks);
+        }
 
-        let kind = match config.protocol.nfs_version() {
-            Some(version) => {
-                let fs = Self::server_fs(&sim, raid, remount);
-                let server = Rc::new(NfsServer::new(fs, server_cpu.clone(), config.cost));
-                let cfg = Self::nfs_config(&config, version, 0);
-                let rpcc = RpcClient::new(
-                    network.channel_flows("nfs", version.transport(), Some(cfg.nconnect)),
-                    RpcConfig::default(),
-                );
-                let client = Rc::new(NfsClient::new(
-                    sim.clone(),
-                    rpcc,
-                    server,
-                    cfg,
-                    client_cpu.clone(),
-                    config.cost,
-                ));
-                // The mount handshake (mountd for v2/v3, PUTROOTFH for
-                // v4) happens during setup, before the books open.
-                client.mount();
-                MountKind::Nfs {
-                    mount: NfsMount::new(client),
+        // Shard assignment, plus each client's local index on its
+        // shard (its LUN slot / file-pool identity there).
+        let names: Vec<String> = (0..n).map(|i| format!("c{i}")).collect();
+        let ports: Vec<u32> = (0..n).map(|i| policy.assign(i, &names[i], m)).collect();
+        let mut shard_clients = vec![0u64; m];
+        let locals: Vec<u64> = ports
+            .iter()
+            .map(|&j| {
+                let l = shard_clients[j as usize];
+                shard_clients[j as usize] += 1;
+                l
+            })
+            .collect();
+        assert!(
+            shard_clients.iter().all(|&k| k > 0),
+            "policy {policy:?} left a server shard with no clients"
+        );
+
+        // The server side of the protocol. NFS: one independent file
+        // system and server per shard, shared by the shard's clients —
+        // cache consistency between them flows through the shared
+        // server mtimes, exactly as on a real shared export.
+        let mut nfs_servers: Vec<Rc<NfsServer>> = Vec::new();
+        // iSCSI: one target per shard over its (CPU-charged) volume,
+        // exporting a private LUN per attached client — iSCSI's
+        // "private volume" sharing model.
+        let mut targets: Vec<Option<Rc<Target>>> = vec![None; m];
+        if version.is_some() {
+            for (raid, cpu) in raids.iter().zip(&server_cpus) {
+                let fs = Self::server_fs(&sim, Rc::clone(raid), remount);
+                nfs_servers.push(Rc::new(NfsServer::new(fs, Rc::clone(cpu), config.cost)));
+            }
+        } else {
+            let charged: Vec<Rc<dyn BlockDevice>> = raids
+                .iter()
+                .zip(&server_cpus)
+                .map(|(raid, cpu)| {
+                    Rc::new(CpuChargedDevice {
+                        inner: Rc::clone(raid),
+                        sim: sim.clone(),
+                        cpu: Rc::clone(cpu),
+                        cost: config.cost,
+                    }) as Rc<dyn BlockDevice>
+                })
+                .collect();
+            for i in 0..n {
+                let j = ports[i] as usize;
+                let lun: Rc<dyn BlockDevice> = match policy {
+                    ShardPolicy::StripedLuns => {
+                        // One slice per server volume, striped: disk
+                        // and target-CPU load spread across shards.
+                        let slice = config.volume_blocks / n as u64;
+                        let parts: Vec<Rc<dyn BlockDevice>> = (0..m)
+                            .map(|s| {
+                                Rc::new(Partition::new(
+                                    format!("c{i}.s{s}"),
+                                    Rc::clone(&charged[s]),
+                                    i as u64 * slice,
+                                    slice,
+                                )) as Rc<dyn BlockDevice>
+                            })
+                            .collect();
+                        Rc::new(Stripe::new(&format!("stripe{i}"), parts))
+                    }
+                    // The lone initiator gets the array whole, spare
+                    // blocks past `volume_blocks` included.
+                    _ if n == 1 => Rc::clone(&charged[j]),
+                    // Server j's volume is split among the clients
+                    // assigned to it, the layout a single-shard capture
+                    // produces (so a replicated fork mounts the same
+                    // partitions it captured).
+                    _ => {
+                        let lun_blocks = config.volume_blocks / shard_clients[j];
+                        Rc::new(Partition::new(
+                            format!("lun{}", locals[i]),
+                            Rc::clone(&charged[j]),
+                            locals[i] * lun_blocks,
+                            lun_blocks,
+                        ))
+                    }
+                };
+                match &targets[j] {
+                    None => targets[j] = Some(Rc::new(Target::new(lun))),
+                    Some(t) => {
+                        t.add_lun(lun);
+                    }
                 }
             }
-            None => {
-                let charged = Rc::new(CpuChargedDevice {
-                    inner: raid,
-                    sim: sim.clone(),
-                    cpu: server_cpu.clone(),
-                    cost: config.cost,
-                });
-                let target = Rc::new(Target::new(charged));
-                let initiator =
-                    Initiator::new(network.channel("iscsi", net::Transport::Tcp), target);
-                let disk = Rc::new(
-                    initiator
-                        .login(Self::session_params(&config))
-                        .expect("login"),
-                );
-                let fs = Rc::new(Self::client_fs_init(
-                    &sim,
-                    disk,
-                    &config,
-                    remount,
-                    HostId::client(0),
-                ));
-                MountKind::Iscsi {
-                    mount: LocalMount::new(fs, client_cpu.clone(), config.cost),
+        }
+
+        let clients: Vec<ClientHost> = names
+            .into_iter()
+            .enumerate()
+            .map(|(i, name)| {
+                let host = HostId::client(i as u32);
+                let port = ports[i];
+                let cpu = Rc::new(CpuAccount::new());
+                cpu.instrument(sim.clone(), host);
+                let link = match &fabric {
+                    Some(f) => f.host_on(&name, port as usize),
+                    None => Network::new(sim.clone(), config.link),
+                };
+                let kind = match version {
+                    Some(version) => {
+                        let cfg = Self::nfs_config(&config, version, i as u32);
+                        let rpcc = RpcClient::new(
+                            link.channel_flows("nfs", version.transport(), Some(cfg.nconnect)),
+                            RpcConfig::default(),
+                        );
+                        let client = Rc::new(NfsClient::new(
+                            sim.clone(),
+                            rpcc,
+                            Rc::clone(&nfs_servers[port as usize]),
+                            cfg,
+                            cpu.clone(),
+                            config.cost,
+                        ));
+                        // The mount handshake (mountd for v2/v3,
+                        // PUTROOTFH for v4) happens during setup,
+                        // before the books open.
+                        client.mount();
+                        MountKind::Nfs {
+                            mount: NfsMount::new(client),
+                        }
+                    }
+                    None => {
+                        let target = targets[port as usize].as_ref().expect("target");
+                        let initiator = Initiator::new(
+                            link.channel("iscsi", net::Transport::Tcp),
+                            Rc::clone(target),
+                        );
+                        let disk = Rc::new(
+                            initiator
+                                .login_lun(Self::session_params(&config), locals[i] as u32)
+                                .expect("login"),
+                        );
+                        let fs = Rc::new(Self::client_fs_init(&sim, disk, &config, remount, host));
+                        let mount = LocalMount::new(fs, cpu.clone(), config.cost);
+                        mount.set_trace_host(host);
+                        MountKind::Iscsi { mount }
+                    }
+                };
+                ClientHost {
+                    name,
+                    cpu,
+                    kind,
+                    port,
+                    link,
                 }
-            }
-        };
+            })
+            .collect();
 
-        let clients = vec![ClientHost {
-            name: "c0".to_string(),
-            cpu: client_cpu,
-            kind,
-        }];
-        let gauges = Self::register_gauges(&sim, &config.link, disks, &clients);
-
+        let gauges = Self::register_gauges(&sim, &config.link, disk_groups, &clients);
         // Formatting/mounting and login traffic is setup, not
         // workload: start the experiment's books clean.
         sim.counters().reset();
@@ -470,406 +637,12 @@ impl Testbed {
         }
         Testbed {
             sim,
-            network,
-            fabric: None,
-            config,
-            clients,
-            server_cpus: vec![server_cpu],
-            policy: ShardPolicy::Static,
-            core_bandwidth_bps: None,
-            client_ports: Vec::new(),
-            members,
-            gauges,
-            setup: resume.map(|r| r.info),
-        }
-    }
-
-    /// Builds a multi-client topology. `clients: 1` delegates to
-    /// [`Testbed::build`] and is byte-identical to it; larger counts
-    /// place hosts `c0..c<N-1>` on a [`net::Fabric`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `clients` is zero or the underlying mkfs fails (for
-    /// iSCSI, each client's LUN partition must still hold a file
-    /// system: keep `volume_blocks / clients` comfortably above
-    /// [`ext3::min_volume_blocks`]).
-    pub fn build_topology(topo: TopologyConfig) -> Testbed {
-        Self::construct_topology(topo, None)
-    }
-
-    fn construct_topology(topo: TopologyConfig, resume: Option<Resume>) -> Testbed {
-        assert!(topo.clients >= 1, "a topology needs at least one client");
-        assert!(topo.servers >= 1, "a topology needs at least one server");
-        if topo.servers > 1 {
-            return Testbed::construct_sharded(topo, resume);
-        }
-        if topo.clients == 1 {
-            return Testbed::construct_single(topo.base, resume);
-        }
-        let config = topo.base;
-        let n = topo.clients;
-        let sim = Sim::new(config.seed);
-        if let Some(r) = &resume {
-            sim.advance_to(r.epoch);
-        }
-        let fabric = Fabric::new(sim.clone(), config.link);
-        let server_cpu = Rc::new(CpuAccount::new());
-        server_cpu.instrument(sim.clone(), HostId::SERVER);
-
-        let remount = resume.is_some();
-        let (raid, members, disks) =
-            Self::build_raid(&sim, &config, resume.as_ref().map(|r| r.images.as_slice()));
-
-        let clients: Vec<ClientHost> = match config.protocol.nfs_version() {
-            Some(version) => {
-                // One server file system, N clients with private RPC
-                // channels and CPU accounts. Cache consistency between
-                // them flows through the shared server mtimes, exactly
-                // as on a real shared NFS export.
-                let fs = Self::server_fs(&sim, raid, remount);
-                let server = Rc::new(NfsServer::new(fs, server_cpu.clone(), config.cost));
-                (0..n)
-                    .map(|i| {
-                        let name = format!("c{i}");
-                        let cpu = Rc::new(CpuAccount::new());
-                        cpu.instrument(sim.clone(), HostId::client(i as u32));
-                        let cfg = Self::nfs_config(&config, version, i as u32);
-                        let rpcc = RpcClient::new(
-                            fabric.host(&name).channel_flows(
-                                "nfs",
-                                version.transport(),
-                                Some(cfg.nconnect),
-                            ),
-                            RpcConfig::default(),
-                        );
-                        let client = Rc::new(NfsClient::new(
-                            sim.clone(),
-                            rpcc,
-                            Rc::clone(&server),
-                            cfg,
-                            cpu.clone(),
-                            config.cost,
-                        ));
-                        client.mount();
-                        ClientHost {
-                            name,
-                            cpu,
-                            kind: MountKind::Nfs {
-                                mount: NfsMount::new(client),
-                            },
-                        }
-                    })
-                    .collect()
-            }
-            None => {
-                // One target over the shared (CPU-charged) RAID volume,
-                // one private LUN partition and session per initiator —
-                // iSCSI's "private volume" sharing model.
-                let charged: Rc<dyn BlockDevice> = Rc::new(CpuChargedDevice {
-                    inner: raid,
-                    sim: sim.clone(),
-                    cpu: server_cpu.clone(),
-                    cost: config.cost,
-                });
-                let lun_blocks = config.volume_blocks / n as u64;
-                let target = Rc::new(Target::new(Rc::new(Partition::new(
-                    "lun0",
-                    Rc::clone(&charged),
-                    0,
-                    lun_blocks,
-                ))));
-                for i in 1..n {
-                    target.add_lun(Rc::new(Partition::new(
-                        format!("lun{i}"),
-                        Rc::clone(&charged),
-                        i as u64 * lun_blocks,
-                        lun_blocks,
-                    )));
-                }
-                (0..n)
-                    .map(|i| {
-                        let name = format!("c{i}");
-                        let cpu = Rc::new(CpuAccount::new());
-                        cpu.instrument(sim.clone(), HostId::client(i as u32));
-                        let initiator = Initiator::new(
-                            fabric.host(&name).channel("iscsi", net::Transport::Tcp),
-                            Rc::clone(&target),
-                        );
-                        let disk = Rc::new(
-                            initiator
-                                .login_lun(Self::session_params(&config), i as u32)
-                                .expect("login"),
-                        );
-                        let fs = Rc::new(Self::client_fs_init(
-                            &sim,
-                            disk,
-                            &config,
-                            remount,
-                            HostId::client(i as u32),
-                        ));
-                        let mount = LocalMount::new(fs, cpu.clone(), config.cost);
-                        mount.set_trace_host(HostId::client(i as u32));
-                        ClientHost {
-                            name,
-                            cpu,
-                            kind: MountKind::Iscsi { mount },
-                        }
-                    })
-                    .collect()
-            }
-        };
-
-        let network = fabric.host("c0");
-        let gauges = Self::register_gauges(&sim, &config.link, disks, &clients);
-        sim.counters().reset();
-        sim.metrics().reset();
-        sim.tracer().clear();
-        gauges.reset(sim.now());
-        Self::arm_gauges(&sim, &gauges);
-        if crate::attribution::attribution_enabled() {
-            sim.tracer().set_enabled(true);
-        }
-        Testbed {
-            sim,
-            network,
-            fabric: Some(fabric),
-            config,
-            clients,
-            server_cpus: vec![server_cpu],
-            policy: ShardPolicy::Static,
-            core_bandwidth_bps: None,
-            client_ports: vec![0; n],
-            members,
-            gauges,
-            setup: resume.map(|r| r.info),
-        }
-    }
-
-    /// The sharded construction path: M server machines, each with its
-    /// own RAID array, CPU account ([`HostId::server`]), and protocol
-    /// endpoint, behind a two-level fabric (a private edge per server
-    /// capped by a shared core switch). Clients are distributed per
-    /// the topology's [`ShardPolicy`].
-    fn construct_sharded(topo: TopologyConfig, resume: Option<Resume>) -> Testbed {
-        let config = topo.base;
-        let n = topo.clients;
-        let m = topo.servers;
-        assert!(n >= m, "need at least one client per server shard");
-        let sim = Sim::new(config.seed);
-        if let Some(r) = &resume {
-            sim.advance_to(r.epoch);
-            assert_eq!(
-                r.images.len(),
-                m * calibration::RAID_MEMBERS,
-                "resume images must cover every shard"
-            );
-        }
-        let core_bps = topo
-            .core_bandwidth_bps
-            .unwrap_or_else(|| config.link.bandwidth_bps.saturating_mul(m as u64));
-        let fabric = Fabric::with_core(sim.clone(), config.link, core_bps);
-        for _ in 0..m {
-            fabric.add_port();
-        }
-
-        let remount = resume.is_some();
-        let mut server_cpus: Vec<Rc<CpuAccount>> = Vec::with_capacity(m);
-        let mut members: Vec<Rc<MemDisk>> = Vec::new();
-        let mut raids: Vec<Rc<dyn BlockDevice>> = Vec::with_capacity(m);
-        let mut disk_groups: Vec<Vec<Rc<DiskModel<Rc<MemDisk>>>>> = Vec::with_capacity(m);
-        for j in 0..m {
-            let cpu = Rc::new(CpuAccount::new());
-            cpu.instrument(sim.clone(), HostId::server(j as u32));
-            let rm = calibration::RAID_MEMBERS;
-            let shard_images = resume.as_ref().map(|r| &r.images[j * rm..(j + 1) * rm]);
-            let (raid, stores, disks) = Self::build_raid(&sim, &config, shard_images);
-            server_cpus.push(cpu);
-            members.extend(stores);
-            raids.push(raid);
-            disk_groups.push(disks);
-        }
-
-        // Shard assignment, plus each client's local index on its
-        // shard (its LUN slot / file-pool identity there).
-        let ports: Vec<u32> = (0..n)
-            .map(|i| topo.policy.assign(i, &format!("c{i}"), m))
-            .collect();
-        let mut shard_clients = vec![0u64; m];
-        let locals: Vec<u64> = ports
-            .iter()
-            .map(|&j| {
-                let l = shard_clients[j as usize];
-                shard_clients[j as usize] += 1;
-                l
-            })
-            .collect();
-        assert!(
-            shard_clients.iter().all(|&k| k > 0),
-            "policy {:?} left a server shard with no clients",
-            topo.policy
-        );
-
-        let clients: Vec<ClientHost> = match config.protocol.nfs_version() {
-            Some(version) => {
-                // One independent file system and NFS server per
-                // shard; cache consistency flows only within a shard,
-                // exactly as on statically partitioned mounts.
-                let servers: Vec<Rc<NfsServer>> = raids
-                    .iter()
-                    .zip(&server_cpus)
-                    .map(|(raid, cpu)| {
-                        let fs = Self::server_fs(&sim, Rc::clone(raid), remount);
-                        Rc::new(NfsServer::new(fs, Rc::clone(cpu), config.cost))
-                    })
-                    .collect();
-                (0..n)
-                    .map(|i| {
-                        let name = format!("c{i}");
-                        let port = ports[i];
-                        let cpu = Rc::new(CpuAccount::new());
-                        cpu.instrument(sim.clone(), HostId::client(i as u32));
-                        let cfg = Self::nfs_config(&config, version, i as u32);
-                        let rpcc = RpcClient::new(
-                            fabric.host_on(&name, port as usize).channel_flows(
-                                "nfs",
-                                version.transport(),
-                                Some(cfg.nconnect),
-                            ),
-                            RpcConfig::default(),
-                        );
-                        let client = Rc::new(NfsClient::new(
-                            sim.clone(),
-                            rpcc,
-                            Rc::clone(&servers[port as usize]),
-                            cfg,
-                            cpu.clone(),
-                            config.cost,
-                        ));
-                        client.mount();
-                        ClientHost {
-                            name,
-                            cpu,
-                            kind: MountKind::Nfs {
-                                mount: NfsMount::new(client),
-                            },
-                        }
-                    })
-                    .collect()
-            }
-            None => {
-                let charged: Vec<Rc<dyn BlockDevice>> = raids
-                    .iter()
-                    .zip(&server_cpus)
-                    .map(|(raid, cpu)| {
-                        Rc::new(CpuChargedDevice {
-                            inner: Rc::clone(raid),
-                            sim: sim.clone(),
-                            cpu: Rc::clone(cpu),
-                            cost: config.cost,
-                        }) as Rc<dyn BlockDevice>
-                    })
-                    .collect();
-                // Per-shard targets: server j's volume is split among
-                // the clients assigned to it, mirroring the layout a
-                // single-shard capture produces (so a replicated fork
-                // mounts the same partitions it captured).
-                let mut targets: Vec<Option<Rc<Target>>> = vec![None; m];
-                let mut luns: Vec<Rc<dyn BlockDevice>> = Vec::with_capacity(n);
-                for i in 0..n {
-                    let j = ports[i] as usize;
-                    let lun: Rc<dyn BlockDevice> = match topo.policy {
-                        ShardPolicy::StripedLuns => {
-                            // One slice per server volume, striped: disk
-                            // and target-CPU load spread across shards.
-                            let slice = config.volume_blocks / n as u64;
-                            let parts: Vec<Rc<dyn BlockDevice>> = (0..m)
-                                .map(|s| {
-                                    Rc::new(Partition::new(
-                                        format!("c{i}.s{s}"),
-                                        Rc::clone(&charged[s]),
-                                        i as u64 * slice,
-                                        slice,
-                                    )) as Rc<dyn BlockDevice>
-                                })
-                                .collect();
-                            Rc::new(Stripe::new(&format!("stripe{i}"), parts))
-                        }
-                        _ => {
-                            let lun_blocks = config.volume_blocks / shard_clients[j];
-                            Rc::new(Partition::new(
-                                format!("lun{}", locals[i]),
-                                Rc::clone(&charged[j]),
-                                locals[i] * lun_blocks,
-                                lun_blocks,
-                            ))
-                        }
-                    };
-                    match &targets[j] {
-                        None => targets[j] = Some(Rc::new(Target::new(Rc::clone(&lun)))),
-                        Some(t) => {
-                            t.add_lun(Rc::clone(&lun));
-                        }
-                    }
-                    luns.push(lun);
-                }
-                (0..n)
-                    .map(|i| {
-                        let name = format!("c{i}");
-                        let port = ports[i];
-                        let cpu = Rc::new(CpuAccount::new());
-                        cpu.instrument(sim.clone(), HostId::client(i as u32));
-                        let target = targets[port as usize].as_ref().expect("target");
-                        let initiator = Initiator::new(
-                            fabric
-                                .host_on(&name, port as usize)
-                                .channel("iscsi", net::Transport::Tcp),
-                            Rc::clone(target),
-                        );
-                        let disk = Rc::new(
-                            initiator
-                                .login_lun(Self::session_params(&config), locals[i] as u32)
-                                .expect("login"),
-                        );
-                        let fs = Rc::new(Self::client_fs_init(
-                            &sim,
-                            disk,
-                            &config,
-                            remount,
-                            HostId::client(i as u32),
-                        ));
-                        let mount = LocalMount::new(fs, cpu.clone(), config.cost);
-                        mount.set_trace_host(HostId::client(i as u32));
-                        ClientHost {
-                            name,
-                            cpu,
-                            kind: MountKind::Iscsi { mount },
-                        }
-                    })
-                    .collect()
-            }
-        };
-
-        let network = fabric.endpoint(fabric.endpoint_id("c0"));
-        let gauges = Self::register_gauges_sharded(&sim, &config.link, m, disk_groups, &clients);
-        sim.counters().reset();
-        sim.metrics().reset();
-        sim.tracer().clear();
-        gauges.reset(sim.now());
-        Self::arm_gauges(&sim, &gauges);
-        if crate::attribution::attribution_enabled() {
-            sim.tracer().set_enabled(true);
-        }
-        Testbed {
-            sim,
-            network,
-            fabric: Some(fabric),
+            fabric,
             config,
             clients,
             server_cpus,
-            policy: topo.policy,
-            core_bandwidth_bps: topo.core_bandwidth_bps,
-            client_ports: ports,
+            policy,
+            core_bandwidth_bps,
             members,
             gauges,
             setup: resume.map(|r| r.info),
@@ -882,16 +655,11 @@ impl Testbed {
     /// returned alongside so a capture can image them later, and the
     /// timed member models so the gauge sampler can watch their busy
     /// time.
-    #[allow(clippy::type_complexity)]
     fn build_raid(
         sim: &Rc<Sim>,
         config: &TestbedConfig,
         images: Option<&[Arc<DiskImage>]>,
-    ) -> (
-        Rc<dyn BlockDevice>,
-        Vec<Rc<MemDisk>>,
-        Vec<Rc<DiskModel<Rc<MemDisk>>>>,
-    ) {
+    ) -> (Rc<dyn BlockDevice>, Vec<Rc<MemDisk>>, MemberDisks) {
         let member_blocks = (config.volume_blocks / (calibration::RAID_MEMBERS as u64 - 1)) + 1024;
         let stores: Vec<Rc<MemDisk>> = (0..calibration::RAID_MEMBERS)
             .map(|i| {
@@ -901,7 +669,7 @@ impl Testbed {
                 })
             })
             .collect();
-        let models: Vec<Rc<DiskModel<Rc<MemDisk>>>> = stores
+        let models: MemberDisks = stores
             .iter()
             .map(|store| {
                 let m = Rc::new(DiskModel::new(
@@ -934,9 +702,12 @@ impl Testbed {
     }
 
     /// Builds the virtual-clock gauge sampler and registers its
-    /// read-only probes: link utilization against the configured base
-    /// bandwidth, aggregate RAID-member busy time (100 per fully busy
-    /// member, so `/100` reads as mean in-service depth), and
+    /// read-only probes: link utilization against the aggregate edge
+    /// capacity (one edge per server), RAID-member busy time (100 per
+    /// fully busy member, so `/100` reads as mean in-service depth) —
+    /// in aggregate and, when there are several servers, per shard as
+    /// `disk.s<j>.busy_pct` (M is small; the per-host zero-row rule in
+    /// [`simkit::gauge`] keeps unsampled rows out of reports) — and
     /// client-cache occupancy (pagecache blocks and, for NFS, cached
     /// dentries — iSCSI keeps a stable zero row). Delta-based probes
     /// seed their baseline at registration so setup-phase traffic never
@@ -945,7 +716,7 @@ impl Testbed {
     fn register_gauges(
         sim: &Rc<Sim>,
         link: &LinkParams,
-        disks: Vec<Rc<DiskModel<Rc<MemDisk>>>>,
+        disk_groups: Vec<MemberDisks>,
         clients: &[ClientHost],
     ) -> Rc<GaugeSampler> {
         let period = SimDuration::from_millis(100);
@@ -953,77 +724,11 @@ impl Testbed {
         {
             let sim2 = Rc::clone(sim);
             let last = Cell::new(sim2.counters().get("net.total.bytes"));
-            // Bits the link can carry per sampling period.
-            let cap_bits =
-                link.bandwidth_bps.get().saturating_mul(period.as_nanos()) / 1_000_000_000;
-            g.register("link.util_pct", move || {
-                let total = sim2.counters().get("net.total.bytes");
-                let delta = total.saturating_sub(last.get());
-                last.set(total);
-                if cap_bits == 0 {
-                    return 0;
-                }
-                delta.saturating_mul(8).saturating_mul(100) / cap_bits
-            });
-        }
-        {
-            let last = Cell::new(disks.iter().map(|d| d.stats().busy.as_nanos()).sum::<u64>());
-            let period_ns = period.as_nanos();
-            g.register("disk.busy_pct", move || {
-                let busy: u64 = disks.iter().map(|d| d.stats().busy.as_nanos()).sum();
-                let delta = busy.saturating_sub(last.get());
-                last.set(busy);
-                delta.saturating_mul(100) / period_ns
-            });
-        }
-        let mut nfs_clients: Vec<Rc<NfsClient>> = Vec::new();
-        let mut client_fss: Vec<Rc<Ext3>> = Vec::new();
-        for host in clients {
-            match &host.kind {
-                MountKind::Nfs { mount } => nfs_clients.push(Rc::clone(mount.client())),
-                MountKind::Iscsi { mount } => client_fss.push(Rc::clone(mount.fs())),
-            }
-        }
-        {
-            let nfs = nfs_clients.clone();
-            g.register("cache.pagecache_blocks", move || {
-                nfs.iter().map(|c| c.cached_pages() as u64).sum::<u64>()
-                    + client_fss
-                        .iter()
-                        .map(|f| f.cached_blocks() as u64)
-                        .sum::<u64>()
-            });
-        }
-        g.register("cache.dentries", move || {
-            nfs_clients
-                .iter()
-                .map(|c| c.cached_dentry_count() as u64)
-                .sum()
-        });
-        g
-    }
-
-    /// Gauges for a sharded topology: link utilization against the
-    /// *aggregate* edge capacity (M edges), one `disk.s<j>.busy_pct`
-    /// per server shard (M is small — the per-host zero-row rule in
-    /// [`simkit::gauge`] keeps unsampled rows out of reports), plus the
-    /// aggregate `disk.busy_pct` and cache gauges of the flat topology.
-    fn register_gauges_sharded(
-        sim: &Rc<Sim>,
-        link: &LinkParams,
-        servers: usize,
-        disk_groups: Vec<Vec<Rc<DiskModel<Rc<MemDisk>>>>>,
-        clients: &[ClientHost],
-    ) -> Rc<GaugeSampler> {
-        let period = SimDuration::from_millis(100);
-        let g = Rc::new(GaugeSampler::new(period));
-        {
-            let sim2 = Rc::clone(sim);
-            let last = Cell::new(sim2.counters().get("net.total.bytes"));
+            // Bits the server links can carry per sampling period.
             let cap_bits = link
                 .bandwidth_bps
                 .get()
-                .saturating_mul(servers as u64)
+                .saturating_mul(disk_groups.len() as u64)
                 .saturating_mul(period.as_nanos())
                 / 1_000_000_000;
             g.register("link.util_pct", move || {
@@ -1036,27 +741,25 @@ impl Testbed {
                 delta.saturating_mul(8).saturating_mul(100) / cap_bits
             });
         }
-        let period_ns = period.as_nanos();
-        for (j, disks) in disk_groups.iter().enumerate() {
-            let disks = disks.clone();
-            let last = Cell::new(disks.iter().map(|d| d.stats().busy.as_nanos()).sum::<u64>());
-            g.register(format!("disk.s{j}.busy_pct"), move || {
-                let busy: u64 = disks.iter().map(|d| d.stats().busy.as_nanos()).sum();
+        let busy_pct = |name: String, disks: MemberDisks| {
+            let busy_ns = move || disks.iter().map(|d| d.stats().busy.as_nanos()).sum::<u64>();
+            let last = Cell::new(busy_ns());
+            g.register(name, move || {
+                let busy = busy_ns();
                 let delta = busy.saturating_sub(last.get());
                 last.set(busy);
-                delta.saturating_mul(100) / period_ns
+                delta.saturating_mul(100) / period.as_nanos()
             });
+        };
+        if disk_groups.len() > 1 {
+            for (j, disks) in disk_groups.iter().enumerate() {
+                busy_pct(format!("disk.s{j}.busy_pct"), disks.clone());
+            }
         }
-        {
-            let all: Vec<Rc<DiskModel<Rc<MemDisk>>>> = disk_groups.into_iter().flatten().collect();
-            let last = Cell::new(all.iter().map(|d| d.stats().busy.as_nanos()).sum::<u64>());
-            g.register("disk.busy_pct", move || {
-                let busy: u64 = all.iter().map(|d| d.stats().busy.as_nanos()).sum();
-                let delta = busy.saturating_sub(last.get());
-                last.set(busy);
-                delta.saturating_mul(100) / period_ns
-            });
-        }
+        busy_pct(
+            "disk.busy_pct".to_string(),
+            disk_groups.into_iter().flatten().collect(),
+        );
         let mut nfs_clients: Vec<Rc<NfsClient>> = Vec::new();
         let mut client_fss: Vec<Rc<Ext3>> = Vec::new();
         for host in clients {
@@ -1139,7 +842,7 @@ impl Testbed {
         epoch: SimTime,
         info: SetupInfo,
     ) -> Testbed {
-        Self::construct_topology(
+        Self::construct(
             topo,
             Some(Resume {
                 images: images.to_vec(),
@@ -1157,33 +860,18 @@ impl Testbed {
     pub(crate) fn capture_parts(self) -> CapturedParts {
         self.settle();
         self.cold_caches();
-        match &self.clients[0].kind {
-            MountKind::Nfs { .. } => {
-                // One server file system per shard, however many
-                // clients; unmount each exactly once.
-                let mut done = vec![false; self.server_cpus.len()];
-                for (i, host) in self.clients.iter().enumerate() {
-                    let j = self.client_ports.get(i).copied().unwrap_or(0) as usize;
-                    if done[j] {
-                        continue;
-                    }
-                    if let MountKind::Nfs { mount } = &host.kind {
-                        mount
-                            .client()
-                            .server()
-                            .fs()
-                            .unmount()
-                            .expect("server unmount");
-                        done[j] = true;
+        // NFS: one server file system per shard, however many clients
+        // mount it — unmount each exactly once. iSCSI: one per client.
+        let mut done = vec![false; self.server_cpus.len()];
+        for host in &self.clients {
+            match &host.kind {
+                MountKind::Nfs { mount } => {
+                    if !std::mem::replace(&mut done[host.port as usize], true) {
+                        let server = mount.client().server();
+                        server.fs().unmount().expect("server unmount");
                     }
                 }
-            }
-            MountKind::Iscsi { .. } => {
-                for host in &self.clients {
-                    if let MountKind::Iscsi { mount } = &host.kind {
-                        mount.fs().unmount().expect("client unmount");
-                    }
-                }
+                MountKind::Iscsi { mount } => mount.fs().unmount().expect("client unmount"),
             }
         }
         let epoch = self.sim.now();
@@ -1290,40 +978,23 @@ impl Testbed {
         &self.sim
     }
 
-    /// The network link (client 0's endpoint; the whole link in the
-    /// single-client topology) — for the Figure 6 RTT sweeps.
-    pub fn network(&self) -> &Rc<Network> {
-        &self.network
-    }
-
-    /// The multi-host fabric, when `clients > 1`.
-    pub fn fabric(&self) -> Option<&Rc<Fabric>> {
-        self.fabric.as_ref()
-    }
-
     /// The virtual-clock gauge sampler (link/disk utilization, cache
     /// occupancy); its summaries fold into reports on absorb.
     pub fn gauges(&self) -> &Rc<GaugeSampler> {
         &self.gauges
     }
 
-    /// Marks `n` clients as actively contending for the server link(s)
-    /// (no-op on the dedicated single-client link). In a sharded
-    /// topology the contenders split across the edges the way the
-    /// shard policy spread the first `n` clients.
+    /// Marks the first `n` clients as actively contending for the
+    /// server link(s) (no-op on the pair's dedicated link): each edge
+    /// is shared among those of them the shard policy attached to it.
     pub fn set_active_clients(&self, n: u32) {
         if let Some(f) = &self.fabric {
-            let m = self.server_cpus.len();
-            if m <= 1 {
-                f.set_active(n);
-            } else {
-                let mut per_port = vec![0u32; m];
-                for i in 0..(n as usize).min(self.client_ports.len()) {
-                    per_port[self.client_ports[i] as usize] += 1;
-                }
-                for (j, &k) in per_port.iter().enumerate() {
-                    f.set_port_active(j, k);
-                }
+            let mut per_port = vec![0u32; self.server_cpus.len()];
+            for host in self.clients.iter().take(n as usize) {
+                per_port[host.port as usize] += 1;
+            }
+            for (j, &k) in per_port.iter().enumerate() {
+                f.set_port_active(j, k);
             }
         }
     }
@@ -1383,8 +1054,12 @@ impl Testbed {
     }
 
     /// Fabric port (= server shard) client `i` is attached to.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
     pub fn client_port(&self, i: usize) -> u32 {
-        self.client_ports.get(i).copied().unwrap_or(0)
+        self.clients[i].port
     }
 
     /// Total protocol transactions so far (the paper's "messages").
@@ -1441,23 +1116,20 @@ impl Testbed {
         self.sim.now()
     }
 
-    /// Reconfigures the link RTT (the NISTNet knob of §4.6) — on every
-    /// host endpoint in a multi-client topology.
+    /// Reconfigures the link RTT (the NISTNet knob of §4.6) on every
+    /// client's link.
     pub fn set_rtt(&self, rtt: SimDuration) {
-        match &self.fabric {
-            Some(f) => f.set_rtt(rtt),
-            None => self.network.set_rtt(rtt),
+        for host in &self.clients {
+            host.link.set_rtt(rtt);
         }
     }
 
-    /// Attaches an Ethereal-style packet monitor to the link (every
-    /// host endpoint in a multi-client topology) and returns it;
-    /// detach with [`net::Network::attach_sniffer`].
+    /// Attaches an Ethereal-style packet monitor to every client's
+    /// link and returns it.
     pub fn attach_sniffer(&self) -> Rc<net::Sniffer> {
         let s = net::Sniffer::new();
-        match &self.fabric {
-            Some(f) => f.attach_sniffer(Some(s.clone())),
-            None => self.network.attach_sniffer(Some(s.clone())),
+        for host in &self.clients {
+            host.link.attach_sniffer(Some(s.clone()));
         }
         s
     }

@@ -1,4 +1,4 @@
-//! N=1 byte-identity anchor for the multi-host fabric refactor.
+//! Byte-identity anchors for the testbed builder.
 //!
 //! The golden fixtures under `tests/golden/` were captured from the
 //! pre-refactor tree by running the release `tables` binary:
@@ -6,13 +6,17 @@
 //! ```text
 //! tables --json --quick table2 > tests/golden/table2_quick.stdout
 //! tables --json --quick table5 > tests/golden/table5_quick.stdout
+//! tables --json --quick scale > tests/golden/scale_quick.stdout
+//! tables --json --quick frontier > tests/golden/frontier_quick.stdout
 //! ```
 //!
-//! With `clients: 1` the topology build must be the degenerate case of
-//! the old point-to-point testbed: same construction order, same RNG
-//! draws, same counter registry, same report bytes. These tests rebuild
-//! the exact stdout of those runner invocations in-process and compare
-//! byte-for-byte against the committed fixtures.
+//! The first two anchor the paper's pair — the (1, 1) case of the one
+//! builder must be the old point-to-point testbed: same construction
+//! order, same RNG draws, same counter registry, same report bytes. The
+//! last two (captured at d0c5cc5, the last tree with a constructor per
+//! shape) anchor N > 1 and M > 1. These tests rebuild the exact stdout
+//! of those runner invocations in-process and compare byte-for-byte
+//! against the committed fixtures.
 //!
 //! The fixtures were re-captured (same commands) when the setup
 //! snapshot cache landed: every cell now runs its setup under a
@@ -31,9 +35,10 @@
 //! `cpu_busy_ns`. Every byte before those sections — tables,
 //! counters, histograms, CPU accounting — was verified unchanged.
 
-use ipstorage::core::experiments::{macrob, micro, scale};
-use ipstorage::core::stepcore::{set_step_core, StepCore};
-use ipstorage::core::{RunReport, Table};
+use ipstorage::core::experiments::{frontier, macrob, micro, scale};
+use ipstorage::core::{
+    Protocol, ReportBuilder, RunReport, ShardPolicy, Table, Testbed, TestbedConfig, TopologyConfig,
+};
 
 /// Reconstruct the bytes `tables --json` writes for one runner: the
 /// rendered table, a blank line, then the report as one JSON line.
@@ -52,23 +57,32 @@ fn table2_matches_pre_refactor_golden() {
     );
 }
 
-/// Golden re-capture audit for the discrete-event core: the legacy
-/// round-robin stepping loop and the heap-scheduled per-session
-/// wakeup loop must interleave client sessions identically, so the
-/// whole scale report — every per-op counter total, histogram, and
-/// rendered cell — is byte-for-byte the same under both cores on a
-/// fixed seed. This is what licenses keeping the goldens uncaptured
-/// across the event-core switch.
+/// N > 1 anchor: `tables --json --quick scale`, captured at d0c5cc5
+/// before the three testbed constructors were merged. Its (1)-client
+/// cells cover the degenerate pair, the rest the flat fabric, for both
+/// protocols.
 #[test]
-fn stepping_and_event_cores_agree_byte_for_byte() {
-    let (te, re) = scale::scale_report_with(&[1, 3], 100, 200);
-    set_step_core(StepCore::RoundRobin);
-    let (ts, rs) = scale::scale_report_with(&[1, 3], 100, 200);
-    set_step_core(StepCore::Events);
+fn scale_matches_pre_merge_golden() {
+    let golden = include_str!("golden/scale_quick.stdout");
+    let (t, r) = scale::scale_report_with(&[1, 2, 4, 8], 200, 500);
     assert_eq!(
-        runner_stdout(&te, &re),
-        runner_stdout(&ts, &rs),
-        "event-core scale report drifted from the round-robin stepping core"
+        runner_stdout(&t, &r),
+        golden,
+        "scale output drifted from the pre-merge golden"
+    );
+}
+
+/// M > 1 anchor: `tables --json --quick frontier`, captured at d0c5cc5.
+/// (4,1) is the flat path, (4,2)/(8,2)/(8,4) the sharded one, for both
+/// protocols.
+#[test]
+fn frontier_matches_pre_merge_golden() {
+    let golden = include_str!("golden/frontier_quick.stdout");
+    let (t, r) = frontier::frontier_report_with(&[(4, 1), (4, 2), (8, 2), (8, 4)], 100, 2_000);
+    assert_eq!(
+        runner_stdout(&t, &r),
+        golden,
+        "frontier output drifted from the pre-merge golden"
     );
 }
 
@@ -80,5 +94,73 @@ fn table5_matches_pre_refactor_golden() {
         runner_stdout(&t, &r),
         golden,
         "single-client table5 (PostMark) output drifted from the pre-refactor golden"
+    );
+}
+
+/// The pair is the (1, 1) topology, not a sibling of it: both entry
+/// points yield the same report bytes after the same short workload,
+/// and neither grows the per-host counters or per-shard gauges that
+/// only larger topologies have.
+#[test]
+fn degenerate_topology_is_the_pair() {
+    for protocol in Protocol::ALL {
+        let report = |tb: Testbed| {
+            let fs = tb.fs();
+            fs.mkdir("/d").unwrap();
+            fs.creat("/d/f").unwrap();
+            let fd = fs.open("/d/f").unwrap();
+            fs.write(fd, 0, &[7u8; 16_384]).unwrap();
+            fs.close(fd).unwrap();
+            fs.stat("/d/f").unwrap();
+            tb.settle();
+            let mut rb = ReportBuilder::new("pair");
+            rb.absorb(&tb);
+            rb.finish().to_json()
+        };
+        let cfg = TestbedConfig::new(protocol);
+        let pair = report(Testbed::build(cfg.clone()));
+        let topo = report(Testbed::build_topology(TopologyConfig::from_base(cfg)));
+        assert_eq!(pair, topo, "{protocol:?}");
+        assert!(pair.contains("\"net.total.bytes\""), "{protocol:?}");
+        assert!(!pair.contains("net.c0."), "{protocol:?}: per-host counter");
+        assert!(!pair.contains("disk.s0."), "{protocol:?}: per-shard gauge");
+    }
+}
+
+/// `ShardPolicy` is nameable from outside the crate, so the policies
+/// `TopologyConfig::with_policy` takes can actually be selected.
+#[test]
+fn shard_policies_are_selectable_through_the_public_api() {
+    for (protocol, policy) in [
+        (Protocol::NfsV3, ShardPolicy::HashByFile),
+        (Protocol::Iscsi, ShardPolicy::StripedLuns),
+    ] {
+        let tb = Testbed::build_topology(
+            TopologyConfig::new(protocol)
+                .with_clients(4)
+                .with_servers(2)
+                .with_policy(policy),
+        );
+        assert_eq!(tb.server_count(), 2);
+        let ports: Vec<u32> = (0..4).map(|i| tb.client_port(i)).collect();
+        assert!(
+            ports.contains(&0) && ports.contains(&1),
+            "{policy:?}: {ports:?}"
+        );
+        tb.client_fs(3).mkdir("/d").unwrap();
+        assert!(tb.client_fs(3).stat("/d").is_ok(), "{policy:?}");
+    }
+}
+
+/// NFS exports no LUNs: asking to stripe them is a configuration error,
+/// not a silent fallback to static assignment.
+#[test]
+#[should_panic(expected = "StripedLuns stripes iSCSI LUNs")]
+fn striped_luns_on_nfs_is_rejected() {
+    let _ = Testbed::build_topology(
+        TopologyConfig::new(Protocol::NfsV3)
+            .with_clients(4)
+            .with_servers(2)
+            .with_policy(ShardPolicy::StripedLuns),
     );
 }
