@@ -28,6 +28,7 @@
 //! ```
 
 mod diskmodel;
+mod image;
 mod memdisk;
 mod partition;
 mod raid5;
@@ -35,6 +36,7 @@ mod stripe;
 mod writecache;
 
 pub use diskmodel::{DiskModel, DiskParams};
+pub use image::Image;
 pub use memdisk::{DiskImage, MemDisk};
 pub use partition::Partition;
 pub use raid5::{Raid5, Raid5Geometry};

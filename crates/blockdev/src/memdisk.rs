@@ -1,7 +1,9 @@
 //! Sparse in-memory backing store with copy-on-write layering.
 
-use crate::{check_request, BlockDevice, BlockNo, IoCost, Result, BLOCK_SIZE};
+use crate::image::SharedImage;
+use crate::{check_request, BlockDevice, BlockNo, Image, IoCost, Result, BLOCK_SIZE};
 use std::cell::RefCell;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
@@ -37,13 +39,15 @@ type BlockHash = BuildHasherDefault<BlockHasher>;
 ///
 /// Blocks are individually `Arc`-shared, so an image derived from a
 /// disk that was itself forked from an image shares the storage of
-/// every block the fork never wrote. Images are `Send + Sync`: the
-/// snapshot cache hands one image to many worker threads, each of
-/// which builds a private [`MemDisk`] overlay on top of it.
+/// every block the fork never wrote. A block's storage comes from the
+/// capturing thread's recycled [`Image`]s and is freed outright by
+/// whichever thread drops the last reference. Images are `Send +
+/// Sync`: the snapshot cache hands one image to many worker threads,
+/// each of which builds a private [`MemDisk`] overlay on top of it.
 pub struct DiskImage {
     name: String,
     blocks: u64,
-    data: HashMap<BlockNo, Arc<[u8; BLOCK_SIZE]>, BlockHash>,
+    data: HashMap<BlockNo, Arc<SharedImage>, BlockHash>,
 }
 
 impl DiskImage {
@@ -88,7 +92,7 @@ pub struct MemDisk {
     name: String,
     blocks: u64,
     base: RefCell<Option<Arc<DiskImage>>>,
-    data: RefCell<HashMap<BlockNo, Box<[u8; BLOCK_SIZE]>, BlockHash>>,
+    data: RefCell<HashMap<BlockNo, Image, BlockHash>>,
 }
 
 impl MemDisk {
@@ -139,13 +143,13 @@ impl MemDisk {
     /// locally written blocks are copied.
     pub fn image(&self) -> DiskImage {
         let overlay = self.data.borrow();
-        let mut data: HashMap<BlockNo, Arc<[u8; BLOCK_SIZE]>, BlockHash> =
-            match &*self.base.borrow() {
-                Some(img) => img.data.clone(),
-                None => HashMap::default(),
-            };
+        let mut data: HashMap<BlockNo, Arc<SharedImage>, BlockHash> = match &*self.base.borrow() {
+            Some(img) => img.data.clone(),
+            None => HashMap::default(),
+        };
         for (&block, content) in overlay.iter() {
-            data.insert(block, Arc::new(**content));
+            let copy = Image::from_slice(&content[..]);
+            data.insert(block, Arc::new(SharedImage(copy)));
         }
         DiskImage {
             name: self.name.clone(),
@@ -179,7 +183,7 @@ impl BlockDevice for MemDisk {
             match data.get(&bno) {
                 Some(block) => dst.copy_from_slice(&block[..]),
                 None => match base.as_ref().and_then(|img| img.data.get(&bno)) {
-                    Some(block) => dst.copy_from_slice(&block[..]),
+                    Some(block) => dst.copy_from_slice(&block.0[..]),
                     None => dst.fill(0),
                 },
             }
@@ -192,9 +196,12 @@ impl BlockDevice for MemDisk {
         check_request(self.blocks, start, nblocks, data.len())?;
         let mut map = self.data.borrow_mut();
         for (bno, src) in (start..).zip(data.chunks_exact(BLOCK_SIZE)) {
-            map.entry(bno)
-                .or_insert_with(|| Box::new([0u8; BLOCK_SIZE]))
-                .copy_from_slice(src);
+            match map.entry(bno) {
+                Entry::Occupied(e) => e.into_mut().copy_from_slice(src),
+                Entry::Vacant(v) => {
+                    v.insert(Image::from_slice(src));
+                }
+            }
         }
         Ok(IoCost::FREE)
     }
@@ -316,6 +323,27 @@ mod tests {
         // base image's allocation, not a copy.
         assert!(Arc::ptr_eq(&img.data[&0], &img2.data[&0]));
         assert!(!Arc::ptr_eq(&img.data[&1], &img2.data[&1]));
+    }
+
+    #[test]
+    fn image_blocks_are_recycled_storage_and_freed_where_they_die() {
+        use crate::image::recycled_count;
+        let d = MemDisk::new("m", 16);
+        d.write(0, &vec![1u8; 3 * BLOCK_SIZE]).unwrap();
+        d.clear();
+        assert_eq!(recycled_count(), 3, "kept for the next disk");
+        d.write(0, &vec![2u8; 2 * BLOCK_SIZE]).unwrap();
+        assert_eq!(recycled_count(), 1);
+        let (a, b) = (d.image(), d.image());
+        assert_eq!(recycled_count(), 0, "the first capture took the last one");
+        drop(a);
+        assert_eq!(recycled_count(), 0, "freed here, not kept");
+        std::thread::spawn(move || {
+            drop(b);
+            assert_eq!(recycled_count(), 0, "nor on a thread that only drops");
+        })
+        .join()
+        .unwrap();
     }
 
     #[test]

@@ -202,9 +202,10 @@ pub fn readahead_sweep_report() -> (Table, RunReport) {
         let fd = fs.open("/f").unwrap();
         let m0 = tb.messages();
         let t0 = tb.now();
-        let chunk = 256 * 1024usize;
-        for i in 0..(8 * 1024 * 1024 / chunk) {
-            fs.read(fd, (i * chunk) as u64, chunk).unwrap();
+        let mut chunk = vec![0u8; 256 * 1024];
+        for i in 0..(8 * 1024 * 1024 / chunk.len()) {
+            fs.read_into(fd, (i * chunk.len()) as u64, &mut chunk)
+                .unwrap();
         }
         let elapsed = tb.now().since(t0);
         let msgs = tb.messages() - m0;

@@ -161,6 +161,7 @@ pub(crate) fn run_clients(
         .collect();
     let mut demand = vec![SimDuration::ZERO; clients];
     let mut shared_off = vec![0u64; servers];
+    let mut shared_copy = [0u8; 4096];
     interleave(
         &mut sessions,
         || tb.now(),
@@ -181,7 +182,7 @@ pub(crate) fn run_clients(
                     // Pollers revalidate and read the current copy.
                     fs.stat("/shared/config").expect("stat shared");
                     let fd = fs.open("/shared/config").expect("open shared");
-                    fs.read(fd, 0, 4096).expect("read shared");
+                    fs.read_into(fd, 0, &mut shared_copy).expect("read shared");
                     fs.close(fd).expect("close shared");
                 }
             }

@@ -86,8 +86,9 @@ pub fn read_file(tb: &Testbed, path: &str, mb: u64, pattern: Pattern) -> Transfe
     let m0 = tb.messages();
     let b0 = tb.bytes();
     let t0 = tb.now();
+    let mut buf = vec![0u8; CHUNK];
     for b in order {
-        fs.read(fd, b * CHUNK as u64, CHUNK).unwrap();
+        fs.read_into(fd, b * CHUNK as u64, &mut buf).unwrap();
     }
     let time = tb.now().since(t0);
     fs.close(fd).unwrap();

@@ -549,9 +549,10 @@ fn figure5_data_into(mut rb: Option<&mut ReportBuilder>) -> Vec<(String, &'stati
         let cold_read = tb.messages() - before;
 
         // Warm read: file fully cached first.
+        let mut buf = [0u8; 8192];
         let mut off = 0u64;
         while off < 65_536 {
-            fs.read(fd, off, 8192).unwrap();
+            fs.read_into(fd, off, &mut buf).unwrap();
             off += 8192;
         }
         let before = tb.messages();

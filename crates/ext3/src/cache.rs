@@ -7,7 +7,7 @@
 //! tagged as meta-data (journaled at commit) or data (flushed by the
 //! pdflush-style daemon).
 
-use blockdev::{BlockNo, BLOCK_SIZE};
+use blockdev::{BlockNo, Image, BLOCK_SIZE};
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -24,7 +24,7 @@ pub enum DirtyKind {
 
 #[derive(Debug)]
 struct Buf {
-    data: Box<[u8; BLOCK_SIZE]>,
+    data: Image,
     dirty: DirtyKind,
     /// Reference bit for CLOCK second-chance eviction.
     referenced: bool,
@@ -103,7 +103,7 @@ impl BufferCache {
             }
             Entry::Vacant(v) => {
                 self.misses += 1;
-                let mut data = Box::new([0u8; BLOCK_SIZE]);
+                let mut data = Image::zeroed();
                 load(&mut data)?;
                 self.ring.push_back(bno);
                 let b = v.insert(Buf {
@@ -127,7 +127,7 @@ impl BufferCache {
     }
 
     /// Inserts a block, or overwrites a resident one in place, with the
-    /// given dirty state.
+    /// given dirty state. A short `data` is zero-padded to the block.
     pub fn insert(&mut self, bno: BlockNo, data: &[u8], dirty: DirtyKind) {
         match dirty {
             DirtyKind::Data => {
@@ -137,21 +137,18 @@ impl BufferCache {
                 self.dirty_data.remove(&bno);
             }
         }
-        debug_assert_eq!(data.len(), BLOCK_SIZE);
         // The reference bit starts clear: a block earns its second
         // chance by being *used* after insertion, as in classic CLOCK.
         match self.map.entry(bno) {
             Entry::Occupied(e) => {
                 let b = e.into_mut();
-                b.data.copy_from_slice(data);
+                b.data.overwrite(data);
                 b.dirty = dirty;
                 b.referenced = false;
             }
             Entry::Vacant(v) => {
-                let mut boxed = Box::new([0u8; BLOCK_SIZE]);
-                boxed.copy_from_slice(data);
                 v.insert(Buf {
-                    data: boxed,
+                    data: Image::from_slice(data),
                     dirty,
                     referenced: false,
                 });

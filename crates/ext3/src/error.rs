@@ -60,3 +60,19 @@ impl From<blockdev::BlockError> for FsError {
 
 /// Result alias for file-system operations.
 pub type FsResult<T> = Result<T, FsError>;
+
+/// The `read(..) -> Vec<u8>` shape over a caller-buffer read: hands
+/// `read_into` a zeroed buffer of `len` bytes and keeps what it filled.
+///
+/// # Errors
+///
+/// Whatever `read_into` returns.
+pub fn read_to_vec(
+    len: usize,
+    read_into: impl FnOnce(&mut [u8]) -> FsResult<usize>,
+) -> FsResult<Vec<u8>> {
+    let mut out = vec![0u8; len];
+    let n = read_into(&mut out)?;
+    out.truncate(n);
+    Ok(out)
+}

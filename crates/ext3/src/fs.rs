@@ -399,7 +399,7 @@ impl Ext3 {
             )?);
             let (recovered, next_seq) = crate::journal::replay_scan(&region, sb.journal_seq)?;
             for (bno, img) in &recovered {
-                recovery_cost = recovery_cost.then(dev.write(*bno, img)?);
+                recovery_cost = recovery_cost.then(dev.write(*bno, &img[..])?);
             }
             sb.journal_seq = next_seq;
         }
@@ -965,7 +965,7 @@ pub(crate) fn checkpoint(inner: &Inner, st: &mut State) -> FsResult<()> {
     for (start, len) in runs {
         st.scratch.clear();
         for img in images.by_ref().take(len as usize) {
-            st.scratch.extend_from_slice(img);
+            st.scratch.extend_from_slice(&img[..]);
         }
         let cost = inner.dev.write(start, &st.scratch)?;
         inner.charge(cost);

@@ -18,7 +18,7 @@
 //! persistence the paper attributes to iSCSI-plus-ext3 (§2.3).
 
 use crate::error::{FsError, FsResult};
-use blockdev::{BlockNo, BLOCK_SIZE};
+use blockdev::{BlockNo, Image, BLOCK_SIZE};
 use std::collections::BTreeMap;
 
 /// Magic tag of a descriptor block.
@@ -44,7 +44,7 @@ pub struct Journal {
     /// checkpoint is tracked separately; here just the dirty set.
     running: BTreeMap<BlockNo, ()>,
     /// Blocks committed to the journal but not yet written in place.
-    checkpoint_pending: BTreeMap<BlockNo, [u8; BLOCK_SIZE]>,
+    checkpoint_pending: BTreeMap<BlockNo, Image>,
 }
 
 /// The device writes a commit turns into, over the byte image
@@ -156,8 +156,7 @@ impl Journal {
             if let Some(img) = image_of(t) {
                 slot.copy_from_slice(img);
             }
-            let pinned: [u8; BLOCK_SIZE] = (&*slot).try_into().expect("one block per slot");
-            self.checkpoint_pending.insert(t, pinned);
+            self.checkpoint_pending.insert(t, Image::from_slice(slot));
         }
 
         // Commit record.
@@ -176,7 +175,7 @@ impl Journal {
     /// Takes the checkpoint-pending images (sorted by target block)
     /// and resets the log head. The caller writes them in place and
     /// persists the advanced sequence number in the superblock.
-    pub fn take_checkpoint(&mut self) -> BTreeMap<BlockNo, [u8; BLOCK_SIZE]> {
+    pub fn take_checkpoint(&mut self) -> BTreeMap<BlockNo, Image> {
         self.head = 0;
         std::mem::take(&mut self.checkpoint_pending)
     }
@@ -190,7 +189,7 @@ impl Journal {
     /// must prefer this over the device: the home location is stale
     /// until the checkpoint writes it back.
     pub fn pending_image(&self, bno: BlockNo) -> Option<&[u8; BLOCK_SIZE]> {
-        self.checkpoint_pending.get(&bno)
+        self.checkpoint_pending.get(&bno).map(|img| &**img)
     }
 }
 
@@ -203,12 +202,9 @@ impl Journal {
 ///
 /// Returns [`FsError::Corrupt`] if a descriptor is malformed (count
 /// out of range).
-pub fn replay_scan(
-    region: &[u8],
-    min_seq: u64,
-) -> FsResult<(BTreeMap<BlockNo, [u8; BLOCK_SIZE]>, u64)> {
+pub fn replay_scan(region: &[u8], min_seq: u64) -> FsResult<(BTreeMap<BlockNo, Image>, u64)> {
     let nblocks = region.len() / BLOCK_SIZE;
-    let mut recovered: BTreeMap<BlockNo, [u8; BLOCK_SIZE]> = BTreeMap::new();
+    let mut recovered: BTreeMap<BlockNo, Image> = BTreeMap::new();
     let mut expect_seq = min_seq;
     let mut i = 0usize;
     while i < nblocks {
@@ -235,9 +231,7 @@ pub fn replay_scan(
         for k in 0..count {
             let target = u64::from_le_bytes(b[16 + k * 8..24 + k * 8].try_into().unwrap());
             let img = &region[(i + 1 + k) * BLOCK_SIZE..][..BLOCK_SIZE];
-            let mut a = [0u8; BLOCK_SIZE];
-            a.copy_from_slice(img);
-            recovered.insert(target, a);
+            recovered.insert(target, Image::from_slice(img));
         }
         expect_seq = seq + 1;
         i += 2 + count;

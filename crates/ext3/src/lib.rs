@@ -51,9 +51,12 @@ mod journal;
 mod layout;
 mod ops;
 
-pub use cache::DirtyKind;
+/// The owned block image the caches here are made of, for the crates
+/// above that cache blocks of their own (the NFS client's pages).
+pub use blockdev::Image;
+pub use cache::{BufferCache, DirtyKind};
 pub use dir::DirEntry;
-pub use error::{FsError, FsResult};
+pub use error::{read_to_vec, FsError, FsResult};
 pub use fs::{Attr, Ext3, Ino, Options, SetAttr, StatFs};
 pub use fsck::FsckReport;
 pub use layout::{min_volume_blocks, FileType, FAST_SYMLINK_MAX, NAME_MAX, ROOT_INO};

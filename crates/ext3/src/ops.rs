@@ -400,27 +400,33 @@ impl crate::Ext3 {
         })
     }
 
-    /// Reads up to `len` bytes at `off`; short reads happen at EOF.
-    /// Sequential access triggers read-ahead; atime is updated.
+    /// Reads up to `buf.len()` bytes at `off` into the front of `buf`
+    /// and returns how many; short reads happen at EOF. Sequential
+    /// access triggers read-ahead; atime is updated.
     ///
     /// # Errors
     ///
-    /// [`FsError::IsADirectory`] for directories.
-    pub fn read(&self, ino: Ino, off: u64, len: usize) -> FsResult<Vec<u8>> {
+    /// [`FsError::IsADirectory`] for directories,
+    /// [`FsError::InvalidArgument`] if the range ends past `u64::MAX`.
+    pub fn read_into(&self, ino: Ino, off: u64, buf: &mut [u8]) -> FsResult<usize> {
         self.with_op(|inner, st| {
             inner.count(Op::Read);
             let mut inode = live_inode(inner, st, ino)?;
             if inode.file_type()? == FileType::Directory {
                 return Err(FsError::IsADirectory);
             }
-            let end = (off + len as u64).min(inode.size);
+            let end = off
+                .checked_add(buf.len() as u64)
+                .ok_or(FsError::InvalidArgument)?
+                .min(inode.size);
             if off >= end {
-                return Ok(Vec::new());
+                return Ok(0);
             }
-            let mut out = Vec::with_capacity((end - off) as usize);
+            let buf = &mut buf[..(end - off) as usize];
             let first = off / BS;
             let last = (end - 1) / BS;
             prefetch_range(inner, st, ino, &inode, first, last)?;
+            let mut filled = 0usize;
             for fb in first..=last {
                 let within_start = if fb == first { (off % BS) as usize } else { 0 };
                 let within_end = if fb == last {
@@ -428,12 +434,14 @@ impl crate::Ext3 {
                 } else {
                     BLOCK_SIZE
                 };
+                let dst = &mut buf[filled..filled + (within_end - within_start)];
                 match bmap(inner, st, &inode, fb)? {
                     Some(bno) => {
-                        out.extend_from_slice(&bread(inner, st, bno)?[within_start..within_end])
+                        dst.copy_from_slice(&bread(inner, st, bno)?[within_start..within_end])
                     }
-                    None => out.extend(std::iter::repeat_n(0, within_end - within_start)),
+                    None => dst.fill(0),
                 }
+                filled += dst.len();
                 inner.charge_cpu(inner.opts.mem_copy_cost);
             }
             readahead_advance(st, ino, last + 1);
@@ -441,8 +449,18 @@ impl crate::Ext3 {
                 inode.atime = inner.now_ns();
                 write_inode(inner, st, ino, &inode)?;
             }
-            Ok(out)
+            Ok(filled)
         })
+    }
+
+    /// [`read_into`](Self::read_into) a fresh `Vec` of at most `len`
+    /// bytes.
+    ///
+    /// # Errors
+    ///
+    /// As [`read_into`](Self::read_into).
+    pub fn read(&self, ino: Ino, off: u64, len: usize) -> FsResult<Vec<u8>> {
+        crate::read_to_vec(len, |buf| self.read_into(ino, off, buf))
     }
 
     /// Writes `data` at `off`, extending the file as needed. Data
@@ -452,7 +470,8 @@ impl crate::Ext3 {
     ///
     /// # Errors
     ///
-    /// [`FsError::IsADirectory`], [`FsError::NoSpace`].
+    /// [`FsError::IsADirectory`], [`FsError::NoSpace`],
+    /// [`FsError::InvalidArgument`] if the range ends past `u64::MAX`.
     pub fn write(&self, ino: Ino, off: u64, data: &[u8]) -> FsResult<usize> {
         self.with_op(|inner, st| {
             inner.count(Op::Write);
@@ -463,7 +482,9 @@ impl crate::Ext3 {
             if data.is_empty() {
                 return Ok(0);
             }
-            let end = off + data.len() as u64;
+            let end = off
+                .checked_add(data.len() as u64)
+                .ok_or(FsError::InvalidArgument)?;
             let first = off / BS;
             let last = (end - 1) / BS;
             let mut written = 0usize;
@@ -490,9 +511,14 @@ impl crate::Ext3 {
                     b[within_start..within_end].copy_from_slice(chunk);
                 });
                 if !resident {
-                    let mut img = [0u8; BLOCK_SIZE];
-                    img[within_start..within_end].copy_from_slice(chunk);
-                    st.cache.insert(bno, &img, DirtyKind::Data);
+                    if within_start == 0 {
+                        // Straight from the caller's slice, tail zero-padded.
+                        st.cache.insert(bno, chunk, DirtyKind::Data);
+                    } else {
+                        let mut img = [0u8; BLOCK_SIZE];
+                        img[within_start..within_end].copy_from_slice(chunk);
+                        st.cache.insert(bno, &img, DirtyKind::Data);
+                    }
                 }
                 written += chunk.len();
                 inner.charge_cpu(inner.opts.mem_copy_cost);

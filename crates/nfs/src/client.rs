@@ -137,6 +137,10 @@ pub struct NfsClient {
     /// change so the gauge probe is a load, not a walk.
     dentry_count: Cell<usize>,
     pages: PageCache,
+    /// Where READ replies land before their pages enter the cache: one
+    /// buffer that grows to the transfer size and is reused, its
+    /// contents meaningless between calls.
+    read_staging: RefCell<Vec<u8>>,
     /// Completion times (ns) of in-flight async writes.
     pending: RefCell<VecDeque<u64>>,
     /// Dirty chunks queued for write-back: `(fh, offset, bytes)`.
@@ -183,6 +187,7 @@ impl NfsClient {
             dentries: RefCell::new(BTreeMap::new()),
             dentry_count: Cell::new(0),
             pages: PageCache::new(cfg.page_cache_pages),
+            read_staging: RefCell::new(Vec::new()),
             pending: RefCell::new(VecDeque::new()),
             dirty_queue: RefCell::new(VecDeque::new()),
             dirty_page_count: Cell::new(0),
@@ -794,13 +799,15 @@ impl NfsClient {
 
     // -- data path ----------------------------------------------------
 
-    /// Reads up to `len` bytes at `off`, through the page cache with
-    /// Linux consistency checks.
+    /// Reads up to `buf.len()` bytes at `off` into the front of `buf`,
+    /// through the page cache with Linux consistency checks; returns
+    /// how many.
     ///
     /// # Errors
     ///
-    /// Server-side errors.
-    pub fn read(&self, fh: Fh, off: u64, len: usize) -> FsResult<Vec<u8>> {
+    /// Server-side errors; [`FsError::InvalidArgument`] if the range
+    /// ends past `u64::MAX`.
+    pub fn read_into(&self, fh: Fh, off: u64, buf: &mut [u8]) -> FsResult<usize> {
         self.charge_client_data();
         self.revalidate_data(fh)?;
         let attr_size = self
@@ -809,9 +816,12 @@ impl NfsClient {
             .get(&fh)
             .map(|c| c.size)
             .unwrap_or(u64::MAX);
-        let end = (off + len as u64).min(attr_size);
+        let end = off
+            .checked_add(buf.len() as u64)
+            .ok_or(FsError::InvalidArgument)?
+            .min(attr_size);
         if off >= end {
-            return Ok(Vec::new());
+            return Ok(0);
         }
         // Sequential-stream detection for pipelined READs.
         let pipeline = {
@@ -832,7 +842,6 @@ impl NfsClient {
 
         let first = off / PAGE_SIZE as u64;
         let last = (end - 1) / PAGE_SIZE as u64;
-        let mut out = Vec::with_capacity((end - off) as usize);
         let mut page = first;
         while page <= last {
             if self.pages.contains(fh, page) {
@@ -845,19 +854,31 @@ impl NfsClient {
                 run_end += 1;
             }
             let xfer_pages = (self.cfg.version.transfer_size() / PAGE_SIZE as u64).max(1);
+            let mut staging = self.read_staging.borrow_mut();
             let mut p = page;
             while p <= run_end {
                 let n = (run_end - p + 1).min(xfer_pages);
-                let bytes = n * PAGE_SIZE as u64;
-                self.rpc_sync("read", Bytes::new(128), Bytes::new(128 + bytes), pipeline);
-                let data = self
-                    .server
-                    .read(self.id(), fh, p * PAGE_SIZE as u64, bytes as usize)?;
-                for (i, chunk) in data.chunks(PAGE_SIZE).enumerate() {
+                let bytes = (n as usize) * PAGE_SIZE;
+                self.rpc_sync(
+                    "read",
+                    Bytes::new(128),
+                    Bytes::new(128 + bytes as u64),
+                    pipeline,
+                );
+                if staging.len() < bytes {
+                    staging.resize(bytes, 0);
+                }
+                let got = self.server.read_into(
+                    self.id(),
+                    fh,
+                    p * PAGE_SIZE as u64,
+                    &mut staging[..bytes],
+                )?;
+                for (i, chunk) in staging[..got].chunks(PAGE_SIZE).enumerate() {
                     self.pages.insert_clean(fh, p + i as u64, chunk);
                 }
                 // Short server read = EOF: stop fetching.
-                if data.len() < bytes as usize {
+                if got < bytes {
                     break;
                 }
                 p += n;
@@ -865,6 +886,7 @@ impl NfsClient {
             page = run_end + 1;
         }
         // Assemble the result from the cache (holes read zero).
+        let mut filled = 0usize;
         for page in first..=last {
             let ws = if page == first {
                 (off % PAGE_SIZE as u64) as usize
@@ -876,15 +898,27 @@ impl NfsClient {
             } else {
                 PAGE_SIZE
             };
+            let dst = &mut buf[filled..filled + (we - ws)];
             if self
                 .pages
-                .get(fh, page, |p| out.extend_from_slice(&p[ws..we]))
+                .get(fh, page, |p| dst.copy_from_slice(&p[ws..we]))
                 .is_none()
             {
-                out.extend(std::iter::repeat_n(0, we - ws));
+                dst.fill(0);
             }
+            filled += we - ws;
         }
-        Ok(out)
+        Ok(filled)
+    }
+
+    /// [`read_into`](Self::read_into) a fresh `Vec` of at most `len`
+    /// bytes.
+    ///
+    /// # Errors
+    ///
+    /// As [`read_into`](Self::read_into).
+    pub fn read(&self, fh: Fh, off: u64, len: usize) -> FsResult<Vec<u8>> {
+        ext3::read_to_vec(len, |buf| self.read_into(fh, off, buf))
     }
 
     /// The 30-second data consistency check: a GETATTR when the cached
@@ -922,14 +956,17 @@ impl NfsClient {
     ///
     /// # Errors
     ///
-    /// Server-side errors.
+    /// Server-side errors; [`FsError::InvalidArgument`] if the range
+    /// ends past `u64::MAX`.
     pub fn write(&self, fh: Fh, off: u64, data: &[u8]) -> FsResult<usize> {
         self.charge_client_data();
         if data.is_empty() {
             return Ok(0);
         }
         // Page-cache update.
-        let end = off + data.len() as u64;
+        let end = off
+            .checked_add(data.len() as u64)
+            .ok_or(FsError::InvalidArgument)?;
         let first = off / PAGE_SIZE as u64;
         let last = (end - 1) / PAGE_SIZE as u64;
         let mut written = 0usize;
@@ -945,13 +982,18 @@ impl NfsClient {
                 PAGE_SIZE
             };
             let chunk = &data[written..written + (we - ws)];
-            if !self
+            let resident = self
                 .pages
-                .modify(fh, page, |p| p[ws..we].copy_from_slice(chunk))
-            {
-                let mut img = [0u8; PAGE_SIZE];
-                img[ws..we].copy_from_slice(chunk);
-                self.pages.insert(fh, page, &img, true);
+                .modify(fh, page, |p| p[ws..we].copy_from_slice(chunk));
+            if !resident {
+                if ws == 0 {
+                    // Straight from the caller's slice, tail zero-padded.
+                    self.pages.insert(fh, page, chunk, true);
+                } else {
+                    let mut img = [0u8; PAGE_SIZE];
+                    img[ws..we].copy_from_slice(chunk);
+                    self.pages.insert(fh, page, &img, true);
+                }
             }
             written += chunk.len();
         }

@@ -5,16 +5,17 @@
 //! revalidation timestamps used for the 30-second consistency checks.
 
 use crate::Fh;
+use ext3::Image;
 use std::cell::RefCell;
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
-/// Page size: 4 KiB, as on the paper's testbed.
+/// Page size: 4 KiB, as on the paper's testbed — one block [`Image`].
 pub const PAGE_SIZE: usize = 4096;
 
 #[derive(Debug)]
 struct Page {
-    data: Box<[u8; PAGE_SIZE]>,
+    data: Image,
     dirty: bool,
     /// Reference bit for CLOCK second-chance eviction.
     referenced: bool,
@@ -91,20 +92,16 @@ impl PageCache {
     /// Installs a page, or overwrites a resident one in place. A short
     /// `data` is zero-padded to the page.
     pub fn insert(&self, fh: Fh, page: u64, data: &[u8], dirty: bool) {
-        debug_assert!(data.len() <= PAGE_SIZE);
         match self.pages.borrow_mut().entry((fh, page)) {
             Entry::Occupied(e) => {
                 let p = e.into_mut();
-                p.data[..data.len()].copy_from_slice(data);
-                p.data[data.len()..].fill(0);
+                p.data.overwrite(data);
                 p.dirty = dirty;
                 p.referenced = false;
             }
             Entry::Vacant(v) => {
-                let mut boxed = Box::new([0u8; PAGE_SIZE]);
-                boxed[..data.len()].copy_from_slice(data);
                 v.insert(Page {
-                    data: boxed,
+                    data: Image::from_slice(data),
                     dirty,
                     referenced: false,
                 });
@@ -152,9 +149,8 @@ impl PageCache {
     /// mismatch).
     pub fn invalidate_file(&self, fh: Fh) {
         let mut pages = self.pages.borrow_mut();
-        let doomed: Vec<(Fh, u64)> = pages.range(file_range(fh)).map(|(&k, _)| k).collect();
-        for k in &doomed {
-            pages.remove(k);
+        while let Some((&k, _)) = pages.range(file_range(fh)).next() {
+            pages.remove(&k);
         }
         self.files.borrow_mut().remove(&fh);
     }

@@ -283,15 +283,16 @@ impl NfsServer {
         self.run(who, "readdir", Bytes::ZERO, |fs| fs.readdir(dir.0))
     }
 
-    /// READ: returns up to `len` bytes. Server cache misses consume
-    /// simulated disk time (the client is waiting on this RPC).
+    /// READ: fills the front of `buf` with up to `buf.len()` bytes and
+    /// returns how many. Server cache misses consume simulated disk
+    /// time (the client is waiting on this RPC).
     ///
     /// # Errors
     ///
     /// Propagates file-system errors.
-    pub fn read(&self, who: ClientId, fh: Fh, off: u64, len: usize) -> FsResult<Vec<u8>> {
-        self.run(who, "read", Bytes::new(len as u64), |fs| {
-            fs.read(fh.0, off, len)
+    pub fn read_into(&self, who: ClientId, fh: Fh, off: u64, buf: &mut [u8]) -> FsResult<usize> {
+        self.run(who, "read", Bytes::new(buf.len() as u64), |fs| {
+            fs.read_into(fh.0, off, buf)
         })
     }
 

@@ -68,6 +68,15 @@ pub trait FileSystem {
     fn utime(&self, path: &str) -> FsResult<()>;
     /// Reads from an open file.
     fn read(&self, fd: Fd, off: u64, len: usize) -> FsResult<Vec<u8>>;
+    /// Reads from an open file into the front of a buffer the caller
+    /// owns; returns how many bytes (fewer than `buf.len()` at EOF).
+    /// Both mounts implement this natively and [`read`](Self::read)
+    /// over it; the default is for implementors that only have `read`.
+    fn read_into(&self, fd: Fd, off: u64, buf: &mut [u8]) -> FsResult<usize> {
+        let data = self.read(fd, off, buf.len())?;
+        buf[..data.len()].copy_from_slice(&data);
+        Ok(data.len())
+    }
     /// Writes to an open file.
     fn write(&self, fd: Fd, off: u64, data: &[u8]) -> FsResult<usize>;
     /// Flushes a file to stable storage.
@@ -76,22 +85,29 @@ pub trait FileSystem {
     fn statfs(&self) -> FsResult<ext3::StatFs>;
 }
 
-/// Splits a path into components, ignoring empty segments.
-pub fn components(path: &str) -> Vec<&str> {
-    path.split('/')
-        .filter(|c| !c.is_empty() && *c != ".")
-        .collect()
+/// The components of a path in order, skipping empty segments and `.`.
+fn components(path: &str) -> impl Iterator<Item = &str> {
+    path.split('/').filter(|c| !c.is_empty() && *c != ".")
 }
 
-/// Splits into `(parent components, final name)`.
+/// Splits into `(parent path, final name)`. The parent loses the
+/// separator before the name and may be empty: whether the walk starts
+/// at the root is read off the whole path, not off the parent.
 ///
 /// # Errors
 ///
 /// [`FsError::InvalidName`] for paths with no final component.
-pub fn split_parent(path: &str) -> FsResult<(Vec<&str>, &str)> {
-    let mut comps = components(path);
-    let name = comps.pop().ok_or(FsError::InvalidName)?;
-    Ok((comps, name))
+fn split_parent(path: &str) -> FsResult<(&str, &str)> {
+    let mut rest = path;
+    // Trailing separators and `.` segments are not the name: peel them.
+    while !rest.is_empty() {
+        let (parent, last) = rest.rsplit_once('/').unwrap_or(("", rest));
+        if !last.is_empty() && last != "." {
+            return Ok((parent, last));
+        }
+        rest = parent;
+    }
+    Err(FsError::InvalidName)
 }
 
 // ---------------------------------------------------------------------
@@ -135,25 +151,18 @@ impl NfsMount {
         }
     }
 
-    fn resolve_dir(&self, comps: &[&str], from: Fh) -> FsResult<Fh> {
-        let mut cur = from;
-        for c in comps {
-            cur = if *c == ".." {
-                self.client.lookup(cur, "..")?
-            } else {
-                self.client.lookup(cur, c)?
-            };
-        }
-        Ok(cur)
+    /// Walks `path` from `from`, one LOOKUP per component.
+    fn resolve_dir(&self, path: &str, from: Fh) -> FsResult<Fh> {
+        components(path).try_fold(from, |cur, c| self.client.lookup(cur, c))
     }
 
     fn resolve(&self, path: &str) -> FsResult<Fh> {
-        self.resolve_dir(&components(path), self.start(path))
+        self.resolve_dir(path, self.start(path))
     }
 
     fn resolve_parent<'a>(&self, path: &'a str) -> FsResult<(Fh, &'a str)> {
         let (parent, name) = split_parent(path)?;
-        Ok((self.resolve_dir(&parent, self.start(path))?, name))
+        Ok((self.resolve_dir(parent, self.start(path))?, name))
     }
 
     /// Runs one system call under a root span: every RPC, CPU charge,
@@ -348,7 +357,13 @@ impl FileSystem for NfsMount {
     }
 
     fn read(&self, fd: Fd, off: u64, len: usize) -> FsResult<Vec<u8>> {
-        self.traced("nfs.read", || self.client.read(Fh(fd.0 as u32), off, len))
+        ext3::read_to_vec(len, |buf| self.read_into(fd, off, buf))
+    }
+
+    fn read_into(&self, fd: Fd, off: u64, buf: &mut [u8]) -> FsResult<usize> {
+        self.traced("nfs.read", || {
+            self.client.read_into(Fh(fd.0 as u32), off, buf)
+        })
     }
 
     fn write(&self, fd: Fd, off: u64, data: &[u8]) -> FsResult<usize> {
@@ -436,21 +451,18 @@ impl LocalMount {
         }
     }
 
-    fn resolve_dir(&self, comps: &[&str], from: ext3::Ino) -> FsResult<ext3::Ino> {
-        let mut cur = from;
-        for c in comps {
-            cur = self.fs.lookup(cur, c)?;
-        }
-        Ok(cur)
+    /// Walks `path` from `from`, one directory lookup per component.
+    fn resolve_dir(&self, path: &str, from: ext3::Ino) -> FsResult<ext3::Ino> {
+        components(path).try_fold(from, |cur, c| self.fs.lookup(cur, c))
     }
 
     fn resolve(&self, path: &str) -> FsResult<ext3::Ino> {
-        self.resolve_dir(&components(path), self.start(path))
+        self.resolve_dir(path, self.start(path))
     }
 
     fn resolve_parent<'a>(&self, path: &'a str) -> FsResult<(ext3::Ino, &'a str)> {
         let (parent, name) = split_parent(path)?;
-        Ok((self.resolve_dir(&parent, self.start(path))?, name))
+        Ok((self.resolve_dir(parent, self.start(path))?, name))
     }
 
     /// See [`NfsMount`]'s `traced`: brackets one system call with a
@@ -651,9 +663,13 @@ impl FileSystem for LocalMount {
     }
 
     fn read(&self, fd: Fd, off: u64, len: usize) -> FsResult<Vec<u8>> {
+        ext3::read_to_vec(len, |buf| self.read_into(fd, off, buf))
+    }
+
+    fn read_into(&self, fd: Fd, off: u64, buf: &mut [u8]) -> FsResult<usize> {
         self.traced("iscsi.read", || {
             self.charge_data();
-            self.fs.read(fd.0 as u32, off, len)
+            self.fs.read_into(fd.0 as u32, off, buf)
         })
     }
 
@@ -685,20 +701,22 @@ mod tests {
 
     #[test]
     fn components_parse() {
-        assert_eq!(components("/a/b/c"), vec!["a", "b", "c"]);
-        assert_eq!(components("a//b/"), vec!["a", "b"]);
-        assert_eq!(components("/"), Vec::<&str>::new());
-        assert_eq!(components("./a/./b"), vec!["a", "b"]);
+        let list = |p| components(p).collect::<Vec<_>>();
+        assert_eq!(list("/a/b/c"), ["a", "b", "c"]);
+        assert_eq!(list("a//b/"), ["a", "b"]);
+        assert_eq!(list("/"), Vec::<&str>::new());
+        assert_eq!(list("./a/./b"), ["a", "b"]);
     }
 
     #[test]
     fn split_parent_works() {
-        let (p, n) = split_parent("/a/b/c").unwrap();
-        assert_eq!(p, vec!["a", "b"]);
-        assert_eq!(n, "c");
-        let (p, n) = split_parent("f").unwrap();
-        assert!(p.is_empty());
-        assert_eq!(n, "f");
-        assert!(split_parent("/").is_err());
+        assert_eq!(split_parent("/a/b/c").unwrap(), ("/a/b", "c"));
+        assert_eq!(split_parent("f").unwrap(), ("", "f"));
+        assert_eq!(split_parent("/f").unwrap(), ("", "f"));
+        // Trailing separators and `.` segments are not the name.
+        assert_eq!(split_parent("a//b/./").unwrap(), ("a/", "b"));
+        for nameless in ["/", "", ".", "/./"] {
+            assert_eq!(split_parent(nameless), Err(FsError::InvalidName));
+        }
     }
 }

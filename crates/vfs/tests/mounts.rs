@@ -169,3 +169,32 @@ fn statfs_reports_capacity_and_usage() {
         assert!(after.inodes_free < before.inodes_free, "{name}");
     }
 }
+
+/// `off + len` past `u64::MAX` used to panic under the test profile's
+/// overflow checks and wrap to a tiny range in release builds.
+fn offset_overflow_is_invalid_argument(fs: &dyn FileSystem) {
+    fs.creat("/f").unwrap();
+    let fd = fs.open("/f").unwrap();
+    fs.write(fd, 0, b"hello").unwrap();
+    let mut buf = [0u8; 4096];
+    let overflow = FsError::InvalidArgument;
+    assert_eq!(fs.read(fd, u64::MAX - 1, 4096).unwrap_err(), overflow);
+    assert_eq!(
+        fs.read_into(fd, u64::MAX - 1, &mut buf).unwrap_err(),
+        overflow
+    );
+    assert_eq!(fs.write(fd, u64::MAX - 1, &buf).unwrap_err(), overflow);
+    // The last range that fits is a read at EOF, not an error.
+    assert_eq!(fs.read(fd, u64::MAX - 4096, 4096), Ok(Vec::new()));
+    assert_eq!(fs.read(fd, 0, 4096).unwrap(), b"hello", "file unharmed");
+}
+
+#[test]
+fn offset_overflow_is_invalid_argument_over_nfs() {
+    offset_overflow_is_invalid_argument(&nfs_mount());
+}
+
+#[test]
+fn offset_overflow_is_invalid_argument_over_iscsi() {
+    offset_overflow_is_invalid_argument(&local_mount());
+}

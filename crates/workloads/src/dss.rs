@@ -84,7 +84,7 @@ pub fn run(
 ) -> Result<DssReport, ext3::FsError> {
     let mut rng = SplitMix64::new(cfg.seed);
     let start = sim.now();
-    let extent_bytes = (cfg.extent_pages * 4096) as usize;
+    let mut extent = vec![0u8; (cfg.extent_pages * 4096) as usize];
     for _ in 0..cfg.queries {
         // Sequential scan of a random contiguous region.
         let scan_pages = (cfg.db_pages * cfg.scan_64ths / 64).max(cfg.extent_pages);
@@ -96,14 +96,14 @@ pub fn run(
         };
         let mut p = first;
         while p < first + scan_pages {
-            fs.read(db, p * 4096, extent_bytes)?;
+            fs.read_into(db, p * 4096, &mut extent)?;
             sim.advance(cfg.cpu_per_extent);
             p += cfg.extent_pages;
         }
         // A handful of random extent probes (index/join lookups).
         for _ in 0..16 {
             let p = rng.below(cfg.db_pages.saturating_sub(cfg.extent_pages).max(1));
-            fs.read(db, p * 4096, extent_bytes)?;
+            fs.read_into(db, p * 4096, &mut extent)?;
             sim.advance(cfg.cpu_per_extent);
         }
     }

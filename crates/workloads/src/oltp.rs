@@ -88,11 +88,12 @@ pub fn run(
     let mut rng = SplitMix64::new(cfg.seed);
     let start = sim.now();
     let page = vec![0xA5u8; 4096];
+    let mut buf = vec![0u8; 4096];
     let mut log_off = 0u64;
     for _ in 0..cfg.transactions {
         for _ in 0..cfg.reads_per_txn {
             let p = rng.below(cfg.db_pages);
-            fs.read(db, p * 4096, 4096)?;
+            fs.read_into(db, p * 4096, &mut buf)?;
         }
         for _ in 0..cfg.writes_per_txn {
             let p = rng.below(cfg.db_pages);

@@ -112,6 +112,8 @@ pub struct Session<'a> {
     /// The current transaction's file, rebuilt in place by
     /// [`set_path`](Session::set_path).
     path: String,
+    /// Where reads land: `io_unit` bytes, reused.
+    read_buf: Vec<u8>,
 }
 
 impl<'a> Session<'a> {
@@ -138,6 +140,7 @@ impl<'a> Session<'a> {
             pool: Vec::with_capacity(cfg.file_count),
             remaining: cfg.transactions,
             path: String::new(),
+            read_buf: vec![0u8; cfg.io_unit],
             cfg,
         }
     }
@@ -274,7 +277,7 @@ impl<'a> Session<'a> {
                 let fd = self.fs.open(&self.path)?;
                 let mut off = 0usize;
                 while off < size {
-                    let n = self.fs.read(fd, off as u64, self.cfg.io_unit)?.len();
+                    let n = self.fs.read_into(fd, off as u64, &mut self.read_buf)?;
                     if n == 0 {
                         break;
                     }

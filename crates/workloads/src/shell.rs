@@ -161,6 +161,7 @@ pub fn compile(
     spec: &TreeSpec,
 ) -> Result<SimDuration, ext3::FsError> {
     let start = sim.now();
+    let mut buf = vec![0u8; 65_536];
     for dir in leaf_dirs(root, spec) {
         for f in 0..spec.files_per_dir {
             let src = format!("{dir}/file{f}.c");
@@ -168,7 +169,7 @@ pub fn compile(
             let fd = fs.open(&src)?;
             let mut off = 0usize;
             while off < size {
-                let n = fs.read(fd, off as u64, 65_536)?.len();
+                let n = fs.read_into(fd, off as u64, &mut buf)?;
                 if n == 0 {
                     break;
                 }

@@ -9,7 +9,10 @@
 //! same goes for the two per-cell overheads of big topologies: a gauge
 //! tick allocates nothing and a LOOKUP is sized without being encoded.
 //! And for the load generator above it all: a PostMark transaction
-//! borrows its payload and reuses its path buffer.
+//! borrows its payload and reuses its path buffer. Above `vfs` the
+//! caller-buffer `read_into` hands nothing back, so a warm read and a
+//! warm path resolution allocate nothing at all, and a second testbed
+//! on a thread takes its 4 KiB block images from the first one's.
 //!
 //! The allocator counts per thread, so the tests stay independent
 //! under the harness's parallel runner.
@@ -18,7 +21,7 @@ use blockdev::{
     BlockDevice, DiskModel, DiskParams, MemDisk, Raid5, Raid5Geometry, WriteCache, BLOCK_SIZE,
 };
 use cpu::{CostModel, CpuAccount};
-use ext3::{Ext3, Options};
+use ext3::{BufferCache, DirtyKind, Ext3, Options};
 use net::{Fabric, LinkParams};
 use nfs::{NfsClient, NfsConfig, NfsServer, Version};
 use rpc::{RpcClient, RpcConfig};
@@ -26,39 +29,44 @@ use simkit::{Daemon, GaugeSampler, HostId, Sim, SimDuration};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::rc::Rc;
-use vfs::{Fd, FileSystem};
+use vfs::{Fd, FileSystem, LocalMount, NfsMount};
 use workloads::postmark::{PostmarkConfig, Session};
 
 struct Counting;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes requested in allocations of exactly one block.
+    static BLOCK_BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn count() {
+fn count(size: usize) {
     // A thread that is tearing down its locals no longer counts.
     let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+    if size == BLOCK_SIZE {
+        let _ = BLOCK_BYTES.try_with(|c| c.set(c.get() + size as u64));
+    }
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
 // which upholds the `GlobalAlloc` contract; the counting touches only
-// a const-initialised thread-local `Cell` (no lazy initialiser and no
-// destructor, so it never allocates) and never the returned memory.
+// const-initialised thread-local `Cell`s (no lazy initialiser and no
+// destructor, so they never allocate) and never the returned memory.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         // SAFETY: same layout the caller vouched for.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         // SAFETY: same layout the caller vouched for.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size);
         // SAFETY: `ptr` was allocated by `System` with `layout` (all
         // allocation goes through this type), as the caller vouches.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -84,6 +92,17 @@ fn allocs_in<T>(f: impl FnOnce() -> T) -> (u64, T) {
     let before = ALLOCS.with(Cell::get);
     let out = f();
     (ALLOCS.with(Cell::get) - before, out)
+}
+
+/// The fewest allocations any of three consecutive calls of `f` makes,
+/// and the last result. Every system call charges a `CpuAccount`,
+/// whose event log is a `Vec` that doubles now and then; a call that
+/// allocates on its own account does so every time.
+fn steady_allocs_in<T>(mut f: impl FnMut() -> T) -> (u64, T) {
+    let (a, _) = allocs_in(&mut f);
+    let (b, _) = allocs_in(&mut f);
+    let (c, out) = allocs_in(&mut f);
+    (a.min(b).min(c), out)
 }
 
 fn instrumented_member(sim: &Rc<Sim>, name: &str) -> Rc<DiskModel<MemDisk>> {
@@ -213,6 +232,95 @@ fn warm_nfs_read_of_a_cached_page_allocates_only_its_result() {
         msgs,
         "the read was served from the page cache"
     );
+}
+
+/// A local mount of ext3 straight over a `MemDisk`.
+fn local_mount(sim: &Rc<Sim>) -> LocalMount {
+    let disk = Rc::new(MemDisk::new("d0", 300_000));
+    let fs = Ext3::mkfs(Rc::clone(sim), disk, Options::default()).unwrap();
+    LocalMount::new(Rc::new(fs), Rc::new(CpuAccount::new()), CostModel::p3_933())
+}
+
+/// `/d/f` holding two blocks of `fill`, read once so that the pages,
+/// the stream state and the atime update's journal entry all exist.
+fn warmed_file(fs: &dyn FileSystem, fill: u8) -> Fd {
+    fs.mkdir("/d").unwrap();
+    fs.creat("/d/f").unwrap();
+    let fd = fs.open("/d/f").unwrap();
+    fs.write(fd, 0, &[fill; 2 * BLOCK_SIZE]).unwrap();
+    fs.close(fd).unwrap();
+    let fd = fs.open("/d/f").unwrap();
+    let mut buf = [0u8; BLOCK_SIZE];
+    fs.read_into(fd, 0, &mut buf).unwrap();
+    fd
+}
+
+#[test]
+fn warm_read_into_allocates_nothing_on_either_mount() {
+    let sim = Sim::new(1);
+    let (client, _) = mounted_nfs_client(&sim);
+    let mounts: [(&str, Box<dyn FileSystem>); 2] = [
+        ("nfs", Box::new(NfsMount::new(Rc::new(client)))),
+        ("local", Box::new(local_mount(&Sim::new(1)))),
+    ];
+    for (name, fs) in mounts {
+        let fd = warmed_file(fs.as_ref(), 6);
+        let mut buf = [0u8; BLOCK_SIZE];
+        let (n, got) = steady_allocs_in(|| fs.read_into(fd, 0, &mut buf).unwrap());
+        assert_eq!(n, 0, "{name}: the caller owns the only buffer");
+        assert_eq!((got, buf), (BLOCK_SIZE, [6u8; BLOCK_SIZE]), "{name}");
+    }
+}
+
+#[test]
+fn absolute_path_resolution_allocates_nothing() {
+    let sim = Sim::new(1);
+    let (client, _) = mounted_nfs_client(&sim);
+    let mounts: [(&str, Box<dyn FileSystem>); 2] = [
+        ("nfs", Box::new(NfsMount::new(Rc::new(client)))),
+        ("local", Box::new(local_mount(&Sim::new(1)))),
+    ];
+    for (name, fs) in mounts {
+        warmed_file(fs.as_ref(), 6);
+        let (n, attr) = steady_allocs_in(|| fs.stat("/d/f"));
+        assert_eq!(n, 0, "{name}: stat walks the path in place");
+        assert_eq!(attr.unwrap().size, 2 * BLOCK_SIZE as u64, "{name}");
+        let (n, fd) = steady_allocs_in(|| fs.open("/d/f"));
+        assert_eq!(n, 0, "{name}: open walks the path in place");
+        fd.unwrap();
+    }
+}
+
+#[test]
+fn second_disk_and_cache_on_a_thread_reuse_the_first_ones_images() {
+    // Few enough blocks that no map, ring or table growth step is
+    // itself a 4 KiB request: only block images are counted.
+    fn build_write_drop() {
+        let disk = MemDisk::new("d0", 4096);
+        let mut cache = BufferCache::new(1024);
+        let block = [5u8; BLOCK_SIZE];
+        for bno in 0..150 {
+            cache.insert(bno, &block, DirtyKind::Data);
+            disk.write(bno, &block).unwrap();
+        }
+        for bno in 100..200 {
+            let img = cache
+                .get_or_load(bno, |img| disk.read(bno, 1, img).map(drop))
+                .unwrap();
+            assert_eq!(img[0], if bno < 150 { 5 } else { 0 });
+        }
+    }
+    let block_bytes_in = |f: fn()| {
+        let before = BLOCK_BYTES.with(Cell::get);
+        f();
+        BLOCK_BYTES.with(Cell::get) - before
+    };
+    let images = 150 + 150 + 50;
+    assert!(
+        block_bytes_in(build_write_drop) >= images * BLOCK_SIZE as u64,
+        "the first cycle allocates every image"
+    );
+    assert_eq!(block_bytes_in(build_write_drop), 0, "the second none");
 }
 
 #[test]

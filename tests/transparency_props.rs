@@ -2,7 +2,9 @@
 //! calls produces the same observable file-system state over every
 //! protocol stack (NFS v2/v3/v4 and iSCSI). This is what licenses the
 //! paper's methodology of running identical benchmarks over both
-//! systems.
+//! systems. The same holds inside one stack for the two read shapes:
+//! `read_into` a caller's buffer and `read` into a fresh `Vec` are the
+//! same bytes and the same length, cold or warm.
 
 use ipstorage::core::{Protocol, Testbed};
 use proptest::prelude::*;
@@ -127,6 +129,72 @@ proptest! {
                     let rp = *rp;
                     prop_assert_eq!(&outcomes, ro, "outcomes differ: {:?} vs {:?}", proto, rp);
                     prop_assert_eq!(&state, rs, "state differs: {:?} vs {:?}", proto, rp);
+                }
+            }
+        }
+    }
+}
+
+/// A file with every kind of range a read can cross: data, a hole of
+/// whole unmapped blocks, data again past the direct blocks, and a
+/// tail that ends mid-block. Returns its contents.
+fn sparse_file(tb: &Testbed, path: &str) -> Vec<u8> {
+    let fs = tb.fs();
+    fs.creat(path).unwrap();
+    let fd = fs.open(path).unwrap();
+    let mut model = Vec::new();
+    for (off, len, fill) in [
+        (0usize, 5_000usize, 1u8),
+        (40_000, 3_000, 2),
+        (60_000, 1_234, 3),
+    ] {
+        fs.write(fd, off as u64, &vec![fill; len]).unwrap();
+        model.resize(off, 0);
+        model.resize(off + len, fill);
+    }
+    fs.close(fd).unwrap();
+    tb.settle();
+    model
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn read_into_is_read(
+        ranges in prop::collection::vec((0u64..70_000, 0usize..20_000), 1..8),
+    ) {
+        for proto in [Protocol::NfsV3, Protocol::Iscsi] {
+            let tb = Testbed::with_protocol(proto);
+            let fs = tb.fs();
+            let model = sparse_file(&tb, "/sparse");
+            for &(off, len) in &ranges {
+                let expect = &model[model.len().min(off as usize)..model.len().min(off as usize + len)];
+                // Each shape from cold caches, then each again warm.
+                for cold in [true, false] {
+                    for into in [false, true] {
+                        if cold {
+                            tb.cold_caches();
+                        }
+                        let fd = fs.open("/sparse").unwrap();
+                        let got = if into {
+                            let mut buf = vec![0xCD; len];
+                            let n = fs.read_into(fd, off, &mut buf).unwrap();
+                            prop_assert!(
+                                buf[n..].iter().all(|&b| b == 0xCD),
+                                "{:?}: read_into wrote past the {} bytes it returned", proto, n
+                            );
+                            buf.truncate(n);
+                            buf
+                        } else {
+                            fs.read(fd, off, len).unwrap()
+                        };
+                        fs.close(fd).unwrap();
+                        prop_assert_eq!(
+                            &got[..], expect,
+                            "{:?} off={} len={} cold={} read_into={}", proto, off, len, cold, into
+                        );
+                    }
                 }
             }
         }
