@@ -15,7 +15,9 @@ fn main() {
 #[cfg(feature = "criterion")]
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 #[cfg(feature = "criterion")]
-use ipstorage_core::experiments::micro::{matrix_report_ops, CacheState};
+use ipstorage_core::experiments::micro::{matrix, CacheState};
+#[cfg(feature = "criterion")]
+use ipstorage_core::RunOptions;
 
 #[cfg(feature = "criterion")]
 fn bench_sweep_scaling(c: &mut Criterion) {
@@ -25,7 +27,11 @@ fn bench_sweep_scaling(c: &mut Criterion) {
     g.sample_size(10);
     for jobs in [1usize, 2, 4] {
         g.bench_with_input(BenchmarkId::new("micro_40_cells", jobs), &jobs, |b, &j| {
-            b.iter(|| matrix_report_ops(CacheState::Cold, &ops, &depths, j))
+            let options = RunOptions {
+                jobs: j,
+                ..RunOptions::default()
+            };
+            b.iter(|| matrix("micro", options, CacheState::Cold, &ops, &depths))
         });
     }
     g.finish();

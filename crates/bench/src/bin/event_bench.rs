@@ -16,6 +16,7 @@
 //! vary per host (see the `host` section).
 
 use ipstorage_core::experiments::scale;
+use ipstorage_core::RunOptions;
 use simkit::{EventQueue, HostId, SimTime, SplitMix64};
 use std::time::Instant;
 
@@ -88,7 +89,7 @@ fn churn(window: u64, rounds: u64) -> (f64, u64) {
 /// One timed scale run over the grid, in seconds.
 fn timed_scale(counts: &[usize], files: usize, txns: usize) -> f64 {
     let t0 = Instant::now();
-    let _ = scale::scale_report_with(counts, files, txns);
+    let _ = scale::scale(RunOptions::default(), counts, files, txns, None);
     t0.elapsed().as_secs_f64()
 }
 

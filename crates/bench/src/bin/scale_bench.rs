@@ -13,7 +13,7 @@
 //! unlike `BENCH_sweep.json`, no host section is needed.
 
 use ipstorage_core::experiments::scale;
-use ipstorage_core::Protocol;
+use ipstorage_core::{Protocol, RunOptions};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -33,7 +33,7 @@ fn main() {
         "scale_bench: sweeping N={counts:?} x {{NFSv3, iSCSI}}, \
          {files} files / {txns} transactions per client"
     );
-    let runs = scale::scale_curve(counts, files, txns);
+    let (runs, _) = scale::scale(RunOptions::default(), counts, files, txns, None);
 
     let mut curve = String::new();
     for (i, r) in runs.iter().enumerate() {

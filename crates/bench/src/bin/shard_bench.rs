@@ -24,7 +24,7 @@
 
 use ipstorage_core::experiments::frontier;
 use ipstorage_core::snapshot::SnapshotCache;
-use ipstorage_core::Protocol;
+use ipstorage_core::{Protocol, RunOptions};
 use simkit::Counters;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -92,9 +92,14 @@ const GRID_TXNS: usize = 2_000;
 /// Cells in the timed grid (two protocols per grid point).
 const GRID_CELLS: usize = 8;
 
-fn run_frontier(jobs: usize) -> (f64, String) {
+fn run_frontier(jobs: usize, share_setups: bool) -> (f64, String) {
+    let options = RunOptions {
+        jobs,
+        share_setups,
+        ..RunOptions::default()
+    };
     let t0 = Instant::now();
-    let (_, r) = frontier::frontier_report_jobs(GRID, GRID_FILES, GRID_TXNS, jobs);
+    let (_, r) = frontier::frontier(options, GRID, GRID_FILES, GRID_TXNS);
     (t0.elapsed().as_secs_f64(), r.to_json())
 }
 
@@ -133,17 +138,15 @@ fn main() {
     );
 
     eprintln!("shard_bench: timing {GRID_CELLS}-cell frontier grid (snapshots shared)");
-    let _ = run_frontier(1); // warm-up (page cache, lazy statics)
-    let (secs_shared, json_shared) = run_frontier(1);
-    let (secs_jobs_n, json_jobs_n) = run_frontier(jobs);
+    let _ = run_frontier(1, true); // warm-up (page cache, lazy statics)
+    let (secs_shared, json_shared) = run_frontier(1, true);
+    let (secs_jobs_n, json_jobs_n) = run_frontier(jobs, true);
     assert_eq!(
         json_shared, json_jobs_n,
         "frontier output must be byte-identical across worker counts"
     );
     eprintln!("shard_bench: timing the same grid with snapshot sharing off");
-    ipstorage_core::set_snapshots_enabled(false);
-    let (secs_cold, json_cold) = run_frontier(1);
-    ipstorage_core::set_snapshots_enabled(true);
+    let (secs_cold, json_cold) = run_frontier(1, false);
     assert_eq!(
         json_shared, json_cold,
         "snapshot sharing must not change a single byte of the report"

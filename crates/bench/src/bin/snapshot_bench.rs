@@ -25,9 +25,9 @@
 //!   produced the same results (also asserted, so a regression aborts
 //!   the benchmark instead of publishing a lie).
 
-use ipstorage_core::snapshot::{snapshot_cell, SetupKey, Snapshot, SnapshotCache};
-use ipstorage_core::sweep::Sweep;
-use ipstorage_core::{Protocol, Testbed, TestbedConfig};
+use ipstorage_core::snapshot::{SetupKey, Snapshot};
+use ipstorage_core::sweep::{CellCtx, Sweep};
+use ipstorage_core::{Protocol, RunOptions, Testbed, TestbedConfig};
 use std::time::Instant;
 use workloads::{postmark, PostmarkConfig};
 
@@ -70,17 +70,10 @@ fn setup(protocol: Protocol, pm: PostmarkConfig, setup_seed: u64) -> Testbed {
 /// One cell: fork (or cold-build) the pool, run the transactions.
 /// Returns the measured phase's virtual nanoseconds and messages —
 /// the data whose bytes must not depend on snapshot sharing.
-fn run_cell(
-    protocol: Protocol,
-    transactions: usize,
-    seed: u64,
-    cache: &SnapshotCache,
-) -> (u64, u64) {
+fn run_cell(protocol: Protocol, transactions: usize, ctx: &CellCtx<'_>) -> (u64, u64) {
     let config = TestbedConfig::new(protocol);
     let pm = pm_cfg(transactions);
-    let tb = snapshot_cell(cache, pm_key(&config, &pm), seed, move |s| {
-        setup(protocol, pm, s)
-    });
+    let tb = ctx.fork(pm_key(&config, &pm), move |s| setup(protocol, pm, s));
     let mut session = postmark::Session::new(tb.fs(), "/postmark", pm);
     session.resume_setup();
     let m0 = tb.messages();
@@ -101,18 +94,17 @@ fn run_sweep(jobs: usize, share: bool) -> (f64, String, usize) {
             cells.push((t, proto));
         }
     }
-    ipstorage_core::set_snapshots_enabled(share);
-    let sweep = Sweep::with_jobs(jobs);
-    let snaps = sweep.snapshots();
+    let sweep = Sweep::new(RunOptions {
+        jobs,
+        share_setups: share,
+        ..RunOptions::default()
+    });
     let t0 = Instant::now();
-    let results = sweep.run(cells.len(), |cell| {
-        let (transactions, proto) = cells[cell.index];
-        run_cell(proto, transactions, cell.seed, snaps)
+    let (results, _) = sweep.run_cells("snapshot_bench", &cells, None, |&(txns, proto), ctx| {
+        run_cell(proto, txns, ctx)
     });
     let secs = t0.elapsed().as_secs_f64();
-    let setups = snaps.builds();
-    ipstorage_core::set_snapshots_enabled(true);
-    (secs, format!("{results:?}"), setups)
+    (secs, format!("{results:?}"), sweep.snapshots().builds())
 }
 
 fn main() {

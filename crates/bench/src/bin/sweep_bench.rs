@@ -16,8 +16,8 @@
 //! this binary must not be used for wall-clock comparisons against
 //! builds with the system allocator.
 
-use ipstorage_core::experiments::micro::{matrix_report_ops, CacheState};
-use ipstorage_core::{Protocol, Testbed};
+use ipstorage_core::experiments::micro::{matrix, CacheState};
+use ipstorage_core::{Protocol, RunOptions, Testbed};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -107,7 +107,11 @@ fn run_sweep(jobs: usize) -> (f64, String) {
     let ops = ["mkdir", "stat", "creat", "open", "unlink"];
     let depths = [0, 2];
     let t0 = Instant::now();
-    let (_, report) = matrix_report_ops(CacheState::Cold, &ops, &depths, jobs);
+    let options = RunOptions {
+        jobs,
+        ..RunOptions::default()
+    };
+    let (_, report) = matrix("micro", options, CacheState::Cold, &ops, &depths);
     (t0.elapsed().as_secs_f64(), report.to_json())
 }
 

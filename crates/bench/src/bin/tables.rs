@@ -15,179 +15,36 @@
 //!                           # critical-path attribution and gauge
 //!                           # tables to each runner's output
 //! ```
+//!
+//! The selections, their print order, which of them are opt-in, and
+//! their paper-scale and `--quick` parameters are
+//! `ipstorage_core::experiments::REGISTRY`; the command line is
+//! `bench::parse_tables_args`, which exits 2 on anything it does not
+//! know. What is left here is the loop that prints.
 
-use ipstorage_core::experiments::{data, enhance, frontier, macrob, micro, scale};
-use ipstorage_core::RunReport;
+use ipstorage_core::experiments::Artifact;
+use ipstorage_core::{attribution_table, gauge_table};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let json = args.iter().any(|a| a == "--json");
-    if args.iter().any(|a| a == "--no-snapshot") {
-        ipstorage_core::set_snapshots_enabled(false);
-    }
-    let attribution = args.iter().any(|a| a == "--attribution");
-    if attribution {
-        ipstorage_core::set_attribution_enabled(true);
-    }
-    if let Some(i) = args.iter().position(|a| a == "--jobs") {
-        let jobs = args
-            .get(i + 1)
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or_else(|| {
-                eprintln!("--jobs requires a positive integer");
-                std::process::exit(2);
-            });
-        ipstorage_core::sweep::set_default_jobs(jobs);
-    }
-    let selected: Vec<&str> = args
-        .iter()
-        .enumerate()
-        .filter(|(i, a)| {
-            // Skip flags and the value following --jobs.
-            !a.starts_with("--") && (*i == 0 || args[i - 1] != "--jobs")
-        })
-        .map(|(_, s)| s.as_str())
-        .collect();
-    let want = |name: &str| selected.is_empty() || selected.contains(&name);
-    let emit = |r: &RunReport| {
-        if attribution {
-            println!("{}\n", ipstorage_core::attribution_table(r).render());
-            println!("{}\n", ipstorage_core::gauge_table(r).render());
-        }
-        if json {
-            println!("{}", r.to_json());
-        }
-    };
-
-    if want("table2") {
-        let (t, r) = micro::table2_report();
-        println!("{}\n", t.render());
-        emit(&r);
-    }
-    if want("table3") {
-        let (t, r) = micro::table3_report();
-        println!("{}\n", t.render());
-        emit(&r);
-    }
-    if want("figure3") {
-        let (t, r) = micro::figure3_report();
-        println!("{}\n", t.render());
-        emit(&r);
-    }
-    if want("figure4") {
-        let (t, r) = micro::figure4_report();
-        println!("{}\n", t.render());
-        emit(&r);
-    }
-    if want("figure5") {
-        let (t, r) = micro::figure5_report();
-        println!("{}\n", t.render());
-        emit(&r);
-    }
-    if want("table4") {
-        let (t, r) = if quick {
-            data::table4_report_with(16)
-        } else {
-            data::table4_report()
-        };
-        println!("{}\n", t.render());
-        emit(&r);
-    }
-    if want("figure6") {
-        let (rtts, mb): (&[u64], u64) = if quick {
-            (&[10, 50, 90], 16)
-        } else {
-            (&[10, 30, 50, 70, 90], data::FILE_MB)
-        };
-        let (d, r) = data::figure6_data_report(rtts, mb);
-        println!("{}\n", data::figure6_table(&d, rtts, mb).render());
-        let (reads, writes) = data::figure6_plots(&d);
-        println!("{}\n{}\n", reads.render(), writes.render());
-        emit(&r);
-    }
-    if want("table5") {
-        let (t, r) = if quick {
-            macrob::table5_report_with(&[1000, 5000], 10_000)
-        } else {
-            macrob::table5_report()
-        };
-        println!("{}\n", t.render());
-        emit(&r);
-    }
-    if want("table6") {
-        let (t, r) = macrob::table6_report();
-        println!("{}\n", t.render());
-        emit(&r);
-    }
-    if want("table7") {
-        let (t, r) = if quick {
-            macrob::table7_report_with(workloads::DssConfig {
-                db_pages: 32_768,
-                ..workloads::DssConfig::default()
-            })
-        } else {
-            macrob::table7_report()
-        };
-        println!("{}\n", t.render());
-        emit(&r);
-    }
-    if want("table8") {
-        let (t, r) = macrob::table8_report();
-        println!("{}\n", t.render());
-        emit(&r);
-    }
-    if want("table9") || want("table10") {
-        let (t9, t10, r) = macrob::table9_10_report();
-        println!("{}\n", t9.render());
-        println!("{}\n", t10.render());
-        emit(&r);
-    }
-    if want("scale") {
-        let (t, r) = if quick {
-            scale::scale_report_with(&[1, 2, 4, 8], 200, 500)
-        } else {
-            scale::scale_report()
-        };
-        println!("{}\n", t.render());
-        emit(&r);
-    }
-    if want("figure7") {
-        println!("{}\n", enhance::figure7().render());
-    }
-    if want("section7") {
-        println!("{}\n", enhance::section7_traces().render());
-        let (t, r) = enhance::section7_postmark_report(1000, 10_000);
-        println!("{}\n", t.render());
-        emit(&r);
-    }
-    // Opt-in like ablations: the default run stays byte-identical to
-    // the pipe-only goldens even with the TCP model compiled in.
-    if want("tcp") && !selected.is_empty() {
-        let (rtts, mb): (&[u64], u64) = if quick {
-            (&[10, 90], 4)
-        } else {
-            (&[10, 30, 50, 70, 90], data::FILE_MB)
-        };
-        let (d, r) = data::figure6_tcp_data_report(rtts, mb, 1);
-        println!("{}\n", data::figure6_tcp_table(&d, rtts, mb).render());
-        emit(&r);
-    }
-    // Opt-in: the sharded iso-throughput frontier (N clients over M
-    // server shards at a fixed aggregate transaction budget).
-    if want("frontier") && !selected.is_empty() {
-        let (t, r) = if quick {
-            frontier::frontier_report_with(&[(4, 1), (4, 2), (8, 2), (8, 4)], 100, 2_000)
-        } else {
-            frontier::frontier_report()
-        };
-        println!("{}\n", t.render());
-        emit(&r);
-    }
-    if want("ablations") && !selected.is_empty() {
-        for (t, r) in ipstorage_core::experiments::ablation::all_reports() {
-            println!("{}\n", t.render());
-            emit(&r);
+    let run = bench::parse_tables_args(&args).unwrap_or_else(|problem| {
+        eprintln!("{problem}");
+        std::process::exit(2);
+    });
+    for experiment in &run.experiments {
+        for artifact in (experiment.run)(run.options, run.quick) {
+            match artifact {
+                Artifact::Text(text) => println!("{text}\n"),
+                Artifact::Report(report) => {
+                    if run.options.attribution {
+                        println!("{}\n", attribution_table(&report).render());
+                        println!("{}\n", gauge_table(&report).render());
+                    }
+                    if run.json {
+                        println!("{}", report.to_json());
+                    }
+                }
+            }
         }
     }
 }

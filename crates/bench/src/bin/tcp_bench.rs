@@ -25,7 +25,7 @@
 //! any host and CI diffs the regenerated copy against it.
 
 use ipstorage_core::experiments::{data, scale};
-use ipstorage_core::{Protocol, Testbed, TestbedConfig};
+use ipstorage_core::{Protocol, RunOptions, Testbed, TestbedConfig};
 use simkit::SimDuration;
 
 fn main() {
@@ -44,7 +44,7 @@ fn main() {
         (&[10, 30, 50, 70, 90], 8)
     };
     eprintln!("tcp_bench: figure6 sweep rtts={rtts:?} x {{NFSv3, iSCSI}}, {mb} MB writes");
-    let sweep = data::figure6_tcp_data(rtts, mb, 1);
+    let (sweep, _) = data::figure6_tcp(RunOptions::default(), rtts, mb, 1);
     let max_rtt = *rtts.iter().max().expect("nonempty sweep");
     let cliff = sweep
         .iter()
@@ -90,7 +90,7 @@ fn main() {
     let congested = net::LinkParams::wan(SimDuration::from_millis(20))
         .with_transport(net::TransportModel::Tcp { connections: 1 });
     eprintln!("tcp_bench: congested scale N={counts:?} x {{NFSv3, iSCSI}}");
-    let runs = scale::scale_curve_congested(counts, files, txns, congested);
+    let (runs, _) = scale::scale(RunOptions::default(), counts, files, txns, Some(congested));
 
     let mut sweep_json = String::new();
     for (i, p) in sweep.iter().enumerate() {

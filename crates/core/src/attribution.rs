@@ -1,9 +1,11 @@
-//! Critical-path attribution: the process-wide mode switch and the
-//! table renderers for the `tables --attribution` view.
+//! Critical-path attribution: the table renderers for the
+//! `tables --attribution` view.
 //!
-//! When attribution mode is on, every testbed enables its span tracer
-//! at construction, and [`ReportBuilder::absorb`](crate::ReportBuilder)
-//! folds [`simkit::critpath::analyze`] over the buffered spans into the
+//! Under [`RunOptions::attribution`](crate::sweep::RunOptions) every
+//! measured testbed has its span tracer switched on as its cell obtains
+//! it (see [`CellCtx`](crate::sweep::CellCtx)), and
+//! [`ReportBuilder::absorb`](crate::ReportBuilder) folds
+//! [`simkit::critpath::analyze`] over the buffered spans into the
 //! report's flat `attribution` map. The map is additive (counts and
 //! nanoseconds only, no span IDs), so per-cell fragments merge in cell
 //! order to output byte-identical with a sequential run — the same
@@ -19,24 +21,6 @@
 use crate::{RunReport, Table};
 use simkit::critpath::BUCKETS;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-
-/// Process-wide switch installed by [`set_attribution_enabled`].
-static ATTRIBUTION_ENABLED: AtomicBool = AtomicBool::new(false);
-
-/// Enables or disables critical-path attribution process-wide (the
-/// `tables` binary's `--attribution` flag lands here). Testbeds built
-/// while the mode is on trace every request; absorbing them folds the
-/// analyzed critical paths into the report.
-pub fn set_attribution_enabled(on: bool) {
-    ATTRIBUTION_ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Whether attribution mode is currently on (default: no, unless
-/// [`set_attribution_enabled`]`(true)` was called).
-pub fn attribution_enabled() -> bool {
-    ATTRIBUTION_ENABLED.load(Ordering::Relaxed)
-}
 
 /// One operation type's decoded attribution row.
 #[derive(Debug, Clone, Default)]

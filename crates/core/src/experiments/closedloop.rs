@@ -15,8 +15,6 @@
 //! order as long as a pass's first step advances the clock (every real
 //! transaction does). A finished session simply never re-arms.
 
-use crate::report::ReportBuilder;
-use crate::snapshot::SnapshotCache;
 use crate::{Testbed, TopologyConfig};
 use simkit::{CounterSnapshot, EventQueue, HostId, SimDuration, SimTime};
 use workloads::{PostmarkConfig, PostmarkSession};
@@ -24,28 +22,6 @@ use workloads::{PostmarkConfig, PostmarkSession};
 /// Every how many transactions a client touches its shard's shared
 /// file.
 const SHARED_PERIOD: usize = 50;
-
-/// What a sweep hands each of its cells.
-pub(crate) struct CellCtx<'a> {
-    /// The cell's measure-phase seed; `None` (a stand-alone run) keeps
-    /// the topology's own.
-    pub seed: Option<u64>,
-    /// Report fragment the cell's testbed is absorbed into.
-    pub rb: Option<&'a mut ReportBuilder>,
-    /// Setup snapshots shared with the sweep's other cells.
-    pub cache: &'a SnapshotCache,
-}
-
-impl<'a> CellCtx<'a> {
-    /// A run outside any sweep: default seed, no report.
-    pub fn standalone(cache: &'a SnapshotCache) -> CellCtx<'a> {
-        CellCtx {
-            seed: None,
-            rb: None,
-            cache,
-        }
-    }
-}
 
 /// Client `l`'s PostMark configuration: seeds fan out from `master`
 /// (the snapshot's setup seed) so each client draws an independent

@@ -1,9 +1,9 @@
 //! Data-path experiments: Table 4 (128 MB sequential/random transfers)
 //! and Figure 6 (wide-area latency sweep).
 
-use crate::report::{ReportBuilder, RunReport};
-use crate::snapshot::{snapshot_cell, snapshot_cell_with, SetupKey};
-use crate::sweep::Sweep;
+use crate::report::RunReport;
+use crate::snapshot::SetupKey;
+use crate::sweep::{RunOptions, Sweep};
 use crate::table::{fmt_f, fmt_secs, Table};
 use crate::{Protocol, Testbed, TestbedConfig};
 use simkit::{SimDuration, SplitMix64};
@@ -100,77 +100,51 @@ pub fn read_file(tb: &Testbed, path: &str, mb: u64, pattern: Pattern) -> Transfe
     }
 }
 
-/// All four Table 4 rows for one protocol. `mb` scales the file (the
-/// paper uses 128).
-pub fn table4_rows(protocol: Protocol, mb: u64) -> [(&'static str, TransferResult); 4] {
-    table4_rows_into(protocol, mb, None)
-}
-
-fn table4_rows_into(
-    protocol: Protocol,
-    mb: u64,
-    mut rb: Option<&mut ReportBuilder>,
-) -> [(&'static str, TransferResult); 4] {
+/// **Table 4**: completion time, messages, and bytes for `mb`-megabyte
+/// sequential/random reads and writes, NFS v3 vs iSCSI (the paper uses
+/// [`FILE_MB`]).
+pub fn table4(options: RunOptions, mb: u64) -> (Table, RunReport) {
     const BENCHES: [&str; 4] = [
         "Sequential reads",
         "Random reads",
         "Sequential writes",
         "Random writes",
     ];
-    // One cell per benchmark row. Both read rows fork one setup
-    // holding the sequentially written source file; both write rows
-    // fork the shared blank (freshly formatted) volume.
-    let sweep = Sweep::new();
-    let snaps = sweep.snapshots();
-    let results = sweep.run(BENCHES.len(), |cell| {
-        let bench = BENCHES[cell.index];
-        let is_read = bench.ends_with("reads");
-        let cfg = TestbedConfig::new(protocol);
-        let key = if is_read {
-            SetupKey::for_config(&cfg, &format!("data:table4:read:{mb}"))
-        } else {
-            SetupKey::for_config(&cfg, "data:blank")
-        };
-        let tb = snapshot_cell(snaps, key, cell.seed, |setup_seed| {
-            let tb = Testbed::with_protocol_seeded(protocol, setup_seed);
-            if is_read {
-                let _ = write_file(&tb, "/f", mb, Pattern::Sequential);
-            }
-            tb
-        });
-        let r = match bench {
-            "Sequential reads" => read_file(&tb, "/f", mb, Pattern::Sequential),
-            "Random reads" => read_file(&tb, "/f", mb, Pattern::Random),
-            "Sequential writes" => write_file(&tb, "/w", mb, Pattern::Sequential),
-            // The paper writes a random permutation of the 32K blocks
-            // of a new file.
-            _ => write_file(&tb, "/w", mb, Pattern::Random),
-        };
-        let mut frag = ReportBuilder::new("");
-        frag.absorb(&tb);
-        (r, frag.finish())
-    });
-    let mut rows = Vec::with_capacity(BENCHES.len());
-    for (name, (r, frag)) in BENCHES.iter().zip(results) {
-        if let Some(rb) = rb.as_deref_mut() {
-            rb.merge_report(&frag);
-        }
-        rows.push((*name, r));
-    }
-    rows.try_into().unwrap()
-}
-
-/// **Table 4**: completion time, messages, and bytes for 128 MB
-/// sequential/random reads and writes, NFS v3 vs iSCSI.
-pub fn table4_with(mb: u64) -> Table {
-    table4_report_with(mb).0
-}
-
-/// [`table4_with`] plus its machine-readable run report.
-pub fn table4_report_with(mb: u64) -> (Table, RunReport) {
-    let mut rb = ReportBuilder::new("table4");
-    let nfs = table4_rows_into(Protocol::NfsV3, mb, Some(&mut rb));
-    let iscsi = table4_rows_into(Protocol::Iscsi, mb, Some(&mut rb));
+    // One sweep per protocol, so the first one's captured setups are
+    // gone before the second one's are built; one cell per benchmark
+    // row. Both read rows fork one setup holding the sequentially
+    // written source file; both write rows fork the shared blank
+    // (freshly formatted) volume.
+    let rows = |protocol: Protocol| {
+        Sweep::new(options).run_cells("", &BENCHES, None, |&bench, ctx| {
+            let is_read = bench.ends_with("reads");
+            let cfg = TestbedConfig::new(protocol);
+            let key = if is_read {
+                SetupKey::for_config(&cfg, &format!("data:table4:read:{mb}"))
+            } else {
+                SetupKey::for_config(&cfg, "data:blank")
+            };
+            let tb = ctx.fork(key, |setup_seed| {
+                let tb = Testbed::with_protocol_seeded(protocol, setup_seed);
+                if is_read {
+                    let _ = write_file(&tb, "/f", mb, Pattern::Sequential);
+                }
+                tb
+            });
+            let r = match bench {
+                "Sequential reads" => read_file(&tb, "/f", mb, Pattern::Sequential),
+                "Random reads" => read_file(&tb, "/f", mb, Pattern::Random),
+                "Sequential writes" => write_file(&tb, "/w", mb, Pattern::Sequential),
+                // The paper writes a random permutation of the 32K
+                // blocks of a new file.
+                _ => write_file(&tb, "/w", mb, Pattern::Random),
+            };
+            ctx.absorb(&tb);
+            r
+        })
+    };
+    let (nfs, nfs_report) = rows(Protocol::NfsV3);
+    let (iscsi, iscsi_report) = rows(Protocol::Iscsi);
     let mut t = Table::new(
         format!("Table 4: {mb} MB transfers (NFS v3 vs iSCSI)"),
         &[
@@ -183,9 +157,7 @@ pub fn table4_report_with(mb: u64) -> (Table, RunReport) {
             "iSCSI MB",
         ],
     );
-    for i in 0..4 {
-        let (name, n) = nfs[i];
-        let (_, s) = iscsi[i];
+    for (name, (n, s)) in BENCHES.iter().zip(nfs.iter().zip(&iscsi)) {
         t.row(&[
             name.to_string(),
             fmt_secs(n.time),
@@ -196,17 +168,7 @@ pub fn table4_report_with(mb: u64) -> (Table, RunReport) {
             fmt_f(simkit::units::to_f64(s.bytes.get()) / 1e6),
         ]);
     }
-    (t, rb.finish())
-}
-
-/// **Table 4** at the paper's full 128 MB.
-pub fn table4() -> Table {
-    table4_with(FILE_MB)
-}
-
-/// **Table 4** report variant at the paper's full 128 MB.
-pub fn table4_report() -> (Table, RunReport) {
-    table4_report_with(FILE_MB)
+    (t, RunReport::merged("table4", &[nfs_report, iscsi_report]))
 }
 
 /// One Figure 6 sample: completion time at a given RTT.
@@ -225,16 +187,10 @@ pub struct LatencyPoint {
 }
 
 /// **Figure 6** data: completion time vs RTT for sequential/random
-/// reads and writes, NFS v3 vs iSCSI.
-pub fn figure6_data(rtts_ms: &[u64], mb: u64) -> Vec<LatencyPoint> {
-    figure6_data_into(rtts_ms, mb, None)
-}
-
-fn figure6_data_into(
-    rtts_ms: &[u64],
-    mb: u64,
-    mut rb: Option<&mut ReportBuilder>,
-) -> Vec<LatencyPoint> {
+/// reads and writes, NFS v3 vs iSCSI (the paper sweeps 10..=90 ms over
+/// a [`FILE_MB`] file). Render it with [`figure6_table`] and
+/// [`figure6_plots`].
+pub fn figure6(options: RunOptions, rtts_ms: &[u64], mb: u64) -> (Vec<LatencyPoint>, RunReport) {
     let mut cells: Vec<(u64, Protocol, Pattern, bool)> = Vec::new();
     for &rtt in rtts_ms {
         for proto in [Protocol::NfsV3, Protocol::Iscsi] {
@@ -247,71 +203,43 @@ fn figure6_data_into(
     // Setup (file creation, mkfs) runs once per protocol under the
     // canonical LAN; the WAN RTT is a measure-phase knob applied when
     // each cell forks, so one setup serves the whole RTT sweep.
-    let sweep = Sweep::new();
-    let snaps = sweep.snapshots();
-    let results = sweep.run(cells.len(), |cell| {
-        let (rtt, proto, pattern, is_read) = cells[cell.index];
-        let cfg = TestbedConfig::new(proto);
-        let key = if is_read {
-            SetupKey::for_config(&cfg, &format!("data:fig6:read:{mb}"))
-        } else {
-            SetupKey::for_config(&cfg, "data:blank")
-        };
-        let tb = snapshot_cell_with(
-            snaps,
-            key,
-            cell.seed,
-            |c| c.link = net::LinkParams::wan(SimDuration::from_millis(rtt)),
-            |setup_seed| {
-                let tb = Testbed::with_protocol_seeded(proto, setup_seed);
-                if is_read {
-                    let _ = write_file(&tb, "/f", mb, Pattern::Sequential);
-                }
-                tb
-            },
-        );
-        let r = if is_read {
-            read_file(&tb, "/f", mb, pattern)
-        } else {
-            write_file(&tb, "/w", mb, pattern)
-        };
-        let mut frag = ReportBuilder::new("");
-        frag.absorb(&tb);
-        (r.time, frag.finish())
-    });
-    let mut out = Vec::new();
-    for (&(rtt, proto, pattern, is_read), (time, frag)) in cells.iter().zip(results) {
-        if let Some(rb) = rb.as_deref_mut() {
-            rb.merge_report(&frag);
-        }
-        out.push(LatencyPoint {
-            protocol: proto,
-            pattern,
-            is_read,
-            rtt_ms: rtt,
-            time,
-        });
-    }
-    out
-}
-
-/// **Figure 6** rendered (reads then writes).
-pub fn figure6_with(rtts_ms: &[u64], mb: u64) -> Table {
-    let data = figure6_data(rtts_ms, mb);
-    figure6_table(&data, rtts_ms, mb)
-}
-
-/// [`figure6_with`] plus its machine-readable run report.
-pub fn figure6_report_with(rtts_ms: &[u64], mb: u64) -> (Table, RunReport) {
-    let (data, report) = figure6_data_report(rtts_ms, mb);
-    (figure6_table(&data, rtts_ms, mb), report)
-}
-
-/// [`figure6_data`] plus its machine-readable run report.
-pub fn figure6_data_report(rtts_ms: &[u64], mb: u64) -> (Vec<LatencyPoint>, RunReport) {
-    let mut rb = ReportBuilder::new("figure6");
-    let data = figure6_data_into(rtts_ms, mb, Some(&mut rb));
-    (data, rb.finish())
+    Sweep::new(options).run_cells(
+        "figure6",
+        &cells,
+        None,
+        |&(rtt_ms, protocol, pattern, is_read), ctx| {
+            let cfg = TestbedConfig::new(protocol);
+            let key = if is_read {
+                SetupKey::for_config(&cfg, &format!("data:fig6:read:{mb}"))
+            } else {
+                SetupKey::for_config(&cfg, "data:blank")
+            };
+            let tb = ctx.fork_with(
+                key,
+                |c| c.link = net::LinkParams::wan(SimDuration::from_millis(rtt_ms)),
+                |setup_seed| {
+                    let tb = Testbed::with_protocol_seeded(protocol, setup_seed);
+                    if is_read {
+                        let _ = write_file(&tb, "/f", mb, Pattern::Sequential);
+                    }
+                    tb
+                },
+            );
+            let r = if is_read {
+                read_file(&tb, "/f", mb, pattern)
+            } else {
+                write_file(&tb, "/w", mb, pattern)
+            };
+            ctx.absorb(&tb);
+            LatencyPoint {
+                protocol,
+                pattern,
+                is_read,
+                rtt_ms,
+                time: r.time,
+            }
+        },
+    )
 }
 
 /// Renders already-collected Figure 6 data as a table.
@@ -355,16 +283,6 @@ pub fn figure6_table(data: &[LatencyPoint], rtts_ms: &[u64], mb: u64) -> Table {
         ]);
     }
     t
-}
-
-/// **Figure 6** at the paper's sweep (10..=90 ms) and file size.
-pub fn figure6() -> Table {
-    figure6_with(&[10, 30, 50, 70, 90], FILE_MB)
-}
-
-/// **Figure 6** report variant at the paper's sweep.
-pub fn figure6_report() -> (Table, RunReport) {
-    figure6_report_with(&[10, 30, 50, 70, 90], FILE_MB)
 }
 
 /// Renders the Figure 6 series as terminal plots (reads and writes),
@@ -416,27 +334,13 @@ pub struct TcpLatencyPoint {
 /// RTTs the bottleneck queue overflows, flows stall in RTO, and the
 /// RPC layer re-sends requests whose replies are merely late — the
 /// paper's §4.6 behaviour, reproduced without any loss parameter.
-pub fn figure6_tcp_data(rtts_ms: &[u64], mb: u64, connections: u32) -> Vec<TcpLatencyPoint> {
-    figure6_tcp_data_into(rtts_ms, mb, connections, None)
-}
-
-/// [`figure6_tcp_data`] plus its machine-readable run report.
-pub fn figure6_tcp_data_report(
+/// Render the data with [`figure6_tcp_table`].
+pub fn figure6_tcp(
+    options: RunOptions,
     rtts_ms: &[u64],
     mb: u64,
     connections: u32,
 ) -> (Vec<TcpLatencyPoint>, RunReport) {
-    let mut rb = ReportBuilder::new("figure6_tcp");
-    let data = figure6_tcp_data_into(rtts_ms, mb, connections, Some(&mut rb));
-    (data, rb.finish())
-}
-
-fn figure6_tcp_data_into(
-    rtts_ms: &[u64],
-    mb: u64,
-    connections: u32,
-    mut rb: Option<&mut ReportBuilder>,
-) -> Vec<TcpLatencyPoint> {
     let mut cells: Vec<(u64, Protocol)> = Vec::new();
     for &rtt in rtts_ms {
         for proto in [Protocol::NfsV3, Protocol::Iscsi] {
@@ -446,46 +350,31 @@ fn figure6_tcp_data_into(
     // Setup is shared with the pipe-model Figure 6: the key tags the
     // *default* config, and both the WAN RTT and the transport model
     // are measure-phase knobs applied when the cell forks.
-    let sweep = Sweep::new();
-    let snaps = sweep.snapshots();
-    let results = sweep.run(cells.len(), |cell| {
-        let (rtt, proto) = cells[cell.index];
-        let cfg = TestbedConfig::new(proto);
+    Sweep::new(options).run_cells("figure6_tcp", &cells, None, |&(rtt_ms, protocol), ctx| {
+        let cfg = TestbedConfig::new(protocol);
         let key = SetupKey::for_config(&cfg, "data:blank");
-        let tb = snapshot_cell_with(
-            snaps,
+        let tb = ctx.fork_with(
             key,
-            cell.seed,
             |c| {
-                c.link = net::LinkParams::wan(SimDuration::from_millis(rtt))
+                c.link = net::LinkParams::wan(SimDuration::from_millis(rtt_ms))
                     .with_transport(net::TransportModel::Tcp { connections });
             },
-            |setup_seed| Testbed::with_protocol_seeded(proto, setup_seed),
+            |setup_seed| Testbed::with_protocol_seeded(protocol, setup_seed),
         );
         let c = tb.sim().counters();
         let rpc0 = c.get("proto.nfs.retrans");
         let tcp0 = c.get("net.tcp.retx_segs");
         let r = write_file(&tb, "/w", mb, Pattern::Sequential);
-        let rpc_retransmits = c.get("proto.nfs.retrans") - rpc0;
-        let tcp_retx_segs = c.get("net.tcp.retx_segs") - tcp0;
-        let mut frag = ReportBuilder::new("");
-        frag.absorb(&tb);
-        (r.time, rpc_retransmits, tcp_retx_segs, frag.finish())
-    });
-    let mut out = Vec::new();
-    for (&(rtt, proto), (time, rpc_retransmits, tcp_retx_segs, frag)) in cells.iter().zip(results) {
-        if let Some(rb) = rb.as_deref_mut() {
-            rb.merge_report(&frag);
-        }
-        out.push(TcpLatencyPoint {
-            protocol: proto,
-            rtt_ms: rtt,
-            time,
-            rpc_retransmits,
-            tcp_retx_segs,
-        });
-    }
-    out
+        let point = TcpLatencyPoint {
+            protocol,
+            rtt_ms,
+            time: r.time,
+            rpc_retransmits: c.get("proto.nfs.retrans") - rpc0,
+            tcp_retx_segs: c.get("net.tcp.retx_segs") - tcp0,
+        };
+        ctx.absorb(&tb);
+        point
+    })
 }
 
 /// Renders already-collected Figure-6-under-TCP data as a table.
@@ -523,13 +412,6 @@ pub fn figure6_tcp_table(data: &[TcpLatencyPoint], rtts_ms: &[u64], mb: u64) -> 
     t
 }
 
-/// **Figure 6 under TCP** at the paper's sweep, single connection.
-pub fn figure6_tcp() -> Table {
-    let rtts = [10, 30, 50, 70, 90];
-    let data = figure6_tcp_data(&rtts, FILE_MB, 1);
-    figure6_tcp_table(&data, &rtts, FILE_MB)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -538,7 +420,7 @@ mod tests {
     fn tcp_sweep_retransmits_emerge_at_wide_area_rtt() {
         // No loss parameter, no injected jitter: at 90 ms the write
         // bursts overflow the modeled bottleneck queue on their own.
-        let data = figure6_tcp_data(&[90], 8, 1);
+        let (data, _) = figure6_tcp(RunOptions::default(), &[90], 8, 1);
         let nfs = data
             .iter()
             .find(|p| p.protocol == Protocol::NfsV3)

@@ -3,18 +3,15 @@
 //! cache and directory delegation, both trace-driven and end-to-end
 //! (an enhanced-NFS PostMark run against iSCSI).
 
-use crate::experiments::macrob::{pm_config, pm_key, pm_setup, PM_SETUP_NANOS};
-use crate::snapshot::snapshot_cell_with;
-use crate::sweep::Sweep;
+use crate::experiments::macrob::postmark_cell;
+use crate::sweep::{RunOptions, Sweep};
 use crate::table::{fmt_f, fmt_secs, Table};
-use crate::{Protocol, ReportBuilder, RunReport, TestbedConfig};
+use crate::{Protocol, RunReport};
 use nfs::Enhancements;
-use simkit::SimDuration;
 use traces::{
     generate, rw_shared_fraction, sharing_analysis, simulate_delegation, simulate_metadata_cache,
     Profile, TraceConfig,
 };
-use workloads::postmark;
 
 /// **Figure 7**: sharing characteristics of directories for the
 /// EECS-like and Campus-like synthetic traces.
@@ -95,82 +92,40 @@ pub fn section7_traces() -> Table {
 /// **§7, end-to-end**: PostMark over plain NFS v4, enhanced NFS v4
 /// (consistent meta-data cache + directory delegation), and iSCSI —
 /// the enhancements should close most of the meta-data gap.
-pub fn section7_postmark(files: usize, transactions: usize) -> Table {
-    section7_postmark_report(files, transactions).0
-}
-
-/// [`section7_postmark`] plus the machine-readable run report.
-pub fn section7_postmark_report(files: usize, transactions: usize) -> (Table, RunReport) {
-    let mut rb = ReportBuilder::new("section7_postmark");
-    // Cells: plain NFS v4, enhanced NFS v4, iSCSI. The enhancements
-    // are client-side, so both NFS v4 cells fork the same captured
-    // pool and the enhanced cell switches them on when its forked
-    // stack is rebuilt; the baseline (pool creation) is identical,
-    // isolating the enhancements' effect on the transaction stream.
-    let sweep = Sweep::new();
-    let snaps = sweep.snapshots();
-    let results = sweep.run(3, |cell| {
-        let pm = pm_config(files, transactions);
-        let (proto, enh) = match cell.index {
-            0 => (Protocol::NfsV4, Enhancements::default()),
-            1 => (
-                Protocol::NfsV4,
-                Enhancements {
-                    consistent_metadata_cache: true,
-                    directory_delegation: true,
-                    ..Enhancements::default()
-                },
-            ),
-            _ => (Protocol::Iscsi, Enhancements::default()),
-        };
-        let config = TestbedConfig::new(proto);
-        let tb = snapshot_cell_with(
-            snaps,
-            pm_key(&config, &pm),
-            cell.seed,
-            move |c| c.enhancements = enh,
-            move |setup_seed| pm_setup(proto, pm, setup_seed),
-        );
-        // As in Table 5, the reported numbers cover the whole
-        // benchmark: fold the captured setup's time and messages in.
-        let info = tb.setup_info().expect("forked testbed");
-        let setup_time = SimDuration::from_nanos(info.counter(PM_SETUP_NANOS));
-        let setup_msgs = info.counter(proto.txn_counter());
-        let mut session = postmark::Session::new(tb.fs(), "/postmark", pm);
-        session.resume_setup();
-        let m0 = tb.messages();
-        let t0 = tb.now();
-        while session.step().expect("postmark") {}
-        session.teardown().expect("postmark");
-        let time = tb.now().since(t0) + setup_time;
-        tb.settle();
-        let mut frag = ReportBuilder::new("");
-        frag.absorb(&tb);
-        ((time, (tb.messages() - m0) + setup_msgs), frag.finish())
-    });
-    let mut runs = Vec::with_capacity(3);
-    for (r, frag) in results {
-        rb.merge_report(&frag);
-        runs.push(r);
-    }
-    let (plain_t, plain_m) = runs[0];
-    let (enh_t, enh_m) = runs[1];
-    let (iscsi_t, iscsi_m) = runs[2];
+pub fn section7_postmark(
+    options: RunOptions,
+    files: usize,
+    transactions: usize,
+) -> (Table, RunReport) {
+    // Both NFS v4 cells fork the same captured pool; the baseline
+    // (pool creation) is identical, isolating the enhancements' effect
+    // on the transaction stream.
+    let enhanced = Enhancements {
+        consistent_metadata_cache: true,
+        directory_delegation: true,
+        ..Enhancements::default()
+    };
+    let cells = [
+        ("NFS v4", Protocol::NfsV4, Enhancements::default()),
+        ("NFS v4 + enhancements", Protocol::NfsV4, enhanced),
+        ("iSCSI", Protocol::Iscsi, Enhancements::default()),
+    ];
+    let (runs, report) = Sweep::new(options).run_cells(
+        "section7_postmark",
+        &cells,
+        None,
+        |&(_, proto, enh), ctx| postmark_cell(proto, enh, files, transactions, ctx),
+    );
     let mut t = Table::new(
         format!("Section 7: PostMark ({files} files, {transactions} txns)"),
         &["system", "time(s)", "messages"],
     );
-    t.row(&["NFS v4".into(), fmt_secs(plain_t), plain_m.to_string()]);
-    t.row(&[
-        "NFS v4 + enhancements".into(),
-        fmt_secs(enh_t),
-        enh_m.to_string(),
-    ]);
-    t.row(&["iSCSI".into(), fmt_secs(iscsi_t), iscsi_m.to_string()]);
-    (t, rb.finish())
-}
-
-/// **§7** composite runner at a representative scale.
-pub fn section7() -> Vec<Table> {
-    vec![section7_traces(), section7_postmark(1000, 10_000)]
+    for ((system, ..), run) in cells.iter().zip(runs) {
+        t.row(&[
+            system.to_string(),
+            fmt_secs(run.time),
+            run.messages.to_string(),
+        ]);
+    }
+    (t, report)
 }

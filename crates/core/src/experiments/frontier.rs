@@ -18,7 +18,8 @@
 //! Under static sharding, an (N, M) topology is M replicas of one
 //! k-client shard (k = N/M). The runner exploits that: the setup
 //! snapshot is captured once for the *single-shard* k-client topology
-//! and [`Snapshot::fork_sharded`] replicates its images M times — so
+//! and [`Snapshot::fork_sharded`](crate::Snapshot::fork_sharded)
+//! replicates its images M times — so
 //! a whole frontier sweep builds one setup per distinct shard size k
 //! and forks everything else. The cells (4, 1), (8, 2), (16, 4) all
 //! fork the same k = 4 capture. Cold cost is O(distinct k), not
@@ -47,10 +48,10 @@
 //! switch (when capped) or the per-client protocol overheads floor
 //! the curve.
 
-use super::closedloop::{build_pools, client_pm, run_clients, CellCtx};
-use crate::report::{ReportBuilder, RunReport};
-use crate::snapshot::{SetupKey, Snapshot, SnapshotCache};
-use crate::sweep::Sweep;
+use super::closedloop::{build_pools, client_pm, run_clients};
+use crate::report::RunReport;
+use crate::snapshot::{SetupKey, SnapshotCache};
+use crate::sweep::{CellCtx, RunOptions, Sweep};
 use crate::table::{fmt_f, Table};
 use crate::{calibration, Protocol, TopologyConfig};
 use simkit::SimDuration;
@@ -139,23 +140,17 @@ pub fn frontier_run_cached(
     transactions: usize,
     cache: &SnapshotCache,
 ) -> FrontierRun {
-    frontier_run_seeded(
-        protocol,
-        clients,
-        servers,
-        files,
-        transactions,
-        CellCtx::standalone(cache),
-    )
+    let ctx = &mut CellCtx::standalone(cache);
+    frontier_cell(protocol, clients, servers, files, transactions, ctx)
 }
 
-pub(crate) fn frontier_run_seeded(
+fn frontier_cell(
     protocol: Protocol,
     clients: usize,
     servers: usize,
     files: usize,
     transactions: usize,
-    ctx: CellCtx<'_>,
+    ctx: &mut CellCtx<'_>,
 ) -> FrontierRun {
     assert!(servers >= 1, "need at least one server shard");
     assert!(
@@ -163,21 +158,17 @@ pub(crate) fn frontier_run_seeded(
         "static sharding needs clients ({clients}) to be a multiple of servers ({servers})"
     );
     let shard = shard_topology(protocol, clients / servers, files);
-    let seed = ctx.seed.unwrap_or(shard.base.seed);
     let per_client = (transactions / clients).max(1);
 
     // The snapshot is the single k-client shard; every (k·M, M) cell
     // forks M replicas of it. Setup is scale's: per-client pool plus
     // the shared file.
     let key = SetupKey::new(&shard, &format!("frontier:files{files}"));
-    let snap = ctx.cache.get_or_build(&key, |setup_seed| {
-        Snapshot::capture(build_pools(shard, files, setup_seed), key.clone())
+    let tb = ctx.fork_sharded(key, servers, |setup_seed| {
+        build_pools(shard, files, setup_seed)
     });
-    let tb = snap.fork_sharded(seed, servers, None);
     let run = run_clients(&tb, files, per_client, |_, _| {});
-    if let Some(rb) = ctx.rb {
-        rb.absorb(&tb);
-    }
+    ctx.absorb(&tb);
     FrontierRun {
         protocol,
         clients,
@@ -193,24 +184,27 @@ pub(crate) fn frontier_run_seeded(
 }
 
 /// The frontier over `(clients, servers)` cells, both protocols, as a
-/// rendered table plus the machine-readable report.
-pub fn frontier_report_with(
+/// rendered table plus the machine-readable report. The default grid
+/// spreads N ∈ {4, 8, 16} over 1, 2 and 4 shards at 200 files and an
+/// aggregate 16 000 transactions.
+pub fn frontier(
+    options: RunOptions,
     grid: &[(usize, usize)],
     files: usize,
     transactions: usize,
 ) -> (Table, RunReport) {
-    frontier_report_jobs(grid, files, transactions, Sweep::new().jobs())
-}
-
-/// [`frontier_report_with`] with an explicit sweep worker count; the
-/// output is byte-identical for every `jobs` value.
-pub fn frontier_report_jobs(
-    grid: &[(usize, usize)],
-    files: usize,
-    transactions: usize,
-    jobs: usize,
-) -> (Table, RunReport) {
-    let mut rb = ReportBuilder::new("frontier");
+    let mut cells: Vec<(usize, usize, Protocol)> = Vec::new();
+    for &(n, m) in grid {
+        for proto in [Protocol::NfsV3, Protocol::Iscsi] {
+            cells.push((n, m, proto));
+        }
+    }
+    let (runs, report) = Sweep::new(options).run_cells(
+        "frontier",
+        &cells,
+        Some(|&(n, _, _)| n as u64),
+        |&(n, m, proto), ctx| frontier_cell(proto, n, m, files, transactions, ctx),
+    );
     let mut t = Table::new(
         format!("Frontier: {transactions} transactions spread over N clients x M shards"),
         &[
@@ -224,37 +218,11 @@ pub fn frontier_report_jobs(
             "iSCSI msgs/cl",
         ],
     );
-    let mut cells: Vec<(usize, usize, Protocol)> = Vec::new();
-    for &(n, m) in grid {
-        for proto in [Protocol::NfsV3, Protocol::Iscsi] {
-            cells.push((n, m, proto));
-        }
-    }
-    let costs: Vec<u64> = cells.iter().map(|&(n, _, _)| n as u64).collect();
-    let sweep = Sweep::with_jobs(jobs);
-    let snaps = sweep.snapshots();
-    let results = sweep.run_with_costs(cells.len(), &costs, |cell| {
-        let (n, m, proto) = cells[cell.index];
-        let mut frag = ReportBuilder::new("");
-        let ctx = CellCtx {
-            seed: Some(cell.seed),
-            rb: Some(&mut frag),
-            cache: snaps,
-        };
-        let r = frontier_run_seeded(proto, n, m, files, transactions, ctx);
-        (r, frag.finish())
-    });
-    let mut runs = Vec::with_capacity(cells.len());
-    for (r, frag) in results {
-        rb.merge_report(&frag);
-        runs.push(r);
-    }
-    for (i, &(n, m)) in grid.iter().enumerate() {
-        let nf = runs[2 * i];
-        let is = runs[2 * i + 1];
+    for pair in runs.chunks(2) {
+        let (nf, is) = (pair[0], pair[1]);
         t.row(&[
-            n.to_string(),
-            m.to_string(),
+            nf.clients.to_string(),
+            nf.servers.to_string(),
             fmt_f(nf.ops_per_sec),
             fmt_f(is.ops_per_sec),
             fmt_f(nf.server_cpu_pct),
@@ -263,27 +231,7 @@ pub fn frontier_report_jobs(
             is.msgs_per_client.to_string(),
         ]);
     }
-    (t, rb.finish())
-}
-
-/// The default frontier grid: the same N spread over 1, 2, and 4
-/// shards where N divides evenly.
-pub fn frontier_report() -> (Table, RunReport) {
-    frontier_report_with(
-        &[
-            (4, 1),
-            (4, 2),
-            (4, 4),
-            (8, 1),
-            (8, 2),
-            (8, 4),
-            (16, 1),
-            (16, 2),
-            (16, 4),
-        ],
-        200,
-        16_000,
-    )
+    (t, report)
 }
 
 #[cfg(test)]

@@ -2,11 +2,12 @@
 //! TPC-H (Table 7), the shell workloads (Table 8), and the CPU
 //! utilization tables (9 and 10).
 
-use crate::report::{ReportBuilder, RunReport};
-use crate::snapshot::{snapshot_cell, SetupKey, SnapshotCache};
-use crate::sweep::Sweep;
+use crate::report::RunReport;
+use crate::snapshot::SetupKey;
+use crate::sweep::{CellCtx, RunOptions, Sweep};
 use crate::table::{fmt_f, fmt_secs, Table};
 use crate::{Protocol, Testbed, TestbedConfig};
+use nfs::Enhancements;
 use simkit::{SimDuration, SimTime};
 use workloads::{dss, oltp, postmark, shell};
 use workloads::{DssConfig, OltpConfig, PostmarkConfig, TreeSpec};
@@ -14,10 +15,10 @@ use workloads::{DssConfig, OltpConfig, PostmarkConfig, TreeSpec};
 /// Counter the PostMark setup phase stamps its virtual-time cost into,
 /// so a forked cell can report the paper's whole-benchmark time
 /// (pool creation included) without re-running the pool creation.
-pub(crate) const PM_SETUP_NANOS: &str = "workload.postmark.setup_nanos";
+const PM_SETUP_NANOS: &str = "workload.postmark.setup_nanos";
 
 /// The PostMark configuration Table 5 and the CPU tables run.
-pub(crate) fn pm_config(files: usize, transactions: usize) -> PostmarkConfig {
+fn pm_config(files: usize, transactions: usize) -> PostmarkConfig {
     PostmarkConfig {
         file_count: files,
         transactions,
@@ -26,9 +27,9 @@ pub(crate) fn pm_config(files: usize, transactions: usize) -> PostmarkConfig {
     }
 }
 
-/// Builds (or replays, post-fork) the PostMark pool: the setup half of
-/// a [`snapshot_cell`] whose measure half is the transaction stream.
-pub(crate) fn pm_setup(protocol: Protocol, pm: PostmarkConfig, setup_seed: u64) -> Testbed {
+/// Builds the PostMark pool: the setup half of a [`CellCtx::fork`]
+/// whose measure half is the transaction stream.
+fn pm_setup(protocol: Protocol, pm: PostmarkConfig, setup_seed: u64) -> Testbed {
     let tb = Testbed::with_protocol_seeded(protocol, setup_seed);
     let t0 = tb.now();
     let mut session = postmark::Session::new(tb.fs(), "/postmark", pm);
@@ -42,7 +43,7 @@ pub(crate) fn pm_setup(protocol: Protocol, pm: PostmarkConfig, setup_seed: u64) 
 /// The snapshot identity of a PostMark pool: everything that shapes
 /// the on-disk pool, but not the transaction count — every transaction
 /// scale forks the same pool.
-pub(crate) fn pm_key(config: &TestbedConfig, pm: &PostmarkConfig) -> SetupKey {
+fn pm_key(config: &TestbedConfig, pm: &PostmarkConfig) -> SetupKey {
     SetupKey::for_config(
         config,
         &format!(
@@ -52,45 +53,32 @@ pub(crate) fn pm_key(config: &TestbedConfig, pm: &PostmarkConfig) -> SetupKey {
     )
 }
 
-/// One PostMark run's result.
+/// One PostMark run's result, pool creation included.
 #[derive(Debug, Clone, Copy)]
-pub struct PostmarkRun {
-    /// Protocol measured.
-    pub protocol: Protocol,
-    /// Pool size (files).
-    pub files: usize,
+pub(crate) struct PostmarkRun {
     /// Completion time.
     pub time: SimDuration,
     /// Protocol messages.
     pub messages: u64,
 }
 
-/// Runs PostMark once.
-pub fn postmark_run(protocol: Protocol, files: usize, transactions: usize) -> PostmarkRun {
-    postmark_run_seeded(
-        protocol,
-        files,
-        transactions,
-        None,
-        None,
-        &SnapshotCache::new(),
-    )
-}
-
-fn postmark_run_seeded(
+/// One PostMark cell: `transactions` over a forked `files`-file pool.
+/// `enhancements` are client-side, so they are switched on when the
+/// forked stack is rebuilt: plain and enhanced cells share one pool.
+pub(crate) fn postmark_cell(
     protocol: Protocol,
+    enhancements: Enhancements,
     files: usize,
     transactions: usize,
-    seed: Option<u64>,
-    rb: Option<&mut ReportBuilder>,
-    cache: &SnapshotCache,
+    ctx: &mut CellCtx<'_>,
 ) -> PostmarkRun {
     let config = TestbedConfig::new(protocol);
     let pm = pm_config(files, transactions);
-    let seed = seed.unwrap_or(config.seed);
-    let tb = snapshot_cell(cache, pm_key(&config, &pm), seed, |setup_seed| {
-        pm_setup(protocol, pm, setup_seed)
-    });
+    let tb = ctx.fork_with(
+        pm_key(&config, &pm),
+        |c| c.enhancements = enhancements,
+        |setup_seed| pm_setup(protocol, pm, setup_seed),
+    );
     // The paper's numbers cover the whole benchmark, pool creation
     // included: fold the captured setup's time and messages back in.
     let info = tb.setup_info().expect("forked testbed");
@@ -104,25 +92,30 @@ fn postmark_run_seeded(
     session.teardown().expect("postmark");
     let time = tb.now().since(t0) + setup_time;
     tb.settle();
-    if let Some(rb) = rb {
-        rb.absorb(&tb);
-    }
+    ctx.absorb(&tb);
     PostmarkRun {
-        protocol,
-        files,
         time,
         messages: (tb.messages() - m0) + setup_msgs,
     }
 }
 
-/// **Table 5** with configurable scale.
-pub fn table5_with(file_counts: &[usize], transactions: usize) -> Table {
-    table5_report_with(file_counts, transactions).0
-}
-
-/// [`table5_with`] plus its machine-readable run report.
-pub fn table5_report_with(file_counts: &[usize], transactions: usize) -> (Table, RunReport) {
-    let mut rb = ReportBuilder::new("table5");
+/// **Table 5**: PostMark completion time and messages per pool size
+/// (the paper: 1k/5k/25k files, 100k transactions).
+pub fn table5(
+    options: RunOptions,
+    file_counts: &[usize],
+    transactions: usize,
+) -> (Table, RunReport) {
+    let mut cells: Vec<(usize, Protocol)> = Vec::new();
+    for &files in file_counts {
+        for proto in [Protocol::NfsV3, Protocol::Iscsi] {
+            cells.push((files, proto));
+        }
+    }
+    let (runs, report) =
+        Sweep::new(options).run_cells("table5", &cells, None, |&(files, proto), ctx| {
+            postmark_cell(proto, Enhancements::default(), files, transactions, ctx)
+        });
     let mut t = Table::new(
         format!("Table 5: PostMark, {transactions} transactions"),
         &[
@@ -133,35 +126,8 @@ pub fn table5_report_with(file_counts: &[usize], transactions: usize) -> (Table,
             "iSCSI msgs",
         ],
     );
-    let mut cells: Vec<(usize, Protocol)> = Vec::new();
-    for &files in file_counts {
-        for proto in [Protocol::NfsV3, Protocol::Iscsi] {
-            cells.push((files, proto));
-        }
-    }
-    let sweep = Sweep::new();
-    let snaps = sweep.snapshots();
-    let results = sweep.run(cells.len(), |cell| {
-        let (files, proto) = cells[cell.index];
-        let mut frag = ReportBuilder::new("");
-        let r = postmark_run_seeded(
-            proto,
-            files,
-            transactions,
-            Some(cell.seed),
-            Some(&mut frag),
-            snaps,
-        );
-        (r, frag.finish())
-    });
-    let mut runs = Vec::with_capacity(cells.len());
-    for (r, frag) in results {
-        rb.merge_report(&frag);
-        runs.push(r);
-    }
-    for (i, &files) in file_counts.iter().enumerate() {
-        let n = runs[2 * i];
-        let s = runs[2 * i + 1];
+    for (&files, pair) in file_counts.iter().zip(runs.chunks(2)) {
+        let (n, s) = (pair[0], pair[1]);
         t.row(&[
             files.to_string(),
             fmt_secs(n.time),
@@ -170,50 +136,26 @@ pub fn table5_report_with(file_counts: &[usize], transactions: usize) -> (Table,
             s.messages.to_string(),
         ]);
     }
-    (t, rb.finish())
-}
-
-/// **Table 5** at the paper's scale (1k/5k/25k files, 100k
-/// transactions).
-pub fn table5() -> Table {
-    table5_with(&[1000, 5000, 25_000], 100_000)
-}
-
-/// **Table 5** report variant at the paper's scale.
-pub fn table5_report() -> (Table, RunReport) {
-    table5_report_with(&[1000, 5000, 25_000], 100_000)
+    (t, report)
 }
 
 /// One database-benchmark result.
 #[derive(Debug, Clone, Copy)]
-pub struct DbRun {
-    /// Protocol measured.
-    pub protocol: Protocol,
+struct DbRun {
     /// Throughput (tpm for OLTP, qph for DSS).
-    pub throughput: f64,
+    throughput: f64,
     /// Protocol messages during the measured phase.
-    pub messages: u64,
+    messages: u64,
 }
 
-/// Runs the TPC-C-style emulation.
-pub fn oltp_run(protocol: Protocol, cfg: OltpConfig) -> DbRun {
-    oltp_run_seeded(protocol, cfg, None, None, &SnapshotCache::new())
-}
-
-fn oltp_run_seeded(
-    protocol: Protocol,
-    cfg: OltpConfig,
-    seed: Option<u64>,
-    rb: Option<&mut ReportBuilder>,
-    cache: &SnapshotCache,
-) -> DbRun {
+/// One TPC-C-style cell.
+fn oltp_cell(protocol: Protocol, cfg: OltpConfig, ctx: &mut CellCtx<'_>) -> DbRun {
     let config = TestbedConfig::new(protocol);
-    let seed = seed.unwrap_or(config.seed);
     // The bulk load depends only on the page count; the transaction
     // mix is measure-phase (its RNG stream is cfg.seed, not the
     // testbed's), so every mix forks the same loaded database.
     let key = SetupKey::for_config(&config, &format!("oltp:/tpcc.db:pages{}", cfg.db_pages));
-    let tb = snapshot_cell(cache, key, seed, |setup_seed| {
+    let tb = ctx.fork(key, |setup_seed| {
         let tb = Testbed::with_protocol_seeded(protocol, setup_seed);
         let fd = oltp::load(tb.fs(), "/tpcc.db", cfg).expect("load");
         tb.fs().close(fd).unwrap();
@@ -225,82 +167,18 @@ fn oltp_run_seeded(
     tb.settle();
     let m0 = tb.messages();
     let r = oltp::run(tb.fs(), tb.sim(), db, log, cfg).expect("oltp");
-    if let Some(rb) = rb {
-        rb.absorb(&tb);
-    }
+    ctx.absorb(&tb);
     DbRun {
-        protocol,
         throughput: r.tpm,
         messages: tb.messages() - m0,
     }
 }
 
-/// **Table 6** with configurable scale. Throughput is normalized to
-/// NFS v3 = 1.0 as in the paper (unaudited runs).
-pub fn table6_with(cfg: OltpConfig) -> Table {
-    table6_report_with(cfg).0
-}
-
-/// [`table6_with`] plus its machine-readable run report.
-pub fn table6_report_with(cfg: OltpConfig) -> (Table, RunReport) {
-    let mut rb = ReportBuilder::new("table6");
-    let sweep = Sweep::new();
-    let snaps = sweep.snapshots();
-    let results = sweep.run(2, |cell| {
-        let proto = [Protocol::NfsV3, Protocol::Iscsi][cell.index];
-        let mut frag = ReportBuilder::new("");
-        let r = oltp_run_seeded(proto, cfg, Some(cell.seed), Some(&mut frag), snaps);
-        (r, frag.finish())
-    });
-    let mut runs = Vec::with_capacity(2);
-    for (r, frag) in results {
-        rb.merge_report(&frag);
-        runs.push(r);
-    }
-    let (n, s) = (runs[0], runs[1]);
-    let mut t = Table::new(
-        "Table 6: TPC-C (normalized tpmC)",
-        &["metric", "NFSv3", "iSCSI"],
-    );
-    t.row(&[
-        "throughput (x NFSv3)".into(),
-        "1.00".into(),
-        fmt_f(s.throughput / n.throughput),
-    ]);
-    t.row(&[
-        "messages".into(),
-        n.messages.to_string(),
-        s.messages.to_string(),
-    ]);
-    (t, rb.finish())
-}
-
-/// **Table 6** at a representative scale.
-pub fn table6() -> Table {
-    table6_with(OltpConfig::default())
-}
-
-/// **Table 6** report variant at a representative scale.
-pub fn table6_report() -> (Table, RunReport) {
-    table6_report_with(OltpConfig::default())
-}
-
-/// Runs the TPC-H-style emulation.
-pub fn dss_run(protocol: Protocol, cfg: DssConfig) -> DbRun {
-    dss_run_seeded(protocol, cfg, None, None, &SnapshotCache::new())
-}
-
-fn dss_run_seeded(
-    protocol: Protocol,
-    cfg: DssConfig,
-    seed: Option<u64>,
-    rb: Option<&mut ReportBuilder>,
-    cache: &SnapshotCache,
-) -> DbRun {
+/// One TPC-H-style cell.
+fn dss_cell(protocol: Protocol, cfg: DssConfig, ctx: &mut CellCtx<'_>) -> DbRun {
     let config = TestbedConfig::new(protocol);
-    let seed = seed.unwrap_or(config.seed);
     let key = SetupKey::for_config(&config, &format!("dss:/tpch.db:pages{}", cfg.db_pages));
-    let tb = snapshot_cell(cache, key, seed, |setup_seed| {
+    let tb = ctx.fork(key, |setup_seed| {
         let tb = Testbed::with_protocol_seeded(protocol, setup_seed);
         let fd = dss::load(tb.fs(), "/tpch.db", cfg).expect("load");
         tb.fs().close(fd).unwrap();
@@ -311,42 +189,27 @@ fn dss_run_seeded(
     let db = tb.fs().open("/tpch.db").unwrap();
     let m0 = tb.messages();
     let r = dss::run(tb.fs(), tb.sim(), db, cfg).expect("dss");
-    if let Some(rb) = rb {
-        rb.absorb(&tb);
-    }
+    ctx.absorb(&tb);
     DbRun {
-        protocol,
         throughput: r.qph,
         messages: tb.messages() - m0,
     }
 }
 
-/// **Table 7** with configurable scale (normalized QphH).
-pub fn table7_with(cfg: DssConfig) -> Table {
-    table7_report_with(cfg).0
-}
-
-/// [`table7_with`] plus its machine-readable run report.
-pub fn table7_report_with(cfg: DssConfig) -> (Table, RunReport) {
-    let mut rb = ReportBuilder::new("table7");
-    let sweep = Sweep::new();
-    let snaps = sweep.snapshots();
-    let results = sweep.run(2, |cell| {
-        let proto = [Protocol::NfsV3, Protocol::Iscsi][cell.index];
-        let mut frag = ReportBuilder::new("");
-        let r = dss_run_seeded(proto, cfg, Some(cell.seed), Some(&mut frag), snaps);
-        (r, frag.finish())
-    });
-    let mut runs = Vec::with_capacity(2);
-    for (r, frag) in results {
-        rb.merge_report(&frag);
-        runs.push(r);
-    }
+/// Tables 6 and 7: one database benchmark on NFS v3 and iSCSI,
+/// throughput normalized to NFS v3 = 1.0 as in the paper (unaudited
+/// runs).
+fn table_db(
+    name: &str,
+    title: &str,
+    options: RunOptions,
+    cell: impl Fn(Protocol, &mut CellCtx<'_>) -> DbRun + Sync,
+) -> (Table, RunReport) {
+    let protocols = [Protocol::NfsV3, Protocol::Iscsi];
+    let (runs, report) =
+        Sweep::new(options).run_cells(name, &protocols, None, |&proto, ctx| cell(proto, ctx));
     let (n, s) = (runs[0], runs[1]);
-    let mut t = Table::new(
-        "Table 7: TPC-H (normalized QphH@1GB)",
-        &["metric", "NFSv3", "iSCSI"],
-    );
+    let mut t = Table::new(title, &["metric", "NFSv3", "iSCSI"]);
     t.row(&[
         "throughput (x NFSv3)".into(),
         "1.00".into(),
@@ -357,87 +220,75 @@ pub fn table7_report_with(cfg: DssConfig) -> (Table, RunReport) {
         n.messages.to_string(),
         s.messages.to_string(),
     ]);
-    (t, rb.finish())
+    (t, report)
 }
 
-/// **Table 7** at the paper's scale factor 1 (1 GB).
-pub fn table7() -> Table {
-    table7_with(DssConfig::default())
+/// **Table 6**: the TPC-C-style emulation (normalized tpmC).
+pub fn table6(options: RunOptions, cfg: OltpConfig) -> (Table, RunReport) {
+    table_db(
+        "table6",
+        "Table 6: TPC-C (normalized tpmC)",
+        options,
+        |proto, ctx| oltp_cell(proto, cfg, ctx),
+    )
 }
 
-/// **Table 7** report variant at the paper's scale.
-pub fn table7_report() -> (Table, RunReport) {
-    table7_report_with(DssConfig::default())
+/// **Table 7**: the TPC-H-style emulation (normalized QphH; the paper
+/// runs scale factor 1, 1 GB).
+pub fn table7(options: RunOptions, cfg: DssConfig) -> (Table, RunReport) {
+    table_db(
+        "table7",
+        "Table 7: TPC-H (normalized QphH@1GB)",
+        options,
+        |proto, ctx| dss_cell(proto, cfg, ctx),
+    )
 }
 
-/// **Table 8** with a configurable tree.
-pub fn table8_with(spec: TreeSpec) -> Table {
-    table8_report_with(spec).0
-}
-
-/// [`table8_with`] plus its machine-readable run report.
-pub fn table8_report_with(spec: TreeSpec) -> (Table, RunReport) {
-    let mut rb = ReportBuilder::new("table8");
+/// **Table 8**: shell workload completion times over `spec`'s tree.
+pub fn table8(options: RunOptions, spec: TreeSpec) -> (Table, RunReport) {
+    const BENCHES: [&str; 4] = ["tar -xzf", "ls -lR", "kernel compile", "rm -rf"];
+    let protocols = [Protocol::NfsV3, Protocol::Iscsi];
+    let (times, report) =
+        Sweep::new(options).run_cells("table8", &protocols, None, |&proto, ctx| {
+            // No setup to share: the tree is extracted, listed,
+            // compiled and removed on one testbed.
+            let tb = ctx.build(TestbedConfig::new(proto));
+            let sim = tb.sim().clone();
+            // Each phase starts cold, as in separately-run benchmarks.
+            let tar = shell::tar_extract(tb.fs(), &sim, "/src", &spec).unwrap();
+            tb.settle();
+            tb.cold_caches();
+            let ls = shell::ls_lr(tb.fs(), &sim, "/src", &spec).unwrap();
+            tb.settle();
+            tb.cold_caches();
+            let comp = shell::compile(tb.fs(), &sim, "/src", &spec).unwrap();
+            tb.settle();
+            tb.cold_caches();
+            let rm = shell::rm_rf(tb.fs(), &sim, "/src").unwrap();
+            ctx.absorb(&tb);
+            [tar, ls, comp, rm]
+        });
     let mut t = Table::new(
         "Table 8: shell workload completion times (s)",
         &["benchmark", "NFSv3", "iSCSI"],
     );
-    let mut results: Vec<[String; 3]> = vec![
-        ["tar -xzf".into(), String::new(), String::new()],
-        ["ls -lR".into(), String::new(), String::new()],
-        ["kernel compile".into(), String::new(), String::new()],
-        ["rm -rf".into(), String::new(), String::new()],
-    ];
-    let protos = [Protocol::NfsV3, Protocol::Iscsi];
-    let sweep_out = Sweep::new().run(protos.len(), |cell| {
-        let tb = Testbed::with_protocol_seeded(protos[cell.index], cell.seed);
-        let sim = tb.sim().clone();
-        // Each phase starts cold, as in separately-run benchmarks.
-        let tar = shell::tar_extract(tb.fs(), &sim, "/src", &spec).unwrap();
-        tb.settle();
-        tb.cold_caches();
-        let ls = shell::ls_lr(tb.fs(), &sim, "/src", &spec).unwrap();
-        tb.settle();
-        tb.cold_caches();
-        let comp = shell::compile(tb.fs(), &sim, "/src", &spec).unwrap();
-        tb.settle();
-        tb.cold_caches();
-        let rm = shell::rm_rf(tb.fs(), &sim, "/src").unwrap();
-        let mut frag = ReportBuilder::new("");
-        frag.absorb(&tb);
-        ([tar, ls, comp, rm], frag.finish())
-    });
-    for (col, (times, frag)) in sweep_out.into_iter().enumerate() {
-        rb.merge_report(&frag);
-        for (row, time) in times.into_iter().enumerate() {
-            results[row][col + 1] = fmt_secs(time);
-        }
+    for (row, bench) in BENCHES.iter().enumerate() {
+        t.row(&[
+            bench.to_string(),
+            fmt_secs(times[0][row]),
+            fmt_secs(times[1][row]),
+        ]);
     }
-    for r in &results {
-        t.row(&[r[0].clone(), r[1].clone(), r[2].clone()]);
-    }
-    (t, rb.finish())
-}
-
-/// **Table 8** at the default (scaled-kernel) tree.
-pub fn table8() -> Table {
-    table8_with(TreeSpec::default())
-}
-
-/// **Table 8** report variant at the default tree.
-pub fn table8_report() -> (Table, RunReport) {
-    table8_report_with(TreeSpec::default())
+    (t, report)
 }
 
 /// Utilization measurements for one benchmark on one protocol.
 #[derive(Debug, Clone, Copy)]
-pub struct CpuRun {
-    /// Protocol measured.
-    pub protocol: Protocol,
+struct CpuRun {
     /// p95 of 2-second-window server CPU utilization.
-    pub server_p95: f64,
+    server_p95: f64,
     /// p95 of 2-second-window client CPU utilization.
-    pub client_p95: f64,
+    client_p95: f64,
 }
 
 fn p95(tb: &Testbed, from: SimTime) -> (f64, f64) {
@@ -449,37 +300,25 @@ fn p95(tb: &Testbed, from: SimTime) -> (f64, f64) {
     )
 }
 
-/// Runs the three macro-benchmarks and samples CPU utilization.
-pub fn cpu_runs(
+/// Runs the three macro-benchmarks on `protocol` and samples CPU
+/// utilization: one sweep, one cell per benchmark.
+fn cpu_runs(
+    options: RunOptions,
     protocol: Protocol,
     pm_files: usize,
     pm_txns: usize,
     oltp_cfg: OltpConfig,
     dss_cfg: DssConfig,
-) -> [(&'static str, CpuRun); 3] {
-    cpu_runs_into(protocol, pm_files, pm_txns, oltp_cfg, dss_cfg, None)
-}
-
-fn cpu_runs_into(
-    protocol: Protocol,
-    pm_files: usize,
-    pm_txns: usize,
-    oltp_cfg: OltpConfig,
-    dss_cfg: DssConfig,
-    mut rb: Option<&mut ReportBuilder>,
-) -> [(&'static str, CpuRun); 3] {
-    const BENCHES: [&str; 3] = ["PostMark", "TPC-C", "TPC-H"];
+) -> (Vec<CpuRun>, RunReport) {
     // Utilization windows cover the measured (post-fork) phase: the
     // steady-state load the paper's vmstat sampling observed, not the
     // one-time bulk load.
-    let sweep = Sweep::new();
-    let snaps = sweep.snapshots();
-    let results = sweep.run(BENCHES.len(), |cell| {
+    Sweep::new(options).run_cells("", &CPU_BENCHES, None, |&bench, ctx| {
         let config = TestbedConfig::new(protocol);
-        let (run, tb) = match BENCHES[cell.index] {
+        let (run, tb) = match bench {
             "PostMark" => {
                 let pm = pm_config(pm_files, pm_txns);
-                let tb = snapshot_cell(snaps, pm_key(&config, &pm), cell.seed, |setup_seed| {
+                let tb = ctx.fork(pm_key(&config, &pm), |setup_seed| {
                     pm_setup(protocol, pm, setup_seed)
                 });
                 let mut session = postmark::Session::new(tb.fs(), "/postmark", pm);
@@ -490,7 +329,6 @@ fn cpu_runs_into(
                 let (s, c) = p95(&tb, t0);
                 (
                     CpuRun {
-                        protocol,
                         server_p95: s,
                         client_p95: c,
                     },
@@ -500,7 +338,7 @@ fn cpu_runs_into(
             "TPC-C" => {
                 let key =
                     SetupKey::for_config(&config, &format!("oltp:/db:pages{}", oltp_cfg.db_pages));
-                let tb = snapshot_cell(snaps, key, cell.seed, |setup_seed| {
+                let tb = ctx.fork(key, |setup_seed| {
                     let tb = Testbed::with_protocol_seeded(protocol, setup_seed);
                     let fd = oltp::load(tb.fs(), "/db", oltp_cfg).expect("load");
                     tb.fs().close(fd).unwrap();
@@ -518,7 +356,6 @@ fn cpu_runs_into(
                 let (s, _c) = p95(&tb, t0);
                 (
                     CpuRun {
-                        protocol,
                         server_p95: s,
                         client_p95: 1.0, // DB clients are CPU-saturated (paper Table 10)
                     },
@@ -528,7 +365,7 @@ fn cpu_runs_into(
             _ => {
                 let key =
                     SetupKey::for_config(&config, &format!("dss:/db:pages{}", dss_cfg.db_pages));
-                let tb = snapshot_cell(snaps, key, cell.seed, |setup_seed| {
+                let tb = ctx.fork(key, |setup_seed| {
                     let tb = Testbed::with_protocol_seeded(protocol, setup_seed);
                     let fd = dss::load(tb.fs(), "/db", dss_cfg).expect("load");
                     tb.fs().close(fd).unwrap();
@@ -540,7 +377,6 @@ fn cpu_runs_into(
                 let (s, _c) = p95(&tb, t0);
                 (
                     CpuRun {
-                        protocol,
                         server_p95: s,
                         client_p95: 1.0,
                     },
@@ -548,56 +384,27 @@ fn cpu_runs_into(
                 )
             }
         };
-        let mut frag = ReportBuilder::new("");
-        frag.absorb(&tb);
-        (run, frag.finish())
-    });
-    let mut out = Vec::with_capacity(BENCHES.len());
-    for (name, (run, frag)) in BENCHES.iter().zip(results) {
-        if let Some(rb) = rb.as_deref_mut() {
-            rb.merge_report(&frag);
-        }
-        out.push((*name, run));
-    }
-    out.try_into().unwrap()
+        ctx.absorb(&tb);
+        run
+    })
 }
 
-/// **Tables 9 and 10** with configurable scale: p95 server and client
-/// CPU utilization for the three macro-benchmarks.
-pub fn table9_10_with(
-    pm_files: usize,
-    pm_txns: usize,
-    oltp_cfg: OltpConfig,
-    dss_cfg: DssConfig,
-) -> (Table, Table) {
-    let (t9, t10, _) = table9_10_report_with(pm_files, pm_txns, oltp_cfg, dss_cfg);
-    (t9, t10)
-}
+const CPU_BENCHES: [&str; 3] = ["PostMark", "TPC-C", "TPC-H"];
 
-/// [`table9_10_with`] plus the machine-readable run report.
-pub fn table9_10_report_with(
+/// **Tables 9 and 10**: p95 server and client CPU utilization for the
+/// three macro-benchmarks.
+pub fn table9_10(
+    options: RunOptions,
     pm_files: usize,
     pm_txns: usize,
     oltp_cfg: OltpConfig,
     dss_cfg: DssConfig,
 ) -> (Table, Table, RunReport) {
-    let mut rb = ReportBuilder::new("table9_10");
-    let nfs = cpu_runs_into(
-        Protocol::NfsV3,
-        pm_files,
-        pm_txns,
-        oltp_cfg,
-        dss_cfg,
-        Some(&mut rb),
-    );
-    let iscsi = cpu_runs_into(
-        Protocol::Iscsi,
-        pm_files,
-        pm_txns,
-        oltp_cfg,
-        dss_cfg,
-        Some(&mut rb),
-    );
+    // One sweep per protocol: the first one's setups are dropped
+    // before the second one's are built.
+    let runs = |protocol| cpu_runs(options, protocol, pm_files, pm_txns, oltp_cfg, dss_cfg);
+    let (nfs, nfs_report) = runs(Protocol::NfsV3);
+    let (iscsi, iscsi_report) = runs(Protocol::Iscsi);
     let mut t9 = Table::new(
         "Table 9: server CPU utilization (p95 of 2s windows)",
         &["benchmark", "NFSv3", "iSCSI"],
@@ -606,9 +413,7 @@ pub fn table9_10_report_with(
         "Table 10: client CPU utilization (p95 of 2s windows)",
         &["benchmark", "NFSv3", "iSCSI"],
     );
-    for i in 0..3 {
-        let (name, n) = nfs[i];
-        let (_, s) = iscsi[i];
+    for (name, (n, s)) in CPU_BENCHES.iter().zip(nfs.iter().zip(&iscsi)) {
         t9.row(&[
             name.to_string(),
             format!("{:.0}%", n.server_p95 * 100.0),
@@ -620,24 +425,6 @@ pub fn table9_10_report_with(
             format!("{:.0}%", s.client_p95 * 100.0),
         ]);
     }
-    (t9, t10, rb.finish())
-}
-
-/// **Tables 9/10** at a representative scale.
-pub fn table9_10() -> (Table, Table) {
-    let (t9, t10, _) = table9_10_report();
-    (t9, t10)
-}
-
-/// [`table9_10`] plus the machine-readable run report.
-pub fn table9_10_report() -> (Table, Table, RunReport) {
-    table9_10_report_with(
-        5000,
-        20_000,
-        OltpConfig::default(),
-        DssConfig {
-            db_pages: 65_536, // 256 MB keeps the CPU sweep affordable
-            ..DssConfig::default()
-        },
-    )
+    let report = RunReport::merged("table9_10", &[nfs_report, iscsi_report]);
+    (t9, t10, report)
 }

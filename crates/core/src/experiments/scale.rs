@@ -41,10 +41,10 @@
 //! `T_i`) or the server CPU (the second term) saturates, and then
 //! flattens — the curve `BENCH_scale.json` records.
 
-use super::closedloop::{build_pools, run_clients, CellCtx};
-use crate::report::{ReportBuilder, RunReport};
-use crate::snapshot::{snapshot_cell_with, SetupKey, SnapshotCache};
-use crate::sweep::Sweep;
+use super::closedloop::{build_pools, run_clients};
+use crate::report::RunReport;
+use crate::snapshot::{SetupKey, SnapshotCache};
+use crate::sweep::{CellCtx, RunOptions, Sweep};
 use crate::table::{fmt_f, Table};
 use crate::{Protocol, TopologyConfig};
 use simkit::{Histogram, SimDuration};
@@ -81,7 +81,8 @@ pub struct ScaleRun {
     pub tcp_retx_segs: u64,
 }
 
-/// Runs one cell: `clients` interleaved PostMark sessions.
+/// Runs one cell outside any sweep: `clients` interleaved PostMark
+/// sessions.
 pub fn scale_run(
     protocol: Protocol,
     clients: usize,
@@ -89,14 +90,8 @@ pub fn scale_run(
     transactions: usize,
 ) -> ScaleRun {
     let cache = SnapshotCache::new();
-    scale_run_seeded(
-        protocol,
-        clients,
-        files,
-        transactions,
-        None,
-        CellCtx::standalone(&cache),
-    )
+    let ctx = &mut CellCtx::standalone(&cache);
+    scale_cell(protocol, clients, files, transactions, None, ctx)
 }
 
 /// [`scale_run`] with the server link overridden at fork time — the
@@ -114,26 +109,19 @@ pub fn scale_run_congested(
     link: net::LinkParams,
 ) -> ScaleRun {
     let cache = SnapshotCache::new();
-    scale_run_seeded(
-        protocol,
-        clients,
-        files,
-        transactions,
-        Some(link),
-        CellCtx::standalone(&cache),
-    )
+    let ctx = &mut CellCtx::standalone(&cache);
+    scale_cell(protocol, clients, files, transactions, Some(link), ctx)
 }
 
-fn scale_run_seeded(
+fn scale_cell(
     protocol: Protocol,
     clients: usize,
     files: usize,
     transactions: usize,
     link: Option<net::LinkParams>,
-    ctx: CellCtx<'_>,
+    ctx: &mut CellCtx<'_>,
 ) -> ScaleRun {
     let topo = TopologyConfig::new(protocol).with_clients(clients);
-    let seed = ctx.seed.unwrap_or(topo.base.seed);
     // Phase 1 is the snapshot: every client's pool plus the shared
     // file, identical for every transaction count — all scales fork
     // the same captured topology.
@@ -143,7 +131,7 @@ fn scale_run_seeded(
             c.link = l;
         }
     };
-    let tb = snapshot_cell_with(ctx.cache, key, seed, tweak, |setup_seed| {
+    let tb = ctx.fork_with(key, tweak, |setup_seed| {
         build_pools(topo, files, setup_seed)
     });
 
@@ -164,9 +152,7 @@ fn scale_run_seeded(
     let counters = tb.sim().counters();
     let getattrs = counters.delta_since(&run.before, "nfs.server.proc.getattr");
     let tcp_retx_segs = counters.delta_since(&run.before, "net.tcp.retx_segs");
-    if let Some(rb) = ctx.rb {
-        rb.absorb(&tb);
-    }
+    ctx.absorb(&tb);
     ScaleRun {
         protocol,
         clients,
@@ -183,25 +169,37 @@ fn scale_run_seeded(
     }
 }
 
-/// The scaling experiment over `client_counts`, both protocols, as a
-/// rendered table plus the machine-readable report.
-pub fn scale_report_with(
+/// The scaling experiment over `client_counts` × both protocols (NFS
+/// v3 then iSCSI per count; the default grid is N ∈ {1, 2, 4, 8, 12,
+/// 16}, 500 files and 2 000 transactions per client): the per-cell
+/// runs plus the machine-readable report. `link` overrides the server
+/// link at fork time, as in [`scale_run_congested`]. Render the runs
+/// with [`scale_table`].
+pub fn scale(
+    options: RunOptions,
     client_counts: &[usize],
     files: usize,
     transactions: usize,
-) -> (Table, RunReport) {
-    scale_report_jobs(client_counts, files, transactions, Sweep::new().jobs())
+    link: Option<net::LinkParams>,
+) -> (Vec<ScaleRun>, RunReport) {
+    let mut cells: Vec<(usize, Protocol)> = Vec::new();
+    for &n in client_counts {
+        for proto in [Protocol::NfsV3, Protocol::Iscsi] {
+            cells.push((n, proto));
+        }
+    }
+    // Cost hint: a cell's work scales with its client count, so
+    // workers claim the big topologies first.
+    Sweep::new(options).run_cells(
+        "scale",
+        &cells,
+        Some(|&(n, _)| n as u64),
+        |&(n, proto), ctx| scale_cell(proto, n, files, transactions, link, ctx),
+    )
 }
 
-/// [`scale_report_with`] with an explicit sweep worker count; the
-/// output is byte-identical for every `jobs` value.
-pub fn scale_report_jobs(
-    client_counts: &[usize],
-    files: usize,
-    transactions: usize,
-    jobs: usize,
-) -> (Table, RunReport) {
-    let mut rb = ReportBuilder::new("scale");
+/// Renders [`scale`]'s runs: one row per client count.
+pub fn scale_table(runs: &[ScaleRun], transactions: usize) -> Table {
     let mut t = Table::new(
         format!("Scale: PostMark x N clients, {transactions} transactions each"),
         &[
@@ -217,38 +215,10 @@ pub fn scale_report_jobs(
             "NFSv3 getattrs",
         ],
     );
-    let mut cells: Vec<(usize, Protocol)> = Vec::new();
-    for &n in client_counts {
-        for proto in [Protocol::NfsV3, Protocol::Iscsi] {
-            cells.push((n, proto));
-        }
-    }
-    // Cost hint: a cell's work scales with its client count, so
-    // workers claim the big topologies first.
-    let costs: Vec<u64> = cells.iter().map(|&(n, _)| n as u64).collect();
-    let sweep = Sweep::with_jobs(jobs);
-    let snaps = sweep.snapshots();
-    let results = sweep.run_with_costs(cells.len(), &costs, |cell| {
-        let (n, proto) = cells[cell.index];
-        let mut frag = ReportBuilder::new("");
-        let ctx = CellCtx {
-            seed: Some(cell.seed),
-            rb: Some(&mut frag),
-            cache: snaps,
-        };
-        let r = scale_run_seeded(proto, n, files, transactions, None, ctx);
-        (r, frag.finish())
-    });
-    let mut runs = Vec::with_capacity(cells.len());
-    for (r, frag) in results {
-        rb.merge_report(&frag);
-        runs.push(r);
-    }
-    for (i, &n) in client_counts.iter().enumerate() {
-        let nf = runs[2 * i];
-        let is = runs[2 * i + 1];
+    for pair in runs.chunks(2) {
+        let (nf, is) = (pair[0], pair[1]);
         t.row(&[
-            n.to_string(),
+            nf.clients.to_string(),
             fmt_f(nf.ops_per_sec),
             fmt_f(is.ops_per_sec),
             fmt_f(nf.server_cpu_pct),
@@ -260,65 +230,7 @@ pub fn scale_report_jobs(
             nf.getattrs.to_string(),
         ]);
     }
-    (t, rb.finish())
-}
-
-/// [`scale_report_with`] at the default scale: N ∈ {1, 2, 4, 8, 12,
-/// 16}, 500 files and 2 000 transactions per client.
-pub fn scale_report() -> (Table, RunReport) {
-    scale_report_with(&[1, 2, 4, 8, 12, 16], 500, 2000)
-}
-
-/// The per-cell runs of [`scale_report`]'s grid, for callers that want
-/// the raw curve (the `scale_bench` binary).
-pub fn scale_curve(client_counts: &[usize], files: usize, transactions: usize) -> Vec<ScaleRun> {
-    let mut cells: Vec<(usize, Protocol)> = Vec::new();
-    for &n in client_counts {
-        for proto in [Protocol::NfsV3, Protocol::Iscsi] {
-            cells.push((n, proto));
-        }
-    }
-    let costs: Vec<u64> = cells.iter().map(|&(n, _)| n as u64).collect();
-    let sweep = Sweep::new();
-    let snaps = sweep.snapshots();
-    sweep.run_with_costs(cells.len(), &costs, |cell| {
-        let (n, proto) = cells[cell.index];
-        let ctx = CellCtx {
-            seed: Some(cell.seed),
-            rb: None,
-            cache: snaps,
-        };
-        scale_run_seeded(proto, n, files, transactions, None, ctx)
-    })
-}
-
-/// [`scale_curve`] under a congested link: every cell forks the same
-/// setup snapshots as the uncongested curve, then measures with the
-/// overridden link (the `tcp_bench` binary's MC/S comparison).
-pub fn scale_curve_congested(
-    client_counts: &[usize],
-    files: usize,
-    transactions: usize,
-    link: net::LinkParams,
-) -> Vec<ScaleRun> {
-    let mut cells: Vec<(usize, Protocol)> = Vec::new();
-    for &n in client_counts {
-        for proto in [Protocol::NfsV3, Protocol::Iscsi] {
-            cells.push((n, proto));
-        }
-    }
-    let costs: Vec<u64> = cells.iter().map(|&(n, _)| n as u64).collect();
-    let sweep = Sweep::new();
-    let snaps = sweep.snapshots();
-    sweep.run_with_costs(cells.len(), &costs, |cell| {
-        let (n, proto) = cells[cell.index];
-        let ctx = CellCtx {
-            seed: Some(cell.seed),
-            rb: None,
-            cache: snaps,
-        };
-        scale_run_seeded(proto, n, files, transactions, Some(link), ctx)
-    })
+    t
 }
 
 #[cfg(test)]
@@ -377,14 +289,7 @@ mod tests {
 
     #[test]
     fn report_carries_per_host_latency_histograms() {
-        let mut rb = ReportBuilder::new("t");
-        let ctx = CellCtx {
-            seed: None,
-            rb: Some(&mut rb),
-            cache: &SnapshotCache::new(),
-        };
-        scale_run_seeded(Protocol::NfsV3, 2, 40, 80, None, ctx);
-        let rep = rb.finish();
+        let (_, rep) = scale(RunOptions::default(), &[2], 40, 80, None);
         assert!(rep.histograms.contains_key("scale.c0.txn"));
         assert!(rep.histograms.contains_key("scale.c1.txn"));
         assert!(rep.counters.keys().any(|k| k.starts_with("net.c1.")));

@@ -18,7 +18,10 @@
 //! shape, from the paper's pair to N clients over M server shards
 //! ([`TopologyConfig`], placed by a [`ShardPolicy`]).
 //!
-//! The [`experiments`] module regenerates every result:
+//! The [`experiments`] module regenerates every result. A runner takes
+//! the run's [`RunOptions`] plus its own scale parameters; the
+//! paper-scale and `--quick` parameters, and the names the `tables`
+//! binary selects by, are [`experiments::REGISTRY`].
 //!
 //! | Paper result | Runner |
 //! |---|---|
@@ -27,12 +30,13 @@
 //! | Figure 4 (directory depth) | [`experiments::micro::figure4`] |
 //! | Figure 5 (read/write sizes) | [`experiments::micro::figure5`] |
 //! | Table 4 (128 MB transfers) | [`experiments::data::table4`] |
-//! | Figure 6 (RTT sweep) | [`experiments::data::figure6`] |
+//! | Figure 6 (RTT sweep; under modeled TCP) | [`experiments::data::figure6`], [`experiments::data::figure6_tcp`] |
 //! | Table 5 (PostMark) | [`experiments::macrob::table5`] |
 //! | Table 6/7 (TPC-C / TPC-H) | [`experiments::macrob::table6`], [`experiments::macrob::table7`] |
 //! | Table 8 (shell workloads) | [`experiments::macrob::table8`] |
 //! | Table 9/10 (CPU utilization) | [`experiments::macrob::table9_10`] |
-//! | Figure 7 + §7 (traces, enhancements) | [`experiments::enhance::figure7`], [`experiments::enhance::section7`] |
+//! | Figure 7 + §7 (traces, enhancements) | [`experiments::enhance::figure7`], [`experiments::enhance::section7_traces`], [`experiments::enhance::section7_postmark`] |
+//! | Beyond the paper: N clients, M shards, ablations | [`experiments::scale::scale`], [`experiments::frontier::frontier`], [`experiments::ablation::all`] |
 
 pub mod attribution;
 pub mod calibration;
@@ -44,14 +48,11 @@ pub mod sweep;
 pub mod table;
 mod testbed;
 
-pub use attribution::{
-    attribution_enabled, attribution_table, gauge_table, set_attribution_enabled,
-};
+pub use attribution::{attribution_table, gauge_table};
 pub use plot::{Plot, Series};
 pub use report::{ChannelStats, ReportBuilder, RunReport};
-pub use snapshot::{
-    set_snapshots_enabled, snapshots_enabled, SetupInfo, SetupKey, Snapshot, SnapshotCache,
-};
+pub use snapshot::{SetupInfo, SetupKey, Snapshot, SnapshotCache};
+pub use sweep::RunOptions;
 pub use table::Table;
 pub use testbed::{Protocol, ShardPolicy, Testbed, TestbedConfig, TopologyConfig};
 

@@ -79,6 +79,19 @@ fn push_u64_map(out: &mut String, key: &str, map: &BTreeMap<String, u64>) {
 }
 
 impl RunReport {
+    /// Folds `parts` — a sweep's per-cell fragments, or the reports of
+    /// a runner's successive sweeps — into one report named `name`.
+    /// Every section merges by an associative, commutative operation
+    /// (see [`ReportBuilder::merge_report`]), so neither the order nor
+    /// the grouping of the parts can change a byte.
+    pub fn merged(name: &str, parts: &[RunReport]) -> RunReport {
+        let mut rb = ReportBuilder::new(name);
+        for part in parts {
+            rb.merge_report(part);
+        }
+        rb.finish()
+    }
+
     /// Serializes the report as one JSON line (no trailing newline).
     ///
     /// Schema: `{"report":name,"runs":n,"sim_time_ns":t,
@@ -369,16 +382,24 @@ mod tests {
             direct.absorb(&tb);
         }
         // ...must equal two per-cell fragments merged afterwards.
-        let mut merged = ReportBuilder::new("m");
-        for _ in 0..2 {
-            let tb = Testbed::with_protocol(Protocol::NfsV3);
-            tb.fs().mkdir("/a").unwrap();
-            tb.settle();
-            let mut frag = ReportBuilder::new("");
-            frag.absorb(&tb);
-            merged.merge_report(&frag.finish());
-        }
-        assert_eq!(direct.finish().to_json(), merged.finish().to_json());
+        let fragments: Vec<RunReport> = (0..2)
+            .map(|_| {
+                let tb = Testbed::with_protocol(Protocol::NfsV3);
+                tb.fs().mkdir("/a").unwrap();
+                tb.settle();
+                let mut frag = ReportBuilder::new("");
+                frag.absorb(&tb);
+                frag.finish()
+            })
+            .collect();
+        let merged = RunReport::merged("m", &fragments);
+        assert_eq!(direct.finish().to_json(), merged.to_json());
+        // ...however the fragments are grouped on the way.
+        let halves = [
+            RunReport::merged("", &fragments[..1]),
+            RunReport::merged("", &fragments[1..]),
+        ];
+        assert_eq!(RunReport::merged("m", &halves).to_json(), merged.to_json());
     }
 
     #[test]

@@ -23,7 +23,8 @@
 //! **The invariant:** snapshotting is a wall-clock optimization, never
 //! a semantic one. Every cell — cold or cache-hit — goes through the
 //! identical capture→fork path; disabling the cache (the
-//! `--no-snapshot` flag, i.e. [`set_snapshots_enabled`]) only stops
+//! `--no-snapshot` flag, i.e.
+//! [`RunOptions::share_setups`](crate::sweep::RunOptions)) only stops
 //! *sharing* across cells, so reports, counters, and histograms are
 //! byte-identical either way. CI diffs both modes on every push.
 
@@ -31,25 +32,8 @@ use crate::testbed::{ShardPolicy, Testbed, TestbedConfig, TopologyConfig};
 use blockdev::DiskImage;
 use simkit::{SimDuration, SimTime};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-
-/// Process-wide kill switch installed by [`set_snapshots_enabled`].
-static SNAPSHOTS_DISABLED: AtomicBool = AtomicBool::new(false);
-
-/// Enables or disables snapshot sharing process-wide (the `tables`
-/// binary's `--no-snapshot` flag lands here). Cells still run the
-/// capture→fork path when disabled — they just stop sharing setups,
-/// which is the debugging mode: identical output, cold wall-clock.
-pub fn set_snapshots_enabled(on: bool) {
-    SNAPSHOTS_DISABLED.store(!on, Ordering::Relaxed);
-}
-
-/// Whether snapshot sharing is currently enabled (default: yes,
-/// unless [`set_snapshots_enabled`]`(false)` was called).
-pub fn snapshots_enabled() -> bool {
-    !SNAPSHOTS_DISABLED.load(Ordering::Relaxed)
-}
 
 /// Identity of a setup prefix: the seed-normalized configuration, the
 /// client count, and a workload tag naming the setup-phase parameters
@@ -300,24 +284,21 @@ pub struct SnapshotCache {
 }
 
 impl SnapshotCache {
-    /// An empty cache with sharing enabled (subject to the process-
-    /// wide [`snapshots_enabled`] switch).
+    /// An empty cache with sharing enabled.
     pub fn new() -> SnapshotCache {
+        SnapshotCache::sharing(true)
+    }
+
+    /// An empty cache that shares setups, or (`share: false`) never
+    /// does: every `get_or_build` runs the setup. The capture→fork
+    /// path still runs, so results are byte-identical to a sharing
+    /// cache — this is `--no-snapshot`, the cold baseline for
+    /// benchmarks and the isolation property tests.
+    pub fn sharing(share: bool) -> SnapshotCache {
         SnapshotCache {
             entries: Mutex::new(HashMap::new()),
             builds: AtomicUsize::new(0),
-            share: true,
-        }
-    }
-
-    /// A cache that never shares: every `get_or_build` runs the setup.
-    /// The capture→fork path still runs, so results are byte-identical
-    /// to a sharing cache — this is the cold baseline for benchmarks
-    /// and the isolation property tests.
-    pub fn disabled() -> SnapshotCache {
-        SnapshotCache {
-            share: false,
-            ..SnapshotCache::new()
+            share,
         }
     }
 
@@ -331,7 +312,7 @@ impl SnapshotCache {
         key: &SetupKey,
         build: impl FnOnce(u64) -> Snapshot,
     ) -> Arc<Snapshot> {
-        if !(self.share && snapshots_enabled()) {
+        if !self.share {
             self.builds.fetch_add(1, Ordering::Relaxed);
             return Arc::new(build(key.setup_seed()));
         }
@@ -377,33 +358,6 @@ impl std::fmt::Debug for SnapshotCache {
             .field("share", &self.share)
             .finish()
     }
-}
-
-/// The cell-body idiom: fork a testbed for `seed` from the cached
-/// snapshot for `key`, building the setup (under the key's setup seed)
-/// if no worker has yet.
-pub fn snapshot_cell(
-    cache: &SnapshotCache,
-    key: SetupKey,
-    seed: u64,
-    setup: impl FnOnce(u64) -> Testbed,
-) -> Testbed {
-    snapshot_cell_with(cache, key, seed, |_| {}, setup)
-}
-
-/// [`snapshot_cell`] with a measure-phase config override applied at
-/// fork time (see [`Snapshot::fork_with`]).
-pub fn snapshot_cell_with(
-    cache: &SnapshotCache,
-    key: SetupKey,
-    seed: u64,
-    tweak: impl FnOnce(&mut TestbedConfig),
-    setup: impl FnOnce(u64) -> Testbed,
-) -> Testbed {
-    let snap = cache.get_or_build(&key, |setup_seed| {
-        Snapshot::capture(setup(setup_seed), key.clone())
-    });
-    snap.fork_with(seed, tweak)
 }
 
 #[cfg(test)]
@@ -612,7 +566,7 @@ mod tests {
         assert!(Arc::ptr_eq(&s1, &s2));
         assert_eq!(cache.len(), 1);
 
-        let cold = SnapshotCache::disabled();
+        let cold = SnapshotCache::sharing(false);
         let _ = cold.get_or_build(&key, |s| Snapshot::capture(setup(s), key.clone()));
         let _ = cold.get_or_build(&key, |s| Snapshot::capture(setup(s), key.clone()));
         assert_eq!(cold.builds(), 2, "disabled cache never shares");

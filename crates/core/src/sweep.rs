@@ -1,11 +1,11 @@
 //! Deterministic parallel sweep driver for the experiment runners.
 //!
 //! The paper's results are full-factorial sweeps — protocol × workload
-//! × parameter — and the cells are independent: each one builds its
-//! own [`Testbed`](crate::Testbed), runs to completion, and reduces to
-//! plain data. This module fans those cells across a worker pool (the
-//! [`simkit::sweep`] executor) while keeping output *byte-identical*
-//! to a sequential run:
+//! × parameter — and the cells are independent: each one obtains its
+//! own [`Testbed`] from its [`CellCtx`], runs to completion, and
+//! reduces to plain data. This module fans those cells across a worker
+//! pool (the [`simkit::sweep`] executor) while keeping output
+//! *byte-identical* to a sequential run:
 //!
 //! 1. every cell's RNG seed is a pure function of
 //!    `(master_seed, cell_index)` — see [`cell_seed`] — so no cell's
@@ -18,24 +18,51 @@
 //!
 //! Consequently `--jobs N` and `--jobs 1` emit the same bytes for the
 //! same master seed, which CI verifies on every push.
+//!
+//! How a run behaves is one plain value, [`RunOptions`], handed to the
+//! runner and from there to its [`Sweep`]; nothing in this crate reads
+//! a process-wide switch.
 
-use crate::snapshot::SnapshotCache;
+use crate::report::{ReportBuilder, RunReport};
+use crate::snapshot::{SetupKey, Snapshot, SnapshotCache};
+use crate::testbed::DEFAULT_SEED;
+use crate::{Testbed, TestbedConfig};
 use simkit::{sweep as engine, SplitMix64};
 use std::sync::Arc;
 
-pub use simkit::sweep::{default_jobs, max_jobs, set_default_jobs, JOBS_ENV};
+pub use simkit::sweep::{default_jobs, max_jobs, JOBS_ENV};
 
 /// Master seed all experiment sweeps derive their cell streams from.
 pub const MASTER_SEED: u64 = 42;
 
-/// One cell of a sweep: its index in the flattened cell list and the
-/// RNG seed derived for it.
+/// How an experiment runs — the three things `tables`' `--jobs`,
+/// `--no-snapshot` and `--attribution` flags set. None of them changes
+/// a byte of a runner's tables or of its report outside the
+/// `attribution` section; CI diffs every combination.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Cell {
-    /// Position in the sweep's cell list.
-    pub index: usize,
-    /// Seed for this cell's testbed, `cell_seed(master, index)`.
-    pub seed: u64,
+pub struct RunOptions {
+    /// Sweep worker threads (the executor clamps to `1..=`[`max_jobs`]).
+    pub jobs: usize,
+    /// Whether the cells of a sweep that ask for the same [`SetupKey`]
+    /// share one captured setup. Off, every cell rebuilds its setup
+    /// cold and still goes through the same capture→fork path.
+    pub share_setups: bool,
+    /// Whether every measured testbed traces its requests, so that
+    /// absorbing it folds the critical paths into the report's
+    /// `attribution` section (see [`crate::attribution`]).
+    pub attribution: bool,
+}
+
+impl Default for RunOptions {
+    /// [`default_jobs`] workers (`IPSTORAGE_JOBS`, else every core),
+    /// setups shared, no attribution.
+    fn default() -> RunOptions {
+        RunOptions {
+            jobs: default_jobs(),
+            share_setups: true,
+            attribution: false,
+        }
+    }
 }
 
 /// The RNG seed for cell `index` of a sweep under `master_seed`:
@@ -45,46 +72,125 @@ pub fn cell_seed(master_seed: u64, index: usize) -> u64 {
     SplitMix64::new(master_seed).fork(index as u64).next_u64()
 }
 
-/// A sweep configuration: worker count, master seed, and the per-run
-/// [`SnapshotCache`] its cells share setup prefixes through.
+/// What a sweep hands each of its cells: the cell's seed, its report
+/// fragment, and the only way to a measured [`Testbed`].
+pub struct CellCtx<'a> {
+    /// The cell's measure-phase seed, `cell_seed(master, index)`.
+    pub seed: u64,
+    /// `None` outside a sweep: nobody reads a stand-alone cell's report,
+    /// so its testbed is not absorbed.
+    report: Option<ReportBuilder>,
+    cache: &'a SnapshotCache,
+    attribution: bool,
+}
+
+impl<'a> CellCtx<'a> {
+    /// A cell run outside any sweep: the testbed's default seed, no
+    /// attribution, no report.
+    pub(crate) fn standalone(cache: &'a SnapshotCache) -> CellCtx<'a> {
+        CellCtx {
+            seed: DEFAULT_SEED,
+            report: None,
+            cache,
+            attribution: false,
+        }
+    }
+
+    /// Every measured testbed passes through here, which makes it the
+    /// one place attribution is switched on: after construction, so a
+    /// setup-phase testbed (built inside a `setup` closure and dropped
+    /// at capture) is never traced.
+    fn measured(&self, tb: Testbed) -> Testbed {
+        if self.attribution {
+            tb.sim().tracer().set_enabled(true);
+        }
+        tb
+    }
+
+    fn snapshot(&self, key: SetupKey, setup: impl FnOnce(u64) -> Testbed) -> Arc<Snapshot> {
+        self.cache.get_or_build(&key, |setup_seed| {
+            Snapshot::capture(setup(setup_seed), key.clone())
+        })
+    }
+
+    /// Forks the cell's testbed from the sweep's cached snapshot for
+    /// `key`, running `setup` (under the key's setup seed) if no cell
+    /// has yet.
+    pub fn fork(&self, key: SetupKey, setup: impl FnOnce(u64) -> Testbed) -> Testbed {
+        self.fork_with(key, |_| {}, setup)
+    }
+
+    /// [`fork`](Self::fork) with a measure-phase config override
+    /// applied at fork time (see [`Snapshot::fork_with`]), so one
+    /// setup serves a whole sweep over such a knob.
+    pub fn fork_with(
+        &self,
+        key: SetupKey,
+        tweak: impl FnOnce(&mut TestbedConfig),
+        setup: impl FnOnce(u64) -> Testbed,
+    ) -> Testbed {
+        self.measured(self.snapshot(key, setup).fork_with(self.seed, tweak))
+    }
+
+    /// [`fork`](Self::fork) replicated over `servers` shards (see
+    /// [`Snapshot::fork_sharded`]): `key` names the single-shard setup.
+    pub fn fork_sharded(
+        &self,
+        key: SetupKey,
+        servers: usize,
+        setup: impl FnOnce(u64) -> Testbed,
+    ) -> Testbed {
+        self.measured(
+            self.snapshot(key, setup)
+                .fork_sharded(self.seed, servers, None),
+        )
+    }
+
+    /// Builds the cell's testbed directly under the cell's seed, for a
+    /// workload with no setup phase worth sharing (Table 8 extracts,
+    /// lists, compiles and removes one tree on one testbed).
+    pub fn build(&self, mut config: TestbedConfig) -> Testbed {
+        config.seed = self.seed;
+        self.measured(Testbed::build(config))
+    }
+
+    /// Folds a finished testbed into the cell's report fragment.
+    pub fn absorb(&mut self, tb: &Testbed) {
+        if let Some(report) = &mut self.report {
+            report.absorb(tb);
+        }
+    }
+}
+
+/// One run of a cell list: its options, master seed, and the
+/// [`SnapshotCache`] its cells share setups through (dropped with the
+/// sweep, so a runner's captured setups never outlive it).
 ///
 /// # Example
 ///
 /// ```
-/// use ipstorage_core::sweep::Sweep;
-/// let squares = Sweep::with_jobs(4).run(8, |cell| cell.index * cell.index);
-/// assert_eq!(squares, Sweep::with_jobs(1).run(8, |cell| cell.index * cell.index));
+/// use ipstorage_core::sweep::{RunOptions, Sweep};
+/// let squares = |jobs| {
+///     let options = RunOptions { jobs, ..RunOptions::default() };
+///     Sweep::new(options).run_cells("squares", &[1u64, 2, 3], None, |n, _| n * n).0
+/// };
+/// assert_eq!(squares(4), squares(1));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Sweep {
-    jobs: usize,
+    options: RunOptions,
     master_seed: u64,
-    snapshots: Arc<SnapshotCache>,
-}
-
-impl Default for Sweep {
-    fn default() -> Self {
-        Sweep::new()
-    }
+    snapshots: SnapshotCache,
 }
 
 impl Sweep {
-    /// A sweep using the process default worker count
-    /// ([`default_jobs`]) and [`MASTER_SEED`].
-    pub fn new() -> Sweep {
+    /// A sweep under `options` and [`MASTER_SEED`], with an empty
+    /// setup cache.
+    pub fn new(options: RunOptions) -> Sweep {
         Sweep {
-            jobs: default_jobs(),
+            options,
             master_seed: MASTER_SEED,
-            snapshots: Arc::new(SnapshotCache::new()),
-        }
-    }
-
-    /// A sweep with an explicit worker count (clamped to at least 1
-    /// and at most [`max_jobs`] by the executor) and [`MASTER_SEED`].
-    pub fn with_jobs(jobs: usize) -> Sweep {
-        Sweep {
-            jobs: jobs.max(1),
-            ..Sweep::new()
+            snapshots: SnapshotCache::sharing(options.share_setups),
         }
     }
 
@@ -94,65 +200,72 @@ impl Sweep {
         self
     }
 
-    /// The worker count this sweep will use.
-    pub fn jobs(&self) -> usize {
-        self.jobs
-    }
-
-    /// The setup-snapshot cache this run's cells share: built once per
-    /// unique [`SetupKey`](crate::snapshot::SetupKey), handed read-only
-    /// to every worker.
+    /// The setup-snapshot cache this sweep's cells share: built once
+    /// per unique [`SetupKey`], handed read-only to every worker.
     pub fn snapshots(&self) -> &SnapshotCache {
         &self.snapshots
     }
 
-    /// Runs `n` cells and returns their results in cell-index order.
+    /// Runs `body` once per cell and returns the results in cell order
+    /// plus the cells' report fragments merged, in cell order, into one
+    /// report named `name`.
     ///
-    /// The closure must be a pure function of its [`Cell`] (build a
-    /// testbed from `cell.seed`, run, return plain data): that plus
-    /// index-ordered collection is exactly what makes a parallel sweep
-    /// reproduce the sequential bytes. (Snapshot reuse preserves this:
-    /// a snapshot is a pure function of its key, so a cell's result
-    /// does not depend on which worker built the setup.)
-    pub fn run<T, F>(&self, n: usize, f: F) -> Vec<T>
+    /// The body must be a pure function of its cell and [`CellCtx`]
+    /// (get a testbed from the context, run, absorb it, return plain
+    /// data): that plus index-ordered collection is exactly what makes
+    /// a parallel sweep reproduce the sequential bytes. (Snapshot reuse
+    /// preserves this: a snapshot is a pure function of its key, so a
+    /// cell's result does not depend on which worker built the setup.)
+    ///
+    /// `cost` is an optional per-cell estimate (any monotone proxy) so
+    /// workers claim expensive cells first; it changes the schedule,
+    /// never the output.
+    pub fn run_cells<C, R, F>(
+        &self,
+        name: &str,
+        cells: &[C],
+        cost: Option<fn(&C) -> u64>,
+        body: F,
+    ) -> (Vec<R>, RunReport)
     where
-        T: Send,
-        F: Fn(Cell) -> T + Sync,
+        C: Sync,
+        R: Send,
+        F: Fn(&C, &mut CellCtx<'_>) -> R + Sync,
     {
-        let master = self.master_seed;
-        engine::run_indexed(self.jobs, n, move |index| {
-            f(Cell {
-                index,
-                seed: cell_seed(master, index),
-            })
-        })
-    }
-
-    /// Like [`run`](Self::run), with per-cell cost estimates (any
-    /// monotone proxy) so workers claim expensive cells first. Results
-    /// are byte-identical to `run` — only the schedule changes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `costs.len() != n`.
-    pub fn run_with_costs<T, F>(&self, n: usize, costs: &[u64], f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(Cell) -> T + Sync,
-    {
-        let master = self.master_seed;
-        engine::run_indexed_hinted(self.jobs, n, costs, move |index| {
-            f(Cell {
-                index,
-                seed: cell_seed(master, index),
-            })
-        })
+        let cell = |index: usize| {
+            let mut ctx = CellCtx {
+                seed: cell_seed(self.master_seed, index),
+                report: Some(ReportBuilder::new("")),
+                cache: &self.snapshots,
+                attribution: self.options.attribution,
+            };
+            let result = body(&cells[index], &mut ctx);
+            let fragment = ctx.report.expect("a sweep cell has a report").finish();
+            (result, fragment)
+        };
+        let (jobs, n) = (self.options.jobs, cells.len());
+        let out = match cost {
+            Some(cost) => {
+                let costs: Vec<u64> = cells.iter().map(cost).collect();
+                engine::run_indexed_hinted(jobs, n, &costs, cell)
+            }
+            None => engine::run_indexed(jobs, n, cell),
+        };
+        let (results, fragments): (Vec<R>, Vec<RunReport>) = out.into_iter().unzip();
+        (results, RunReport::merged(name, &fragments))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn sweep(jobs: usize) -> Sweep {
+        Sweep::new(RunOptions {
+            jobs,
+            ..RunOptions::default()
+        })
+    }
 
     #[test]
     fn cell_seeds_are_stable_and_distinct() {
@@ -165,28 +278,58 @@ mod tests {
     }
 
     #[test]
-    fn jobs_do_not_change_results() {
-        let work = |cell: Cell| (cell.index, cell.seed, cell.seed % 17);
-        let seq = Sweep::with_jobs(1).run(40, work);
-        let par = Sweep::with_jobs(4).run(40, work);
-        assert_eq!(seq, par);
-    }
-
-    #[test]
-    fn cost_hinted_run_matches_plain_run() {
-        let work = |cell: Cell| (cell.index, cell.seed);
-        let costs: Vec<u64> = (0..12).map(|i| (i * 37) % 5).collect();
-        assert_eq!(
-            Sweep::with_jobs(4).run(12, work),
-            Sweep::with_jobs(4).run_with_costs(12, &costs, work)
-        );
+    fn jobs_and_cost_hints_do_not_change_results() {
+        let cells: Vec<u64> = (0..40).collect();
+        let work = |c: &u64, ctx: &mut CellCtx<'_>| (*c, ctx.seed, ctx.seed % 17);
+        let seq = sweep(1).run_cells("t", &cells, None, work);
+        assert_eq!(seq.0, sweep(4).run_cells("t", &cells, None, work).0);
+        let hinted = sweep(4).run_cells("t", &cells, Some(|c| (c * 37) % 5), work);
+        assert_eq!(seq.0, hinted.0);
+        assert_eq!(seq.1.name, "t");
+        assert_eq!(seq.1.runs, 0, "no cell absorbed a testbed");
     }
 
     #[test]
     fn master_seed_changes_cell_seeds_only() {
-        let a = Sweep::with_jobs(2).master_seed(7).run(4, |c| c.seed);
-        let b = Sweep::with_jobs(2).master_seed(8).run(4, |c| c.seed);
-        assert_ne!(a, b);
-        assert_eq!(a, Sweep::with_jobs(1).master_seed(7).run(4, |c| c.seed));
+        let seeds = |jobs, master| {
+            sweep(jobs)
+                .master_seed(master)
+                .run_cells("t", &[(); 4], None, |_, ctx| ctx.seed)
+                .0
+        };
+        assert_ne!(seeds(2, 7), seeds(2, 8));
+        assert_eq!(seeds(2, 7), seeds(1, 7));
+        assert_eq!(seeds(1, 7)[3], cell_seed(7, 3));
+    }
+
+    #[test]
+    fn only_a_measured_testbed_is_traced_and_only_under_attribution() {
+        let traced = |attribution| {
+            let options = RunOptions {
+                jobs: 1,
+                attribution,
+                ..RunOptions::default()
+            };
+            let protocols = [crate::Protocol::NfsV3];
+            let (flags, _) = Sweep::new(options).run_cells("t", &protocols, None, |&p, ctx| {
+                let cfg = TestbedConfig::new(p);
+                let key = SetupKey::for_config(&cfg, "sweep:traced");
+                let mut setup_traced = false;
+                let tb = ctx.fork(key, |seed| {
+                    let tb = Testbed::with_protocol_seeded(p, seed);
+                    setup_traced = tb.sim().tracer().enabled();
+                    tb
+                });
+                let built = ctx.build(cfg);
+                (
+                    setup_traced,
+                    tb.sim().tracer().enabled(),
+                    built.sim().tracer().enabled(),
+                )
+            });
+            flags[0]
+        };
+        assert_eq!(traced(true), (false, true, true));
+        assert_eq!(traced(false), (false, false, false));
     }
 }

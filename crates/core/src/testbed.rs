@@ -131,6 +131,10 @@ impl BlockDevice for CpuChargedDevice {
     }
 }
 
+/// The seed of a [`TestbedConfig`] nobody reseeded: what a run outside
+/// any sweep measures under.
+pub(crate) const DEFAULT_SEED: u64 = 42;
+
 /// Configuration of a testbed instance.
 #[derive(Debug, Clone)]
 pub struct TestbedConfig {
@@ -164,7 +168,7 @@ impl TestbedConfig {
     pub fn new(protocol: Protocol) -> TestbedConfig {
         TestbedConfig {
             protocol,
-            seed: 42,
+            seed: DEFAULT_SEED,
             link: LinkParams::gigabit_lan(),
             volume_blocks: calibration::VOLUME_BLOCKS,
             enhancements: Enhancements::default(),
@@ -632,9 +636,6 @@ impl Testbed {
         sim.tracer().clear();
         gauges.reset(sim.now());
         Self::arm_gauges(&sim, &gauges);
-        if crate::attribution::attribution_enabled() {
-            sim.tracer().set_enabled(true);
-        }
         Testbed {
             sim,
             fabric,

@@ -21,13 +21,8 @@
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Environment variable consulted by [`default_jobs`] when no explicit
-/// override is set.
+/// Environment variable consulted by [`default_jobs`].
 pub const JOBS_ENV: &str = "IPSTORAGE_JOBS";
-
-/// Process-wide override installed by [`set_default_jobs`]
-/// (0 = unset).
-static DEFAULT_JOBS: AtomicUsize = AtomicUsize::new(0);
 
 /// The machine's available parallelism — the most workers a sweep can
 /// usefully run, and the cap applied to every requested worker count.
@@ -37,23 +32,12 @@ pub fn max_jobs() -> usize {
         .unwrap_or(1)
 }
 
-/// Sets the process-wide default worker count used by sweeps that do
-/// not pass an explicit `jobs` value (the `tables --jobs N` flag lands
-/// here). Passing 0 clears the override.
-pub fn set_default_jobs(jobs: usize) {
-    DEFAULT_JOBS.store(jobs, Ordering::Relaxed);
-}
-
-/// Resolves the worker count for a sweep: the process-wide override if
-/// set, else the `IPSTORAGE_JOBS` environment variable, else the
-/// machine's available parallelism. Always at least 1 and never more
-/// than [`max_jobs`] — CPU-bound cells gain nothing from
-/// oversubscription.
+/// The worker count of a sweep nobody gave one: the `IPSTORAGE_JOBS`
+/// environment variable, else the machine's available parallelism.
+/// Always at least 1 and never more than [`max_jobs`] — CPU-bound cells
+/// gain nothing from oversubscription. This is the only place the
+/// variable is read.
 pub fn default_jobs() -> usize {
-    let forced = DEFAULT_JOBS.load(Ordering::Relaxed);
-    if forced > 0 {
-        return forced.min(max_jobs());
-    }
     if let Ok(v) = std::env::var(JOBS_ENV) {
         if let Ok(n) = v.trim().parse::<usize>() {
             if n > 0 {
@@ -281,11 +265,7 @@ mod tests {
     }
 
     #[test]
-    fn default_jobs_is_positive_and_overridable() {
-        assert!(default_jobs() >= 1);
-        set_default_jobs(3);
-        assert_eq!(default_jobs(), 3.min(max_jobs()));
-        set_default_jobs(0);
+    fn default_jobs_is_positive_and_within_the_machine() {
         assert!(default_jobs() >= 1);
         assert!(default_jobs() <= max_jobs());
     }

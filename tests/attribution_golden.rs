@@ -10,15 +10,12 @@
 //! REGEN_GOLDEN=1 cargo test --test attribution_golden
 //! ```
 //!
-//! Everything lives in ONE `#[test]`: attribution mode is a
-//! process-global switch, and the harness runs `#[test]` functions of
-//! a binary on parallel threads — two tests flipping the switch would
-//! race. This integration binary is its own process, so flipping it
-//! here cannot perturb any other test binary.
+//! Attribution is a property of the testbed being measured (its
+//! tracer is on or off), so the tests here are independent and run on
+//! parallel threads like any others.
 
 use ipstorage::core::{
-    attribution_table, gauge_table, set_attribution_enabled, Protocol, ReportBuilder, RunReport,
-    Testbed,
+    attribution_table, gauge_table, Protocol, ReportBuilder, RunReport, Testbed,
 };
 
 /// The workload: metadata ops, a 64 KB write, settle (journal commit
@@ -26,6 +23,8 @@ use ipstorage::core::{
 /// 64 KB read that must go over the wire.
 fn traced_run(protocol: Protocol) -> RunReport {
     let tb = Testbed::with_protocol(protocol);
+    // What a sweep cell does under `RunOptions::attribution`.
+    tb.sim().tracer().set_enabled(true);
     let fs = tb.fs();
     fs.mkdir("/dir").unwrap();
     fs.creat("/dir/file").unwrap();
@@ -50,16 +49,13 @@ fn rpc_ns(r: &RunReport, op: &str) -> u64 {
         .unwrap_or(0)
 }
 
+/// The paper's central asymmetry (§5, §6): every NFS data and
+/// meta-data operation pays an RPC; iSCSI has no RPC layer at all, so
+/// nothing can land in its rpc bucket.
 #[test]
-fn attribution_tables_match_golden_and_protocol_contrast_holds() {
-    set_attribution_enabled(true);
+fn protocol_contrast_holds() {
     let nfs = traced_run(Protocol::NfsV3);
     let iscsi = traced_run(Protocol::Iscsi);
-    set_attribution_enabled(false);
-
-    // The paper's central asymmetry (§5, §6): every NFS data and
-    // meta-data operation pays an RPC; iSCSI has no RPC layer at all,
-    // so nothing can land in its rpc bucket.
     assert!(
         rpc_ns(&nfs, "nfs.read") > 0,
         "NFS cold read must attribute time to the RPC layer: {:?}",
@@ -85,7 +81,24 @@ fn attribution_tables_match_golden_and_protocol_contrast_holds() {
         "iSCSI cold read must attribute time to net and disk: {:?}",
         iscsi.attribution
     );
+}
 
+/// An untraced testbed reports no attribution at all: the section is
+/// filled by the tracer alone.
+#[test]
+fn untraced_run_attributes_nothing() {
+    let tb = Testbed::with_protocol(Protocol::NfsV3);
+    tb.fs().mkdir("/dir").unwrap();
+    tb.settle();
+    let mut rb = ReportBuilder::new("untraced");
+    rb.absorb(&tb);
+    assert!(rb.finish().attribution.is_empty());
+}
+
+#[test]
+fn attribution_tables_match_golden() {
+    let nfs = traced_run(Protocol::NfsV3);
+    let iscsi = traced_run(Protocol::Iscsi);
     let mut actual = String::new();
     for (name, r) in [("NfsV3", &nfs), ("Iscsi", &iscsi)] {
         actual.push_str(&format!(

@@ -5,9 +5,9 @@
 //! every `cargo test`. CI additionally diffs full `tables --json
 //! frontier` output across `--jobs` and `--no-snapshot`.
 
-use ipstorage_core::experiments::frontier::{frontier_report_jobs, frontier_run};
+use ipstorage_core::experiments::frontier::{frontier, frontier_run};
 use ipstorage_core::report::{ReportBuilder, RunReport};
-use ipstorage_core::Protocol;
+use ipstorage_core::{Protocol, RunOptions};
 use simkit::Counters;
 
 /// A small frontier grid — shard forks, two protocols, a reused
@@ -16,8 +16,12 @@ use simkit::Counters;
 #[test]
 fn frontier_sweep_is_byte_identical_across_jobs() {
     let grid = [(4, 1), (4, 2), (6, 3)];
-    let (t1, r1) = frontier_report_jobs(&grid, 30, 300, 1);
-    let (t3, r3) = frontier_report_jobs(&grid, 30, 300, 3);
+    let jobs = |jobs| RunOptions {
+        jobs,
+        ..RunOptions::default()
+    };
+    let (t1, r1) = frontier(jobs(1), &grid, 30, 300);
+    let (t3, r3) = frontier(jobs(3), &grid, 30, 300);
     assert_eq!(
         t1.render(),
         t3.render(),
@@ -35,15 +39,15 @@ fn frontier_sweep_is_byte_identical_across_jobs() {
 /// produces.
 #[test]
 fn frontier_is_transparent_to_snapshot_sharing() {
-    let run = || {
-        frontier_report_jobs(&[(4, 2), (8, 4)], 20, 200, 2)
-            .1
-            .to_json()
+    let run = |share_setups| {
+        let options = RunOptions {
+            jobs: 2,
+            share_setups,
+            ..RunOptions::default()
+        };
+        frontier(options, &[(4, 2), (8, 4)], 20, 200).1.to_json()
     };
-    let shared = run();
-    ipstorage_core::set_snapshots_enabled(false);
-    let cold = run();
-    ipstorage_core::set_snapshots_enabled(true);
+    let (shared, cold) = (run(true), run(false));
     assert_eq!(
         shared, cold,
         "snapshot sharing changed frontier report bytes"

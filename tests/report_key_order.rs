@@ -6,8 +6,9 @@
 //! these tests pin the observable behavior after the HashMap→BTreeMap
 //! conversions in `traces`, `rpc`, `iscsi`, `nfs`, and `ext3`.
 
-use ipstorage::core::experiments::micro::{matrix_report_ops, CacheState};
+use ipstorage::core::experiments::micro::{matrix, CacheState};
 use ipstorage::core::report::{ChannelStats, RunReport};
+use ipstorage::core::RunOptions;
 
 /// Extracts the top-level keys of the JSON object that follows
 /// `"section":{` — enough of a parser for the report's flat schema
@@ -62,7 +63,11 @@ fn assert_sorted(section: &str, keys: &[String]) {
 /// --json` uses — must emit every map section in sorted key order.
 #[test]
 fn real_report_sections_are_key_sorted() {
-    let (_, report) = matrix_report_ops(CacheState::Cold, &["mkdir", "stat"], &[0], 1);
+    let options = RunOptions {
+        jobs: 1,
+        ..RunOptions::default()
+    };
+    let (_, report) = matrix("micro", options, CacheState::Cold, &["mkdir", "stat"], &[0]);
     let json = report.to_json();
     for section in ["counters", "histograms", "channels", "cpu_busy_ns"] {
         let keys = object_keys(&json, section);

@@ -3,116 +3,82 @@
 //! identical to cold-building it, for every experiment runner, and
 //! forks must be isolated from the snapshot and from each other.
 
-use ipstorage_core::experiments::micro::CacheState;
-use ipstorage_core::experiments::{ablation, data, enhance, macrob, micro, scale};
+mod common;
+
+use common::Runner;
 use ipstorage_core::snapshot::{SetupKey, Snapshot};
-use ipstorage_core::{Protocol, Testbed, TestbedConfig};
-use workloads::{DssConfig, OltpConfig};
+use ipstorage_core::{Protocol, RunOptions, Testbed, TestbedConfig};
+use std::sync::Barrier;
 
-/// Serializes access to the process-wide sharing switch: the
-/// `snapshot_transparency_...` tests run on parallel test threads in
-/// this binary, and a toggle mid-sweep would corrupt a sibling's
-/// comparison (not its correctness — that's the property under test —
-/// just which mode it measures).
-static SHARING_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-/// Runs `f` with snapshot sharing forced on or off, restoring the
-/// default afterwards.
-fn with_sharing<T>(on: bool, f: impl FnOnce() -> T) -> T {
-    ipstorage_core::set_snapshots_enabled(on);
-    let r = f();
-    ipstorage_core::set_snapshots_enabled(true);
-    r
+/// Asserts each runner emits the same bytes with setup sharing on and
+/// off.
+fn transparent(runners: &[Runner]) {
+    for (name, run) in runners {
+        let with_sharing = |share_setups| {
+            run(RunOptions {
+                share_setups,
+                ..RunOptions::default()
+            })
+        };
+        assert!(
+            with_sharing(true) == with_sharing(false),
+            "runner `{name}` output differs when snapshot sharing is disabled"
+        );
+    }
 }
 
-/// Asserts one runner emits the same bytes with sharing on and off.
-fn transparent(name: &str, run: impl Fn() -> String) {
-    let _guard = SHARING_LOCK.lock().unwrap();
-    let shared = with_sharing(true, &run);
-    let cold = with_sharing(false, &run);
-    assert!(
-        shared == cold,
-        "runner `{name}` output differs when snapshot sharing is disabled"
-    );
-}
-
-/// Every runner covers all its protocols internally; each is exercised
-/// at two or more configurations (depths, sizes, file counts, client
-/// counts), quick-scaled to keep the suite affordable.
 #[test]
 fn snapshot_transparency_micro_and_data_runners() {
-    for state in [CacheState::Cold, CacheState::Warm] {
-        transparent("micro matrix", || {
-            let (_, r) = micro::matrix_report_ops(state, &["mkdir", "creat", "stat"], &[0, 2], 1);
-            r.to_json()
-        });
-    }
-    transparent("table4", || {
-        let (t, r) = data::table4_report_with(8);
-        format!("{}{}", t.render(), r.to_json())
-    });
-    transparent("figure6", || {
-        let (t, r) = data::figure6_report_with(&[10, 50], 8);
-        format!("{}{}", t.render(), r.to_json())
-    });
+    transparent(common::MICRO_AND_DATA);
 }
 
 #[test]
 fn snapshot_transparency_macro_runners() {
-    transparent("table5", || {
-        let (t, r) = macrob::table5_report_with(&[400, 800], 500);
-        format!("{}{}", t.render(), r.to_json())
-    });
-    transparent("table6", || {
-        let (t, r) = macrob::table6_report_with(OltpConfig {
-            db_pages: 2048,
-            transactions: 300,
-            ..OltpConfig::default()
-        });
-        format!("{}{}", t.render(), r.to_json())
-    });
-    transparent("table7", || {
-        let (t, r) = macrob::table7_report_with(DssConfig {
-            db_pages: 4096,
-            ..DssConfig::default()
-        });
-        format!("{}{}", t.render(), r.to_json())
-    });
-    transparent("table9_10", || {
-        let (t9, t10, r) = macrob::table9_10_report_with(
-            300,
-            500,
-            OltpConfig {
-                db_pages: 1024,
-                transactions: 200,
-                ..OltpConfig::default()
-            },
-            DssConfig {
-                db_pages: 2048,
-                ..DssConfig::default()
-            },
-        );
-        format!("{}{}{}", t9.render(), t10.render(), r.to_json())
-    });
+    transparent(common::MACRO);
 }
 
 #[test]
 fn snapshot_transparency_ablation_enhance_scale_runners() {
-    transparent("ablations", || {
-        ablation::all_reports()
-            .into_iter()
-            .map(|(t, r)| format!("{}{}", t.render(), r.to_json()))
-            .collect::<Vec<_>>()
-            .join("\n")
+    transparent(common::ABLATION_ENHANCE_SCALE);
+}
+
+/// How a run behaves is a value the runner is handed, not a property
+/// of the process: two runs with opposite options, forced to overlap,
+/// each print exactly what they print alone. (Attribution fills a
+/// report section of its own, so the two outputs differ from each
+/// other; neither may differ from its solo run.)
+#[test]
+fn concurrent_runs_with_different_options_do_not_interfere() {
+    let (_, run) = common::MICRO_AND_DATA[0];
+    let traced_cold = RunOptions {
+        jobs: 1,
+        share_setups: false,
+        attribution: true,
+    };
+    let plain_shared = RunOptions {
+        jobs: 1,
+        share_setups: true,
+        attribution: false,
+    };
+    let alone = [run(traced_cold), run(plain_shared)];
+    assert_ne!(alone[0], alone[1], "attribution must show in the report");
+
+    let start = Barrier::new(2);
+    let together = std::thread::scope(|s| {
+        let spawn = |options| {
+            let start = &start;
+            s.spawn(move || {
+                start.wait();
+                run(options)
+            })
+        };
+        let handles = [spawn(traced_cold), spawn(plain_shared)];
+        handles.map(|h| h.join().expect("runner thread"))
     });
-    transparent("section7 postmark", || {
-        let (t, r) = enhance::section7_postmark_report(500, 800);
-        format!("{}{}", t.render(), r.to_json())
-    });
-    transparent("scale", || {
-        let (t, r) = scale::scale_report_with(&[1, 2], 100, 200);
-        format!("{}{}", t.render(), r.to_json())
-    });
+    assert!(
+        alone == together,
+        "a concurrent run changed a runner's bytes"
+    );
 }
 
 /// Builds a small-pool snapshot for the isolation properties.

@@ -37,7 +37,8 @@
 
 use ipstorage::core::experiments::{frontier, macrob, micro, scale};
 use ipstorage::core::{
-    Protocol, ReportBuilder, RunReport, ShardPolicy, Table, Testbed, TestbedConfig, TopologyConfig,
+    Protocol, ReportBuilder, RunOptions, RunReport, ShardPolicy, Table, Testbed, TestbedConfig,
+    TopologyConfig,
 };
 
 /// Reconstruct the bytes `tables --json` writes for one runner: the
@@ -49,7 +50,7 @@ fn runner_stdout(t: &Table, r: &RunReport) -> String {
 #[test]
 fn table2_matches_pre_refactor_golden() {
     let golden = include_str!("golden/table2_quick.stdout");
-    let (t, r) = micro::table2_report();
+    let (t, r) = micro::table2(RunOptions::default());
     assert_eq!(
         runner_stdout(&t, &r),
         golden,
@@ -64,7 +65,8 @@ fn table2_matches_pre_refactor_golden() {
 #[test]
 fn scale_matches_pre_merge_golden() {
     let golden = include_str!("golden/scale_quick.stdout");
-    let (t, r) = scale::scale_report_with(&[1, 2, 4, 8], 200, 500);
+    let (runs, r) = scale::scale(RunOptions::default(), &[1, 2, 4, 8], 200, 500, None);
+    let t = scale::scale_table(&runs, 500);
     assert_eq!(
         runner_stdout(&t, &r),
         golden,
@@ -78,7 +80,8 @@ fn scale_matches_pre_merge_golden() {
 #[test]
 fn frontier_matches_pre_merge_golden() {
     let golden = include_str!("golden/frontier_quick.stdout");
-    let (t, r) = frontier::frontier_report_with(&[(4, 1), (4, 2), (8, 2), (8, 4)], 100, 2_000);
+    let grid = [(4, 1), (4, 2), (8, 2), (8, 4)];
+    let (t, r) = frontier::frontier(RunOptions::default(), &grid, 100, 2_000);
     assert_eq!(
         runner_stdout(&t, &r),
         golden,
@@ -89,7 +92,7 @@ fn frontier_matches_pre_merge_golden() {
 #[test]
 fn table5_matches_pre_refactor_golden() {
     let golden = include_str!("golden/table5_quick.stdout");
-    let (t, r) = macrob::table5_report_with(&[1000, 5000], 10_000);
+    let (t, r) = macrob::table5(RunOptions::default(), &[1000, 5000], 10_000);
     assert_eq!(
         runner_stdout(&t, &r),
         golden,
