@@ -12,7 +12,7 @@
 //! 2. the first cell needing a key runs the setup once and
 //!    [`Snapshot::capture`]s the quiesced testbed — cleanly unmounted
 //!    file systems over immutable, `Arc`-shared
-//!    [`DiskImage`](blockdev::DiskImage)s plus the virtual-time epoch
+//!    [`DiskImage`]s plus the virtual-time epoch
 //!    and counter totals the setup consumed;
 //! 3. every cell (including the one that built it) then
 //!    [`Snapshot::fork`]s: a fresh single-threaded engine is advanced

@@ -15,9 +15,9 @@
 //! more servers, each shard is an independent machine behind its own
 //! edge link under a shared core switch.
 //!
-//! What the counts change is data, not code path: (1, 1) talks over a
-//! bare unnamed link (no `net.c0.*` counters) and exports the whole
-//! volume as its one LUN; the core switch, the per-shard
+//! What the counts change is data, not code path: (1, 1) talks over
+//! its fabric's unnamed endpoint (no `net.c0.*` counters) and exports
+//! the whole volume as its one LUN; the core switch, the per-shard
 //! `disk.s<j>.busy_pct` gauges, the ×M link capacity and the
 //! [`ShardPolicy`] exist only when M > 1.
 
@@ -30,7 +30,7 @@ use blockdev::{
 use cpu::{CostModel, CpuAccount};
 use ext3::Ext3;
 use iscsi::{Initiator, SessionParams, Target};
-use net::{Fabric, LinkParams, Network};
+use net::{Fabric, LinkParams};
 use nfs::{Enhancements, NfsClient, NfsConfig, NfsServer, Version};
 use rpc::{RpcClient, RpcConfig};
 use simkit::units::{Bps, Bytes};
@@ -222,8 +222,8 @@ impl ShardPolicy {
 /// how many client hosts to instantiate.
 ///
 /// With `clients: 1` and `servers: 1` this *is* [`Testbed::build`]'s
-/// pair; with more clients, hosts `c0..c<N-1>` are placed on a
-/// [`net::Fabric`] (per-host counters under `net.<host>.<label>.*`,
+/// pair; with more clients, hosts `c0..c<N-1>` are named endpoints of
+/// the [`net::Fabric`] (per-host counters under `net.<host>.<label>.*`,
 /// shared server-link bandwidth) and each gets its own CPU account and
 /// mount — N `NfsClient`s against one `NfsServer`, or N iSCSI sessions
 /// against one `Target` with a private LUN partition per session.
@@ -297,23 +297,21 @@ impl TopologyConfig {
     }
 }
 
-/// One client host of the topology: its name, CPU account, mount, the
-/// server shard it is attached to, and its end of the link to it.
+/// One client host of the topology: its name, CPU account, mount, and
+/// the server shard (fabric port) it is attached to.
 struct ClientHost {
     name: String,
     cpu: Rc<CpuAccount>,
     kind: MountKind,
     port: u32,
-    link: Rc<Network>,
 }
 
 /// A built testbed: the workload-facing [`FileSystem`] plus the
 /// instrumentation handles every experiment reads.
 pub struct Testbed {
     sim: Rc<Sim>,
-    /// The multi-host fabric the client links hang off; the (1, 1)
-    /// pair's link is point-to-point and has none.
-    fabric: Option<Rc<Fabric>>,
+    /// The fabric the client links hang off: one port per server.
+    fabric: Rc<Fabric>,
     config: TestbedConfig,
     clients: Vec<ClientHost>,
     /// One CPU account per server shard (exactly one in the paper's
@@ -444,13 +442,11 @@ impl Testbed {
                 "resume images must cover every shard"
             );
         }
-        // The pair's link is point-to-point: an unnamed endpoint, so no
-        // per-host `net.c0.*` counters. More hosts share a fabric, one
-        // port per server, under a core switch once there are several.
-        let fabric = (n > 1 || m > 1).then(|| {
-            if m == 1 {
-                return Fabric::new(sim.clone(), config.link);
-            }
+        // One fabric port per server, under a core switch once there
+        // are several.
+        let fabric = if m == 1 {
+            Fabric::new(sim.clone(), config.link)
+        } else {
             let core_bps = core_bandwidth_bps
                 .unwrap_or_else(|| config.link.bandwidth_bps.saturating_mul(m as u64));
             let fabric = Fabric::with_core(sim.clone(), config.link, core_bps);
@@ -458,7 +454,7 @@ impl Testbed {
                 fabric.add_port();
             }
             fabric
-        });
+        };
 
         let remount = resume.is_some();
         let mut server_cpus: Vec<Rc<CpuAccount>> = Vec::with_capacity(m);
@@ -574,10 +570,9 @@ impl Testbed {
                 let port = ports[i];
                 let cpu = Rc::new(CpuAccount::new());
                 cpu.instrument(sim.clone(), host);
-                let link = match &fabric {
-                    Some(f) => f.host_on(&name, port as usize),
-                    None => Network::new(sim.clone(), config.link),
-                };
+                // The pair's endpoint is unnamed, so it has no per-host
+                // `net.c0.*` counters.
+                let link = fabric.host_on((n > 1).then_some(name.as_str()), port as usize);
                 let kind = match version {
                     Some(version) => {
                         let cfg = Self::nfs_config(&config, version, i as u32);
@@ -623,7 +618,6 @@ impl Testbed {
                     cpu,
                     kind,
                     port,
-                    link,
                 }
             })
             .collect();
@@ -986,17 +980,16 @@ impl Testbed {
     }
 
     /// Marks the first `n` clients as actively contending for the
-    /// server link(s) (no-op on the pair's dedicated link): each edge
-    /// is shared among those of them the shard policy attached to it.
+    /// server link(s): each edge is shared among those of them the
+    /// shard policy attached to it, and an edge none of them uses is
+    /// left whole.
     pub fn set_active_clients(&self, n: u32) {
-        if let Some(f) = &self.fabric {
-            let mut per_port = vec![0u32; self.server_cpus.len()];
-            for host in self.clients.iter().take(n as usize) {
-                per_port[host.port as usize] += 1;
-            }
-            for (j, &k) in per_port.iter().enumerate() {
-                f.set_port_active(j, k);
-            }
+        let mut per_port = vec![0u32; self.server_cpus.len()];
+        for host in self.clients.iter().take(n as usize) {
+            per_port[host.port as usize] += 1;
+        }
+        for (j, &k) in per_port.iter().enumerate() {
+            self.fabric.set_port_active(j, k);
         }
     }
 
@@ -1117,21 +1110,11 @@ impl Testbed {
         self.sim.now()
     }
 
-    /// Reconfigures the link RTT (the NISTNet knob of §4.6) on every
-    /// client's link.
-    pub fn set_rtt(&self, rtt: SimDuration) {
-        for host in &self.clients {
-            host.link.set_rtt(rtt);
-        }
-    }
-
     /// Attaches an Ethereal-style packet monitor to every client's
     /// link and returns it.
     pub fn attach_sniffer(&self) -> Rc<net::Sniffer> {
         let s = net::Sniffer::new();
-        for host in &self.clients {
-            host.link.attach_sniffer(Some(s.clone()));
-        }
+        self.fabric.attach_sniffer(Some(s.clone()));
         s
     }
 }

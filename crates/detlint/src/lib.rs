@@ -10,13 +10,13 @@
 //!
 //! | id | rejects | rationale |
 //! |----|---------|-----------|
-//! | D1 | wall-clock reads (`Instant::now`, `SystemTime`, `UNIX_EPOCH`, `thread::sleep`) | all time must be virtual ([`simkit::clock`]); wall time differs per run/host |
+//! | D1 | wall-clock reads (`Instant::now`, `SystemTime`, `UNIX_EPOCH`, `thread::sleep`) | all time must be virtual (`simkit::clock`); wall time differs per run/host |
 //! | D2 | iteration over `HashMap`/`HashSet` | iteration order is seeded per process; anything folded from it can differ run-to-run |
 //! | D3 | ambient randomness (`thread_rng`, `RandomState`, `DefaultHasher`, `OsRng`, ...) | all randomness must flow from `simkit::rng::SplitMix64` seeds |
 //! | D4 | thread spawn / channels outside `simkit::sweep` | one sanctioned home for parallelism keeps the `--jobs N == --jobs 1` proof small |
 //! | D5 | float arithmetic inside a spawned closure | float addition is not associative; cross-thread float folds must go through `ReportBuilder::merge_report`'s index-ordered fold |
 //! | D6 | heap/queue ordering on bare `SimTime` (a `BinaryHeap` whose key names `SimTime` without the `EventKey` wrapper) | equal-time entries then pop in heap-internal order, which is not part of any contract; key events with `simkit::events::EventKey`'s `(time, host, seq)` tie-break |
-//! | U1 | public quantity params/fields named `*_bytes`/`*_bps`/`*_nanos` (or exactly `bytes`/`bps`/`nanos`) declared as bare integers in model crates | quantities must carry their dimension in the type ([`simkit::units::Bytes`], [`simkit::units::Bps`], `simkit::SimDuration`), so a bits/bytes or ns/ms mix-up is a compile error, not a silently wrong golden |
+//! | U1 | public quantity params/fields named `*_bytes`/`*_bps`/`*_nanos` (or exactly `bytes`/`bps`/`nanos`) declared as bare integers in model crates | quantities must carry their dimension in the type (`simkit::units::Bytes`, `simkit::units::Bps`, `simkit::SimDuration`), so a bits/bytes or ns/ms mix-up is a compile error, not a silently wrong golden |
 //! | U2 | lossy `as f64`/`as u64`/`as u32` casts in model code outside `simkit::units` | every float↔int boundary must go through the audited `simkit::units` helpers (`to_f64`, `ratio`, `f64_to_u64`, ...), so saturation and rounding semantics are defined in exactly one place |
 //!
 //! # How it works (and what it cannot see)
@@ -218,7 +218,7 @@ impl<'a> FileContext<'a> {
     }
 
     /// Whether `lint` applies to this file at all (test-line handling
-    /// is separate, see [`lint_applies_in_tests`]).
+    /// is separate, see [`Self::lint_applies_in_tests`]).
     ///
     /// * `crates/bench` measures real elapsed time by design — D1 off.
     /// * `crates/loom` is the concurrency-exploration shim: its whole
@@ -226,7 +226,7 @@ impl<'a> FileContext<'a> {
     ///   and D5 off.
     /// * `crates/simkit/src/sweep.rs` is the one sanctioned home of
     ///   thread spawn and channels — D4 off there and only there.
-    /// * U1/U2 apply only in model crates (see [`Self::in_model_crate`]),
+    /// * U1/U2 apply only in model crates (see `in_model_crate`),
     ///   and never in `simkit`'s `units`/`clock`/`rng` modules — those
     ///   are where the raw-integer math is supposed to live.
     pub fn lint_applies(&self, lint: Lint) -> bool {

@@ -359,7 +359,7 @@ pub fn group_layout(g: u32, journal_len: u64, blocks_count: u64) -> GroupLayout 
 /// inode table) plus a few data blocks.
 const MIN_GROUP_BLOCKS: u64 = 2 + ITABLE_BLOCKS + 64;
 
-/// Smallest volume [`groups_for`] (hence mkfs) accepts with a journal
+/// Smallest volume `groups_for` (hence mkfs) accepts with a journal
 /// of `journal_len` blocks: superblock, descriptors, the journal, and
 /// one block more than a minimal group. Callers that carve volumes
 /// (per-client iSCSI LUNs) size against this instead of repeating the

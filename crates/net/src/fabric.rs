@@ -1,18 +1,19 @@
-//! Multi-host network fabric.
+//! The one way to build a link: host endpoints on the ports of a
+//! [`Fabric`].
 //!
-//! The paper's testbed is one client and one server on a dedicated
-//! link, which [`super::Network`] models directly. A [`Fabric`]
-//! generalizes that in two steps:
+//! A [`Network`] is always one host's end of a fabric port. The paper's
+//! testbed — one client and one server on a dedicated link — is the
+//! unnamed endpoint of a one-port fabric ([`Network::new`] is the
+//! shorthand). Larger topologies grow the same structure in two steps:
 //!
 //! * **One server, N clients** ([`Fabric::new`]): every named host gets
-//!   its own [`Network`] endpoint (per-host RTT and message accounting
-//!   stay separate), while all endpoints contend for the server-side
-//!   link bandwidth through a shared [`LinkShare`].
+//!   its own endpoint (per-host message accounting stays separate),
+//!   while all endpoints contend for the server port's bandwidth.
 //! * **M servers behind a core switch** ([`Fabric::with_core`]): each
-//!   server has its own edge link (a [`Port`]: a [`LinkShare`] plus a
+//!   server has its own edge link (a port: a fair-share level plus a
 //!   private TCP bottleneck queue pair), and every edge link feeds a
-//!   shared *core* [`LinkShare`]. An endpoint's effective bandwidth is
-//!   the minimum of its edge share and the core share — the two-level
+//!   shared *core* level. An endpoint's effective bandwidth is the
+//!   minimum of its edge share and the core share — the two-level
 //!   fair-share tree of a thousand-client sharded topology:
 //!
 //! ```text
@@ -23,23 +24,29 @@
 //!   c500 … c749 ┘                      └── c750 … c999
 //! ```
 //!
-//! Counter layering: a channel opened on host `c1` with label `nfs`
-//! bumps `net.c1.nfs.msgs` / `net.c1.nfs.bytes` *in addition to* the
-//! point-to-point names (`net.nfs.*`) and the grand totals
-//! (`net.total.*`). Existing reports that only read the old names keep
-//! working; multi-client experiments can attribute traffic per host.
+//! The link parameters — RTT, loss, transport model, edge bandwidth —
+//! are stored once per fabric and fixed at construction; every endpoint
+//! reads them from there. [`Fabric::attach_sniffer`] likewise reaches
+//! every endpoint, present and future.
+//!
+//! Counter layering: the host name is data. A channel opened on the
+//! endpoint named `c1` with label `nfs` bumps `net.c1.nfs.msgs` /
+//! `net.c1.nfs.bytes` *in addition to* the per-label names
+//! (`net.nfs.*`) and the grand totals (`net.total.*`); an unnamed
+//! endpoint registers only the latter two. Endpoints carry no identity
+//! beyond their name and port, so asking for the same host twice gives
+//! two handles that account under the same names and share the port.
 //!
 //! Contention model: a server NIC serializes at its edge `bandwidth_bps`
 //! overall, so with `k` hosts marked active on the port each endpoint's
 //! effective bandwidth is `bandwidth_bps / k` — the fair-share steady
 //! state of TCP flows over one bottleneck. The core divides its
 //! bandwidth across the fabric's ports the same way. Shares are
-//! *cached*: they are recomputed on active-set deltas
-//! ([`LinkShare::set_active`], port creation), never per message, so a
-//! thousand-client hot path reads two `Cell`s instead of redoing the
-//! division. `set_active(1)` (the default) reproduces the
-//! dedicated-link timing exactly, and a single-port fabric has no core
-//! (`parent: None`) so its arithmetic is bit-for-bit the historical
+//! *cached*: they are recomputed on active-set changes and port
+//! creation, never per message, so a thousand-client hot path reads two
+//! `Cell`s instead of redoing the division. One active host (the
+//! default) reproduces the dedicated-link timing exactly, and a
+//! single-port fabric has no core, so its arithmetic is bit-for-bit
 //! `base / active`.
 //!
 //! # Example
@@ -63,124 +70,85 @@
 use crate::tcp::TcpLink;
 use crate::{LinkParams, Network, Sniffer};
 use simkit::units::Bps;
-use simkit::{Sim, SimDuration};
+use simkit::Sim;
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 use std::rc::Rc;
 
 /// One level of the link-share tree: hosts actively contending for a
 /// link of `base_bps`, with the resulting fair share cached. An
 /// optional parent (the core switch link) caps the effective rate from
-/// above. Shared by every endpoint of one [`Fabric`] port.
+/// above.
 #[derive(Debug)]
-pub struct LinkShare {
-    active: Cell<u32>,
-    base_bps: Cell<Bps>,
-    /// `base_bps / active`, maintained by [`set_active`]
-    /// (`LinkShare::set_active`) so the per-message path never divides.
+pub(crate) struct LinkShare {
+    base_bps: Bps,
+    /// `base_bps / active`, maintained by `set_active` so the
+    /// per-message path never divides.
     share_bps: Cell<Bps>,
     /// The next link level up (core switch), if any.
     parent: Option<Rc<LinkShare>>,
 }
 
 impl LinkShare {
-    fn new(base_bps: Bps, parent: Option<Rc<LinkShare>>) -> Rc<Self> {
-        Rc::new(LinkShare {
-            active: Cell::new(1),
-            base_bps: Cell::new(base_bps),
+    fn new(base_bps: Bps, parent: Option<Rc<LinkShare>>) -> Self {
+        LinkShare {
+            base_bps,
             share_bps: Cell::new(base_bps),
             parent,
-        })
-    }
-
-    /// Hosts currently contending for this link.
-    pub fn active(&self) -> u32 {
-        self.active.get()
+        }
     }
 
     /// Sets the contender count and recomputes the cached fair share —
-    /// the only place the division happens.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
-    pub fn set_active(&self, n: u32) {
-        assert!(n >= 1, "a shared link needs at least one active host");
-        self.active.set(n);
-        self.share_bps.set(self.base_bps.get() / n as u64);
-    }
-
-    /// This level's bandwidth before sharing.
-    pub fn base_bps(&self) -> Bps {
-        self.base_bps.get()
+    /// the only place the division happens. An idle link (`n = 0`)
+    /// counts one contender: whoever uses it next has it whole.
+    fn set_active(&self, n: u32) {
+        self.share_bps.set(self.base_bps / u64::from(n.max(1)));
     }
 
     /// The effective per-host rate: this level's cached fair share,
     /// capped by every level above. Two `Cell` reads on the common
     /// two-level tree.
-    pub fn effective_bps(&self) -> Bps {
+    pub(crate) fn effective_bps(&self) -> Bps {
         let own = self.share_bps.get();
         match &self.parent {
             Some(p) => own.min(p.effective_bps()),
             None => own,
         }
     }
-
-    fn set_base_bps(&self, bps: Bps) {
-        self.base_bps.set(bps);
-        self.share_bps.set(bps / self.active.get() as u64);
-    }
 }
 
-/// A stable, copyable handle to one fabric endpoint — the cheap
-/// alternative to re-resolving a host name per access. Only valid for
-/// the [`Fabric`] that issued it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EndpointId(u32);
-
-impl EndpointId {
-    /// The endpoint's dense index (creation order).
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-}
-
-/// One server-side attachment point: the edge [`LinkShare`] its hosts
-/// contend on, and the TCP bottleneck queue pair its flows share.
+/// One server-side attachment point: the edge share its hosts contend
+/// on, and the TCP bottleneck queue pair its flows share.
 #[derive(Debug)]
-struct Port {
-    share: Rc<LinkShare>,
-    tcp_link: Rc<TcpLink>,
+pub(crate) struct Port {
+    pub(crate) share: LinkShare,
+    pub(crate) tcp_link: Rc<TcpLink>,
 }
 
-/// A topology of named host endpoints attached to one or more server
-/// ports, optionally behind a shared core link. See the
-/// [module docs](self).
+/// A topology of host endpoints attached to one or more server ports,
+/// optionally behind a shared core link. See the [module docs](self).
 #[derive(Debug)]
 pub struct Fabric {
-    sim: Rc<Sim>,
-    base: Cell<LinkParams>,
+    pub(crate) sim: Rc<Sim>,
+    /// The link parameters every endpoint reads; `bandwidth_bps` is the
+    /// uncontended edge rate a new port starts from.
+    pub(crate) link: LinkParams,
+    /// Optional passive tap on every endpoint (the paper's Ethereal).
+    pub(crate) sniffer: RefCell<Option<Rc<Sniffer>>>,
     /// The shared core-switch link, present on [`Fabric::with_core`]
     /// fabrics; its active count tracks the port count.
     core: Option<Rc<LinkShare>>,
-    ports: RefCell<Vec<Port>>,
-    /// `(name, port, endpoint)` in creation order.
-    hosts: RefCell<Vec<(String, u32, Rc<Network>)>>,
-    /// Name → index into `hosts`. Lookup only, never iterated (detlint
-    /// D2: ordered walks go through the insertion-ordered `hosts` Vec).
-    host_index: RefCell<HashMap<String, u32>>,
+    ports: RefCell<Vec<Rc<Port>>>,
 }
 
 impl Fabric {
     /// Creates a single-port fabric whose server link has the given
-    /// base parameters — the historical N-clients-one-server shape,
-    /// byte-identical to what it always produced.
+    /// parameters: one server, any number of hosts.
     ///
     /// # Panics
     ///
     /// Panics if `params.loss` is outside `[0, 1)`.
     pub fn new(sim: Rc<Sim>, params: LinkParams) -> Rc<Self> {
-        let f = Fabric::with_core_inner(sim, params, None);
+        let f = Fabric::build(sim, params, None);
         f.add_port();
         f
     }
@@ -193,18 +161,18 @@ impl Fabric {
     ///
     /// Panics if `params.loss` is outside `[0, 1)`.
     pub fn with_core(sim: Rc<Sim>, params: LinkParams, core_bandwidth_bps: Bps) -> Rc<Self> {
-        Fabric::with_core_inner(sim, params, Some(core_bandwidth_bps))
+        let core = LinkShare::new(core_bandwidth_bps, None);
+        Fabric::build(sim, params, Some(Rc::new(core)))
     }
 
-    fn with_core_inner(sim: Rc<Sim>, params: LinkParams, core_bps: Option<Bps>) -> Rc<Self> {
+    fn build(sim: Rc<Sim>, params: LinkParams, core: Option<Rc<LinkShare>>) -> Rc<Self> {
         params.validate();
         Rc::new(Fabric {
             sim,
-            base: Cell::new(params),
-            core: core_bps.map(|bps| LinkShare::new(bps, None)),
+            link: params,
+            sniffer: RefCell::new(None),
+            core,
             ports: RefCell::new(Vec::new()),
-            hosts: RefCell::new(Vec::new()),
-            host_index: RefCell::new(HashMap::new()),
         })
     }
 
@@ -214,187 +182,63 @@ impl Fabric {
     /// traffic competes for `core / M`.
     pub fn add_port(&self) -> usize {
         let mut ports = self.ports.borrow_mut();
-        let share = LinkShare::new(self.base.get().bandwidth_bps, self.core.clone());
-        ports.push(Port {
-            share,
+        ports.push(Rc::new(Port {
+            share: LinkShare::new(self.link.bandwidth_bps, self.core.clone()),
             tcp_link: TcpLink::new(),
-        });
+        }));
         if let Some(core) = &self.core {
             core.set_active(ports.len() as u32);
         }
         ports.len() - 1
     }
 
-    /// Number of server ports.
-    pub fn port_count(&self) -> usize {
-        self.ports.borrow().len()
-    }
-
-    /// The shared core link, when this fabric has one.
-    pub fn core(&self) -> Option<&Rc<LinkShare>> {
-        self.core.as_ref()
-    }
-
-    /// Port `port`'s TCP bottleneck queue pair (port 0's is the whole
-    /// fabric's on the historical single-port shape; idle unless the
-    /// TCP transport model is selected).
+    /// Marks `n` hosts as actively contending on port 0.
     ///
     /// # Panics
     ///
-    /// Panics if `port` is out of range.
-    pub fn tcp_link_of(&self, port: usize) -> Rc<TcpLink> {
-        Rc::clone(&self.ports.borrow()[port].tcp_link)
-    }
-
-    /// The shared simulation context.
-    pub fn sim(&self) -> &Rc<Sim> {
-        &self.sim
-    }
-
-    /// The uncontended edge-link parameters (what one host sees when
-    /// it has a server port to itself and the core is not binding).
-    pub fn base_params(&self) -> LinkParams {
-        self.base.get()
-    }
-
-    /// Port 0's contention state (the whole fabric's on the historical
-    /// single-port shape).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the fabric has no ports yet.
-    pub fn share(&self) -> Rc<LinkShare> {
-        Rc::clone(&self.ports.borrow()[0].share)
-    }
-
-    /// Marks `n` hosts as actively contending on port 0 — the
-    /// historical single-port knob.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero or the fabric has no ports.
+    /// Panics if the fabric has no ports.
     pub fn set_active(&self, n: u32) {
         self.set_port_active(0, n);
     }
 
     /// Marks `n` hosts as actively contending for port `port`'s edge
-    /// link.
+    /// link. An idle port (`n = 0`) keeps one contender's share.
     ///
     /// # Panics
     ///
-    /// Panics if `n` is zero or `port` is out of range.
+    /// Panics if `port` is out of range.
     pub fn set_port_active(&self, port: usize, n: u32) {
         self.ports.borrow()[port].share.set_active(n);
     }
 
-    /// Returns the endpoint for `name` on port 0, creating it on first
-    /// use — the historical single-server entry point.
+    /// An endpoint named `name` on port 0.
     pub fn host(self: &Rc<Self>, name: &str) -> Rc<Network> {
-        self.host_on(name, 0)
+        self.host_on(Some(name), 0)
     }
 
-    /// Returns the endpoint for `name` attached to server port `port`,
-    /// creating it on first use. The endpoint starts with the fabric's
-    /// current base parameters and shares the port's edge bandwidth
-    /// (and, through it, the core) with the port's other hosts.
+    /// An endpoint attached to server port `port`. `Some(name)` makes
+    /// its channels also account under `net.<name>.<label>.*`; `None`
+    /// registers only the per-label and total names (the paper's
+    /// point-to-point pair). The endpoint shares the port's edge
+    /// bandwidth (and, through it, the core) with the port's other
+    /// hosts.
     ///
     /// # Panics
     ///
-    /// Panics if `port` is out of bounds, or if `name` already exists
-    /// on a different port.
-    pub fn host_on(self: &Rc<Self>, name: &str, port: usize) -> Rc<Network> {
-        self.endpoint(self.endpoint_id_on(name, port))
+    /// Panics if `port` is out of bounds.
+    pub fn host_on(self: &Rc<Self>, name: Option<&str>, port: usize) -> Rc<Network> {
+        Rc::new(Network {
+            fabric: Rc::clone(self),
+            port: Rc::clone(&self.ports.borrow()[port]),
+            host: name.map(str::to_string),
+        })
     }
 
-    /// The stable handle for `name` on port 0, interning the endpoint
-    /// on first use.
-    pub fn endpoint_id(self: &Rc<Self>, name: &str) -> EndpointId {
-        self.endpoint_id_on(name, 0)
-    }
-
-    /// The stable handle for `name` on `port`, creating the endpoint
-    /// on first use. Handle resolution ([`Fabric::endpoint`]) is a
-    /// `Vec` index — the per-access cost the old linear name scan paid
-    /// N times over.
-    ///
-    /// # Panics
-    ///
-    /// See [`Fabric::host_on`].
-    pub fn endpoint_id_on(self: &Rc<Self>, name: &str, port: usize) -> EndpointId {
-        if let Some(&i) = self.host_index.borrow().get(name) {
-            let existing = self.hosts.borrow()[i as usize].1;
-            assert_eq!(
-                existing as usize, port,
-                "host {name} already attached to port {existing}"
-            );
-            return EndpointId(i);
-        }
-        let share = Rc::clone(&self.ports.borrow()[port].share);
-        let tcp_link = self.tcp_link_of(port);
-        let net = Network::endpoint(
-            Rc::clone(&self.sim),
-            self.base.get(),
-            name.to_string(),
-            share,
-            tcp_link,
-        );
-        let mut hosts = self.hosts.borrow_mut();
-        let id = hosts.len() as u32;
-        hosts.push((name.to_string(), port as u32, net));
-        self.host_index.borrow_mut().insert(name.to_string(), id);
-        EndpointId(id)
-    }
-
-    /// Resolves a handle to its endpoint.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` was not issued by this fabric.
-    pub fn endpoint(&self, id: EndpointId) -> Rc<Network> {
-        Rc::clone(&self.hosts.borrow()[id.index()].2)
-    }
-
-    /// The server port host `id` is attached to.
-    pub fn port_of(&self, id: EndpointId) -> usize {
-        self.hosts.borrow()[id.index()].1 as usize
-    }
-
-    /// The host names, in creation order.
-    pub fn hosts(&self) -> Vec<String> {
-        self.hosts
-            .borrow()
-            .iter()
-            .map(|(n, _, _)| n.clone())
-            .collect()
-    }
-
-    /// Reconfigures the round-trip time on every endpoint, present and
-    /// future (the NISTNet knob, fabric-wide).
-    pub fn set_rtt(&self, rtt: SimDuration) {
-        let mut base = self.base.get();
-        base.rtt = rtt;
-        self.base.set(base);
-        for (_, _, net) in self.hosts.borrow().iter() {
-            net.set_rtt(rtt);
-        }
-    }
-
-    /// Reconfigures every edge link's base bandwidth (cached shares
-    /// recompute; endpoints created later inherit it).
-    pub fn set_edge_bandwidth(&self, bps: Bps) {
-        let mut base = self.base.get();
-        base.bandwidth_bps = bps;
-        self.base.set(base);
-        for port in self.ports.borrow().iter() {
-            port.share.set_base_bps(bps);
-        }
-    }
-
-    /// Attaches one passive monitor to every existing endpoint.
+    /// Attaches one passive monitor to every endpoint, present and
+    /// future; every subsequent message is recorded. Pass `None` to
+    /// detach.
     pub fn attach_sniffer(&self, s: Option<Rc<Sniffer>>) {
-        for (_, _, net) in self.hosts.borrow().iter() {
-            net.attach_sniffer(s.clone());
-        }
+        *self.sniffer.borrow_mut() = s;
     }
 }
 
@@ -415,25 +259,42 @@ mod tests {
     }
 
     #[test]
-    fn host_endpoints_are_memoized() {
-        let (_sim, fabric) = setup();
-        let a = fabric.host("c0");
-        let b = fabric.host("c0");
-        assert!(Rc::ptr_eq(&a, &b));
-        assert_eq!(fabric.hosts(), vec!["c0".to_string()]);
-        assert_eq!(a.host(), Some("c0"));
+    fn the_host_name_is_the_only_counter_difference() {
+        // Every counter name one round trip registers, in order.
+        let registered = |host: Option<&str>| {
+            let (sim, fabric) = setup();
+            let ch = fabric.host_on(host, 0).channel("rpc", Transport::Tcp);
+            ch.round_trip(b(1), b(1));
+            let mut names = Vec::new();
+            sim.counters().for_each(|n, _| names.push(n.to_string()));
+            names
+        };
+        let pair = ["net.rpc.msgs", "net.rpc.bytes", "net.total.msgs"];
+        let pair = [&pair[..], &["net.total.bytes"]].concat();
+        assert_eq!(registered(None), pair);
+        let named = [&pair[..], &["net.c0.rpc.msgs", "net.c0.rpc.bytes"]].concat();
+        assert_eq!(registered(Some("c0")), named);
     }
 
     #[test]
-    fn endpoint_handles_resolve_without_name_lookups() {
-        let (_sim, fabric) = setup();
-        let id0 = fabric.endpoint_id("c0");
-        let id1 = fabric.endpoint_id("c1");
-        assert_ne!(id0, id1);
-        assert_eq!(id0.index(), 0);
-        assert_eq!(fabric.endpoint_id("c0"), id0, "handles are stable");
-        assert!(Rc::ptr_eq(&fabric.endpoint(id0), &fabric.host("c0")));
-        assert!(Rc::ptr_eq(&fabric.endpoint(id1), &fabric.host("c1")));
+    fn asking_for_a_host_twice_gives_one_host() {
+        let (sim, fabric) = setup();
+        let first = fabric.host("c0");
+        let again = fabric.host("c0");
+        first
+            .channel("nfs", Transport::Tcp)
+            .round_trip(b(100), b(100));
+        again
+            .channel("nfs", Transport::Tcp)
+            .round_trip(b(100), b(100));
+        assert_eq!(sim.counters().get("net.c0.nfs.msgs"), 4);
+        assert_eq!(sim.counters().get("net.nfs.msgs"), 4);
+        // Both handles see the port's contention state and queue
+        // behind each other on its TCP bottleneck.
+        fabric.set_active(4);
+        assert_eq!(first.params(), again.params());
+        assert_eq!(again.params().bandwidth_bps, Bps::new(1_000_000_000 / 4));
+        assert!(Rc::ptr_eq(&first.port.tcp_link, &again.port.tcp_link));
     }
 
     #[test]
@@ -469,7 +330,7 @@ mod tests {
     #[test]
     fn active_hosts_split_the_server_bandwidth() {
         let (_sim, fabric) = setup();
-        let base = fabric.base_params();
+        let base = LinkParams::gigabit_lan();
         let one = fabric.host("c0");
         assert_eq!(one.params().bandwidth_bps, base.bandwidth_bps);
         fabric.set_active(4);
@@ -484,28 +345,31 @@ mod tests {
     }
 
     #[test]
-    fn degenerate_single_host_matches_point_to_point_timing() {
-        let sim = Sim::new(5);
-        let plain = Network::new(sim.clone(), LinkParams::gigabit_lan());
-        let pc = plain.channel("x", Transport::Tcp);
-        let (sim2, fabric) = setup();
-        let fc = fabric.host("c0").channel("x", Transport::Tcp);
-        assert_eq!(
-            pc.round_trip(b(1000), b(200)),
-            fc.round_trip(b(1000), b(200))
-        );
-        assert_eq!(pc.stream(b(65_536), 16), fc.stream(b(65_536), 16));
-        drop((sim, sim2));
+    fn the_sniffer_reaches_existing_and_future_hosts() {
+        let (_sim, fabric) = setup();
+        let early_ch = fabric.host_on(None, 0).channel("x", Transport::Tcp);
+        let tap = Sniffer::new();
+        fabric.attach_sniffer(Some(tap.clone()));
+        let late_ch = fabric.host("c1").channel("x", Transport::Tcp);
+        early_ch.send(b(10));
+        late_ch.send(b(10));
+        assert_eq!(tap.len(), 2, "one tap sees both endpoints");
+        fabric.attach_sniffer(None);
+        early_ch.send(b(10));
+        assert_eq!(tap.len(), 2, "detached");
     }
 
     #[test]
-    fn rtt_fan_out_reaches_existing_and_future_hosts() {
-        let (_sim, fabric) = setup();
-        let early = fabric.host("c0");
-        fabric.set_rtt(SimDuration::from_millis(30));
-        let late = fabric.host("c1");
-        assert_eq!(early.params().rtt, SimDuration::from_millis(30));
-        assert_eq!(late.params().rtt, SimDuration::from_millis(30));
+    fn link_parameters_are_fabric_wide() {
+        let sim = Sim::new(11);
+        let link = LinkParams {
+            loss: 0.25,
+            ..LinkParams::wan(simkit::SimDuration::from_millis(30))
+        };
+        let fabric = Fabric::new(sim, link);
+        for host in [fabric.host_on(None, 0), fabric.host("c7")] {
+            assert_eq!(host.params(), link);
+        }
     }
 
     #[test]
@@ -522,10 +386,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one active host")]
-    fn zero_active_hosts_is_rejected() {
+    fn an_idle_port_keeps_the_whole_link() {
         let (_sim, fabric) = setup();
+        let a = fabric.host("c0");
+        fabric.set_active(3);
         fabric.set_active(0);
+        assert_eq!(a.params().bandwidth_bps, Bps::new(1_000_000_000));
     }
 
     #[test]
@@ -535,8 +401,8 @@ mod tests {
         let fabric = Fabric::with_core(sim, edge, Bps::new(2_000_000_000)); // 2 Gb/s core
         let p0 = fabric.add_port();
         let p1 = fabric.add_port();
-        let a = fabric.host_on("c0", p0);
-        let b = fabric.host_on("c1", p1);
+        let a = fabric.host_on(Some("c0"), p0);
+        let b = fabric.host_on(Some("c1"), p1);
         // Two ports on a 2 Gb/s core: each gets 1 Gb/s — edge-bound.
         assert_eq!(a.params().bandwidth_bps, Bps::new(1_000_000_000));
         // A third port drops the core share to 666 Mb/s < edge: the
@@ -553,8 +419,8 @@ mod tests {
         let fabric = Fabric::with_core(sim, LinkParams::gigabit_lan(), Bps::new(8_000_000_000));
         let p0 = fabric.add_port();
         let p1 = fabric.add_port();
-        let a = fabric.host_on("c0", p0);
-        let b = fabric.host_on("c1", p1);
+        let a = fabric.host_on(Some("c0"), p0);
+        let b = fabric.host_on(Some("c1"), p1);
         fabric.set_port_active(p0, 4);
         assert_eq!(
             a.params().bandwidth_bps,
@@ -574,13 +440,11 @@ mod tests {
         let fabric = Fabric::with_core(sim, LinkParams::gigabit_lan(), Bps::new(8_000_000_000));
         let p0 = fabric.add_port();
         let p1 = fabric.add_port();
-        assert!(!Rc::ptr_eq(
-            &fabric.tcp_link_of(p0),
-            &fabric.tcp_link_of(p1)
-        ));
-        // Hosts on the same port share its queues.
-        let a = fabric.host_on("c0", p0);
-        assert!(Rc::ptr_eq(a.tcp_link(), &fabric.tcp_link_of(p0)));
+        let a = fabric.host_on(Some("c0"), p0);
+        let b = fabric.host_on(Some("c1"), p0);
+        let c = fabric.host_on(Some("c2"), p1);
+        assert!(Rc::ptr_eq(&a.port.tcp_link, &b.port.tcp_link));
+        assert!(!Rc::ptr_eq(&a.port.tcp_link, &c.port.tcp_link));
     }
 
     #[test]
@@ -597,17 +461,6 @@ mod tests {
     fn host_on_unknown_port_is_rejected() {
         let sim = Sim::new(3);
         let fabric = Fabric::with_core(sim, LinkParams::gigabit_lan(), Bps::new(1_000_000_000));
-        let _ = fabric.host_on("c0", 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "already attached")]
-    fn rehoming_a_host_to_another_port_is_rejected() {
-        let sim = Sim::new(3);
-        let fabric = Fabric::with_core(sim, LinkParams::gigabit_lan(), Bps::new(1_000_000_000));
-        let p0 = fabric.add_port();
-        let p1 = fabric.add_port();
-        let _ = fabric.host_on("c0", p0);
-        let _ = fabric.host_on("c0", p1);
+        let _ = fabric.host_on(Some("c0"), 2);
     }
 }

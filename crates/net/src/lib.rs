@@ -2,9 +2,13 @@
 //!
 //! The paper's testbed is a single client and a single server on an
 //! isolated Gigabit Ethernet LAN, optionally with NISTNet-injected
-//! wide-area delay (§4.6). This crate models that link: a full-duplex
-//! [`Network`] with configurable round-trip time, bandwidth, and an
-//! optional loss rate, plus [`Channel`]s that protocols open over it.
+//! wide-area delay (§4.6). This crate models that link, and the
+//! multi-host topologies that generalize it, with one type: a
+//! [`Fabric`] of server ports holds the link parameters (round-trip
+//! time, bandwidth, an optional loss rate, the transport model), and
+//! each host's end of a port is a full-duplex [`Network`] endpoint
+//! that protocols open [`Channel`]s over. The paper's pair is the
+//! unnamed endpoint of a one-port fabric, [`Network::new`].
 //!
 //! Channels do the accounting that every message-count column in the
 //! paper's tables is built from: each send bumps `net.<label>.msgs`
@@ -33,13 +37,12 @@ pub mod fabric;
 pub mod sniffer;
 pub mod tcp;
 
-pub use fabric::{EndpointId, Fabric, LinkShare};
+pub use fabric::Fabric;
 pub use sniffer::{PacketRecord, SegKind, Sniffer};
 pub use tcp::{Direction, TcpEndpoint, TcpLink, Transfer, TransportModel};
 
 use simkit::units::{self, Bps, Bytes};
 use simkit::{Sim, SimDuration};
-use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::rc::Rc;
 
@@ -132,10 +135,9 @@ impl LinkParams {
     }
 
     /// Checks the link invariants. `loss` must be a probability in
-    /// `[0, 1)`; every constructor that accepts a hand-built
-    /// `LinkParams` ([`Network::new`], [`Fabric::new`]) calls this so
-    /// the invariant cannot be bypassed by building the struct
-    /// directly instead of going through [`Network::set_loss`].
+    /// `[0, 1)`. Every link is built by a [`Fabric`] constructor, and
+    /// both ([`Fabric::new`], [`Fabric::with_core`]) call this, so a
+    /// hand-built struct cannot bypass the invariant.
     ///
     /// # Panics
     ///
@@ -161,141 +163,46 @@ impl LinkParams {
     }
 }
 
-/// The simulated client–server link.
-///
-/// Interior mutability lets experiments change the RTT mid-run, as the
-/// paper does when sweeping NISTNet delays for Figure 6.
+/// One host's end of a [`Fabric`] port: the link its channels time and
+/// account against. Link parameters live in the fabric, contention
+/// state in the port; the endpoint itself holds only its counter
+/// prefix. Built by [`Fabric::host_on`] (or [`Network::new`]).
 #[derive(Debug)]
 pub struct Network {
-    sim: Rc<Sim>,
-    rtt: Cell<SimDuration>,
-    bandwidth_bps: Cell<Bps>,
-    loss: Cell<f64>,
-    /// Host name when this endpoint belongs to a [`Fabric`]; channels
-    /// then also account under `net.<host>.<label>.*`.
+    fabric: Rc<Fabric>,
+    port: Rc<fabric::Port>,
+    /// `Some(host)`: channels also account under
+    /// `net.<host>.<label>.*`. `None`: the paper's unnamed pair, which
+    /// registers only the per-label and total names.
     host: Option<String>,
-    /// Server-side link shared with the fabric's other endpoints;
-    /// effective bandwidth is the base divided by the active count.
-    share: Option<Rc<LinkShare>>,
-    /// Transport model every channel on this link uses (fixed at
-    /// construction; the NISTNet knobs above do not change it).
-    transport: TransportModel,
-    /// Bottleneck queue pair for the TCP model. On a fabric endpoint
-    /// this is the *fabric's* shared link, so all hosts contend for
-    /// the same server port queue; a point-to-point network owns its
-    /// own. Always present (two idle cells) so channels can be opened
-    /// before any transport decision matters.
-    tcp_link: Rc<TcpLink>,
-    /// Optional passive tap (the paper's Ethereal).
-    sniffer: RefCell<Option<Rc<Sniffer>>>,
 }
 
 impl Network {
-    /// Creates a link with the given parameters.
+    /// The paper's point-to-point link: the unnamed endpoint of a
+    /// one-port [`Fabric`] with the given parameters.
     ///
     /// # Panics
     ///
     /// Panics if `params.loss` is outside `[0, 1)`.
     pub fn new(sim: Rc<Sim>, params: LinkParams) -> Rc<Self> {
-        params.validate();
-        Rc::new(Network {
-            sim,
-            rtt: Cell::new(params.rtt),
-            bandwidth_bps: Cell::new(params.bandwidth_bps),
-            loss: Cell::new(params.loss),
-            host: None,
-            share: None,
-            transport: params.transport,
-            tcp_link: TcpLink::new(),
-            sniffer: RefCell::new(None),
-        })
+        Fabric::new(sim, params).host_on(None, 0)
     }
 
-    /// Creates a fabric endpoint: a link named `host` whose channels
-    /// additionally account under `net.<host>.<label>.*` and whose
-    /// effective bandwidth is `params.bandwidth_bps` divided by the
-    /// number of active hosts on `share`.
-    pub(crate) fn endpoint(
-        sim: Rc<Sim>,
-        params: LinkParams,
-        host: String,
-        share: Rc<LinkShare>,
-        tcp_link: Rc<TcpLink>,
-    ) -> Rc<Self> {
-        params.validate();
-        Rc::new(Network {
-            sim,
-            rtt: Cell::new(params.rtt),
-            bandwidth_bps: Cell::new(params.bandwidth_bps),
-            loss: Cell::new(params.loss),
-            host: Some(host),
-            share: Some(share),
-            transport: params.transport,
-            tcp_link,
-            sniffer: RefCell::new(None),
-        })
-    }
-
-    /// The host name, when this endpoint belongs to a [`Fabric`].
-    pub fn host(&self) -> Option<&str> {
-        self.host.as_deref()
-    }
-
-    /// Current link parameters. On a fabric endpoint the bandwidth is
-    /// the contended share — the edge link's base bandwidth divided by
-    /// its active-host count, capped by the core switch if the fabric
-    /// has one. The share is cached on active-set changes
-    /// ([`LinkShare::set_active`]), so this is a couple of `Cell` reads
-    /// and the arithmetic is the same integer division the historical
-    /// per-call `base / active` computed.
+    /// Current link parameters: the fabric's, with the bandwidth this
+    /// endpoint's port currently grants — the edge rate divided by its
+    /// active-host count, capped by the core switch if the fabric has
+    /// one. The share is cached on active-set changes, so this is a
+    /// couple of `Cell` reads.
     pub fn params(&self) -> LinkParams {
-        let bandwidth_bps = match &self.share {
-            Some(s) => s.effective_bps(),
-            None => self.bandwidth_bps.get(),
-        };
         LinkParams {
-            rtt: self.rtt.get(),
-            bandwidth_bps,
-            loss: self.loss.get(),
-            transport: self.transport,
+            bandwidth_bps: self.port.share.effective_bps(),
+            ..self.fabric.link
         }
-    }
-
-    /// The transport model channels on this link use.
-    pub fn transport_model(&self) -> TransportModel {
-        self.transport
-    }
-
-    /// The TCP bottleneck queue pair (shared fabric-wide on fabric
-    /// endpoints). Idle unless the TCP model is selected.
-    pub fn tcp_link(&self) -> &Rc<TcpLink> {
-        &self.tcp_link
-    }
-
-    /// Reconfigures the round-trip time (the NISTNet knob).
-    pub fn set_rtt(&self, rtt: SimDuration) {
-        self.rtt.set(rtt);
-    }
-
-    /// Reconfigures the loss probability.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `loss` is in `[0, 1)`.
-    pub fn set_loss(&self, loss: f64) {
-        assert!((0.0..1.0).contains(&loss), "loss must be in [0,1)");
-        self.loss.set(loss);
     }
 
     /// The shared simulation context.
     pub fn sim(&self) -> &Rc<Sim> {
-        &self.sim
-    }
-
-    /// Attaches a passive packet monitor; every subsequent message is
-    /// recorded. Pass `None` to detach.
-    pub fn attach_sniffer(&self, s: Option<Rc<Sniffer>>) {
-        *self.sniffer.borrow_mut() = s;
+        &self.fabric.sim
     }
 
     /// Opens an accounting channel. The label appears in counter names
@@ -317,17 +224,16 @@ impl Network {
         flows: Option<u32>,
     ) -> Channel {
         let label = label.into();
-        let c = self.sim.counters();
+        let c = self.sim().counters();
         // Counter names are formatted once here; the per-message path
         // (`account`) only bumps the resolved handles.
         let msgs = c.handle(&format!("net.{label}.msgs"));
         let bytes = c.handle(&format!("net.{label}.bytes"));
         let total_msgs = c.handle("net.total.msgs");
         let total_bytes = c.handle("net.total.bytes");
-        // Fabric endpoints additionally account per host, layered over
-        // the per-label and grand totals. A plain point-to-point
-        // `Network` registers no extra names, keeping single-client
-        // reports byte-identical.
+        // Named endpoints additionally account per host, layered over
+        // the per-label and grand totals. The unnamed pair registers no
+        // extra names, keeping single-client reports byte-identical.
         let host = self.host.as_ref().map(|h| {
             (
                 c.handle(&format!("net.{h}.{label}.msgs")),
@@ -338,9 +244,9 @@ impl Network {
         // flow set over the shared bottleneck (UDP channels keep the
         // closed form: the flow machinery models TCP's window, which a
         // datagram transport does not have).
-        let tcp = match (transport, self.transport) {
+        let tcp = match (transport, self.fabric.link.transport) {
             (Transport::Tcp, TransportModel::Tcp { connections }) => Some(Rc::new(
-                TcpEndpoint::new(Rc::clone(&self.tcp_link), flows.unwrap_or(connections)),
+                TcpEndpoint::new(Rc::clone(&self.port.tcp_link), flows.unwrap_or(connections)),
             )),
             _ => None,
         };
@@ -369,7 +275,7 @@ pub struct Channel {
     bytes: simkit::CounterHandle,
     total_msgs: simkit::CounterHandle,
     total_bytes: simkit::CounterHandle,
-    /// `(msgs, bytes)` under `net.<host>.<label>.*` on fabric endpoints.
+    /// `(msgs, bytes)` under `net.<host>.<label>.*` on named endpoints.
     host: Option<(simkit::CounterHandle, simkit::CounterHandle)>,
     /// Congestion-modeled flows when the link selects
     /// [`TransportModel::Tcp`] and this channel is stream transport.
@@ -419,8 +325,9 @@ impl Channel {
     }
 
     fn account(&self, payload: Bytes) {
-        if let Some(s) = self.net.sniffer.borrow().as_ref() {
-            s.observe(self.net.sim.now(), &self.label, payload);
+        let fabric = &self.net.fabric;
+        if let Some(s) = fabric.sniffer.borrow().as_ref() {
+            s.observe(fabric.sim.now(), &self.label, payload);
         }
         let wire = payload + self.transport.header_bytes();
         self.msgs.incr();
@@ -439,20 +346,16 @@ impl Channel {
         self.tcp.is_some()
     }
 
-    /// The channel's flow set, when TCP-modeled.
-    pub fn tcp_endpoint(&self) -> Option<&Rc<TcpEndpoint>> {
-        self.tcp.as_ref()
-    }
-
     /// Folds one modeled transfer's loss-recovery traffic into the
     /// books: retransmitted wire bytes join the byte counters (they
     /// crossed the link), and the sniffer tags the segments with
     /// their [`SegKind`] so a capture can separate goodput from
     /// recovery.
     fn tcp_account(&self, t: &tcp::Transfer) {
+        let sim = self.net.sim();
         if t.retrans_segments > 0 {
             self.account_extra_bytes(t.retrans_bytes);
-            let c = self.net.sim.counters();
+            let c = sim.counters();
             let (total, per_label) = *self.retx.borrow_mut().get_or_insert_with(|| {
                 (
                     c.id("net.tcp.retx_segs"),
@@ -463,10 +366,10 @@ impl Channel {
             c.add_id(per_label, t.retrans_segments);
         }
         if t.dup_acks > 0 {
-            self.net.sim.counters().add("net.tcp.dup_acks", t.dup_acks);
+            sim.counters().add("net.tcp.dup_acks", t.dup_acks);
         }
-        if let Some(s) = self.net.sniffer.borrow().as_ref() {
-            let now = self.net.sim.now();
+        if let Some(s) = self.net.fabric.sniffer.borrow().as_ref() {
+            let now = sim.now();
             for _ in 0..t.retrans_segments {
                 s.observe_kind(now, &self.label, Bytes::new(tcp::MSS), SegKind::Retransmit);
             }
@@ -496,7 +399,7 @@ impl Channel {
     /// channels, whose callers keep the closed form.
     pub fn tcp_burst(&self, bytes: Bytes, dir: Direction) -> Option<SimDuration> {
         let ep = self.tcp.as_ref()?;
-        let t = ep.transfer_striped(&self.net.params(), self.net.sim.now(), bytes, dir);
+        let t = ep.transfer_striped(&self.net.params(), self.net.sim().now(), bytes, dir);
         self.tcp_account(&t);
         Some(t.duration)
     }
@@ -509,12 +412,12 @@ impl Channel {
         self.account(payload);
         if let Some(ep) = &self.tcp {
             let flow = ep.next_flow();
-            let d = self.tcp_leg(ep, self.net.sim.now(), payload, Direction::Up, flow);
+            let d = self.tcp_leg(ep, self.net.sim().now(), payload, Direction::Up, flow);
             return Delivery::Delivered(d);
         }
         let p = self.net.params();
         if self.transport == Transport::Udp && p.loss > 0.0 {
-            let draw = units::unit_interval(self.net.sim.rng_u64());
+            let draw = units::unit_interval(self.net.sim().rng_u64());
             if draw < p.loss {
                 return Delivery::Lost;
             }
@@ -533,7 +436,7 @@ impl Channel {
         self.account(response);
         if let Some(ep) = &self.tcp {
             let flow = ep.next_flow();
-            let now = self.net.sim.now();
+            let now = self.net.sim().now();
             let d1 = self.tcp_leg(ep, now, request, Direction::Up, flow);
             let d2 = self.tcp_leg(ep, now + d1, response, Direction::Down, flow);
             return d1 + d2;
@@ -606,22 +509,18 @@ mod tests {
         assert_eq!(sim.counters().get("net.total.msgs"), 2);
     }
 
-    #[test]
-    fn rtt_reconfiguration_takes_effect() {
-        let (_sim, net) = setup();
-        let ch = net.channel("x", Transport::Tcp);
-        let fast = ch.round_trip(Bytes::ZERO, Bytes::ZERO);
-        net.set_rtt(SimDuration::from_millis(90));
-        let slow = ch.round_trip(Bytes::ZERO, Bytes::ZERO);
-        assert!(slow > fast);
-        assert!(slow >= SimDuration::from_millis(90));
+    /// A link with loss probability `loss`, otherwise the paper's LAN.
+    fn lossy(loss: f64) -> Rc<Network> {
+        let params = LinkParams {
+            loss,
+            ..LinkParams::gigabit_lan()
+        };
+        Network::new(Sim::new(7), params)
     }
 
     #[test]
     fn udp_loses_messages_at_configured_rate() {
-        let (_sim, net) = setup();
-        net.set_loss(0.5);
-        let ch = net.channel("u", Transport::Udp);
+        let ch = lossy(0.5).channel("u", Transport::Udp);
         let mut lost = 0;
         let n = 2000;
         for _ in 0..n {
@@ -635,9 +534,7 @@ mod tests {
 
     #[test]
     fn tcp_never_reports_loss() {
-        let (_sim, net) = setup();
-        net.set_loss(0.9);
-        let ch = net.channel("t", Transport::Tcp);
+        let ch = lossy(0.9).channel("t", Transport::Tcp);
         for _ in 0..100 {
             assert!(matches!(ch.send(b(64)), Delivery::Delivered(_)));
         }

@@ -201,10 +201,10 @@ impl LinkQueue {
     }
 }
 
-/// The shared bottleneck: one queue per direction. A point-to-point
-/// [`Network`](crate::Network) owns its own link; a
-/// [`Fabric`](crate::Fabric) shares one `TcpLink` across every host
-/// endpoint, so all clients contend for the same server port queue.
+/// The shared bottleneck: one queue per direction. Each
+/// [`Fabric`](crate::Fabric) port owns one, shared by every host
+/// endpoint on the port, so all its clients contend for the same
+/// server port queue.
 #[derive(Debug)]
 pub struct TcpLink {
     up: LinkQueue,
@@ -410,12 +410,6 @@ impl TcpEndpoint {
         let f = self.rr.get();
         self.rr.set((f + 1) % self.flows.len());
         f
-    }
-
-    /// Current smoothed RTT of `flow`, if it has a sample.
-    pub fn flow_srtt(&self, flow: usize) -> Option<SimDuration> {
-        let ns = self.flows[flow].srtt.get();
-        (ns > 0).then(|| SimDuration::from_nanos(ns))
     }
 
     /// Models `bytes` of payload moving in `dir` on a single flow.

@@ -8,7 +8,7 @@
 //! `proptest_config`, and the `prop_assert!`/`prop_assert_eq!`
 //! macros. Unlike real proptest there is **no shrinking** and no
 //! persisted failure seeds: every test function draws its cases from
-//! a [`SplitMix64`]-style generator seeded from the test name and
+//! a `SplitMix64`-style generator seeded from the test name and
 //! case index, so failures are reproducible run-to-run and a failing
 //! case prints its inputs directly.
 
@@ -194,7 +194,7 @@ pub mod collection {
         VecStrategy { elem, size }
     }
 
-    /// The result of [`vec`].
+    /// The result of [`vec()`].
     pub struct VecStrategy<S> {
         elem: S,
         size: Range<usize>,

@@ -86,7 +86,8 @@ pub fn per_host_gauge(name: &str) -> bool {
     })
 }
 
-/// Virtual-clock gauge sampler. See the [module docs](self).
+/// Virtual-clock gauge sampler. The sampling contract is in the
+/// `gauge` module's docs.
 pub struct GaugeSampler {
     period: SimDuration,
     /// Next sampling instant, always an absolute multiple of `period`.

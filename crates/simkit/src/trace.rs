@@ -173,7 +173,8 @@ fn mix(seed: u64, salt: u64, n: u64) -> u64 {
 const TRACE_SALT: u64 = 0x7472_6163_6549_4421; // "traceID!"
 const SPAN_SALT: u64 = 0x7370_616e_4944_2121; // "spanID!!"
 
-/// Bounded, deterministic span recorder. See the [module docs](self).
+/// Bounded, deterministic span recorder. The recording contract is in
+/// the `trace` module's docs.
 pub struct Tracer {
     enabled: Cell<bool>,
     capacity: Cell<usize>,

@@ -40,6 +40,7 @@ use ipstorage::core::{
     Protocol, ReportBuilder, RunOptions, RunReport, ShardPolicy, Table, Testbed, TestbedConfig,
     TopologyConfig,
 };
+use ipstorage::simkit::SimDuration;
 
 /// Reconstruct the bytes `tables --json` writes for one runner: the
 /// rendered table, a blank line, then the report as one JSON line.
@@ -152,6 +153,51 @@ fn shard_policies_are_selectable_through_the_public_api() {
         );
         tb.client_fs(3).mkdir("/d").unwrap();
         assert!(tb.client_fs(3).stat("/d").is_ok(), "{policy:?}");
+    }
+}
+
+/// Virtual time client `i` takes to write 64 KiB through to its server.
+fn write_through(tb: &Testbed, i: usize) -> SimDuration {
+    let fs = tb.client_fs(i);
+    let t0 = tb.now();
+    fs.creat("/f").unwrap();
+    let fd = fs.open("/f").unwrap();
+    fs.write(fd, 0, &[7; 64 << 10]).unwrap();
+    fs.fsync(fd).unwrap();
+    fs.close(fd).unwrap();
+    tb.now().since(t0)
+}
+
+/// Activating fewer clients than the topology has leaves some server
+/// edges with no active host. Such an edge keeps its whole link: a
+/// client on it writes exactly as fast as on a fresh topology, where
+/// every edge starts with one contender, and strictly faster than when
+/// its edge is shared. The pair with nobody active keeps its link too.
+#[test]
+fn idle_edges_keep_their_whole_link() {
+    for protocol in [Protocol::NfsV3, Protocol::Iscsi] {
+        let build = || {
+            Testbed::build_topology(
+                TopologyConfig::new(protocol)
+                    .with_clients(4)
+                    .with_servers(2),
+            )
+        };
+        let tb = build();
+        let idle = (1..tb.client_count())
+            .find(|&i| tb.client_port(i) != tb.client_port(0))
+            .expect("a client on another port than client 0's");
+        let whole = write_through(&build(), idle);
+        tb.set_active_clients(1);
+        assert_eq!(write_through(&tb, idle), whole, "{protocol:?}");
+        let shared = build();
+        shared.set_active_clients(4);
+        assert!(write_through(&shared, idle) > whole, "{protocol:?}");
+
+        let pair_whole = write_through(&Testbed::with_protocol(protocol), 0);
+        let pair = Testbed::with_protocol(protocol);
+        pair.set_active_clients(0);
+        assert_eq!(write_through(&pair, 0), pair_whole, "{protocol:?}");
     }
 }
 
