@@ -297,13 +297,11 @@ impl TopologyConfig {
     }
 }
 
-/// One client host of the topology: its name, CPU account, mount, and
-/// the server shard (fabric port) it is attached to.
+/// One client host of the topology: its name, CPU account and mount.
 struct ClientHost {
     name: String,
     cpu: Rc<CpuAccount>,
     kind: MountKind,
-    port: u32,
 }
 
 /// A built testbed: the workload-facing [`FileSystem`] plus the
@@ -314,6 +312,8 @@ pub struct Testbed {
     fabric: Rc<Fabric>,
     config: TestbedConfig,
     clients: Vec<ClientHost>,
+    /// The server shard (fabric port) each client is attached to.
+    ports: Vec<u32>,
     /// One CPU account per server shard (exactly one in the paper's
     /// single-server topologies).
     server_cpus: Vec<Rc<CpuAccount>>,
@@ -608,17 +608,12 @@ impl Testbed {
                                 .expect("login"),
                         );
                         let fs = Rc::new(Self::client_fs_init(&sim, disk, &config, remount, host));
-                        let mount = LocalMount::new(fs, cpu.clone(), config.cost);
-                        mount.set_trace_host(host);
-                        MountKind::Iscsi { mount }
+                        MountKind::Iscsi {
+                            mount: LocalMount::new(fs, cpu.clone(), config.cost),
+                        }
                     }
                 };
-                ClientHost {
-                    name,
-                    cpu,
-                    kind,
-                    port,
-                }
+                ClientHost { name, cpu, kind }
             })
             .collect();
 
@@ -635,6 +630,7 @@ impl Testbed {
             fabric,
             config,
             clients,
+            ports,
             server_cpus,
             policy,
             core_bandwidth_bps,
@@ -759,8 +755,8 @@ impl Testbed {
         let mut client_fss: Vec<Rc<Ext3>> = Vec::new();
         for host in clients {
             match &host.kind {
-                MountKind::Nfs { mount } => nfs_clients.push(Rc::clone(mount.client())),
-                MountKind::Iscsi { mount } => client_fss.push(Rc::clone(mount.fs())),
+                MountKind::Nfs { mount } => nfs_clients.push(Rc::clone(mount.inner())),
+                MountKind::Iscsi { mount } => client_fss.push(Rc::clone(mount.inner())),
             }
         }
         {
@@ -809,8 +805,8 @@ impl Testbed {
     }
 
     /// The client-side ext3 (iSCSI): mkfs cold, mount on resume. The
-    /// trace host pins its daemon-rooted journal spans to the owning
-    /// client's track.
+    /// trace host pins its daemon-rooted journal spans, and the system
+    /// calls of the mount over it, to the owning client's track.
     fn client_fs_init(
         sim: &Rc<Sim>,
         dev: Rc<dyn BlockDevice>,
@@ -858,15 +854,15 @@ impl Testbed {
         // NFS: one server file system per shard, however many clients
         // mount it — unmount each exactly once. iSCSI: one per client.
         let mut done = vec![false; self.server_cpus.len()];
-        for host in &self.clients {
+        for (host, &port) in self.clients.iter().zip(&self.ports) {
             match &host.kind {
                 MountKind::Nfs { mount } => {
-                    if !std::mem::replace(&mut done[host.port as usize], true) {
-                        let server = mount.client().server();
+                    if !std::mem::replace(&mut done[port as usize], true) {
+                        let server = mount.inner().server();
                         server.fs().unmount().expect("server unmount");
                     }
                 }
-                MountKind::Iscsi { mount } => mount.fs().unmount().expect("client unmount"),
+                MountKind::Iscsi { mount } => mount.inner().unmount().expect("client unmount"),
             }
         }
         let epoch = self.sim.now();
@@ -985,8 +981,8 @@ impl Testbed {
     /// left whole.
     pub fn set_active_clients(&self, n: u32) {
         let mut per_port = vec![0u32; self.server_cpus.len()];
-        for host in self.clients.iter().take(n as usize) {
-            per_port[host.port as usize] += 1;
+        for &port in self.ports.iter().take(n as usize) {
+            per_port[port as usize] += 1;
         }
         for (j, &k) in per_port.iter().enumerate() {
             self.fabric.set_port_active(j, k);
@@ -1053,7 +1049,7 @@ impl Testbed {
     ///
     /// Panics if `i` is out of range.
     pub fn client_port(&self, i: usize) -> u32 {
-        self.clients[i].port
+        self.ports[i]
     }
 
     /// Total protocol transactions so far (the paper's "messages").
@@ -1075,13 +1071,13 @@ impl Testbed {
         for host in &self.clients {
             match &host.kind {
                 MountKind::Nfs { mount } => {
-                    mount.client().drop_caches();
+                    mount.inner().drop_caches();
                     // "Restarting the NFS server": its caches go too.
-                    mount.client().server().drop_caches();
+                    mount.inner().server().drop_caches();
                 }
                 MountKind::Iscsi { mount } => {
-                    let _ = mount.fs().sync();
-                    let _ = mount.fs().drop_caches();
+                    let _ = mount.inner().sync();
+                    let _ = mount.inner().drop_caches();
                 }
             }
         }
@@ -1094,7 +1090,7 @@ impl Testbed {
         // the journal.
         for host in &self.clients {
             if let MountKind::Nfs { mount } = &host.kind {
-                mount.client().flush_delegated_updates();
+                mount.inner().flush_delegated_updates();
             }
         }
         self.sim.advance(calibration::settle_time());

@@ -491,6 +491,11 @@ impl Ext3 {
         &self.inner.sim
     }
 
+    /// The machine this instance runs on ([`Options::trace_host`]).
+    pub fn trace_host(&self) -> simkit::HostId {
+        self.inner.opts.trace_host
+    }
+
     /// Total background device time accumulated (journal commits and
     /// data write-back) — the disk-utilization side of the CPU story.
     pub fn background_busy(&self) -> SimDuration {

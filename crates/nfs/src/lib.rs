@@ -98,6 +98,18 @@ impl Version {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Fh(pub u32);
 
+impl From<u32> for Fh {
+    fn from(ino: u32) -> Fh {
+        Fh(ino)
+    }
+}
+
+impl From<Fh> for u32 {
+    fn from(fh: Fh) -> u32 {
+        fh.0
+    }
+}
+
 /// The §7 enhancements, individually switchable, plus standard NFS v4
 /// file delegation (§2.3: with it, data reads skip the periodic
 /// consistency checks).

@@ -1,5 +1,5 @@
-//! Integration tests of the two mount types against real stacks: an
-//! NFS v3 client/server pair and an ext3-over-iSCSI local mount.
+//! Integration tests of the mount against real stacks: an NFS v3
+//! client/server pair and an ext3-over-iSCSI local mount.
 
 use blockdev::MemDisk;
 use cpu::{CostModel, CpuAccount};
@@ -10,7 +10,7 @@ use nfs::{NfsClient, NfsConfig, NfsServer, Version};
 use rpc::{RpcClient, RpcConfig};
 use simkit::Sim;
 use std::rc::Rc;
-use vfs::{FileSystem, LocalMount, NfsMount};
+use vfs::{Fd, FileSystem, LocalMount, NfsMount};
 
 fn nfs_mount() -> NfsMount {
     let sim = Sim::new(1);
@@ -197,4 +197,33 @@ fn offset_overflow_is_invalid_argument_over_nfs() {
 #[test]
 fn offset_overflow_is_invalid_argument_over_iscsi() {
     offset_overflow_is_invalid_argument(&local_mount());
+}
+
+/// A descriptor no `open` could have returned is refused, not
+/// truncated: `Fd((1 << 32) | n)` used to reach inode `n`.
+#[test]
+fn out_of_range_descriptor_is_invalid_argument() {
+    for (name, fs) in mounts() {
+        fs.creat("/f").unwrap();
+        let fd = fs.open("/f").unwrap();
+        fs.write(fd, 0, b"hello").unwrap();
+        let bad = Fd((1 << 32) | fd.0);
+        let invalid = FsError::InvalidArgument;
+        let mut buf = [0u8; 5];
+        assert_eq!(fs.read(bad, 0, 5).unwrap_err(), invalid, "{name}");
+        assert_eq!(
+            fs.read_into(bad, 0, &mut buf).unwrap_err(),
+            invalid,
+            "{name}"
+        );
+        assert_eq!(fs.write(bad, 0, b"HELLO").unwrap_err(), invalid, "{name}");
+        assert_eq!(fs.fsync(bad).unwrap_err(), invalid, "{name}");
+        assert_eq!(fs.close(bad).unwrap_err(), invalid, "{name}");
+        assert_eq!(
+            fs.read(fd, 0, 5).unwrap(),
+            b"hello",
+            "{name}: file unharmed"
+        );
+        fs.close(fd).unwrap();
+    }
 }

@@ -15,8 +15,9 @@
 //! parallel threads like any others.
 
 use ipstorage::core::{
-    attribution_table, gauge_table, Protocol, ReportBuilder, RunReport, Testbed,
+    attribution_table, gauge_table, Protocol, ReportBuilder, RunReport, Testbed, TopologyConfig,
 };
+use ipstorage::simkit::HostId;
 
 /// The workload: metadata ops, a 64 KB write, settle (journal commit
 /// lands), cold caches (the paper's unmount/remount protocol), then a
@@ -93,6 +94,65 @@ fn untraced_run_attributes_nothing() {
     let mut rb = ReportBuilder::new("untraced");
     rb.absorb(&tb);
     assert!(rb.finish().attribution.is_empty());
+}
+
+/// Every system call on client 1 of a traced two-client testbed is one
+/// `vfs` root span, labelled `<protocol>.<call>` after the method and
+/// attributed to client 1's machine — for every `FileSystem` method,
+/// not only the golden workload's.
+#[test]
+fn every_syscall_is_one_root_span_on_its_client() {
+    for (protocol, family) in [(Protocol::NfsV3, "nfs"), (Protocol::Iscsi, "iscsi")] {
+        let tb = Testbed::build_topology(TopologyConfig::new(protocol).with_clients(2));
+        let tracer = tb.sim().tracer();
+        tracer.set_enabled(true);
+        let fs = tb.client_fs(1);
+        // Runs one call with a fresh span buffer and checks its root span.
+        let call = |op: &str, f: &dyn Fn()| {
+            tracer.clear();
+            f();
+            let roots: Vec<_> = tracer
+                .spans()
+                .into_iter()
+                .filter(|s| s.layer == "vfs")
+                .collect();
+            assert_eq!(roots.len(), 1, "{family}.{op}: {roots:?}");
+            assert_eq!(roots[0].op, format!("{family}.{op}"));
+            assert_eq!(roots[0].parent, None, "{family}.{op}");
+            assert_eq!(roots[0].host, HostId::client(1), "{family}.{op}");
+        };
+        call("mkdir", &|| fs.mkdir("/t").unwrap());
+        call("chdir", &|| fs.chdir("/t").unwrap());
+        call("creat", &|| fs.creat("f").unwrap());
+        let fd = fs.open("f").unwrap();
+        call("open", &|| assert_eq!(fs.open("f").unwrap(), fd));
+        call("write", &|| {
+            assert_eq!(fs.write(fd, 0, b"data").unwrap(), 4)
+        });
+        call("read", &|| assert_eq!(fs.read(fd, 0, 4).unwrap(), b"data"));
+        call("read", &|| {
+            assert_eq!(fs.read_into(fd, 0, &mut [0u8; 4]).unwrap(), 4);
+        });
+        call("fsync", &|| fs.fsync(fd).unwrap());
+        call("close", &|| fs.close(fd).unwrap());
+        call("link", &|| fs.link("f", "h").unwrap());
+        call("symlink", &|| fs.symlink("f", "s").unwrap());
+        call("readlink", &|| assert_eq!(fs.readlink("s").unwrap(), "f"));
+        call("rename", &|| fs.rename("h", "h2").unwrap());
+        call("truncate", &|| fs.truncate("f", 0).unwrap());
+        call("chmod", &|| fs.chmod("f", 0o600).unwrap());
+        call("chown", &|| fs.chown("f", 1, 1).unwrap());
+        call("access", &|| fs.access("f").unwrap());
+        call("stat", &|| assert_eq!(fs.stat("f").unwrap().perm, 0o600));
+        call("utime", &|| fs.utime("f").unwrap());
+        call("readdir", &|| assert_eq!(fs.readdir(".").unwrap().len(), 5));
+        call("unlink", &|| fs.unlink("h2").unwrap());
+        call("unlink", &|| fs.unlink("s").unwrap());
+        call("unlink", &|| fs.unlink("f").unwrap());
+        call("chdir", &|| fs.chdir("/").unwrap());
+        call("rmdir", &|| fs.rmdir("/t").unwrap());
+        call("statfs", &|| assert!(fs.statfs().unwrap().blocks_total > 0));
+    }
 }
 
 #[test]
