@@ -6,10 +6,21 @@
 //! updates. Blocks are keyed by device block number; dirty blocks are
 //! tagged as meta-data (journaled at commit) or data (flushed by the
 //! pdflush-style daemon).
+//!
+//! Resident blocks live in a two-level block table: a directory indexed
+//! by `bno / LEAF` whose entries are fixed leaves of `LEAF` slots, so a
+//! lookup is two index operations — no hashing, no tree descent — and
+//! iteration runs in block order. `LEAF` is 64: a slot is 16 bytes, so
+//! a leaf is 1 KiB, never a 4 KiB request that would look like a block
+//! image to the allocator. A leaf is allocated the first time one of
+//! its blocks is cached and kept until the cache is dropped. The
+//! directory grows on demand to the highest block cached, which the
+//! file system bounds by the volume: `bmap` turns an on-disk pointer at
+//! or past `blocks_count` into [`FsError::Corrupt`](crate::FsError), and
+//! a failed load caches nothing.
 
 use blockdev::{BlockNo, Image, BLOCK_SIZE};
-use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// Dirty state of a cached block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,6 +41,80 @@ struct Buf {
     referenced: bool,
 }
 
+/// Blocks per leaf of a [`BlockTable`] (see the module docs).
+const LEAF: usize = 64;
+const _: () = assert!(std::mem::size_of::<[Option<Buf>; LEAF]>() == 1024);
+
+/// The block number → buffer map: a directory of lazily allocated
+/// `LEAF`-slot leaves.
+#[derive(Debug, Default)]
+struct BlockTable {
+    dir: Vec<Option<Box<[Option<Buf>; LEAF]>>>,
+    len: usize,
+}
+
+impl BlockTable {
+    /// `(directory index, slot within the leaf)` of a block.
+    fn split(bno: BlockNo) -> (usize, usize) {
+        let leaf = LEAF as BlockNo;
+        ((bno / leaf) as usize, (bno % leaf) as usize)
+    }
+
+    fn get(&self, bno: BlockNo) -> Option<&Buf> {
+        let (d, i) = Self::split(bno);
+        self.dir.get(d)?.as_ref()?[i].as_ref()
+    }
+
+    fn get_mut(&mut self, bno: BlockNo) -> Option<&mut Buf> {
+        let (d, i) = Self::split(bno);
+        self.dir.get_mut(d)?.as_mut()?[i].as_mut()
+    }
+
+    /// Stores `buf` at a block that is not resident, growing the
+    /// directory and allocating the leaf if this is its first block.
+    fn insert(&mut self, bno: BlockNo, buf: Buf) -> &mut Buf {
+        let (d, i) = Self::split(bno);
+        if d >= self.dir.len() {
+            self.dir.resize_with(d + 1, || None);
+        }
+        let leaf = self.dir[d].get_or_insert_with(|| Box::new([const { None }; LEAF]));
+        debug_assert!(leaf[i].is_none(), "block {bno} already resident");
+        self.len += 1;
+        leaf[i].insert(buf)
+    }
+
+    fn remove(&mut self, bno: BlockNo) {
+        let (d, i) = Self::split(bno);
+        if let Some(Some(leaf)) = self.dir.get_mut(d) {
+            if leaf[i].take().is_some() {
+                self.len -= 1;
+            }
+        }
+    }
+
+    /// Drops every buffer; the directory and leaves stay for the
+    /// blocks the cache will load again.
+    fn clear(&mut self) {
+        for leaf in self.dir.iter_mut().flatten() {
+            leaf.fill_with(|| None);
+        }
+        self.len = 0;
+    }
+
+    /// Resident buffers in block order.
+    fn iter(&self) -> impl Iterator<Item = (BlockNo, &Buf)> {
+        self.dir
+            .iter()
+            .enumerate()
+            .filter_map(|(d, leaf)| Some((d * LEAF, leaf.as_deref()?)))
+            .flat_map(|(base, leaf)| {
+                (base..)
+                    .zip(leaf)
+                    .filter_map(|(bno, b)| Some((bno as BlockNo, b.as_ref()?)))
+            })
+    }
+}
+
 /// A fixed-capacity block cache with CLOCK (second-chance) eviction of
 /// clean blocks — O(1) amortized, unlike a strict LRU scan, which
 /// matters for the gigabyte-scale database workloads.
@@ -40,7 +125,7 @@ struct Buf {
 #[derive(Debug)]
 pub struct BufferCache {
     capacity: usize,
-    map: BTreeMap<BlockNo, Buf>,
+    map: BlockTable,
     /// CLOCK ring of candidate victims (may contain stale keys).
     ring: std::collections::VecDeque<BlockNo>,
     /// Blocks currently dirty with [`DirtyKind::Data`], kept sorted so
@@ -56,7 +141,7 @@ impl BufferCache {
     pub fn new(capacity: usize) -> Self {
         BufferCache {
             capacity: capacity.max(8),
-            map: BTreeMap::new(),
+            map: BlockTable::default(),
             ring: std::collections::VecDeque::new(),
             dirty_data: BTreeSet::new(),
             hits: 0,
@@ -66,12 +151,12 @@ impl BufferCache {
 
     /// Number of blocks currently cached.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.map.len
     }
 
     /// True if nothing is cached.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.map.len == 0
     }
 
     /// `(hits, misses)` since creation.
@@ -94,31 +179,30 @@ impl BufferCache {
         bno: BlockNo,
         load: impl FnOnce(&mut [u8; BLOCK_SIZE]) -> Result<(), E>,
     ) -> Result<&[u8; BLOCK_SIZE], E> {
-        match self.map.entry(bno) {
-            Entry::Occupied(e) => {
-                self.hits += 1;
-                let b = e.into_mut();
-                b.referenced = true;
-                Ok(&b.data)
-            }
-            Entry::Vacant(v) => {
-                self.misses += 1;
-                let mut data = Image::zeroed();
-                load(&mut data)?;
-                self.ring.push_back(bno);
-                let b = v.insert(Buf {
+        if !self.contains(bno) {
+            self.misses += 1;
+            let mut data = Image::zeroed();
+            load(&mut data)?;
+            self.ring.push_back(bno);
+            let b = self.map.insert(
+                bno,
+                Buf {
                     data,
                     dirty: DirtyKind::Clean,
                     referenced: false,
-                });
-                Ok(&b.data)
-            }
+                },
+            );
+            return Ok(&b.data);
         }
+        self.hits += 1;
+        let b = self.map.get_mut(bno).expect("checked resident above");
+        b.referenced = true;
+        Ok(&b.data)
     }
 
     /// True if the block is resident (no hit/miss accounting).
     pub fn contains(&self, bno: BlockNo) -> bool {
-        self.map.contains_key(&bno)
+        self.map.get(bno).is_some()
     }
 
     /// Inserts a block image read from the device (clean).
@@ -139,19 +223,21 @@ impl BufferCache {
         }
         // The reference bit starts clear: a block earns its second
         // chance by being *used* after insertion, as in classic CLOCK.
-        match self.map.entry(bno) {
-            Entry::Occupied(e) => {
-                let b = e.into_mut();
+        match self.map.get_mut(bno) {
+            Some(b) => {
                 b.data.overwrite(data);
                 b.dirty = dirty;
                 b.referenced = false;
             }
-            Entry::Vacant(v) => {
-                v.insert(Buf {
-                    data: Image::from_slice(data),
-                    dirty,
-                    referenced: false,
-                });
+            None => {
+                self.map.insert(
+                    bno,
+                    Buf {
+                        data: Image::from_slice(data),
+                        dirty,
+                        referenced: false,
+                    },
+                );
                 self.ring.push_back(bno);
             }
         }
@@ -165,7 +251,7 @@ impl BufferCache {
         kind: DirtyKind,
         f: impl FnOnce(&mut [u8; BLOCK_SIZE]),
     ) -> bool {
-        match self.map.get_mut(&bno) {
+        match self.map.get_mut(bno) {
             Some(b) => {
                 f(&mut b.data);
                 b.referenced = true;
@@ -187,12 +273,12 @@ impl BufferCache {
 
     /// Dirty state of a block (`Clean` if absent).
     pub fn dirty_kind(&self, bno: BlockNo) -> DirtyKind {
-        self.map.get(&bno).map_or(DirtyKind::Clean, |b| b.dirty)
+        self.map.get(bno).map_or(DirtyKind::Clean, |b| b.dirty)
     }
 
     /// Marks a block clean after write-back (no-op if absent).
     pub fn mark_clean(&mut self, bno: BlockNo) {
-        if let Some(b) = self.map.get_mut(&bno) {
+        if let Some(b) = self.map.get_mut(bno) {
             b.dirty = DirtyKind::Clean;
             self.dirty_data.remove(&bno);
         }
@@ -205,11 +291,10 @@ impl BufferCache {
         if kind == DirtyKind::Data {
             return self.dirty_data.iter().copied().collect();
         }
-        // BTreeMap iteration is already in block order.
         self.map
             .iter()
             .filter(|(_, b)| b.dirty == kind)
-            .map(|(&k, _)| k)
+            .map(|(k, _)| k)
             .collect()
     }
 
@@ -224,13 +309,13 @@ impl BufferCache {
         if kind == DirtyKind::Data {
             return self.dirty_data.len();
         }
-        self.map.values().filter(|b| b.dirty == kind).count()
+        self.map.iter().filter(|(_, b)| b.dirty == kind).count()
     }
 
     /// The block's bytes (for journal commit images and write-back),
     /// without touching hit/miss or CLOCK state.
     pub fn peek(&self, bno: BlockNo) -> Option<&[u8; BLOCK_SIZE]> {
-        self.map.get(&bno).map(|b| &*b.data)
+        self.map.get(bno).map(|b| &*b.data)
     }
 
     /// Evicts clean blocks (CLOCK second-chance order) until the cache
@@ -242,12 +327,12 @@ impl BufferCache {
         // Bound the sweep so an all-dirty/all-referenced cache cannot
         // loop forever: two full passes clear every reference bit.
         let mut budget = self.ring.len() * 2 + 2;
-        while self.map.len() > self.capacity && budget > 0 {
+        while self.map.len > self.capacity && budget > 0 {
             budget -= 1;
             let Some(k) = self.ring.pop_front() else {
                 break;
             };
-            match self.map.get_mut(&k) {
+            match self.map.get_mut(k) {
                 None => {} // stale ring entry: drop it
                 Some(b) if b.dirty != DirtyKind::Clean => self.ring.push_back(k),
                 Some(b) if b.referenced => {
@@ -255,7 +340,7 @@ impl BufferCache {
                     self.ring.push_back(k);
                 }
                 Some(_) => {
-                    self.map.remove(&k);
+                    self.map.remove(k);
                     evicted += 1;
                 }
             }

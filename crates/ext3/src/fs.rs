@@ -274,7 +274,9 @@ impl Daemon for JournalTimers {
                     st.next_commit = now + inner.opts.commit_interval;
                 }
                 if now >= st.next_flush {
-                    flush_data(&inner, &mut st, usize::MAX);
+                    // A run the device rejects stays dirty for the next
+                    // wakeup: the daemon has nobody to report to.
+                    let _ = flush_data(&inner, &mut st, usize::MAX);
                     st.cache.shrink_to_capacity();
                     st.next_flush = now + inner.opts.flush_interval;
                 }
@@ -544,7 +546,7 @@ impl Ext3 {
     pub fn sync(&self) -> FsResult<()> {
         self.with_op(|inner, st| {
             commit_journal(inner, st);
-            flush_data(inner, st, usize::MAX);
+            flush_data(inner, st, usize::MAX)?;
             debug_assert!(st.cache.dirty_blocks(DirtyKind::Data).is_empty());
             Ok(())
         })
@@ -562,7 +564,7 @@ impl Ext3 {
                 return Ok(());
             }
             commit_journal(inner, st);
-            flush_data(inner, st, usize::MAX);
+            flush_data(inner, st, usize::MAX)?;
             checkpoint(inner, st)?;
             st.sb.clean = true;
             let cost = inner.dev.write(0, &st.sb.encode())?;
@@ -584,7 +586,7 @@ impl Ext3 {
     pub fn drop_caches(&self) -> FsResult<()> {
         self.with_op(|inner, st| {
             commit_journal(inner, st);
-            flush_data(inner, st, usize::MAX);
+            flush_data(inner, st, usize::MAX)?;
             checkpoint(inner, st)?;
             debug_assert_eq!(st.journal.checkpoint_pending_len(), 0);
             st.cache.clear();
@@ -983,25 +985,31 @@ pub(crate) fn checkpoint(inner: &Inner, st: &mut State) -> FsResult<()> {
 
 /// Writes back up to `limit` dirty data blocks, merging adjacent
 /// blocks into large commands (this is the aggregation that gives
-/// iSCSI its 128 KB mean write size in the paper). Returns how many
-/// blocks were cleaned.
-pub(crate) fn flush_data(inner: &Inner, st: &mut State, limit: usize) -> usize {
+/// iSCSI its 128 KB mean write size in the paper). Every run is tried;
+/// one the device rejects stays dirty and resident.
+///
+/// # Errors
+///
+/// The first run's device error, after the remaining runs were tried.
+pub(crate) fn flush_data(inner: &Inner, st: &mut State, limit: usize) -> FsResult<()> {
     let dirty = st.cache.dirty_data_prefix(limit);
     if dirty.is_empty() {
-        return 0;
+        return Ok(());
     }
     let runs = merge_runs(dirty, inner.opts.max_write_cmd_blocks);
     let mut cleaned = 0usize;
+    let mut result = Ok(());
     for (start, len) in runs {
-        if write_back_run(inner, st, start, len).is_ok() {
-            cleaned += len as usize;
+        match write_back_run(inner, st, start, len) {
+            Ok(()) => cleaned += len as usize,
+            Err(e) => result = result.and(Err(e)),
         }
     }
     inner
         .sim
         .counters()
         .add("ext3.writeback.blocks", cleaned as u64);
-    cleaned
+    result
 }
 
 /// Writes the resident dirty run `[start, start + len)` to the device
@@ -1047,7 +1055,8 @@ pub(crate) fn maybe_throttle(inner: &Inner, st: &mut State) {
     let dirty = st.cache.dirty_count(DirtyKind::Data);
     if dirty > inner.opts.dirty_limit_blocks {
         let excess = dirty - inner.opts.dirty_limit_blocks;
-        flush_data(inner, st, excess + inner.opts.dirty_limit_blocks / 8);
+        // A rejected run stays dirty: the next write throttles again.
+        let _ = flush_data(inner, st, excess + inner.opts.dirty_limit_blocks / 8);
     }
 }
 

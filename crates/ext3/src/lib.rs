@@ -517,6 +517,114 @@ mod tests {
         assert_eq!(sim.now().as_nanos(), 6_700_099_200);
     }
 
+    /// Rewrites `ino`'s on-disk inode through the file system's own
+    /// primitives, as corruption on the device would present it.
+    fn patch_inode(fs: &Ext3, ino: Ino, patch: impl FnOnce(&mut layout::Inode)) {
+        let inner = &fs.inner;
+        let mut st = inner.state.borrow_mut();
+        let mut inode = crate::fs::read_inode(inner, &mut st, ino).unwrap();
+        patch(&mut inode);
+        crate::fs::write_inode(inner, &mut st, ino, &inode).unwrap();
+    }
+
+    #[test]
+    fn out_of_volume_block_pointer_is_corrupt() {
+        let (_sim, _disk, fs) = newfs();
+        let f = fs.create(fs.root(), "f", 0o644).unwrap();
+        patch_inode(&fs, f, |inode| {
+            inode.block[0] = 0xFFFF_FF00;
+            inode.size = blockdev::BLOCK_SIZE as u64;
+        });
+        let corrupt = FsError::Corrupt("block pointer past end of volume");
+        let block = [7u8; blockdev::BLOCK_SIZE];
+        assert_eq!(fs.write(f, 0, &block), Err(corrupt.clone()));
+        assert_eq!(fs.read(f, 0, block.len()), Err(corrupt));
+        fs.sync().unwrap();
+        let st = fs.inner.state.borrow();
+        assert_eq!(st.cache.dirty_count(DirtyKind::Data), 0);
+        assert!(!st.cache.contains(0xFFFF_FF00));
+    }
+
+    /// A `MemDisk` that rejects every write touching block `bad`, if set.
+    struct RejectsBlock {
+        disk: MemDisk,
+        bad: std::cell::Cell<Option<blockdev::BlockNo>>,
+    }
+
+    impl BlockDevice for RejectsBlock {
+        fn name(&self) -> &str {
+            self.disk.name()
+        }
+        fn block_count(&self) -> u64 {
+            self.disk.block_count()
+        }
+        fn read(
+            &self,
+            start: blockdev::BlockNo,
+            nblocks: u32,
+            buf: &mut [u8],
+        ) -> blockdev::Result<blockdev::IoCost> {
+            self.disk.read(start, nblocks, buf)
+        }
+        fn write(
+            &self,
+            start: blockdev::BlockNo,
+            data: &[u8],
+        ) -> blockdev::Result<blockdev::IoCost> {
+            let blocks = start..start + (data.len() / blockdev::BLOCK_SIZE) as u64;
+            match self.bad.get() {
+                Some(bad) if blocks.contains(&bad) => Err(blockdev::BlockError::DeviceFailed {
+                    device: self.name().to_string(),
+                }),
+                _ => self.disk.write(start, data),
+            }
+        }
+        fn flush(&self) -> blockdev::Result<blockdev::IoCost> {
+            self.disk.flush()
+        }
+    }
+
+    #[test]
+    fn write_back_errors_reach_sync_drop_caches_and_unmount() {
+        let sim = Sim::new(7);
+        let disk = Rc::new(RejectsBlock {
+            disk: MemDisk::new("d0", 300_000),
+            bad: Default::default(),
+        });
+        let fs = Ext3::mkfs(sim, disk.clone(), Options::default()).unwrap();
+        let f = fs.create(fs.root(), "f", 0o644).unwrap();
+        let data: Vec<u8> = (0..3 * blockdev::BLOCK_SIZE).map(|i| i as u8).collect();
+        fs.write(f, 0, &data).unwrap();
+        let blocks: Vec<blockdev::BlockNo> = {
+            let inner = &fs.inner;
+            let mut st = inner.state.borrow_mut();
+            let inode = crate::fs::read_inode(inner, &mut st, f).unwrap();
+            inode.block[..3]
+                .iter()
+                .map(|&p| p as blockdev::BlockNo)
+                .collect()
+        };
+        // The three blocks are contiguous: one write-back command.
+        disk.bad.set(Some(blocks[1]));
+        let kept = |fs: &Ext3| {
+            let st = fs.inner.state.borrow();
+            let resident = blocks.iter().all(|&b| st.cache.contains(b));
+            (st.cache.dirty_blocks(DirtyKind::Data), resident)
+        };
+        assert!(matches!(fs.drop_caches(), Err(FsError::Io(_))));
+        assert_eq!(kept(&fs), (blocks.clone(), true), "the failed run is kept");
+        assert!(matches!(fs.sync(), Err(FsError::Io(_))));
+        assert!(matches!(fs.unmount(), Err(FsError::Io(_))));
+        assert_eq!(kept(&fs), (blocks.clone(), true), "still mounted");
+        assert_eq!(fs.read(f, 0, data.len()).unwrap(), data);
+
+        disk.bad.set(None);
+        fs.drop_caches().unwrap();
+        assert_eq!(fs.cached_blocks(), 0);
+        assert_eq!(fs.read(f, 0, data.len()).unwrap(), data, "from the device");
+        fs.unmount().unwrap();
+    }
+
     #[test]
     fn operations_take_simulated_time() {
         let (sim, _disk, fs) = newfs();

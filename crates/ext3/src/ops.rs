@@ -680,6 +680,10 @@ fn dir_is_empty(inner: &Inner, st: &mut State, inode: &Inode) -> FsResult<bool> 
 }
 
 /// Maps a file block to a device block (`None` = hole).
+///
+/// # Errors
+///
+/// [`FsError::Corrupt`] if a pointer on the way lies past the volume.
 pub(crate) fn bmap(
     inner: &Inner,
     st: &mut State,
@@ -688,32 +692,41 @@ pub(crate) fn bmap(
 ) -> FsResult<Option<BlockNo>> {
     let nd = N_DIRECT as u64;
     if fblock < nd {
-        let p = inode.block[fblock as usize];
-        return Ok((p != 0).then_some(p as BlockNo));
+        return block_ptr(st, inode.block[fblock as usize]);
     }
     let fblock = fblock - nd;
     if fblock < PPB {
-        let ind = inode.block[N_DIRECT];
-        if ind == 0 {
+        let Some(ind) = block_ptr(st, inode.block[N_DIRECT])? else {
             return Ok(None);
-        }
-        let p = read_ptr(bread(inner, st, ind as BlockNo)?, fblock as usize);
-        return Ok((p != 0).then_some(p as BlockNo));
+        };
+        let p = read_ptr(bread(inner, st, ind)?, fblock as usize);
+        return block_ptr(st, p);
     }
     let fblock = fblock - PPB;
     if fblock < PPB * PPB {
-        let dind = inode.block[N_DIRECT + 1];
-        if dind == 0 {
+        let Some(dind) = block_ptr(st, inode.block[N_DIRECT + 1])? else {
             return Ok(None);
-        }
-        let i1 = read_ptr(bread(inner, st, dind as BlockNo)?, (fblock / PPB) as usize);
-        if i1 == 0 {
+        };
+        let i1 = read_ptr(bread(inner, st, dind)?, (fblock / PPB) as usize);
+        let Some(i1) = block_ptr(st, i1)? else {
             return Ok(None);
-        }
-        let p = read_ptr(bread(inner, st, i1 as BlockNo)?, (fblock % PPB) as usize);
-        return Ok((p != 0).then_some(p as BlockNo));
+        };
+        let p = read_ptr(bread(inner, st, i1)?, (fblock % PPB) as usize);
+        return block_ptr(st, p);
     }
     Err(FsError::InvalidArgument)
+}
+
+/// An on-disk block pointer as a device block: `None` for 0 (a hole),
+/// [`FsError::Corrupt`] at or past the end of the volume. Every pointer
+/// `bmap` and `bmap_alloc` follow passes through here, so no caller can
+/// cache, or write back to, a block the device does not have.
+fn block_ptr(st: &State, p: u32) -> FsResult<Option<BlockNo>> {
+    match p as BlockNo {
+        0 => Ok(None),
+        b if b >= st.sb.blocks_count => Err(FsError::Corrupt("block pointer past end of volume")),
+        b => Ok(Some(b)),
+    }
 }
 
 /// Maps a file block, allocating data and pointer blocks as needed.
@@ -727,9 +740,8 @@ fn bmap_alloc(
     let g = group_of_ino(ino);
     let nd = N_DIRECT as u64;
     if fblock < nd {
-        let p = inode.block[fblock as usize];
-        if p != 0 {
-            return Ok(p as BlockNo);
+        if let Some(p) = block_ptr(st, inode.block[fblock as usize])? {
+            return Ok(p);
         }
         let b = alloc_block(inner, st, g)?;
         inode.block[fblock as usize] = b as u32;
@@ -739,7 +751,7 @@ fn bmap_alloc(
     }
     let rel = fblock - nd;
     if rel < PPB {
-        if inode.block[N_DIRECT] == 0 {
+        if block_ptr(st, inode.block[N_DIRECT])?.is_none() {
             let b = alloc_block(inner, st, g)?;
             binstall(inner, st, b, &[0u8; BLOCK_SIZE], DirtyKind::Meta);
             inode.block[N_DIRECT] = b as u32;
@@ -751,7 +763,7 @@ fn bmap_alloc(
     }
     let rel = rel - PPB;
     if rel < PPB * PPB {
-        if inode.block[N_DIRECT + 1] == 0 {
+        if block_ptr(st, inode.block[N_DIRECT + 1])?.is_none() {
             let b = alloc_block(inner, st, g)?;
             binstall(inner, st, b, &[0u8; BLOCK_SIZE], DirtyKind::Meta);
             inode.block[N_DIRECT + 1] = b as u32;
@@ -760,17 +772,21 @@ fn bmap_alloc(
         }
         let dind = inode.block[N_DIRECT + 1] as BlockNo;
         let i1_idx = (rel / PPB) as usize;
-        let mut i1 = read_ptr(bread(inner, st, dind)?, i1_idx) as BlockNo;
-        if i1 == 0 {
-            i1 = alloc_block(inner, st, g)?;
-            binstall(inner, st, i1, &[0u8; BLOCK_SIZE], DirtyKind::Meta);
-            let val = i1 as u32;
-            bmodify(inner, st, dind, DirtyKind::Meta, |b| {
-                write_ptr(b, i1_idx, val);
-            })?;
-            inode.nblocks += 1;
-            write_inode(inner, st, ino, inode)?;
-        }
+        let p = read_ptr(bread(inner, st, dind)?, i1_idx);
+        let i1 = match block_ptr(st, p)? {
+            Some(i1) => i1,
+            None => {
+                let i1 = alloc_block(inner, st, g)?;
+                binstall(inner, st, i1, &[0u8; BLOCK_SIZE], DirtyKind::Meta);
+                let val = i1 as u32;
+                bmodify(inner, st, dind, DirtyKind::Meta, |b| {
+                    write_ptr(b, i1_idx, val);
+                })?;
+                inode.nblocks += 1;
+                write_inode(inner, st, ino, inode)?;
+                i1
+            }
+        };
         return alloc_in_ptr_block(inner, st, ino, inode, i1, (rel % PPB) as usize, g);
     }
     Err(FsError::InvalidArgument)
@@ -786,8 +802,8 @@ fn alloc_in_ptr_block(
     g: u32,
 ) -> FsResult<BlockNo> {
     let p = read_ptr(bread(inner, st, ptr_block)?, idx);
-    if p != 0 {
-        return Ok(p as BlockNo);
+    if let Some(p) = block_ptr(st, p)? {
+        return Ok(p);
     }
     let b = alloc_block(inner, st, g)?;
     let val = b as u32;
