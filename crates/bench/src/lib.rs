@@ -1,7 +1,8 @@
-//! Benchmark harness crate. The real entry points are the Criterion
-//! benches under `benches/` and the `tables` binary that regenerates
-//! every table and figure of the paper; see `src/bin/tables.rs`. What
-//! lives here is that binary's command line, so it can be tested.
+//! Benchmark harness crate. Its entry point is the `tables` binary that
+//! regenerates every table and figure of the paper (`src/bin/tables.rs`);
+//! the `*_bench` binaries regenerate the `BENCH_*.json` files, and host
+//! time is measured by the separate `hostbench` package. What lives
+//! here is `tables`' command line, so it can be tested.
 
 use ipstorage_core::experiments::{Experiment, REGISTRY};
 use ipstorage_core::RunOptions;

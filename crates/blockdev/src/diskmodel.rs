@@ -108,19 +108,9 @@ impl<D: BlockDevice> DiskModel<D> {
         *self.sim.borrow_mut() = Some((sim, service));
     }
 
-    /// The timing parameters in use.
-    pub fn params(&self) -> DiskParams {
-        self.params
-    }
-
     /// A copy of the cumulative statistics.
     pub fn stats(&self) -> DiskStats {
         *self.stats.borrow()
-    }
-
-    /// Access to the wrapped device.
-    pub fn inner(&self) -> &D {
-        &self.inner
     }
 
     fn service(&self, start: BlockNo, nblocks: u64, is_read: bool) -> SimDuration {
@@ -224,7 +214,7 @@ mod tests {
         let mut buf = vec![0u8; BLOCK_SIZE];
         d.read(50, 1, &mut buf).unwrap();
         let c = d.read(51, 1, &mut buf).unwrap();
-        assert_eq!(c.time, d.params().transfer(Bytes::new(BLOCK_SIZE as u64)));
+        assert_eq!(c.time, d.params.transfer(Bytes::new(BLOCK_SIZE as u64)));
         assert_eq!(d.stats().sequential_reqs, 1);
     }
 

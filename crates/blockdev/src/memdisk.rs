@@ -51,16 +51,6 @@ pub struct DiskImage {
 }
 
 impl DiskImage {
-    /// Device name the image was captured from.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Capacity in blocks.
-    pub fn block_count(&self) -> u64 {
-        self.blocks
-    }
-
     /// Number of blocks with captured (non-zero-fill) content.
     pub fn touched_blocks(&self) -> usize {
         self.data.len()
@@ -118,19 +108,6 @@ impl MemDisk {
         }
     }
 
-    /// Number of distinct blocks with content, counting both the local
-    /// overlay and any base image (logical footprint).
-    pub fn touched_blocks(&self) -> usize {
-        let data = self.data.borrow();
-        match &*self.base.borrow() {
-            None => data.len(),
-            Some(img) => {
-                let unshadowed = img.data.keys().filter(|b| !data.contains_key(b)).count();
-                data.len() + unshadowed
-            }
-        }
-    }
-
     /// Number of blocks written locally since construction — for a
     /// disk forked from an image, how far it has diverged (its private
     /// memory footprint).
@@ -156,13 +133,6 @@ impl MemDisk {
             blocks: self.blocks,
             data,
         }
-    }
-
-    /// Discards the content of every block, including any base image
-    /// (used to emulate reinitialization between experiments).
-    pub fn clear(&self) {
-        self.data.borrow_mut().clear();
-        *self.base.borrow_mut() = None;
     }
 }
 
@@ -247,33 +217,14 @@ mod tests {
     #[test]
     fn sparse_accounting() {
         let d = MemDisk::new("m", 1000);
-        assert_eq!(d.touched_blocks(), 0);
+        assert_eq!(d.diverged_blocks(), 0);
         d.write(10, &vec![1u8; BLOCK_SIZE]).unwrap();
         d.write(10, &vec![2u8; BLOCK_SIZE]).unwrap();
         d.write(11, &vec![3u8; BLOCK_SIZE]).unwrap();
-        assert_eq!(d.touched_blocks(), 2);
-        d.clear();
-        assert_eq!(d.touched_blocks(), 0);
+        assert_eq!(d.diverged_blocks(), 2);
         let mut buf = vec![9u8; BLOCK_SIZE];
-        d.read(10, 1, &mut buf).unwrap();
+        d.read(12, 1, &mut buf).unwrap();
         assert!(buf.iter().all(|&b| b == 0));
-    }
-
-    #[test]
-    fn clear_on_fork_reads_zero() {
-        let d = MemDisk::new("m", 16);
-        d.write(3, &vec![7u8; BLOCK_SIZE]).unwrap();
-        let img = Arc::new(d.image());
-        let fork = MemDisk::from_image(Arc::clone(&img));
-        fork.write(4, &vec![8u8; BLOCK_SIZE]).unwrap();
-        fork.clear();
-        assert_eq!(fork.touched_blocks(), 0);
-        assert_eq!(fork.diverged_blocks(), 0);
-        let mut buf = vec![9u8; 2 * BLOCK_SIZE];
-        fork.read(3, 2, &mut buf).unwrap();
-        assert!(buf.iter().all(|&b| b == 0), "base and overlay both gone");
-        assert_eq!(fork.image().touched_blocks(), 0);
-        assert_eq!(img.touched_blocks(), 1, "the shared image is untouched");
     }
 
     #[test]
@@ -330,7 +281,7 @@ mod tests {
         use crate::image::recycled_count;
         let d = MemDisk::new("m", 16);
         d.write(0, &vec![1u8; 3 * BLOCK_SIZE]).unwrap();
-        d.clear();
+        d.data.borrow_mut().clear();
         assert_eq!(recycled_count(), 3, "kept for the next disk");
         d.write(0, &vec![2u8; 2 * BLOCK_SIZE]).unwrap();
         assert_eq!(recycled_count(), 1);
@@ -347,15 +298,14 @@ mod tests {
     }
 
     #[test]
-    fn touched_counts_base_and_overlay_distinctly() {
+    fn diverged_counts_only_the_overlay() {
         let d = MemDisk::new("m", 16);
         d.write(0, &vec![1u8; BLOCK_SIZE]).unwrap();
         d.write(1, &vec![1u8; BLOCK_SIZE]).unwrap();
         let fork = MemDisk::from_image(Arc::new(d.image()));
-        assert_eq!(fork.touched_blocks(), 2);
+        assert_eq!(fork.diverged_blocks(), 0);
         fork.write(1, &vec![2u8; BLOCK_SIZE]).unwrap(); // shadows base
         fork.write(5, &vec![3u8; BLOCK_SIZE]).unwrap(); // new block
-        assert_eq!(fork.touched_blocks(), 3);
         assert_eq!(fork.diverged_blocks(), 2);
     }
 }

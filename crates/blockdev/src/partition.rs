@@ -45,16 +45,6 @@ impl Partition {
             blocks,
         }
     }
-
-    /// First block of this partition on the underlying device.
-    pub fn first_block(&self) -> BlockNo {
-        self.first
-    }
-
-    /// The underlying device.
-    pub fn inner(&self) -> &Rc<dyn BlockDevice> {
-        &self.inner
-    }
 }
 
 impl BlockDevice for Partition {

@@ -130,27 +130,25 @@ impl Raid5 {
         }
     }
 
-    /// Number of member devices (including the parity's worth).
-    pub fn member_count(&self) -> usize {
-        self.members.len()
-    }
-
     /// Marks member `idx` failed; subsequent reads of its blocks are
     /// served by reconstruction and writes update parity only.
     ///
     /// # Panics
     ///
-    /// Panics if `idx` is out of range.
+    /// Panics if `idx` is out of range. Public for ROADMAP item 12's
+    /// disk-failure fault schedule.
     pub fn fail_member(&self, idx: usize) {
         self.failed.borrow_mut()[idx] = true;
     }
 
     /// Restores member `idx` (test helper; real arrays would rebuild).
+    /// Public for ROADMAP item 12's disk-failure fault schedule.
     pub fn heal_member(&self, idx: usize) {
         self.failed.borrow_mut()[idx] = false;
     }
 
-    /// True if any member is currently failed.
+    /// True if any member is currently failed. Public for ROADMAP item
+    /// 12's disk-failure fault schedule.
     pub fn degraded(&self) -> bool {
         self.failed.borrow().iter().any(|&f| f)
     }

@@ -47,11 +47,6 @@ impl Stripe {
         }
     }
 
-    /// Number of member devices.
-    pub fn member_count(&self) -> usize {
-        self.members.len()
-    }
-
     fn locate(&self, block: BlockNo) -> (usize, BlockNo) {
         let n = self.members.len() as u64;
         ((block % n) as usize, block / n)
@@ -139,7 +134,7 @@ mod tests {
         ms.push(Rc::new(MemDisk::new("small", 4)));
         let s = Stripe::new("s", ms);
         assert_eq!(s.block_count(), 16);
-        assert_eq!(s.member_count(), 4);
+        assert_eq!(s.members.len(), 4);
     }
 
     #[test]

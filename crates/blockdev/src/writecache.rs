@@ -3,40 +3,23 @@
 //! Writes land in controller RAM at a small fixed cost and destage to
 //! the underlying array in the background; reads pass through at full
 //! cost (the workloads that matter here never read what is still in
-//! the controller cache without having it in a host cache too). The
-//! destage debt is tracked so utilization analyses can account for it.
+//! the controller cache without having it in a host cache too).
 
 use crate::{BlockDevice, BlockNo, IoCost, Result};
 use simkit::SimDuration;
-use std::cell::Cell;
 
 /// A write-back cache in front of a device.
 #[derive(Debug)]
 pub struct WriteCache<D> {
     inner: D,
     hit_cost: SimDuration,
-    destage_busy: Cell<SimDuration>,
 }
 
 impl<D: BlockDevice> WriteCache<D> {
     /// Wraps `inner`; each write costs `hit_cost` in the foreground
-    /// while the full device cost accrues as background destage time.
+    /// while the device write behind it goes uncharged.
     pub fn new(inner: D, hit_cost: SimDuration) -> Self {
-        WriteCache {
-            inner,
-            hit_cost,
-            destage_busy: Cell::new(SimDuration::ZERO),
-        }
-    }
-
-    /// Total background destage time accumulated.
-    pub fn destage_busy(&self) -> SimDuration {
-        self.destage_busy.get()
-    }
-
-    /// The wrapped device.
-    pub fn inner(&self) -> &D {
-        &self.inner
+        WriteCache { inner, hit_cost }
     }
 }
 
@@ -54,8 +37,7 @@ impl<D: BlockDevice> BlockDevice for WriteCache<D> {
     }
 
     fn write(&self, start: BlockNo, data: &[u8]) -> Result<IoCost> {
-        let full = self.inner.write(start, data)?;
-        self.destage_busy.set(self.destage_busy.get() + full.time);
+        self.inner.write(start, data)?;
         Ok(IoCost::new(self.hit_cost))
     }
 
@@ -82,7 +64,6 @@ mod tests {
         let d = cached();
         let c = d.write(100, &vec![1u8; BLOCK_SIZE]).unwrap();
         assert_eq!(c.time, SimDuration::from_micros(250));
-        assert!(d.destage_busy() > c.time, "full cost accrues as destage");
     }
 
     #[test]

@@ -49,24 +49,24 @@ pub const VOLUME_BLOCKS: u64 = 1_048_576;
 /// Journal region length in blocks (128 MiB journal, ext3-typical for
 /// a large volume; big enough that micro-benchmarks never force a
 /// checkpoint mid-measurement).
-pub const JOURNAL_BLOCKS: u64 = 4096;
+pub(crate) const JOURNAL_BLOCKS: u64 = 4096;
 
 /// Client page/buffer cache, in 4 KiB units (≈ 256 MB of the client's
 /// 512 MB RAM).
-pub const CLIENT_CACHE_BLOCKS: usize = 65_536;
+pub(crate) const CLIENT_CACHE_BLOCKS: usize = 65_536;
 
 /// Server buffer cache (the server has 1 GB of RAM; ≈ 512 MB cache).
-pub const SERVER_CACHE_BLOCKS: usize = 131_072;
+pub(crate) const SERVER_CACHE_BLOCKS: usize = 131_072;
 
 /// Dirty-page throttle threshold (≈ 40% of client RAM): the 128 MB
 /// write benchmarks stay under it, giving the paper's ≈ 2 s iSCSI
 /// write completion (memory-speed dirtying).
-pub const DIRTY_LIMIT_BLOCKS: usize = 51_200;
+pub(crate) const DIRTY_LIMIT_BLOCKS: usize = 51_200;
 
 /// Client memory-copy cost per 4 KiB page. 60 µs/page ≈ 66 MB/s of
 /// user↔page-cache bandwidth on the 1 GHz PIII client; this is what
 /// bounds the 128 MB buffered write at ≈ 2 s (Table 4).
-pub fn mem_copy_cost() -> SimDuration {
+pub(crate) fn mem_copy_cost() -> SimDuration {
     SimDuration::from_micros(60)
 }
 

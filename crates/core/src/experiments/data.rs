@@ -9,7 +9,7 @@ use crate::{Protocol, Testbed, TestbedConfig};
 use simkit::{SimDuration, SplitMix64};
 
 /// File size used by the paper: 128 MB in 4 KB chunks.
-pub const FILE_MB: u64 = 128;
+pub(crate) const FILE_MB: u64 = 128;
 const CHUNK: usize = 4096;
 
 /// Access pattern.
@@ -102,7 +102,7 @@ pub fn read_file(tb: &Testbed, path: &str, mb: u64, pattern: Pattern) -> Transfe
 
 /// **Table 4**: completion time, messages, and bytes for `mb`-megabyte
 /// sequential/random reads and writes, NFS v3 vs iSCSI (the paper uses
-/// [`FILE_MB`]).
+/// `FILE_MB`).
 pub fn table4(options: RunOptions, mb: u64) -> (Table, RunReport) {
     const BENCHES: [&str; 4] = [
         "Sequential reads",
@@ -188,8 +188,8 @@ pub struct LatencyPoint {
 
 /// **Figure 6** data: completion time vs RTT for sequential/random
 /// reads and writes, NFS v3 vs iSCSI (the paper sweeps 10..=90 ms over
-/// a [`FILE_MB`] file). Render it with [`figure6_table`] and
-/// [`figure6_plots`].
+/// a `FILE_MB` file). Render it with [`figure6_table`] and
+/// `figure6_plots`.
 pub fn figure6(options: RunOptions, rtts_ms: &[u64], mb: u64) -> (Vec<LatencyPoint>, RunReport) {
     let mut cells: Vec<(u64, Protocol, Pattern, bool)> = Vec::new();
     for &rtt in rtts_ms {
@@ -287,7 +287,7 @@ pub fn figure6_table(data: &[LatencyPoint], rtts_ms: &[u64], mb: u64) -> Table {
 
 /// Renders the Figure 6 series as terminal plots (reads and writes),
 /// from already-collected data.
-pub fn figure6_plots(data: &[LatencyPoint]) -> (crate::Plot, crate::Plot) {
+pub(crate) fn figure6_plots(data: &[LatencyPoint]) -> (crate::Plot, crate::Plot) {
     let series = |proto, pattern, is_read: bool| -> Vec<(f64, f64)> {
         data.iter()
             .filter(|p| p.protocol == proto && p.pattern == pattern && p.is_read == is_read)

@@ -15,7 +15,7 @@ use traces::{
 
 /// **Figure 7**: sharing characteristics of directories for the
 /// EECS-like and Campus-like synthetic traces.
-pub fn figure7() -> Table {
+pub(crate) fn figure7() -> Table {
     let intervals = [50u64, 100, 200, 400, 600, 800, 1000, 1200];
     let mut t = Table::new(
         "Figure 7: directory sharing vs interval T (normalized)",
@@ -48,7 +48,7 @@ pub fn figure7() -> Table {
 /// meta-data cache (across cache sizes) and from directory delegation,
 /// plus the callback ratio and the read-write sharing level that makes
 /// both feasible.
-pub fn section7_traces() -> Table {
+pub(crate) fn section7_traces() -> Table {
     let mut t = Table::new(
         "Section 7: enhancement evaluation on day-long traces",
         &["trace", "metric", "value"],

@@ -18,7 +18,7 @@
 //! Under static sharding, an (N, M) topology is M replicas of one
 //! k-client shard (k = N/M). The runner exploits that: the setup
 //! snapshot is captured once for the *single-shard* k-client topology
-//! and [`Snapshot::fork_sharded`](crate::Snapshot::fork_sharded)
+//! and `Snapshot::fork_sharded`
 //! replicates its images M times — so
 //! a whole frontier sweep builds one setup per distinct shard size k
 //! and forks everything else. The cells (4, 1), (8, 2), (16, 4) all

@@ -245,7 +245,7 @@ pub fn table7(options: RunOptions, cfg: DssConfig) -> (Table, RunReport) {
 }
 
 /// **Table 8**: shell workload completion times over `spec`'s tree.
-pub fn table8(options: RunOptions, spec: TreeSpec) -> (Table, RunReport) {
+pub(crate) fn table8(options: RunOptions, spec: TreeSpec) -> (Table, RunReport) {
     const BENCHES: [&str; 4] = ["tar -xzf", "ls -lR", "kernel compile", "rm -rf"];
     let protocols = [Protocol::NfsV3, Protocol::Iscsi];
     let (times, report) =

@@ -33,7 +33,7 @@ pub enum CacheState {
 }
 
 /// Result matrix: `(syscall, depth, protocol) → messages`.
-pub type MicroMatrix = BTreeMap<(String, u32, &'static str), u64>;
+pub(crate) type MicroMatrix = BTreeMap<(String, u32, &'static str), u64>;
 
 fn depth_prefix(depth: u32) -> String {
     let mut p = String::new();
@@ -239,7 +239,7 @@ pub fn table2(options: RunOptions) -> (Table, RunReport) {
 }
 
 /// **Table 3**: warm-cache network message overheads.
-pub fn table3(options: RunOptions) -> (Table, RunReport) {
+pub(crate) fn table3(options: RunOptions) -> (Table, RunReport) {
     table_micro(
         "table3",
         "Table 3: network messages per system call (warm cache)",
@@ -251,7 +251,7 @@ pub fn table3(options: RunOptions) -> (Table, RunReport) {
 /// **Figure 3**: iSCSI meta-data update aggregation — amortized
 /// messages per operation for batch sizes 1..=1024 (rows = batch
 /// size, columns = op).
-pub fn figure3(options: RunOptions) -> (Table, RunReport) {
+pub(crate) fn figure3(options: RunOptions) -> (Table, RunReport) {
     const OPS: [&str; 8] = [
         "creat", "link", "rename", "chmod", "stat", "access", "write", "mkdir",
     ];
@@ -330,7 +330,7 @@ pub fn figure3(options: RunOptions) -> (Table, RunReport) {
 
 /// **Figure 4**: messages vs directory depth (0..=16) for mkdir,
 /// chdir, readdir; cold and warm (one row per op/state/protocol).
-pub fn figure4(options: RunOptions) -> (Table, RunReport) {
+pub(crate) fn figure4(options: RunOptions) -> (Table, RunReport) {
     const DEPTHS: [u32; 6] = [0, 2, 4, 8, 12, 16];
     let mut cells: Vec<(&'static str, CacheState, Protocol, u32)> = Vec::new();
     for op in ["mkdir", "chdir", "readdir"] {
@@ -366,7 +366,7 @@ pub fn figure4(options: RunOptions) -> (Table, RunReport) {
 
 /// **Figure 5**: messages for read/write calls of 128 B .. 64 KB.
 /// Modes: cold reads, warm reads, cold writes.
-pub fn figure5(options: RunOptions) -> (Table, RunReport) {
+pub(crate) fn figure5(options: RunOptions) -> (Table, RunReport) {
     let sizes: Vec<u64> = (7..=16).map(|e| 1u64 << e).collect(); // 128 B .. 64 KB
     let mut cells: Vec<(Protocol, u64)> = Vec::new();
     for proto in Protocol::ALL {

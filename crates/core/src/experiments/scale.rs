@@ -43,7 +43,7 @@
 
 use super::closedloop::{build_pools, run_clients};
 use crate::report::RunReport;
-use crate::snapshot::{SetupKey, SnapshotCache};
+use crate::snapshot::SetupKey;
 use crate::sweep::{CellCtx, RunOptions, Sweep};
 use crate::table::{fmt_f, Table};
 use crate::{Protocol, TopologyConfig};
@@ -79,38 +79,6 @@ pub struct ScaleRun {
     /// zero under the pipe transport, nonzero once the modeled flows
     /// contend hard enough to overflow the bottleneck queue.
     pub tcp_retx_segs: u64,
-}
-
-/// Runs one cell outside any sweep: `clients` interleaved PostMark
-/// sessions.
-pub fn scale_run(
-    protocol: Protocol,
-    clients: usize,
-    files: usize,
-    transactions: usize,
-) -> ScaleRun {
-    let cache = SnapshotCache::new();
-    let ctx = &mut CellCtx::standalone(&cache);
-    scale_cell(protocol, clients, files, transactions, None, ctx)
-}
-
-/// [`scale_run`] with the server link overridden at fork time — the
-/// congestion variant. A constrained link under
-/// [`net::TransportModel::Tcp`] makes the N clients' flows contend
-/// for one modeled bottleneck queue, so throughput saturates from
-/// queueing and retransmission rather than the closed-form bandwidth
-/// split. Setup is shared with the uncongested runs: the link is a
-/// measure-phase knob, not part of the snapshot key.
-pub fn scale_run_congested(
-    protocol: Protocol,
-    clients: usize,
-    files: usize,
-    transactions: usize,
-    link: net::LinkParams,
-) -> ScaleRun {
-    let cache = SnapshotCache::new();
-    let ctx = &mut CellCtx::standalone(&cache);
-    scale_cell(protocol, clients, files, transactions, Some(link), ctx)
 }
 
 fn scale_cell(
@@ -173,8 +141,9 @@ fn scale_cell(
 /// v3 then iSCSI per count; the default grid is N ∈ {1, 2, 4, 8, 12,
 /// 16}, 500 files and 2 000 transactions per client): the per-cell
 /// runs plus the machine-readable report. `link` overrides the server
-/// link at fork time, as in [`scale_run_congested`]. Render the runs
-/// with [`scale_table`].
+/// link at fork time: a constrained link under
+/// [`net::TransportModel::Tcp`] makes the N clients' flows contend for
+/// one modeled bottleneck queue. Render the runs with [`scale_table`].
 pub fn scale(
     options: RunOptions,
     client_counts: &[usize],
@@ -236,11 +205,25 @@ pub fn scale_table(runs: &[ScaleRun], transactions: usize) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::SnapshotCache;
+
+    /// One cell outside any sweep, with an optional fork-time link.
+    fn run(
+        protocol: Protocol,
+        clients: usize,
+        files: usize,
+        transactions: usize,
+        link: Option<net::LinkParams>,
+    ) -> ScaleRun {
+        let cache = SnapshotCache::new();
+        let ctx = &mut CellCtx::standalone(&cache);
+        scale_cell(protocol, clients, files, transactions, link, ctx)
+    }
 
     #[test]
     fn single_cell_runs_both_protocols() {
         for proto in [Protocol::NfsV3, Protocol::Iscsi] {
-            let r = scale_run(proto, 2, 50, 100);
+            let r = run(proto, 2, 50, 100, None);
             assert_eq!(r.clients, 2);
             assert_eq!(r.transactions, 200);
             assert!(r.ops_per_sec > 0.0, "{proto:?} made progress");
@@ -251,15 +234,15 @@ mod tests {
 
     #[test]
     fn nfs_shows_consistency_traffic_and_iscsi_does_not() {
-        let nfs = scale_run(Protocol::NfsV3, 3, 50, 150);
-        let iscsi = scale_run(Protocol::Iscsi, 3, 50, 150);
+        let nfs = run(Protocol::NfsV3, 3, 50, 150, None);
+        let iscsi = run(Protocol::Iscsi, 3, 50, 150, None);
         assert!(nfs.getattrs > 0, "shared-file pollers revalidate on NFS");
         assert_eq!(iscsi.getattrs, 0, "private LUNs have no NFS server");
     }
 
     #[test]
     fn completion_is_the_bottleneck_bound() {
-        let r = scale_run(Protocol::NfsV3, 2, 40, 80);
+        let r = run(Protocol::NfsV3, 2, 40, 80, None);
         assert_eq!(r.completion, r.slowest_client.max(r.server_busy));
         assert!(r.completion >= r.slowest_client);
         assert!(r.completion >= r.server_busy);
@@ -271,9 +254,9 @@ mod tests {
             net::LinkParams::wan(SimDuration::from_millis(20))
                 .with_transport(net::TransportModel::Tcp { connections: conns })
         };
-        let plain = scale_run(Protocol::Iscsi, 2, 50, 100);
-        let one = scale_run_congested(Protocol::Iscsi, 2, 50, 100, link(1));
-        let four = scale_run_congested(Protocol::Iscsi, 2, 50, 100, link(4));
+        let plain = run(Protocol::Iscsi, 2, 50, 100, None);
+        let one = run(Protocol::Iscsi, 2, 50, 100, Some(link(1)));
+        let four = run(Protocol::Iscsi, 2, 50, 100, Some(link(4)));
         assert_eq!(plain.tcp_retx_segs, 0, "the pipe model never drops");
         assert!(one.ops_per_sec > 0.0 && four.ops_per_sec > 0.0);
         assert!(

@@ -25,17 +25,17 @@
 //!
 //! | Paper result | Runner |
 //! |---|---|
-//! | Table 2/3 (syscall messages, cold/warm) | [`experiments::micro::table2`], [`experiments::micro::table3`] |
-//! | Figure 3 (iSCSI update aggregation) | [`experiments::micro::figure3`] |
-//! | Figure 4 (directory depth) | [`experiments::micro::figure4`] |
-//! | Figure 5 (read/write sizes) | [`experiments::micro::figure5`] |
+//! | Table 2/3 (syscall messages, cold/warm) | [`experiments::micro::table2`], `experiments::micro::table3` |
+//! | Figure 3 (iSCSI update aggregation) | `experiments::micro::figure3` |
+//! | Figure 4 (directory depth) | `experiments::micro::figure4` |
+//! | Figure 5 (read/write sizes) | `experiments::micro::figure5` |
 //! | Table 4 (128 MB transfers) | [`experiments::data::table4`] |
 //! | Figure 6 (RTT sweep; under modeled TCP) | [`experiments::data::figure6`], [`experiments::data::figure6_tcp`] |
 //! | Table 5 (PostMark) | [`experiments::macrob::table5`] |
 //! | Table 6/7 (TPC-C / TPC-H) | [`experiments::macrob::table6`], [`experiments::macrob::table7`] |
-//! | Table 8 (shell workloads) | [`experiments::macrob::table8`] |
+//! | Table 8 (shell workloads) | `experiments::macrob::table8` |
 //! | Table 9/10 (CPU utilization) | [`experiments::macrob::table9_10`] |
-//! | Figure 7 + §7 (traces, enhancements) | [`experiments::enhance::figure7`], [`experiments::enhance::section7_traces`], [`experiments::enhance::section7_postmark`] |
+//! | Figure 7 + §7 (traces, enhancements) | `experiments::enhance::figure7`, `experiments::enhance::section7_traces`, [`experiments::enhance::section7_postmark`] |
 //! | Beyond the paper: N clients, M shards, ablations | [`experiments::scale::scale`], [`experiments::frontier::frontier`], [`experiments::ablation::all`] |
 
 pub mod attribution;

@@ -30,7 +30,7 @@ const GLYPHS: [char; 8] = ['*', '+', 'o', 'x', '#', '@', '%', '&'];
 
 impl Plot {
     /// Creates an empty plot with the given axis labels.
-    pub fn new(
+    pub(crate) fn new(
         title: impl Into<String>,
         x_label: impl Into<String>,
         y_label: impl Into<String>,
@@ -46,7 +46,7 @@ impl Plot {
     }
 
     /// Adds a series; at most eight are distinguishable.
-    pub fn series(&mut self, name: impl Into<String>, points: Vec<(f64, f64)>) -> &mut Plot {
+    pub(crate) fn series(&mut self, name: impl Into<String>, points: Vec<(f64, f64)>) -> &mut Plot {
         self.series.push(Series {
             name: name.into(),
             points,
@@ -55,7 +55,7 @@ impl Plot {
     }
 
     /// Renders the plot.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "{}", self.title);
         let pts: Vec<(f64, f64)> = self

@@ -84,7 +84,7 @@ impl RunReport {
     /// Every section merges by an associative, commutative operation
     /// (see [`ReportBuilder::merge_report`]), so neither the order nor
     /// the grouping of the parts can change a byte.
-    pub fn merged(name: &str, parts: &[RunReport]) -> RunReport {
+    pub(crate) fn merged(name: &str, parts: &[RunReport]) -> RunReport {
         let mut rb = ReportBuilder::new(name);
         for part in parts {
             rb.merge_report(part);

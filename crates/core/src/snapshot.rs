@@ -54,7 +54,7 @@ impl SetupKey {
     /// Shard parameters are appended only when they differ from the
     /// defaults (one server, static assignment, uncapped core), so
     /// every pre-sharding key renders byte-identically.
-    pub fn new(topo: &TopologyConfig, workload: &str) -> SetupKey {
+    pub(crate) fn new(topo: &TopologyConfig, workload: &str) -> SetupKey {
         let mut base = topo.base.clone();
         // Seed-normalize: the setup RNG stream derives from the key.
         base.seed = 0;
@@ -81,7 +81,7 @@ impl SetupKey {
 
     /// The full key string (cache identity; collision-free because it
     /// is the identity, not a digest of it).
-    pub fn as_str(&self) -> &str {
+    pub(crate) fn as_str(&self) -> &str {
         &self.0
     }
 
@@ -114,16 +114,11 @@ pub struct SetupInfo {
 
 impl SetupInfo {
     /// Value of a named counter at capture time (0 if absent).
-    pub fn counter(&self, name: &str) -> u64 {
+    pub(crate) fn counter(&self, name: &str) -> u64 {
         self.counters
             .iter()
             .find(|(n, _)| n == name)
             .map_or(0, |&(_, v)| v)
-    }
-
-    /// All counter totals at capture time.
-    pub fn counters(&self) -> &[(String, u64)] {
-        &self.counters
     }
 }
 
@@ -182,7 +177,7 @@ impl Snapshot {
     ///
     /// Setup-relevant fields (protocol, volume size) must not be
     /// changed here; the forked mount would not match the images.
-    pub fn fork_with(&self, seed: u64, tweak: impl FnOnce(&mut TestbedConfig)) -> Testbed {
+    pub(crate) fn fork_with(&self, seed: u64, tweak: impl FnOnce(&mut TestbedConfig)) -> Testbed {
         let mut topo = self.topo.clone();
         topo.base.seed = seed;
         tweak(&mut topo.base);
@@ -203,7 +198,7 @@ impl Snapshot {
     ///
     /// Panics if this snapshot was captured from a sharded or
     /// non-static topology.
-    pub fn fork_sharded(
+    pub(crate) fn fork_sharded(
         &self,
         seed: u64,
         servers: usize,
@@ -229,31 +224,6 @@ impl Snapshot {
             images.extend(self.images.iter().cloned());
         }
         Testbed::resume(topo, &images, self.epoch, self.info.clone())
-    }
-
-    /// The key this snapshot was built for.
-    pub fn key(&self) -> &SetupKey {
-        &self.key
-    }
-
-    /// Setup-phase provenance (also carried by every fork).
-    pub fn info(&self) -> &SetupInfo {
-        &self.info
-    }
-
-    /// Virtual time at capture.
-    pub fn epoch(&self) -> SimTime {
-        self.epoch
-    }
-
-    /// Client hosts in the captured topology.
-    pub fn clients(&self) -> usize {
-        self.topo.clients
-    }
-
-    /// Server shards in the captured topology.
-    pub fn servers(&self) -> usize {
-        self.topo.servers
     }
 
     /// Total blocks with captured content across the RAID members —
@@ -294,7 +264,7 @@ impl SnapshotCache {
     /// path still runs, so results are byte-identical to a sharing
     /// cache — this is `--no-snapshot`, the cold baseline for
     /// benchmarks and the isolation property tests.
-    pub fn sharing(share: bool) -> SnapshotCache {
+    pub(crate) fn sharing(share: bool) -> SnapshotCache {
         SnapshotCache {
             entries: Mutex::new(HashMap::new()),
             builds: AtomicUsize::new(0),
@@ -307,7 +277,7 @@ impl SnapshotCache {
     /// enabled. Concurrent requests for the same key block until the
     /// first builder finishes; requests for different keys proceed in
     /// parallel.
-    pub fn get_or_build(
+    pub(crate) fn get_or_build(
         &self,
         key: &SetupKey,
         build: impl FnOnce(u64) -> Snapshot,
@@ -334,13 +304,8 @@ impl SnapshotCache {
     }
 
     /// Number of distinct keys seen while sharing was enabled.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries.lock().unwrap().len()
-    }
-
-    /// Whether no key has been cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -401,9 +366,8 @@ mod tests {
         assert!(!SetupKey::new(&flat, "w").as_str().contains("servers="));
         let sharded = flat.clone().with_servers(4);
         assert_ne!(SetupKey::new(&flat, "w"), SetupKey::new(&sharded, "w"));
-        let capped = sharded
-            .clone()
-            .with_core_bandwidth(simkit::units::Bps::new(500_000_000));
+        let mut capped = sharded.clone();
+        capped.core_bandwidth_bps = Some(simkit::units::Bps::new(500_000_000));
         assert_ne!(SetupKey::new(&sharded, "w"), SetupKey::new(&capped, "w"));
     }
 
@@ -438,7 +402,7 @@ mod tests {
             assert_eq!(data.len(), 8192);
             assert!(data.iter().all(|&b| b == 7), "content survives the fork");
             assert!(
-                fork.now() > snap.epoch(),
+                fork.now() > snap.epoch,
                 "fork resumes after the captured epoch"
             );
         }
@@ -490,7 +454,7 @@ mod tests {
                 tb.client_fs(l).creat(&format!("/d{l}/f")).unwrap();
             }
             let snap = Snapshot::capture(tb, key);
-            assert_eq!(snap.servers(), 1);
+            assert_eq!(snap.topo.servers, 1);
 
             let fork = snap.fork_sharded(7, 3, None);
             assert_eq!(fork.client_count(), 6);
@@ -570,6 +534,6 @@ mod tests {
         let _ = cold.get_or_build(&key, |s| Snapshot::capture(setup(s), key.clone()));
         let _ = cold.get_or_build(&key, |s| Snapshot::capture(setup(s), key.clone()));
         assert_eq!(cold.builds(), 2, "disabled cache never shares");
-        assert!(cold.is_empty());
+        assert_eq!(cold.len(), 0);
     }
 }

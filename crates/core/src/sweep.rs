@@ -123,7 +123,7 @@ impl<'a> CellCtx<'a> {
     /// [`fork`](Self::fork) with a measure-phase config override
     /// applied at fork time (see [`Snapshot::fork_with`]), so one
     /// setup serves a whole sweep over such a knob.
-    pub fn fork_with(
+    pub(crate) fn fork_with(
         &self,
         key: SetupKey,
         tweak: impl FnOnce(&mut TestbedConfig),
@@ -134,7 +134,7 @@ impl<'a> CellCtx<'a> {
 
     /// [`fork`](Self::fork) replicated over `servers` shards (see
     /// [`Snapshot::fork_sharded`]): `key` names the single-shard setup.
-    pub fn fork_sharded(
+    pub(crate) fn fork_sharded(
         &self,
         key: SetupKey,
         servers: usize,
@@ -149,13 +149,13 @@ impl<'a> CellCtx<'a> {
     /// Builds the cell's testbed directly under the cell's seed, for a
     /// workload with no setup phase worth sharing (Table 8 extracts,
     /// lists, compiles and removes one tree on one testbed).
-    pub fn build(&self, mut config: TestbedConfig) -> Testbed {
+    pub(crate) fn build(&self, mut config: TestbedConfig) -> Testbed {
         config.seed = self.seed;
         self.measured(Testbed::build(config))
     }
 
     /// Folds a finished testbed into the cell's report fragment.
-    pub fn absorb(&mut self, tb: &Testbed) {
+    pub(crate) fn absorb(&mut self, tb: &Testbed) {
         if let Some(report) = &mut self.report {
             report.absorb(tb);
         }
@@ -179,7 +179,6 @@ impl<'a> CellCtx<'a> {
 #[derive(Debug)]
 pub struct Sweep {
     options: RunOptions,
-    master_seed: u64,
     snapshots: SnapshotCache,
 }
 
@@ -189,15 +188,8 @@ impl Sweep {
     pub fn new(options: RunOptions) -> Sweep {
         Sweep {
             options,
-            master_seed: MASTER_SEED,
             snapshots: SnapshotCache::sharing(options.share_setups),
         }
-    }
-
-    /// Replaces the master seed.
-    pub fn master_seed(mut self, seed: u64) -> Sweep {
-        self.master_seed = seed;
-        self
     }
 
     /// The setup-snapshot cache this sweep's cells share: built once
@@ -234,7 +226,7 @@ impl Sweep {
     {
         let cell = |index: usize| {
             let mut ctx = CellCtx {
-                seed: cell_seed(self.master_seed, index),
+                seed: cell_seed(MASTER_SEED, index),
                 report: Some(ReportBuilder::new("")),
                 cache: &self.snapshots,
                 attribution: self.options.attribution,
@@ -287,19 +279,6 @@ mod tests {
         assert_eq!(seq.0, hinted.0);
         assert_eq!(seq.1.name, "t");
         assert_eq!(seq.1.runs, 0, "no cell absorbed a testbed");
-    }
-
-    #[test]
-    fn master_seed_changes_cell_seeds_only() {
-        let seeds = |jobs, master| {
-            sweep(jobs)
-                .master_seed(master)
-                .run_cells("t", &[(); 4], None, |_, ctx| ctx.seed)
-                .0
-        };
-        assert_ne!(seeds(2, 7), seeds(2, 8));
-        assert_eq!(seeds(2, 7), seeds(1, 7));
-        assert_eq!(seeds(1, 7)[3], cell_seed(7, 3));
     }
 
     #[test]

@@ -13,7 +13,7 @@ pub struct Table {
 
 impl Table {
     /// Creates a table with a title and column headers.
-    pub fn new(title: impl Into<String>, header: &[&str]) -> Table {
+    pub(crate) fn new(title: impl Into<String>, header: &[&str]) -> Table {
         Table {
             title: title.into(),
             header: header.iter().map(|s| s.to_string()).collect(),
@@ -22,24 +22,9 @@ impl Table {
     }
 
     /// Appends a row (stringified cells).
-    pub fn row(&mut self, cells: &[String]) {
+    pub(crate) fn row(&mut self, cells: &[String]) {
         assert_eq!(cells.len(), self.header.len(), "row arity mismatch");
         self.rows.push(cells.to_vec());
-    }
-
-    /// Convenience for string-literal rows.
-    pub fn row_strs(&mut self, cells: &[&str]) {
-        self.row(&cells.iter().map(|s| s.to_string()).collect::<Vec<_>>());
-    }
-
-    /// The rows accumulated so far (for assertions in tests).
-    pub fn rows(&self) -> &[Vec<String>] {
-        &self.rows
-    }
-
-    /// The table title.
-    pub fn title(&self) -> &str {
-        &self.title
     }
 
     /// Renders the table.
@@ -72,7 +57,7 @@ impl Table {
 
 /// Formats a float compactly (2 significant decimals, trailing zeros
 /// trimmed).
-pub fn fmt_f(x: f64) -> String {
+pub(crate) fn fmt_f(x: f64) -> String {
     if x.abs() >= 100.0 {
         format!("{x:.0}")
     } else if x.abs() >= 10.0 {
@@ -83,7 +68,7 @@ pub fn fmt_f(x: f64) -> String {
 }
 
 /// Formats seconds from a `SimDuration`.
-pub fn fmt_secs(d: simkit::SimDuration) -> String {
+pub(crate) fn fmt_secs(d: simkit::SimDuration) -> String {
     fmt_f(d.as_secs_f64())
 }
 
@@ -91,11 +76,15 @@ pub fn fmt_secs(d: simkit::SimDuration) -> String {
 mod tests {
     use super::*;
 
+    fn strs(cells: &[&str]) -> Vec<String> {
+        cells.iter().map(|s| s.to_string()).collect()
+    }
+
     #[test]
     fn renders_aligned() {
         let mut t = Table::new("Demo", &["op", "v2", "iSCSI"]);
-        t.row_strs(&["mkdir", "2", "7"]);
-        t.row_strs(&["chdir", "1", "2"]);
+        t.row(&strs(&["mkdir", "2", "7"]));
+        t.row(&strs(&["chdir", "1", "2"]));
         let s = t.render();
         assert!(s.contains("Demo"));
         assert!(s.contains("mkdir | 2  | 7"));
@@ -105,7 +94,7 @@ mod tests {
     #[should_panic(expected = "row arity mismatch")]
     fn arity_checked() {
         let mut t = Table::new("x", &["a", "b"]);
-        t.row_strs(&["only-one"]);
+        t.row(&strs(&["only-one"]));
     }
 
     #[test]

@@ -73,7 +73,7 @@ impl Protocol {
     }
 
     /// The transaction counter this protocol's messages land in.
-    pub fn txn_counter(self) -> &'static str {
+    pub(crate) fn txn_counter(self) -> &'static str {
         match self {
             Protocol::Iscsi => "proto.iscsi.txns",
             _ => "proto.nfs.txns",
@@ -81,7 +81,7 @@ impl Protocol {
     }
 
     /// NFS version, when applicable.
-    pub fn nfs_version(self) -> Option<Version> {
+    pub(crate) fn nfs_version(self) -> Option<Version> {
         match self {
             Protocol::NfsV2 => Some(Version::V2),
             Protocol::NfsV3 => Some(Version::V3),
@@ -286,13 +286,6 @@ impl TopologyConfig {
     #[must_use]
     pub fn with_policy(mut self, policy: ShardPolicy) -> TopologyConfig {
         self.policy = policy;
-        self
-    }
-
-    /// Caps the core switch at `bps` (see `core_bandwidth_bps`).
-    #[must_use]
-    pub fn with_core_bandwidth(mut self, bps: Bps) -> TopologyConfig {
-        self.core_bandwidth_bps = Some(bps);
         self
     }
 }
@@ -960,7 +953,7 @@ impl Testbed {
 
     /// Host name of client `i` (`c<i>`): the prefix of its per-host
     /// counters (`net.<host>.<label>.*`) in multi-client topologies.
-    pub fn host_name(&self, i: usize) -> &str {
+    pub(crate) fn host_name(&self, i: usize) -> &str {
         &self.clients[i].name
     }
 
@@ -971,7 +964,7 @@ impl Testbed {
 
     /// The virtual-clock gauge sampler (link/disk utilization, cache
     /// occupancy); its summaries fold into reports on absorb.
-    pub fn gauges(&self) -> &Rc<GaugeSampler> {
+    pub(crate) fn gauges(&self) -> &Rc<GaugeSampler> {
         &self.gauges
     }
 
@@ -990,7 +983,7 @@ impl Testbed {
     }
 
     /// The protocol under test.
-    pub fn protocol(&self) -> Protocol {
+    pub(crate) fn protocol(&self) -> Protocol {
         self.config.protocol
     }
 
@@ -998,7 +991,7 @@ impl Testbed {
     /// from a [`Snapshot`](crate::snapshot::Snapshot): what the setup
     /// cost in virtual time and messages before the fork's books
     /// opened.
-    pub fn setup_info(&self) -> Option<&SetupInfo> {
+    pub(crate) fn setup_info(&self) -> Option<&SetupInfo> {
         self.setup.as_ref()
     }
 
@@ -1011,7 +1004,7 @@ impl Testbed {
 
     /// Client CPU account (Table 10); client 0's in a multi-client
     /// topology.
-    pub fn client_cpu(&self) -> &Rc<CpuAccount> {
+    pub(crate) fn client_cpu(&self) -> &Rc<CpuAccount> {
         &self.clients[0].cpu
     }
 
@@ -1020,7 +1013,7 @@ impl Testbed {
     /// # Panics
     ///
     /// Panics if `i` is out of range.
-    pub fn client_cpu_at(&self, i: usize) -> &Rc<CpuAccount> {
+    pub(crate) fn client_cpu_at(&self, i: usize) -> &Rc<CpuAccount> {
         &self.clients[i].cpu
     }
 
@@ -1039,7 +1032,7 @@ impl Testbed {
     /// # Panics
     ///
     /// Panics if `j` is out of range.
-    pub fn server_cpu_at(&self, j: usize) -> &Rc<CpuAccount> {
+    pub(crate) fn server_cpu_at(&self, j: usize) -> &Rc<CpuAccount> {
         &self.server_cpus[j]
     }
 

@@ -27,27 +27,6 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-/// Kernel layers a request may traverse.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Layer {
-    /// Interrupt handling + TCP/IP.
-    Network,
-    /// RPC marshalling and dispatch.
-    Rpc,
-    /// iSCSI/SCSI command processing.
-    Scsi,
-    /// NFS server procedure handling.
-    NfsServer,
-    /// VFS entry and dentry handling.
-    Vfs,
-    /// Local file system (ext3).
-    FileSystem,
-    /// Block layer (request queueing, merging).
-    Block,
-    /// Low-level device driver.
-    Driver,
-}
-
 /// Per-layer CPU costs for one machine, plus a per-kilobyte
 /// data-touching cost (copies and checksums).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -80,12 +59,6 @@ impl CostModel {
     /// file system → block → driver (7 layers).
     pub fn nfs_request(&self, bytes: Bytes) -> SimDuration {
         self.path_cost(7, bytes)
-    }
-
-    /// Server cost of an NFS RPC that misses the server's meta-data
-    /// cache: the VFS/FS/block trio is traversed repeatedly.
-    pub fn nfs_metadata_miss_request(&self) -> SimDuration {
-        self.path_cost(4 + 3 * self.metadata_revisits, Bytes::ZERO)
     }
 
     /// Server cost of one iSCSI command: network → SCSI server →
@@ -172,7 +145,7 @@ impl CpuAccount {
     }
 
     /// Records `busy` CPU time spent at time `at`.
-    pub fn charge(&self, at: SimTime, busy: SimDuration) {
+    pub(crate) fn charge(&self, at: SimTime, busy: SimDuration) {
         if !busy.is_zero() {
             self.events
                 .borrow_mut()
@@ -183,7 +156,7 @@ impl CpuAccount {
     /// Records `busy` CPU time spread evenly over `[at, at + span)`,
     /// for background work (write-back destaging) that a sampler like
     /// vmstat would observe as sustained load rather than a spike.
-    pub fn charge_spread(&self, at: SimTime, busy: SimDuration, span: SimDuration) {
+    pub(crate) fn charge_spread(&self, at: SimTime, busy: SimDuration, span: SimDuration) {
         if busy.is_zero() {
             return;
         }
@@ -200,7 +173,7 @@ impl CpuAccount {
         }
     }
 
-    /// Like [`charge`](CpuAccount::charge), but also attributes the
+    /// Like `charge`, but also attributes the
     /// busy time to `tag` (a software layer such as `"nfs_client"` or
     /// `"iscsi_server"`), so reports can break utilization down by
     /// processing path.
@@ -213,7 +186,7 @@ impl CpuAccount {
         self.charge(at, busy);
     }
 
-    /// Like [`charge_spread`](CpuAccount::charge_spread), with the
+    /// Like `charge_spread`, with the
     /// whole amount attributed to `tag`.
     pub fn charge_spread_tagged(
         &self,
@@ -246,15 +219,14 @@ impl CpuAccount {
         SimDuration::from_nanos(self.events.borrow().iter().map(|&(_, b)| b).sum())
     }
 
-    /// Discards all recorded events.
-    pub fn reset(&self) {
-        self.events.borrow_mut().clear();
-        self.by_tag.borrow_mut().clear();
-    }
-
     /// Per-window utilizations over `[from, to)` using the given
     /// window (each clamped to 100%).
-    pub fn window_utilizations(&self, from: SimTime, to: SimTime, window: SimDuration) -> Vec<f64> {
+    pub(crate) fn window_utilizations(
+        &self,
+        from: SimTime,
+        to: SimTime,
+        window: SimDuration,
+    ) -> Vec<f64> {
         assert!(to >= from && !window.is_zero());
         let span = to.as_nanos() - from.as_nanos();
         let nwin = span.div_ceil(window.as_nanos()).max(1) as usize;
@@ -300,12 +272,6 @@ mod tests {
         let nfs = m.nfs_request(Bytes::ZERO).as_nanos() as f64;
         let iscsi = m.iscsi_request(Bytes::ZERO).as_nanos() as f64;
         assert!((1.5..2.2).contains(&(nfs / iscsi)), "{}", nfs / iscsi);
-    }
-
-    #[test]
-    fn metadata_miss_is_more_expensive() {
-        let m = CostModel::p3_933();
-        assert!(m.nfs_metadata_miss_request() > m.nfs_request(Bytes::ZERO));
     }
 
     #[test]
@@ -389,8 +355,6 @@ mod tests {
             ]
         );
         assert_eq!(a.total_busy(), SimDuration::from_micros(135));
-        a.reset();
-        assert!(a.busy_by_tag().is_empty());
     }
 
     #[test]
@@ -432,7 +396,5 @@ mod tests {
         assert_eq!(a.total_busy(), SimDuration::ZERO);
         a.charge(SimTime::ZERO, SimDuration::from_micros(5));
         assert_eq!(a.total_busy(), SimDuration::from_micros(5));
-        a.reset();
-        assert_eq!(a.total_busy(), SimDuration::ZERO);
     }
 }

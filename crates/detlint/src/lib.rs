@@ -51,7 +51,6 @@ mod strip;
 
 pub use allowlist::{parse_allowlist, AllowEntry, Allowlist};
 pub use scan::lint_source;
-pub use strip::{strip_source, test_lines};
 
 /// A determinism lint class. See the crate docs for the catalogue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -77,20 +76,8 @@ pub enum Lint {
 }
 
 impl Lint {
-    /// All lints, in id order.
-    pub const ALL: [Lint; 8] = [
-        Lint::D1,
-        Lint::D2,
-        Lint::D3,
-        Lint::D4,
-        Lint::D5,
-        Lint::D6,
-        Lint::U1,
-        Lint::U2,
-    ];
-
     /// Parses `"D1"`..`"D6"`, `"U1"`, `"U2"`.
-    pub fn from_id(s: &str) -> Option<Lint> {
+    pub(crate) fn from_id(s: &str) -> Option<Lint> {
         match s {
             "D1" => Some(Lint::D1),
             "D2" => Some(Lint::D2),
@@ -105,7 +92,7 @@ impl Lint {
     }
 
     /// The short id (`"D1"`..`"D6"`, `"U1"`, `"U2"`).
-    pub fn id(self) -> &'static str {
+    pub(crate) fn id(self) -> &'static str {
         match self {
             Lint::D1 => "D1",
             Lint::D2 => "D2",
@@ -154,27 +141,27 @@ impl fmt::Display for Diagnostic {
 /// Where a file sits in the workspace, which decides which lints
 /// apply. Derived purely from the workspace-relative path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FileContext<'a> {
+pub(crate) struct FileContext<'a> {
     /// Workspace-relative path, `/`-separated.
     pub path: &'a str,
 }
 
 impl<'a> FileContext<'a> {
     /// Creates a context for a workspace-relative path.
-    pub fn new(path: &'a str) -> Self {
+    pub(crate) fn new(path: &'a str) -> Self {
         FileContext { path }
     }
 
     /// Files the linter refuses to scan at all: build output and the
     /// linter's own intentionally-violating test fixtures.
-    pub fn skip_entirely(&self) -> bool {
+    pub(crate) fn skip_entirely(&self) -> bool {
         self.path.starts_with("target/")
             || self.path.contains("/target/")
             || self.path.contains("tests/fixtures/")
     }
 
     /// True if the whole file is test code (integration test trees).
-    pub fn whole_file_test(&self) -> bool {
+    pub(crate) fn whole_file_test(&self) -> bool {
         self.path.starts_with("tests/") || self.path.contains("/tests/")
     }
 
@@ -229,7 +216,7 @@ impl<'a> FileContext<'a> {
     /// * U1/U2 apply only in model crates (see `in_model_crate`),
     ///   and never in `simkit`'s `units`/`clock`/`rng` modules — those
     ///   are where the raw-integer math is supposed to live.
-    pub fn lint_applies(&self, lint: Lint) -> bool {
+    pub(crate) fn lint_applies(&self, lint: Lint) -> bool {
         match lint {
             Lint::D1 => !self.in_crate("bench") && !self.in_crate("loom"),
             Lint::D2 | Lint::D3 | Lint::D6 => true,
@@ -249,7 +236,7 @@ impl<'a> FileContext<'a> {
     /// ambient randomness is a flaky test. U1/U2 are off too: tests
     /// legitimately compare newtype arithmetic against raw-integer
     /// reference formulas.
-    pub fn lint_applies_in_tests(lint: Lint) -> bool {
+    pub(crate) fn lint_applies_in_tests(lint: Lint) -> bool {
         matches!(lint, Lint::D1 | Lint::D3)
     }
 }
@@ -260,7 +247,17 @@ mod tests {
 
     #[test]
     fn lint_ids_round_trip() {
-        for l in Lint::ALL {
+        let all = [
+            Lint::D1,
+            Lint::D2,
+            Lint::D3,
+            Lint::D4,
+            Lint::D5,
+            Lint::D6,
+            Lint::U1,
+            Lint::U2,
+        ];
+        for l in all {
             assert_eq!(Lint::from_id(l.id()), Some(l));
         }
         assert_eq!(Lint::from_id("D9"), None);

@@ -8,7 +8,7 @@
 /// Returns `src` with comments, string literals and char literals
 /// replaced by spaces. Newlines are preserved so byte offsets map to
 /// the same line numbers as the original.
-pub fn strip_source(src: &str) -> String {
+pub(crate) fn strip_source(src: &str) -> String {
     let b = src.as_bytes();
     let mut out = vec![b' '; b.len()];
     // Keep newlines.
@@ -159,7 +159,7 @@ fn char_literal_end(b: &[u8], i: usize) -> Option<usize> {
 
 /// Returns, for each line of *stripped* source, whether it lies inside
 /// a `#[cfg(test)]`-gated item (tracked by brace depth).
-pub fn test_lines(stripped: &str) -> Vec<bool> {
+pub(crate) fn test_lines(stripped: &str) -> Vec<bool> {
     let mut out = Vec::new();
     let mut depth: usize = 0;
     // Depths at which an active test region began.

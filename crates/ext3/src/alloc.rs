@@ -1,19 +1,19 @@
 //! Bitmap primitives for block and inode allocation.
 
 /// Tests bit `i` of a bitmap block.
-pub fn test_bit(bitmap: &[u8], i: usize) -> bool {
+pub(crate) fn test_bit(bitmap: &[u8], i: usize) -> bool {
     bitmap[i / 8] & (1 << (i % 8)) != 0
 }
 
 /// Sets bit `i`; returns the previous value.
-pub fn set_bit(bitmap: &mut [u8], i: usize) -> bool {
+pub(crate) fn set_bit(bitmap: &mut [u8], i: usize) -> bool {
     let was = test_bit(bitmap, i);
     bitmap[i / 8] |= 1 << (i % 8);
     was
 }
 
 /// Clears bit `i`; returns the previous value.
-pub fn clear_bit(bitmap: &mut [u8], i: usize) -> bool {
+pub(crate) fn clear_bit(bitmap: &mut [u8], i: usize) -> bool {
     let was = test_bit(bitmap, i);
     bitmap[i / 8] &= !(1 << (i % 8));
     was
@@ -21,7 +21,7 @@ pub fn clear_bit(bitmap: &mut [u8], i: usize) -> bool {
 
 /// Finds the first zero bit in `[start, limit)`, preferring `start`
 /// onward then wrapping to the beginning (allocation-locality hint).
-pub fn find_zero(bitmap: &[u8], start: usize, limit: usize) -> Option<usize> {
+pub(crate) fn find_zero(bitmap: &[u8], start: usize, limit: usize) -> Option<usize> {
     debug_assert!(limit <= bitmap.len() * 8);
     let probe = |range: std::ops::Range<usize>| {
         for i in range {
@@ -39,7 +39,7 @@ pub fn find_zero(bitmap: &[u8], start: usize, limit: usize) -> Option<usize> {
 }
 
 /// Counts zero bits in `[0, limit)`.
-pub fn count_zeros(bitmap: &[u8], limit: usize) -> usize {
+pub(crate) fn count_zeros(bitmap: &[u8], limit: usize) -> usize {
     (0..limit).filter(|&i| !test_bit(bitmap, i)).count()
 }
 

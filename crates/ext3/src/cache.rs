@@ -150,17 +150,17 @@ impl BufferCache {
     }
 
     /// Number of blocks currently cached.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.map.len
     }
 
     /// True if nothing is cached.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.map.len == 0
     }
 
     /// `(hits, misses)` since creation.
-    pub fn stats(&self) -> (u64, u64) {
+    pub(crate) fn stats(&self) -> (u64, u64) {
         (self.hits, self.misses)
     }
 
@@ -201,12 +201,12 @@ impl BufferCache {
     }
 
     /// True if the block is resident (no hit/miss accounting).
-    pub fn contains(&self, bno: BlockNo) -> bool {
+    pub(crate) fn contains(&self, bno: BlockNo) -> bool {
         self.map.get(bno).is_some()
     }
 
     /// Inserts a block image read from the device (clean).
-    pub fn insert_clean(&mut self, bno: BlockNo, data: &[u8]) {
+    pub(crate) fn insert_clean(&mut self, bno: BlockNo, data: &[u8]) {
         self.insert(bno, data, DirtyKind::Clean);
     }
 
@@ -245,7 +245,7 @@ impl BufferCache {
 
     /// Mutates a resident block in place and raises its dirty state to
     /// at least `kind`. Returns `false` if the block is not resident.
-    pub fn modify(
+    pub(crate) fn modify(
         &mut self,
         bno: BlockNo,
         kind: DirtyKind,
@@ -272,12 +272,12 @@ impl BufferCache {
     }
 
     /// Dirty state of a block (`Clean` if absent).
-    pub fn dirty_kind(&self, bno: BlockNo) -> DirtyKind {
+    pub(crate) fn dirty_kind(&self, bno: BlockNo) -> DirtyKind {
         self.map.get(bno).map_or(DirtyKind::Clean, |b| b.dirty)
     }
 
     /// Marks a block clean after write-back (no-op if absent).
-    pub fn mark_clean(&mut self, bno: BlockNo) {
+    pub(crate) fn mark_clean(&mut self, bno: BlockNo) {
         if let Some(b) = self.map.get_mut(bno) {
             b.dirty = DirtyKind::Clean;
             self.dirty_data.remove(&bno);
@@ -287,7 +287,7 @@ impl BufferCache {
     /// Sorted list of blocks dirty with the given kind. `Data` is
     /// served from the maintained index in O(n of dirty); other kinds
     /// scan the map.
-    pub fn dirty_blocks(&self, kind: DirtyKind) -> Vec<BlockNo> {
+    pub(crate) fn dirty_blocks(&self, kind: DirtyKind) -> Vec<BlockNo> {
         if kind == DirtyKind::Data {
             return self.dirty_data.iter().copied().collect();
         }
@@ -300,12 +300,12 @@ impl BufferCache {
 
     /// The first `limit` dirty-data blocks, in block order (the
     /// write-back path's working set).
-    pub fn dirty_data_prefix(&self, limit: usize) -> Vec<BlockNo> {
+    pub(crate) fn dirty_data_prefix(&self, limit: usize) -> Vec<BlockNo> {
         self.dirty_data.iter().copied().take(limit).collect()
     }
 
     /// Count of dirty blocks of the given kind.
-    pub fn dirty_count(&self, kind: DirtyKind) -> usize {
+    pub(crate) fn dirty_count(&self, kind: DirtyKind) -> usize {
         if kind == DirtyKind::Data {
             return self.dirty_data.len();
         }
@@ -314,7 +314,7 @@ impl BufferCache {
 
     /// The block's bytes (for journal commit images and write-back),
     /// without touching hit/miss or CLOCK state.
-    pub fn peek(&self, bno: BlockNo) -> Option<&[u8; BLOCK_SIZE]> {
+    pub(crate) fn peek(&self, bno: BlockNo) -> Option<&[u8; BLOCK_SIZE]> {
         self.map.get(bno).map(|b| &*b.data)
     }
 
@@ -322,7 +322,7 @@ impl BufferCache {
     /// fits its capacity. Returns how many were evicted. Dirty blocks
     /// are pinned, so the cache may remain over capacity until the
     /// owner cleans them.
-    pub fn shrink_to_capacity(&mut self) -> usize {
+    pub(crate) fn shrink_to_capacity(&mut self) -> usize {
         let mut evicted = 0;
         // Bound the sweep so an all-dirty/all-referenced cache cannot
         // loop forever: two full passes clear every reference bit.
@@ -349,7 +349,7 @@ impl BufferCache {
     }
 
     /// Drops every block (crash, or unmount after flushing).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.map.clear();
         self.ring.clear();
         self.dirty_data.clear();

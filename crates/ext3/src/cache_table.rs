@@ -5,8 +5,8 @@
 //! both sides of leaf boundaries and far apart, and capacities are
 //! small so that eviction runs.
 
+use crate::{BufferCache, DirtyKind};
 use blockdev::{BlockNo, Image, BLOCK_SIZE};
-use ext3::{BufferCache, DirtyKind};
 use proptest::prelude::*;
 
 /// The block map as it was before the block table: a `BTreeMap` with

@@ -24,7 +24,7 @@ pub struct DirEntry {
     pub ino: u32,
     /// Entry name.
     pub name: String,
-    /// File type code (see [`FileType::dirent_code`]).
+    /// File type code (see `FileType::dirent_code`).
     pub ftype: u8,
 }
 
@@ -42,7 +42,7 @@ fn read_rec(block: &[u8], off: usize) -> (u32, usize, usize, u8) {
 
 /// Initializes an empty directory block: one free record spanning the
 /// whole block.
-pub fn init_block(block: &mut [u8]) {
+pub(crate) fn init_block(block: &mut [u8]) {
     block.fill(0);
     block[4..6].copy_from_slice(&(BLOCK_SIZE as u16).to_le_bytes());
 }
@@ -53,7 +53,7 @@ pub fn init_block(block: &mut [u8]) {
 ///
 /// Returns [`FsError::InvalidName`] for empty names, names over
 /// [`NAME_MAX`], or names containing `/` or NUL.
-pub fn check_name(name: &str) -> FsResult<()> {
+pub(crate) fn check_name(name: &str) -> FsResult<()> {
     if name.is_empty() || name.len() > NAME_MAX || name.contains(['/', '\0']) {
         return Err(FsError::InvalidName);
     }
@@ -61,7 +61,7 @@ pub fn check_name(name: &str) -> FsResult<()> {
 }
 
 /// Iterates the live entries of one directory block.
-pub fn entries(block: &[u8]) -> Vec<DirEntry> {
+pub(crate) fn entries(block: &[u8]) -> Vec<DirEntry> {
     let mut out = Vec::new();
     let mut off = 0;
     while off + DIRENT_HEADER <= BLOCK_SIZE {
@@ -80,7 +80,7 @@ pub fn entries(block: &[u8]) -> Vec<DirEntry> {
 }
 
 /// Finds `name` in the block; returns its inode and type.
-pub fn find(block: &[u8], name: &str) -> Option<(u32, u8)> {
+pub(crate) fn find(block: &[u8], name: &str) -> Option<(u32, u8)> {
     let mut off = 0;
     while off + DIRENT_HEADER <= BLOCK_SIZE {
         let (ino, rec_len, name_len, ftype) = read_rec(block, off);
@@ -100,7 +100,7 @@ pub fn find(block: &[u8], name: &str) -> Option<(u32, u8)> {
 
 /// Inserts an entry, splitting a record with enough slack. Returns
 /// `true` on success, `false` if the block is full.
-pub fn insert(block: &mut [u8], name: &str, ino: u32, ftype: FileType) -> bool {
+pub(crate) fn insert(block: &mut [u8], name: &str, ino: u32, ftype: FileType) -> bool {
     debug_assert!(check_name(name).is_ok());
     let needed = rec_len_for(name.len());
     let mut off = 0;
@@ -137,7 +137,7 @@ pub fn insert(block: &mut [u8], name: &str, ino: u32, ftype: FileType) -> bool {
 
 /// Removes `name` from the block. Returns the removed inode number, or
 /// `None` if absent.
-pub fn remove(block: &mut [u8], name: &str) -> Option<u32> {
+pub(crate) fn remove(block: &mut [u8], name: &str) -> Option<u32> {
     let mut prev: Option<usize> = None;
     let mut off = 0;
     while off + DIRENT_HEADER <= BLOCK_SIZE {
@@ -172,7 +172,7 @@ pub fn remove(block: &mut [u8], name: &str) -> Option<u32> {
 
 /// Replaces the inode an existing entry points at (rename-over).
 /// Returns the old inode, or `None` if the name is absent.
-pub fn replace(block: &mut [u8], name: &str, new_ino: u32, ftype: FileType) -> Option<u32> {
+pub(crate) fn replace(block: &mut [u8], name: &str, new_ino: u32, ftype: FileType) -> Option<u32> {
     let mut off = 0;
     while off + DIRENT_HEADER <= BLOCK_SIZE {
         let (ino, rec_len, name_len, _) = read_rec(block, off);
@@ -193,7 +193,7 @@ pub fn replace(block: &mut [u8], name: &str, new_ino: u32, ftype: FileType) -> O
 }
 
 /// True if the block holds no live entries other than `.` and `..`.
-pub fn is_effectively_empty(block: &[u8]) -> bool {
+pub(crate) fn is_effectively_empty(block: &[u8]) -> bool {
     entries(block)
         .iter()
         .all(|e| e.name == "." || e.name == "..")

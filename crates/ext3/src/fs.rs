@@ -172,7 +172,6 @@ pub(crate) struct Inner {
     pub opts: Options,
     pub state: RefCell<State>,
     fg_cost: Cell<SimDuration>,
-    bg_busy: Cell<SimDuration>,
     mode: Cell<IoMode>,
     /// Each [`Op`]'s counter in `sim.counters()`, resolved by the first
     /// [`Inner::count`] of that op.
@@ -465,7 +464,6 @@ impl Ext3 {
             opts,
             state: RefCell::new(state),
             fg_cost: Cell::new(SimDuration::ZERO),
-            bg_busy: Cell::new(SimDuration::ZERO),
             mode: Cell::new(IoMode::Foreground),
             op_counters: Default::default(),
         });
@@ -496,12 +494,6 @@ impl Ext3 {
     /// The machine this instance runs on ([`Options::trace_host`]).
     pub fn trace_host(&self) -> simkit::HostId {
         self.inner.opts.trace_host
-    }
-
-    /// Total background device time accumulated (journal commits and
-    /// data write-back) — the disk-utilization side of the CPU story.
-    pub fn background_busy(&self) -> SimDuration {
-        self.inner.bg_busy.get()
     }
 
     /// Buffer-cache `(hits, misses)`.
@@ -640,7 +632,8 @@ impl Inner {
     pub(crate) fn charge(&self, cost: IoCost) {
         match self.mode.get() {
             IoMode::Foreground => self.fg_cost.set(self.fg_cost.get() + cost.time),
-            IoMode::Background => self.bg_busy.set(self.bg_busy.get() + cost.time),
+            // Write-back and commits run off the caller's clock.
+            IoMode::Background => {}
         }
     }
 

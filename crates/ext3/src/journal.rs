@@ -63,7 +63,7 @@ pub struct CommitPlan {
 impl Journal {
     /// Creates an empty journal over the given region, starting at
     /// sequence `seq`.
-    pub fn new(start: BlockNo, len: u64, seq: u64) -> Journal {
+    pub(crate) fn new(start: BlockNo, len: u64, seq: u64) -> Journal {
         Journal {
             start,
             len,
@@ -75,23 +75,23 @@ impl Journal {
     }
 
     /// Adds a meta-data block to the running transaction.
-    pub fn add(&mut self, bno: BlockNo) {
+    pub(crate) fn add(&mut self, bno: BlockNo) {
         self.running.insert(bno, ());
     }
 
     /// True if the running transaction has no blocks.
-    pub fn running_is_empty(&self) -> bool {
+    pub(crate) fn running_is_empty(&self) -> bool {
         self.running.is_empty()
     }
 
     /// Sequence number the next commit will use.
-    pub fn next_seq(&self) -> u64 {
+    pub(crate) fn next_seq(&self) -> u64 {
         self.next_seq
     }
 
     /// Journal blocks needed to commit the next slice of the running
     /// transaction (oversized transactions split across commits).
-    pub fn blocks_needed(&self) -> u64 {
+    pub(crate) fn blocks_needed(&self) -> u64 {
         if self.running.is_empty() {
             0
         } else {
@@ -102,7 +102,7 @@ impl Journal {
 
     /// True if committing now would overflow the region (a checkpoint
     /// must run first).
-    pub fn needs_checkpoint(&self) -> bool {
+    pub(crate) fn needs_checkpoint(&self) -> bool {
         self.head + self.blocks_needed() > self.len
     }
 
@@ -118,7 +118,7 @@ impl Journal {
     ///
     /// Panics if the region is full — callers must checkpoint first
     /// (see [`needs_checkpoint`](Journal::needs_checkpoint)).
-    pub fn commit<'a>(
+    pub(crate) fn commit<'a>(
         &mut self,
         image_of: impl Fn(BlockNo) -> Option<&'a [u8; BLOCK_SIZE]>,
         out: &mut Vec<u8>,
@@ -175,20 +175,20 @@ impl Journal {
     /// Takes the checkpoint-pending images (sorted by target block)
     /// and resets the log head. The caller writes them in place and
     /// persists the advanced sequence number in the superblock.
-    pub fn take_checkpoint(&mut self) -> BTreeMap<BlockNo, Image> {
+    pub(crate) fn take_checkpoint(&mut self) -> BTreeMap<BlockNo, Image> {
         self.head = 0;
         std::mem::take(&mut self.checkpoint_pending)
     }
 
     /// Number of blocks awaiting checkpoint.
-    pub fn checkpoint_pending_len(&self) -> usize {
+    pub(crate) fn checkpoint_pending_len(&self) -> usize {
         self.checkpoint_pending.len()
     }
 
     /// The committed image of `bno` if it awaits checkpoint. Readers
     /// must prefer this over the device: the home location is stale
     /// until the checkpoint writes it back.
-    pub fn pending_image(&self, bno: BlockNo) -> Option<&[u8; BLOCK_SIZE]> {
+    pub(crate) fn pending_image(&self, bno: BlockNo) -> Option<&[u8; BLOCK_SIZE]> {
         self.checkpoint_pending.get(&bno).map(|img| &**img)
     }
 }
@@ -202,7 +202,10 @@ impl Journal {
 ///
 /// Returns [`FsError::Corrupt`] if a descriptor is malformed (count
 /// out of range).
-pub fn replay_scan(region: &[u8], min_seq: u64) -> FsResult<(BTreeMap<BlockNo, Image>, u64)> {
+pub(crate) fn replay_scan(
+    region: &[u8],
+    min_seq: u64,
+) -> FsResult<(BTreeMap<BlockNo, Image>, u64)> {
     let nblocks = region.len() / BLOCK_SIZE;
     let mut recovered: BTreeMap<BlockNo, Image> = BTreeMap::new();
     let mut expect_seq = min_seq;

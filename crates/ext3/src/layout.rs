@@ -56,7 +56,7 @@ pub enum FileType {
 
 impl FileType {
     /// The `S_IFMT` bits for this type.
-    pub fn mode_bits(self) -> u16 {
+    pub(crate) fn mode_bits(self) -> u16 {
         match self {
             FileType::Regular => 0o100000,
             FileType::Directory => 0o040000,
@@ -65,7 +65,7 @@ impl FileType {
     }
 
     /// Parses the `S_IFMT` bits of a mode.
-    pub fn from_mode(mode: u16) -> FsResult<FileType> {
+    pub(crate) fn from_mode(mode: u16) -> FsResult<FileType> {
         match mode & 0o170000 {
             0o100000 => Ok(FileType::Regular),
             0o040000 => Ok(FileType::Directory),
@@ -75,7 +75,7 @@ impl FileType {
     }
 
     /// Directory-entry type code.
-    pub fn dirent_code(self) -> u8 {
+    pub(crate) fn dirent_code(self) -> u8 {
         match self {
             FileType::Regular => 1,
             FileType::Directory => 2,
@@ -104,7 +104,7 @@ pub struct SuperBlock {
 
 impl SuperBlock {
     /// Serializes into a 4 KiB block image.
-    pub fn encode(&self) -> Vec<u8> {
+    pub(crate) fn encode(&self) -> Vec<u8> {
         let mut b = vec![0u8; BLOCK_SIZE];
         b[0..4].copy_from_slice(&SUPER_MAGIC.to_le_bytes());
         b[8..16].copy_from_slice(&self.blocks_count.to_le_bytes());
@@ -121,7 +121,7 @@ impl SuperBlock {
     /// # Errors
     ///
     /// Returns [`FsError::Corrupt`] on a bad magic number.
-    pub fn decode(b: &[u8]) -> FsResult<SuperBlock> {
+    pub(crate) fn decode(b: &[u8]) -> FsResult<SuperBlock> {
         let magic = u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
         if magic != SUPER_MAGIC {
             return Err(FsError::Corrupt("bad superblock magic"));
@@ -157,7 +157,7 @@ pub const GROUP_DESC_SIZE: usize = 32;
 
 impl GroupDesc {
     /// Serializes into `GROUP_DESC_SIZE` bytes.
-    pub fn encode(&self, out: &mut [u8]) {
+    pub(crate) fn encode(&self, out: &mut [u8]) {
         out[0..8].copy_from_slice(&self.block_bitmap.to_le_bytes());
         out[8..16].copy_from_slice(&self.inode_bitmap.to_le_bytes());
         out[16..24].copy_from_slice(&self.inode_table.to_le_bytes());
@@ -166,7 +166,7 @@ impl GroupDesc {
     }
 
     /// Parses from `GROUP_DESC_SIZE` bytes.
-    pub fn decode(b: &[u8]) -> GroupDesc {
+    pub(crate) fn decode(b: &[u8]) -> GroupDesc {
         GroupDesc {
             block_bitmap: u64::from_le_bytes(b[0..8].try_into().unwrap()),
             inode_bitmap: u64::from_le_bytes(b[8..16].try_into().unwrap()),
@@ -206,7 +206,7 @@ pub struct Inode {
 
 impl Inode {
     /// A zeroed (free) inode.
-    pub fn empty() -> Inode {
+    pub(crate) fn empty() -> Inode {
         Inode {
             mode: 0,
             links: 0,
@@ -222,7 +222,7 @@ impl Inode {
     }
 
     /// A fresh inode of the given type and permissions.
-    pub fn new(ftype: FileType, perms: u16, now: u64) -> Inode {
+    pub(crate) fn new(ftype: FileType, perms: u16, now: u64) -> Inode {
         Inode {
             mode: ftype.mode_bits() | (perms & 0o7777),
             links: 1,
@@ -242,17 +242,17 @@ impl Inode {
     /// # Errors
     ///
     /// Returns [`FsError::Corrupt`] if the mode bits are invalid.
-    pub fn file_type(&self) -> FsResult<FileType> {
+    pub(crate) fn file_type(&self) -> FsResult<FileType> {
         FileType::from_mode(self.mode)
     }
 
     /// True if the inode is unallocated.
-    pub fn is_free(&self) -> bool {
+    pub(crate) fn is_free(&self) -> bool {
         self.mode == 0 && self.links == 0
     }
 
     /// Serializes into a 128-byte slot.
-    pub fn encode(&self, out: &mut [u8]) {
+    pub(crate) fn encode(&self, out: &mut [u8]) {
         out[..INODE_SIZE].fill(0);
         out[0..2].copy_from_slice(&self.mode.to_le_bytes());
         out[2..4].copy_from_slice(&self.links.to_le_bytes());
@@ -269,7 +269,7 @@ impl Inode {
     }
 
     /// Parses from a 128-byte slot.
-    pub fn decode(b: &[u8]) -> Inode {
+    pub(crate) fn decode(b: &[u8]) -> Inode {
         let mut block = [0u32; N_DIRECT + 2];
         for (i, p) in block.iter_mut().enumerate() {
             *p = u32::from_le_bytes(b[44 + i * 4..48 + i * 4].try_into().unwrap());
@@ -293,7 +293,7 @@ impl Inode {
     /// # Errors
     ///
     /// Returns [`FsError::NotASymlink`] for other inode types.
-    pub fn fast_symlink_target(&self) -> FsResult<String> {
+    pub(crate) fn fast_symlink_target(&self) -> FsResult<String> {
         if self.file_type()? != FileType::Symlink {
             return Err(FsError::NotASymlink);
         }
@@ -310,7 +310,7 @@ impl Inode {
     /// # Panics
     ///
     /// Panics if the target exceeds [`FAST_SYMLINK_MAX`].
-    pub fn set_fast_symlink_target(&mut self, target: &str) {
+    pub(crate) fn set_fast_symlink_target(&mut self, target: &str) {
         assert!(target.len() <= FAST_SYMLINK_MAX);
         let mut bytes = [0u8; FAST_SYMLINK_MAX];
         bytes[..target.len()].copy_from_slice(target.as_bytes());
@@ -341,7 +341,7 @@ pub struct GroupLayout {
 /// Computes the layout of group `g` for a volume with a journal of
 /// `journal_len` blocks. Groups start after block 0 (superblock),
 /// block 1 (descriptors), and the journal region.
-pub fn group_layout(g: u32, journal_len: u64, blocks_count: u64) -> GroupLayout {
+pub(crate) fn group_layout(g: u32, journal_len: u64, blocks_count: u64) -> GroupLayout {
     let meta_end = 2 + journal_len;
     let start = meta_end + g as u64 * BLOCKS_PER_GROUP;
     let end = (start + BLOCKS_PER_GROUP).min(blocks_count);
@@ -371,7 +371,7 @@ pub const fn min_volume_blocks(journal_len: u64) -> u64 {
 /// Number of groups for a volume of `blocks_count` blocks and a
 /// journal of `journal_len` blocks (partial trailing groups allowed as
 /// long as they can hold their metadata).
-pub fn groups_for(blocks_count: u64, journal_len: u64) -> u32 {
+pub(crate) fn groups_for(blocks_count: u64, journal_len: u64) -> u32 {
     assert!(
         blocks_count >= min_volume_blocks(journal_len),
         "volume too small"

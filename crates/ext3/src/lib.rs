@@ -43,6 +43,8 @@
 
 mod alloc;
 mod cache;
+#[cfg(test)]
+mod cache_table;
 mod dir;
 mod error;
 mod fs;
@@ -513,7 +515,6 @@ mod tests {
         assert_eq!(fs.cache_stats(), (29_731, 16), "after unlink");
         assert_eq!(dirty(&fs), (8, 0));
         assert_eq!(fs.cached_blocks(), 1544);
-        assert_eq!(fs.background_busy(), SimDuration::from_nanos(14_241_600));
         assert_eq!(sim.now().as_nanos(), 6_700_099_200);
     }
 

@@ -171,43 +171,13 @@ impl Target {
         (luns.len() - 1) as u32
     }
 
-    /// Number of exported LUNs.
-    pub fn lun_count(&self) -> usize {
-        self.luns.borrow().len()
-    }
-
-    /// The volume behind LUN 0 (the single-initiator export).
-    pub fn volume(&self) -> Rc<dyn BlockDevice> {
-        self.lun_volume(0)
-    }
-
     /// The volume behind `lun`.
     ///
     /// # Panics
     ///
     /// Panics if `lun` was never exported.
-    pub fn lun_volume(&self, lun: u32) -> Rc<dyn BlockDevice> {
+    pub(crate) fn lun_volume(&self, lun: u32) -> Rc<dyn BlockDevice> {
         Rc::clone(self.luns.borrow()[lun as usize].device())
-    }
-
-    /// Commands executed across all sessions over the target's
-    /// lifetime.
-    pub fn commands_executed(&self) -> u64 {
-        self.commands_executed.get()
-    }
-
-    /// Sessions opened so far.
-    pub fn session_count(&self) -> usize {
-        self.sessions.borrow().len()
-    }
-
-    /// Commands executed on one session.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `session` was never opened.
-    pub fn session_commands(&self, session: u32) -> u64 {
-        self.sessions.borrow()[session as usize].commands
     }
 
     /// Opens a session bound to `lun` with fresh sequence numbers
@@ -388,21 +358,6 @@ impl fmt::Debug for RemoteDisk {
 }
 
 impl RemoteDisk {
-    /// Negotiated session parameters.
-    pub fn params(&self) -> SessionParams {
-        self.params
-    }
-
-    /// Target-side session id.
-    pub fn session(&self) -> u32 {
-        self.session
-    }
-
-    /// LUN this session is bound to.
-    pub fn lun(&self) -> u32 {
-        self.lun
-    }
-
     /// Handles for `op`'s per-opcode counters, registered on first use.
     fn cmd_handles(&self, op: &'static str) -> CmdHandles {
         if let Some(h) = self.cmds.borrow().get(op) {
@@ -599,43 +554,6 @@ impl RemoteDisk {
             ScsiStatus::Good => Ok((completion, total)),
             ScsiStatus::CheckCondition(k) => Err(IscsiError::CheckCondition(k)),
         }
-    }
-
-    /// Sends a NOP-Out ping (keepalive); the target answers NOP-In.
-    /// One transaction on the wire, returning the measured round trip.
-    pub fn nop(&self) -> simkit::SimDuration {
-        let sim = self.chan.network().sim().clone();
-        self.txns.incr();
-        sim.counters().incr("proto.iscsi.nop");
-        let d = self
-            .chan
-            .round_trip(Bytes::new(BHS_LEN as u64), Bytes::new(BHS_LEN as u64));
-        sim.advance(d);
-        d
-    }
-
-    /// Session-level error recovery (RFC 3720 within-connection
-    /// recovery, the paper's §2.2 feature (iv)): after a detected
-    /// loss, the initiator issues an explicit retransmission request
-    /// (SNACK) and the target resends the affected PDUs. Counts the
-    /// recovery messages and returns the time the exchange took.
-    pub fn recover(&self, missing_pdus: u32) -> simkit::SimDuration {
-        let sim = self.chan.network().sim().clone();
-        let p = self.chan.network().params();
-        self.txns.incr();
-        sim.counters().incr("proto.iscsi.snack");
-        // SNACK out, then the resent PDUs stream back.
-        let mut d = self
-            .chan
-            .round_trip(Bytes::new(BHS_LEN as u64), Bytes::new(BHS_LEN as u64));
-        for _ in 1..missing_pdus.max(1) {
-            self.account_bytes(Bytes::new(BHS_LEN as u64));
-            d += p.serialize(Bytes::new(
-                BHS_LEN as u64 + self.params.max_recv_data_segment as u64,
-            ));
-        }
-        sim.advance(d);
-        d
     }
 
     fn account_bytes(&self, bytes: Bytes) {
@@ -875,9 +793,9 @@ mod tests {
         assert!(target.execute(b, 0, Cdb::TestUnitReady, &[]).is_ok());
         assert!(target.execute(a, 1, Cdb::TestUnitReady, &[]).is_ok());
         assert!(target.execute(b, 1, Cdb::TestUnitReady, &[]).is_ok());
-        assert_eq!(target.session_commands(a), 2);
-        assert_eq!(target.session_commands(b), 2);
-        assert_eq!(target.commands_executed(), 4);
+        assert_eq!(target.sessions.borrow()[a as usize].commands, 2);
+        assert_eq!(target.sessions.borrow()[b as usize].commands, 2);
+        assert_eq!(target.commands_executed.get(), 4);
     }
 
     #[test]
@@ -906,7 +824,7 @@ mod tests {
         let mut buf = vec![0u8; BLOCK_SIZE];
         d1.read(5, 1, &mut buf).unwrap();
         assert_eq!(buf, vec![0u8; BLOCK_SIZE], "writes don't cross LUNs");
-        assert_eq!(target.session_count(), 2);
+        assert_eq!(target.sessions.borrow().len(), 2);
     }
 
     #[test]
@@ -1046,26 +964,5 @@ mod session_tests {
         let one = run(1);
         let four = run(4);
         assert_ne!(one, four, "MC/S must change modeled transfer timing");
-    }
-
-    #[test]
-    fn nop_is_one_transaction() {
-        let (sim, d) = disk_with(SessionParams::default());
-        let base = sim.counters().get("proto.iscsi.txns");
-        let t0 = sim.now();
-        d.nop();
-        assert_eq!(sim.counters().get("proto.iscsi.txns"), base + 1);
-        assert!(sim.now() > t0, "the ping takes a round trip");
-    }
-
-    #[test]
-    fn recovery_counts_a_snack_exchange() {
-        let (sim, d) = disk_with(SessionParams::default());
-        let base = sim.counters().get("proto.iscsi.txns");
-        let d_small = d.recover(1);
-        let d_large = d.recover(16);
-        assert_eq!(sim.counters().get("proto.iscsi.snack"), 2);
-        assert_eq!(sim.counters().get("proto.iscsi.txns"), base + 2);
-        assert!(d_large > d_small, "more lost PDUs, longer resend");
     }
 }

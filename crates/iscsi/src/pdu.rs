@@ -36,7 +36,7 @@ pub enum Opcode {
 
 impl Opcode {
     /// Decodes an opcode byte.
-    pub fn from_u8(b: u8) -> Option<Opcode> {
+    pub(crate) fn from_u8(b: u8) -> Option<Opcode> {
         Some(match b & 0x3F {
             0x00 => Opcode::NopOut,
             0x01 => Opcode::ScsiCommand,

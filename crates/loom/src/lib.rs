@@ -24,7 +24,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Iterations (schedules) explored per [`model`] call, overridable via
 /// `LOOM_MAX_ITERS` like the real crate's knob of the same name.
-pub fn max_iterations() -> u64 {
+pub(crate) fn max_iterations() -> u64 {
     std::env::var("LOOM_MAX_ITERS")
         .ok()
         .and_then(|v| v.parse().ok())

@@ -61,7 +61,7 @@ pub enum Transport {
 
 impl Transport {
     /// Ethernet + IP + transport header bytes added to each message.
-    pub fn header_bytes(self) -> Bytes {
+    pub(crate) fn header_bytes(self) -> Bytes {
         match self {
             Transport::Udp => Bytes::new(14 + 20 + 8),
             Transport::Tcp => Bytes::new(14 + 20 + 32), // options-bearing TCP header
@@ -142,7 +142,7 @@ impl LinkParams {
     /// # Panics
     ///
     /// Panics unless `loss` is in `[0, 1)`.
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         assert!(
             (0.0..1.0).contains(&self.loss),
             "loss must be in [0,1), got {}",
@@ -297,11 +297,6 @@ pub enum Delivery {
 }
 
 impl Channel {
-    /// The channel's transport.
-    pub fn transport(&self) -> Transport {
-        self.transport
-    }
-
     /// The channel's accounting label.
     pub fn label(&self) -> &str {
         &self.label

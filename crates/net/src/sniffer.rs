@@ -9,10 +9,9 @@
 
 use simkit::units::{self, Bytes};
 use simkit::SimTime;
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Classification of a captured segment. The TCP flow model tags its
 /// loss-recovery traffic so a capture can separate goodput from
@@ -42,9 +41,9 @@ pub struct PacketRecord {
     pub kind: SegKind,
 }
 
-/// Default capture bound: enough for any micro-benchmark, small
-/// enough that a day-long macro run cannot exhaust memory.
-pub const DEFAULT_CAPTURE_CAPACITY: usize = 1 << 20;
+/// Capture bound: enough for any micro-benchmark, small enough that a
+/// day-long macro run cannot exhaust memory.
+const CAPTURE_CAPACITY: usize = 1 << 20;
 
 /// A passive tap on the simulated link.
 ///
@@ -53,29 +52,16 @@ pub const DEFAULT_CAPTURE_CAPACITY: usize = 1 << 20;
 /// losing packets under load) but still counted per channel, so
 /// [`summary`](Sniffer::summary) stays honest about what was missed.
 ///
-/// Capture accounting is thread-safe (`Sniffer` is `Send + Sync`):
-/// record appends and drop counts are guarded by internal locks, so
-/// even if parallel sweep cells were ever pointed at a shared tap,
-/// their channel summaries could not interleave mid-update. Normal
-/// sweeps still attach one tap per cell, which also keeps summaries
-/// per-cell.
+/// A tap belongs to one simulation, and a simulation runs on one
+/// thread: the state sits in `RefCell`s, so `Sniffer` is `!Sync` and
+/// the compiler rejects sharing one tap between parallel sweep cells.
+/// [`Fabric::attach_sniffer`](crate::Fabric::attach_sniffer) turns
+/// capture on (`Some`) and off (`None`).
 #[derive(Debug)]
 pub struct Sniffer {
-    records: Mutex<Vec<PacketRecord>>,
-    enabled: AtomicBool,
-    capacity: AtomicUsize,
-    dropped: Mutex<BTreeMap<String, u64>>,
-}
-
-impl Default for Sniffer {
-    fn default() -> Self {
-        Sniffer {
-            records: Mutex::new(Vec::new()),
-            enabled: AtomicBool::new(false),
-            capacity: AtomicUsize::new(DEFAULT_CAPTURE_CAPACITY),
-            dropped: Mutex::new(BTreeMap::new()),
-        }
-    }
+    records: RefCell<Vec<PacketRecord>>,
+    capacity: usize,
+    dropped: RefCell<BTreeMap<String, u64>>,
 }
 
 /// Per-channel capture summary.
@@ -95,58 +81,33 @@ pub struct ChannelSummary {
 }
 
 impl Sniffer {
-    /// Creates a tap; it starts enabled, with the default capacity.
+    /// Creates an empty tap.
     pub fn new() -> Rc<Sniffer> {
-        let s = Rc::new(Sniffer::default());
-        s.set_enabled(true);
-        s
+        Rc::new(Sniffer::with_capacity(CAPTURE_CAPACITY))
     }
 
-    /// Creates a tap holding at most `capacity` records.
-    pub fn with_capacity(capacity: usize) -> Rc<Sniffer> {
-        let s = Sniffer::new();
-        s.set_capacity(capacity);
-        s
+    fn with_capacity(capacity: usize) -> Sniffer {
+        Sniffer {
+            records: RefCell::new(Vec::new()),
+            capacity,
+            dropped: RefCell::new(BTreeMap::new()),
+        }
     }
 
-    /// Starts or stops capturing (records are kept either way).
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
-    }
-
-    /// Changes the record bound. Already-captured records above the
-    /// new bound are kept; only future captures are limited.
-    pub fn set_capacity(&self, capacity: usize) {
-        self.capacity.store(capacity, Ordering::Relaxed);
-    }
-
-    /// The current record bound.
-    pub fn capacity(&self) -> usize {
-        self.capacity.load(Ordering::Relaxed)
-    }
-
-    /// Records one ordinary message (called by the network layer). The
-    /// record-or-drop decision happens under the capture lock, so the
-    /// buffer can never exceed its bound and every message lands in
-    /// exactly one of the two tallies even under concurrent observers.
-    pub fn observe(&self, at: SimTime, channel: &str, payload: Bytes) {
+    /// Records one ordinary message (called by the network layer).
+    pub(crate) fn observe(&self, at: SimTime, channel: &str, payload: Bytes) {
         self.observe_kind(at, channel, payload, SegKind::Payload);
     }
 
     /// Records one message with an explicit [`SegKind`] (the TCP flow
-    /// model tags retransmissions and duplicate ACKs). Subject to the
-    /// same capacity bound and drop accounting as [`observe`]
-    /// (tagged segments a full buffer misses are counted dropped like
-    /// any other).
-    ///
-    /// [`observe`]: Sniffer::observe
-    pub fn observe_kind(&self, at: SimTime, channel: &str, payload: Bytes, kind: SegKind) {
-        if !self.enabled.load(Ordering::Relaxed) {
-            return;
-        }
-        let mut records = self.records.lock().unwrap();
-        if records.len() >= self.capacity() {
-            let mut dropped = self.dropped.lock().unwrap();
+    /// model tags retransmissions and duplicate ACKs). A message a
+    /// full buffer misses, of any kind, is counted dropped on its
+    /// channel instead, so every message lands in exactly one of the
+    /// two tallies.
+    pub(crate) fn observe_kind(&self, at: SimTime, channel: &str, payload: Bytes, kind: SegKind) {
+        let mut records = self.records.borrow_mut();
+        if records.len() >= self.capacity {
+            let mut dropped = self.dropped.borrow_mut();
             if let Some(n) = dropped.get_mut(channel) {
                 *n += 1;
             } else {
@@ -162,32 +123,10 @@ impl Sniffer {
         });
     }
 
-    /// Total messages dropped at the capacity limit.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.lock().unwrap().values().sum()
-    }
-
-    /// Number of records captured.
-    pub fn len(&self) -> usize {
-        self.records.lock().unwrap().len()
-    }
-
-    /// True if nothing was captured.
-    pub fn is_empty(&self) -> bool {
-        self.records.lock().unwrap().is_empty()
-    }
-
-    /// Clears the capture buffer and the dropped counts.
-    pub fn clear(&self) {
-        self.records.lock().unwrap().clear();
-        self.dropped.lock().unwrap().clear();
-    }
-
     /// A copy of the records in `[from, to)`.
     pub fn window(&self, from: SimTime, to: SimTime) -> Vec<PacketRecord> {
         self.records
-            .lock()
-            .unwrap()
+            .borrow()
             .iter()
             .filter(|r| r.at >= from && r.at < to)
             .cloned()
@@ -199,7 +138,7 @@ impl Sniffer {
     /// dropped still appear (with `messages == 0`).
     pub fn summary(&self) -> BTreeMap<String, ChannelSummary> {
         let mut out: BTreeMap<String, ChannelSummary> = BTreeMap::new();
-        for r in self.records.lock().unwrap().iter() {
+        for r in self.records.borrow().iter() {
             let e = out.entry(r.channel.clone()).or_default();
             e.messages += 1;
             e.bytes += r.payload;
@@ -209,7 +148,7 @@ impl Sniffer {
                 SegKind::DupAck => e.dup_acks += 1,
             }
         }
-        for (chan, &n) in self.dropped.lock().unwrap().iter() {
+        for (chan, &n) in self.dropped.borrow().iter() {
             out.entry(chan.clone()).or_default().dropped = n;
         }
         out
@@ -218,8 +157,9 @@ impl Sniffer {
     /// Mean payload size over the capture (the paper quotes mean
     /// request sizes: 4.7 KB for NFS writes vs 128 KB for iSCSI).
     pub fn mean_payload(&self, channel: &str) -> f64 {
-        let records = self.records.lock().unwrap();
-        let (n, total) = records
+        let (n, total) = self
+            .records
+            .borrow()
             .iter()
             .filter(|r| r.channel == channel)
             .fold((0u64, Bytes::ZERO), |(n, t), r| (n + 1, t + r.payload));
@@ -264,26 +204,14 @@ mod tests {
     }
 
     #[test]
-    fn disabling_stops_capture() {
-        let s = Sniffer::new();
-        s.observe(SimTime::from_nanos(1), "x", b(1));
-        s.set_enabled(false);
-        s.observe(SimTime::from_nanos(2), "x", b(1));
-        assert_eq!(s.len(), 1);
-        s.clear();
-        assert!(s.is_empty());
-    }
-
-    #[test]
     fn capacity_bound_drops_and_counts() {
         let s = Sniffer::with_capacity(3);
-        assert_eq!(s.capacity(), 3);
         for t in 0..5u64 {
             s.observe(SimTime::from_nanos(t), "nfs", b(100));
         }
         s.observe(SimTime::from_nanos(9), "iscsi", b(4096));
-        assert_eq!(s.len(), 3, "buffer bounded at capacity");
-        assert_eq!(s.dropped(), 3);
+        assert_eq!(s.records.borrow().len(), 3, "buffer bounded at capacity");
+        assert_eq!(s.dropped.borrow().values().sum::<u64>(), 3);
         let sum = s.summary();
         assert_eq!(sum["nfs"].messages, 3);
         assert_eq!(sum["nfs"].dropped, 2);
@@ -327,8 +255,8 @@ mod tests {
             Bytes::ZERO,
             SegKind::DupAck,
         );
-        assert_eq!(s.len(), 2, "buffer bounded at capacity");
-        assert_eq!(s.dropped(), 2);
+        assert_eq!(s.records.borrow().len(), 2, "buffer bounded at capacity");
+        assert_eq!(s.dropped.borrow().values().sum::<u64>(), 2);
         let sum = s.summary();
         assert_eq!(sum["tcp"].messages, 2);
         assert_eq!(sum["tcp"].retransmits, 1);
@@ -339,20 +267,6 @@ mod tests {
         assert_eq!(sum["other"].dropped, 1);
         assert_eq!(sum["other"].retransmits, 0);
         assert_eq!(sum["other"].dup_acks, 0);
-    }
-
-    #[test]
-    fn clear_resets_drop_counts() {
-        let s = Sniffer::with_capacity(1);
-        s.observe(SimTime::from_nanos(1), "x", b(1));
-        s.observe(SimTime::from_nanos(2), "x", b(1));
-        assert_eq!(s.dropped(), 1);
-        s.clear();
-        assert_eq!(s.dropped(), 0);
-        assert!(s.summary().is_empty());
-        // Capacity frees up again after clear.
-        s.observe(SimTime::from_nanos(3), "x", b(1));
-        assert_eq!(s.len(), 1);
     }
 
     #[test]
@@ -371,41 +285,6 @@ mod tests {
                 .len(),
             1
         );
-    }
-
-    #[test]
-    fn concurrent_observers_never_lose_or_double_count() {
-        // Regression for the parallel sweep engine: capture accounting
-        // must hold up even when several threads hammer one tap. Every
-        // observed message must end up either captured or counted as
-        // dropped — exactly once — and the buffer must respect its
-        // bound.
-        const THREADS: u64 = 4;
-        const PER_THREAD: u64 = 500;
-        const CAP: usize = 300;
-        let s = std::sync::Arc::new(Sniffer::default());
-        s.set_enabled(true);
-        s.set_capacity(CAP);
-        std::thread::scope(|scope| {
-            for t in 0..THREADS {
-                let s = std::sync::Arc::clone(&s);
-                scope.spawn(move || {
-                    for i in 0..PER_THREAD {
-                        s.observe(
-                            SimTime::from_nanos(t * PER_THREAD + i),
-                            "nfs",
-                            Bytes::new(64),
-                        );
-                    }
-                });
-            }
-        });
-        let total = THREADS * PER_THREAD;
-        assert_eq!(s.len(), CAP, "buffer filled exactly to capacity");
-        assert_eq!(s.dropped(), total - CAP as u64);
-        let sum = s.summary();
-        assert_eq!(sum["nfs"].messages + sum["nfs"].dropped, total);
-        assert_eq!(sum["nfs"].bytes, b(CAP as u64 * 64));
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! serialization time. The wait behind those k queued segments *is*
 //! the queueing delay — exactly how NISTNet-style added RTT arises on
 //! a congested bottleneck. A segment is tail-dropped when
-//! [`QUEUE_CAP_SEGMENTS`] segments already occupy the queue at its
+//! `QUEUE_CAP_SEGMENTS` segments already occupy the queue at its
 //! arrival; dropped segments vanish and are recovered by the flow's
 //! fast-retransmit or RTO machinery, never by the caller.
 //!
@@ -58,13 +58,13 @@ pub const MSS: u64 = 1460;
 /// [`Transport::Tcp.header_bytes()`](crate::Transport::header_bytes)
 /// so single-segment exchanges cost exactly what the pipe model
 /// charges for one message.
-pub const SEGMENT_HEADER_BYTES: u64 = 66;
+pub(crate) const SEGMENT_HEADER_BYTES: u64 = 66;
 
 /// Bottleneck queue capacity in full-size segments per direction
 /// (~48 KiB — the shallow per-port buffer of paper-era edge gear).
 /// A window burst beyond the bandwidth-delay product plus this
 /// backlog is tail-dropped.
-pub const QUEUE_CAP_SEGMENTS: usize = 32;
+pub(crate) const QUEUE_CAP_SEGMENTS: usize = 32;
 
 /// Initial congestion window in segments (RFC 6928's IW10).
 const INITIAL_CWND: f64 = 10.0;
@@ -99,11 +99,6 @@ pub enum TransportModel {
 }
 
 impl TransportModel {
-    /// Whether the congestion-aware model is selected.
-    pub fn is_tcp(self) -> bool {
-        matches!(self, TransportModel::Tcp { .. })
-    }
-
     /// Flows per endpoint under this model (1 for the pipe).
     pub fn connections(self) -> u32 {
         match self {
@@ -137,13 +132,12 @@ pub enum Direction {
 /// present at the offer's arrival time keeps the two timelines from
 /// poisoning each other.
 #[derive(Debug)]
-pub struct LinkQueue {
+pub(crate) struct LinkQueue {
     cap_segments: usize,
     /// Accepted segments possibly still queued, pruned once a later
     /// offer shows they have drained. Present-set size is bounded by
     /// `cap_segments`, so scans stay cheap.
     queued: RefCell<Vec<(SimTime, SimTime)>>,
-    drops: Cell<u64>,
 }
 
 impl LinkQueue {
@@ -151,7 +145,6 @@ impl LinkQueue {
         LinkQueue {
             cap_segments,
             queued: RefCell::new(Vec::new()),
-            drops: Cell::new(0),
         }
     }
 
@@ -176,28 +169,11 @@ impl LinkQueue {
             }
         }
         if occupied >= self.cap_segments {
-            self.drops.set(self.drops.get() + 1);
             return None;
         }
         let depart = frontier + ser;
         q.push((now, depart));
         Some(depart)
-    }
-
-    /// Queueing delay a segment offered at `now` would see.
-    pub fn backlog(&self, now: SimTime) -> SimDuration {
-        self.queued
-            .borrow()
-            .iter()
-            .filter(|&&(arrival, _)| arrival <= now)
-            .map(|&(_, depart)| depart)
-            .max()
-            .map_or(SimDuration::ZERO, |d| d.saturating_since(now))
-    }
-
-    /// Segments tail-dropped so far.
-    pub fn drops(&self) -> u64 {
-        self.drops.get()
     }
 }
 
@@ -213,7 +189,7 @@ pub struct TcpLink {
 
 impl TcpLink {
     /// A fresh idle link with the default queue capacity.
-    pub fn new() -> Rc<Self> {
+    pub(crate) fn new() -> Rc<Self> {
         Rc::new(TcpLink {
             up: LinkQueue::new(QUEUE_CAP_SEGMENTS),
             down: LinkQueue::new(QUEUE_CAP_SEGMENTS),
@@ -221,16 +197,11 @@ impl TcpLink {
     }
 
     /// The queue serving `dir`.
-    pub fn queue(&self, dir: Direction) -> &LinkQueue {
+    pub(crate) fn queue(&self, dir: Direction) -> &LinkQueue {
         match dir {
             Direction::Up => &self.up,
             Direction::Down => &self.down,
         }
-    }
-
-    /// Total tail drops across both directions.
-    pub fn drops(&self) -> u64 {
-        self.up.drops() + self.down.drops()
     }
 }
 
@@ -367,53 +338,29 @@ pub struct TcpEndpoint {
     link: Rc<TcpLink>,
     flows: Vec<FlowState>,
     rr: Cell<usize>,
-    retrans_total: Cell<u64>,
-    dup_acks_total: Cell<u64>,
 }
 
 impl TcpEndpoint {
     /// Opens `connections` flows (minimum 1) over `link`.
-    pub fn new(link: Rc<TcpLink>, connections: u32) -> Self {
+    pub(crate) fn new(link: Rc<TcpLink>, connections: u32) -> Self {
         let n = connections.max(1) as usize;
         TcpEndpoint {
             link,
             flows: (0..n).map(|_| FlowState::new()).collect(),
             rr: Cell::new(0),
-            retrans_total: Cell::new(0),
-            dup_acks_total: Cell::new(0),
         }
-    }
-
-    /// Number of connections.
-    pub fn connections(&self) -> u32 {
-        self.flows.len() as u32
-    }
-
-    /// The shared link this endpoint sends over.
-    pub fn link(&self) -> &Rc<TcpLink> {
-        &self.link
-    }
-
-    /// Lifetime retransmitted segments across all flows.
-    pub fn retrans_segments(&self) -> u64 {
-        self.retrans_total.get()
-    }
-
-    /// Lifetime duplicate ACKs across all flows.
-    pub fn dup_acks(&self) -> u64 {
-        self.dup_acks_total.get()
     }
 
     /// Picks the next flow round-robin (one pick per exchange: both
     /// legs of a request/response ride the same connection).
-    pub fn next_flow(&self) -> usize {
+    pub(crate) fn next_flow(&self) -> usize {
         let f = self.rr.get();
         self.rr.set((f + 1) % self.flows.len());
         f
     }
 
     /// Models `bytes` of payload moving in `dir` on a single flow.
-    pub fn transfer_on(
+    pub(crate) fn transfer_on(
         &self,
         p: &LinkParams,
         now: SimTime,
@@ -426,7 +373,7 @@ impl TcpEndpoint {
 
     /// Models `bytes` striped across every flow of the endpoint (MC/S
     /// data phases, multi-flow streams).
-    pub fn transfer_striped(
+    pub(crate) fn transfer_striped(
         &self,
         p: &LinkParams,
         now: SimTime,
@@ -679,10 +626,6 @@ impl TcpEndpoint {
             }
         }
 
-        self.retrans_total
-            .set(self.retrans_total.get() + out.retrans_segments);
-        self.dup_acks_total
-            .set(self.dup_acks_total.get() + out.dup_acks);
         out.duration = done_at.since(now);
         out
     }
@@ -780,9 +723,7 @@ mod tests {
             let t = e.transfer_on(&p, SimTime::ZERO, b(8 * MSS), Direction::Up, 0);
             retrans += t.retrans_segments;
         }
-        assert!(e.link().queue(Direction::Up).drops() > 0, "queue dropped");
-        assert!(retrans > 0, "drops were retransmitted");
-        assert_eq!(e.retrans_segments(), retrans);
+        assert!(retrans > 0, "tail drops were retransmitted");
     }
 
     #[test]

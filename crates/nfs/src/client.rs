@@ -84,13 +84,6 @@ impl NfsConfig {
             nconnect: 1,
         }
     }
-
-    /// The same configuration mounted with `nconnect` TCP connections.
-    pub fn with_nconnect(mut self, nconnect: u32) -> NfsConfig {
-        assert!(nconnect >= 1, "a mount needs at least one connection");
-        self.nconnect = nconnect;
-        self
-    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -214,11 +207,6 @@ impl NfsClient {
         simkit::HostId::client(self.cfg.client_id)
     }
 
-    /// TCP connections this mount opened (`nconnect`).
-    pub fn nconnect(&self) -> u32 {
-        self.cfg.nconnect
-    }
-
     /// Pages currently held in the client page cache (gauge probe).
     pub fn cached_pages(&self) -> usize {
         self.pages.len()
@@ -255,11 +243,6 @@ impl NfsClient {
     /// The exported root handle.
     pub fn root(&self) -> Fh {
         self.server.root_fh()
-    }
-
-    /// The protocol version in use.
-    pub fn version(&self) -> Version {
-        self.cfg.version
     }
 
     /// The server this client talks to.
@@ -425,29 +408,6 @@ impl NfsClient {
         Ok(attr)
     }
 
-    /// Attribute read with the 3-second cache.
-    ///
-    /// # Errors
-    ///
-    /// Server-side errors on a refresh.
-    pub fn getattr(&self, fh: Fh) -> FsResult<Attr> {
-        self.charge_client();
-        let fresh = self
-            .attrs
-            .borrow()
-            .get(&fh)
-            .map(|c| self.meta_fresh(c.fetched_at))
-            .unwrap_or(false);
-        if !fresh {
-            self.rpc_sync("getattr", Bytes::new(128), Bytes::new(128), 1);
-        }
-        let attr = self.server.getattr(self.id(), fh)?;
-        if !fresh {
-            self.prime_attr(fh, &attr);
-        }
-        Ok(attr)
-    }
-
     /// Explicit permission probe. The Linux v2/v3 clients fall back to
     /// a GETATTR (no ACCESS in v2; v3's is under-used per the paper's
     /// footnote); v4 always sends ACCESS.
@@ -557,7 +517,7 @@ impl NfsClient {
 
     /// Issues the v4 bookkeeping RPCs for `op` (OPEN confirmations,
     /// per-object ACCESS/GETATTR probes the UMich client sends).
-    pub fn v4_bookkeeping(&self, op: &str, target_cached: bool) {
+    pub(crate) fn v4_bookkeeping(&self, op: &str, target_cached: bool) {
         for _ in 0..self.v4_extra(op, target_cached) {
             self.rpc_sync("v4_check", Bytes::new(128), Bytes::new(128), 1);
         }

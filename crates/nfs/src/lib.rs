@@ -44,7 +44,7 @@ use simkit::SimDuration;
 /// several clients register (a multi-host topology), each procedure is
 /// additionally tallied under `nfs.server.c<id>.<proc>`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub struct ClientId(pub u32);
+pub(crate) struct ClientId(pub u32);
 
 impl std::fmt::Display for ClientId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -73,7 +73,7 @@ impl Version {
     }
 
     /// Maximum read/write transfer size the Linux client uses.
-    pub fn transfer_size(self) -> u64 {
+    pub(crate) fn transfer_size(self) -> u64 {
         match self {
             // The paper: v3 "uses the same transfer limit as NFS v2".
             Version::V2 | Version::V3 => 8 * 1024,
@@ -82,13 +82,13 @@ impl Version {
     }
 
     /// Whether data writes may complete asynchronously at the client.
-    pub fn async_writes(self) -> bool {
+    pub(crate) fn async_writes(self) -> bool {
         !matches!(self, Version::V2)
     }
 
     /// Whether path resolution issues an ACCESS check per component
     /// (the Linux NFS v4 behaviour the paper measured).
-    pub fn access_per_component(self) -> bool {
+    pub(crate) fn access_per_component(self) -> bool {
         matches!(self, Version::V4)
     }
 }

@@ -49,7 +49,7 @@ pub struct PageCache {
 
 impl PageCache {
     /// Creates a cache of at most `capacity` pages.
-    pub fn new(capacity: usize) -> PageCache {
+    pub(crate) fn new(capacity: usize) -> PageCache {
         PageCache {
             capacity: capacity.max(8),
             pages: RefCell::new(BTreeMap::new()),
@@ -59,19 +59,19 @@ impl PageCache {
     }
 
     /// Number of resident pages.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.pages.borrow().len()
-    }
-
-    /// True if no pages are resident.
-    pub fn is_empty(&self) -> bool {
-        self.pages.borrow().is_empty()
     }
 
     /// Lends a cached page to `f`, if resident, and sets its reference
     /// bit; `None` (and `f` not called) if absent. The page stays where
     /// it is: the caller copies out only the bytes it needs.
-    pub fn get<R>(&self, fh: Fh, page: u64, f: impl FnOnce(&[u8; PAGE_SIZE]) -> R) -> Option<R> {
+    pub(crate) fn get<R>(
+        &self,
+        fh: Fh,
+        page: u64,
+        f: impl FnOnce(&[u8; PAGE_SIZE]) -> R,
+    ) -> Option<R> {
         let mut pages = self.pages.borrow_mut();
         pages.get_mut(&(fh, page)).map(|p| {
             p.referenced = true;
@@ -80,18 +80,18 @@ impl PageCache {
     }
 
     /// True if the page is resident (no LRU side effects).
-    pub fn contains(&self, fh: Fh, page: u64) -> bool {
+    pub(crate) fn contains(&self, fh: Fh, page: u64) -> bool {
         self.pages.borrow().contains_key(&(fh, page))
     }
 
     /// Installs a clean page fetched from the server.
-    pub fn insert_clean(&self, fh: Fh, page: u64, data: &[u8]) {
+    pub(crate) fn insert_clean(&self, fh: Fh, page: u64, data: &[u8]) {
         self.insert(fh, page, data, false);
     }
 
     /// Installs a page, or overwrites a resident one in place. A short
     /// `data` is zero-padded to the page.
-    pub fn insert(&self, fh: Fh, page: u64, data: &[u8], dirty: bool) {
+    pub(crate) fn insert(&self, fh: Fh, page: u64, data: &[u8], dirty: bool) {
         match self.pages.borrow_mut().entry((fh, page)) {
             Entry::Occupied(e) => {
                 let p = e.into_mut();
@@ -113,7 +113,7 @@ impl PageCache {
 
     /// Mutates a page in place and marks it dirty; returns `false` if
     /// absent.
-    pub fn modify(&self, fh: Fh, page: u64, f: impl FnOnce(&mut [u8; PAGE_SIZE])) -> bool {
+    pub(crate) fn modify(&self, fh: Fh, page: u64, f: impl FnOnce(&mut [u8; PAGE_SIZE])) -> bool {
         let mut pages = self.pages.borrow_mut();
         match pages.get_mut(&(fh, page)) {
             Some(p) => {
@@ -127,27 +127,22 @@ impl PageCache {
     }
 
     /// Marks one page clean (its WRITE was sent to the server).
-    pub fn clean_page(&self, fh: Fh, page: u64) {
+    pub(crate) fn clean_page(&self, fh: Fh, page: u64) {
         if let Some(p) = self.pages.borrow_mut().get_mut(&(fh, page)) {
             p.dirty = false;
         }
     }
 
     /// Marks every page of the file clean (after a COMMIT).
-    pub fn clean_file(&self, fh: Fh) {
+    pub(crate) fn clean_file(&self, fh: Fh) {
         for p in self.pages.borrow_mut().range_mut(file_range(fh)) {
             p.1.dirty = false;
         }
     }
 
-    /// Dirty page count across all files.
-    pub fn dirty_pages(&self) -> usize {
-        self.pages.borrow().values().filter(|p| p.dirty).count()
-    }
-
     /// Drops every page of `fh` (cache invalidation after an mtime
     /// mismatch).
-    pub fn invalidate_file(&self, fh: Fh) {
+    pub(crate) fn invalidate_file(&self, fh: Fh) {
         let mut pages = self.pages.borrow_mut();
         while let Some((&k, _)) = pages.range(file_range(fh)).next() {
             pages.remove(&k);
@@ -156,14 +151,14 @@ impl PageCache {
     }
 
     /// Drops everything (fresh mount).
-    pub fn clear(&self) {
+    pub(crate) fn clear(&self) {
         self.pages.borrow_mut().clear();
         self.files.borrow_mut().clear();
         self.ring.borrow_mut().clear();
     }
 
     /// Validation state: `(validated_at, mtime)` recorded for the file.
-    pub fn validation(&self, fh: Fh) -> Option<(u64, u64)> {
+    pub(crate) fn validation(&self, fh: Fh) -> Option<(u64, u64)> {
         self.files
             .borrow()
             .get(&fh)
@@ -171,7 +166,7 @@ impl PageCache {
     }
 
     /// Records a successful validation against server `mtime` at `now`.
-    pub fn set_validation(&self, fh: Fh, now: u64, mtime: u64) {
+    pub(crate) fn set_validation(&self, fh: Fh, now: u64, mtime: u64) {
         self.files.borrow_mut().insert(
             fh,
             FileState {
@@ -207,6 +202,10 @@ impl PageCache {
 mod tests {
     use super::*;
 
+    fn dirty(c: &PageCache) -> usize {
+        c.pages.borrow().values().filter(|p| p.dirty).count()
+    }
+
     const F: Fh = Fh(7);
 
     #[test]
@@ -221,11 +220,11 @@ mod tests {
     fn modify_marks_dirty() {
         let c = PageCache::new(16);
         c.insert_clean(F, 0, &[0u8; PAGE_SIZE]);
-        assert_eq!(c.dirty_pages(), 0);
+        assert_eq!(dirty(&c), 0);
         assert!(c.modify(F, 0, |p| p[0] = 1));
-        assert_eq!(c.dirty_pages(), 1);
+        assert_eq!(dirty(&c), 1);
         c.clean_file(F);
-        assert_eq!(c.dirty_pages(), 0);
+        assert_eq!(dirty(&c), 0);
     }
 
     #[test]
@@ -264,7 +263,7 @@ mod tests {
             c.insert(fh, u64::MAX, &[1u8; PAGE_SIZE], true);
         }
         c.clean_file(F);
-        assert_eq!(c.dirty_pages(), 4, "only F's two pages were cleaned");
+        assert_eq!(dirty(&c), 4, "only F's two pages were cleaned");
         c.invalidate_file(F);
         assert_eq!(c.len(), 4);
         assert!(!c.contains(F, 0) && !c.contains(F, u64::MAX));

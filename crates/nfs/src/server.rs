@@ -50,7 +50,7 @@ impl NfsServer {
     }
 
     /// The exported root file handle.
-    pub fn root_fh(&self) -> Fh {
+    pub(crate) fn root_fh(&self) -> Fh {
         Fh(self.fs.root())
     }
 
@@ -67,13 +67,8 @@ impl NfsServer {
 
     /// Registers a mounting client. Called by `NfsClient::new`; the
     /// count controls whether per-client procedure counters are kept.
-    pub fn register_client(&self, who: ClientId) {
+    pub(crate) fn register_client(&self, who: ClientId) {
         self.clients.set(self.clients.get().max(who.0 + 1));
-    }
-
-    /// Clients registered against this server.
-    pub fn client_count(&self) -> u32 {
-        self.clients.get()
     }
 
     /// Runs one procedure `f`, charging the per-RPC processing path up
@@ -132,24 +127,12 @@ impl NfsServer {
         let _ = self.fs.drop_caches();
     }
 
-    /// Extra CPU charged when the server's own meta-data cache misses
-    /// and the VFS/FS/block layers are traversed repeatedly (the
-    /// PostMark effect in the paper's Table 9 discussion).
-    pub fn charge_metadata_miss(&self) {
-        let sim = self.fs.sim();
-        self.cpu.charge_tagged(
-            sim.now(),
-            self.cost.nfs_metadata_miss_request(),
-            "nfs.server",
-        );
-    }
-
     /// LOOKUP: name → file handle + attributes.
     ///
     /// # Errors
     ///
     /// Mirrors the underlying file-system errors.
-    pub fn lookup(&self, who: ClientId, dir: Fh, name: &str) -> FsResult<(Fh, Attr)> {
+    pub(crate) fn lookup(&self, who: ClientId, dir: Fh, name: &str) -> FsResult<(Fh, Attr)> {
         self.run(who, "lookup", Bytes::ZERO, |fs| {
             let ino = fs.lookup(dir.0, name)?;
             Ok((Fh(ino), fs.getattr(ino)?))
@@ -161,7 +144,7 @@ impl NfsServer {
     /// # Errors
     ///
     /// [`ext3::FsError::NotFound`] on a stale handle.
-    pub fn getattr(&self, who: ClientId, fh: Fh) -> FsResult<Attr> {
+    pub(crate) fn getattr(&self, who: ClientId, fh: Fh) -> FsResult<Attr> {
         self.run(who, "getattr", Bytes::ZERO, |fs| fs.getattr(fh.0))
     }
 
@@ -170,7 +153,7 @@ impl NfsServer {
     /// # Errors
     ///
     /// Propagates file-system errors.
-    pub fn setattr(&self, who: ClientId, fh: Fh, set: SetAttr) -> FsResult<Attr> {
+    pub(crate) fn setattr(&self, who: ClientId, fh: Fh, set: SetAttr) -> FsResult<Attr> {
         self.run(who, "setattr", Bytes::ZERO, |fs| fs.setattr(fh.0, set))
     }
 
@@ -179,7 +162,7 @@ impl NfsServer {
     /// # Errors
     ///
     /// [`ext3::FsError::NotFound`] on a stale handle.
-    pub fn access(&self, who: ClientId, fh: Fh) -> FsResult<Attr> {
+    pub(crate) fn access(&self, who: ClientId, fh: Fh) -> FsResult<Attr> {
         self.run(who, "access", Bytes::ZERO, |fs| fs.getattr(fh.0))
     }
 
@@ -188,7 +171,13 @@ impl NfsServer {
     /// # Errors
     ///
     /// Propagates file-system errors ([`ext3::FsError::Exists`], ...).
-    pub fn create(&self, who: ClientId, dir: Fh, name: &str, perm: u16) -> FsResult<(Fh, Attr)> {
+    pub(crate) fn create(
+        &self,
+        who: ClientId,
+        dir: Fh,
+        name: &str,
+        perm: u16,
+    ) -> FsResult<(Fh, Attr)> {
         self.run(who, "create", Bytes::ZERO, |fs| {
             let ino = fs.create(dir.0, name, perm)?;
             Ok((Fh(ino), fs.getattr(ino)?))
@@ -200,7 +189,13 @@ impl NfsServer {
     /// # Errors
     ///
     /// Propagates file-system errors.
-    pub fn mkdir(&self, who: ClientId, dir: Fh, name: &str, perm: u16) -> FsResult<(Fh, Attr)> {
+    pub(crate) fn mkdir(
+        &self,
+        who: ClientId,
+        dir: Fh,
+        name: &str,
+        perm: u16,
+    ) -> FsResult<(Fh, Attr)> {
         self.run(who, "mkdir", Bytes::ZERO, |fs| {
             let ino = fs.mkdir(dir.0, name, perm)?;
             Ok((Fh(ino), fs.getattr(ino)?))
@@ -212,7 +207,7 @@ impl NfsServer {
     /// # Errors
     ///
     /// Propagates file-system errors.
-    pub fn rmdir(&self, who: ClientId, dir: Fh, name: &str) -> FsResult<()> {
+    pub(crate) fn rmdir(&self, who: ClientId, dir: Fh, name: &str) -> FsResult<()> {
         self.run(who, "rmdir", Bytes::ZERO, |fs| fs.rmdir(dir.0, name))
     }
 
@@ -221,7 +216,7 @@ impl NfsServer {
     /// # Errors
     ///
     /// Propagates file-system errors.
-    pub fn remove(&self, who: ClientId, dir: Fh, name: &str) -> FsResult<()> {
+    pub(crate) fn remove(&self, who: ClientId, dir: Fh, name: &str) -> FsResult<()> {
         self.run(who, "remove", Bytes::ZERO, |fs| fs.unlink(dir.0, name))
     }
 
@@ -230,7 +225,7 @@ impl NfsServer {
     /// # Errors
     ///
     /// Propagates file-system errors.
-    pub fn link(&self, who: ClientId, dir: Fh, name: &str, target: Fh) -> FsResult<()> {
+    pub(crate) fn link(&self, who: ClientId, dir: Fh, name: &str, target: Fh) -> FsResult<()> {
         self.run(who, "link", Bytes::ZERO, |fs| {
             fs.link(dir.0, name, target.0)
         })
@@ -241,7 +236,7 @@ impl NfsServer {
     /// # Errors
     ///
     /// Propagates file-system errors.
-    pub fn symlink(&self, who: ClientId, dir: Fh, name: &str, target: &str) -> FsResult<Fh> {
+    pub(crate) fn symlink(&self, who: ClientId, dir: Fh, name: &str, target: &str) -> FsResult<Fh> {
         self.run(who, "symlink", Bytes::ZERO, |fs| {
             Ok(Fh(fs.symlink(dir.0, name, target)?))
         })
@@ -252,7 +247,7 @@ impl NfsServer {
     /// # Errors
     ///
     /// Propagates file-system errors.
-    pub fn readlink(&self, who: ClientId, fh: Fh) -> FsResult<String> {
+    pub(crate) fn readlink(&self, who: ClientId, fh: Fh) -> FsResult<String> {
         self.run(who, "readlink", Bytes::ZERO, |fs| fs.readlink(fh.0))
     }
 
@@ -261,7 +256,7 @@ impl NfsServer {
     /// # Errors
     ///
     /// Propagates file-system errors.
-    pub fn rename(
+    pub(crate) fn rename(
         &self,
         who: ClientId,
         sdir: Fh,
@@ -279,7 +274,7 @@ impl NfsServer {
     /// # Errors
     ///
     /// Propagates file-system errors.
-    pub fn readdir(&self, who: ClientId, dir: Fh) -> FsResult<Vec<DirEntry>> {
+    pub(crate) fn readdir(&self, who: ClientId, dir: Fh) -> FsResult<Vec<DirEntry>> {
         self.run(who, "readdir", Bytes::ZERO, |fs| fs.readdir(dir.0))
     }
 
@@ -290,7 +285,13 @@ impl NfsServer {
     /// # Errors
     ///
     /// Propagates file-system errors.
-    pub fn read_into(&self, who: ClientId, fh: Fh, off: u64, buf: &mut [u8]) -> FsResult<usize> {
+    pub(crate) fn read_into(
+        &self,
+        who: ClientId,
+        fh: Fh,
+        off: u64,
+        buf: &mut [u8],
+    ) -> FsResult<usize> {
         self.run(who, "read", Bytes::new(buf.len() as u64), |fs| {
             fs.read_into(fh.0, off, buf)
         })
@@ -302,7 +303,7 @@ impl NfsServer {
     /// # Errors
     ///
     /// Propagates file-system errors.
-    pub fn write(&self, who: ClientId, fh: Fh, off: u64, data: &[u8]) -> FsResult<usize> {
+    pub(crate) fn write(&self, who: ClientId, fh: Fh, off: u64, data: &[u8]) -> FsResult<usize> {
         self.run(who, "write", Bytes::new(data.len() as u64), |fs| {
             fs.write(fh.0, off, data)
         })
@@ -313,7 +314,7 @@ impl NfsServer {
     /// # Errors
     ///
     /// Propagates file-system errors.
-    pub fn fsstat(&self, who: ClientId) -> FsResult<ext3::StatFs> {
+    pub(crate) fn fsstat(&self, who: ClientId) -> FsResult<ext3::StatFs> {
         self.run(who, "fsstat", Bytes::ZERO, |fs| fs.statfs())
     }
 
@@ -322,7 +323,7 @@ impl NfsServer {
     /// # Errors
     ///
     /// Propagates file-system errors.
-    pub fn commit(&self, who: ClientId, fh: Fh) -> FsResult<()> {
+    pub(crate) fn commit(&self, who: ClientId, fh: Fh) -> FsResult<()> {
         self.run(who, "commit", Bytes::ZERO, |fs| fs.fsync(fh.0))
     }
 }

@@ -4,7 +4,6 @@
 //! round-trips under test like the SCSI and RPC layers do.
 
 use crate::Fh;
-use ext3::{Attr, FileType};
 
 fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_be_bytes());
@@ -45,43 +44,21 @@ fn get_opaque(b: &[u8], off: &mut usize) -> Option<Vec<u8>> {
 
 /// Encodes an NFSv3 file handle (fixed 8-byte opaque in this testbed;
 /// real handles are up to 64 bytes).
-pub fn encode_fh(out: &mut Vec<u8>, fh: Fh) {
+pub(crate) fn encode_fh(out: &mut Vec<u8>, fh: Fh) {
     put_opaque(out, &(fh.0 as u64).to_be_bytes());
 }
 
-/// Decodes a file handle.
-pub fn decode_fh(b: &[u8], off: &mut usize) -> Option<Fh> {
+/// Decodes a file handle. A handle whose value does not fit the
+/// testbed's 32-bit handle space names no file and decodes as `None`.
+pub(crate) fn decode_fh(b: &[u8], off: &mut usize) -> Option<Fh> {
     let o = get_opaque(b, off)?;
     let arr: [u8; 8] = o.try_into().ok()?;
-    Some(Fh(u64::from_be_bytes(arr) as u32))
-}
-
-/// Encodes `fattr3` (file attributes in replies).
-pub fn encode_fattr3(out: &mut Vec<u8>, a: &Attr) {
-    let ftype = match a.ftype {
-        FileType::Regular => 1u32,
-        FileType::Directory => 2,
-        FileType::Symlink => 5,
-    };
-    put_u32(out, ftype);
-    put_u32(out, a.perm as u32);
-    put_u32(out, a.links as u32);
-    put_u32(out, a.uid);
-    put_u32(out, a.gid);
-    put_u64(out, a.size);
-    put_u64(out, a.nblocks as u64 * 4096); // bytes used
-    put_u64(out, 0); // rdev
-    put_u64(out, 1); // fsid
-    put_u64(out, a.ino as u64);
-    for t in [a.atime, a.mtime, a.ctime] {
-        put_u32(out, (t / 1_000_000_000) as u32);
-        put_u32(out, (t % 1_000_000_000) as u32);
-    }
+    u32::try_from(u64::from_be_bytes(arr)).ok().map(Fh)
 }
 
 /// Size of an encoded `fattr3`: five u32 fields, five u64 fields, and
 /// three 8-byte timestamps.
-pub const FATTR3_LEN: usize = 5 * 4 + 5 * 8 + 3 * 8;
+pub(crate) const FATTR3_LEN: usize = 5 * 4 + 5 * 8 + 3 * 8;
 
 /// LOOKUP3args: `(dir handle, name)`.
 pub fn encode_lookup_args(dir: Fh, name: &str) -> Vec<u8> {
@@ -94,7 +71,7 @@ pub fn encode_lookup_args(dir: Fh, name: &str) -> Vec<u8> {
 /// Length of [`encode_lookup_args`]' output, without building it: the
 /// handle (length word + 8 bytes), the name's length word, and the
 /// name padded to 4 bytes.
-pub fn lookup_args_len(name: &str) -> usize {
+pub(crate) fn lookup_args_len(name: &str) -> usize {
     (4 + 8) + 4 + name.len().div_ceil(4) * 4
 }
 
@@ -106,17 +83,8 @@ pub fn decode_lookup_args(b: &[u8]) -> Option<(Fh, String)> {
     Some((fh, name))
 }
 
-/// LOOKUP3resok: `(object handle, object attrs)`.
-pub fn encode_lookup_ok(fh: Fh, attr: &Attr) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_u32(&mut out, 0); // NFS3_OK
-    encode_fh(&mut out, fh);
-    put_u32(&mut out, 1); // attributes follow
-    encode_fattr3(&mut out, attr);
-    out
-}
-
-/// READ3args: `(handle, offset, count)`.
+/// READ3args: `(handle, offset, count)`. Public for the decoder
+/// property tests (ROADMAP item 12's fuzzing).
 pub fn encode_read_args(fh: Fh, offset: u64, count: u32) -> Vec<u8> {
     let mut out = Vec::new();
     encode_fh(&mut out, fh);
@@ -125,7 +93,8 @@ pub fn encode_read_args(fh: Fh, offset: u64, count: u32) -> Vec<u8> {
     out
 }
 
-/// Decodes READ3args.
+/// Decodes READ3args. Public for the decoder property tests (ROADMAP
+/// item 12's fuzzing).
 pub fn decode_read_args(b: &[u8]) -> Option<(Fh, u64, u32)> {
     let mut off = 0;
     let fh = decode_fh(b, &mut off)?;
@@ -134,14 +103,8 @@ pub fn decode_read_args(b: &[u8]) -> Option<(Fh, u64, u32)> {
     Some((fh, o, c))
 }
 
-/// WRITE3args header length (the payload rides after it).
-pub fn write_args_len(name_len: simkit::units::Bytes) -> usize {
-    // fh opaque (4+8) + offset + count + stable-how + data length word
-    12 + 8 + 4 + 4 + 4 + (name_len.get() as usize).div_ceil(4) * 4
-}
-
 /// Wire size of a LOOKUP call: RPC header + args.
-pub fn lookup_call_len(name: &str) -> usize {
+pub(crate) fn lookup_call_len(name: &str) -> usize {
     rpc::wire::CallHeader {
         xid: 0,
         prog: rpc::wire::NFS_PROGRAM,
@@ -154,39 +117,23 @@ pub fn lookup_call_len(name: &str) -> usize {
 }
 
 /// Wire size of a LOOKUP reply carrying post-op attributes.
-pub fn lookup_reply_len() -> usize {
+pub(crate) fn lookup_reply_len() -> usize {
     6 * 4 + 4 + 12 + 4 + FATTR3_LEN
 }
 
 /// Wire size of a GETATTR call / reply pair's halves.
-pub fn getattr_call_len() -> usize {
+pub(crate) fn getattr_call_len() -> usize {
     15 * 4 + 12
 }
 
 /// Wire size of a GETATTR reply.
-pub fn getattr_reply_len() -> usize {
+pub(crate) fn getattr_reply_len() -> usize {
     6 * 4 + 4 + FATTR3_LEN
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn attr() -> Attr {
-        Attr {
-            ino: 42,
-            ftype: FileType::Regular,
-            perm: 0o644,
-            links: 2,
-            uid: 7,
-            gid: 8,
-            size: 123_456,
-            atime: 1_500_000_000,
-            mtime: 2_500_000_000,
-            ctime: 3_500_000_000,
-            nblocks: 31,
-        }
-    }
 
     #[test]
     fn fh_round_trips() {
@@ -195,6 +142,16 @@ mod tests {
         let mut off = 0;
         assert_eq!(decode_fh(&out, &mut off), Some(Fh(0xABCD)));
         assert_eq!(off, out.len());
+    }
+
+    #[test]
+    fn fh_with_high_bits_set_is_rejected_not_truncated() {
+        let mut out = Vec::new();
+        put_opaque(&mut out, &0x1_0000_0005u64.to_be_bytes());
+        let mut off = 0;
+        assert_eq!(decode_fh(&out, &mut off), None);
+        put_opaque(&mut out, b"name");
+        assert_eq!(decode_lookup_args(&out), None);
     }
 
     #[test]
@@ -229,20 +186,6 @@ mod tests {
         let enc = encode_read_args(Fh(9), 1 << 40, 8192);
         let (fh, off, count) = decode_read_args(&enc).unwrap();
         assert_eq!((fh, off, count), (Fh(9), 1 << 40, 8192));
-    }
-
-    #[test]
-    fn fattr3_has_documented_length() {
-        let mut out = Vec::new();
-        encode_fattr3(&mut out, &attr());
-        assert_eq!(out.len(), FATTR3_LEN);
-    }
-
-    #[test]
-    fn lookup_reply_contains_attrs() {
-        let enc = encode_lookup_ok(Fh(42), &attr());
-        assert_eq!(u32::from_be_bytes(enc[0..4].try_into().unwrap()), 0);
-        assert!(enc.len() > FATTR3_LEN);
     }
 
     #[test]

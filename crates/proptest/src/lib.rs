@@ -24,7 +24,7 @@ impl TestRng {
     /// A generator for case `case` of the test named `name`. The seed
     /// is a stable hash of both, so cases are independent and every
     /// run draws the same sequence.
-    pub fn for_case(name: &str, case: u32) -> Self {
+    pub(crate) fn for_case(name: &str, case: u32) -> Self {
         // FNV-1a over the name, mixed with the case index.
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for b in name.bytes() {
@@ -37,7 +37,7 @@ impl TestRng {
     }
 
     /// Next raw 64-bit draw.
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -46,7 +46,7 @@ impl TestRng {
     }
 
     /// Uniform draw in `[0, n)`. `n` must be non-zero.
-    pub fn below(&mut self, n: u64) -> u64 {
+    pub(crate) fn below(&mut self, n: u64) -> u64 {
         debug_assert!(n > 0, "TestRng::below(0)");
         self.next_u64() % n
     }

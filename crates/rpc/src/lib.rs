@@ -124,8 +124,6 @@ pub struct RpcClient {
     chan: Channel,
     config: RpcConfig,
     srtt: Cell<SimDuration>,
-    total_calls: Cell<u64>,
-    total_retransmits: Cell<u64>,
     txns: CounterHandle,
     retrans: CounterHandle,
     /// Per-procedure counter/histogram handles, resolved on first use
@@ -151,8 +149,6 @@ impl RpcClient {
             chan,
             config,
             srtt: Cell::new(SimDuration::ZERO),
-            total_calls: Cell::new(0),
-            total_retransmits: Cell::new(0),
             txns,
             retrans,
             procs: RefCell::new(BTreeMap::new()),
@@ -183,22 +179,12 @@ impl RpcClient {
         &self.chan
     }
 
-    /// Total retransmissions since creation.
-    pub fn retransmits(&self) -> u64 {
-        self.total_retransmits.get()
-    }
-
-    /// Total calls since creation.
-    pub fn calls(&self) -> u64 {
-        self.total_calls.get()
-    }
-
     fn sim(&self) -> &Rc<Sim> {
         self.chan.network().sim()
     }
 
     /// Current retransmission timeout derived from the smoothed RTT.
-    pub fn rto(&self) -> SimDuration {
+    pub(crate) fn rto(&self) -> SimDuration {
         let base = units::duration_from_nanos_f64(
             units::nanos_f64(self.srtt.get()) * self.config.rto_factor,
         );
@@ -229,7 +215,6 @@ impl RpcClient {
         let rpc_ctx = sim.tracer().open_span(None);
         self.txns.incr();
         procs.calls.incr();
-        self.total_calls.set(self.total_calls.get() + 1);
 
         let wire = self.chan.round_trip(req_bytes, resp_bytes);
         // Reply-time estimate. Under the pipe model the wire time is a
@@ -266,8 +251,6 @@ impl RpcClient {
             latency += self.chan.network().params().rtt / 2;
             deadline += rto * 2u64.pow(retransmits.min(self.config.timeout.max_backoff_shift));
         }
-        self.total_retransmits
-            .set(self.total_retransmits.get() + retransmits as u64);
 
         // Update the smoothed RTT estimate (gain-filtered).
         let g = self.config.srtt_gain;
@@ -393,7 +376,6 @@ mod tests {
         c.call("mkdir", b(64), b(64), SimDuration::ZERO);
         assert_eq!(sim.counters().get("proto.nfs.call.lookup"), 2);
         assert_eq!(sim.counters().get("proto.nfs.call.mkdir"), 1);
-        assert_eq!(c.calls(), 3);
     }
 
     #[test]

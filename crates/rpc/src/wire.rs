@@ -6,7 +6,7 @@
 
 /// RPC message type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MsgType {
+pub(crate) enum MsgType {
     /// A call from client to server.
     Call = 0,
     /// A reply from server to client.
@@ -162,7 +162,8 @@ impl CallHeader {
 }
 
 impl ReplyHeader {
-    /// Encodes an accepted reply header.
+    /// Encodes an accepted reply header. Public for the decoder
+    /// property tests (ROADMAP item 12's fuzzing).
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(6 * 4);
         put_u32(&mut out, self.xid);
@@ -178,7 +179,8 @@ impl ReplyHeader {
     ///
     /// # Errors
     ///
-    /// [`WireError`] on short input or a rejected reply.
+    /// [`WireError`] on short input or a rejected reply. Public for the
+    /// decoder property tests (ROADMAP item 12's fuzzing).
     pub fn decode(b: &[u8]) -> Result<(ReplyHeader, usize), WireError> {
         let mut off = 0;
         let xid = get_u32(b, &mut off)?;

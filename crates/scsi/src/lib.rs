@@ -24,21 +24,21 @@ use std::rc::Rc;
 /// SCSI operation codes used by the testbed.
 pub mod opcodes {
     /// TEST UNIT READY (6-byte CDB).
-    pub const TEST_UNIT_READY: u8 = 0x00;
+    pub(crate) const TEST_UNIT_READY: u8 = 0x00;
     /// INQUIRY (6-byte CDB).
-    pub const INQUIRY: u8 = 0x12;
+    pub(crate) const INQUIRY: u8 = 0x12;
     /// READ CAPACITY (10) (10-byte CDB).
-    pub const READ_CAPACITY_10: u8 = 0x25;
+    pub(crate) const READ_CAPACITY_10: u8 = 0x25;
     /// READ (10) (10-byte CDB).
-    pub const READ_10: u8 = 0x28;
+    pub(crate) const READ_10: u8 = 0x28;
     /// WRITE (10) (10-byte CDB).
-    pub const WRITE_10: u8 = 0x2A;
+    pub(crate) const WRITE_10: u8 = 0x2A;
     /// SYNCHRONIZE CACHE (10) (10-byte CDB).
-    pub const SYNCHRONIZE_CACHE_10: u8 = 0x35;
+    pub(crate) const SYNCHRONIZE_CACHE_10: u8 = 0x35;
     /// MODE SENSE (6) (6-byte CDB).
-    pub const MODE_SENSE_6: u8 = 0x1A;
+    pub(crate) const MODE_SENSE_6: u8 = 0x1A;
     /// REPORT LUNS (12-byte CDB).
-    pub const REPORT_LUNS: u8 = 0xA0;
+    pub(crate) const REPORT_LUNS: u8 = 0xA0;
 }
 
 /// A decoded command descriptor block.
@@ -190,15 +190,6 @@ impl Cdb {
         })
     }
 
-    /// Bytes the initiator must ship to the target with this command
-    /// (data-out phase).
-    pub fn data_out_len(&self) -> usize {
-        match *self {
-            Cdb::Write10 { blocks, .. } => blocks as usize * BLOCK_SIZE,
-            _ => 0,
-        }
-    }
-
     /// Bytes the target returns in the data-in phase.
     pub fn data_in_len(&self) -> usize {
         match *self {
@@ -300,8 +291,8 @@ impl ScsiTarget {
         }
     }
 
-    /// Executes one command. `data_out` must hold exactly
-    /// [`Cdb::data_out_len`] bytes.
+    /// Executes one command. `data_out` must hold the data-out phase:
+    /// `blocks * BLOCK_SIZE` bytes for `Write10`, nothing otherwise.
     pub fn execute(&self, cdb: Cdb, data_out: &[u8]) -> ScsiCompletion {
         match cdb {
             Cdb::TestUnitReady => ScsiCompletion {
@@ -504,10 +495,6 @@ mod tests {
         assert_eq!(
             Cdb::Read10 { lba: 0, blocks: 3 }.data_in_len(),
             3 * BLOCK_SIZE
-        );
-        assert_eq!(
-            Cdb::Write10 { lba: 0, blocks: 2 }.data_out_len(),
-            2 * BLOCK_SIZE
         );
         assert_eq!(Cdb::ReadCapacity10.data_in_len(), 8);
         assert_eq!(Cdb::TestUnitReady.data_in_len(), 0);

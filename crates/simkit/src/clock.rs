@@ -30,7 +30,7 @@ impl SimTime {
     }
 
     /// Seconds since simulation start, as a float (for reporting).
-    pub fn as_secs_f64(self) -> f64 {
+    pub(crate) fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
     }
 
@@ -48,7 +48,7 @@ impl SimTime {
     }
 
     /// The span from `earlier` to `self`, or zero if `earlier` is later.
-    pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
+    pub(crate) fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
 }
@@ -77,16 +77,6 @@ impl SimDuration {
         SimDuration(s * 1_000_000_000)
     }
 
-    /// Creates a span from fractional seconds (rounded to nanoseconds).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s` is negative or not finite.
-    pub fn from_secs_f64(s: f64) -> Self {
-        assert!(s.is_finite() && s >= 0.0, "invalid duration: {s}");
-        SimDuration((s * 1e9).round() as u64)
-    }
-
     /// Raw nanoseconds.
     pub const fn as_nanos(self) -> u64 {
         self.0
@@ -95,11 +85,6 @@ impl SimDuration {
     /// Whole microseconds (truncated).
     pub const fn as_micros(self) -> u64 {
         self.0 / 1_000
-    }
-
-    /// Whole milliseconds (truncated).
-    pub const fn as_millis(self) -> u64 {
-        self.0 / 1_000_000
     }
 
     /// Seconds as a float (for reporting).
@@ -211,7 +196,6 @@ mod tests {
         assert_eq!(SimDuration::from_secs(2).as_nanos(), 2_000_000_000);
         assert_eq!(SimDuration::from_millis(5).as_micros(), 5_000);
         assert_eq!(SimDuration::from_micros(7).as_nanos(), 7_000);
-        assert_eq!(SimDuration::from_secs_f64(0.5).as_millis(), 500);
     }
 
     #[test]

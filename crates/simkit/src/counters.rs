@@ -125,7 +125,7 @@ impl Counters {
     }
 
     /// Current value of the counter behind `id`.
-    pub fn get_id(&self, id: KeyId) -> u64 {
+    pub(crate) fn get_id(&self, id: KeyId) -> u64 {
         self.slots.borrow()[id.index()].get()
     }
 
@@ -170,33 +170,6 @@ impl Counters {
             Some(id) => self.get_id(id).saturating_sub(snap.value_of(id)),
             None => 0,
         }
-    }
-
-    /// Sum of current values over all counters whose name starts with
-    /// `prefix`.
-    pub fn sum_prefix(&self, prefix: &str) -> u64 {
-        let slots = self.slots.borrow();
-        let mut sum = 0;
-        self.table.for_each(|id, name| {
-            if name.starts_with(prefix) {
-                sum += slots[id.index()].get();
-            }
-        });
-        sum
-    }
-
-    /// Growth since `snap`, summed over all counters whose name starts
-    /// with `prefix`. Each per-counter delta saturates at zero, so a
-    /// `reset()` between snapshot and query cannot underflow.
-    pub fn delta_prefix_since(&self, snap: &CounterSnapshot, prefix: &str) -> u64 {
-        let slots = self.slots.borrow();
-        let mut sum = 0;
-        self.table.for_each(|id, name| {
-            if name.starts_with(prefix) {
-                sum += slots[id.index()].get().saturating_sub(snap.value_of(id));
-            }
-        });
-        sum
     }
 
     /// Visits every `(name, value)` pair in id (first-intern) order
@@ -254,19 +227,6 @@ mod tests {
     }
 
     #[test]
-    fn prefix_sums() {
-        let c = Counters::new();
-        c.add("nfs.calls.lookup", 3);
-        c.add("nfs.calls.getattr", 4);
-        c.add("iscsi.pdus", 9);
-        assert_eq!(c.sum_prefix("nfs.calls."), 7);
-        let snap = c.snapshot();
-        c.add("nfs.calls.lookup", 1);
-        assert_eq!(c.delta_prefix_since(&snap, "nfs."), 1);
-        assert_eq!(c.delta_prefix_since(&snap, "iscsi."), 0);
-    }
-
-    #[test]
     fn deltas_saturate_after_reset() {
         // Regression: a reset (or any shrink) between snapshot and
         // delta used to underflow-panic in debug builds.
@@ -278,7 +238,6 @@ mod tests {
         c.add("net.msgs", 3);
         assert_eq!(c.delta_since(&snap, "net.msgs"), 0);
         assert_eq!(c.delta_since(&snap, "net.bytes"), 0);
-        assert_eq!(c.delta_prefix_since(&snap, "net."), 0);
         // Growth past the snapshot value reports normally again.
         c.add("net.msgs", 20);
         assert_eq!(c.delta_since(&snap, "net.msgs"), 13);

@@ -234,7 +234,7 @@ mod tests {
     fn orphans_after_eviction_become_roots() {
         let tr = Tracer::new();
         tr.set_enabled(true);
-        tr.set_capacity(1);
+        tr.capacity.set(1);
         let root = tr.open_span(Some(HostId::client(0)));
         tr.record("disk", "read", t(0), t(10), vec![]);
         tr.close_span(root, "vfs", "nfs.read", t(0), t(30), vec![]);

@@ -58,12 +58,7 @@ pub struct EventId {
     gen: u32,
 }
 
-impl EventId {
-    /// The arena slot this handle points at (diagnostics only).
-    pub fn slot(self) -> u32 {
-        self.slot
-    }
-}
+impl EventId {}
 
 /// Occupancy of one arena slot.
 enum Slot<T> {
@@ -152,12 +147,14 @@ impl<T> EventQueue<T> {
         }
     }
 
-    /// Number of live (scheduled, not canceled) events.
+    /// Number of live (scheduled, not canceled) events. Public for the
+    /// calendar property tests (`tests/events_props.rs`, also under Miri).
     pub fn len(&self) -> usize {
         self.live
     }
 
-    /// Whether no live events are pending.
+    /// Whether no live events are pending. Public for the calendar
+    /// property tests.
     pub fn is_empty(&self) -> bool {
         self.live == 0
     }
@@ -165,12 +162,6 @@ impl<T> EventQueue<T> {
     /// Lifetime activity counters.
     pub fn stats(&self) -> EventQueueStats {
         self.stats
-    }
-
-    /// Current heap length, counting stale entries awaiting lazy
-    /// removal (diagnostics; `len()` is the live count).
-    pub fn heap_len(&self) -> usize {
-        self.heap.len()
     }
 
     /// Schedules `payload` at `(time, host)` and returns its handle.
@@ -244,6 +235,7 @@ impl<T> EventQueue<T> {
     }
 
     /// The key of a pending event, or `None` if the handle is stale.
+    /// Public for the calendar property tests.
     pub fn key_of(&self, id: EventId) -> Option<EventKey> {
         let rec = self.slots.get(id.slot as usize)?;
         if rec.gen != id.gen {
@@ -262,7 +254,7 @@ impl<T> EventQueue<T> {
 
     /// The earliest pending key, discarding stale heap entries along
     /// the way.
-    pub fn peek(&mut self) -> Option<EventKey> {
+    pub(crate) fn peek(&mut self) -> Option<EventKey> {
         loop {
             let &Reverse((key, slot, gen)) = self.heap.peek()?;
             if self.entry_is_live(key, slot, gen) {
@@ -287,7 +279,7 @@ impl<T> EventQueue<T> {
 
     /// Pops the earliest pending event if it is due at or before
     /// `target`; leaves the queue untouched otherwise.
-    pub fn pop_due(&mut self, target: SimTime) -> Option<(EventKey, T)> {
+    pub(crate) fn pop_due(&mut self, target: SimTime) -> Option<(EventKey, T)> {
         if self.peek()?.time > target {
             return None;
         }
@@ -380,7 +372,7 @@ mod tests {
         q.cancel(a);
         // The freed slot is recycled for a new event...
         let b = q.schedule(t(2), HostId::SERVER, "b");
-        assert_eq!(b.slot(), a.slot(), "arena recycles the freed slot");
+        assert_eq!(b.slot, a.slot, "arena recycles the freed slot");
         // ...but the old handle stays dead.
         assert!(!q.contains(a));
         assert_eq!(q.cancel(a), None);

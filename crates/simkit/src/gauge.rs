@@ -77,7 +77,7 @@ type GaugeFn = Box<dyn Fn() -> u64>;
 /// a dotted `c<digits>` or `s<digits>` segment (`disk.s2.busy_pct`,
 /// `cache.c731.pages`). Per-host gauges follow the zero-row rule in
 /// the [module docs](self).
-pub fn per_host_gauge(name: &str) -> bool {
+pub(crate) fn per_host_gauge(name: &str) -> bool {
     name.split('.').any(|seg| {
         let mut chars = seg.chars();
         matches!(chars.next(), Some('c') | Some('s'))

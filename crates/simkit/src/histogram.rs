@@ -106,19 +106,9 @@ impl Histogram {
         self.max = self.max.max(v);
     }
 
-    /// Records a duration as its nanosecond count.
-    pub fn record_duration(&mut self, d: SimDuration) {
-        self.record(d.as_nanos());
-    }
-
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
         self.count
-    }
-
-    /// Sum of all samples (saturating).
-    pub fn sum(&self) -> u64 {
-        self.sum
     }
 
     /// Smallest recorded sample (0 if empty).
@@ -187,17 +177,6 @@ impl Histogram {
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
     }
-
-    /// Non-empty buckets as `(inclusive_upper_bound, count)` pairs, in
-    /// ascending value order.
-    pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &n)| n > 0)
-            .map(|(i, &n)| (upper_bound(i), n))
-            .collect()
-    }
 }
 
 /// A registry of named [`Histogram`]s, shared via [`crate::Sim`] so
@@ -227,7 +206,7 @@ pub struct MetricHandle(Rc<RefCell<Histogram>>);
 
 impl MetricHandle {
     /// Records one sample.
-    pub fn record(&self, v: u64) {
+    pub(crate) fn record(&self, v: u64) {
         self.0.borrow_mut().record(v);
     }
 
@@ -239,14 +218,14 @@ impl MetricHandle {
 
 impl Metrics {
     /// An empty registry.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Metrics::default()
     }
 
     /// Interns `name` and returns its dense id, creating an empty
     /// series if absent. The id stays valid for the life of this
     /// registry (including across [`reset`](Metrics::reset)).
-    pub fn id(&self, name: &str) -> KeyId {
+    pub(crate) fn id(&self, name: &str) -> KeyId {
         let id = self.table.intern(name);
         let mut slots = self.slots.borrow_mut();
         while slots.len() <= id.index() {
@@ -260,13 +239,13 @@ impl Metrics {
     /// # Panics
     ///
     /// Panics if `id` was not issued by this registry.
-    pub fn record_id(&self, id: KeyId, v: u64) {
+    pub(crate) fn record_id(&self, id: KeyId, v: u64) {
         self.slots.borrow()[id.index()].borrow_mut().record(v);
     }
 
     /// Records `v` into the histogram named `name`, creating it if
     /// absent.
-    pub fn record(&self, name: &str, v: u64) {
+    pub(crate) fn record(&self, name: &str, v: u64) {
         match self.table.lookup(name) {
             Some(id) => self.record_id(id, v),
             None => self.record_id(self.id(name), v),
@@ -305,20 +284,6 @@ impl Metrics {
             .filter(|id| slots[id.index()].borrow().count() > 0)
             .map(|id| (self.table.name(id), slots[id.index()].borrow().clone()))
             .collect()
-    }
-
-    /// Number of named histograms holding at least one sample.
-    pub fn len(&self) -> usize {
-        self.slots
-            .borrow()
-            .iter()
-            .filter(|v| v.borrow().count() > 0)
-            .count()
-    }
-
-    /// True if nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Empties every histogram. Names are retained and existing
@@ -409,7 +374,6 @@ mod tests {
         assert_eq!(h.max(), 0);
         assert_eq!(h.min(), 0);
         assert_eq!(h.mean(), 0);
-        assert!(h.nonzero_buckets().is_empty());
     }
 
     #[test]
@@ -442,20 +406,21 @@ mod tests {
         assert_eq!(forward, shuffled);
         assert_eq!(forward.p50(), shuffled.p50());
         assert_eq!(forward.p99(), shuffled.p99());
-        assert_eq!(forward.nonzero_buckets(), shuffled.nonzero_buckets());
     }
 
     #[test]
     fn metric_handles_share_and_survive_reset() {
         let m = Metrics::new();
         let h = m.handle("rpc.nfs.read");
-        assert!(m.is_empty(), "a bare handle is not a recorded series");
+        assert!(
+            m.snapshot().is_empty(),
+            "a bare handle is not a recorded series"
+        );
         h.record(100);
-        h.record_duration(SimDuration::from_micros(2));
         m.record("rpc.nfs.read", 300);
-        assert_eq!(m.histogram("rpc.nfs.read").unwrap().count(), 3);
+        assert_eq!(m.histogram("rpc.nfs.read").unwrap().count(), 2);
         m.reset();
-        assert!(m.is_empty());
+        assert!(m.snapshot().is_empty());
         assert!(m.histogram("rpc.nfs.read").is_none());
         h.record(7);
         assert_eq!(
@@ -468,17 +433,17 @@ mod tests {
     #[test]
     fn metrics_registry_records_and_snapshots() {
         let m = Metrics::new();
-        assert!(m.is_empty());
+        assert!(m.snapshot().is_empty());
         m.record("rpc.nfs.lookup", 100);
         m.record("rpc.nfs.lookup", 200);
         m.record_duration("disk.service", SimDuration::from_micros(5));
-        assert_eq!(m.len(), 2);
+        assert_eq!(m.snapshot().len(), 2);
         assert_eq!(m.histogram("rpc.nfs.lookup").unwrap().count(), 2);
         assert!(m.histogram("absent").is_none());
         let snap = m.snapshot();
         assert_eq!(snap[0].0, "disk.service");
         assert_eq!(snap[0].1.max(), 5_000);
         m.reset();
-        assert!(m.is_empty());
+        assert!(m.snapshot().is_empty());
     }
 }

@@ -14,7 +14,7 @@
 //! * Ids are assigned in first-intern order, which is deterministic
 //!   because the simulation is single-threaded and seeded.
 //! * Ids are never exposed in reports: every materialized listing
-//!   ([`SymbolTable::sorted_ids`]) is produced in lexicographic *name*
+//!   (`SymbolTable::sorted_ids`) is produced in lexicographic *name*
 //!   order, so report bytes are independent of intern order.
 //! * The internal `HashMap` is used for lookup only and never
 //!   iterated — hash iteration order is the nondeterminism detlint D2
@@ -47,9 +47,6 @@ impl KeyId {
 /// let t = SymbolTable::new();
 /// let a = t.intern("net.msgs");
 /// assert_eq!(t.intern("net.msgs"), a);
-/// assert_eq!(t.lookup("net.msgs"), Some(a));
-/// assert_eq!(t.lookup("absent"), None);
-/// assert_eq!(t.name(a), "net.msgs");
 /// ```
 #[derive(Debug, Default)]
 pub struct SymbolTable {
@@ -80,18 +77,8 @@ impl SymbolTable {
     }
 
     /// The id for `name`, if it has been interned.
-    pub fn lookup(&self, name: &str) -> Option<KeyId> {
+    pub(crate) fn lookup(&self, name: &str) -> Option<KeyId> {
         self.ids.borrow().get(name).copied().map(KeyId)
-    }
-
-    /// Number of interned names.
-    pub fn len(&self) -> usize {
-        self.names.borrow().len()
-    }
-
-    /// True if nothing has been interned.
-    pub fn is_empty(&self) -> bool {
-        self.names.borrow().is_empty()
     }
 
     /// The name behind `id` (owned copy; report-time only).
@@ -99,13 +86,8 @@ impl SymbolTable {
     /// # Panics
     ///
     /// Panics if `id` was not issued by this table.
-    pub fn name(&self, id: KeyId) -> String {
+    pub(crate) fn name(&self, id: KeyId) -> String {
         self.names.borrow()[id.index()].to_string()
-    }
-
-    /// Calls `f` with the name behind `id`, without allocating.
-    pub fn with_name<R>(&self, id: KeyId, f: impl FnOnce(&str) -> R) -> R {
-        f(&self.names.borrow()[id.index()])
     }
 
     /// Calls `f` with `(id, name)` for every interned name, in
@@ -118,7 +100,7 @@ impl SymbolTable {
 
     /// All ids, sorted by name — the materialization step every
     /// report-facing listing goes through.
-    pub fn sorted_ids(&self) -> Vec<KeyId> {
+    pub(crate) fn sorted_ids(&self) -> Vec<KeyId> {
         let names = self.names.borrow();
         let mut order: Vec<u32> = (0..names.len() as u32).collect();
         order.sort_by(|&a, &b| names[a as usize].cmp(&names[b as usize]));
@@ -137,7 +119,7 @@ mod tests {
         let b = t.intern("a");
         assert_eq!(t.intern("b"), a);
         assert_eq!(t.intern("a"), b);
-        assert_eq!(t.len(), 2);
+        assert_eq!(t.names.borrow().len(), 2);
         assert_eq!(a.index(), 0);
         assert_eq!(b.index(), 1);
     }
@@ -156,7 +138,7 @@ mod tests {
     fn lookup_does_not_intern() {
         let t = SymbolTable::new();
         assert_eq!(t.lookup("x"), None);
-        assert_eq!(t.len(), 0);
+        assert_eq!(t.names.borrow().len(), 0);
         let id = t.intern("x");
         assert_eq!(t.lookup("x"), Some(id));
     }

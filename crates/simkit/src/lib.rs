@@ -145,15 +145,6 @@ impl Sim {
         self.rng.borrow_mut().next_u64()
     }
 
-    /// Draws a uniform value in `[0, bound)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bound` is zero.
-    pub fn rng_below(&self, bound: u64) -> u64 {
-        self.rng.borrow_mut().below(bound)
-    }
-
     /// Schedules a daemon wakeup at virtual time `at`, attributed to
     /// `host` for equal-time ordering (see [`events::EventKey`]). The
     /// simulation holds only a weak reference, so dropping the
@@ -162,18 +153,6 @@ impl Sim {
     /// the daemon on the same host; returning `None` idles it.
     pub fn schedule_daemon(&self, at: SimTime, host: HostId, d: Weak<dyn Daemon>) -> EventId {
         self.events.borrow_mut().schedule(at, host, d)
-    }
-
-    /// Cancels a pending wakeup scheduled with
-    /// [`schedule_daemon`](Sim::schedule_daemon). Returns whether the
-    /// handle still named a live event.
-    pub fn cancel_event(&self, id: EventId) -> bool {
-        self.events.borrow_mut().cancel(id).is_some()
-    }
-
-    /// Number of pending daemon wakeups (diagnostics).
-    pub fn pending_events(&self) -> usize {
-        self.events.borrow().len()
     }
 
     /// Lifetime activity counters of the event calendar (the
@@ -360,25 +339,7 @@ mod tests {
         drop(t);
         // Must not panic or loop: the weak ref is dead.
         sim.advance(SimDuration::from_secs(10));
-        assert_eq!(sim.pending_events(), 0);
-    }
-
-    #[test]
-    fn canceled_wakeup_never_fires() {
-        let sim = Sim::new(1);
-        let t = Rc::new(Ticker {
-            period: SimDuration::from_secs(1),
-            fired: RefCell::new(Vec::new()),
-        });
-        let id = sim.schedule_daemon(
-            SimTime::ZERO + SimDuration::from_secs(1),
-            HostId::SERVER,
-            Rc::downgrade(&t) as Weak<dyn Daemon>,
-        );
-        assert!(sim.cancel_event(id));
-        assert!(!sim.cancel_event(id), "second cancel is stale");
-        sim.advance(SimDuration::from_secs(5));
-        assert!(t.fired.borrow().is_empty());
+        assert_eq!(sim.events.borrow().len(), 0);
     }
 
     #[test]

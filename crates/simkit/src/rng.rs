@@ -125,16 +125,6 @@ impl SplitMix64 {
             xs.swap(i, j);
         }
     }
-
-    /// Picks a uniformly random element of a non-empty slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice is empty.
-    pub fn choose<'a, T>(&mut self, xs: &'a [T]) -> &'a T {
-        assert!(!xs.is_empty(), "choose from empty slice");
-        &xs[self.below(xs.len() as u64) as usize]
-    }
 }
 
 #[cfg(test)]

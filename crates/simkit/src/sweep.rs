@@ -69,21 +69,12 @@ pub struct Slots<T> {
 unsafe impl<T: Send> Sync for Slots<T> {}
 
 impl<T> Slots<T> {
-    /// Creates `n` empty slots.
+    /// Creates `n` empty slots. Public for the loom model test
+    /// (`tests/loom_slots.rs`).
     pub fn new(n: usize) -> Slots<T> {
         Slots {
             cells: (0..n).map(|_| UnsafeCell::new(None)).collect(),
         }
-    }
-
-    /// Number of slots.
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// True if there are no slots.
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
     }
 
     /// Stores the result for cell `i`.
@@ -102,7 +93,8 @@ impl<T> Slots<T> {
     ///
     /// # Panics
     ///
-    /// Panics if any slot was never written.
+    /// Panics if any slot was never written. Public for the loom model
+    /// test.
     pub fn into_results(self) -> Vec<T> {
         self.cells
             .into_iter()

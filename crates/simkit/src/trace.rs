@@ -97,7 +97,7 @@ impl HostId {
     }
 
     /// Display name: `server`, `s<j>`, or `c<i>`.
-    pub fn label(self) -> String {
+    pub(crate) fn label(self) -> String {
         if self.0 == 0 {
             "server".to_string()
         } else if self.0 >= Self::SERVER_BASE && self.0 != u16::MAX {
@@ -122,7 +122,7 @@ pub struct SpanCtx {
 
 impl SpanCtx {
     /// The no-op context handed out while the tracer is disabled.
-    pub const DISABLED: SpanCtx = SpanCtx {
+    pub(crate) const DISABLED: SpanCtx = SpanCtx {
         trace: TraceId(0),
         span: SpanId(0),
         host: HostId(0),
@@ -177,7 +177,8 @@ const SPAN_SALT: u64 = 0x7370_616e_4944_2121; // "spanID!!"
 /// the `trace` module's docs.
 pub struct Tracer {
     enabled: Cell<bool>,
-    capacity: Cell<usize>,
+    /// Ring bound; unit tests shrink it to force eviction.
+    pub(crate) capacity: Cell<usize>,
     ring: RefCell<VecDeque<SpanRecord>>,
     dropped: Cell<u64>,
     seq: Cell<u64>,
@@ -209,7 +210,7 @@ impl std::fmt::Debug for Tracer {
 
 impl Tracer {
     /// A disabled tracer with the default capacity.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Tracer {
             enabled: Cell::new(false),
             capacity: Cell::new(DEFAULT_TRACE_CAPACITY),
@@ -225,7 +226,7 @@ impl Tracer {
     }
 
     /// Sets the ID-derivation seed (the owning `Sim`'s RNG seed).
-    pub fn set_seed(&self, seed: u64) {
+    pub(crate) fn set_seed(&self, seed: u64) {
         self.seed.set(seed);
     }
 
@@ -240,17 +241,6 @@ impl Tracer {
         self.enabled.get()
     }
 
-    /// Sets the ring-buffer bound, evicting oldest spans if the buffer
-    /// already exceeds it.
-    pub fn set_capacity(&self, cap: usize) {
-        self.capacity.set(cap);
-        let mut ring = self.ring.borrow_mut();
-        while ring.len() > cap {
-            ring.pop_front();
-            self.dropped.set(self.dropped.get() + 1);
-        }
-    }
-
     fn mint_trace(&self) -> TraceId {
         let n = self.next_trace.get();
         self.next_trace.set(n + 1);
@@ -263,18 +253,13 @@ impl Tracer {
         SpanId(mix(self.seed.get(), SPAN_SALT, n) | 1)
     }
 
-    /// The innermost open span, if any.
-    pub fn current(&self) -> Option<SpanCtx> {
-        self.stack.borrow().last().copied()
-    }
-
     /// Opens a span: everything recorded until the matching
     /// [`close_span`](Tracer::close_span) becomes its child. The trace
     /// ID is inherited from the enclosing span, or freshly minted for a
     /// root. `host` overrides the machine attribution; `None` inherits
     /// the parent's (the server's, at a root).
     ///
-    /// Returns [`SpanCtx::DISABLED`] (a no-op token) when tracing is
+    /// Returns `SpanCtx::DISABLED` (a no-op token) when tracing is
     /// off, so call sites pay one branch and no allocation.
     pub fn open_span(&self, host: Option<HostId>) -> SpanCtx {
         if !self.enabled.get() {
@@ -296,7 +281,7 @@ impl Tracer {
     }
 
     /// Closes `ctx`, recording its span. A
-    /// [`SpanCtx::DISABLED`] token is a no-op.
+    /// `SpanCtx::DISABLED` token is a no-op.
     pub fn close_span(
         &self,
         ctx: SpanCtx,
@@ -331,7 +316,7 @@ impl Tracer {
     /// root of a fresh trace when none is open). No-op (and
     /// allocation-free) when disabled; when the buffer is full the
     /// oldest span is evicted and counted in
-    /// [`dropped`](Tracer::dropped).
+    /// `dropped`.
     pub fn record(
         &self,
         layer: &'static str,
@@ -435,32 +420,21 @@ impl Tracer {
         });
     }
 
-    /// Records an instantaneous event (`start == end`).
-    pub fn event(
-        &self,
-        layer: &'static str,
-        op: &str,
-        at: SimTime,
-        attrs: Vec<(&'static str, String)>,
-    ) {
-        self.record(layer, op, at, at, attrs);
-    }
-
     /// Shelves the open-span stack (daemon callbacks are causally
     /// unrelated to the request that advanced the clock); restore with
     /// [`unshelve_stack`](Tracer::unshelve_stack). The `Sim` brackets
     /// every daemon `fire` with this pair.
-    pub fn shelve_stack(&self) {
+    pub(crate) fn shelve_stack(&self) {
         std::mem::swap(&mut *self.stack.borrow_mut(), &mut *self.shelf.borrow_mut());
     }
 
     /// Restores the stack shelved by [`shelve_stack`](Tracer::shelve_stack).
-    pub fn unshelve_stack(&self) {
+    pub(crate) fn unshelve_stack(&self) {
         std::mem::swap(&mut *self.stack.borrow_mut(), &mut *self.shelf.borrow_mut());
     }
 
     /// Number of buffered spans.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.ring.borrow().len()
     }
 
@@ -469,20 +443,13 @@ impl Tracer {
         self.ring.borrow().is_empty()
     }
 
-    /// Bytes of ring-buffer backing store currently allocated, in
-    /// spans. Zero until the first recorded span — the disabled path
-    /// never allocates.
-    pub fn buffer_capacity(&self) -> usize {
-        self.ring.borrow().capacity()
-    }
-
     /// Spans evicted (or rejected at capacity 0) so far.
-    pub fn dropped(&self) -> u64 {
+    pub(crate) fn dropped(&self) -> u64 {
         self.dropped.get()
     }
 
     /// Copies the buffered spans in recording order. Prefer
-    /// [`for_each_span`](Tracer::for_each_span) when a borrow suffices —
+    /// `for_each_span` when a borrow suffices —
     /// this clones the whole ring.
     pub fn spans(&self) -> Vec<SpanRecord> {
         self.ring.borrow().iter().cloned().collect()
@@ -491,7 +458,7 @@ impl Tracer {
     /// Visits the buffered spans in recording order without copying
     /// them. The callback must not re-enter the tracer's recording
     /// methods (the ring is borrowed for the duration).
-    pub fn for_each_span(&self, mut f: impl FnMut(&SpanRecord)) {
+    pub(crate) fn for_each_span(&self, mut f: impl FnMut(&SpanRecord)) {
         for s in self.ring.borrow().iter() {
             f(s);
         }
@@ -558,7 +525,11 @@ mod tests {
         assert!(tr.is_empty());
         assert_eq!(tr.len(), 0);
         assert_eq!(tr.dropped(), 0);
-        assert_eq!(tr.buffer_capacity(), 0, "disabled path must not allocate");
+        assert_eq!(
+            tr.ring.borrow().capacity(),
+            0,
+            "disabled path must not allocate"
+        );
     }
 
     #[test]
@@ -566,7 +537,7 @@ mod tests {
         let tr = Tracer::new();
         tr.set_enabled(true);
         tr.record("rpc", "lookup", t(0), t(10), vec![("retrans", "0".into())]);
-        tr.event("ext3", "commit", t(20), vec![]);
+        tr.record("ext3", "commit", t(20), t(20), vec![]);
         let spans = tr.spans();
         assert_eq!(spans.len(), 2);
         assert_eq!(spans[0].layer, "rpc");
@@ -580,7 +551,7 @@ mod tests {
     fn ring_buffer_drops_oldest_at_capacity() {
         let tr = Tracer::new();
         tr.set_enabled(true);
-        tr.set_capacity(3);
+        tr.capacity.set(3);
         for i in 0..5u64 {
             tr.record("disk", "read", t(i), t(i + 1), vec![]);
         }
@@ -592,22 +563,10 @@ mod tests {
     }
 
     #[test]
-    fn shrinking_capacity_evicts() {
-        let tr = Tracer::new();
-        tr.set_enabled(true);
-        for i in 0..10u64 {
-            tr.record("net", "send", t(i), t(i), vec![]);
-        }
-        tr.set_capacity(4);
-        assert_eq!(tr.len(), 4);
-        assert_eq!(tr.dropped(), 6);
-    }
-
-    #[test]
     fn dump_lists_spans_and_drop_count() {
         let tr = Tracer::new();
         tr.set_enabled(true);
-        tr.set_capacity(1);
+        tr.capacity.set(1);
         tr.record("rpc", "getattr", t(5), t(7), vec![("bytes", "128".into())]);
         tr.record("iscsi", "read", t(8), t(9), vec![]);
         let d = tr.dump();
@@ -756,6 +715,5 @@ mod tests {
         assert!(ctx.is_disabled());
         tr.close_span(ctx, "vfs", "nfs.read", t(0), t(1), vec![]);
         assert!(tr.is_empty());
-        assert!(tr.current().is_none(), "disabled opens never push");
     }
 }

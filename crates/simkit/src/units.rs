@@ -45,11 +45,6 @@ impl Bytes {
         Bytes(n)
     }
 
-    /// Creates a byte count from whole kibibytes.
-    pub const fn from_kib(k: u64) -> Self {
-        Bytes(k * 1024)
-    }
-
     /// The raw count.
     pub const fn get(self) -> u64 {
         self.0
@@ -127,6 +122,7 @@ pub fn f64_to_u64(x: f64) -> u64 {
 }
 
 /// The exact `x as u32` float truncation (saturating, NaN → 0).
+/// Public because detlint's U1 message names it as the sanctioned cast.
 pub fn f64_to_u32(x: f64) -> u32 {
     x as u32
 }
@@ -270,7 +266,6 @@ mod tests {
         assert_eq!(c.get(), 4608);
         let total: Bytes = [a, b, b].into_iter().sum();
         assert_eq!(total.get(), 4096 + 1024);
-        assert_eq!(Bytes::from_kib(8).get(), 8192);
         assert_eq!(Bps::from_mbps(100).get(), 100_000_000);
         assert_eq!((Bps::new(9) / 3).get(), 3);
     }

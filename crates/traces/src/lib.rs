@@ -10,8 +10,6 @@
 //! strongly-consistent read-only meta-data cache and directory
 //! delegation.
 
-pub mod io;
-
 use simkit::SplitMix64;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 

@@ -27,7 +27,7 @@ use vfs::FileSystem;
 
 /// Length of the text pool, and so the largest `max_size` a
 /// [`Session`] accepts.
-pub const TEXT_POOL_LEN: usize = 16 * 1024;
+pub(crate) const TEXT_POOL_LEN: usize = 16 * 1024;
 
 /// The random text every payload is a slice of: printable bytes
 /// 32..=125 from a constant seed, built at compile time, so a session

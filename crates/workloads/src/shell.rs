@@ -37,11 +37,6 @@ impl Default for TreeSpec {
 }
 
 impl TreeSpec {
-    /// Total number of files the tree will contain.
-    pub fn file_count(&self) -> usize {
-        self.top_dirs * self.sub_dirs * self.files_per_dir
-    }
-
     fn size_of(&self, rng: &mut SplitMix64) -> usize {
         // Half to 1.5x the mean, uniformly.
         let lo = self.mean_file_size / 2;
@@ -213,15 +208,4 @@ fn remove_dir_recursive(fs: &dyn FileSystem, path: &str) -> Result<(), ext3::FsE
         }
     }
     fs.rmdir(path)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn tree_spec_counts() {
-        let t = TreeSpec::default();
-        assert_eq!(t.file_count(), 25 * 8 * 12);
-    }
 }
