@@ -76,6 +76,10 @@ pub struct DiskStats {
 pub struct DiskModel<D> {
     inner: D,
     params: DiskParams,
+    /// `params.positioning()`, and the media transfer time of one
+    /// block, computed once: nearly every member request is one block.
+    positioning: SimDuration,
+    block_transfer: SimDuration,
     /// Block just past the previous request (for sequentiality).
     head: Cell<Option<BlockNo>>,
     stats: RefCell<DiskStats>,
@@ -92,6 +96,8 @@ impl<D: BlockDevice> DiskModel<D> {
         DiskModel {
             inner,
             params,
+            positioning: params.positioning(),
+            block_transfer: params.transfer(Bytes::new(BLOCK_SIZE as u64)),
             head: Cell::new(None),
             stats: RefCell::new(DiskStats::default()),
             sim: RefCell::new(None),
@@ -115,11 +121,14 @@ impl<D: BlockDevice> DiskModel<D> {
 
     fn service(&self, start: BlockNo, nblocks: u64, is_read: bool) -> SimDuration {
         let sequential = self.head.get() == Some(start);
-        let mut t = self
-            .params
-            .transfer(Bytes::new(nblocks * BLOCK_SIZE as u64));
+        let mut t = if nblocks == 1 {
+            self.block_transfer
+        } else {
+            self.params
+                .transfer(Bytes::new(nblocks * BLOCK_SIZE as u64))
+        };
         if !sequential {
-            t += self.params.positioning();
+            t += self.positioning;
         }
         self.head.set(Some(start + nblocks));
         let mut s = self.stats.borrow_mut();
@@ -185,6 +194,21 @@ impl<D: BlockDevice> BlockDevice for DiskModel<D> {
 
     fn flush(&self) -> Result<IoCost> {
         self.inner.flush()
+    }
+
+    /// Runs the service model as the real request would and asks the
+    /// store below only to charge (for a [`MemDisk`](crate::MemDisk),
+    /// a range check).
+    fn charge(&self, start: BlockNo, nblocks: u32, write: bool) -> Result<IoCost> {
+        let below = self.inner.charge(start, nblocks, write)?;
+        let t = self.service(start, nblocks as u64, !write);
+        Ok(below.then(IoCost::new(t)))
+    }
+
+    /// Reads the store below; the head, the statistics and the
+    /// histogram do not move.
+    fn peek(&self, start: BlockNo, nblocks: u32, buf: &mut [u8]) -> Result<()> {
+        self.inner.peek(start, nblocks, buf)
     }
 }
 

@@ -35,7 +35,7 @@ mod raid5;
 mod stripe;
 mod writecache;
 
-pub use diskmodel::{DiskModel, DiskParams};
+pub use diskmodel::{DiskModel, DiskParams, DiskStats};
 pub use image::Image;
 pub use memdisk::{DiskImage, MemDisk};
 pub use partition::Partition;
@@ -163,6 +163,52 @@ pub trait BlockDevice {
     ///
     /// Fails if the device has failed.
     fn flush(&self) -> Result<IoCost>;
+
+    /// Bills the service time of reading (`write == false`) or writing
+    /// `nblocks` starting at `start`, without moving any data the
+    /// caller could observe: what RAID-5 charges for the parity I/O
+    /// whose bytes nobody reads.
+    ///
+    /// The default issues the real request, reading into a scratch
+    /// buffer or writing zeros, so a decorator that overrides only
+    /// `read` and `write` sees, times and costs exactly the request it
+    /// would have seen before; a write charge then stores those zeros.
+    /// Devices that can bill without the bytes ([`MemDisk`],
+    /// [`DiskModel`], `Rc<T>`) override it.
+    ///
+    /// # Errors
+    ///
+    /// Fails as the equivalent `read` or `write` would.
+    fn charge(&self, start: BlockNo, nblocks: u32, write: bool) -> Result<IoCost> {
+        let mut block = [0u8; BLOCK_SIZE];
+        let mut heap = Vec::new();
+        let buf: &mut [u8] = if nblocks == 1 {
+            &mut block
+        } else {
+            heap.resize(nblocks as usize * BLOCK_SIZE, 0);
+            &mut heap
+        };
+        if write {
+            self.write(start, buf)
+        } else {
+            self.read(start, nblocks, buf)
+        }
+    }
+
+    /// Reads `nblocks` starting at `start` into `buf` without billing
+    /// any service time: the content a reconstruction would yield,
+    /// for a device whose time was already charged elsewhere.
+    ///
+    /// The default is a plain [`read`](BlockDevice::read), which bills
+    /// the request like any other; [`MemDisk`], [`DiskModel`] and
+    /// `Rc<T>` override it.
+    ///
+    /// # Errors
+    ///
+    /// Fails as `read` would.
+    fn peek(&self, start: BlockNo, nblocks: u32, buf: &mut [u8]) -> Result<()> {
+        self.read(start, nblocks, buf).map(drop)
+    }
 }
 
 /// Shared handles are devices too: the testbed keeps an `Rc` to each
@@ -183,6 +229,12 @@ impl<T: BlockDevice + ?Sized> BlockDevice for std::rc::Rc<T> {
     }
     fn flush(&self) -> Result<IoCost> {
         (**self).flush()
+    }
+    fn charge(&self, start: BlockNo, nblocks: u32, write: bool) -> Result<IoCost> {
+        (**self).charge(start, nblocks, write)
+    }
+    fn peek(&self, start: BlockNo, nblocks: u32, buf: &mut [u8]) -> Result<()> {
+        (**self).peek(start, nblocks, buf)
     }
 }
 

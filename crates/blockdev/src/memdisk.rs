@@ -146,18 +146,7 @@ impl BlockDevice for MemDisk {
     }
 
     fn read(&self, start: BlockNo, nblocks: u32, buf: &mut [u8]) -> Result<IoCost> {
-        check_request(self.blocks, start, nblocks as u64, buf.len())?;
-        let data = self.data.borrow();
-        let base = self.base.borrow();
-        for (bno, dst) in (start..).zip(buf.chunks_exact_mut(BLOCK_SIZE)) {
-            match data.get(&bno) {
-                Some(block) => dst.copy_from_slice(&block[..]),
-                None => match base.as_ref().and_then(|img| img.data.get(&bno)) {
-                    Some(block) => dst.copy_from_slice(&block.0[..]),
-                    None => dst.fill(0),
-                },
-            }
-        }
+        self.peek(start, nblocks, buf)?;
         Ok(IoCost::FREE)
     }
 
@@ -178,6 +167,29 @@ impl BlockDevice for MemDisk {
 
     fn flush(&self) -> Result<IoCost> {
         Ok(IoCost::FREE)
+    }
+
+    /// Checks the range and moves nothing: a charge stores no block.
+    fn charge(&self, start: BlockNo, nblocks: u32, _write: bool) -> Result<IoCost> {
+        let nblocks = nblocks as u64;
+        check_request(self.blocks, start, nblocks, nblocks as usize * BLOCK_SIZE)?;
+        Ok(IoCost::FREE)
+    }
+
+    fn peek(&self, start: BlockNo, nblocks: u32, buf: &mut [u8]) -> Result<()> {
+        check_request(self.blocks, start, nblocks as u64, buf.len())?;
+        let data = self.data.borrow();
+        let base = self.base.borrow();
+        for (bno, dst) in (start..).zip(buf.chunks_exact_mut(BLOCK_SIZE)) {
+            match data.get(&bno) {
+                Some(block) => dst.copy_from_slice(&block[..]),
+                None => match base.as_ref().and_then(|img| img.data.get(&bno)) {
+                    Some(block) => dst.copy_from_slice(&block.0[..]),
+                    None => dst.fill(0),
+                },
+            }
+        }
+        Ok(())
     }
 }
 

@@ -1,19 +1,42 @@
 //! Software RAID-5 in the paper's 4+p configuration.
 //!
-//! Left-symmetric rotating parity over `n` member devices. Every
-//! block written pays the classic read-modify-write penalty (read old
-//! data and old parity, write new data and new parity), one block per
-//! member request — a write covering a whole stripe included, which a
-//! real array would serve by computing parity directly. That is a
-//! known deviation (EXPERIMENTS.md "Known deviations" #6), pinned by
+//! Left-symmetric rotating parity over `n` member devices.
+//!
+//! **What is charged.** Every block written pays the classic
+//! read-modify-write penalty, one block per member request: a read of
+//! the old data, a read of the old parity, a write of the new data and
+//! a write of the new parity, in that order, the reads in parallel
+//! and then the writes. A write covering a whole stripe pays it too,
+//! where a real array would compute parity directly. That is a known
+//! deviation (EXPERIMENTS.md "Known deviations" #6), pinned by
 //! `full_stripe_write_is_one_rmw_per_block` below because every
-//! committed number was recorded with it. Reads with one failed member
-//! are reconstructed by XOR over the survivors, which is also how the
-//! property tests validate parity maintenance.
+//! committed number was recorded with it.
+//!
+//! **What is stored.** Only the new data moves. The other three
+//! requests are [`BlockDevice::charge`]s: each member bills its
+//! service time (head position, busy time, histogram, span) exactly as
+//! for the real request, but no parity byte is computed, read or
+//! written, and the bytes of the parity region are unspecified (a
+//! member that charges through the trait's default stores zeros
+//! there). Nothing in the model reads them: a parity block's only
+//! reader is reconstruction, and reconstruction can get the same bytes
+//! without them.
+//!
+//! **Degraded mode.** A read whose data member has failed charges a
+//! read of every survivor, in parallel, as XOR reconstruction would.
+//! Its content is what that XOR over maintained parity yields: the
+//! block last written while the member was down, kept by the array
+//! until the member heals, or else the failed member's own content,
+//! read with [`BlockDevice::peek`] (the failure is a flag here; the
+//! member's store still holds everything written before it). A write
+//! whose data member has failed charges the survivors' reads, the
+//! parity read and the parity write, and keeps the block; healing the
+//! member writes the kept blocks back to it.
 
-use crate::{check_request, BlockDevice, BlockError, BlockNo, IoCost, Result, BLOCK_SIZE};
+use crate::{check_request, BlockDevice, BlockError, BlockNo, Image, IoCost, Result, BLOCK_SIZE};
 use simkit::{MetricHandle, Sim, SimDuration};
 use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 /// Geometry of a RAID-5 array.
@@ -37,6 +60,10 @@ pub struct Raid5 {
     members: Vec<Rc<dyn BlockDevice>>,
     geometry: Raid5Geometry,
     failed: RefCell<Vec<bool>>,
+    /// Blocks written while their data member was failed, by (member,
+    /// member block): the content reconstruction would yield for them.
+    /// Written back, and forgotten, when the member heals.
+    absent: RefCell<BTreeMap<(usize, BlockNo), Image>>,
     capacity: u64,
     /// Observability handles, attached by the testbed; the
     /// parity-update histogram is resolved once, at attach time.
@@ -90,6 +117,7 @@ impl Raid5 {
             members,
             geometry,
             failed: RefCell::new(vec![false; count]),
+            absent: RefCell::new(BTreeMap::new()),
             capacity,
             sim: RefCell::new(None),
         }
@@ -131,7 +159,8 @@ impl Raid5 {
     }
 
     /// Marks member `idx` failed; subsequent reads of its blocks are
-    /// served by reconstruction and writes update parity only.
+    /// charged as reconstructions, and writes to them charge a parity
+    /// update and are kept by the array until the member heals.
     ///
     /// # Panics
     ///
@@ -141,10 +170,28 @@ impl Raid5 {
         self.failed.borrow_mut()[idx] = true;
     }
 
-    /// Restores member `idx` (test helper; real arrays would rebuild).
-    /// Public for ROADMAP item 12's disk-failure fault schedule.
-    pub fn heal_member(&self, idx: usize) {
+    /// Restores member `idx`: writes every block written while it was
+    /// down back to it, in block order, through its `write` (a real
+    /// array would rebuild it whole), and returns what those writes
+    /// cost. Public for ROADMAP item 12's disk-failure fault schedule.
+    ///
+    /// # Errors
+    ///
+    /// Fails as the member's `write` does; the member then stays
+    /// failed and keeps the blocks not yet written back.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx` is out of range.
+    pub fn heal_member(&self, idx: usize) -> Result<IoCost> {
+        let mut absent = self.absent.borrow_mut();
+        let mut cost = IoCost::FREE;
+        while let Some((&key, image)) = absent.range((idx, 0)..=(idx, BlockNo::MAX)).next() {
+            cost = cost.then(self.members[idx].write(key.1, &image[..])?);
+            absent.remove(&key);
+        }
         self.failed.borrow_mut()[idx] = false;
+        Ok(cost)
     }
 
     /// True if any member is currently failed. Public for ROADMAP item
@@ -176,21 +223,12 @@ impl Raid5 {
         self.failed.borrow()[idx]
     }
 
-    fn read_member(&self, disk: usize, block: BlockNo, buf: &mut [u8]) -> Result<IoCost> {
-        self.members[disk].read(block, 1, buf)
-    }
-
-    fn write_member(&self, disk: usize, block: BlockNo, data: &[u8]) -> Result<IoCost> {
-        self.members[disk].write(block, data)
-    }
-
-    /// Reconstructs the block at (`disk`, `block`) by XOR over all
-    /// other members.
-    fn reconstruct(&self, disk: usize, block: BlockNo, out: &mut [u8]) -> Result<IoCost> {
-        out.fill(0);
-        let mut tmp = [0u8; BLOCK_SIZE];
+    /// Charges the reads that reconstructing the block at (`disk`,
+    /// `block`) makes: one of every other member, in parallel, so the
+    /// cost is the slowest.
+    fn charge_survivors(&self, disk: usize, block: BlockNo) -> Result<IoCost> {
         let mut cost = SimDuration::ZERO;
-        for (i, _) in self.members.iter().enumerate() {
+        for (i, member) in self.members.iter().enumerate() {
             if i == disk {
                 continue;
             }
@@ -199,55 +237,59 @@ impl Raid5 {
                     device: format!("{}:{}", self.name, i),
                 });
             }
-            let c = self.read_member(i, block, &mut tmp)?;
-            // Survivor reads proceed in parallel: cost is the max.
-            cost = cost.max(c.time);
-            for (o, t) in out.iter_mut().zip(&tmp) {
-                *o ^= t;
-            }
+            cost = cost.max(member.charge(block, 1, false)?.time);
         }
         Ok(IoCost::new(cost))
     }
 
     fn read_one(&self, lb: BlockNo, buf: &mut [u8]) -> Result<IoCost> {
         let p = self.placement(lb);
-        if self.is_failed(p.data_disk) {
-            self.reconstruct(p.data_disk, p.member_block, buf)
-        } else {
-            self.read_member(p.data_disk, p.member_block, buf)
+        let member = &self.members[p.data_disk];
+        if !self.is_failed(p.data_disk) {
+            return member.read(p.member_block, 1, buf);
         }
+        let cost = self.charge_survivors(p.data_disk, p.member_block)?;
+        match self.absent.borrow().get(&(p.data_disk, p.member_block)) {
+            Some(image) => buf.copy_from_slice(&image[..]),
+            None => member.peek(p.member_block, 1, buf)?,
+        }
+        Ok(cost)
     }
 
     /// Read-modify-write of a single logical block.
     fn write_one(&self, lb: BlockNo, data: &[u8]) -> Result<IoCost> {
-        let p = self.placement(lb);
-        let data_ok = !self.is_failed(p.data_disk);
-        let parity_ok = !self.is_failed(p.parity_disk);
-        let mut old_data = [0u8; BLOCK_SIZE];
-        let mut parity = [0u8; BLOCK_SIZE];
+        let Placement {
+            data_disk,
+            parity_disk,
+            member_block: b,
+        } = self.placement(lb);
+        let (data_member, parity_member) = (&self.members[data_disk], &self.members[parity_disk]);
+        let data_ok = !self.is_failed(data_disk);
+        let parity_ok = !self.is_failed(parity_disk);
 
         if data_ok && parity_ok {
-            let r1 = self.read_member(p.data_disk, p.member_block, &mut old_data)?;
-            let r2 = self.read_member(p.parity_disk, p.member_block, &mut parity)?;
-            fold_parity(&mut parity, &old_data, data);
-            let w1 = self.write_member(p.data_disk, p.member_block, data)?;
-            let w2 = self.write_member(p.parity_disk, p.member_block, &parity)?;
+            let r1 = data_member.charge(b, 1, false)?;
+            let r2 = parity_member.charge(b, 1, false)?;
+            let w1 = data_member.write(b, data)?;
+            let w2 = parity_member.charge(b, 1, true)?;
             // Reads in parallel, then writes in parallel.
             let t = r1.time.max(r2.time) + w1.time.max(w2.time);
             self.note_parity_update(lb, t, false);
             Ok(IoCost::new(t))
         } else if data_ok {
             // Parity disk failed: just write the data.
-            self.write_member(p.data_disk, p.member_block, data)
+            data_member.write(b, data)
         } else if parity_ok {
-            // Data disk failed: fold the new data into parity so
-            // reconstruction yields it. New parity = XOR of all
-            // surviving data blocks and the new data; compute it by
-            // reconstructing the old data first.
-            let rc = self.reconstruct(p.data_disk, p.member_block, &mut old_data)?;
-            let r2 = self.read_member(p.parity_disk, p.member_block, &mut parity)?;
-            fold_parity(&mut parity, &old_data, data);
-            let w = self.write_member(p.parity_disk, p.member_block, &parity)?;
+            // Data disk failed: reconstruct the old data, fold the new
+            // data into parity, and keep it for reads and the heal.
+            let rc = self.charge_survivors(data_disk, b)?;
+            let r2 = parity_member.charge(b, 1, false)?;
+            let w = parity_member.charge(b, 1, true)?;
+            self.absent
+                .borrow_mut()
+                .entry((data_disk, b))
+                .and_modify(|image| image.overwrite(data))
+                .or_insert_with(|| Image::from_slice(data));
             let t = rc.time.max(r2.time) + w.time;
             self.note_parity_update(lb, t, true);
             Ok(IoCost::new(t))
@@ -256,15 +298,6 @@ impl Raid5 {
                 device: self.name.clone(),
             })
         }
-    }
-}
-
-/// `parity ^= old ^ new`: swaps one data block's contribution to its
-/// stripe's parity.
-fn fold_parity(parity: &mut [u8; BLOCK_SIZE], old: &[u8; BLOCK_SIZE], new: &[u8]) {
-    debug_assert_eq!(new.len(), BLOCK_SIZE);
-    for ((p, o), n) in parity.iter_mut().zip(old).zip(new) {
-        *p ^= o ^ n;
     }
 }
 
@@ -375,7 +408,7 @@ mod tests {
                 r.read(lb, 1, &mut buf).unwrap();
                 assert_eq!(buf[0], (lb % 250) as u8 + 1, "member {failed}, block {lb}");
             }
-            r.heal_member(failed);
+            r.heal_member(failed).unwrap();
         }
     }
 

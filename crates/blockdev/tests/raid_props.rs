@@ -97,6 +97,13 @@ proptest! {
             r.read(lb, 1, &mut buf).unwrap();
             prop_assert_eq!(u16::from_le_bytes([buf[0], buf[1]]), tag);
         }
+        // Healed: the member holds what was written while it was down.
+        r.heal_member(failed).unwrap();
+        prop_assert!(!r.degraded());
+        for (&lb, &tag) in &model {
+            r.read(lb, 1, &mut buf).unwrap();
+            prop_assert_eq!(u16::from_le_bytes([buf[0], buf[1]]), tag);
+        }
     }
 
     /// Multi-block requests equal the equivalent single-block ones.
@@ -120,5 +127,27 @@ proptest! {
             r.read(start + i, 1, &mut one).unwrap();
             prop_assert_eq!(&one[..], &data[(i as usize) * BLOCK_SIZE..][..BLOCK_SIZE]);
         }
+    }
+}
+
+/// An update made while its data member is down survives the heal:
+/// the member comes back with the new block, not the one it held when
+/// it failed. Every member takes a turn as the failed one; with the
+/// left-symmetric layout block 0's data lives on member 0.
+#[test]
+fn heal_keeps_writes_made_while_the_member_was_down() {
+    for failed in 0..5 {
+        let r = array(5, 4);
+        r.write(0, &block_of(1)).unwrap();
+        r.fail_member(failed);
+        r.write(0, &block_of(2)).unwrap();
+        r.heal_member(failed).unwrap();
+        let mut buf = vec![0u8; BLOCK_SIZE];
+        r.read(0, 1, &mut buf).unwrap();
+        assert_eq!(
+            u16::from_le_bytes([buf[0], buf[1]]),
+            2,
+            "member {failed} failed and healed"
+        );
     }
 }

@@ -38,11 +38,14 @@ thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
     /// Bytes requested in allocations of exactly one block.
     static BLOCK_BYTES: Cell<u64> = const { Cell::new(0) };
+    /// Bytes requested in all allocations.
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 fn count(size: usize) {
     // A thread that is tearing down its locals no longer counts.
     let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+    let _ = BYTES.try_with(|c| c.set(c.get() + size as u64));
     if size == BLOCK_SIZE {
         let _ = BLOCK_BYTES.try_with(|c| c.set(c.get() + size as u64));
     }
@@ -157,6 +160,46 @@ fn raid5_small_write_over_existing_blocks_allocates_nothing() {
         .histogram("raid5.raid5.parity_update")
         .unwrap();
     assert_eq!(h.count(), 2);
+}
+
+/// The testbed's array over its member stack (a `DiskModel` over a
+/// shared `MemDisk`): a one-block write stores the data block and no
+/// parity block, and once the members' maps and the thread's free
+/// list of block images are warm it asks the allocator for nothing.
+#[test]
+fn raid5_small_write_stores_one_member_block_and_allocates_nothing() {
+    let sim = Sim::new(1);
+    let stores: Vec<Rc<MemDisk>> = (0..5)
+        .map(|i| Rc::new(MemDisk::new(format!("sd{i}"), 4096)))
+        .collect();
+    let members = stores
+        .iter()
+        .map(|store| {
+            let d = Rc::new(DiskModel::new(Rc::clone(store), DiskParams::ultra160_10k()));
+            d.instrument(Rc::clone(&sim));
+            d as Rc<dyn BlockDevice>
+        })
+        .collect();
+    let r5 = Raid5::new("raid5", members, Raid5Geometry::default());
+    r5.instrument(Rc::clone(&sim));
+    // Warm-up: every member's map holds a block, and two dropped
+    // images wait on this thread's free list.
+    for lb in (0..5 * 16).step_by(16) {
+        r5.write(lb, &[1u8; BLOCK_SIZE]).unwrap();
+    }
+    let warm = MemDisk::new("warm", 2);
+    warm.write(0, &[0u8; 2 * BLOCK_SIZE]).unwrap();
+    drop(warm);
+    let stored = || stores.iter().map(|m| m.diverged_blocks()).sum::<usize>();
+    let before = (stored(), BYTES.with(Cell::get));
+    r5.write(1, &[2u8; BLOCK_SIZE]).unwrap();
+    assert_eq!(stored() - before.0, 1, "the data block, no parity block");
+    assert_eq!(BYTES.with(Cell::get) - before.1, 0, "bytes requested");
+    let h = sim
+        .metrics()
+        .histogram("raid5.raid5.parity_update")
+        .unwrap();
+    assert_eq!(h.count(), 6, "the parity update is still charged");
 }
 
 #[test]
