@@ -204,12 +204,6 @@ impl<D: BlockDevice> BlockDevice for DiskModel<D> {
         let t = self.service(start, nblocks as u64, !write);
         Ok(below.then(IoCost::new(t)))
     }
-
-    /// Reads the store below; the head, the statistics and the
-    /// histogram do not move.
-    fn peek(&self, start: BlockNo, nblocks: u32, buf: &mut [u8]) -> Result<()> {
-        self.inner.peek(start, nblocks, buf)
-    }
 }
 
 #[cfg(test)]

@@ -166,8 +166,9 @@ pub trait BlockDevice {
 
     /// Bills the service time of reading (`write == false`) or writing
     /// `nblocks` starting at `start`, without moving any data the
-    /// caller could observe: what RAID-5 charges for the parity I/O
-    /// whose bytes nobody reads.
+    /// caller could observe: what RAID-5 charges for every member
+    /// request, data and parity alike, since its content lives at
+    /// logical addresses in a store of its own.
     ///
     /// The default issues the real request, reading into a scratch
     /// buffer or writing zeros, so a decorator that overrides only
@@ -194,26 +195,11 @@ pub trait BlockDevice {
             self.read(start, nblocks, buf)
         }
     }
-
-    /// Reads `nblocks` starting at `start` into `buf` without billing
-    /// any service time: the content a reconstruction would yield,
-    /// for a device whose time was already charged elsewhere.
-    ///
-    /// The default is a plain [`read`](BlockDevice::read), which bills
-    /// the request like any other; [`MemDisk`], [`DiskModel`] and
-    /// `Rc<T>` override it.
-    ///
-    /// # Errors
-    ///
-    /// Fails as `read` would.
-    fn peek(&self, start: BlockNo, nblocks: u32, buf: &mut [u8]) -> Result<()> {
-        self.read(start, nblocks, buf).map(drop)
-    }
 }
 
-/// Shared handles are devices too: the testbed keeps an `Rc` to each
-/// RAID member's backing store (to export [`DiskImage`] snapshots)
-/// while the timing layers own another.
+/// Shared handles are devices too, so a timing layer can wrap a device
+/// that its caller keeps a handle to: a [`DiskModel`] over an
+/// `Rc<MemDisk>` whose content the caller still inspects.
 impl<T: BlockDevice + ?Sized> BlockDevice for std::rc::Rc<T> {
     fn name(&self) -> &str {
         (**self).name()
@@ -232,9 +218,6 @@ impl<T: BlockDevice + ?Sized> BlockDevice for std::rc::Rc<T> {
     }
     fn charge(&self, start: BlockNo, nblocks: u32, write: bool) -> Result<IoCost> {
         (**self).charge(start, nblocks, write)
-    }
-    fn peek(&self, start: BlockNo, nblocks: u32, buf: &mut [u8]) -> Result<()> {
-        (**self).peek(start, nblocks, buf)
     }
 }
 

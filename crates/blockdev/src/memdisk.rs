@@ -146,7 +146,18 @@ impl BlockDevice for MemDisk {
     }
 
     fn read(&self, start: BlockNo, nblocks: u32, buf: &mut [u8]) -> Result<IoCost> {
-        self.peek(start, nblocks, buf)?;
+        check_request(self.blocks, start, nblocks as u64, buf.len())?;
+        let data = self.data.borrow();
+        let base = self.base.borrow();
+        for (bno, dst) in (start..).zip(buf.chunks_exact_mut(BLOCK_SIZE)) {
+            match data.get(&bno) {
+                Some(block) => dst.copy_from_slice(&block[..]),
+                None => match base.as_ref().and_then(|img| img.data.get(&bno)) {
+                    Some(block) => dst.copy_from_slice(&block.0[..]),
+                    None => dst.fill(0),
+                },
+            }
+        }
         Ok(IoCost::FREE)
     }
 
@@ -174,22 +185,6 @@ impl BlockDevice for MemDisk {
         let nblocks = nblocks as u64;
         check_request(self.blocks, start, nblocks, nblocks as usize * BLOCK_SIZE)?;
         Ok(IoCost::FREE)
-    }
-
-    fn peek(&self, start: BlockNo, nblocks: u32, buf: &mut [u8]) -> Result<()> {
-        check_request(self.blocks, start, nblocks as u64, buf.len())?;
-        let data = self.data.borrow();
-        let base = self.base.borrow();
-        for (bno, dst) in (start..).zip(buf.chunks_exact_mut(BLOCK_SIZE)) {
-            match data.get(&bno) {
-                Some(block) => dst.copy_from_slice(&block[..]),
-                None => match base.as_ref().and_then(|img| img.data.get(&bno)) {
-                    Some(block) => dst.copy_from_slice(&block.0[..]),
-                    None => dst.fill(0),
-                },
-            }
-        }
-        Ok(())
     }
 }
 

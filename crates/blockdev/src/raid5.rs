@@ -2,41 +2,38 @@
 //!
 //! Left-symmetric rotating parity over `n` member devices.
 //!
-//! **What is charged.** Every block written pays the classic
-//! read-modify-write penalty, one block per member request: a read of
-//! the old data, a read of the old parity, a write of the new data and
-//! a write of the new parity, in that order, the reads in parallel
-//! and then the writes. A write covering a whole stripe pays it too,
-//! where a real array would compute parity directly. That is a known
-//! deviation (EXPERIMENTS.md "Known deviations" #6), pinned by
+//! **What is charged.** Every member request is a
+//! [`BlockDevice::charge`]: each member bills its service time (head
+//! position, busy time, histogram, span) exactly as for the real
+//! request, and moves no byte. A read charges its data member. Every
+//! block written pays the classic read-modify-write penalty, one block
+//! per member request: a read of the old data, a read of the old
+//! parity, a write of the new data and a write of the new parity, in
+//! that order, the reads in parallel and then the writes. A write
+//! covering a whole stripe pays it too, where a real array would
+//! compute parity directly. That is a known deviation (EXPERIMENTS.md
+//! "Known deviations" #6), pinned by
 //! `full_stripe_write_is_one_rmw_per_block` below because every
 //! committed number was recorded with it.
 //!
-//! **What is stored.** Only the new data moves. The other three
-//! requests are [`BlockDevice::charge`]s: each member bills its
-//! service time (head position, busy time, histogram, span) exactly as
-//! for the real request, but no parity byte is computed, read or
-//! written, and the bytes of the parity region are unspecified (a
-//! member that charges through the trait's default stores zeros
-//! there). Nothing in the model reads them: a parity block's only
-//! reader is reconstruction, and reconstruction can get the same bytes
-//! without them.
+//! **Where the bytes are.** The array owns one store at logical block
+//! addresses (a [`MemDisk`], possibly a fork of a captured image); a
+//! read or a write moves its bytes once, there, after the charges. No
+//! member holds content, data or parity: nothing in the model reads a
+//! byte at its member address, and XOR reconstruction over maintained
+//! parity would yield exactly what the logical store holds.
 //!
-//! **Degraded mode.** A read whose data member has failed charges a
-//! read of every survivor, in parallel, as XOR reconstruction would.
-//! Its content is what that XOR over maintained parity yields: the
-//! block last written while the member was down, kept by the array
-//! until the member heals, or else the failed member's own content,
-//! read with [`BlockDevice::peek`] (the failure is a flag here; the
-//! member's store still holds everything written before it). A write
-//! whose data member has failed charges the survivors' reads, the
-//! parity read and the parity write, and keeps the block; healing the
-//! member writes the kept blocks back to it.
+//! **Degraded mode.** Failing a member is a flag. A read whose data
+//! member has failed charges a read of every survivor, in parallel,
+//! as XOR reconstruction would. A write whose data member has failed
+//! charges the survivors' reads, the parity read and the parity write,
+//! and the array remembers the member block; healing the member
+//! charges one write of each remembered block, in block order.
 
-use crate::{check_request, BlockDevice, BlockError, BlockNo, Image, IoCost, Result, BLOCK_SIZE};
+use crate::{check_request, BlockDevice, BlockError, BlockNo, IoCost, MemDisk, Result, BLOCK_SIZE};
 use simkit::{MetricHandle, Sim, SimDuration};
 use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 use std::rc::Rc;
 
 /// Geometry of a RAID-5 array.
@@ -60,10 +57,11 @@ pub struct Raid5 {
     members: Vec<Rc<dyn BlockDevice>>,
     geometry: Raid5Geometry,
     failed: RefCell<Vec<bool>>,
+    /// The array's content, at logical block addresses.
+    store: Rc<MemDisk>,
     /// Blocks written while their data member was failed, by (member,
-    /// member block): the content reconstruction would yield for them.
-    /// Written back, and forgotten, when the member heals.
-    absent: RefCell<BTreeMap<(usize, BlockNo), Image>>,
+    /// member block): what healing the member writes back.
+    stale: RefCell<BTreeSet<(usize, BlockNo)>>,
     capacity: u64,
     /// Observability handles, attached by the testbed; the
     /// parity-update histogram is resolved once, at attach time.
@@ -90,7 +88,8 @@ struct Placement {
 }
 
 impl Raid5 {
-    /// Builds an array from identically sized members.
+    /// Builds an array from identically sized members, with a blank
+    /// store of its own.
     ///
     /// # Panics
     ///
@@ -100,6 +99,27 @@ impl Raid5 {
         name: impl Into<String>,
         members: Vec<Rc<dyn BlockDevice>>,
         geometry: Raid5Geometry,
+    ) -> Self {
+        let name = name.into();
+        let blocks = members.first().map_or(0, |m| m.block_count())
+            * (members.len() as u64).saturating_sub(1);
+        let store = Rc::new(MemDisk::new(name.clone(), blocks));
+        Self::with_store(name, members, geometry, store)
+    }
+
+    /// Builds an array from identically sized members whose content
+    /// lives in `store`, at logical block addresses: a blank disk, or a
+    /// fork of a captured image.
+    ///
+    /// # Panics
+    ///
+    /// Panics if fewer than three members are supplied, their sizes
+    /// differ, or `store` is smaller than the array.
+    pub fn with_store(
+        name: impl Into<String>,
+        members: Vec<Rc<dyn BlockDevice>>,
+        geometry: Raid5Geometry,
+        store: Rc<MemDisk>,
     ) -> Self {
         assert!(members.len() >= 3, "RAID-5 requires at least 3 members");
         let size = members[0].block_count();
@@ -111,13 +131,18 @@ impl Raid5 {
         // Whole stripes only.
         let stripes = size / geometry.stripe_unit;
         let capacity = stripes * geometry.stripe_unit * (n - 1);
+        assert!(
+            store.block_count() >= capacity,
+            "the RAID-5 store must hold the array's capacity"
+        );
         let count = members.len();
         Raid5 {
             name: name.into(),
             members,
             geometry,
             failed: RefCell::new(vec![false; count]),
-            absent: RefCell::new(BTreeMap::new()),
+            store,
+            stale: RefCell::new(BTreeSet::new()),
             capacity,
             sim: RefCell::new(None),
         }
@@ -160,7 +185,7 @@ impl Raid5 {
 
     /// Marks member `idx` failed; subsequent reads of its blocks are
     /// charged as reconstructions, and writes to them charge a parity
-    /// update and are kept by the array until the member heals.
+    /// update and are remembered until the member heals.
     ///
     /// # Panics
     ///
@@ -170,34 +195,28 @@ impl Raid5 {
         self.failed.borrow_mut()[idx] = true;
     }
 
-    /// Restores member `idx`: writes every block written while it was
-    /// down back to it, in block order, through its `write` (a real
-    /// array would rebuild it whole), and returns what those writes
-    /// cost. Public for ROADMAP item 12's disk-failure fault schedule.
+    /// Restores member `idx`: charges it one write of every block
+    /// written while it was down, in block order (a real array would
+    /// rebuild it whole), and returns what those writes cost. Public
+    /// for ROADMAP item 12's disk-failure fault schedule.
     ///
     /// # Errors
     ///
-    /// Fails as the member's `write` does; the member then stays
+    /// Fails as the member's `charge` does; the member then stays
     /// failed and keeps the blocks not yet written back.
     ///
     /// # Panics
     ///
     /// Panics if `idx` is out of range.
     pub fn heal_member(&self, idx: usize) -> Result<IoCost> {
-        let mut absent = self.absent.borrow_mut();
+        let mut stale = self.stale.borrow_mut();
         let mut cost = IoCost::FREE;
-        while let Some((&key, image)) = absent.range((idx, 0)..=(idx, BlockNo::MAX)).next() {
-            cost = cost.then(self.members[idx].write(key.1, &image[..])?);
-            absent.remove(&key);
+        while let Some(&key) = stale.range((idx, 0)..=(idx, BlockNo::MAX)).next() {
+            cost = cost.then(self.members[idx].charge(key.1, 1, true)?);
+            stale.remove(&key);
         }
         self.failed.borrow_mut()[idx] = false;
         Ok(cost)
-    }
-
-    /// True if any member is currently failed. Public for ROADMAP item
-    /// 12's disk-failure fault schedule.
-    pub fn degraded(&self) -> bool {
-        self.failed.borrow().iter().any(|&f| f)
     }
 
     fn placement(&self, lb: BlockNo) -> Placement {
@@ -242,18 +261,15 @@ impl Raid5 {
         Ok(IoCost::new(cost))
     }
 
-    fn read_one(&self, lb: BlockNo, buf: &mut [u8]) -> Result<IoCost> {
+    /// Charges the member reads behind one logical block: its data
+    /// member's, or every survivor's if that member has failed.
+    fn charge_read(&self, lb: BlockNo) -> Result<IoCost> {
         let p = self.placement(lb);
-        let member = &self.members[p.data_disk];
-        if !self.is_failed(p.data_disk) {
-            return member.read(p.member_block, 1, buf);
+        if self.is_failed(p.data_disk) {
+            self.charge_survivors(p.data_disk, p.member_block)
+        } else {
+            self.members[p.data_disk].charge(p.member_block, 1, false)
         }
-        let cost = self.charge_survivors(p.data_disk, p.member_block)?;
-        match self.absent.borrow().get(&(p.data_disk, p.member_block)) {
-            Some(image) => buf.copy_from_slice(&image[..]),
-            None => member.peek(p.member_block, 1, buf)?,
-        }
-        Ok(cost)
     }
 
     /// Read-modify-write of a single logical block.
@@ -267,37 +283,35 @@ impl Raid5 {
         let data_ok = !self.is_failed(data_disk);
         let parity_ok = !self.is_failed(parity_disk);
 
-        if data_ok && parity_ok {
+        let cost = if data_ok && parity_ok {
             let r1 = data_member.charge(b, 1, false)?;
             let r2 = parity_member.charge(b, 1, false)?;
-            let w1 = data_member.write(b, data)?;
+            let w1 = data_member.charge(b, 1, true)?;
             let w2 = parity_member.charge(b, 1, true)?;
             // Reads in parallel, then writes in parallel.
             let t = r1.time.max(r2.time) + w1.time.max(w2.time);
             self.note_parity_update(lb, t, false);
-            Ok(IoCost::new(t))
+            IoCost::new(t)
         } else if data_ok {
             // Parity disk failed: just write the data.
-            data_member.write(b, data)
+            data_member.charge(b, 1, true)?
         } else if parity_ok {
             // Data disk failed: reconstruct the old data, fold the new
-            // data into parity, and keep it for reads and the heal.
+            // data into parity, and remember the block for the heal.
             let rc = self.charge_survivors(data_disk, b)?;
             let r2 = parity_member.charge(b, 1, false)?;
             let w = parity_member.charge(b, 1, true)?;
-            self.absent
-                .borrow_mut()
-                .entry((data_disk, b))
-                .and_modify(|image| image.overwrite(data))
-                .or_insert_with(|| Image::from_slice(data));
+            self.stale.borrow_mut().insert((data_disk, b));
             let t = rc.time.max(r2.time) + w.time;
             self.note_parity_update(lb, t, true);
-            Ok(IoCost::new(t))
+            IoCost::new(t)
         } else {
-            Err(BlockError::DeviceFailed {
+            return Err(BlockError::DeviceFailed {
                 device: self.name.clone(),
-            })
-        }
+            });
+        };
+        self.store.write(lb, data)?;
+        Ok(cost)
     }
 }
 
@@ -313,13 +327,10 @@ impl BlockDevice for Raid5 {
     fn read(&self, start: BlockNo, nblocks: u32, buf: &mut [u8]) -> Result<IoCost> {
         check_request(self.capacity, start, nblocks as u64, buf.len())?;
         let mut total = SimDuration::ZERO;
-        for i in 0..nblocks as u64 {
-            let c = self.read_one(
-                start + i,
-                &mut buf[(i as usize) * BLOCK_SIZE..][..BLOCK_SIZE],
-            )?;
-            total += c.time;
+        for lb in start..start + nblocks as u64 {
+            total += self.charge_read(lb)?.time;
         }
+        self.store.read(start, nblocks, buf)?;
         Ok(IoCost::new(total))
     }
 
@@ -416,13 +427,16 @@ mod tests {
     fn writes_in_degraded_mode_are_durable() {
         let r = array(4, 64);
         r.write(0, &block(1)).unwrap();
-        r.fail_member(r.placement(0).data_disk);
-        assert!(r.degraded());
+        let home = r.placement(0).data_disk;
+        r.fail_member(home);
         // Update the block while its home disk is down.
         r.write(0, &block(9)).unwrap();
         let mut buf = block(0);
         r.read(0, 1, &mut buf).unwrap();
         assert_eq!(buf[0], 9);
+        // The read reconstructed: it needs every other member.
+        r.fail_member((home + 1) % 4);
+        assert!(r.read(0, 1, &mut buf).is_err());
     }
 
     #[test]

@@ -1,21 +1,22 @@
 //! Differential oracle for the RAID-5 array.
 //!
-//! [`Raid5`] charges the parity I/O of a read-modify-write without
-//! moving parity bytes (see its module doc). [`EagerRaid5`] below is
-//! the array as it was before that: it reads the old data and the old
-//! parity, folds them, writes both back and reconstructs a lost member
-//! by XOR over the survivors. Driving both over mechanical members
-//! with the same random requests, failures included, must give the
-//! same cost for every request, the same bytes for every read, the
-//! same errors, and the same statistics, histograms and spans at every
-//! member: the arrays differ in what they store, never in what they
-//! charge.
+//! [`Raid5`] charges every member request without moving a byte and
+//! keeps its content at logical addresses (see its module doc).
+//! [`EagerRaid5`] below stores data and parity at the members: it
+//! reads the old data and the old parity, folds them, writes both back
+//! and reconstructs a lost member by XOR over the survivors. Driving
+//! both over mechanical members with the same random requests,
+//! failures included, must give the same cost for every request, the
+//! same bytes for every read, the same errors, and the same
+//! statistics, histograms and spans at every member: the arrays differ
+//! in where they store, never in what they charge.
 
 use blockdev::{
     BlockDevice, BlockError, BlockNo, DiskModel, DiskParams, DiskStats, IoCost, MemDisk, Raid5,
     Raid5Geometry, Result, BLOCK_SIZE,
 };
 use proptest::prelude::*;
+use simkit::units::Bytes;
 use simkit::{Histogram, MetricHandle, Sim, SimDuration, SpanRecord};
 use std::cell::RefCell;
 use std::collections::BTreeSet;
@@ -220,8 +221,8 @@ impl Array for Raid5 {
 }
 
 /// A decorator shaped like a benchmark's timing shim: it overrides
-/// only `read`, `write` and `flush`, so `charge` and `peek` take the
-/// trait's defaults through it.
+/// only `read`, `write` and `flush`, so `charge` takes the trait's
+/// default through it.
 struct PassThrough(Rc<dyn BlockDevice>);
 
 impl BlockDevice for PassThrough {
@@ -417,21 +418,20 @@ proptest! {
     }
 
     /// Members behind a decorator that knows nothing of `charge` cost
-    /// and count exactly what bare members do: the trait's default
-    /// issues the real request. (No failure here: the default `peek`
-    /// is a billed `read`, so a degraded read through such a decorator
-    /// also charges the failed member.)
+    /// and count exactly what bare members do, failures included: the
+    /// trait's default issues the real request.
     #[test]
     fn default_charge_costs_what_the_override_does(s in script()) {
-        let s = Script { first: None, second: None, ..s };
         run(&s, shimmed, lazy).assert_same(&run(&s, bare, lazy));
     }
 
-    /// No member stores a parity block: after any non-degraded write
-    /// sequence, the members hold exactly the logical blocks written.
+    /// No member stores a block, data or parity, whichever member is
+    /// down: the array's own store holds exactly the logical blocks
+    /// written.
     #[test]
-    fn members_store_only_data(
+    fn members_store_nothing(
         members in 3usize..6,
+        failed in 0usize..8,
         writes in prop::collection::vec((0u64..200, 1u32..9), 1..30),
     ) {
         let stores: Vec<Rc<MemDisk>> = (0..members)
@@ -444,7 +444,17 @@ proptest! {
                     as Rc<dyn BlockDevice>
             })
             .collect();
-        let r = Raid5::new("r5", devs, Raid5Geometry { stripe_unit: STRIPE_UNIT });
+        let store = Rc::new(MemDisk::new("r5", MEMBER_BLOCKS * (members as u64 - 1)));
+        let r = Raid5::with_store(
+            "r5",
+            devs,
+            Raid5Geometry { stripe_unit: STRIPE_UNIT },
+            Rc::clone(&store),
+        );
+        // A member index past the last leaves the array healthy.
+        if failed < members {
+            r.fail_member(failed);
+        }
         let cap = r.block_count();
         let mut written = BTreeSet::new();
         for (lb, n) in writes {
@@ -452,13 +462,14 @@ proptest! {
             r.write(lb, &payload(lb, n, 0)).unwrap();
             written.extend(lb..lb + u64::from(n));
         }
-        let stored: usize = stores.iter().map(|m| m.diverged_blocks()).sum();
-        prop_assert_eq!(stored, written.len());
+        let at_members: usize = stores.iter().map(|m| m.diverged_blocks()).sum();
+        prop_assert_eq!(at_members, 0);
+        prop_assert_eq!(store.diverged_blocks(), written.len());
     }
 }
 
-/// A charge through the testbed's member stack, a `DiskModel` over a
-/// shared `MemDisk`, bills the request and stores nothing.
+/// A charge through a `DiskModel` over a shared `MemDisk` bills the
+/// request and stores nothing.
 #[test]
 fn charge_through_the_member_stack_moves_no_bytes() {
     let store = Rc::new(MemDisk::new("m0", MEMBER_BLOCKS));
@@ -474,14 +485,71 @@ fn charge_through_the_member_stack_moves_no_bytes() {
     assert!(disk.charge(MEMBER_BLOCKS, 1, false).is_err());
 }
 
-/// A `peek` reads what a `read` would and bills nothing.
-#[test]
-fn peek_reads_without_billing() {
-    let disk = DiskModel::new(MemDisk::new("m0", 8), DiskParams::ultra160_10k());
-    disk.write(2, &[9u8; BLOCK_SIZE]).unwrap();
-    let before = disk.stats();
-    let mut buf = [0u8; BLOCK_SIZE];
-    disk.peek(2, 1, &mut buf).unwrap();
-    assert_eq!(buf, [9u8; BLOCK_SIZE]);
-    assert_eq!(disk.stats(), before);
+/// Where logical block `lb` of an `n`-member array lives: (data
+/// member, member block) under the left-symmetric layout both arrays
+/// use.
+fn home(n: usize, lb: BlockNo) -> (usize, BlockNo) {
+    let n = n as u64;
+    let per_stripe = (n - 1) * STRIPE_UNIT;
+    let (stripe, within) = (lb / per_stripe, lb % per_stripe);
+    let parity_disk = (n - 1) - (stripe % n);
+    let data_disk = (parity_disk + 1 + within / STRIPE_UNIT) % n;
+    (
+        data_disk as usize,
+        stripe * STRIPE_UNIT + within % STRIPE_UNIT,
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Healing a member costs one one-block write service per distinct
+    /// member block written while it was down, issued in block order to
+    /// that member, and a second heal costs nothing.
+    #[test]
+    fn heal_charges_one_write_per_block_written_while_down(
+        n in 3usize..6,
+        failed in 0usize..5,
+        writes in prop::collection::vec((0u64..200, 1u32..9), 1..30),
+    ) {
+        let failed = failed % n;
+        let (_sim, disks) = members(n);
+        let devs = disks
+            .iter()
+            .map(|d| Rc::clone(d) as Rc<dyn BlockDevice>)
+            .collect();
+        let r = Raid5::new("r5", devs, Raid5Geometry { stripe_unit: STRIPE_UNIT });
+        r.fail_member(failed);
+        let cap = r.block_count();
+        let mut down = BTreeSet::new();
+        for (lb, len) in writes {
+            let lb = lb % (cap - u64::from(len));
+            r.write(lb, &payload(lb, len, 0)).unwrap();
+            for (m, b) in (lb..lb + u64::from(len)).map(|lb| home(n, lb)) {
+                if m == failed {
+                    down.insert(b);
+                }
+            }
+        }
+        // The member has served nothing since it failed, so its head is
+        // unset and the first write-back pays positioning.
+        let params = DiskParams::ultra160_10k();
+        let (mut want, mut head) = (SimDuration::ZERO, None);
+        for &b in &down {
+            want += params.transfer(Bytes::new(BLOCK_SIZE as u64));
+            if head != Some(b) {
+                want += params.positioning();
+            }
+            head = Some(b + 1);
+        }
+        let before = disks[failed].stats();
+        prop_assert_eq!(r.heal_member(failed).unwrap(), IoCost::new(want));
+        let after = disks[failed].stats();
+        let count = down.len() as u64;
+        prop_assert_eq!(after.write_reqs - before.write_reqs, count);
+        prop_assert_eq!(after.write_blocks - before.write_blocks, count);
+        prop_assert_eq!(after.read_reqs, before.read_reqs);
+        prop_assert_eq!(after.busy - before.busy, want);
+        prop_assert_eq!(r.heal_member(failed).unwrap(), IoCost::FREE);
+    }
 }

@@ -128,6 +128,7 @@ impl SetupInfo {
 pub struct Snapshot {
     key: SetupKey,
     topo: TopologyConfig,
+    /// One image of each server's RAID-5 store.
     images: Vec<Arc<DiskImage>>,
     epoch: SimTime,
     info: SetupInfo,
@@ -137,7 +138,7 @@ impl Snapshot {
     /// Quiesces and captures a testbed: lands deferred write-back,
     /// drops every cache (the paper's cold-cache protocol), cleanly
     /// unmounts the file system(s) so a forked mount replays nothing,
-    /// and exports the RAID members as shared images.
+    /// and exports each server's RAID-5 store as a shared image.
     ///
     /// # Panics
     ///
@@ -219,14 +220,11 @@ impl Snapshot {
         topo.servers = servers;
         topo.clients = self.topo.clients * servers;
         topo.core_bandwidth_bps = core_bandwidth_bps;
-        let mut images = Vec::with_capacity(servers * self.images.len());
-        for _ in 0..servers {
-            images.extend(self.images.iter().cloned());
-        }
+        let images = vec![Arc::clone(&self.images[0]); servers];
         Testbed::resume(topo, &images, self.epoch, self.info.clone())
     }
 
-    /// Total blocks with captured content across the RAID members —
+    /// Total blocks with captured content across the RAID-5 stores —
     /// the state a fork shares instead of rebuilding.
     pub fn touched_blocks(&self) -> usize {
         self.images.iter().map(|i| i.touched_blocks()).sum()

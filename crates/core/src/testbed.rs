@@ -314,10 +314,10 @@ pub struct Testbed {
     policy: ShardPolicy,
     /// Core-switch override the topology was built with.
     core_bandwidth_bps: Option<Bps>,
-    /// Backing stores of the RAID members (shard-major: server 0's
-    /// members first), kept so a snapshot capture can export them as
-    /// shared images.
-    members: Vec<Rc<MemDisk>>,
+    /// Each server's RAID-5 content store, at the array's logical
+    /// addresses (server 0's first), kept so a snapshot capture can
+    /// export them as shared images.
+    stores: Vec<Rc<MemDisk>>,
     /// Virtual-clock gauge sampler (link/disk utilization, cache
     /// occupancy); registered as a daemon, reset after construction.
     gauges: Rc<GaugeSampler>,
@@ -335,7 +335,7 @@ struct Resume {
 /// What a snapshot capture extracts from a quiesced testbed.
 pub(crate) struct CapturedParts {
     pub topo: TopologyConfig,
-    /// Shard-major member images (server 0's RAID members first).
+    /// One image of each server's RAID-5 store (server 0's first).
     pub images: Vec<Arc<DiskImage>>,
     pub epoch: SimTime,
     pub counters: Vec<(String, u64)>,
@@ -366,7 +366,7 @@ impl std::fmt::Debug for Testbed {
 
 /// The timed RAID members of one server, as the gauge sampler watches
 /// them.
-type MemberDisks = Vec<Rc<DiskModel<Rc<MemDisk>>>>;
+type MemberDisks = Vec<Rc<DiskModel<MemDisk>>>;
 
 impl Testbed {
     /// Builds the paper's single-client, single-server testbed for
@@ -396,8 +396,8 @@ impl Testbed {
     }
 
     /// The construction path, cold or resumed: the only difference a
-    /// snapshot makes is mounts instead of mkfs, disks forked from
-    /// images instead of blank ones, and the clock starting at the
+    /// snapshot makes is mounts instead of mkfs, RAID-5 stores forked
+    /// from images instead of blank ones, and the clock starting at the
     /// captured epoch. M server machines — RAID array, CPU account
     /// ([`HostId::server`]) and file system or iSCSI target each — and
     /// N clients distributed over them per the [`ShardPolicy`].
@@ -421,19 +421,13 @@ impl Testbed {
         } else {
             (ShardPolicy::Static, None)
         };
-        let rm = calibration::RAID_MEMBERS;
-
         let sim = Sim::new(config.seed);
         if let Some(r) = &resume {
             // Restore the captured epoch before any component exists:
             // daemons registered below align their cadence to it
             // exactly as the captured testbed's did.
             sim.advance_to(r.epoch);
-            assert_eq!(
-                r.images.len(),
-                m * rm,
-                "resume images must cover every shard"
-            );
+            assert_eq!(r.images.len(), m, "resume images must cover every shard");
         }
         // One fabric port per server, under a core switch once there
         // are several.
@@ -451,16 +445,16 @@ impl Testbed {
 
         let remount = resume.is_some();
         let mut server_cpus: Vec<Rc<CpuAccount>> = Vec::with_capacity(m);
-        let mut members: Vec<Rc<MemDisk>> = Vec::with_capacity(m * rm);
+        let mut stores: Vec<Rc<MemDisk>> = Vec::with_capacity(m);
         let mut raids: Vec<Rc<dyn BlockDevice>> = Vec::with_capacity(m);
         let mut disk_groups: Vec<MemberDisks> = Vec::with_capacity(m);
         for j in 0..m {
             let cpu = Rc::new(CpuAccount::new());
             cpu.instrument(sim.clone(), HostId::server(j as u32));
-            let shard_images = resume.as_ref().map(|r| &r.images[j * rm..(j + 1) * rm]);
-            let (raid, stores, disks) = Self::build_raid(&sim, &config, shard_images);
+            let image = resume.as_ref().map(|r| &r.images[j]);
+            let (raid, store, disks) = Self::build_raid(&sim, &config, image);
             server_cpus.push(cpu);
-            members.extend(stores);
+            stores.push(store);
             raids.push(raid);
             disk_groups.push(disks);
         }
@@ -627,53 +621,50 @@ impl Testbed {
             server_cpus,
             policy,
             core_bandwidth_bps,
-            members,
+            stores,
             gauges,
             setup: resume.map(|r| r.info),
         }
     }
 
-    /// The server-side RAID-5 array (4+p) used by both protocols.
-    /// Members start blank on a cold build, or as copy-on-write forks
-    /// of the given snapshot images; the raw backing stores are
-    /// returned alongside so a capture can image them later, and the
-    /// timed member models so the gauge sampler can watch their busy
-    /// time.
+    /// The server-side RAID-5 array (4+p) used by both protocols. Its
+    /// content store starts blank on a cold build, or as a
+    /// copy-on-write fork of the given snapshot image, and is returned
+    /// alongside so a capture can image it later; so are the timed
+    /// members, which store nothing, so the gauge sampler can watch
+    /// their busy time.
     fn build_raid(
         sim: &Rc<Sim>,
         config: &TestbedConfig,
-        images: Option<&[Arc<DiskImage>]>,
-    ) -> (Rc<dyn BlockDevice>, Vec<Rc<MemDisk>>, MemberDisks) {
-        let member_blocks = (config.volume_blocks / (calibration::RAID_MEMBERS as u64 - 1)) + 1024;
-        let stores: Vec<Rc<MemDisk>> = (0..calibration::RAID_MEMBERS)
+        image: Option<&Arc<DiskImage>>,
+    ) -> (Rc<dyn BlockDevice>, Rc<MemDisk>, MemberDisks) {
+        let data_members = calibration::RAID_MEMBERS as u64 - 1;
+        let member_blocks = config.volume_blocks / data_members + 1024;
+        let models: MemberDisks = (0..calibration::RAID_MEMBERS)
             .map(|i| {
-                Rc::new(match images {
-                    Some(imgs) => MemDisk::from_image(Arc::clone(&imgs[i])),
-                    None => MemDisk::new(format!("sd{i}"), member_blocks),
-                })
-            })
-            .collect();
-        let models: MemberDisks = stores
-            .iter()
-            .map(|store| {
                 let m = Rc::new(DiskModel::new(
-                    Rc::clone(store),
+                    MemDisk::new(format!("sd{i}"), member_blocks),
                     calibration::raid_member_params(),
                 ));
                 m.instrument(sim.clone());
                 m
             })
             .collect();
+        let store = Rc::new(match image {
+            Some(image) => MemDisk::from_image(Arc::clone(image)),
+            None => MemDisk::new("raid5", member_blocks * data_members),
+        });
         let members: Vec<Rc<dyn BlockDevice>> = models
             .iter()
             .map(|m| Rc::clone(m) as Rc<dyn BlockDevice>)
             .collect();
-        let r5 = Raid5::new(
+        let r5 = Raid5::with_store(
             "raid5",
             members,
             Raid5Geometry {
                 stripe_unit: calibration::RAID_STRIPE_UNIT,
             },
+            Rc::clone(&store),
         );
         r5.instrument(sim.clone());
         // The ServeRAID adapter's battery-backed write cache absorbs
@@ -682,7 +673,7 @@ impl Testbed {
             r5,
             calibration::controller_cache_hit(),
         ));
-        (raid, stores, models)
+        (raid, store, models)
     }
 
     /// Builds the virtual-clock gauge sampler and registers its
@@ -818,8 +809,8 @@ impl Testbed {
 
     /// Rebuilds a testbed from captured snapshot state: the same
     /// construction path as a cold build, with mounts instead of mkfs
-    /// and copy-on-write forks of the captured member images instead
-    /// of blank disks.
+    /// and copy-on-write forks of the captured RAID-5 images instead of
+    /// blank stores.
     pub(crate) fn resume(
         topo: TopologyConfig,
         images: &[Arc<DiskImage>],
@@ -839,8 +830,8 @@ impl Testbed {
     /// Quiesces this testbed and extracts the parts a
     /// [`Snapshot`](crate::snapshot::Snapshot) needs: deferred
     /// write-back landed, caches dropped (the cold-cache protocol),
-    /// file systems cleanly unmounted, RAID members exported as
-    /// shared images.
+    /// file systems cleanly unmounted, each server's RAID-5 store
+    /// exported as a shared image.
     pub(crate) fn capture_parts(self) -> CapturedParts {
         self.settle();
         self.cold_caches();
@@ -860,7 +851,7 @@ impl Testbed {
         }
         let epoch = self.sim.now();
         let counters = self.sim.counters().to_vec();
-        let images = self.members.iter().map(|m| Arc::new(m.image())).collect();
+        let images = self.stores.iter().map(|s| Arc::new(s.image())).collect();
         let clients = self.clients.len();
         let servers = self.server_cpus.len();
         CapturedParts {
@@ -999,7 +990,7 @@ impl Testbed {
     /// construction. For a snapshot fork, how far it has diverged from
     /// the shared images (its private copy-on-write footprint).
     pub fn diverged_blocks(&self) -> usize {
-        self.members.iter().map(|m| m.diverged_blocks()).sum()
+        self.stores.iter().map(|s| s.diverged_blocks()).sum()
     }
 
     /// Client CPU account (Table 10); client 0's in a multi-client

@@ -162,10 +162,11 @@ fn raid5_small_write_over_existing_blocks_allocates_nothing() {
     assert_eq!(h.count(), 2);
 }
 
-/// The testbed's array over its member stack (a `DiskModel` over a
-/// shared `MemDisk`): a one-block write stores the data block and no
-/// parity block, and once the members' maps and the thread's free
-/// list of block images are warm it asks the allocator for nothing.
+/// The array over members that can show what they store (a
+/// `DiskModel` over a shared `MemDisk`): a one-block write stores one
+/// block in the array's store and none at the members, and once the
+/// store's map and the thread's free list of block images are warm it
+/// asks the allocator for nothing.
 #[test]
 fn raid5_small_write_stores_one_member_block_and_allocates_nothing() {
     let sim = Sim::new(1);
@@ -180,9 +181,15 @@ fn raid5_small_write_stores_one_member_block_and_allocates_nothing() {
             d as Rc<dyn BlockDevice>
         })
         .collect();
-    let r5 = Raid5::new("raid5", members, Raid5Geometry::default());
+    let array_store = Rc::new(MemDisk::new("raid5", 4 * 4096));
+    let r5 = Raid5::with_store(
+        "raid5",
+        members,
+        Raid5Geometry::default(),
+        Rc::clone(&array_store),
+    );
     r5.instrument(Rc::clone(&sim));
-    // Warm-up: every member's map holds a block, and two dropped
+    // Warm-up: the store's map holds five blocks, and two dropped
     // images wait on this thread's free list.
     for lb in (0..5 * 16).step_by(16) {
         r5.write(lb, &[1u8; BLOCK_SIZE]).unwrap();
@@ -190,10 +197,15 @@ fn raid5_small_write_stores_one_member_block_and_allocates_nothing() {
     let warm = MemDisk::new("warm", 2);
     warm.write(0, &[0u8; 2 * BLOCK_SIZE]).unwrap();
     drop(warm);
-    let stored = || stores.iter().map(|m| m.diverged_blocks()).sum::<usize>();
-    let before = (stored(), BYTES.with(Cell::get));
+    let before = (array_store.diverged_blocks(), BYTES.with(Cell::get));
     r5.write(1, &[2u8; BLOCK_SIZE]).unwrap();
-    assert_eq!(stored() - before.0, 1, "the data block, no parity block");
+    assert_eq!(
+        array_store.diverged_blocks() - before.0,
+        1,
+        "the data block"
+    );
+    let at_members: usize = stores.iter().map(|m| m.diverged_blocks()).sum();
+    assert_eq!(at_members, 0, "no member stores a block");
     assert_eq!(BYTES.with(Cell::get) - before.1, 0, "bytes requested");
     let h = sim
         .metrics()
