@@ -291,6 +291,15 @@ struct CpuRun {
     client_p95: f64,
 }
 
+/// Starts the measured phase: both accounts keep every sample from now
+/// on, so that [`p95`] can bucket them. Returns the start instant.
+fn start_sampling(tb: &Testbed) -> SimTime {
+    let t0 = tb.now();
+    tb.server_cpu().sample_from(t0);
+    tb.client_cpu().sample_from(t0);
+    t0
+}
+
 fn p95(tb: &Testbed, from: SimTime) -> (f64, f64) {
     let to = tb.now();
     let w = SimDuration::from_secs(2);
@@ -323,7 +332,7 @@ fn cpu_runs(
                 });
                 let mut session = postmark::Session::new(tb.fs(), "/postmark", pm);
                 session.resume_setup();
-                let t0 = tb.now();
+                let t0 = start_sampling(&tb);
                 while session.step().expect("postmark") {}
                 session.teardown().expect("postmark");
                 let (s, c) = p95(&tb, t0);
@@ -348,7 +357,7 @@ fn cpu_runs(
                 let db = tb.fs().open("/db").unwrap();
                 let log = tb.fs().open("/log").unwrap();
                 tb.settle();
-                let t0 = tb.now();
+                let t0 = start_sampling(&tb);
                 oltp::run(tb.fs(), tb.sim(), db, log, oltp_cfg).expect("oltp");
                 // The client is saturated by query processing: every
                 // 2 s window during the run is busy with cpu_per_txn
@@ -372,7 +381,7 @@ fn cpu_runs(
                     tb
                 });
                 let db = tb.fs().open("/db").unwrap();
-                let t0 = tb.now();
+                let t0 = start_sampling(&tb);
                 dss::run(tb.fs(), tb.sim(), db, dss_cfg).expect("dss");
                 let (s, _c) = p95(&tb, t0);
                 (

@@ -30,7 +30,7 @@ use crate::{Testbed, TestbedConfig};
 use simkit::{sweep as engine, SplitMix64};
 use std::sync::Arc;
 
-pub use simkit::sweep::{default_jobs, max_jobs, JOBS_ENV};
+pub use simkit::sweep::{default_jobs, JOBS_ENV};
 
 /// Master seed all experiment sweeps derive their cell streams from.
 pub const MASTER_SEED: u64 = 42;
@@ -41,7 +41,8 @@ pub const MASTER_SEED: u64 = 42;
 /// `attribution` section; CI diffs every combination.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunOptions {
-    /// Sweep worker threads (the executor clamps to `1..=`[`max_jobs`]).
+    /// Sweep worker threads (the executor clamps them to between 1 and
+    /// the machine's available parallelism).
     pub jobs: usize,
     /// Whether the cells of a sweep that ask for the same [`SetupKey`]
     /// share one captured setup. Off, every cell rebuilds its setup

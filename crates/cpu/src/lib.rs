@@ -9,6 +9,15 @@
 //! tracks busy time per machine ([`CpuAccount`]), reporting vmstat-style
 //! windowed utilization percentiles for Tables 9 and 10.
 //!
+//! An account's busy total is a running sum. Of the dated samples it
+//! keeps only those a utilization window can still count: until
+//! [`CpuAccount::sample_from`] is called, the ones dated at or after
+//! its latest charge instant (the future chunks of spread charges, and
+//! the charges at that instant); from then on, all of them. A caller
+//! that wants windows calls `sample_from(t0)` before the measured phase
+//! and asks only for windows starting at `t0` or later. Memory then
+//! stays bounded in every phase but the sampled one.
+//!
 //! # Example
 //!
 //! ```
@@ -97,11 +106,27 @@ impl Default for CostModel {
 /// Busy-time ledger for one machine's CPU.
 ///
 /// `charge` records busy time at an instant; utilization is derived by
-/// bucketing charges into fixed windows, exactly like sampling `vmstat`
-/// every 2 seconds as the paper does.
+/// bucketing the recorded samples into fixed windows, exactly like
+/// sampling `vmstat` every 2 seconds as the paper does.
+///
+/// The account keeps a running busy total and only the samples a
+/// utilization window can still count, so its memory does not grow
+/// with the length of the run:
+///
+/// - Before [`sample_from`](CpuAccount::sample_from), a sample dated
+///   before the latest charge *instant* (the `at` of the latest charge,
+///   never one of its spread chunks) can never fall in a window, and is
+///   dropped whenever the list has doubled since the last prune. What
+///   stays is the future chunks of spread charges and the charges at
+///   the latest instant.
+/// - From `sample_from(t)` on, every sample is kept, and windows may
+///   start at any instant at or after `t`.
+///
+/// A sample at the same instant as the one before it folds into it:
+/// windows bucket by instant, so the sum is all they see.
 #[derive(Default)]
 pub struct CpuAccount {
-    events: RefCell<Vec<(u64, u64)>>, // (at ns, busy ns)
+    samples: RefCell<Samples>,
     /// Busy nanoseconds attributed per tag (software layer).
     by_tag: RefCell<BTreeMap<&'static str, u64>>,
     /// When instrumented, tagged charges also emit `"cpu"` spans into
@@ -109,10 +134,56 @@ pub struct CpuAccount {
     sim: RefCell<Option<(Rc<Sim>, HostId)>>,
 }
 
+/// The samples a window can still count, and the totals.
+#[derive(Default)]
+struct Samples {
+    /// `(at ns, busy ns)`, in recording order.
+    list: Vec<(u64, u64)>,
+    /// Sum of every busy sample ever recorded.
+    busy: u64,
+    /// Latest charge instant, in ns.
+    latest: u64,
+    /// The `sample_from` instant, once armed: nothing is dropped after.
+    from: Option<u64>,
+    /// `list.len()` after the last prune.
+    kept: usize,
+}
+
+impl Samples {
+    /// A list grows to at least twice this before it is pruned: four
+    /// samples, the smallest `Vec` of pairs the allocator hands out.
+    const MIN_KEPT: usize = 2;
+
+    /// Notes a charge at `at`: later samples of it are dated `at` or
+    /// after.
+    fn charge_at(&mut self, at: u64) {
+        self.latest = self.latest.max(at);
+    }
+
+    fn push(&mut self, at: u64, busy: u64) {
+        self.busy += busy;
+        match self.list.last_mut() {
+            Some((last, b)) if *last == at => *b += busy,
+            _ => self.list.push((at, busy)),
+        }
+    }
+
+    /// Drops the samples dated before the latest charge instant if the
+    /// account is not sampling yet and the list has doubled since the
+    /// last prune.
+    fn prune(&mut self) {
+        if self.from.is_none() && self.list.len() >= 2 * self.kept.max(Self::MIN_KEPT) {
+            let latest = self.latest;
+            self.list.retain(|&(at, _)| at >= latest);
+            self.kept = self.list.len();
+        }
+    }
+}
+
 impl std::fmt::Debug for CpuAccount {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CpuAccount")
-            .field("events", &self.events.borrow().len())
+            .field("samples", &self.samples.borrow().list.len())
             .field("tags", &self.by_tag.borrow().len())
             .finish()
     }
@@ -131,6 +202,25 @@ impl CpuAccount {
         *self.sim.borrow_mut() = Some((sim, host));
     }
 
+    /// Keeps every sample from now on, so that utilization windows can
+    /// start at `from` or later. Before this call the account keeps
+    /// only what a window starting at its latest charge instant could
+    /// count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `from` is before an instant already charged: samples
+    /// dated between the two may be gone.
+    pub fn sample_from(&self, from: SimTime) {
+        let mut s = self.samples.borrow_mut();
+        assert!(
+            from.as_nanos() >= s.latest,
+            "sampling from {from:?}, before a charge at {} ns",
+            s.latest
+        );
+        s.from = Some(from.as_nanos());
+    }
+
     fn trace_charge(&self, at: SimTime, busy: SimDuration, tag: &'static str) {
         if let Some((sim, host)) = self.sim.borrow().as_ref() {
             let tracer = sim.tracer();
@@ -147,15 +237,18 @@ impl CpuAccount {
     /// Records `busy` CPU time spent at time `at`.
     pub(crate) fn charge(&self, at: SimTime, busy: SimDuration) {
         if !busy.is_zero() {
-            self.events
-                .borrow_mut()
-                .push((at.as_nanos(), busy.as_nanos()));
+            let mut s = self.samples.borrow_mut();
+            s.charge_at(at.as_nanos());
+            s.push(at.as_nanos(), busy.as_nanos());
+            s.prune();
         }
     }
 
     /// Records `busy` CPU time spread evenly over `[at, at + span)`,
     /// for background work (write-back destaging) that a sampler like
     /// vmstat would observe as sustained load rather than a spike.
+    /// The `busy % n` nanoseconds that do not divide into the `n`
+    /// chunks are not recorded.
     pub(crate) fn charge_spread(&self, at: SimTime, busy: SimDuration, span: SimDuration) {
         if busy.is_zero() {
             return;
@@ -167,10 +260,12 @@ impl CpuAccount {
             self.charge(at, busy);
             return;
         }
-        let mut events = self.events.borrow_mut();
+        let mut s = self.samples.borrow_mut();
+        s.charge_at(at.as_nanos());
         for i in 0..n {
-            events.push((at.as_nanos() + i * CHUNK, per));
+            s.push(at.as_nanos() + i * CHUNK, per);
         }
+        s.prune();
     }
 
     /// Like `charge`, but also attributes the
@@ -204,8 +299,11 @@ impl CpuAccount {
     }
 
     /// Busy time attributed to each tag, in tag order. Untagged
-    /// charges do not appear here, so the sum can be below
-    /// [`total_busy`](CpuAccount::total_busy).
+    /// charges do not appear here, so the sum can fall short of
+    /// [`total_busy`](CpuAccount::total_busy); a tagged spread charge
+    /// whose busy time does not divide into its chunks counts in full
+    /// here but without the remainder there, so the sum can also
+    /// exceed it.
     pub fn busy_by_tag(&self) -> Vec<(&'static str, SimDuration)> {
         self.by_tag
             .borrow()
@@ -214,13 +312,19 @@ impl CpuAccount {
             .collect()
     }
 
-    /// Total busy time recorded.
+    /// Total busy time recorded: the sum of every sample, dropped ones
+    /// included.
     pub fn total_busy(&self) -> SimDuration {
-        SimDuration::from_nanos(self.events.borrow().iter().map(|&(_, b)| b).sum())
+        SimDuration::from_nanos(self.samples.borrow().busy)
     }
 
     /// Per-window utilizations over `[from, to)` using the given
     /// window (each clamped to 100%).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `from` is at or after the
+    /// [`sample_from`](CpuAccount::sample_from) instant.
     pub(crate) fn window_utilizations(
         &self,
         from: SimTime,
@@ -228,10 +332,16 @@ impl CpuAccount {
         window: SimDuration,
     ) -> Vec<f64> {
         assert!(to >= from && !window.is_zero());
+        let s = self.samples.borrow();
+        assert!(
+            s.from.is_some_and(|start| from.as_nanos() >= start),
+            "windows from {from:?} on an account sampling from {:?} ns",
+            s.from
+        );
         let span = to.as_nanos() - from.as_nanos();
         let nwin = span.div_ceil(window.as_nanos()).max(1) as usize;
         let mut busy = vec![0u64; nwin];
-        for &(at, b) in self.events.borrow().iter() {
+        for &(at, b) in &s.list {
             if at < from.as_nanos() || at >= to.as_nanos() {
                 continue;
             }
@@ -245,6 +355,11 @@ impl CpuAccount {
 
     /// The `pct` percentile (0–100) of windowed utilization — the
     /// paper reports the 95th percentile of 2-second vmstat samples.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `from` is at or after the
+    /// [`sample_from`](CpuAccount::sample_from) instant.
     pub fn utilization_percentile(
         &self,
         from: SimTime,
@@ -261,6 +376,9 @@ impl CpuAccount {
         u[idx.min(u.len() - 1)]
     }
 }
+
+#[cfg(test)]
+mod event_log;
 
 #[cfg(test)]
 mod tests {
@@ -297,6 +415,7 @@ mod tests {
     #[test]
     fn utilization_windows_bucket_correctly() {
         let a = CpuAccount::new();
+        a.sample_from(SimTime::ZERO);
         let w = SimDuration::from_secs(2);
         // Window 0: 1s busy of 2s = 50%. Window 1: idle.
         a.charge(SimTime::from_nanos(100), SimDuration::from_secs(1));
@@ -309,6 +428,7 @@ mod tests {
     #[test]
     fn utilization_clamps_at_100() {
         let a = CpuAccount::new();
+        a.sample_from(SimTime::ZERO);
         a.charge(SimTime::from_nanos(0), SimDuration::from_secs(10));
         let u = a.window_utilizations(
             SimTime::ZERO,
@@ -321,6 +441,7 @@ mod tests {
     #[test]
     fn percentile_picks_upper_tail() {
         let a = CpuAccount::new();
+        a.sample_from(SimTime::ZERO);
         let w = SimDuration::from_secs(2);
         // 9 idle windows, 1 busy window.
         a.charge(
@@ -396,5 +517,93 @@ mod tests {
         assert_eq!(a.total_busy(), SimDuration::ZERO);
         a.charge(SimTime::ZERO, SimDuration::from_micros(5));
         assert_eq!(a.total_busy(), SimDuration::from_micros(5));
+    }
+
+    /// Sample dates the account holds, in recording order.
+    fn dates(a: &CpuAccount) -> Vec<u64> {
+        a.samples.borrow().list.iter().map(|&(at, _)| at).collect()
+    }
+
+    #[test]
+    fn unsampled_account_stays_small_and_keeps_future_chunks() {
+        let a = CpuAccount::new();
+        let ms = |n: u64| SimTime::from_nanos(n * 1_000_000);
+        for i in 0..1_000 {
+            a.charge(ms(i), SimDuration::from_micros(10));
+            assert!(a.samples.borrow().list.len() <= 4, "charge {i}");
+        }
+        assert_eq!(a.total_busy(), SimDuration::from_micros(10_000));
+        // A spread charge's chunks outlive later charges until their
+        // own dates pass.
+        a.charge_spread(
+            ms(1_000),
+            SimDuration::from_micros(50),
+            SimDuration::from_secs(1),
+        );
+        for i in 1..=8 {
+            a.charge(ms(1_000 + 100 * i), SimDuration::from_micros(1));
+        }
+        let latest = 1_800_000_000;
+        let mut kept: Vec<u64> = dates(&a).into_iter().filter(|&d| d >= latest).collect();
+        kept.sort_unstable();
+        assert_eq!(kept, [latest, latest], "the last chunk and the last charge");
+        assert!(dates(&a).len() <= 8, "{:?}", dates(&a));
+        a.charge(ms(1_900), SimDuration::from_micros(1));
+        a.charge(ms(1_900), SimDuration::from_micros(1));
+        a.sample_from(ms(1_900));
+        let w = SimDuration::from_millis(100);
+        let u = a.window_utilizations(ms(1_900), ms(2_000), w);
+        assert_eq!(u, [0.00002], "two charges folded at one instant");
+    }
+
+    #[test]
+    fn sampled_account_keeps_every_sample() {
+        let a = CpuAccount::new();
+        a.sample_from(SimTime::ZERO);
+        for i in 0..100 {
+            a.charge(SimTime::from_nanos(i), SimDuration::from_nanos(1));
+        }
+        assert_eq!(dates(&a), (0..100).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn same_instant_samples_fold() {
+        let a = CpuAccount::new();
+        a.sample_from(SimTime::ZERO);
+        a.charge(SimTime::ZERO, SimDuration::from_nanos(3));
+        a.charge(SimTime::ZERO, SimDuration::from_nanos(4));
+        a.charge(SimTime::from_nanos(1), SimDuration::from_nanos(5));
+        assert_eq!(*a.samples.borrow().list, [(0, 7), (1, 5)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "before a charge")]
+    fn sampling_from_before_a_charge_panics() {
+        let a = CpuAccount::new();
+        a.charge(SimTime::from_nanos(10), SimDuration::from_nanos(1));
+        a.sample_from(SimTime::from_nanos(9));
+    }
+
+    #[test]
+    #[should_panic(expected = "sampling from")]
+    fn windows_before_the_sampling_start_panic() {
+        let a = CpuAccount::new();
+        a.sample_from(SimTime::from_nanos(10));
+        a.utilization_percentile(
+            SimTime::from_nanos(9),
+            SimTime::from_nanos(20),
+            SimDuration::from_nanos(5),
+            95.0,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "sampling from None")]
+    fn windows_of_an_unsampled_account_panic() {
+        CpuAccount::new().window_utilizations(
+            SimTime::ZERO,
+            SimTime::from_nanos(1),
+            SimDuration::from_nanos(1),
+        );
     }
 }

@@ -11,6 +11,7 @@ use blockdev::{BlockDevice, BlockNo, IoCost, BLOCK_SIZE};
 use simkit::{CounterHandle, Daemon, Sim, SimDuration, SimTime};
 use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::HashMap;
+use std::ops::{Deref, DerefMut};
 use std::rc::{Rc, Weak};
 
 /// Inode number.
@@ -153,11 +154,6 @@ pub(crate) struct State {
     pub layouts: Vec<GroupLayout>,
     pub cache: BufferCache,
     pub journal: Journal,
-    /// Gather buffer for merged device commands (read-ahead runs,
-    /// write-back runs, journal commits, checkpoints): one allocation
-    /// that grows to the largest command and is reused, its contents
-    /// meaningless between uses.
-    pub scratch: Vec<u8>,
     ra: HashMap<Ino, RaState>,
     alloc_hint: HashMap<u32, usize>,
     dir_group_hint: HashMap<Ino, u32>,
@@ -269,7 +265,9 @@ impl Daemon for JournalTimers {
                 None
             } else {
                 if now >= st.next_commit {
-                    commit_journal(&inner, &mut st);
+                    // A transaction the device rejects stays running
+                    // for the next wakeup, like a rejected data run.
+                    let _ = commit_journal(&inner, &mut st);
                     st.next_commit = now + inner.opts.commit_interval;
                 }
                 if now >= st.next_flush {
@@ -371,7 +369,7 @@ impl Ext3 {
             root.size = BLOCK_SIZE as u64;
             root.nblocks = 1;
             write_inode(&inner, &mut st, ROOT_INO, &root)?;
-            commit_journal(&inner, &mut st);
+            commit_journal(&inner, &mut st)?;
             checkpoint(&inner, &mut st)?;
         }
         fs.inner.fg_cost.set(SimDuration::ZERO); // mkfs time is free
@@ -450,7 +448,6 @@ impl Ext3 {
             layouts,
             cache: BufferCache::new(opts.cache_blocks),
             journal,
-            scratch: Vec::new(),
             ra: HashMap::new(),
             alloc_hint: HashMap::new(),
             dir_group_hint: HashMap::new(),
@@ -537,7 +534,7 @@ impl Ext3 {
     /// Propagates device errors.
     pub fn sync(&self) -> FsResult<()> {
         self.with_op(|inner, st| {
-            commit_journal(inner, st);
+            commit_journal(inner, st)?;
             flush_data(inner, st, usize::MAX)?;
             debug_assert!(st.cache.dirty_blocks(DirtyKind::Data).is_empty());
             Ok(())
@@ -555,7 +552,7 @@ impl Ext3 {
             if !st.mounted {
                 return Ok(());
             }
-            commit_journal(inner, st);
+            commit_journal(inner, st)?;
             flush_data(inner, st, usize::MAX)?;
             checkpoint(inner, st)?;
             st.sb.clean = true;
@@ -577,7 +574,7 @@ impl Ext3 {
     /// Propagates device errors.
     pub fn drop_caches(&self) -> FsResult<()> {
         self.with_op(|inner, st| {
-            commit_journal(inner, st);
+            commit_journal(inner, st)?;
             flush_data(inner, st, usize::MAX)?;
             checkpoint(inner, st)?;
             debug_assert_eq!(st.journal.checkpoint_pending_len(), 0);
@@ -878,24 +875,71 @@ pub(crate) fn group_of_ino(ino: Ino) -> u32 {
 // Journal commit / checkpoint / data write-back
 // ---------------------------------------------------------------------
 
+thread_local! {
+    /// Gather buffers of finished device commands, awaiting reuse.
+    static GATHER: RefCell<Vec<Vec<u8>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// A buffer in which one merged device command (a read-ahead run, a
+/// write-back run, a journal commit, a checkpoint run) is assembled.
+/// It comes from this thread's pool and goes back to it when dropped,
+/// so a thread keeps as many buffers as it ever used at once (one,
+/// unless a use nests in another), each as large as its largest
+/// command, however many file systems it runs. Its contents mean
+/// nothing between uses.
+pub(crate) struct Gather(Vec<u8>);
+
+impl Gather {
+    /// A buffer from the pool, or a new empty one if the pool is empty
+    /// or the thread is tearing its locals down.
+    pub(crate) fn take() -> Gather {
+        let pooled = GATHER.try_with(|pool| pool.borrow_mut().pop());
+        Gather(pooled.ok().flatten().unwrap_or_default())
+    }
+}
+
+impl Drop for Gather {
+    fn drop(&mut self) {
+        let buf = std::mem::take(&mut self.0);
+        // Past the pool's own destructor the buffer is simply freed.
+        let _ = GATHER.try_with(move |pool| pool.borrow_mut().push(buf));
+    }
+}
+
+impl Deref for Gather {
+    type Target = Vec<u8>;
+
+    fn deref(&self) -> &Vec<u8> {
+        &self.0
+    }
+}
+
+impl DerefMut for Gather {
+    fn deref_mut(&mut self) -> &mut Vec<u8> {
+        &mut self.0
+    }
+}
+
 /// Commits the running transaction (if any): writes descriptor +
 /// images as one merged command and the commit record as another, then
 /// marks the meta blocks clean (their committed images are pinned in
 /// the journal until checkpoint).
-pub(crate) fn commit_journal(inner: &Inner, st: &mut State) {
+///
+/// # Errors
+///
+/// A checkpoint's or a commit write's device error. The slice being
+/// committed stays in the running transaction, and every slice
+/// committed before it stays committed.
+pub(crate) fn commit_journal(inner: &Inner, st: &mut State) -> FsResult<()> {
     // Oversized transactions commit in slices, as in JBD.
     while !st.journal.running_is_empty() {
         if st.journal.needs_checkpoint() {
-            let _ = checkpoint(inner, st);
+            checkpoint(inner, st)?;
         }
-        let State {
-            journal,
-            cache,
-            scratch,
-            ..
-        } = st;
-        let plan = journal.commit(|bno| cache.peek(bno), scratch);
-        let Some(plan) = plan else { return };
+        let mut buf = Gather::take();
+        let Some(plan) = st.journal.prepare(|bno| st.cache.peek(bno), &mut buf) else {
+            return Ok(());
+        };
         // Issue the merged commands to the device, bracketed by a span
         // so per-command device work (disk service or remote CDBs)
         // nests under this commit slice. Commits fire from a daemon, so
@@ -904,8 +948,7 @@ pub(crate) fn commit_journal(inner: &Inner, st: &mut State) {
         let tracer = inner.sim.tracer();
         let ctx = tracer.open_span(Some(inner.opts.trace_host));
         let mut commit_time = SimDuration::ZERO;
-        let mut failed = false;
-        let mut bytes = &scratch[..];
+        let mut bytes = &buf[..];
         for &(start, len) in &plan.commands {
             let (cmd, rest) = bytes.split_at(len as usize * BLOCK_SIZE);
             bytes = rest;
@@ -914,17 +957,14 @@ pub(crate) fn commit_journal(inner: &Inner, st: &mut State) {
                     commit_time += cost.time;
                     inner.charge(cost);
                 }
-                Err(_) => {
-                    failed = true; // device failure: transaction stays dirty-ish
-                    break;
+                Err(e) => {
+                    let now = inner.sim.now();
+                    tracer.close_span(ctx, "ext3", "journal_commit", now, now, Vec::new());
+                    return Err(e.into());
                 }
             }
         }
-        if failed {
-            let now = inner.sim.now();
-            tracer.close_span(ctx, "ext3", "journal_commit", now, now, Vec::new());
-            return;
-        }
+        st.journal.complete(&plan, &buf);
         // Meta blocks are now stable in the log. Known deviation
         // (EXPERIMENTS.md): the numbers cleaned here are the images'
         // *journal slots*, not their home blocks, so committed meta-data
@@ -952,27 +992,36 @@ pub(crate) fn commit_journal(inner: &Inner, st: &mut State) {
         tracer.close_span(ctx, "ext3", "journal_commit", now, now + commit_time, attrs);
         debug_assert!(plan.seq >= 1);
     }
+    Ok(())
 }
 
 /// Writes all committed-but-not-checkpointed blocks to their home
 /// locations (merged into runs) and persists the advanced journal
-/// sequence in the superblock.
+/// sequence in the superblock. The journal forgets the images only
+/// once every write has landed.
+///
+/// # Errors
+///
+/// The first device error; the images stay pending for a later
+/// checkpoint.
 pub(crate) fn checkpoint(inner: &Inner, st: &mut State) -> FsResult<()> {
-    let pending = st.journal.take_checkpoint();
+    let pending = st.journal.pending();
     let runs = merge_runs(pending.keys().copied(), inner.opts.max_write_cmd_blocks);
     // Runs and images are both in block order: walk them in step.
     let mut images = pending.values();
+    let mut buf = Gather::take();
     for (start, len) in runs {
-        st.scratch.clear();
+        buf.clear();
         for img in images.by_ref().take(len as usize) {
-            st.scratch.extend_from_slice(&img[..]);
+            buf.extend_from_slice(&img[..]);
         }
-        let cost = inner.dev.write(start, &st.scratch)?;
+        let cost = inner.dev.write(start, &buf)?;
         inner.charge(cost);
     }
     st.sb.journal_seq = st.journal.next_seq();
     let cost = inner.dev.write(0, &st.sb.encode())?;
     inner.charge(cost);
+    st.journal.checkpointed();
     Ok(())
 }
 
@@ -1013,15 +1062,15 @@ pub(crate) fn write_back_run(
     start: BlockNo,
     len: u32,
 ) -> FsResult<()> {
-    let State { cache, scratch, .. } = st;
-    scratch.clear();
+    let mut buf = Gather::take();
+    buf.clear();
     for bno in start..start + len as u64 {
-        scratch.extend_from_slice(cache.peek(bno).expect("dirty block resident"));
+        buf.extend_from_slice(st.cache.peek(bno).expect("dirty block resident"));
     }
-    let cost = inner.dev.write(start, scratch)?;
+    let cost = inner.dev.write(start, &buf)?;
     inner.charge(cost);
     for bno in start..start + len as u64 {
-        cache.mark_clean(bno);
+        st.cache.mark_clean(bno);
     }
     Ok(())
 }

@@ -11,6 +11,11 @@
 //! meta-data updates" (§4.2), and it is why iSCSI's warm-cache message
 //! counts stay flat.
 //!
+//! A commit is assembled first ([`Journal::prepare`]) and takes effect
+//! ([`Journal::complete`]) only once the device has taken both writes,
+//! so a rejected commit leaves its transaction running; a checkpoint
+//! likewise forgets its images only after they are in place.
+//!
 //! In-place ("checkpoint") writes are deferred until the journal fills
 //! or the file system unmounts, as in real ext3. After a crash,
 //! [`replay_scan`] recovers every committed-but-not-checkpointed
@@ -48,7 +53,7 @@ pub struct Journal {
 }
 
 /// The device writes a commit turns into, over the byte image
-/// [`Journal::commit`] assembled: descriptor, block images and commit
+/// [`Journal::prepare`] assembled: descriptor, block images and commit
 /// record, contiguous and in journal order.
 #[derive(Debug)]
 pub struct CommitPlan {
@@ -106,11 +111,13 @@ impl Journal {
         self.head + self.blocks_needed() > self.len
     }
 
-    /// Builds the commit plan for the running transaction, given a
-    /// lookup of the current image of each dirty block (a block no
-    /// longer resident commits as zeros), and assembles the bytes to
-    /// write into `out` (cleared first). Clears the running transaction
-    /// and moves its blocks to the checkpoint-pending set.
+    /// Builds the commit plan for the next slice of the running
+    /// transaction, given a lookup of the current image of each dirty
+    /// block (a block no longer resident commits as zeros), and
+    /// assembles the bytes to write into `out` (cleared first). The
+    /// journal itself is unchanged until
+    /// [`complete`](Journal::complete) is called with the same plan
+    /// and bytes, once the device has taken both commands.
     ///
     /// Returns `None` when there is nothing to commit.
     ///
@@ -118,8 +125,8 @@ impl Journal {
     ///
     /// Panics if the region is full — callers must checkpoint first
     /// (see [`needs_checkpoint`](Journal::needs_checkpoint)).
-    pub(crate) fn commit<'a>(
-        &mut self,
+    pub(crate) fn prepare<'a>(
+        &self,
         image_of: impl Fn(BlockNo) -> Option<&'a [u8; BLOCK_SIZE]>,
         out: &mut Vec<u8>,
     ) -> Option<CommitPlan> {
@@ -131,32 +138,27 @@ impl Journal {
             "journal full: checkpoint required before commit"
         );
         let seq = self.next_seq;
-        self.next_seq += 1;
-
         // Oversized transactions split across commits, as in JBD.
-        let targets: Vec<BlockNo> = self.running.keys().copied().take(MAX_TXN_BLOCKS).collect();
-        for t in &targets {
-            self.running.remove(t);
-        }
+        let count = self.running.len().min(MAX_TXN_BLOCKS);
+        let targets = || self.running.keys().copied().take(count);
 
         out.clear();
-        out.resize((targets.len() + 2) * BLOCK_SIZE, 0);
+        out.resize((count + 2) * BLOCK_SIZE, 0);
         let (desc, rest) = out.split_at_mut(BLOCK_SIZE);
-        let (images, commit) = rest.split_at_mut(targets.len() * BLOCK_SIZE);
+        let (images, commit) = rest.split_at_mut(count * BLOCK_SIZE);
 
         // Descriptor block.
         desc[0..4].copy_from_slice(&DESC_MAGIC.to_le_bytes());
         desc[4..12].copy_from_slice(&seq.to_le_bytes());
-        desc[12..16].copy_from_slice(&(targets.len() as u32).to_le_bytes());
-        for (i, t) in targets.iter().enumerate() {
+        desc[12..16].copy_from_slice(&(count as u32).to_le_bytes());
+        for (i, t) in targets().enumerate() {
             desc[16 + i * 8..24 + i * 8].copy_from_slice(&t.to_le_bytes());
         }
 
-        for (&t, slot) in targets.iter().zip(images.chunks_exact_mut(BLOCK_SIZE)) {
+        for (t, slot) in targets().zip(images.chunks_exact_mut(BLOCK_SIZE)) {
             if let Some(img) = image_of(t) {
                 slot.copy_from_slice(img);
             }
-            self.checkpoint_pending.insert(t, Image::from_slice(slot));
         }
 
         // Commit record.
@@ -164,20 +166,45 @@ impl Journal {
         commit[4..12].copy_from_slice(&seq.to_le_bytes());
 
         let base = self.start + self.head;
-        let commit_block = base + 1 + targets.len() as u64;
-        self.head += 2 + targets.len() as u64;
+        let commit_block = base + 1 + count as u64;
         Some(CommitPlan {
-            commands: [(base, 1 + targets.len() as u32), (commit_block, 1)],
+            commands: [(base, 1 + count as u32), (commit_block, 1)],
             seq,
         })
     }
 
-    /// Takes the checkpoint-pending images (sorted by target block)
-    /// and resets the log head. The caller writes them in place and
-    /// persists the advanced sequence number in the superblock.
-    pub(crate) fn take_checkpoint(&mut self) -> BTreeMap<BlockNo, Image> {
+    /// Completes the commit [`prepare`](Journal::prepare) built into
+    /// `bytes`, after the device took it: moves the committed blocks
+    /// from the running transaction to the checkpoint-pending set with
+    /// their committed images, and advances the log head and sequence.
+    pub(crate) fn complete(&mut self, plan: &CommitPlan, bytes: &[u8]) {
+        assert_eq!(plan.seq, self.next_seq, "completing a stale plan");
+        let count = plan.commands[0].1 as usize - 1;
+        let images = bytes[BLOCK_SIZE..].chunks_exact(BLOCK_SIZE).take(count);
+        for img in images {
+            let (t, ()) = self
+                .running
+                .pop_first()
+                .expect("planned block still running");
+            self.checkpoint_pending.insert(t, Image::from_slice(img));
+        }
+        self.next_seq += 1;
+        self.head += 2 + count as u64;
+    }
+
+    /// The checkpoint-pending images, sorted by target block. The
+    /// caller writes them in place, persists the advanced sequence
+    /// number in the superblock, and then calls
+    /// [`checkpointed`](Journal::checkpointed).
+    pub(crate) fn pending(&self) -> &BTreeMap<BlockNo, Image> {
+        &self.checkpoint_pending
+    }
+
+    /// Forgets the checkpoint-pending images, now in place, and resets
+    /// the log head.
+    pub(crate) fn checkpointed(&mut self) {
         self.head = 0;
-        std::mem::take(&mut self.checkpoint_pending)
+        self.checkpoint_pending.clear();
     }
 
     /// Number of blocks awaiting checkpoint.
@@ -250,6 +277,18 @@ mod tests {
         [fill; BLOCK_SIZE]
     }
 
+    /// Prepares a commit and completes it, as a commit whose device
+    /// writes succeed does.
+    fn commit<'a>(
+        j: &mut Journal,
+        image_of: impl Fn(BlockNo) -> Option<&'a [u8; BLOCK_SIZE]>,
+        out: &mut Vec<u8>,
+    ) -> Option<CommitPlan> {
+        let plan = j.prepare(image_of, out)?;
+        j.complete(&plan, out);
+        Some(plan)
+    }
+
     /// Lays committed byte images out in a journal region of `len`
     /// blocks starting at device block `start`.
     fn region_from(commits: &[(&CommitPlan, &[u8])], start: BlockNo, len: u64) -> Vec<u8> {
@@ -264,7 +303,7 @@ mod tests {
     #[test]
     fn empty_transaction_commits_nothing() {
         let mut j = Journal::new(2, 64, 1);
-        assert!(j.commit(|_| None, &mut Vec::new()).is_none());
+        assert!(commit(&mut j, |_| None, &mut Vec::new()).is_none());
         assert_eq!(j.blocks_needed(), 0);
     }
 
@@ -277,9 +316,12 @@ mod tests {
         assert_eq!(j.blocks_needed(), 4); // desc + 2 images + commit
         let (i50, i100) = (image(50), image(100));
         let mut out = Vec::new();
-        let plan = j
-            .commit(|b| Some(if b == 50 { &i50 } else { &i100 }), &mut out)
-            .unwrap();
+        let plan = commit(
+            &mut j,
+            |b| Some(if b == 50 { &i50 } else { &i100 }),
+            &mut out,
+        )
+        .unwrap();
         assert_eq!(plan.commands, [(2, 3), (5, 1)]);
         assert_eq!(out.len(), 4 * BLOCK_SIZE);
         // Images follow the descriptor in target order.
@@ -291,11 +333,36 @@ mod tests {
     }
 
     #[test]
+    fn a_prepared_commit_changes_nothing_until_completed() {
+        let mut j = Journal::new(2, 64, 1);
+        j.add(100);
+        j.add(50);
+        let img = image(7);
+        let mut out = Vec::new();
+        let first = j.prepare(|_| Some(&img), &mut out).unwrap();
+        // The device rejected it: the same commit is prepared again.
+        let mut again = Vec::new();
+        let second = j.prepare(|_| Some(&img), &mut again).unwrap();
+        assert_eq!((first.commands, first.seq), (second.commands, second.seq));
+        assert_eq!(out, again);
+        assert_eq!(j.checkpoint_pending_len(), 0);
+        assert_eq!(j.blocks_needed(), 4);
+        j.complete(&second, &again);
+        assert!(j.running_is_empty());
+        assert_eq!(j.pending_image(50), Some(&img));
+        assert_eq!(j.next_seq(), 2);
+        let mut next = Vec::new();
+        j.add(9);
+        let plan = j.prepare(|_| None, &mut next).unwrap();
+        assert_eq!(plan.commands, [(6, 2), (8, 1)], "after the first commit");
+    }
+
+    #[test]
     fn evicted_block_commits_as_zeros() {
         let mut j = Journal::new(2, 64, 1);
         j.add(100);
         let mut out = vec![0xFFu8; 8 * BLOCK_SIZE]; // stale scratch
-        j.commit(|_| None, &mut out).unwrap();
+        commit(&mut j, |_| None, &mut out).unwrap();
         assert_eq!(out.len(), 3 * BLOCK_SIZE);
         assert!(out[BLOCK_SIZE..2 * BLOCK_SIZE].iter().all(|&b| b == 0));
         assert_eq!(j.pending_image(100), Some(&image(0)));
@@ -307,12 +374,15 @@ mod tests {
         let (one, two, nine) = (image(1), image(2), image(9));
         let (mut b1, mut b2) = (Vec::new(), Vec::new());
         j.add(100);
-        let p1 = j.commit(|_| Some(&one), &mut b1).unwrap();
+        let p1 = commit(&mut j, |_| Some(&one), &mut b1).unwrap();
         j.add(200);
         j.add(100); // overwrite 100 in a later txn
-        let p2 = j
-            .commit(|b| Some(if b == 100 { &nine } else { &two }), &mut b2)
-            .unwrap();
+        let p2 = commit(
+            &mut j,
+            |b| Some(if b == 100 { &nine } else { &two }),
+            &mut b2,
+        )
+        .unwrap();
         let region = region_from(&[(&p1, &b1), (&p2, &b2)], 2, 64);
         let (rec, next) = replay_scan(&region, 1).unwrap();
         assert_eq!(next, 3);
@@ -327,9 +397,9 @@ mod tests {
         let (one, two) = (image(1), image(2));
         let (mut b1, mut b2) = (Vec::new(), Vec::new());
         j.add(100);
-        let p1 = j.commit(|_| Some(&one), &mut b1).unwrap();
+        let p1 = commit(&mut j, |_| Some(&one), &mut b1).unwrap();
         j.add(200);
-        let p2 = j.commit(|_| Some(&two), &mut b2).unwrap();
+        let p2 = commit(&mut j, |_| Some(&two), &mut b2).unwrap();
         // Drop the commit record of txn 2 ("crash mid-commit").
         b2.truncate(b2.len() - BLOCK_SIZE);
         let region = region_from(&[(&p1, &b1), (&p2, &b2)], 2, 64);
@@ -345,7 +415,7 @@ mod tests {
         j.add(100);
         let one = image(1);
         let mut bytes = Vec::new();
-        let p = j.commit(|_| Some(&one), &mut bytes).unwrap();
+        let p = commit(&mut j, |_| Some(&one), &mut bytes).unwrap();
         let region = region_from(&[(&p, &bytes)], 2, 64);
         // Already checkpointed past seq 5: nothing to replay.
         let (rec, next) = replay_scan(&region, 6).unwrap();
@@ -360,7 +430,7 @@ mod tests {
         let mut out = Vec::new();
         j.add(100);
         j.add(101);
-        j.commit(|_| Some(&img), &mut out).unwrap();
+        commit(&mut j, |_| Some(&img), &mut out).unwrap();
         // head = 4 of 8; a 3-block txn (2 targets) fits exactly…
         j.add(102);
         assert!(!j.needs_checkpoint());
@@ -368,10 +438,11 @@ mod tests {
         j.add(104);
         // desc + 3 + commit = 5 > remaining 4.
         assert!(j.needs_checkpoint());
-        let cp = j.take_checkpoint();
-        assert_eq!(cp.keys().copied().collect::<Vec<_>>(), [100, 101]);
+        assert_eq!(j.pending().keys().copied().collect::<Vec<_>>(), [100, 101]);
+        j.checkpointed();
+        assert_eq!(j.checkpoint_pending_len(), 0);
         assert!(!j.needs_checkpoint());
-        assert!(j.commit(|_| Some(&img), &mut out).is_some());
+        assert!(commit(&mut j, |_| Some(&img), &mut out).is_some());
     }
 
     #[test]

@@ -626,6 +626,73 @@ mod tests {
         fs.unmount().unwrap();
     }
 
+    /// A fresh file system on a `RejectsBlock` device holding one empty
+    /// file in its running transaction.
+    fn fs_on_rejecting_disk() -> (Rc<RejectsBlock>, Ext3, Ino) {
+        let disk = Rc::new(RejectsBlock {
+            disk: MemDisk::new("d0", 300_000),
+            bad: Default::default(),
+        });
+        let fs = Ext3::mkfs(Sim::new(7), disk.clone(), Options::default()).unwrap();
+        let f = fs.create(fs.root(), "f", 0o644).unwrap();
+        (disk, fs, f)
+    }
+
+    fn checkpoint_pending(fs: &Ext3) -> usize {
+        fs.inner.state.borrow().journal.checkpoint_pending_len()
+    }
+
+    #[test]
+    fn journal_errors_reach_fsync_sync_drop_caches_and_unmount() {
+        let (disk, fs, f) = fs_on_rejecting_disk();
+        // mkfs checkpointed, so the next commit's descriptor goes to the
+        // journal's first block.
+        let journal_start = 2;
+        disk.bad.set(Some(journal_start));
+        assert!(matches!(fs.fsync(f), Err(FsError::Io(_))));
+        assert!(matches!(fs.sync(), Err(FsError::Io(_))));
+        assert!(matches!(fs.drop_caches(), Err(FsError::Io(_))));
+        assert!(matches!(fs.unmount(), Err(FsError::Io(_))));
+        assert_eq!(checkpoint_pending(&fs), 0, "nothing reached the log");
+
+        disk.bad.set(None);
+        fs.fsync(f).unwrap();
+        assert!(
+            checkpoint_pending(&fs) > 0,
+            "the kept transaction committed"
+        );
+        fs.crash();
+        let fs = Ext3::mount(Sim::new(8), disk, Options::default()).unwrap();
+        assert_eq!(fs.lookup(fs.root(), "f"), Ok(f), "replayed from the log");
+    }
+
+    #[test]
+    fn a_failed_checkpoint_keeps_its_images() {
+        let (disk, fs, f) = fs_on_rejecting_disk();
+        fs.fsync(f).unwrap();
+        let committed = checkpoint_pending(&fs);
+        // The group descriptors (block 1) changed with the new inode.
+        let descriptors = *fs.inner.state.borrow().journal.pending_image(1).unwrap();
+        disk.bad.set(Some(1));
+        assert!(matches!(fs.drop_caches(), Err(FsError::Io(_))));
+        assert_eq!(checkpoint_pending(&fs), committed);
+        assert_eq!(fs.lookup(fs.root(), "f"), Ok(f));
+
+        disk.bad.set(None);
+        fs.drop_caches().unwrap();
+        assert_eq!(checkpoint_pending(&fs), 0);
+        let mut home = [0u8; blockdev::BLOCK_SIZE];
+        disk.read(1, 1, &mut home).unwrap();
+        assert_eq!(
+            home, descriptors,
+            "the committed image reached its home block"
+        );
+        fs.unmount().unwrap();
+        let fs = Ext3::mount(Sim::new(8), disk, Options::default()).unwrap();
+        assert_eq!(fs.lookup(fs.root(), "f"), Ok(f));
+        assert!(fs.fsck().unwrap().ok());
+    }
+
     #[test]
     fn operations_take_simulated_time() {
         let (sim, _disk, fs) = newfs();

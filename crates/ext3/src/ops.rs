@@ -543,7 +543,7 @@ impl crate::Ext3 {
     /// Propagates device errors.
     pub fn fsync(&self, ino: Ino) -> FsResult<()> {
         self.with_op(|inner, st| {
-            commit_journal(inner, st);
+            commit_journal(inner, st)?;
             // Collect this inode's dirty data blocks.
             let inode = live_inode(inner, st, ino)?;
             let nblocks = inode.size.div_ceil(BS);
@@ -899,11 +899,11 @@ fn flush_run(inner: &Inner, st: &mut State, run: &mut Option<(u64, u64, bool)>) 
         return Ok(());
     };
     let bytes = (len as usize) * BLOCK_SIZE;
-    if st.scratch.len() < bytes {
-        st.scratch.resize(bytes, 0);
+    let mut gather = Gather::take();
+    if gather.len() < bytes {
+        gather.resize(bytes, 0);
     }
-    let State { cache, scratch, .. } = st;
-    let buf = &mut scratch[..bytes];
+    let buf = &mut gather[..bytes];
     let cost = inner.dev.read(start, len as u32, buf)?;
     if demand {
         inner.charge(cost);
@@ -913,7 +913,7 @@ fn flush_run(inner: &Inner, st: &mut State, run: &mut Option<(u64, u64, bool)>) 
         ));
     }
     for (bno, img) in (start..).zip(buf.chunks_exact(BLOCK_SIZE)) {
-        cache.insert_clean(bno, img);
+        st.cache.insert_clean(bno, img);
     }
     Ok(())
 }

@@ -26,7 +26,7 @@ pub const JOBS_ENV: &str = "IPSTORAGE_JOBS";
 
 /// The machine's available parallelism — the most workers a sweep can
 /// usefully run, and the cap applied to every requested worker count.
-pub fn max_jobs() -> usize {
+pub(crate) fn max_jobs() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
@@ -34,9 +34,9 @@ pub fn max_jobs() -> usize {
 
 /// The worker count of a sweep nobody gave one: the `IPSTORAGE_JOBS`
 /// environment variable, else the machine's available parallelism.
-/// Always at least 1 and never more than [`max_jobs`] — CPU-bound cells
-/// gain nothing from oversubscription. This is the only place the
-/// variable is read.
+/// Always at least 1 and never more than the available parallelism —
+/// CPU-bound cells gain nothing from oversubscription. This is the
+/// only place the variable is read.
 pub fn default_jobs() -> usize {
     if let Ok(v) = std::env::var(JOBS_ENV) {
         if let Ok(n) = v.trim().parse::<usize>() {
@@ -115,8 +115,8 @@ impl<T> Slots<T> {
 /// more workers, indices are claimed from a shared counter so threads
 /// steal whatever cell is next; results land in a per-index slot, so
 /// the returned `Vec` ordering is independent of scheduling. The
-/// worker count is clamped to [`max_jobs`]. A panic in any cell
-/// propagates to the caller once all workers stop.
+/// worker count is clamped to the machine's available parallelism. A
+/// panic in any cell propagates to the caller once all workers stop.
 pub fn run_indexed<T, F>(jobs: usize, n: usize, f: F) -> Vec<T>
 where
     T: Send,

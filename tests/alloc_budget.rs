@@ -12,7 +12,10 @@
 //! borrows its payload and reuses its path buffer. Above `vfs` the
 //! caller-buffer `read_into` hands nothing back, so a warm read and a
 //! warm path resolution allocate nothing at all, and a second testbed
-//! on a thread takes its 4 KiB block images from the first one's.
+//! on a thread takes its 4 KiB block images from the first one's, and
+//! a second file system its journal's gather buffer. A CPU account
+//! that nobody samples stops growing once it holds the samples a
+//! window could still count.
 //!
 //! The allocator counts per thread, so the tests stay independent
 //! under the harness's parallel runner.
@@ -40,6 +43,9 @@ thread_local! {
     static BLOCK_BYTES: Cell<u64> = const { Cell::new(0) };
     /// Bytes requested in all allocations.
     static BYTES: Cell<u64> = const { Cell::new(0) };
+    /// Bytes requested in allocations of two or more whole blocks: the
+    /// buffers merged device commands are gathered in.
+    static MULTI_BLOCK_BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 fn count(size: usize) {
@@ -48,6 +54,9 @@ fn count(size: usize) {
     let _ = BYTES.try_with(|c| c.set(c.get() + size as u64));
     if size == BLOCK_SIZE {
         let _ = BLOCK_BYTES.try_with(|c| c.set(c.get() + size as u64));
+    }
+    if size > BLOCK_SIZE && size.is_multiple_of(BLOCK_SIZE) {
+        let _ = MULTI_BLOCK_BYTES.try_with(|c| c.set(c.get() + size as u64));
     }
 }
 
@@ -95,17 +104,6 @@ fn allocs_in<T>(f: impl FnOnce() -> T) -> (u64, T) {
     let before = ALLOCS.with(Cell::get);
     let out = f();
     (ALLOCS.with(Cell::get) - before, out)
-}
-
-/// The fewest allocations any of three consecutive calls of `f` makes,
-/// and the last result. Every system call charges a `CpuAccount`,
-/// whose event log is a `Vec` that doubles now and then; a call that
-/// allocates on its own account does so every time.
-fn steady_allocs_in<T>(mut f: impl FnMut() -> T) -> (u64, T) {
-    let (a, _) = allocs_in(&mut f);
-    let (b, _) = allocs_in(&mut f);
-    let (c, out) = allocs_in(&mut f);
-    (a.min(b).min(c), out)
 }
 
 fn instrumented_member(sim: &Rc<Sim>, name: &str) -> Rc<DiskModel<MemDisk>> {
@@ -321,7 +319,7 @@ fn warm_read_into_allocates_nothing_on_either_mount() {
     for (name, fs) in mounts {
         let fd = warmed_file(fs.as_ref(), 6);
         let mut buf = [0u8; BLOCK_SIZE];
-        let (n, got) = steady_allocs_in(|| fs.read_into(fd, 0, &mut buf).unwrap());
+        let (n, got) = allocs_in(|| fs.read_into(fd, 0, &mut buf).unwrap());
         assert_eq!(n, 0, "{name}: the caller owns the only buffer");
         assert_eq!((got, buf), (BLOCK_SIZE, [6u8; BLOCK_SIZE]), "{name}");
     }
@@ -337,10 +335,10 @@ fn absolute_path_resolution_allocates_nothing() {
     ];
     for (name, fs) in mounts {
         warmed_file(fs.as_ref(), 6);
-        let (n, attr) = steady_allocs_in(|| fs.stat("/d/f"));
+        let (n, attr) = allocs_in(|| fs.stat("/d/f"));
         assert_eq!(n, 0, "{name}: stat walks the path in place");
         assert_eq!(attr.unwrap().size, 2 * BLOCK_SIZE as u64, "{name}");
-        let (n, fd) = steady_allocs_in(|| fs.open("/d/f"));
+        let (n, fd) = allocs_in(|| fs.open("/d/f"));
         assert_eq!(n, 0, "{name}: open walks the path in place");
         fd.unwrap();
     }
@@ -376,6 +374,60 @@ fn second_disk_and_cache_on_a_thread_reuse_the_first_ones_images() {
         "the first cycle allocates every image"
     );
     assert_eq!(block_bytes_in(build_write_drop), 0, "the second none");
+}
+
+/// A file system's journal commit gathers its descriptor, images and
+/// commit record in a buffer from the thread's pool, not in one of its
+/// own: on a second file system, the buffer the first one grew is
+/// reused.
+#[test]
+fn journal_commit_on_a_second_ext3_on_a_thread_allocates_no_gather_buffer() {
+    fn mkdirs_then_commit() -> u64 {
+        let sim = Sim::new(1);
+        let disk = Rc::new(MemDisk::new("d0", 300_000));
+        let fs = Ext3::mkfs(sim, disk, Options::default()).unwrap();
+        for i in 0..40 {
+            fs.mkdir(fs.root(), &format!("d{i}"), 0o755).unwrap();
+        }
+        let before = MULTI_BLOCK_BYTES.with(Cell::get);
+        fs.sync().unwrap();
+        MULTI_BLOCK_BYTES.with(Cell::get) - before
+    }
+    assert!(
+        mkdirs_then_commit() > 40 * BLOCK_SIZE as u64,
+        "the first commit grows the thread's buffer"
+    );
+    assert_eq!(mkdirs_then_commit(), 0, "the second reuses it");
+}
+
+/// An account that nobody samples keeps only the samples a window
+/// could still count: the future chunks of spread charges and the
+/// latest instant's charges. Once its list has grown to hold them, a
+/// steady load of charges and spread charges allocates nothing.
+#[test]
+fn unsampled_cpu_account_allocates_nothing_in_steady_state() {
+    let cpu = CpuAccount::new();
+    let step = SimDuration::from_millis(30);
+    let mut now = simkit::SimTime::ZERO;
+    let mut load = |ops: u32| {
+        for i in 0..ops {
+            now += step;
+            cpu.charge_tagged(now, SimDuration::from_micros(250), "iscsi.target");
+            cpu.charge_tagged(now, SimDuration::from_micros(100), "vfs.local");
+            if i % 3 == 0 {
+                let busy = SimDuration::from_micros(400);
+                let span = SimDuration::from_secs(5);
+                cpu.charge_spread_tagged(now, busy, span, "iscsi.target");
+            }
+        }
+    };
+    load(3_000);
+    let (n, ()) = allocs_in(|| load(9_000));
+    assert_eq!(n, 0, "9 000 instants, 3 000 spread charges");
+    assert_eq!(
+        cpu.total_busy(),
+        SimDuration::from_micros(12_000 * 350 + 4_000 * 400)
+    );
 }
 
 #[test]

@@ -8,6 +8,7 @@
 //! tables --json --quick table5 > tests/golden/table5_quick.stdout
 //! tables --json --quick scale > tests/golden/scale_quick.stdout
 //! tables --json --quick frontier > tests/golden/frontier_quick.stdout
+//! tables --json --quick table9 > tests/golden/table9_quick.stdout
 //! ```
 //!
 //! The first two anchor the paper's pair — the (1, 1) case of the one
@@ -34,6 +35,10 @@
 //! on) and `"gauges"` (virtual-clock gauge samples) after
 //! `cpu_busy_ns`. Every byte before those sections — tables,
 //! counters, histograms, CPU accounting — was verified unchanged.
+//!
+//! The table9 fixture (Tables 9 and 10 from one sweep) was captured at
+//! a1c6ef4, before CPU accounts stopped keeping every charge: it pins
+//! the p95 of windowed utilization, which no other fixture reads.
 
 use ipstorage::core::experiments::{frontier, macrob, micro, scale};
 use ipstorage::core::{
@@ -41,6 +46,7 @@ use ipstorage::core::{
     TopologyConfig,
 };
 use ipstorage::simkit::SimDuration;
+use ipstorage::workloads::{DssConfig, OltpConfig};
 
 /// Reconstruct the bytes `tables --json` writes for one runner: the
 /// rendered table, a blank line, then the report as one JSON line.
@@ -98,6 +104,29 @@ fn table5_matches_pre_refactor_golden() {
         runner_stdout(&t, &r),
         golden,
         "single-client table5 (PostMark) output drifted from the pre-refactor golden"
+    );
+}
+
+/// Windowed-utilization anchor: `tables --json --quick table9`, whose
+/// parameters `--quick` leaves at their paper-scale values.
+#[test]
+fn table9_matches_golden() {
+    let golden = include_str!("golden/table9_quick.stdout");
+    let dss = DssConfig {
+        db_pages: 65_536,
+        ..DssConfig::default()
+    };
+    let (t9, t10, r) = macrob::table9_10(
+        RunOptions::default(),
+        5000,
+        20_000,
+        OltpConfig::default(),
+        dss,
+    );
+    assert_eq!(
+        format!("{}\n\n{}", t9.render(), runner_stdout(&t10, &r)),
+        golden,
+        "table9/table10 output drifted from the golden"
     );
 }
 
