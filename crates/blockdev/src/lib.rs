@@ -32,7 +32,6 @@ mod image;
 mod memdisk;
 mod partition;
 mod raid5;
-mod stripe;
 mod writecache;
 
 pub use diskmodel::{DiskModel, DiskParams, DiskStats};
@@ -40,7 +39,6 @@ pub use image::Image;
 pub use memdisk::{DiskImage, MemDisk};
 pub use partition::Partition;
 pub use raid5::{Raid5, Raid5Geometry};
-pub use stripe::Stripe;
 pub use writecache::WriteCache;
 
 use simkit::SimDuration;

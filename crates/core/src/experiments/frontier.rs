@@ -7,15 +7,14 @@
 //! *aggregate* offered load fixed (a total transaction budget split
 //! evenly across N clients), how does completion time move as the
 //! same load is spread over M server shards? Each (N, M) cell builds
-//! a [`TopologyConfig`] with `servers: M` under
-//! [`ShardPolicy::Static`](crate::ShardPolicy::Static): M independent
-//! server machines — private RAID array, CPU account, file system or
-//! iSCSI target each — behind a two-level fabric (a private edge link
-//! per server, all under a shared core switch).
+//! a [`TopologyConfig`] with `servers: M`: M independent server
+//! machines — private RAID array, CPU account, file system or iSCSI
+//! target each — each behind a private edge link of the fabric, with
+//! client `i` on server `i % M`.
 //!
 //! # Per-shard snapshot reuse
 //!
-//! Under static sharding, an (N, M) topology is M replicas of one
+//! Under this static sharding, an (N, M) topology is M replicas of one
 //! k-client shard (k = N/M). The runner exploits that: the setup
 //! snapshot is captured once for the *single-shard* k-client topology
 //! and `Snapshot::fork_sharded`
@@ -36,7 +35,7 @@
 //!
 //! As in [`super::scale`]: per-client demand `T_i` already embeds the
 //! fair share of the client's edge link (M edges now, each split
-//! among its k attached clients, capped by the core), so
+//! among its k attached clients), so
 //!
 //! ```text
 //! T(N, M) = max( max_i T_i , max_j server_j CPU busy )
@@ -44,9 +43,8 @@
 //! ```
 //!
 //! Spreading a fixed load over more shards shortens the per-shard
-//! demand and divides the server CPU term by M — until the core
-//! switch (when capped) or the per-client protocol overheads floor
-//! the curve.
+//! demand and divides the server CPU term by M — until the
+//! per-client protocol overheads floor the curve.
 
 use super::closedloop::{build_pools, client_pm, run_clients};
 use crate::report::RunReport;

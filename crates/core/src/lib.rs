@@ -16,7 +16,7 @@
 //! [`Testbed::build`] is the one-client, one-server case of
 //! [`Testbed::build_topology`]: a single construction path builds every
 //! shape, from the paper's pair to N clients over M server shards
-//! ([`TopologyConfig`], placed by a [`ShardPolicy`]).
+//! ([`TopologyConfig`]; client `i` mounts shard `i % M`).
 //!
 //! The [`experiments`] module regenerates every result. A runner takes
 //! the run's [`RunOptions`] plus its own scale parameters; the
@@ -41,7 +41,7 @@
 pub mod attribution;
 pub mod calibration;
 pub mod experiments;
-pub mod plot;
+mod plot;
 pub mod report;
 pub mod snapshot;
 pub mod sweep;
@@ -49,12 +49,12 @@ pub mod table;
 mod testbed;
 
 pub use attribution::{attribution_table, gauge_table};
-pub use plot::{Plot, Series};
+pub(crate) use plot::Plot;
 pub use report::{ChannelStats, ReportBuilder, RunReport};
 pub use snapshot::{SetupInfo, SetupKey, Snapshot, SnapshotCache};
 pub use sweep::RunOptions;
 pub use table::Table;
-pub use testbed::{Protocol, ShardPolicy, Testbed, TestbedConfig, TopologyConfig};
+pub use testbed::{Protocol, Testbed, TestbedConfig, TopologyConfig};
 
 #[cfg(test)]
 mod tests {

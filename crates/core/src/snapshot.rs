@@ -28,7 +28,7 @@
 //! *sharing* across cells, so reports, counters, and histograms are
 //! byte-identical either way. CI diffs both modes on every push.
 
-use crate::testbed::{ShardPolicy, Testbed, TestbedConfig, TopologyConfig};
+use crate::testbed::{Testbed, TestbedConfig, TopologyConfig};
 use blockdev::DiskImage;
 use simkit::{SimDuration, SimTime};
 use std::collections::HashMap;
@@ -51,9 +51,8 @@ pub struct SetupKey(String);
 impl SetupKey {
     /// Key for a (possibly multi-client) topology plus a workload tag.
     ///
-    /// Shard parameters are appended only when they differ from the
-    /// defaults (one server, static assignment, uncapped core), so
-    /// every pre-sharding key renders byte-identically.
+    /// The server count is appended only when it is not the default
+    /// one server, so every pre-sharding key renders byte-identically.
     pub(crate) fn new(topo: &TopologyConfig, workload: &str) -> SetupKey {
         let mut base = topo.base.clone();
         // Seed-normalize: the setup RNG stream derives from the key.
@@ -62,14 +61,8 @@ impl SetupKey {
             "clients={};cfg={:?};workload={}",
             topo.clients, base, workload
         );
-        if topo.servers > 1 || topo.policy != ShardPolicy::Static {
-            key.push_str(&format!(
-                ";servers={};policy={:?}",
-                topo.servers, topo.policy
-            ));
-        }
-        if let Some(bps) = topo.core_bandwidth_bps {
-            key.push_str(&format!(";core={bps}"));
+        if topo.servers > 1 {
+            key.push_str(&format!(";servers={}", topo.servers));
         }
         SetupKey(key)
     }
@@ -188,38 +181,23 @@ impl Snapshot {
     /// Forks this *single-server* snapshot into an M-server sharded
     /// topology: every shard resumes from copy-on-write forks of the
     /// same captured images, so one k-client setup serves a k×M-client
-    /// sharded cell. Under [`ShardPolicy::Static`] client `i` lands on
-    /// shard `i % M` with local identity `i / M` — exactly the client
-    /// the captured shard prepared state for.
-    ///
-    /// `core_bandwidth_bps` optionally caps the core switch (`None`:
-    /// non-binding, M × the edge rate).
+    /// sharded cell. Client `i` lands on shard `i % M` with local
+    /// identity `i / M` — exactly the client the captured shard
+    /// prepared state for.
     ///
     /// # Panics
     ///
-    /// Panics if this snapshot was captured from a sharded or
-    /// non-static topology.
-    pub(crate) fn fork_sharded(
-        &self,
-        seed: u64,
-        servers: usize,
-        core_bandwidth_bps: Option<simkit::units::Bps>,
-    ) -> Testbed {
+    /// Panics if this snapshot was captured from a sharded topology.
+    pub(crate) fn fork_sharded(&self, seed: u64, servers: usize) -> Testbed {
         assert!(servers >= 1, "need at least one server");
         assert_eq!(
             self.topo.servers, 1,
             "shard replication needs a single-shard snapshot"
         );
-        assert_eq!(
-            self.topo.policy,
-            ShardPolicy::Static,
-            "shard replication is defined for static assignment only"
-        );
         let mut topo = self.topo.clone();
         topo.base.seed = seed;
         topo.servers = servers;
         topo.clients = self.topo.clients * servers;
-        topo.core_bandwidth_bps = core_bandwidth_bps;
         let images = vec![Arc::clone(&self.images[0]); servers];
         Testbed::resume(topo, &images, self.epoch, self.info.clone())
     }
@@ -364,9 +342,6 @@ mod tests {
         assert!(!SetupKey::new(&flat, "w").as_str().contains("servers="));
         let sharded = flat.clone().with_servers(4);
         assert_ne!(SetupKey::new(&flat, "w"), SetupKey::new(&sharded, "w"));
-        let mut capped = sharded.clone();
-        capped.core_bandwidth_bps = Some(simkit::units::Bps::new(500_000_000));
-        assert_ne!(SetupKey::new(&sharded, "w"), SetupKey::new(&capped, "w"));
     }
 
     #[test]
@@ -454,7 +429,7 @@ mod tests {
             let snap = Snapshot::capture(tb, key);
             assert_eq!(snap.topo.servers, 1);
 
-            let fork = snap.fork_sharded(7, 3, None);
+            let fork = snap.fork_sharded(7, 3);
             assert_eq!(fork.client_count(), 6);
             assert_eq!(fork.server_count(), 3);
             for i in 0..6 {
@@ -475,39 +450,6 @@ mod tests {
                     fork.client_fs(1).open("/d0/only-shard0").is_err(),
                     "shard 1 must not see shard 0's writes"
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_policies_build_cold_and_round_trip() {
-        for policy in [ShardPolicy::HashByFile, ShardPolicy::StripedLuns] {
-            let proto = if policy == ShardPolicy::HashByFile {
-                Protocol::NfsV3
-            } else {
-                Protocol::Iscsi
-            };
-            let topo = TopologyConfig::new(proto)
-                .with_clients(4)
-                .with_servers(2)
-                .with_policy(policy);
-            let tb = Testbed::build_topology(topo);
-            assert_eq!(tb.server_count(), 2);
-            for i in 0..4 {
-                let fs = tb.client_fs(i);
-                fs.mkdir(&format!("/w{i}")).unwrap();
-                fs.creat(&format!("/w{i}/f")).unwrap();
-                let fd = fs.open(&format!("/w{i}/f")).unwrap();
-                fs.write(fd, 0, &[i as u8 + 1; 8192]).unwrap();
-                let back = fs.read(fd, 0, 8192).unwrap();
-                assert!(back.iter().all(|&b| b == i as u8 + 1), "{policy:?}");
-            }
-            tb.settle();
-            if policy == ShardPolicy::StripedLuns {
-                // Striping spreads every client's blocks over both
-                // server arrays.
-                assert!(tb.server_cpu_at(0).total_busy() > simkit::SimDuration::ZERO);
-                assert!(tb.server_cpu_at(1).total_busy() > simkit::SimDuration::ZERO);
             }
         }
     }

@@ -141,10 +141,7 @@ impl<'a> CellCtx<'a> {
         servers: usize,
         setup: impl FnOnce(u64) -> Testbed,
     ) -> Testbed {
-        self.measured(
-            self.snapshot(key, setup)
-                .fork_sharded(self.seed, servers, None),
-        )
+        self.measured(self.snapshot(key, setup).fork_sharded(self.seed, servers))
     }
 
     /// Builds the cell's testbed directly under the cell's seed, for a

@@ -13,19 +13,17 @@
 //! sessions against disjoint LUN partitions of the same RAID volume —
 //! the sharing contrast at the heart of the paper's discussion. With
 //! more servers, each shard is an independent machine behind its own
-//! edge link under a shared core switch.
+//! edge link, and client `i` mounts shard `i % M`.
 //!
 //! What the counts change is data, not code path: (1, 1) talks over
 //! its fabric's unnamed endpoint (no `net.c0.*` counters) and exports
-//! the whole volume as its one LUN; the core switch, the per-shard
-//! `disk.s<j>.busy_pct` gauges, the ×M link capacity and the
-//! [`ShardPolicy`] exist only when M > 1.
+//! the whole volume as its one LUN; the per-shard `disk.s<j>.busy_pct`
+//! gauges and the ×M link capacity exist only when M > 1.
 
 use crate::calibration;
 use crate::snapshot::SetupInfo;
 use blockdev::{
     BlockDevice, BlockNo, DiskImage, DiskModel, IoCost, MemDisk, Partition, Raid5, Raid5Geometry,
-    Stripe,
 };
 use cpu::{CostModel, CpuAccount};
 use ext3::Ext3;
@@ -33,7 +31,7 @@ use iscsi::{Initiator, SessionParams, Target};
 use net::{Fabric, LinkParams};
 use nfs::{Enhancements, NfsClient, NfsConfig, NfsServer, Version};
 use rpc::{RpcClient, RpcConfig};
-use simkit::units::{Bps, Bytes};
+use simkit::units::Bytes;
 use simkit::{GaugeSampler, HostId, Sim, SimDuration, SimTime};
 use std::cell::Cell;
 use std::rc::Rc;
@@ -181,43 +179,6 @@ impl TestbedConfig {
     }
 }
 
-/// How clients of a sharded topology are assigned to server shards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ShardPolicy {
-    /// Static mount sharding: client `i` mounts server `i % M` (its
-    /// local identity on that shard is `i / M`). The only policy a
-    /// per-shard snapshot can be replicated under.
-    Static,
-    /// Hash sharding: client `i` mounts server `fnv1a(host name) % M`.
-    /// Cold-build only (shard populations are unequal, so no snapshot
-    /// replication).
-    HashByFile,
-    /// iSCSI only: each client's LUN is a RAID-0 [`Stripe`] over one
-    /// slice per server volume, so every request spreads its disk and
-    /// target-CPU load across all M shards; the session itself rides
-    /// the client's primary port. Cold-build only.
-    StripedLuns,
-}
-
-impl ShardPolicy {
-    /// Shard index for client `i` (named `name`) among `servers`.
-    fn assign(self, i: usize, name: &str, servers: usize) -> u32 {
-        match self {
-            // Striped clients still need a primary port for their
-            // session; round-robin keeps the edges balanced.
-            ShardPolicy::Static | ShardPolicy::StripedLuns => (i % servers) as u32,
-            ShardPolicy::HashByFile => {
-                let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-                for &b in name.as_bytes() {
-                    hash ^= u64::from(b);
-                    hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-                }
-                (hash % servers as u64) as u32
-            }
-        }
-    }
-}
-
 /// A multi-client topology: the shared single-pair configuration plus
 /// how many client hosts to instantiate.
 ///
@@ -230,9 +191,9 @@ impl ShardPolicy {
 ///
 /// With `servers: M > 1` the topology is *sharded*: M independent
 /// server machines (each with its own RAID array, CPU account, and
-/// file system or iSCSI target) sit behind a two-level fabric — a
-/// private edge link per server, all capped by a shared core switch —
-/// and clients are distributed across them per [`ShardPolicy`].
+/// file system or iSCSI target) each sit behind a private edge link of
+/// the fabric, and client `i` mounts server `i % M`, where it is local
+/// client `i / M`.
 #[derive(Debug, Clone)]
 pub struct TopologyConfig {
     /// The per-pair configuration shared by every client.
@@ -241,14 +202,6 @@ pub struct TopologyConfig {
     pub clients: usize,
     /// Number of server shards (default 1: the paper's single server).
     pub servers: usize,
-    /// Client→shard assignment (default [`ShardPolicy::Static`]);
-    /// inert with one server.
-    pub policy: ShardPolicy,
-    /// Core-switch bandwidth capping the sum of the server edges
-    /// (there is no core above a single server).
-    /// `None` (default) sizes the core at `servers ×` the edge rate —
-    /// non-binding, so a sharded topology scales until edges saturate.
-    pub core_bandwidth_bps: Option<Bps>,
 }
 
 impl TopologyConfig {
@@ -263,8 +216,6 @@ impl TopologyConfig {
             base,
             clients: 1,
             servers: 1,
-            policy: ShardPolicy::Static,
-            core_bandwidth_bps: None,
         }
     }
 
@@ -279,13 +230,6 @@ impl TopologyConfig {
     #[must_use]
     pub fn with_servers(mut self, servers: usize) -> TopologyConfig {
         self.servers = servers;
-        self
-    }
-
-    /// Sets the client→shard assignment policy.
-    #[must_use]
-    pub fn with_policy(mut self, policy: ShardPolicy) -> TopologyConfig {
-        self.policy = policy;
         self
     }
 }
@@ -310,10 +254,6 @@ pub struct Testbed {
     /// One CPU account per server shard (exactly one in the paper's
     /// single-server topologies).
     server_cpus: Vec<Rc<CpuAccount>>,
-    /// Shard assignment of this topology (Static in unsharded builds).
-    policy: ShardPolicy,
-    /// Core-switch override the topology was built with.
-    core_bandwidth_bps: Option<Bps>,
     /// Each server's RAID-5 content store, at the array's logical
     /// addresses (server 0's first), kept so a snapshot capture can
     /// export them as shared images.
@@ -385,10 +325,8 @@ impl Testbed {
     /// # Panics
     ///
     /// Panics if `clients` or `servers` is zero, if there are fewer
-    /// clients than servers or the policy leaves a shard without any,
-    /// if [`ShardPolicy::StripedLuns`] is asked of an NFS protocol
-    /// (there are no LUNs to stripe), or if the underlying mkfs fails
-    /// (for iSCSI, each client's LUN partition must still hold a file
+    /// clients than servers, or if the underlying mkfs fails (for
+    /// iSCSI, each client's LUN partition must still hold a file
     /// system: keep `volume_blocks / clients` comfortably above
     /// [`ext3::min_volume_blocks`]).
     pub fn build_topology(topo: TopologyConfig) -> Testbed {
@@ -400,7 +338,7 @@ impl Testbed {
     /// from images instead of blank ones, and the clock starting at the
     /// captured epoch. M server machines — RAID array, CPU account
     /// ([`HostId::server`]) and file system or iSCSI target each — and
-    /// N clients distributed over them per the [`ShardPolicy`].
+    /// N clients, client `i` on server `i % M`.
     fn construct(topo: TopologyConfig, resume: Option<Resume>) -> Testbed {
         let config = topo.base;
         let (n, m) = (topo.clients, topo.servers);
@@ -408,19 +346,6 @@ impl Testbed {
         assert!(m >= 1, "a topology needs at least one server");
         assert!(n >= m, "need at least one client per server shard");
         let version = config.protocol.nfs_version();
-        assert!(
-            version.is_none() || topo.policy != ShardPolicy::StripedLuns,
-            "StripedLuns stripes iSCSI LUNs; {:?} exports none",
-            config.protocol
-        );
-        // A single server has no shards to assign and no core above
-        // its one edge: both knobs are inert there, and a capture
-        // records them as such.
-        let (policy, core_bandwidth_bps) = if m > 1 {
-            (topo.policy, topo.core_bandwidth_bps)
-        } else {
-            (ShardPolicy::Static, None)
-        };
         let sim = Sim::new(config.seed);
         if let Some(r) = &resume {
             // Restore the captured epoch before any component exists:
@@ -429,19 +354,11 @@ impl Testbed {
             sim.advance_to(r.epoch);
             assert_eq!(r.images.len(), m, "resume images must cover every shard");
         }
-        // One fabric port per server, under a core switch once there
-        // are several.
-        let fabric = if m == 1 {
-            Fabric::new(sim.clone(), config.link)
-        } else {
-            let core_bps = core_bandwidth_bps
-                .unwrap_or_else(|| config.link.bandwidth_bps.saturating_mul(m as u64));
-            let fabric = Fabric::with_core(sim.clone(), config.link, core_bps);
-            for _ in 0..m {
-                fabric.add_port();
-            }
-            fabric
-        };
+        // One fabric port per server.
+        let fabric = Fabric::new(sim.clone(), config.link);
+        for _ in 1..m {
+            fabric.add_port();
+        }
 
         let remount = resume.is_some();
         let mut server_cpus: Vec<Rc<CpuAccount>> = Vec::with_capacity(m);
@@ -459,23 +376,10 @@ impl Testbed {
             disk_groups.push(disks);
         }
 
-        // Shard assignment, plus each client's local index on its
-        // shard (its LUN slot / file-pool identity there).
-        let names: Vec<String> = (0..n).map(|i| format!("c{i}")).collect();
-        let ports: Vec<u32> = (0..n).map(|i| policy.assign(i, &names[i], m)).collect();
-        let mut shard_clients = vec![0u64; m];
-        let locals: Vec<u64> = ports
-            .iter()
-            .map(|&j| {
-                let l = shard_clients[j as usize];
-                shard_clients[j as usize] += 1;
-                l
-            })
-            .collect();
-        assert!(
-            shard_clients.iter().all(|&k| k > 0),
-            "policy {policy:?} left a server shard with no clients"
-        );
+        // Client i mounts shard i % M as that shard's local client
+        // i / M (its LUN slot / file-pool identity there).
+        let ports: Vec<u32> = (0..n).map(|i| (i % m) as u32).collect();
+        let shard_clients = |j: usize| (n - j).div_ceil(m) as u64;
 
         // The server side of the protocol. NFS: one independent file
         // system and server per shard, shared by the shard's clients —
@@ -505,40 +409,23 @@ impl Testbed {
                 })
                 .collect();
             for i in 0..n {
-                let j = ports[i] as usize;
-                let lun: Rc<dyn BlockDevice> = match policy {
-                    ShardPolicy::StripedLuns => {
-                        // One slice per server volume, striped: disk
-                        // and target-CPU load spread across shards.
-                        let slice = config.volume_blocks / n as u64;
-                        let parts: Vec<Rc<dyn BlockDevice>> = (0..m)
-                            .map(|s| {
-                                Rc::new(Partition::new(
-                                    format!("c{i}.s{s}"),
-                                    Rc::clone(&charged[s]),
-                                    i as u64 * slice,
-                                    slice,
-                                )) as Rc<dyn BlockDevice>
-                            })
-                            .collect();
-                        Rc::new(Stripe::new(&format!("stripe{i}"), parts))
-                    }
+                let (j, local) = (i % m, (i / m) as u64);
+                let lun: Rc<dyn BlockDevice> = if n == 1 {
                     // The lone initiator gets the array whole, spare
                     // blocks past `volume_blocks` included.
-                    _ if n == 1 => Rc::clone(&charged[j]),
+                    Rc::clone(&charged[j])
+                } else {
                     // Server j's volume is split among the clients
                     // assigned to it, the layout a single-shard capture
                     // produces (so a replicated fork mounts the same
                     // partitions it captured).
-                    _ => {
-                        let lun_blocks = config.volume_blocks / shard_clients[j];
-                        Rc::new(Partition::new(
-                            format!("lun{}", locals[i]),
-                            Rc::clone(&charged[j]),
-                            locals[i] * lun_blocks,
-                            lun_blocks,
-                        ))
-                    }
+                    let lun_blocks = config.volume_blocks / shard_clients(j);
+                    Rc::new(Partition::new(
+                        format!("lun{local}"),
+                        Rc::clone(&charged[j]),
+                        local * lun_blocks,
+                        lun_blocks,
+                    ))
                 };
                 match &targets[j] {
                     None => targets[j] = Some(Rc::new(Target::new(lun))),
@@ -549,10 +436,9 @@ impl Testbed {
             }
         }
 
-        let clients: Vec<ClientHost> = names
-            .into_iter()
-            .enumerate()
-            .map(|(i, name)| {
+        let clients: Vec<ClientHost> = (0..n)
+            .map(|i| {
+                let name = format!("c{i}");
                 let host = HostId::client(i as u32);
                 let port = ports[i];
                 let cpu = Rc::new(CpuAccount::new());
@@ -591,7 +477,7 @@ impl Testbed {
                         );
                         let disk = Rc::new(
                             initiator
-                                .login_lun(Self::session_params(&config), locals[i] as u32)
+                                .login_lun(Self::session_params(&config), (i / m) as u32)
                                 .expect("login"),
                         );
                         let fs = Rc::new(Self::client_fs_init(&sim, disk, &config, remount, host));
@@ -619,8 +505,6 @@ impl Testbed {
             clients,
             ports,
             server_cpus,
-            policy,
-            core_bandwidth_bps,
             stores,
             gauges,
             setup: resume.map(|r| r.info),
@@ -859,8 +743,6 @@ impl Testbed {
                 base: self.config,
                 clients,
                 servers,
-                policy: self.policy,
-                core_bandwidth_bps: self.core_bandwidth_bps,
             },
             images,
             epoch,
@@ -960,9 +842,8 @@ impl Testbed {
     }
 
     /// Marks the first `n` clients as actively contending for the
-    /// server link(s): each edge is shared among those of them the
-    /// shard policy attached to it, and an edge none of them uses is
-    /// left whole.
+    /// server link(s): each edge is shared among those of them attached
+    /// to it, and an edge none of them uses is left whole.
     pub fn set_active_clients(&self, n: u32) {
         let mut per_port = vec![0u32; self.server_cpus.len()];
         for &port in self.ports.iter().take(n as usize) {

@@ -1,71 +1,6 @@
 //! The one way to build a link: host endpoints on the ports of a
-//! [`Fabric`].
-//!
-//! A [`Network`] is always one host's end of a fabric port. The paper's
-//! testbed — one client and one server on a dedicated link — is the
-//! unnamed endpoint of a one-port fabric ([`Network::new`] is the
-//! shorthand). Larger topologies grow the same structure in two steps:
-//!
-//! * **One server, N clients** ([`Fabric::new`]): every named host gets
-//!   its own endpoint (per-host message accounting stays separate),
-//!   while all endpoints contend for the server port's bandwidth.
-//! * **M servers behind a core switch** ([`Fabric::with_core`]): each
-//!   server has its own edge link (a port: a fair-share level plus a
-//!   private TCP bottleneck queue pair), and every edge link feeds a
-//!   shared *core* level. An endpoint's effective bandwidth is the
-//!   minimum of its edge share and the core share — the two-level
-//!   fair-share tree of a thousand-client sharded topology:
-//!
-//! ```text
-//!   c0 … c249 ──┐                      ┌── c250 … c499
-//!               ├─ edge s0 ─┐  ┌─ edge s1 ─┤
-//!                           core switch
-//!               ├─ edge s2 ─┘  └─ edge s3 ─┤
-//!   c500 … c749 ┘                      └── c750 … c999
-//! ```
-//!
-//! The link parameters — RTT, loss, transport model, edge bandwidth —
-//! are stored once per fabric and fixed at construction; every endpoint
-//! reads them from there. [`Fabric::attach_sniffer`] likewise reaches
-//! every endpoint, present and future.
-//!
-//! Counter layering: the host name is data. A channel opened on the
-//! endpoint named `c1` with label `nfs` bumps `net.c1.nfs.msgs` /
-//! `net.c1.nfs.bytes` *in addition to* the per-label names
-//! (`net.nfs.*`) and the grand totals (`net.total.*`); an unnamed
-//! endpoint registers only the latter two. Endpoints carry no identity
-//! beyond their name and port, so asking for the same host twice gives
-//! two handles that account under the same names and share the port.
-//!
-//! Contention model: a server NIC serializes at its edge `bandwidth_bps`
-//! overall, so with `k` hosts marked active on the port each endpoint's
-//! effective bandwidth is `bandwidth_bps / k` — the fair-share steady
-//! state of TCP flows over one bottleneck. The core divides its
-//! bandwidth across the fabric's ports the same way. Shares are
-//! *cached*: they are recomputed on active-set changes and port
-//! creation, never per message, so a thousand-client hot path reads two
-//! `Cell`s instead of redoing the division. One active host (the
-//! default) reproduces the dedicated-link timing exactly, and a
-//! single-port fabric has no core, so its arithmetic is bit-for-bit
-//! `base / active`.
-//!
-//! # Example
-//!
-//! ```
-//! use simkit::{Bytes, Sim};
-//! use net::{Fabric, LinkParams, Transport};
-//!
-//! let sim = Sim::new(1);
-//! let fabric = Fabric::new(sim.clone(), LinkParams::gigabit_lan());
-//! let a = fabric.host("c0").channel("nfs", Transport::Tcp);
-//! let b = fabric.host("c1").channel("nfs", Transport::Tcp);
-//! fabric.set_active(2); // both hosts now share the server link
-//! a.round_trip(Bytes::new(128), Bytes::new(128));
-//! b.round_trip(Bytes::new(128), Bytes::new(128));
-//! assert_eq!(sim.counters().get("net.c0.nfs.msgs"), 2);
-//! assert_eq!(sim.counters().get("net.c1.nfs.msgs"), 2);
-//! assert_eq!(sim.counters().get("net.nfs.msgs"), 4); // layered total
-//! ```
+//! [`Fabric`] (the topology, counter and contention model are on the
+//! type).
 
 use crate::tcp::TcpLink;
 use crate::{LinkParams, Network, Sniffer};
@@ -74,26 +9,21 @@ use simkit::Sim;
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-/// One level of the link-share tree: hosts actively contending for a
-/// link of `base_bps`, with the resulting fair share cached. An
-/// optional parent (the core switch link) caps the effective rate from
-/// above.
+/// One port's edge link: hosts actively contending for a link of
+/// `base_bps`, with the resulting fair share cached.
 #[derive(Debug)]
 pub(crate) struct LinkShare {
     base_bps: Bps,
     /// `base_bps / active`, maintained by `set_active` so the
     /// per-message path never divides.
     share_bps: Cell<Bps>,
-    /// The next link level up (core switch), if any.
-    parent: Option<Rc<LinkShare>>,
 }
 
 impl LinkShare {
-    fn new(base_bps: Bps, parent: Option<Rc<LinkShare>>) -> Self {
+    fn new(base_bps: Bps) -> Self {
         LinkShare {
             base_bps,
             share_bps: Cell::new(base_bps),
-            parent,
         }
     }
 
@@ -104,15 +34,9 @@ impl LinkShare {
         self.share_bps.set(self.base_bps / u64::from(n.max(1)));
     }
 
-    /// The effective per-host rate: this level's cached fair share,
-    /// capped by every level above. Two `Cell` reads on the common
-    /// two-level tree.
+    /// The effective per-host rate: the cached fair share.
     pub(crate) fn effective_bps(&self) -> Bps {
-        let own = self.share_bps.get();
-        match &self.parent {
-            Some(p) => own.min(p.effective_bps()),
-            None => own,
-        }
+        self.share_bps.get()
     }
 }
 
@@ -124,8 +48,66 @@ pub(crate) struct Port {
     pub(crate) tcp_link: Rc<TcpLink>,
 }
 
-/// A topology of host endpoints attached to one or more server ports,
-/// optionally behind a shared core link. See the [module docs](self).
+/// A topology of host endpoints attached to one or more server ports.
+///
+/// A [`Network`] is always one host's end of a fabric port. The paper's
+/// testbed — one client and one server on a dedicated link — is the
+/// unnamed endpoint of a one-port fabric ([`Network::new`] is the
+/// shorthand). Larger topologies grow the same structure:
+///
+/// * **One server, N clients** ([`Fabric::new`]): every named host gets
+///   its own endpoint (per-host message accounting stays separate),
+///   while all endpoints contend for the server port's bandwidth.
+/// * **M servers** ([`Fabric::add_port`] once per server past the
+///   first): each server has its own edge link (a port: a fair-share
+///   level plus a private TCP bottleneck queue pair). Ports share
+///   nothing, so one edge per server is the whole tree:
+///
+/// ```text
+///   c0 c4 … c996 ── edge s0      c1 c5 … c997 ── edge s1
+///   c2 c6 … c998 ── edge s2      c3 c7 … c999 ── edge s3
+/// ```
+///
+/// The link parameters — RTT, loss, transport model, edge bandwidth —
+/// are stored once per fabric and fixed at construction; every endpoint
+/// reads them from there. [`Fabric::attach_sniffer`] likewise reaches
+/// every endpoint, present and future.
+///
+/// Counter layering: the host name is data. A channel opened on the
+/// endpoint named `c1` with label `nfs` bumps `net.c1.nfs.msgs` /
+/// `net.c1.nfs.bytes` *in addition to* the per-label names
+/// (`net.nfs.*`) and the grand totals (`net.total.*`); an unnamed
+/// endpoint registers only the latter two. Endpoints carry no identity
+/// beyond their name and port, so asking for the same host twice gives
+/// two handles that account under the same names and share the port.
+///
+/// Contention model: a server NIC serializes at its edge `bandwidth_bps`
+/// overall, so with `k` hosts marked active on the port each endpoint's
+/// effective bandwidth is `bandwidth_bps / k` — the fair-share steady
+/// state of TCP flows over one bottleneck. Shares are *cached*: they are
+/// recomputed on active-set changes, never per message, so a
+/// thousand-client hot path reads one `Cell` instead of redoing the
+/// division. One active host (the default) reproduces the
+/// dedicated-link timing exactly: the arithmetic is bit-for-bit
+/// `base / active`.
+///
+/// # Example
+///
+/// ```
+/// use simkit::{Bytes, Sim};
+/// use net::{Fabric, LinkParams, Transport};
+///
+/// let sim = Sim::new(1);
+/// let fabric = Fabric::new(sim.clone(), LinkParams::gigabit_lan());
+/// let a = fabric.host("c0").channel("nfs", Transport::Tcp);
+/// let b = fabric.host("c1").channel("nfs", Transport::Tcp);
+/// fabric.set_active(2); // both hosts now share the server link
+/// a.round_trip(Bytes::new(128), Bytes::new(128));
+/// b.round_trip(Bytes::new(128), Bytes::new(128));
+/// assert_eq!(sim.counters().get("net.c0.nfs.msgs"), 2);
+/// assert_eq!(sim.counters().get("net.c1.nfs.msgs"), 2);
+/// assert_eq!(sim.counters().get("net.nfs.msgs"), 4); // layered total
+/// ```
 #[derive(Debug)]
 pub struct Fabric {
     pub(crate) sim: Rc<Sim>,
@@ -134,61 +116,37 @@ pub struct Fabric {
     pub(crate) link: LinkParams,
     /// Optional passive tap on every endpoint (the paper's Ethereal).
     pub(crate) sniffer: RefCell<Option<Rc<Sniffer>>>,
-    /// The shared core-switch link, present on [`Fabric::with_core`]
-    /// fabrics; its active count tracks the port count.
-    core: Option<Rc<LinkShare>>,
     ports: RefCell<Vec<Rc<Port>>>,
 }
 
 impl Fabric {
-    /// Creates a single-port fabric whose server link has the given
-    /// parameters: one server, any number of hosts.
+    /// Creates a fabric with one server port whose link has the given
+    /// parameters: one server, any number of hosts. Call
+    /// [`Fabric::add_port`] once per further server.
     ///
     /// # Panics
     ///
     /// Panics if `params.loss` is outside `[0, 1)`.
     pub fn new(sim: Rc<Sim>, params: LinkParams) -> Rc<Self> {
-        let f = Fabric::build(sim, params, None);
+        params.validate();
+        let f = Rc::new(Fabric {
+            sim,
+            link: params,
+            sniffer: RefCell::new(None),
+            ports: RefCell::new(Vec::new()),
+        });
         f.add_port();
         f
     }
 
-    /// Creates a fabric whose server ports sit behind a shared core
-    /// link of `core_bandwidth_bps`. Starts with no ports; call
-    /// [`Fabric::add_port`] once per server.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `params.loss` is outside `[0, 1)`.
-    pub fn with_core(sim: Rc<Sim>, params: LinkParams, core_bandwidth_bps: Bps) -> Rc<Self> {
-        let core = LinkShare::new(core_bandwidth_bps, None);
-        Fabric::build(sim, params, Some(Rc::new(core)))
-    }
-
-    fn build(sim: Rc<Sim>, params: LinkParams, core: Option<Rc<LinkShare>>) -> Rc<Self> {
-        params.validate();
-        Rc::new(Fabric {
-            sim,
-            link: params,
-            sniffer: RefCell::new(None),
-            core,
-            ports: RefCell::new(Vec::new()),
-        })
-    }
-
     /// Adds a server port (edge link + private TCP bottleneck) and
-    /// returns its index. On a cored fabric the core's contender count
-    /// follows the port count: with M servers attached, each port's
-    /// traffic competes for `core / M`.
+    /// returns its index.
     pub fn add_port(&self) -> usize {
         let mut ports = self.ports.borrow_mut();
         ports.push(Rc::new(Port {
-            share: LinkShare::new(self.link.bandwidth_bps, self.core.clone()),
+            share: LinkShare::new(self.link.bandwidth_bps),
             tcp_link: TcpLink::new(),
         }));
-        if let Some(core) = &self.core {
-            core.set_active(ports.len() as u32);
-        }
         ports.len() - 1
     }
 
@@ -220,8 +178,7 @@ impl Fabric {
     /// its channels also account under `net.<name>.<label>.*`; `None`
     /// registers only the per-label and total names (the paper's
     /// point-to-point pair). The endpoint shares the port's edge
-    /// bandwidth (and, through it, the core) with the port's other
-    /// hosts.
+    /// bandwidth with the port's other hosts.
     ///
     /// # Panics
     ///
@@ -399,33 +356,13 @@ mod tests {
     }
 
     #[test]
-    fn cored_fabric_caps_edges_by_the_core_share() {
-        let sim = Sim::new(3);
-        let edge = LinkParams::gigabit_lan(); // 1 Gb/s edges
-        let fabric = Fabric::with_core(sim, edge, Bps::new(2_000_000_000)); // 2 Gb/s core
-        let p0 = fabric.add_port();
-        let p1 = fabric.add_port();
-        let a = fabric.host_on(Some("c0"), p0);
-        let b = fabric.host_on(Some("c1"), p1);
-        // Two ports on a 2 Gb/s core: each gets 1 Gb/s — edge-bound.
-        assert_eq!(a.params().bandwidth_bps, Bps::new(1_000_000_000));
-        // A third port drops the core share to 666 Mb/s < edge: the
-        // core now binds every endpoint, idle edges included.
-        fabric.add_port();
-        assert_eq!(a.params().bandwidth_bps, Bps::new(2_000_000_000 / 3));
-        assert_eq!(b.params().bandwidth_bps, Bps::new(2_000_000_000 / 3));
-    }
-
-    #[test]
     fn edge_contention_is_per_port() {
         let sim = Sim::new(3);
-        // Core wide enough (8 Gb/s) to never bind two ports.
-        let fabric = Fabric::with_core(sim, LinkParams::gigabit_lan(), Bps::new(8_000_000_000));
-        let p0 = fabric.add_port();
+        let fabric = Fabric::new(sim, LinkParams::gigabit_lan());
         let p1 = fabric.add_port();
-        let a = fabric.host_on(Some("c0"), p0);
+        let a = fabric.host_on(Some("c0"), 0);
         let b = fabric.host_on(Some("c1"), p1);
-        fabric.set_port_active(p0, 4);
+        fabric.set_port_active(0, 4);
         assert_eq!(
             a.params().bandwidth_bps,
             Bps::new(1_000_000_000 / 4),
@@ -441,11 +378,10 @@ mod tests {
     #[test]
     fn ports_have_private_tcp_bottlenecks() {
         let sim = Sim::new(3);
-        let fabric = Fabric::with_core(sim, LinkParams::gigabit_lan(), Bps::new(8_000_000_000));
-        let p0 = fabric.add_port();
+        let fabric = Fabric::new(sim, LinkParams::gigabit_lan());
         let p1 = fabric.add_port();
-        let a = fabric.host_on(Some("c0"), p0);
-        let b = fabric.host_on(Some("c1"), p0);
+        let a = fabric.host_on(Some("c0"), 0);
+        let b = fabric.host_on(Some("c1"), 0);
         let c = fabric.host_on(Some("c2"), p1);
         assert!(Rc::ptr_eq(&a.port.tcp_link, &b.port.tcp_link));
         assert!(!Rc::ptr_eq(&a.port.tcp_link, &c.port.tcp_link));
@@ -453,7 +389,7 @@ mod tests {
 
     #[test]
     fn share_cache_matches_direct_division() {
-        let s = LinkShare::new(Bps::new(1_000_000_007), None);
+        let s = LinkShare::new(Bps::new(1_000_000_007));
         for n in 1..=13u32 {
             s.set_active(n);
             assert_eq!(s.effective_bps(), Bps::new(1_000_000_007 / n as u64));
@@ -464,7 +400,8 @@ mod tests {
     #[should_panic(expected = "out of bounds")]
     fn host_on_unknown_port_is_rejected() {
         let sim = Sim::new(3);
-        let fabric = Fabric::with_core(sim, LinkParams::gigabit_lan(), Bps::new(1_000_000_000));
+        let fabric = Fabric::new(sim, LinkParams::gigabit_lan());
+        fabric.add_port();
         let _ = fabric.host_on(Some("c0"), 2);
     }
 }

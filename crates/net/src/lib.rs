@@ -33,13 +33,13 @@
 //! assert_eq!(sim.counters().get("net.rpc.msgs"), 2);
 //! ```
 
-pub mod fabric;
-pub mod sniffer;
-pub mod tcp;
+mod fabric;
+mod sniffer;
+mod tcp;
 
 pub use fabric::Fabric;
 pub use sniffer::{PacketRecord, SegKind, Sniffer};
-pub use tcp::{Direction, TcpEndpoint, TcpLink, Transfer, TransportModel};
+pub use tcp::{Direction, TcpEndpoint, TcpLink, Transfer, TransportModel, MSS};
 
 use simkit::units::{self, Bps, Bytes};
 use simkit::{Sim, SimDuration};
@@ -80,7 +80,8 @@ pub struct LinkParams {
     /// masks loss as latency). Zero on the paper's isolated LAN.
     pub loss: f64,
     /// How transfer timing is modeled: the default closed-form pipe,
-    /// or event-scheduled TCP flows with congestion ([`tcp`]).
+    /// or event-scheduled TCP flows with congestion
+    /// ([`TransportModel::Tcp`]).
     pub transport: TransportModel,
 }
 
@@ -135,9 +136,8 @@ impl LinkParams {
     }
 
     /// Checks the link invariants. `loss` must be a probability in
-    /// `[0, 1)`. Every link is built by a [`Fabric`] constructor, and
-    /// both ([`Fabric::new`], [`Fabric::with_core`]) call this, so a
-    /// hand-built struct cannot bypass the invariant.
+    /// `[0, 1)`. Every link is built by [`Fabric::new`], which calls
+    /// this, so a hand-built struct cannot bypass the invariant.
     ///
     /// # Panics
     ///
@@ -190,9 +190,8 @@ impl Network {
 
     /// Current link parameters: the fabric's, with the bandwidth this
     /// endpoint's port currently grants — the edge rate divided by its
-    /// active-host count, capped by the core switch if the fabric has
-    /// one. The share is cached on active-set changes, so this is a
-    /// couple of `Cell` reads.
+    /// active-host count. The share is cached on active-set changes, so
+    /// this is one `Cell` read.
     pub fn params(&self) -> LinkParams {
         LinkParams {
             bandwidth_bps: self.port.share.effective_bps(),

@@ -1,48 +1,5 @@
-//! Congestion-aware TCP flow model for [`Channel`](crate::Channel)s.
-//!
-//! The legacy transport ([`TransportModel::Pipe`]) treats the link as a
-//! fixed-bandwidth pipe: every transfer costs a closed-form
-//! `rtt/2 + serialize(bytes)` and congestion cannot happen. This module
-//! is the opt-in alternative ([`TransportModel::Tcp`]): transfers are
-//! segmented at the TCP MSS and pushed through per-connection
-//! congestion windows (slow start, AIMD, fast retransmit on a triple
-//! duplicate ACK, retransmission timeout on loss) into a shared-link
-//! FIFO queue whose occupancy induces RTT and whose finite capacity
-//! induces loss. Segment completions are scheduled on a
-//! [`simkit::EventQueue`] keyed by `(time, host, seq)` — the same
-//! total order as the rest of the event core (detlint rule D6) — so
-//! the model is deterministic and needs no randomness: the only loss
-//! is deterministic tail drop when a window burst overruns the queue.
-//!
-//! # Queue-induced RTT contract
-//!
-//! Each [`TcpLink`] direction is a FIFO with a serialization server:
-//! a segment offered at `now` starts serializing once every segment
-//! present at `now` has drained, and departs after its own
-//! serialization time. The wait behind those k queued segments *is*
-//! the queueing delay — exactly how NISTNet-style added RTT arises on
-//! a congested bottleneck. A segment is tail-dropped when
-//! `QUEUE_CAP_SEGMENTS` segments already occupy the queue at its
-//! arrival; dropped segments vanish and are recovered by the flow's
-//! fast-retransmit or RTO machinery, never by the caller.
-//!
-//! # What completes a transfer
-//!
-//! A transfer completes when the *receiver* holds every byte in order
-//! — the last in-order data arrival, not the final ACK. An uncongested
-//! transfer that fits in one congestion window therefore costs exactly
-//! `serialize(payload + nsegs·hdr) + rtt/2`, the pipe closed form,
-//! which is what the Pipe↔Tcp equivalence tests pin down.
-//!
-//! # MC/S and nconnect
-//!
-//! A [`TcpEndpoint`] owns `connections` independent flows over the
-//! shared link. Request/response exchanges pick one flow round-robin
-//! and keep both legs on it (iSCSI's per-connection allegiance; an RPC
-//! retransmit naturally goes out the *next* flow, nconnect-style).
-//! Bulk data phases stripe their segments across every flow
-//! (`transfer_striped`), which is how iSCSI MC/S data-out/data-in
-//! bursts use the aggregate window of the whole session.
+//! Congestion-aware TCP flow model for [`Channel`](crate::Channel)s;
+//! the model and its contracts are documented on [`TransportModel`].
 
 use crate::LinkParams;
 use simkit::units::{self, Bytes};
@@ -84,6 +41,50 @@ const MAX_RTO: SimDuration = SimDuration::from_secs(60);
 /// How a channel's timing is modeled: the legacy closed-form pipe
 /// (default, byte-identical to every golden) or event-scheduled TCP
 /// flows with congestion.
+///
+/// The legacy transport ([`TransportModel::Pipe`]) treats the link as a
+/// fixed-bandwidth pipe: every transfer costs a closed-form
+/// `rtt/2 + serialize(bytes)` and congestion cannot happen. The opt-in
+/// alternative ([`TransportModel::Tcp`]) models TCP: transfers are
+/// segmented at the TCP MSS and pushed through per-connection
+/// congestion windows (slow start, AIMD, fast retransmit on a triple
+/// duplicate ACK, retransmission timeout on loss) into a shared-link
+/// FIFO queue whose occupancy induces RTT and whose finite capacity
+/// induces loss. Segment completions are scheduled on a
+/// [`simkit::EventQueue`] keyed by `(time, host, seq)` — the same
+/// total order as the rest of the event core (detlint rule D6) — so
+/// the model is deterministic and needs no randomness: the only loss
+/// is deterministic tail drop when a window burst overruns the queue.
+///
+/// # Queue-induced RTT contract
+///
+/// Each [`TcpLink`] direction is a FIFO with a serialization server:
+/// a segment offered at `now` starts serializing once every segment
+/// present at `now` has drained, and departs after its own
+/// serialization time. The wait behind those k queued segments *is*
+/// the queueing delay — exactly how NISTNet-style added RTT arises on
+/// a congested bottleneck. A segment is tail-dropped when
+/// `QUEUE_CAP_SEGMENTS` segments already occupy the queue at its
+/// arrival; dropped segments vanish and are recovered by the flow's
+/// fast-retransmit or RTO machinery, never by the caller.
+///
+/// # What completes a transfer
+///
+/// A transfer completes when the *receiver* holds every byte in order
+/// — the last in-order data arrival, not the final ACK. An uncongested
+/// transfer that fits in one congestion window therefore costs exactly
+/// `serialize(payload + nsegs·hdr) + rtt/2`, the pipe closed form,
+/// which is what the Pipe↔Tcp equivalence tests pin down.
+///
+/// # MC/S and nconnect
+///
+/// A [`TcpEndpoint`] owns `connections` independent flows over the
+/// shared link. Request/response exchanges pick one flow round-robin
+/// and keep both legs on it (iSCSI's per-connection allegiance; an RPC
+/// retransmit naturally goes out the *next* flow, nconnect-style).
+/// Bulk data phases stripe their segments across every flow
+/// (`transfer_striped`), which is how iSCSI MC/S data-out/data-in
+/// bursts use the aggregate window of the whole session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum TransportModel {
     /// Fixed-bandwidth pipe with static RTT; transfers cost

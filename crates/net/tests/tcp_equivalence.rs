@@ -2,12 +2,11 @@
 //! TCP-modeled connection must charge exactly what the closed-form
 //! pipe charges, so switching [`net::TransportModel`] never moves a
 //! number except where congestion is the point. These tests pin the
-//! contract stated in `net::tcp`'s module docs: a transfer that fits
+//! contract stated in `net::TransportModel`'s docs: a transfer that fits
 //! in one congestion window completes at the last in-order data
 //! arrival, `rtt/2 + serialize(payload + nsegs·hdr)`.
 
-use net::tcp::MSS;
-use net::{LinkParams, Network, Transport, TransportModel};
+use net::{LinkParams, Network, Transport, TransportModel, MSS};
 use simkit::units::Bytes;
 use simkit::{Sim, SimDuration};
 

@@ -112,7 +112,7 @@ impl NfsServer {
         let r = f(&self.fs);
         let misses = self.fs.cache_stats().1 - misses_before;
         if misses > 0 {
-            let extra = self.cost.layer * (3 * misses);
+            let extra = self.cost.layer * (u64::from(self.cost.metadata_revisits) * misses);
             self.cpu.charge_tagged(sim.now(), extra, "nfs.server");
             if proc_name != "write" {
                 sim.advance(extra);

@@ -11,15 +11,19 @@ use simkit::{Sim, SimDuration};
 use std::rc::Rc;
 
 fn setup_with(version: Version, enh: Enhancements) -> (Rc<Sim>, NfsClient) {
+    setup_costed(version, enh, CostModel::p3_933())
+}
+
+fn setup_costed(
+    version: Version,
+    enh: Enhancements,
+    server_cost: CostModel,
+) -> (Rc<Sim>, NfsClient) {
     let sim = Sim::new(5);
     let netw = Network::new(sim.clone(), LinkParams::gigabit_lan());
     let disk = Rc::new(MemDisk::new("srv", 300_000));
     let fs = Ext3::mkfs(sim.clone(), disk, ext3::Options::default()).unwrap();
-    let server = Rc::new(NfsServer::new(
-        fs,
-        Rc::new(CpuAccount::new()),
-        CostModel::p3_933(),
-    ));
+    let server = Rc::new(NfsServer::new(fs, Rc::new(CpuAccount::new()), server_cost));
     let rpcc = RpcClient::new(
         netw.channel("nfs", version.transport()),
         RpcConfig::default(),
@@ -277,6 +281,29 @@ fn server_cpu_accumulates_per_rpc() {
         c.mkdir(c.root(), &format!("d{i}"), 0o755).unwrap();
     }
     assert!(c.server().cpu().total_busy() > cpu_before);
+}
+
+/// A server-side meta-data miss re-traverses the stack
+/// `metadata_revisits` times (paper §5.4), so a server that revisits
+/// nothing charges less for a cold lookup than the calibrated one.
+#[test]
+fn metadata_revisits_scale_the_cold_lookup_charge() {
+    let cold_lookup_cpu = |metadata_revisits| {
+        let cost = CostModel {
+            metadata_revisits,
+            ..CostModel::p3_933()
+        };
+        let (_sim, c) = setup_costed(Version::V3, Enhancements::default(), cost);
+        let d = c.mkdir(c.root(), "d", 0o755).unwrap();
+        c.create(d, "f", 0o644).unwrap();
+        c.drop_caches();
+        c.server().drop_caches();
+        let before = c.server().cpu().total_busy();
+        c.lookup(d, "f").unwrap();
+        c.server().cpu().total_busy().as_nanos() - before.as_nanos()
+    };
+    let calibrated = cold_lookup_cpu(CostModel::p3_933().metadata_revisits);
+    assert!(cold_lookup_cpu(0) < calibrated);
 }
 
 #[test]

@@ -76,12 +76,6 @@ impl Bps {
     pub const fn get(self) -> u64 {
         self.0
     }
-
-    /// Saturating multiply, for aggregate-capacity math on the rate.
-    #[must_use]
-    pub const fn saturating_mul(self, n: u64) -> Bps {
-        Bps(self.0.saturating_mul(n))
-    }
 }
 
 /// Serialization delay of `bytes` over a `bps` link: exact

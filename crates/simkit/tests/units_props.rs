@@ -41,11 +41,9 @@ proptest! {
         prop_assert_eq!(Bytes::new(a).is_zero(), a == 0);
     }
 
-    /// Same transparency for `Bps`, including the saturating
-    /// aggregate-capacity multiply.
+    /// Same transparency for `Bps`.
     #[test]
-    fn bps_arithmetic_matches_raw_u64(r in 1u64..u64::MAX, n in 0u64..1 << 20, k in 1u64..1 << 10) {
-        prop_assert_eq!(Bps::new(r).saturating_mul(n).get(), r.saturating_mul(n));
+    fn bps_arithmetic_matches_raw_u64(r in 1u64..u64::MAX, k in 1u64..1 << 10) {
         prop_assert_eq!((Bps::new(r) / k).get(), r / k);
         if let Some(p) = r.checked_mul(k) {
             prop_assert_eq!((Bps::new(r) * k).get(), p);

@@ -98,8 +98,8 @@ fn report_merge_is_order_independent() {
 }
 
 /// The acceptance bar for the sharding work: a (1000 clients, 4
-/// shards) frontier cell — a 1004-host topology behind a two-level
-/// fabric — builds, runs, and tears down inside the tier-1 suite.
+/// shards) frontier cell — a 1004-host topology behind four edge
+/// links — builds, runs, and tears down inside the tier-1 suite.
 /// The per-shard snapshot machinery makes this one k = 250 setup plus
 /// four forked replicas, not 1000 cold mounts.
 #[test]

@@ -42,8 +42,7 @@
 
 use ipstorage::core::experiments::{frontier, macrob, micro, scale};
 use ipstorage::core::{
-    Protocol, ReportBuilder, RunOptions, RunReport, ShardPolicy, Table, Testbed, TestbedConfig,
-    TopologyConfig,
+    Protocol, ReportBuilder, RunOptions, RunReport, Table, Testbed, TestbedConfig, TopologyConfig,
 };
 use ipstorage::simkit::SimDuration;
 use ipstorage::workloads::{DssConfig, OltpConfig};
@@ -160,28 +159,23 @@ fn degenerate_topology_is_the_pair() {
     }
 }
 
-/// `ShardPolicy` is nameable from outside the crate, so the policies
-/// `TopologyConfig::with_policy` takes can actually be selected.
+/// A cold sharded build places client `i` on shard `i % M`, the layout
+/// a snapshot fork replicates, and every client's mount works.
 #[test]
-fn shard_policies_are_selectable_through_the_public_api() {
-    for (protocol, policy) in [
-        (Protocol::NfsV3, ShardPolicy::HashByFile),
-        (Protocol::Iscsi, ShardPolicy::StripedLuns),
-    ] {
+fn cold_sharded_build_places_client_i_on_shard_i_mod_m() {
+    for protocol in [Protocol::NfsV3, Protocol::Iscsi] {
         let tb = Testbed::build_topology(
             TopologyConfig::new(protocol)
                 .with_clients(4)
-                .with_servers(2)
-                .with_policy(policy),
+                .with_servers(2),
         );
         assert_eq!(tb.server_count(), 2);
-        let ports: Vec<u32> = (0..4).map(|i| tb.client_port(i)).collect();
-        assert!(
-            ports.contains(&0) && ports.contains(&1),
-            "{policy:?}: {ports:?}"
-        );
-        tb.client_fs(3).mkdir("/d").unwrap();
-        assert!(tb.client_fs(3).stat("/d").is_ok(), "{policy:?}");
+        for i in 0..4 {
+            assert_eq!(tb.client_port(i), (i % 2) as u32, "{protocol:?}");
+            let dir = format!("/d{i}");
+            tb.client_fs(i).mkdir(&dir).unwrap();
+            assert!(tb.client_fs(i).stat(&dir).is_ok(), "{protocol:?} c{i}");
+        }
     }
 }
 
@@ -230,15 +224,14 @@ fn idle_edges_keep_their_whole_link() {
     }
 }
 
-/// NFS exports no LUNs: asking to stripe them is a configuration error,
-/// not a silent fallback to static assignment.
+/// Static placement leaves a shard with no client when there are fewer
+/// clients than servers: a configuration error, not an idle server.
 #[test]
-#[should_panic(expected = "StripedLuns stripes iSCSI LUNs")]
-fn striped_luns_on_nfs_is_rejected() {
+#[should_panic(expected = "need at least one client per server shard")]
+fn fewer_clients_than_servers_is_rejected() {
     let _ = Testbed::build_topology(
         TopologyConfig::new(Protocol::NfsV3)
-            .with_clients(4)
-            .with_servers(2)
-            .with_policy(ShardPolicy::StripedLuns),
+            .with_clients(2)
+            .with_servers(3),
     );
 }
