@@ -58,11 +58,6 @@ pub(crate) const CLIENT_CACHE_BLOCKS: usize = 65_536;
 /// Server buffer cache (the server has 1 GB of RAM; ≈ 512 MB cache).
 pub(crate) const SERVER_CACHE_BLOCKS: usize = 131_072;
 
-/// Dirty-page throttle threshold (≈ 40% of client RAM): the 128 MB
-/// write benchmarks stay under it, giving the paper's ≈ 2 s iSCSI
-/// write completion (memory-speed dirtying).
-pub(crate) const DIRTY_LIMIT_BLOCKS: usize = 51_200;
-
 /// Client memory-copy cost per 4 KiB page. 60 µs/page ≈ 66 MB/s of
 /// user↔page-cache bandwidth on the 1 GHz PIII client; this is what
 /// bounds the 128 MB buffered write at ≈ 2 s (Table 4).
@@ -71,18 +66,15 @@ pub(crate) fn mem_copy_cost() -> SimDuration {
 }
 
 /// ext3 options for the *client* file system in the iSCSI
-/// configuration.
+/// configuration. The write-back interval, the dirty-data throttle and
+/// the write-command merge limit are ext3 constants
+/// ([`ext3::WRITEBACK_INTERVAL`], [`ext3::DIRTY_LIMIT_BLOCKS`]).
 pub fn client_ext3_options() -> ext3::Options {
     ext3::Options {
         cache_blocks: CLIENT_CACHE_BLOCKS,
         commit_interval: SimDuration::from_secs(5),
-        flush_interval: SimDuration::from_secs(5),
-        dirty_limit_blocks: DIRTY_LIMIT_BLOCKS,
         readahead_max: 16,
-        prefetch_pipeline: 1,
-        max_write_cmd_blocks: 32,
         journal_blocks: JOURNAL_BLOCKS,
-        atime: true,
         mem_copy_cost: mem_copy_cost(),
         // The iSCSI client's file system (journal commits included)
         // runs on the client machine; multi-client topologies override
@@ -128,8 +120,8 @@ mod tests {
 
     #[test]
     fn write_benchmark_stays_under_dirty_limit() {
-        // 128 MB = 32768 blocks < DIRTY_LIMIT_BLOCKS.
-        const { assert!(32_768 < DIRTY_LIMIT_BLOCKS) };
+        // 128 MB = 32768 blocks < ext3's throttle threshold.
+        const { assert!(32_768 < ext3::DIRTY_LIMIT_BLOCKS) };
     }
 
     #[test]

@@ -114,12 +114,12 @@ impl BlockDevice for CpuChargedDevice {
     fn write(&self, start: BlockNo, data: &[u8]) -> blockdev::Result<IoCost> {
         let cpu = self.cost.iscsi_request(Bytes::new(data.len() as u64));
         // Writes arrive in write-back bursts; vmstat sees the target's
-        // processing as sustained background load across the flush
-        // interval.
+        // processing as sustained background load across the client's
+        // write-back interval.
         self.cpu.charge_spread_tagged(
             self.sim.now(),
             cpu,
-            simkit::SimDuration::from_secs(5),
+            ext3::WRITEBACK_INTERVAL,
             "iscsi.target",
         );
         Ok(self.inner.write(start, data)?.then(IoCost::new(cpu)))
@@ -758,7 +758,7 @@ impl Testbed {
             cfg.max_dirty_pages = limit;
         }
         if let Some(t) = config.nfs_metadata_timeout {
-            cfg.timeouts.metadata = t;
+            cfg.metadata_timeout = t;
         }
         cfg.client_id = client_id;
         // Under the modeled TCP transport the mount opens one flow per

@@ -17,8 +17,27 @@ use std::rc::{Rc, Weak};
 /// Inode number.
 pub type Ino = u32;
 
-/// Tunables of the file system, calibrated to the paper's testbed
-/// (RedHat Linux 9, kernel 2.4.20, ext3 defaults).
+/// Dirty-data write-back interval (pdflush/kupdated style): the timer
+/// daemon writes every dirty data block back this long after the last
+/// pass.
+pub const WRITEBACK_INTERVAL: SimDuration = SimDuration::from_secs(5);
+
+/// Dirty-data threshold (blocks) beyond which writers are throttled
+/// into foreground flushing (~40% of client RAM, ≈ 200 MB): the paper's
+/// 128 MB write benchmarks stay under it, giving its ≈ 2 s iSCSI write
+/// completion (memory-speed dirtying).
+pub const DIRTY_LIMIT_BLOCKS: usize = 51_200;
+
+/// Largest merged write-back command in blocks (the paper observed
+/// mean iSCSI write requests of 128 KB = 32 blocks).
+const MAX_WRITE_CMD_BLOCKS: u32 = 32;
+
+/// The tunables the testbed varies per file system. The calibrated
+/// client and server values live in `ipstorage_core::calibration`;
+/// [`Options::default`] (read-ahead 8, a 1024-block journal) is the
+/// standalone fixture the crate's own tests mount. Access times are
+/// always maintained (the ext3 default): atime updates are what give
+/// iSCSI its warm-read message overhead (paper §4.4).
 #[derive(Debug, Clone, Copy)]
 pub struct Options {
     /// Buffer-cache capacity in blocks. The paper's client has 512 MB
@@ -26,25 +45,10 @@ pub struct Options {
     pub cache_blocks: usize,
     /// Journal commit interval (ext3 default: 5 s).
     pub commit_interval: SimDuration,
-    /// Dirty-data write-back interval (pdflush/kupdated style).
-    pub flush_interval: SimDuration,
-    /// Dirty-data threshold (blocks) beyond which writers are
-    /// throttled into foreground flushing (~40% of client RAM).
-    pub dirty_limit_blocks: usize,
     /// Maximum read-ahead window in blocks.
     pub readahead_max: u32,
-    /// Overlap factor for asynchronous read-ahead I/O (tagged SCSI
-    /// commands in flight while the application consumes earlier
-    /// data): pure-prefetch device time is divided by this.
-    pub prefetch_pipeline: u32,
-    /// Largest merged write-back command in blocks (the paper observed
-    /// mean iSCSI write requests of 128 KB = 32 blocks).
-    pub max_write_cmd_blocks: u32,
     /// Journal region length in blocks (fixed at mkfs).
     pub journal_blocks: u64,
-    /// Maintain access times (ext3 default: yes). Atime updates are
-    /// what give iSCSI its warm-read message overhead (paper §4.4).
-    pub atime: bool,
     /// CPU cost of moving one block between user and page cache;
     /// models the client-side memory path that bounds cached I/O.
     pub mem_copy_cost: SimDuration,
@@ -61,13 +65,8 @@ impl Default for Options {
         Options {
             cache_blocks: 65_536,
             commit_interval: SimDuration::from_secs(5),
-            flush_interval: SimDuration::from_secs(5),
-            dirty_limit_blocks: 51_200, // ~200 MB
             readahead_max: 8,
-            prefetch_pipeline: 1,
-            max_write_cmd_blocks: 32,
             journal_blocks: 1024,
-            atime: true,
             mem_copy_cost: SimDuration::from_micros(60),
             trace_host: simkit::HostId::SERVER,
         }
@@ -275,7 +274,7 @@ impl Daemon for JournalTimers {
                     // wakeup: the daemon has nobody to report to.
                     let _ = flush_data(&inner, &mut st, usize::MAX);
                     st.cache.shrink_to_capacity();
-                    st.next_flush = now + inner.opts.flush_interval;
+                    st.next_flush = now + WRITEBACK_INTERVAL;
                 }
                 Some(st.next_commit.min(st.next_flush))
             }
@@ -452,7 +451,7 @@ impl Ext3 {
             alloc_hint: HashMap::new(),
             dir_group_hint: HashMap::new(),
             next_commit: now + opts.commit_interval,
-            next_flush: now + opts.flush_interval,
+            next_flush: now + WRITEBACK_INTERVAL,
             mounted: true,
         };
         let inner = Rc::new(Inner {
@@ -1006,7 +1005,7 @@ pub(crate) fn commit_journal(inner: &Inner, st: &mut State) -> FsResult<()> {
 /// checkpoint.
 pub(crate) fn checkpoint(inner: &Inner, st: &mut State) -> FsResult<()> {
     let pending = st.journal.pending();
-    let runs = merge_runs(pending.keys().copied(), inner.opts.max_write_cmd_blocks);
+    let runs = merge_runs(pending.keys().copied());
     // Runs and images are both in block order: walk them in step.
     let mut images = pending.values();
     let mut buf = Gather::take();
@@ -1038,7 +1037,7 @@ pub(crate) fn flush_data(inner: &Inner, st: &mut State, limit: usize) -> FsResul
     if dirty.is_empty() {
         return Ok(());
     }
-    let runs = merge_runs(dirty, inner.opts.max_write_cmd_blocks);
+    let runs = merge_runs(dirty);
     let mut cleaned = 0usize;
     let mut result = Ok(());
     for (start, len) in runs {
@@ -1076,15 +1075,14 @@ pub(crate) fn write_back_run(
 }
 
 /// Coalesces sorted block numbers into `(start, len)` runs capped at
-/// `max_len` blocks each.
-pub(crate) fn merge_runs(
-    blocks: impl IntoIterator<Item = BlockNo>,
-    max_len: u32,
-) -> Vec<(BlockNo, u32)> {
+/// [`MAX_WRITE_CMD_BLOCKS`] blocks each.
+pub(crate) fn merge_runs(blocks: impl IntoIterator<Item = BlockNo>) -> Vec<(BlockNo, u32)> {
     let mut out: Vec<(BlockNo, u32)> = Vec::new();
     for b in blocks {
         match out.last_mut() {
-            Some((start, len)) if *start + *len as u64 == b && *len < max_len => *len += 1,
+            Some((start, len)) if *start + *len as u64 == b && *len < MAX_WRITE_CMD_BLOCKS => {
+                *len += 1
+            }
             _ => out.push((b, 1)),
         }
     }
@@ -1095,10 +1093,10 @@ pub(crate) fn merge_runs(
 /// batch in the foreground, as the kernel's balance_dirty_pages does.
 pub(crate) fn maybe_throttle(inner: &Inner, st: &mut State) {
     let dirty = st.cache.dirty_count(DirtyKind::Data);
-    if dirty > inner.opts.dirty_limit_blocks {
-        let excess = dirty - inner.opts.dirty_limit_blocks;
+    if dirty > DIRTY_LIMIT_BLOCKS {
+        let excess = dirty - DIRTY_LIMIT_BLOCKS;
         // A rejected run stays dirty: the next write throttles again.
-        let _ = flush_data(inner, st, excess + inner.opts.dirty_limit_blocks / 8);
+        let _ = flush_data(inner, st, excess + DIRTY_LIMIT_BLOCKS / 8);
     }
 }
 

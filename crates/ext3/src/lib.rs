@@ -59,7 +59,7 @@ pub use blockdev::Image;
 pub use cache::{BufferCache, DirtyKind};
 pub use dir::DirEntry;
 pub use error::{read_to_vec, FsError, FsResult};
-pub use fs::{Attr, Ext3, Ino, Options, SetAttr, StatFs};
+pub use fs::{Attr, Ext3, Ino, Options, SetAttr, StatFs, DIRTY_LIMIT_BLOCKS, WRITEBACK_INTERVAL};
 pub use fsck::FsckReport;
 pub use layout::{min_volume_blocks, FileType, FAST_SYMLINK_MAX, NAME_MAX, ROOT_INO};
 
@@ -434,7 +434,7 @@ mod tests {
     }
 
     #[test]
-    fn atime_updates_on_read_when_enabled() {
+    fn atime_updates_on_read() {
         let (sim, _disk, fs) = newfs();
         let f = fs.create(fs.root(), "f", 0o644).unwrap();
         fs.write(f, 0, b"x").unwrap();

@@ -277,10 +277,8 @@ impl crate::Ext3 {
                 let img = bread(inner, st, inode.block[0] as BlockNo)?;
                 String::from_utf8_lossy(&img[..inode.size as usize]).into_owned()
             };
-            if inner.opts.atime {
-                inode.atime = inner.now_ns();
-                write_inode(inner, st, ino, &inode)?;
-            }
+            inode.atime = inner.now_ns();
+            write_inode(inner, st, ino, &inode)?;
             Ok(target)
         })
     }
@@ -392,10 +390,8 @@ impl crate::Ext3 {
                     out.extend(dir::entries(bread(inner, st, bno)?));
                 }
             }
-            if inner.opts.atime {
-                inode.atime = inner.now_ns();
-                write_inode(inner, st, dir, &inode)?;
-            }
+            inode.atime = inner.now_ns();
+            write_inode(inner, st, dir, &inode)?;
             Ok(out)
         })
     }
@@ -445,10 +441,8 @@ impl crate::Ext3 {
                 inner.charge_cpu(inner.opts.mem_copy_cost);
             }
             readahead_advance(st, ino, last + 1);
-            if inner.opts.atime {
-                inode.atime = inner.now_ns();
-                write_inode(inner, st, ino, &inode)?;
-            }
+            inode.atime = inner.now_ns();
+            write_inode(inner, st, ino, &inode)?;
             Ok(filled)
         })
     }
@@ -556,7 +550,7 @@ impl crate::Ext3 {
                 }
             }
             dirty.sort_unstable();
-            for (start, len) in merge_runs(dirty, inner.opts.max_write_cmd_blocks) {
+            for (start, len) in merge_runs(dirty) {
                 write_back_run(inner, st, start, len)?;
             }
             Ok(())
@@ -853,10 +847,9 @@ fn prefetch_range(
     let fetch_last = (last + window - 1).min(file_blocks - 1);
     // The largest merged read command the block layer will build.
     let max_run = (inner.opts.readahead_max as u64).clamp(1, 64);
-    let mut run: Option<(u64, u64, bool)> = None; // (device start, len, demand)
+    let mut run: Option<(u64, u64)> = None; // (device start, len)
     let mut fb = first;
     while fb <= fetch_last {
-        let demand = fb <= last;
         let dev_block = match bmap(inner, st, inode, fb)? {
             Some(b) => b,
             None => {
@@ -876,26 +869,24 @@ fn prefetch_range(
             continue;
         }
         match run {
-            Some((start, len, d)) if start + len == dev_block && len < max_run => {
-                run = Some((start, len + 1, d || demand));
+            Some((start, len)) if start + len == dev_block && len < max_run => {
+                run = Some((start, len + 1));
             }
             Some(_) => {
                 flush_run(inner, st, &mut run)?;
-                run = Some((dev_block, 1, demand));
+                run = Some((dev_block, 1));
             }
-            None => run = Some((dev_block, 1, demand)),
+            None => run = Some((dev_block, 1)),
         }
         fb += 1;
     }
     flush_run(inner, st, &mut run)
 }
 
-/// Issues one merged device read for the pending run. Pure read-ahead
-/// (no block of the run was demanded by the caller) is asynchronous in
-/// a real kernel — tagged commands overlap application processing — so
-/// only a fraction of its latency is foreground.
-fn flush_run(inner: &Inner, st: &mut State, run: &mut Option<(u64, u64, bool)>) -> FsResult<()> {
-    let Some((start, len, demand)) = run.take() else {
+/// Issues one merged device read for the pending run and bills its
+/// whole device time to the caller, read-ahead blocks included.
+fn flush_run(inner: &Inner, st: &mut State, run: &mut Option<(u64, u64)>) -> FsResult<()> {
+    let Some((start, len)) = run.take() else {
         return Ok(());
     };
     let bytes = (len as usize) * BLOCK_SIZE;
@@ -905,13 +896,7 @@ fn flush_run(inner: &Inner, st: &mut State, run: &mut Option<(u64, u64, bool)>) 
     }
     let buf = &mut gather[..bytes];
     let cost = inner.dev.read(start, len as u32, buf)?;
-    if demand {
-        inner.charge(cost);
-    } else {
-        inner.charge(blockdev::IoCost::new(
-            cost.time / inner.opts.prefetch_pipeline.max(1) as u64,
-        ));
-    }
+    inner.charge(cost);
     for (bno, img) in (start..).zip(buf.chunks_exact(BLOCK_SIZE)) {
         st.cache.insert_clean(bno, img);
     }

@@ -20,7 +20,7 @@
 
 use crate::pagecache::{PageCache, PAGE_SIZE};
 use crate::server::NfsServer;
-use crate::{CacheTimeouts, ClientId, Enhancements, Fh, Version};
+use crate::{ClientId, Enhancements, Fh, Version};
 use cpu::{CostModel, CpuAccount};
 use ext3::{Attr, DirEntry, FsError, FsResult, SetAttr};
 use rpc::RpcClient;
@@ -30,32 +30,42 @@ use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
-/// Client configuration.
+/// Page-cache capacity in 4 KiB pages (~256 MB).
+const PAGE_CACHE_PAGES: usize = 65_536;
+
+/// Maximum in-flight asynchronous WRITE RPCs before the client
+/// degenerates to write-through (the Linux pending-writes limit).
+const MAX_PENDING_WRITES: usize = 16;
+
+/// Server-side cost of making a v2 write stable before replying.
+const SYNC_WRITE_PENALTY: SimDuration = SimDuration::from_micros(1200);
+
+/// Read pipelining depth for sequential streams (nfsiod read-ahead
+/// daemons overlapping RPC round trips).
+const READ_PIPELINE: u32 = 4;
+
+/// Updates batched per aggregated flush under directory delegation.
+const DELEGATION_BATCH: u64 = 32;
+
+/// Cached file data is considered stale after this (the Linux default
+/// per the paper §2.3).
+const DATA_TIMEOUT: SimDuration = SimDuration::from_secs(30);
+
+/// Client configuration: the settings the testbed varies per mount.
 #[derive(Debug, Clone, Copy)]
 pub struct NfsConfig {
     /// Protocol version.
     pub version: Version,
-    /// Attribute/data cache timeouts.
-    pub timeouts: CacheTimeouts,
-    /// Page-cache capacity in 4 KiB pages (~256 MB default).
-    pub page_cache_pages: usize,
-    /// Maximum in-flight asynchronous WRITE RPCs before the client
-    /// degenerates to write-through (the Linux pending-writes limit).
-    pub max_pending_writes: usize,
+    /// Meta-data (attributes, dentries) is considered stale after this
+    /// (Linux default 3 s, per the paper §2.3).
+    pub metadata_timeout: SimDuration,
     /// Dirty pages the client may hold before draining them to the
     /// server inline (Linux 2.4's bounded NFS write-back — §4.5: once
     /// exceeded, "the write-back cache degenerates to a write-through
     /// cache").
     pub max_dirty_pages: usize,
-    /// Server-side cost of making a v2 write stable before replying.
-    pub sync_write_penalty: SimDuration,
-    /// Read pipelining depth for sequential streams (nfsiod
-    /// read-ahead daemons overlapping RPC round trips).
-    pub read_pipeline: u32,
     /// §7 enhancements.
     pub enhancements: Enhancements,
-    /// Updates batched per aggregated flush under directory delegation.
-    pub delegation_batch: usize,
     /// Which client this is, for the server's per-client accounting in
     /// multi-host topologies. 0 (the only client) in the paper's
     /// single-client testbed.
@@ -72,14 +82,9 @@ impl NfsConfig {
     pub fn for_version(version: Version) -> NfsConfig {
         NfsConfig {
             version,
-            timeouts: CacheTimeouts::default(),
-            page_cache_pages: 65_536,
-            max_pending_writes: 16,
+            metadata_timeout: SimDuration::from_secs(3),
             max_dirty_pages: 256,
-            sync_write_penalty: SimDuration::from_micros(1200),
-            read_pipeline: 4,
             enhancements: Enhancements::default(),
-            delegation_batch: 32,
             client_id: 0,
             nconnect: 1,
         }
@@ -179,7 +184,7 @@ impl NfsClient {
             attrs: RefCell::new(BTreeMap::new()),
             dentries: RefCell::new(BTreeMap::new()),
             dentry_count: Cell::new(0),
-            pages: PageCache::new(cfg.page_cache_pages),
+            pages: PageCache::new(PAGE_CACHE_PAGES),
             read_staging: RefCell::new(Vec::new()),
             pending: RefCell::new(VecDeque::new()),
             dirty_queue: RefCell::new(VecDeque::new()),
@@ -298,7 +303,7 @@ impl NfsClient {
             // valid until the (single) client's own updates change it.
             return true;
         }
-        self.now_ns().saturating_sub(fetched_at) < self.cfg.timeouts.metadata.as_nanos()
+        self.now_ns().saturating_sub(fetched_at) < self.cfg.metadata_timeout.as_nanos()
     }
 
     fn prime_attr(&self, fh: Fh, attr: &Attr) {
@@ -453,21 +458,19 @@ impl NfsClient {
     /// Records a local (delegated) update; batches flush later.
     fn queue_delegated_update(&self) {
         self.queued_updates.set(self.queued_updates.get() + 1);
-        let batch = self.cfg.delegation_batch as u64;
-        if self.queued_updates.get() >= batch {
+        if self.queued_updates.get() >= DELEGATION_BATCH {
             self.flush_delegated_updates();
         }
     }
 
     /// Flushes queued delegated meta-data updates as aggregated
-    /// compound RPCs (one per `delegation_batch`).
+    /// compound RPCs (one per `DELEGATION_BATCH` updates).
     pub fn flush_delegated_updates(&self) {
         let n = self.queued_updates.replace(0);
         if n == 0 {
             return;
         }
-        let batch = self.cfg.delegation_batch as u64;
-        let msgs = n.div_ceil(batch).max(1);
+        let msgs = n.div_ceil(DELEGATION_BATCH);
         for _ in 0..msgs {
             self.rpc_sync("compound_meta_update", Bytes::new(4096), Bytes::new(128), 1);
         }
@@ -794,7 +797,7 @@ impl NfsClient {
             }
             s.next_off = end;
             if s.streak >= 2 {
-                self.cfg.read_pipeline
+                READ_PIPELINE
             } else {
                 1
             }
@@ -892,7 +895,7 @@ impl NfsClient {
         }
         let now = self.now_ns();
         match self.pages.validation(fh) {
-            Some((at, mtime)) if now.saturating_sub(at) < self.cfg.timeouts.data.as_nanos() => {
+            Some((at, mtime)) if now.saturating_sub(at) < DATA_TIMEOUT.as_nanos() => {
                 let _ = mtime;
                 Ok(())
             }
@@ -981,7 +984,7 @@ impl NfsClient {
                     Bytes::new(128),
                     SimDuration::ZERO,
                 );
-                self.sim.advance(out.latency + self.cfg.sync_write_penalty);
+                self.sim.advance(out.latency + SYNC_WRITE_PENALTY);
                 // Write-through: the pages are immediately clean.
                 for p in
                     chunk_off / PAGE_SIZE as u64..(chunk_off + chunk).div_ceil(PAGE_SIZE as u64)
@@ -1047,7 +1050,7 @@ impl NfsClient {
         // Slot service time: a full round trip (plus transfer) shared
         // across the window, floored by the server's per-RPC
         // processing cost (the real drain bottleneck on a LAN).
-        let per_slot = out.latency.as_nanos() / self.cfg.max_pending_writes.max(1) as u64;
+        let per_slot = out.latency.as_nanos() / MAX_PENDING_WRITES as u64;
         let service = per_slot
             .max(p.serialize(bytes).as_nanos())
             .max(self.cost.nfs_request(bytes).as_nanos());
@@ -1058,7 +1061,7 @@ impl NfsClient {
         while pending.front().is_some_and(|&c| c <= self.now_ns()) {
             pending.pop_front();
         }
-        if pending.len() > self.cfg.max_pending_writes {
+        if pending.len() > MAX_PENDING_WRITES {
             // Window full: write-through behaviour — wait for the
             // oldest outstanding write to complete.
             let wake = pending.pop_front().expect("nonempty");
@@ -1206,6 +1209,13 @@ mod tests {
             Rc::new(CpuAccount::new()),
             CostModel::p3_933(),
         )
+    }
+
+    #[test]
+    fn default_timeouts_are_linux_defaults() {
+        let cfg = NfsConfig::for_version(Version::V3);
+        assert_eq!(cfg.metadata_timeout, SimDuration::from_secs(3));
+        assert_eq!(DATA_TIMEOUT, SimDuration::from_secs(30));
     }
 
     proptest! {

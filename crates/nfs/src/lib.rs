@@ -34,8 +34,6 @@ pub use client::{NfsClient, NfsConfig, OpenFile};
 pub use pagecache::PageCache;
 pub use server::NfsServer;
 
-use simkit::SimDuration;
-
 /// Identifies which client a server-side RPC came from.
 ///
 /// A real NFS server distinguishes callers by source address; the
@@ -129,24 +127,6 @@ pub struct Enhancements {
     pub file_delegation: bool,
 }
 
-/// Client cache timeouts (Linux defaults per the paper §2.3).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CacheTimeouts {
-    /// Meta-data (attributes, dentries) considered stale after this.
-    pub metadata: SimDuration,
-    /// Cached file data considered stale after this.
-    pub data: SimDuration,
-}
-
-impl Default for CacheTimeouts {
-    fn default() -> Self {
-        CacheTimeouts {
-            metadata: SimDuration::from_secs(3),
-            data: SimDuration::from_secs(30),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -161,12 +141,5 @@ mod tests {
         assert!(!Version::V3.access_per_component());
         assert_eq!(Version::V2.transfer_size(), 8192);
         assert_eq!(Version::V4.transfer_size(), 32768);
-    }
-
-    #[test]
-    fn default_timeouts_are_linux_defaults() {
-        let t = CacheTimeouts::default();
-        assert_eq!(t.metadata, SimDuration::from_secs(3));
-        assert_eq!(t.data, SimDuration::from_secs(30));
     }
 }

@@ -46,62 +46,40 @@ use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-/// Bounds on the retransmission loop, lifted out of the engine so the
-/// figure-6 sweep can vary them (the Linux client's `retrans` mount
-/// option and its capped exponential backoff).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RpcTimeoutConfig {
-    /// Maximum duplicate requests per call before the client gives up
-    /// waiting out further RTO intervals.
-    pub max_retransmits: u32,
-    /// Cap on the exponential-backoff shift: the k-th retransmission
-    /// waits `rto * 2^min(k, max_backoff_shift)`.
-    pub max_backoff_shift: u32,
-}
+/// Floor of the adaptive RTO. Linux 2.4's RPC engine is tick-based
+/// (HZ=100), giving a coarse floor around 100 ms.
+const RTO_MIN: SimDuration = SimDuration::from_millis(100);
 
-impl Default for RpcTimeoutConfig {
-    fn default() -> Self {
-        RpcTimeoutConfig {
-            max_retransmits: 8,
-            max_backoff_shift: 6,
-        }
-    }
-}
+/// Cap of the adaptive RTO.
+const RTO_MAX: SimDuration = SimDuration::from_secs(60);
 
-/// Retransmission-timer parameters of the RPC client.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RpcConfig {
-    /// Floor of the adaptive RTO. Linux 2.4's RPC engine is tick-based
-    /// (HZ=100), giving a coarse floor around 100 ms.
-    pub rto_min: SimDuration,
-    /// Cap of the adaptive RTO.
-    pub rto_max: SimDuration,
-    /// Multiplier applied to the smoothed RTT to form the RTO. Small
-    /// values reproduce the premature timeouts the paper observed.
-    pub rto_factor: f64,
-    /// Relative magnitude of per-call service-time jitter (models
-    /// server scheduling and queueing noise that grows with RTT).
-    /// Only used under the pipe transport model; with TCP flows the
-    /// variance comes from modeled queueing and loss recovery.
-    pub jitter_frac: f64,
-    /// Smoothing gain of the RTT estimator.
-    pub srtt_gain: f64,
-    /// Retransmission-loop bounds.
-    pub timeout: RpcTimeoutConfig,
-}
+/// Multiplier applied to the smoothed RTT to form the RTO. A small
+/// value reproduces the premature timeouts the paper observed.
+const RTO_FACTOR: f64 = 1.5;
 
-impl Default for RpcConfig {
-    fn default() -> Self {
-        RpcConfig {
-            rto_min: SimDuration::from_millis(100),
-            rto_max: SimDuration::from_secs(60),
-            rto_factor: 1.5,
-            jitter_frac: 0.5,
-            srtt_gain: 0.125,
-            timeout: RpcTimeoutConfig::default(),
-        }
-    }
-}
+/// Relative magnitude of per-call service-time jitter (models server
+/// scheduling and queueing noise that grows with RTT). Only used under
+/// the pipe transport model; with TCP flows the variance comes from
+/// modeled queueing and loss recovery.
+const JITTER_FRAC: f64 = 0.5;
+
+/// Smoothing gain of the RTT estimator.
+const SRTT_GAIN: f64 = 0.125;
+
+/// Maximum duplicate requests per call before the client gives up
+/// waiting out further RTO intervals (the Linux client's `retrans`
+/// mount option).
+const MAX_RETRANSMITS: u32 = 8;
+
+/// Cap on the exponential-backoff shift: the k-th retransmission waits
+/// `rto * 2^min(k, MAX_BACKOFF_SHIFT)`.
+const MAX_BACKOFF_SHIFT: u32 = 6;
+
+/// Configuration of the RPC client. It has no fields: the Linux 2.4
+/// retransmission timer is fixed by this crate's constants, which no
+/// experiment varies.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RpcConfig {}
 
 /// Result of one RPC as seen by the caller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -122,7 +100,6 @@ pub struct CallOutcome {
 #[derive(Debug)]
 pub struct RpcClient {
     chan: Channel,
-    config: RpcConfig,
     srtt: Cell<SimDuration>,
     txns: CounterHandle,
     retrans: CounterHandle,
@@ -140,14 +117,13 @@ struct ProcHandles {
 
 impl RpcClient {
     /// Creates a client over `chan`.
-    pub fn new(chan: Channel, config: RpcConfig) -> Self {
+    pub fn new(chan: Channel, _config: RpcConfig) -> Self {
         let sim = chan.network().sim().clone();
         let label = chan.label();
         let txns = sim.counters().handle(&format!("proto.{label}.txns"));
         let retrans = sim.counters().handle(&format!("proto.{label}.retrans"));
         RpcClient {
             chan,
-            config,
             srtt: Cell::new(SimDuration::ZERO),
             txns,
             retrans,
@@ -185,10 +161,8 @@ impl RpcClient {
 
     /// Current retransmission timeout derived from the smoothed RTT.
     pub(crate) fn rto(&self) -> SimDuration {
-        let base = units::duration_from_nanos_f64(
-            units::nanos_f64(self.srtt.get()) * self.config.rto_factor,
-        );
-        base.max(self.config.rto_min).min(self.config.rto_max)
+        let base = units::duration_from_nanos_f64(units::nanos_f64(self.srtt.get()) * RTO_FACTOR);
+        base.max(RTO_MIN).min(RTO_MAX)
     }
 
     /// Executes one RPC: accounts a transaction, estimates the reply
@@ -229,8 +203,7 @@ impl RpcClient {
             SimDuration::ZERO
         } else {
             let u = units::unit_interval_53(sim.rng_u64());
-            let jitter_scale =
-                units::nanos_f64(self.chan.network().params().rtt) * self.config.jitter_frac;
+            let jitter_scale = units::nanos_f64(self.chan.network().params().rtt) * JITTER_FRAC;
             units::duration_from_nanos_f64(-(1.0 - u).ln() * jitter_scale)
         };
         let reply_at = wire + server_time + jitter;
@@ -241,7 +214,7 @@ impl RpcClient {
         let mut retransmits = 0u32;
         let mut deadline = rto;
         let mut latency = reply_at;
-        while deadline < reply_at && retransmits < self.config.timeout.max_retransmits {
+        while deadline < reply_at && retransmits < MAX_RETRANSMITS {
             retransmits += 1;
             // The duplicate is a full transaction on the wire.
             self.txns.incr();
@@ -249,16 +222,15 @@ impl RpcClient {
             let _ = self.chan.round_trip(req_bytes, resp_bytes);
             // The client ends up waiting for the duplicate's reply too.
             latency += self.chan.network().params().rtt / 2;
-            deadline += rto * 2u64.pow(retransmits.min(self.config.timeout.max_backoff_shift));
+            deadline += rto * 2u64.pow(retransmits.min(MAX_BACKOFF_SHIFT));
         }
 
         // Update the smoothed RTT estimate (gain-filtered).
-        let g = self.config.srtt_gain;
         let prev = units::nanos_f64(self.srtt.get());
         let next = if prev == 0.0 {
             units::nanos_f64(reply_at)
         } else {
-            prev + g * (units::nanos_f64(reply_at) - prev)
+            prev + SRTT_GAIN * (units::nanos_f64(reply_at) - prev)
         };
         self.srtt.set(units::duration_from_nanos_f64(next));
 
@@ -415,47 +387,37 @@ mod tests {
     }
 
     #[test]
-    fn timeout_config_caps_retransmissions() {
-        // max_retransmits = 0 silences the engine entirely, whatever
-        // the RTT; the default cap of 8 is what the old hardcoded loop
-        // enforced.
-        let sim = Sim::new(42);
-        let netw = Network::new(sim.clone(), LinkParams::wan(SimDuration::from_millis(90)));
-        let cfg = RpcConfig {
-            timeout: RpcTimeoutConfig {
-                max_retransmits: 0,
-                ..RpcTimeoutConfig::default()
-            },
-            ..RpcConfig::default()
-        };
-        let c = RpcClient::new(netw.channel("nfs", Transport::Tcp), cfg);
-        for _ in 0..500 {
-            let out = c.call("read", b(128), b(8192), SimDuration::from_micros(100));
-            assert_eq!(out.retransmits, 0);
-        }
-        assert_eq!(sim.counters().get("proto.nfs.retrans"), 0);
-    }
-
-    #[test]
-    fn smaller_backoff_shift_retransmits_more() {
-        // A reply 1 s late against a 100 ms RTO: flat backoff (shift
-        // 0) keeps firing every RTO, while the default doubling covers
-        // the same wait in a few intervals.
-        let count = |shift| {
+    fn retransmissions_back_off_to_the_shift_cap_and_stop_at_eight() {
+        // A fresh client's RTO is the 100 ms floor. Duplicate k + 1
+        // leaves at deadline d_k = d_{k-1} + RTO·2^min(k, 6): each
+        // wait doubles up to 64 RTOs, then stays there. A reply due
+        // just past d_k draws k + 1 duplicates; one due just before
+        // it, k.
+        let deadlines_in_rtos = [1u64, 3, 7, 15, 31, 63, 127, 191];
+        let margin = SimDuration::from_millis(5);
+        let call = |server_time| {
             let sim = Sim::new(42);
             let netw = Network::new(sim.clone(), LinkParams::gigabit_lan());
-            let cfg = RpcConfig {
-                timeout: RpcTimeoutConfig {
-                    max_retransmits: 64,
-                    max_backoff_shift: shift,
-                },
-                ..RpcConfig::default()
-            };
-            let c = RpcClient::new(netw.channel("nfs", Transport::Tcp), cfg);
-            c.call("read", b(128), b(8192), SimDuration::from_secs(1))
-                .retransmits
+            let c = RpcClient::new(netw.channel("nfs", Transport::Tcp), RpcConfig::default());
+            assert_eq!(c.rto(), SimDuration::from_millis(100));
+            let out = c.call("read", b(128), b(128), server_time);
+            assert_eq!(
+                sim.counters().get("proto.nfs.retrans"),
+                out.retransmits as u64
+            );
+            assert_eq!(
+                sim.counters().get("proto.nfs.txns"),
+                out.retransmits as u64 + 1
+            );
+            out.retransmits
         };
-        assert!(count(0) > count(6), "flat backoff fires more duplicates");
+        for (k, &d) in (0u32..).zip(&deadlines_in_rtos) {
+            let deadline = SimDuration::from_millis(100) * d;
+            assert_eq!(call(deadline - margin), k, "reply before deadline {k}");
+            assert_eq!(call(deadline + margin), k + 1, "reply after deadline {k}");
+        }
+        // Far past RTO·2^6 the count stops at the cap of 8.
+        assert_eq!(call(SimDuration::from_secs(60)), 8);
     }
 
     #[test]
