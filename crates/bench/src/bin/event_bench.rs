@@ -17,7 +17,7 @@
 
 use ipstorage_core::experiments::scale;
 use ipstorage_core::RunOptions;
-use simkit::{EventQueue, HostId, SimTime, SplitMix64};
+use simkit::{json, EventQueue, HostId, Json, SimTime, SplitMix64};
 use std::time::Instant;
 
 /// The pass-based loop's last recording (PR 7, the full 8-cell grid,
@@ -94,13 +94,7 @@ fn timed_scale(counts: &[usize], files: usize, txns: usize) -> f64 {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_events.json".into());
+    let quick = bench::flag("--quick");
 
     let micro_n: u64 = if quick { 200_000 } else { 1_000_000 };
     let (counts, files, txns): (&[usize], usize, usize) = if quick {
@@ -122,43 +116,41 @@ fn main() {
     let _ = timed_scale(&[1], 50, 100); // warm-up
     let secs_ev = timed_scale(counts, files, txns);
 
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let json = format!(
-        concat!(
-            "{{\"bench\":\"events\",",
-            "\"host\":{{\"cores\":{cores},\"os\":\"{os}\",\"arch\":\"{arch}\"}},",
-            "\"quick\":{quick},",
-            "\"queue\":{{\"events\":{n},",
-            "\"fill_drain\":{{\"events_per_sec\":{fdr:.0},\"max_heap\":{fdd}}},",
-            "\"churn\":{{\"window\":1024,\"events_per_sec\":{chr:.0},\"max_heap\":{chd}}}}},",
-            "\"scale\":{{\"cells\":{cells},\"files\":{files},\"transactions\":{txns},",
-            "\"events\":{{\"secs\":{sev:.4},\"cells_per_sec\":{cev:.3}}},",
-            "\"frozen_pass_loop\":{{\"commit\":\"{fc}\",\"cells\":8,\"files\":200,",
-            "\"transactions\":600,\"host_cores\":1,",
-            "\"secs\":{fs:.4},\"cells_per_sec\":{fr:.3}}}}},",
-            "\"pop_order_strict\":true}}"
-        ),
-        cores = cores,
-        os = std::env::consts::OS,
-        arch = std::env::consts::ARCH,
-        quick = quick,
-        n = micro_n,
-        fdr = fd_rate,
-        fdd = fd_depth,
-        chr = ch_rate,
-        chd = ch_depth,
-        cells = cells,
-        files = files,
-        txns = txns,
-        sev = secs_ev,
-        cev = cells as f64 / secs_ev,
-        fc = FROZEN_COMMIT,
-        fs = FROZEN_PASS_LOOP_SECS,
-        fr = FROZEN_PASS_LOOP_CELLS_PER_SEC,
-    );
-    std::fs::write(&out_path, format!("{json}\n")).expect("write BENCH_events.json");
-    println!("{json}");
-    eprintln!("event_bench: wrote {out_path}");
+    let doc = json!({
+        "bench": "events",
+        "host": bench::host(),
+        "quick": quick,
+        "queue": {
+            "events": micro_n,
+            "fill_drain": {
+                "events_per_sec": Json::Num(format!("{fd_rate:.0}")),
+                "max_heap": fd_depth,
+            },
+            "churn": {
+                "window": 1024u64,
+                "events_per_sec": Json::Num(format!("{ch_rate:.0}")),
+                "max_heap": ch_depth,
+            },
+        },
+        "scale": {
+            "cells": cells,
+            "files": files,
+            "transactions": txns,
+            "events": {
+                "secs": Json::Num(format!("{secs_ev:.4}")),
+                "cells_per_sec": Json::Num(format!("{:.3}", cells as f64 / secs_ev)),
+            },
+            "frozen_pass_loop": {
+                "commit": FROZEN_COMMIT,
+                "cells": 8u64,
+                "files": 200u64,
+                "transactions": 600u64,
+                "host_cores": 1u64,
+                "secs": Json::Num(format!("{FROZEN_PASS_LOOP_SECS:.4}")),
+                "cells_per_sec": Json::Num(format!("{FROZEN_PASS_LOOP_CELLS_PER_SEC:.3}")),
+            },
+        },
+        "pop_order_strict": true,
+    });
+    bench::publish("BENCH_events.json", &doc);
 }

@@ -13,17 +13,11 @@
 //! unlike `BENCH_sweep.json`, no host section is needed.
 
 use ipstorage_core::experiments::scale;
-use ipstorage_core::{Protocol, RunOptions};
+use ipstorage_core::RunOptions;
+use simkit::{json, Json};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_scale.json".into());
-
+    let quick = bench::flag("--quick");
     let (counts, files, txns): (&[usize], usize, usize) = if quick {
         (&[1, 2, 4], 200, 500)
     } else {
@@ -35,37 +29,24 @@ fn main() {
     );
     let (runs, _) = scale::scale(RunOptions::default(), counts, files, txns, None);
 
-    let mut curve = String::new();
-    for (i, r) in runs.iter().enumerate() {
-        if i > 0 {
-            curve.push(',');
-        }
-        let proto = match r.protocol {
-            Protocol::Iscsi => "iscsi",
-            _ => "nfsv3",
-        };
-        curve.push_str(&format!(
-            concat!(
-                "{{\"protocol\":\"{}\",\"clients\":{},",
-                "\"ops_per_sec\":{:.2},\"server_cpu_pct\":{:.2},",
-                "\"completion_ns\":{},\"msgs_per_client\":{},",
-                "\"p95_us\":{},\"getattrs\":{}}}"
-            ),
-            proto,
-            r.clients,
-            r.ops_per_sec,
-            r.server_cpu_pct,
-            r.completion.as_nanos(),
-            r.msgs_per_client,
-            r.p95_us,
-            r.getattrs,
-        ));
-    }
-    let json = format!(
-        "{{\"bench\":\"scale\",\"files\":{files},\"transactions\":{txns},\
-         \"quick\":{quick},\"cells\":[{curve}]}}"
-    );
-    std::fs::write(&out_path, format!("{json}\n")).expect("write BENCH_scale.json");
-    println!("{json}");
-    eprintln!("scale_bench: wrote {out_path}");
+    let cells = runs.iter().map(|r| {
+        json!({
+            "protocol": format!("{:?}", r.protocol).to_lowercase(),
+            "clients": r.clients,
+            "ops_per_sec": Json::Num(format!("{:.2}", r.ops_per_sec)),
+            "server_cpu_pct": Json::Num(format!("{:.2}", r.server_cpu_pct)),
+            "completion_ns": r.completion.as_nanos(),
+            "msgs_per_client": r.msgs_per_client,
+            "p95_us": r.p95_us,
+            "getattrs": r.getattrs,
+        })
+    });
+    let doc = json!({
+        "bench": "scale",
+        "files": files,
+        "transactions": txns,
+        "quick": quick,
+        "cells": cells.collect::<Json>(),
+    });
+    bench::publish("BENCH_scale.json", &doc);
 }

@@ -25,45 +25,24 @@
 use ipstorage_core::experiments::frontier;
 use ipstorage_core::snapshot::SnapshotCache;
 use ipstorage_core::{Protocol, RunOptions};
-use simkit::Counters;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use simkit::{json, Counters, Json};
+use std::sync::atomic::Ordering;
 use std::time::Instant;
 
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
 #[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
+static ALLOCATOR: bench::CountingAlloc = bench::CountingAlloc;
 
 /// (ops per second, allocations per op) for `iters` calls of `f`,
 /// after a warm-up call.
 fn probe(iters: u64, mut f: impl FnMut()) -> (f64, u64) {
     f();
-    let allocs0 = ALLOCS.load(Ordering::Relaxed);
+    let allocs0 = bench::ALLOCATIONS.load(Ordering::Relaxed);
     let t0 = Instant::now();
     for _ in 0..iters {
         f();
     }
     let secs = t0.elapsed().as_secs_f64();
-    let allocs = ALLOCS.load(Ordering::Relaxed) - allocs0;
+    let allocs = bench::ALLOCATIONS.load(Ordering::Relaxed) - allocs0;
     (iters as f64 / secs, allocs / iters)
 }
 
@@ -104,22 +83,8 @@ fn run_frontier(jobs: usize, share_setups: bool) -> (f64, String) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let arg_after = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1).cloned())
-    };
-    let jobs: usize = arg_after("--jobs")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
-        .max(1);
-    let full = args.iter().any(|a| a == "--full");
-    let out_path = arg_after("--out").unwrap_or_else(|| "BENCH_shard.json".into());
+    let jobs = bench::jobs();
+    let full = bench::flag("--full");
 
     eprintln!("shard_bench: probing counter hot paths");
     let (handle_ops, handle_allocs) = probe_counter_handle();
@@ -163,72 +128,62 @@ fn main() {
          {BASELINE_GRID_CELLS_PER_SEC}) nor the allocation diet cleared 3x"
     );
 
-    let thousand = if full {
-        eprintln!("shard_bench: one (1000 clients, 4 shards) NFS frontier cell");
-        let cache = SnapshotCache::new();
-        let t0 = Instant::now();
-        let r = frontier::frontier_run_cached(Protocol::NfsV3, 1000, 4, 50, 20_000, &cache);
-        assert!(r.ops_per_sec > 0.0);
-        let cold_secs = t0.elapsed().as_secs_f64();
-        // The same cell again with the shard setup already captured:
-        // what every further cell of a sweep pays.
-        let t1 = Instant::now();
-        frontier::frontier_run_cached(Protocol::NfsV3, 1000, 4, 50, 20_000, &cache);
-        let warm_secs = t1.elapsed().as_secs_f64();
-        format!(
-            ",\"thousand_client_cell\":{{\"clients\":1000,\"servers\":4,\
-             \"cold_secs\":{cold_secs:.2},\"warm_secs\":{warm_secs:.2},\
-             \"baseline_single_server_secs\":{BASELINE_THOUSAND_SECS}}}"
-        )
-    } else {
-        String::new()
-    };
+    let thousand = full.then(|| ("thousand_client_cell", thousand_client_cell()));
 
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let json = format!(
-        concat!(
-            "{{\"bench\":\"shard\",",
-            "\"host\":{{\"cores\":{cores},\"os\":\"{os}\",\"arch\":\"{arch}\"}},",
-            "\"counter_hot_path\":{{",
-            "\"baseline\":{{\"mops_per_sec\":{b_mops},\"allocs_per_op\":{b_allocs}}},",
-            "\"handle\":{{\"mops_per_sec\":{h_mops:.1},\"allocs_per_op\":{h_allocs}}},",
-            "\"named\":{{\"mops_per_sec\":{n_mops:.1},\"allocs_per_op\":{n_allocs}}}}},",
-            "\"frontier_grid\":{{\"cells\":{cells},",
-            "\"shared\":{{\"secs\":{ss:.4},\"cells_per_sec\":{sc:.2}}},",
-            "\"no_snapshot\":{{\"secs\":{cs:.4},\"cells_per_sec\":{cc:.2}}},",
-            "\"jobsN\":{{\"jobs\":{jobs},\"secs\":{js:.4}}},",
-            "\"snapshot_speedup\":{sp:.2},",
-            "\"baseline_scale_grid_cells_per_sec\":{b_cps},",
-            "\"byte_identical_jobs\":true,\"byte_identical_snapshot\":true}}",
-            "{thousand},",
-            "\"baseline_commit\":\"{base}\"}}"
-        ),
-        cores = cores,
-        os = std::env::consts::OS,
-        arch = std::env::consts::ARCH,
-        b_mops = BASELINE_COUNTER_MOPS,
-        b_allocs = BASELINE_COUNTER_ALLOCS,
-        h_mops = handle_mops,
-        h_allocs = handle_allocs,
-        n_mops = named_mops,
-        n_allocs = named_allocs,
-        cells = GRID_CELLS,
-        ss = secs_shared,
-        sc = shared_cps,
-        cs = secs_cold,
-        cc = cold_cps,
-        jobs = jobs,
-        js = secs_jobs_n,
-        sp = secs_cold / secs_shared,
-        b_cps = BASELINE_GRID_CELLS_PER_SEC,
-        thousand = thousand,
-        base = BASELINE_COMMIT,
-    );
-    std::fs::write(&out_path, format!("{json}\n")).expect("write BENCH_shard.json");
-    println!("{json}");
-    eprintln!("shard_bench: wrote {out_path}");
+    let secs = |secs: f64| Json::Num(format!("{secs:.4}"));
+    let mops = |mops: f64| Json::Num(format!("{mops:.1}"));
+    let cells_per_sec = |cps: f64| Json::Num(format!("{cps:.2}"));
+    let counter_hot_path = json!({
+        "baseline": {
+            "mops_per_sec": Json::Num(BASELINE_COUNTER_MOPS.to_string()),
+            "allocs_per_op": BASELINE_COUNTER_ALLOCS,
+        },
+        "handle": { "mops_per_sec": mops(handle_mops), "allocs_per_op": handle_allocs },
+        "named": { "mops_per_sec": mops(named_mops), "allocs_per_op": named_allocs },
+    });
+    let frontier_grid = json!({
+        "cells": GRID_CELLS,
+        "shared": { "secs": secs(secs_shared), "cells_per_sec": cells_per_sec(shared_cps) },
+        "no_snapshot": { "secs": secs(secs_cold), "cells_per_sec": cells_per_sec(cold_cps) },
+        "jobsN": { "jobs": jobs, "secs": secs(secs_jobs_n) },
+        "snapshot_speedup": Json::Num(format!("{:.2}", secs_cold / secs_shared)),
+        "baseline_scale_grid_cells_per_sec": Json::Num(BASELINE_GRID_CELLS_PER_SEC.to_string()),
+        "byte_identical_jobs": true,
+        "byte_identical_snapshot": true,
+    });
+    let head = [
+        ("bench", Json::from("shard")),
+        ("host", bench::host()),
+        ("counter_hot_path", counter_hot_path),
+        ("frontier_grid", frontier_grid),
+    ];
+    let tail = [("baseline_commit", Json::from(BASELINE_COMMIT))];
+    let fields = head.into_iter().chain(thousand).chain(tail);
+    let doc = Json::Obj(fields.map(|(k, v)| (k.to_string(), v)).collect());
+    bench::publish("BENCH_shard.json", &doc);
+}
+
+/// Wall seconds for one (1000 clients, 4 shards) NFS frontier cell,
+/// cold and then with the shard setup already captured.
+fn thousand_client_cell() -> Json {
+    eprintln!("shard_bench: one (1000 clients, 4 shards) NFS frontier cell");
+    let cache = SnapshotCache::new();
+    let t0 = Instant::now();
+    let r = frontier::frontier_run_cached(Protocol::NfsV3, 1000, 4, 50, 20_000, &cache);
+    assert!(r.ops_per_sec > 0.0);
+    let cold_secs = t0.elapsed().as_secs_f64();
+    // The same cell again with the shard setup already captured:
+    // what every further cell of a sweep pays.
+    let t1 = Instant::now();
+    frontier::frontier_run_cached(Protocol::NfsV3, 1000, 4, 50, 20_000, &cache);
+    let warm_secs = t1.elapsed().as_secs_f64();
+    json!({
+        "clients": 1000u64,
+        "servers": 4u64,
+        "cold_secs": Json::Num(format!("{cold_secs:.2}")),
+        "warm_secs": Json::Num(format!("{warm_secs:.2}")),
+        "baseline_single_server_secs": Json::Num(BASELINE_THOUSAND_SECS.to_string()),
+    })
 }
 
 /// Pre-intern measurements, taken once against the commit below (the

@@ -28,6 +28,7 @@
 use ipstorage_core::snapshot::{SetupKey, Snapshot};
 use ipstorage_core::sweep::{CellCtx, Sweep};
 use ipstorage_core::{Protocol, RunOptions, Testbed, TestbedConfig};
+use simkit::{json, Json};
 use std::time::Instant;
 use workloads::{postmark, PostmarkConfig};
 
@@ -108,20 +109,7 @@ fn run_sweep(jobs: usize, share: bool) -> (f64, String, usize) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let arg_after = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1).cloned())
-    };
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let jobs: usize = arg_after("--jobs")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(cores)
-        .max(1);
-    let out_path = arg_after("--out").unwrap_or_else(|| "BENCH_snapshot.json".into());
+    let jobs = bench::jobs();
     let cells = TXN_COUNTS.len() * 2;
 
     eprintln!("snapshot_bench: {cells}-cell PostMark sweep ({FILES} files), cold vs shared");
@@ -153,42 +141,28 @@ fn main() {
     }
     let fork_secs = t0.elapsed().as_secs_f64() / FORKS as f64;
 
-    let json = format!(
-        concat!(
-            "{{\"bench\":\"snapshot\",",
-            "\"host\":{{\"cores\":{cores},\"os\":\"{os}\",\"arch\":\"{arch}\"}},",
-            "\"workload\":{{\"files\":{files},\"txn_counts\":{txns:?},\"cells\":{cells}}},",
-            "\"cold\":{{\"secs\":{cs:.4},\"setups_built\":{cb}}},",
-            "\"shared\":{{\"secs\":{ss:.4},\"setups_built\":{sb}}},",
-            "\"sweep_speedup\":{sp:.2},",
-            "\"setup\":{{\"cold_capture_secs\":{scs:.5},\"fork_secs\":{sfs:.5},",
-            "\"fork_speedup\":{sfp:.1}}},",
-            "\"snapshot\":{{\"touched_blocks\":{tblk},\"diverged_blocks_per_fork\":{dblk}}},",
-            "\"jobsN\":{{\"jobs\":{jobs},\"secs\":{js:.4}}},",
-            "\"byte_identical\":{{\"snapshot_vs_cold\":{bi_m},\"jobsN_vs_jobs1\":{bi_j}}}}}"
-        ),
-        cores = cores,
-        os = std::env::consts::OS,
-        arch = std::env::consts::ARCH,
-        files = FILES,
-        txns = TXN_COUNTS,
-        cells = cells,
-        cs = cold_secs,
-        cb = cold_setups,
-        ss = shared_secs,
-        sb = shared_setups,
-        sp = cold_secs / shared_secs,
-        scs = cold_setup_secs,
-        sfs = fork_secs,
-        sfp = cold_setup_secs / fork_secs,
-        tblk = snap.touched_blocks(),
-        dblk = diverged,
-        jobs = jobs,
-        js = jobsn_secs,
-        bi_m = modes_identical,
-        bi_j = jobs_identical,
-    );
-    std::fs::write(&out_path, format!("{json}\n")).expect("write BENCH_snapshot.json");
-    println!("{json}");
-    eprintln!("snapshot_bench: wrote {out_path}");
+    let doc = json!({
+        "bench": "snapshot",
+        "host": bench::host(),
+        "workload": {
+            "files": FILES,
+            "txn_counts": TXN_COUNTS.map(Json::from).into_iter().collect::<Json>(),
+            "cells": cells,
+        },
+        "cold": { "secs": Json::Num(format!("{cold_secs:.4}")), "setups_built": cold_setups },
+        "shared": { "secs": Json::Num(format!("{shared_secs:.4}")), "setups_built": shared_setups },
+        "sweep_speedup": Json::Num(format!("{:.2}", cold_secs / shared_secs)),
+        "setup": {
+            "cold_capture_secs": Json::Num(format!("{cold_setup_secs:.5}")),
+            "fork_secs": Json::Num(format!("{fork_secs:.5}")),
+            "fork_speedup": Json::Num(format!("{:.1}", cold_setup_secs / fork_secs)),
+        },
+        "snapshot": {
+            "touched_blocks": snap.touched_blocks(),
+            "diverged_blocks_per_fork": diverged,
+        },
+        "jobsN": { "jobs": jobs, "secs": Json::Num(format!("{jobsn_secs:.4}")) },
+        "byte_identical": { "snapshot_vs_cold": modes_identical, "jobsN_vs_jobs1": jobs_identical },
+    });
+    bench::publish("BENCH_snapshot.json", &doc);
 }

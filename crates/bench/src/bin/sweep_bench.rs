@@ -18,41 +18,21 @@
 
 use ipstorage_core::experiments::micro::{matrix, CacheState};
 use ipstorage_core::{Protocol, RunOptions, Testbed};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use simkit::{json, Json};
+use std::sync::atomic::Ordering;
 use std::time::Instant;
 
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
 #[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
+static ALLOCATOR: bench::CountingAlloc = bench::CountingAlloc;
 
 /// Allocations per iteration of `f`, after one warm-up call.
 fn allocs_per_op(iters: u64, mut f: impl FnMut()) -> u64 {
     f();
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = bench::ALLOCATIONS.load(Ordering::Relaxed);
     for _ in 0..iters {
         f();
     }
-    (ALLOCS.load(Ordering::Relaxed) - before) / iters
+    (bench::ALLOCATIONS.load(Ordering::Relaxed) - before) / iters
 }
 
 /// NFS v3 setattr path: every call crosses the wire, exercising the
@@ -118,76 +98,46 @@ fn run_sweep(jobs: usize) -> (f64, String) {
 const SWEEP_CELLS: usize = 40;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let arg_after = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1).cloned())
-    };
-    let jobs: usize = arg_after("--jobs")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
-        .max(1);
-    let out_path = arg_after("--out").unwrap_or_else(|| "BENCH_sweep.json".into());
+    let jobs = bench::jobs();
 
     eprintln!("sweep_bench: timing {SWEEP_CELLS}-cell sweep at jobs=1 and jobs={jobs}");
-    let (warm_secs, _) = run_sweep(1); // warm-up (page cache, lazy statics)
+    run_sweep(1); // warm-up (page cache, lazy statics)
     let (secs_1, json_1) = run_sweep(1);
     let (secs_n, json_n) = run_sweep(jobs);
     assert_eq!(
         json_1, json_n,
         "sweep output must be byte-identical across worker counts"
     );
-    let _ = warm_secs;
 
     eprintln!("sweep_bench: probing hot-path allocations");
     let setattr = probe_nfs3_setattr();
     let warm_stat = probe_nfs3_warm_stat();
     let cold_read = probe_iscsi_cold_read();
 
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let json = format!(
-        concat!(
-            "{{\"bench\":\"sweep\",",
-            "\"host\":{{\"cores\":{cores},\"os\":\"{os}\",\"arch\":\"{arch}\"}},",
-            "\"cells\":{cells},",
-            "\"jobs1\":{{\"secs\":{s1:.4},\"cells_per_sec\":{c1:.2}}},",
-            "\"jobsN\":{{\"jobs\":{jobs},\"secs\":{sn:.4},\"cells_per_sec\":{cn:.2}}},",
-            "\"speedup\":{sp:.2},",
-            "\"byte_identical\":true,",
-            "\"allocs_per_op\":{{",
-            "\"nfs3_setattr\":{{\"before\":{sa_b},\"after\":{sa}}},",
-            "\"nfs3_warm_stat\":{{\"before\":{ws_b},\"after\":{ws}}},",
-            "\"iscsi_cold_read_4k\":{{\"before\":{cr_b},\"after\":{cr}}}}},",
-            "\"baseline_commit\":\"{base}\"}}"
-        ),
-        cores = cores,
-        os = std::env::consts::OS,
-        arch = std::env::consts::ARCH,
-        cells = SWEEP_CELLS,
-        s1 = secs_1,
-        c1 = SWEEP_CELLS as f64 / secs_1,
-        jobs = jobs,
-        sn = secs_n,
-        cn = SWEEP_CELLS as f64 / secs_n,
-        sp = secs_1 / secs_n,
-        sa_b = BASELINE_NFS3_SETATTR,
-        sa = setattr,
-        ws_b = BASELINE_NFS3_WARM_STAT,
-        ws = warm_stat,
-        cr_b = BASELINE_ISCSI_COLD_READ,
-        cr = cold_read,
-        base = BASELINE_COMMIT,
-    );
-    std::fs::write(&out_path, format!("{json}\n")).expect("write BENCH_sweep.json");
-    println!("{json}");
-    eprintln!("sweep_bench: wrote {out_path}");
+    let cells_per_sec = |secs: f64| Json::Num(format!("{:.2}", SWEEP_CELLS as f64 / secs));
+    let doc = json!({
+        "bench": "sweep",
+        "host": bench::host(),
+        "cells": SWEEP_CELLS,
+        "jobs1": {
+            "secs": Json::Num(format!("{secs_1:.4}")),
+            "cells_per_sec": cells_per_sec(secs_1),
+        },
+        "jobsN": {
+            "jobs": jobs,
+            "secs": Json::Num(format!("{secs_n:.4}")),
+            "cells_per_sec": cells_per_sec(secs_n),
+        },
+        "speedup": Json::Num(format!("{:.2}", secs_1 / secs_n)),
+        "byte_identical": true,
+        "allocs_per_op": {
+            "nfs3_setattr": { "before": BASELINE_NFS3_SETATTR, "after": setattr },
+            "nfs3_warm_stat": { "before": BASELINE_NFS3_WARM_STAT, "after": warm_stat },
+            "iscsi_cold_read_4k": { "before": BASELINE_ISCSI_COLD_READ, "after": cold_read },
+        },
+        "baseline_commit": BASELINE_COMMIT,
+    });
+    bench::publish("BENCH_sweep.json", &doc);
 }
 
 /// Pre-diet allocation counts, measured once by running these same

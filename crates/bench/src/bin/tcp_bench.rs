@@ -26,16 +26,10 @@
 
 use ipstorage_core::experiments::{data, scale};
 use ipstorage_core::{Protocol, RunOptions, Testbed, TestbedConfig};
-use simkit::SimDuration;
+use simkit::{json, Json, SimDuration};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_tcp.json".into());
+    let quick = bench::flag("--quick");
 
     // Figure 6 under TCP: sequential write vs RTT, single connection.
     let (rtts, mb): (&[u64], u64) = if quick {
@@ -92,63 +86,37 @@ fn main() {
     eprintln!("tcp_bench: congested scale N={counts:?} x {{NFSv3, iSCSI}}");
     let (runs, _) = scale::scale(RunOptions::default(), counts, files, txns, Some(congested));
 
-    let mut sweep_json = String::new();
-    for (i, p) in sweep.iter().enumerate() {
-        if i > 0 {
-            sweep_json.push(',');
-        }
-        let proto = match p.protocol {
-            Protocol::Iscsi => "iscsi",
-            _ => "nfsv3",
-        };
-        sweep_json.push_str(&format!(
-            concat!(
-                "{{\"protocol\":\"{}\",\"rtt_ms\":{},\"write_ns\":{},",
-                "\"rpc_retransmits\":{},\"tcp_retx_segs\":{}}}"
-            ),
-            proto,
-            p.rtt_ms,
-            p.time.as_nanos(),
-            p.rpc_retransmits,
-            p.tcp_retx_segs,
-        ));
-    }
-    let mut scale_json = String::new();
-    for (i, r) in runs.iter().enumerate() {
-        if i > 0 {
-            scale_json.push(',');
-        }
-        let proto = match r.protocol {
-            Protocol::Iscsi => "iscsi",
-            _ => "nfsv3",
-        };
-        scale_json.push_str(&format!(
-            concat!(
-                "{{\"protocol\":\"{}\",\"clients\":{},\"ops_per_sec\":{:.2},",
-                "\"completion_ns\":{},\"tcp_retx_segs\":{}}}"
-            ),
-            proto,
-            r.clients,
-            r.ops_per_sec,
-            r.completion.as_nanos(),
-            r.tcp_retx_segs,
-        ));
-    }
-    let json = format!(
-        "{{\"bench\":\"tcp\",\"quick\":{quick},\
-         \"emergent_retransmits\":{emergent},\
-         \"mcs_throughput_changes\":{mcs_changes},\
-         \"mcs\":{{\"mb\":{mcs_mb},\"rtt_ms\":20,\
-         \"conn1\":{{\"write_ns\":{},\"read_ns\":{}}},\
-         \"conn4\":{{\"write_ns\":{},\"read_ns\":{}}}}},\
-         \"figure6\":{{\"mb\":{mb},\"connections\":1,\"cells\":[{sweep_json}]}},\
-         \"scale\":{{\"files\":{files},\"transactions\":{txns},\"cells\":[{scale_json}]}}}}",
-        w1.as_nanos(),
-        r1.as_nanos(),
-        w4.as_nanos(),
-        r4.as_nanos(),
-    );
-    std::fs::write(&out_path, format!("{json}\n")).expect("write BENCH_tcp.json");
-    println!("{json}");
-    eprintln!("tcp_bench: wrote {out_path}");
+    let sweep_cells = sweep.iter().map(|p| {
+        json!({
+            "protocol": format!("{:?}", p.protocol).to_lowercase(),
+            "rtt_ms": p.rtt_ms,
+            "write_ns": p.time.as_nanos(),
+            "rpc_retransmits": p.rpc_retransmits,
+            "tcp_retx_segs": p.tcp_retx_segs,
+        })
+    });
+    let scale_cells = runs.iter().map(|r| {
+        json!({
+            "protocol": format!("{:?}", r.protocol).to_lowercase(),
+            "clients": r.clients,
+            "ops_per_sec": Json::Num(format!("{:.2}", r.ops_per_sec)),
+            "completion_ns": r.completion.as_nanos(),
+            "tcp_retx_segs": r.tcp_retx_segs,
+        })
+    });
+    let doc = json!({
+        "bench": "tcp",
+        "quick": quick,
+        "emergent_retransmits": emergent,
+        "mcs_throughput_changes": mcs_changes,
+        "mcs": {
+            "mb": mcs_mb,
+            "rtt_ms": 20u64,
+            "conn1": { "write_ns": w1.as_nanos(), "read_ns": r1.as_nanos() },
+            "conn4": { "write_ns": w4.as_nanos(), "read_ns": r4.as_nanos() },
+        },
+        "figure6": { "mb": mb, "connections": 1u64, "cells": sweep_cells.collect::<Json>() },
+        "scale": { "files": files, "transactions": txns, "cells": scale_cells.collect::<Json>() },
+    });
+    bench::publish("BENCH_tcp.json", &doc);
 }

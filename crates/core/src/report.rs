@@ -5,13 +5,14 @@
 //! per-layer latency histograms collected by [`simkit::Metrics`],
 //! per-tag CPU busy time, and (when a sniffer was attached) per-channel
 //! wire summaries. Reports serialize to a single JSON line via
-//! [`RunReport::to_json`]; the serializer is hand-rolled (no external
-//! dependencies) and emits integers only, so two runs with the same
-//! seed produce byte-identical lines that can be diffed directly.
+//! [`RunReport::to_json`], which builds a [`simkit::Json`] value and
+//! writes it with the workspace's one JSON writer. Every value is an
+//! integer, so two runs with the same seed produce byte-identical
+//! lines that can be diffed directly.
 
 use crate::Testbed;
 use simkit::intern::SymbolTable;
-use simkit::{GaugeStats, Histogram};
+use simkit::{json, GaugeStats, Histogram, Json};
 use std::collections::BTreeMap;
 
 /// Per-channel wire summary copied out of a [`net::Sniffer`].
@@ -51,33 +52,6 @@ pub struct RunReport {
     pub gauges: BTreeMap<String, GaugeStats>,
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn push_u64_map(out: &mut String, key: &str, map: &BTreeMap<String, u64>) {
-    out.push_str(&format!("\"{key}\":{{"));
-    for (i, (k, v)) in map.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\"{}\":{v}", json_escape(k)));
-    }
-    out.push('}');
-}
-
 impl RunReport {
     /// Folds `parts` — a sweep's per-cell fragments, or the reports of
     /// a runner's successive sweeps — into one report named `name`.
@@ -103,63 +77,23 @@ impl RunReport {
     /// are integers (nanoseconds for times), so equal-seed runs
     /// serialize byte-identically.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{{\"report\":\"{}\",\"runs\":{},\"sim_time_ns\":{},",
-            json_escape(&self.name),
-            self.runs,
-            self.sim_time_ns
-        ));
-        push_u64_map(&mut out, "counters", &self.counters);
-        out.push_str(",\"histograms\":{");
-        for (i, (k, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\"{}\":{{\"count\":{},\"p50\":{},\"p90\":{},\"p99\":{},\"max\":{},\"mean\":{}}}",
-                json_escape(k),
-                h.count(),
-                h.p50(),
-                h.p90(),
-                h.p99(),
-                h.max(),
-                h.mean()
-            ));
+        fn section<V>(map: &BTreeMap<String, V>, value: impl Fn(&V) -> Json) -> Json {
+            Json::Obj(map.iter().map(|(k, v)| (k.clone(), value(v))).collect())
         }
-        out.push_str("},\"channels\":{");
-        for (i, (k, c)) in self.channels.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\"{}\":{{\"messages\":{},\"bytes\":{},\"dropped\":{}}}",
-                json_escape(k),
-                c.messages,
-                c.bytes,
-                c.dropped
-            ));
-        }
-        out.push_str("},");
-        push_u64_map(&mut out, "cpu_busy_ns", &self.cpu_busy_ns);
-        out.push(',');
-        push_u64_map(&mut out, "attribution", &self.attribution);
-        out.push_str(",\"gauges\":{");
-        for (i, (k, g)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\"{}\":{{\"samples\":{},\"min\":{},\"max\":{},\"sum\":{}}}",
-                json_escape(k),
-                g.samples,
-                g.min,
-                g.max,
-                g.sum
-            ));
-        }
-        out.push_str("}}");
-        out
+        json!({
+            "report": self.name.as_str(),
+            "runs": self.runs,
+            "sim_time_ns": self.sim_time_ns,
+            "counters": section(&self.counters, |&v| v.into()),
+            "histograms": section(&self.histograms, |h| h.into()),
+            "channels": section(&self.channels, |c| {
+                json!({ "messages": c.messages, "bytes": c.bytes.get(), "dropped": c.dropped })
+            }),
+            "cpu_busy_ns": section(&self.cpu_busy_ns, |&v| v.into()),
+            "attribution": section(&self.attribution, |&v| v.into()),
+            "gauges": section(&self.gauges, |g| g.into()),
+        })
+        .to_string()
     }
 }
 
@@ -420,8 +354,30 @@ mod tests {
     }
 
     #[test]
-    fn escaping_handles_special_characters() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
+    fn schema_bytes_are_pinned() {
+        let mut r = RunReport {
+            name: "pin".into(),
+            runs: 2,
+            sim_time_ns: 1_500,
+            ..RunReport::default()
+        };
+        r.counters.insert("net.\"q\"\\b\n".into(), 7);
+        r.counters.insert("rpc.calls".into(), 3);
+        let mut h = Histogram::new();
+        for v in [100, 300] {
+            h.record(v);
+        }
+        r.histograms.insert("rpc.read".into(), h);
+        r.cpu_busy_ns.insert("server.nfs".into(), 42);
+        assert_eq!(
+            r.to_json(),
+            concat!(
+                r#"{"report":"pin","runs":2,"sim_time_ns":1500,"#,
+                r#""counters":{"net.\"q\"\\b\n":7,"rpc.calls":3},"#,
+                r#""histograms":{"rpc.read":{"count":2,"p50":103,"p90":300,"#,
+                r#""p99":300,"max":300,"mean":200}},"#,
+                r#""channels":{},"cpu_busy_ns":{"server.nfs":42},"attribution":{},"gauges":{}}"#
+            )
+        );
     }
 }

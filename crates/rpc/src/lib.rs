@@ -359,7 +359,7 @@ mod tests {
         c.call("mkdir", b(64), b(64), SimDuration::ZERO);
         let h = sim.metrics().histogram("rpc.nfs.lookup").unwrap();
         assert_eq!(h.count(), 10);
-        assert!(h.p50() >= SimDuration::from_millis(1).as_nanos());
+        assert!(h.quantile(0.50) >= SimDuration::from_millis(1).as_nanos());
         assert_eq!(sim.metrics().histogram("rpc.nfs.mkdir").unwrap().count(), 1);
         assert!(sim.metrics().histogram("rpc.nfs.read").is_none());
     }

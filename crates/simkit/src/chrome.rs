@@ -9,35 +9,23 @@
 //! inspectable even though the visual nesting comes from track
 //! ordering. `ph:"M"` metadata events name the tracks.
 //!
-//! Output is hand-rolled JSON (no serde in the workspace) and a pure
-//! function of the buffered spans: equal traces serialize identically.
+//! The document is a [`Json`] value written by its one writer, and a
+//! pure function of the buffered spans: equal traces serialize
+//! identically.
 
 use crate::trace::{SpanRecord, Tracer};
+use crate::{json, Json};
 use std::collections::{BTreeMap, BTreeSet};
-use std::fmt::Write as _;
-
-/// Escapes a string for embedding in a JSON string literal.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Microseconds with nanosecond remainder as fraction, e.g. `12.345`.
-fn micros(ns: u64) -> String {
-    format!("{}.{:03}", ns / 1_000, ns % 1_000)
+fn micros(ns: u64) -> Json {
+    Json::Num(format!("{}.{:03}", ns / 1_000, ns % 1_000))
+}
+
+/// A `ph:"M"` metadata event naming process `pid` (`tid` 0) or one of
+/// its threads.
+fn name_event(kind: &str, pid: u64, tid: u64, name: &str) -> Json {
+    json!({ "ph": "M", "name": kind, "pid": pid, "tid": tid, "args": { "name": name } })
 }
 
 /// Serializes the buffered spans as a Chrome `trace_event` JSON
@@ -52,74 +40,45 @@ pub fn export(tracer: &Tracer) -> String {
     });
     let mut pid_of: BTreeMap<u16, u64> = BTreeMap::new();
     let mut tid_of: BTreeMap<(u16, &'static str), u64> = BTreeMap::new();
-    let mut out = String::from("{\"traceEvents\":[");
-    let mut first = true;
-    let push = |out: &mut String, first: &mut bool, ev: String| {
-        if !*first {
-            out.push(',');
-        }
-        *first = false;
-        out.push_str(&ev);
-    };
+    let mut events = Vec::new();
     for (pid_n, (host, layers)) in hosts.iter().enumerate() {
         let pid = pid_n as u64 + 1;
         pid_of.insert(*host, pid);
         let hname = crate::trace::HostId(*host).label();
-        push(
-            &mut out,
-            &mut first,
-            format!(
-                "{{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":{pid},\"tid\":0,\
-                 \"args\":{{\"name\":\"{}\"}}}}",
-                esc(&hname)
-            ),
-        );
+        events.push(name_event("process_name", pid, 0, &hname));
         for (tid_n, layer) in layers.iter().enumerate() {
             let tid = tid_n as u64 + 1;
             tid_of.insert((*host, layer), tid);
-            push(
-                &mut out,
-                &mut first,
-                format!(
-                    "{{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":{pid},\"tid\":{tid},\
-                     \"args\":{{\"name\":\"{}\"}}}}",
-                    esc(layer)
-                ),
-            );
+            events.push(name_event("thread_name", pid, tid, layer));
         }
     }
-    tracer.for_each_span(|s| {
-        push(&mut out, &mut first, span_event(s, &pid_of, &tid_of));
-    });
-    out.push_str("]}");
-    out
+    tracer.for_each_span(|s| events.push(span_event(s, &pid_of, &tid_of)));
+    json!({ "traceEvents": Json::Arr(events) }).to_string()
 }
 
 fn span_event(
     s: &SpanRecord,
     pid_of: &BTreeMap<u16, u64>,
     tid_of: &BTreeMap<(u16, &'static str), u64>,
-) -> String {
-    let pid = pid_of[&s.host.0];
-    let tid = tid_of[&(s.host.0, s.layer)];
-    let mut ev = format!(
-        "{{\"ph\":\"X\",\"name\":\"{}\",\"cat\":\"{}\",\"pid\":{pid},\"tid\":{tid},\
-         \"ts\":{},\"dur\":{},\"args\":{{\"trace\":\"{:x}\",\"span\":\"{:x}\"",
-        esc(&s.op),
-        esc(s.layer),
-        micros(s.start.as_nanos()),
-        micros(s.end.saturating_since(s.start).as_nanos()),
-        s.trace.0,
-        s.span.0,
+) -> Json {
+    let hex = |key: &str, n: u64| (key.to_string(), Json::Str(format!("{n:x}")));
+    let mut args = vec![hex("trace", s.trace.0), hex("span", s.span.0)];
+    args.extend(s.parent.map(|p| hex("parent", p.0)));
+    args.extend(
+        s.attrs
+            .iter()
+            .map(|(k, v)| (k.to_string(), Json::Str(v.clone()))),
     );
-    if let Some(p) = s.parent {
-        let _ = write!(ev, ",\"parent\":\"{:x}\"", p.0);
-    }
-    for (k, v) in &s.attrs {
-        let _ = write!(ev, ",\"{}\":\"{}\"", esc(k), esc(v));
-    }
-    ev.push_str("}}");
-    ev
+    json!({
+        "ph": "X",
+        "name": s.op.as_str(),
+        "cat": s.layer,
+        "pid": pid_of[&s.host.0],
+        "tid": tid_of[&(s.host.0, s.layer)],
+        "ts": micros(s.start.as_nanos()),
+        "dur": micros(s.end.saturating_since(s.start).as_nanos()),
+        "args": Json::Obj(args),
+    })
 }
 
 #[cfg(test)]
@@ -188,6 +147,27 @@ mod tests {
         assert!(j.contains("\"ts\":1.000,\"dur\":1.000"), "{j}");
         assert!(j.contains("\"parent\":"), "{j}");
         assert!(j.contains("\"bytes\":\"4096\""), "{j}");
+    }
+
+    #[test]
+    fn export_escapes_op_names_and_attribute_values() {
+        let tr = Tracer::new();
+        tr.set_enabled(true);
+        let odd = "a\"b\\c\nd\u{1}";
+        tr.record_at(
+            HostId::SERVER,
+            "disk",
+            odd,
+            t(0),
+            t(1),
+            vec![("path", odd.into())],
+        );
+        let j = export(&tr);
+        assert!(balanced(&j), "{j}");
+        let escaped = r#"a\"b\\c\nd\u0001"#;
+        assert!(j.contains(&format!("\"name\":\"{escaped}\"")), "{j}");
+        assert!(j.contains(&format!("\"path\":\"{escaped}\"")), "{j}");
+        assert!(!j.contains('\n') && !j.contains('\u{1}'), "{j}");
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! remain independent of jobs/snapshot mode.
 
 use crate::clock::{SimDuration, SimTime};
-use crate::Daemon;
+use crate::{json, Daemon, Json};
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 
@@ -68,6 +68,14 @@ impl GaugeStats {
         self.max = self.max.max(other.max);
         self.samples += other.samples;
         self.sum += other.sum;
+    }
+}
+
+/// The summary a run report writes for a gauge, in this key order:
+/// `{"samples","min","max","sum"}`.
+impl From<&GaugeStats> for Json {
+    fn from(g: &GaugeStats) -> Json {
+        json!({ "samples": g.samples, "min": g.min, "max": g.max, "sum": g.sum })
     }
 }
 

@@ -10,6 +10,7 @@
 
 use crate::clock::SimDuration;
 use crate::intern::{KeyId, SymbolTable};
+use crate::{json, Json};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -56,7 +57,7 @@ fn upper_bound(idx: usize) -> u64 {
 ///     h.record(v);
 /// }
 /// assert_eq!(h.count(), 4);
-/// assert!(h.p50() >= 200 && h.p99() >= 10_000);
+/// assert!(h.quantile(0.50) >= 200 && h.max() == 10_000);
 /// ```
 #[derive(Clone, PartialEq, Eq)]
 pub struct Histogram {
@@ -73,15 +74,10 @@ impl Default for Histogram {
     }
 }
 
+/// The summary a run report writes (see the `From` impl below).
 impl std::fmt::Debug for Histogram {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Histogram")
-            .field("count", &self.count)
-            .field("p50", &self.p50())
-            .field("p90", &self.p90())
-            .field("p99", &self.p99())
-            .field("max", &self.max())
-            .finish()
+        write!(f, "Histogram{}", Json::from(self))
     }
 }
 
@@ -126,7 +122,7 @@ impl Histogram {
     }
 
     /// Mean sample value (0 if empty).
-    pub fn mean(&self) -> u64 {
+    pub(crate) fn mean(&self) -> u64 {
         self.sum.checked_div(self.count).unwrap_or(0)
     }
 
@@ -151,21 +147,6 @@ impl Histogram {
         self.max
     }
 
-    /// Median.
-    pub fn p50(&self) -> u64 {
-        self.quantile(0.50)
-    }
-
-    /// 90th percentile.
-    pub fn p90(&self) -> u64 {
-        self.quantile(0.90)
-    }
-
-    /// 99th percentile.
-    pub fn p99(&self) -> u64 {
-        self.quantile(0.99)
-    }
-
     /// Merges `other` into `self` bucket-by-bucket. Deterministic:
     /// merge order never changes any reported statistic.
     pub fn merge(&mut self, other: &Histogram) {
@@ -176,6 +157,21 @@ impl Histogram {
         self.sum = self.sum.saturating_add(other.sum);
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
+    }
+}
+
+/// The summary a run report writes for a histogram, in this key order:
+/// `{"count","p50","p90","p99","max","mean"}`, all integers.
+impl From<&Histogram> for Json {
+    fn from(h: &Histogram) -> Json {
+        json!({
+            "count": h.count(),
+            "p50": h.quantile(0.50),
+            "p90": h.quantile(0.90),
+            "p99": h.quantile(0.99),
+            "max": h.max(),
+            "mean": h.mean(),
+        })
     }
 }
 
@@ -337,11 +333,11 @@ mod tests {
         for v in 1..=1000u64 {
             h.record(v * 1000);
         }
-        assert!(h.p50() <= h.p90());
-        assert!(h.p90() <= h.p99());
-        assert!(h.p99() <= h.max());
+        assert!(h.quantile(0.50) <= h.quantile(0.90));
+        assert!(h.quantile(0.90) <= h.quantile(0.99));
+        assert!(h.quantile(0.99) <= h.max());
         // p50 of 1..=1000 (x1000 ns) is ~500_000 within bucket error.
-        let p50 = h.p50() as f64;
+        let p50 = h.quantile(0.50) as f64;
         assert!((440_000.0..=570_000.0).contains(&p50), "p50 = {p50}");
     }
 
@@ -369,8 +365,8 @@ mod tests {
     fn empty_histogram_reports_zeros() {
         let h = Histogram::new();
         assert_eq!(h.count(), 0);
-        assert_eq!(h.p50(), 0);
-        assert_eq!(h.p99(), 0);
+        assert_eq!(h.quantile(0.50), 0);
+        assert_eq!(h.quantile(0.99), 0);
         assert_eq!(h.max(), 0);
         assert_eq!(h.min(), 0);
         assert_eq!(h.mean(), 0);
@@ -404,8 +400,8 @@ mod tests {
         }
         assert_eq!(forward, backward);
         assert_eq!(forward, shuffled);
-        assert_eq!(forward.p50(), shuffled.p50());
-        assert_eq!(forward.p99(), shuffled.p99());
+        assert_eq!(forward.quantile(0.50), shuffled.quantile(0.50));
+        assert_eq!(forward.quantile(0.99), shuffled.quantile(0.99));
     }
 
     #[test]

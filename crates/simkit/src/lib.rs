@@ -37,6 +37,7 @@ pub mod events;
 mod gauge;
 mod histogram;
 pub mod intern;
+mod json;
 mod rng;
 pub mod sweep;
 mod trace;
@@ -48,6 +49,7 @@ pub use events::{EventId, EventKey, EventQueue, EventQueueStats};
 pub use gauge::{GaugeSampler, GaugeStats};
 pub use histogram::{Histogram, MetricHandle, Metrics};
 pub use intern::KeyId;
+pub use json::Json;
 pub use rng::SplitMix64;
 pub use trace::{HostId, SpanCtx, SpanId, SpanRecord, TraceId, Tracer, DEFAULT_TRACE_CAPACITY};
 pub use units::{Bps, Bytes};
