@@ -46,11 +46,6 @@ pub const RAID_STRIPE_UNIT: u64 = 16;
 /// TPC-H scale-1 database plus PostMark pools).
 pub const VOLUME_BLOCKS: u64 = 1_048_576;
 
-/// Journal region length in blocks (128 MiB journal, ext3-typical for
-/// a large volume; big enough that micro-benchmarks never force a
-/// checkpoint mid-measurement).
-pub(crate) const JOURNAL_BLOCKS: u64 = 4096;
-
 /// Client page/buffer cache, in 4 KiB units (≈ 256 MB of the client's
 /// 512 MB RAM).
 pub(crate) const CLIENT_CACHE_BLOCKS: usize = 65_536;
@@ -74,7 +69,6 @@ pub fn client_ext3_options() -> ext3::Options {
         cache_blocks: CLIENT_CACHE_BLOCKS,
         commit_interval: SimDuration::from_secs(5),
         readahead_max: 16,
-        journal_blocks: JOURNAL_BLOCKS,
         mem_copy_cost: mem_copy_cost(),
         // The iSCSI client's file system (journal commits included)
         // runs on the client machine; multi-client topologies override

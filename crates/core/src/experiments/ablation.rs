@@ -28,7 +28,7 @@ fn commit_interval_sweep(options: RunOptions) -> (Table, RunReport) {
             let cfg = TestbedConfig::new(Protocol::Iscsi);
             let tb = ctx.fork_with(
                 SetupKey::for_config(&cfg, "ablation:blank"),
-                |c| c.commit_interval = Some(SimDuration::from_secs(secs)),
+                |c| c.commit_interval = SimDuration::from_secs(secs),
                 |setup_seed| Testbed::with_protocol_seeded(Protocol::Iscsi, setup_seed),
             );
             let m0 = tb.messages();
@@ -69,7 +69,7 @@ fn write_window_sweep(options: RunOptions) -> (Table, RunReport) {
             let cfg = TestbedConfig::new(Protocol::NfsV3);
             let tb = ctx.fork_with(
                 SetupKey::for_config(&cfg, "ablation:blank"),
-                |c| c.nfs_max_dirty_pages = Some(limit),
+                |c| c.nfs_max_dirty_pages = limit,
                 |setup_seed| Testbed::with_protocol_seeded(Protocol::NfsV3, setup_seed),
             );
             let r = write_file(&tb, "/w", 32, Pattern::Sequential);
@@ -98,7 +98,7 @@ fn attr_timeout_sweep(options: RunOptions) -> (Table, RunReport) {
             let cfg = TestbedConfig::new(Protocol::NfsV3);
             let tb = ctx.fork_with(
                 SetupKey::for_config(&cfg, "ablation:statfile"),
-                |c| c.nfs_metadata_timeout = Some(SimDuration::from_secs(secs)),
+                |c| c.nfs_metadata_timeout = SimDuration::from_secs(secs),
                 |setup_seed| {
                     let tb = Testbed::with_protocol_seeded(Protocol::NfsV3, setup_seed);
                     tb.fs().creat("/f").unwrap();
@@ -133,7 +133,7 @@ fn readahead_sweep(options: RunOptions) -> (Table, RunReport) {
             let cfg = TestbedConfig::new(Protocol::Iscsi);
             let tb = ctx.fork_with(
                 SetupKey::for_config(&cfg, "ablation:seqfile8"),
-                |c| c.readahead_max = Some(window),
+                |c| c.readahead_max = window,
                 |setup_seed| {
                     let tb = Testbed::with_protocol_seeded(Protocol::Iscsi, setup_seed);
                     let _ = write_file(&tb, "/f", 8, Pattern::Sequential);

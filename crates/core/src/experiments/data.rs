@@ -444,8 +444,7 @@ mod tests {
     fn pipe_and_tcp_figure6_share_setup_snapshots() {
         // Both sweeps key setup off the default config, so the blank
         // write testbed is captured once; the transport is purely a
-        // fork-time knob (this also pins the key-stability contract:
-        // a Pipe-transport LinkParams must render the pre-TCP Debug).
+        // fork-time knob.
         let cfg = TestbedConfig::new(Protocol::NfsV3);
         let key = SetupKey::for_config(&cfg, "data:blank");
         let mut tcp_cfg = cfg;

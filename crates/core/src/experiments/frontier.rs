@@ -92,9 +92,7 @@ fn shard_topology(protocol: Protocol, shard_clients: usize, files: usize) -> Top
         Protocol::Iscsi => {
             let pm = client_pm(files, 0, 0, 0);
             let file_blocks = pm.max_size.div_ceil(blockdev::BLOCK_SIZE) as u64;
-            ext3::min_volume_blocks(calibration::JOURNAL_BLOCKS)
-                + 2 * files as u64 * file_blocks
-                + pm.subdirs as u64
+            ext3::MIN_VOLUME_BLOCKS + 2 * files as u64 * file_blocks + pm.subdirs as u64
         }
         _ => 4096,
     };

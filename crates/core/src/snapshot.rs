@@ -8,7 +8,8 @@
 //!
 //! 1. a [`SetupKey`] names the setup-relevant slice of the
 //!    configuration (everything except the per-cell measure seed) plus
-//!    the workload's setup parameters;
+//!    the workload's setup parameters, printed by one hand-written
+//!    template rather than derived from the config's Rust shape;
 //! 2. the first cell needing a key runs the setup once and
 //!    [`Snapshot::capture`]s the quiesced testbed — cleanly unmounted
 //!    file systems over immutable, `Arc`-shared
@@ -28,38 +29,75 @@
 //! *sharing* across cells, so reports, counters, and histograms are
 //! byte-identical either way. CI diffs both modes on every push.
 
-use crate::testbed::{Testbed, TestbedConfig, TopologyConfig};
+use crate::testbed::{Protocol, Testbed, TestbedConfig, TopologyConfig};
 use blockdev::DiskImage;
+use net::TransportModel;
 use simkit::{SimDuration, SimTime};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Identity of a setup prefix: the seed-normalized configuration, the
-/// client count, and a workload tag naming the setup-phase parameters
+/// Identity of a setup prefix: the configuration, the client and
+/// server counts, and a workload tag naming the setup-phase parameters
 /// (file counts, database pages, prepared directory depth, ...).
 ///
 /// The per-cell seed is deliberately excluded — the setup phase runs
 /// under a seed derived from the key itself ([`SetupKey::setup_seed`]),
 /// which is what makes one setup valid for every cell that shares the
 /// key. Anything that *does* influence the bytes a setup writes or the
-/// messages it sends must be part of the key: the full `Debug`
-/// rendering of the normalized config plus the caller's workload tag.
+/// messages it sends must be part of the key. The key is an explicit
+/// schema, not a `Debug` rendering: renaming or deleting a config
+/// field re-seeds nothing.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SetupKey(String);
 
 impl SetupKey {
     /// Key for a (possibly multi-client) topology plus a workload tag.
     ///
-    /// The server count is appended only when it is not the default
-    /// one server, so every pre-sharding key renders byte-identically.
+    /// Each field prints in the text keys have always had: a knob at
+    /// its default is `None`, a `Pipe` link omits its transport, the
+    /// CPU cost model (no longer a field) is a literal, and one server
+    /// omits `;servers=`.
     pub(crate) fn new(topo: &TopologyConfig, workload: &str) -> SetupKey {
-        let mut base = topo.base.clone();
-        // Seed-normalize: the setup RNG stream derives from the key.
-        base.seed = 0;
+        fn knob<T: PartialEq + std::fmt::Display>(v: T, default: T) -> String {
+            match v == default {
+                true => "None".to_owned(),
+                false => format!("Some({v})"),
+            }
+        }
+        let (c, e) = (&topo.base, topo.base.enhancements);
+        let d = TestbedConfig::new(c.protocol);
+        let nanos = |t: SimDuration| format!("SimDuration({})", t.as_nanos());
+        let protocol = match c.protocol {
+            Protocol::NfsV2 => "NfsV2",
+            Protocol::NfsV3 => "NfsV3",
+            Protocol::NfsV4 => "NfsV4",
+            Protocol::Iscsi => "Iscsi",
+        };
+        let mut transport = String::new();
+        if let TransportModel::Tcp { connections } = c.link.transport {
+            transport = format!(", transport: Tcp {{ connections: {connections} }}");
+        }
         let mut key = format!(
-            "clients={};cfg={:?};workload={}",
-            topo.clients, base, workload
+            "clients={};cfg=TestbedConfig {{ protocol: {protocol}, seed: 0, \
+             link: LinkParams {{ rtt: {}, bandwidth_bps: {}, loss: {:?}{transport} }}, \
+             volume_blocks: {}, enhancements: Enhancements {{ consistent_metadata_cache: {}, \
+             directory_delegation: {}, file_delegation: {} }}, readahead_max: {}, \
+             commit_interval: {}, nfs_max_dirty_pages: {}, nfs_metadata_timeout: {}, \
+             cost: CostModel {{ layer: SimDuration(50000), per_kib: SimDuration(8000), \
+             metadata_revisits: 3 }} }};workload={workload}",
+            topo.clients,
+            nanos(c.link.rtt),
+            c.link.bandwidth_bps.get(),
+            c.link.loss,
+            c.volume_blocks,
+            e.consistent_metadata_cache,
+            e.directory_delegation,
+            e.file_delegation,
+            knob(c.readahead_max, d.readahead_max),
+            knob(nanos(c.commit_interval), nanos(d.commit_interval)),
+            knob(c.nfs_max_dirty_pages, d.nfs_max_dirty_pages),
+            knob(nanos(c.nfs_metadata_timeout), nanos(d.nfs_metadata_timeout)),
         );
         if topo.servers > 1 {
             key.push_str(&format!(";servers={}", topo.servers));
@@ -167,7 +205,8 @@ impl Snapshot {
     /// measure-phase configuration knobs (link RTT, commit interval,
     /// dirty-page limits, cache-consistency enhancements, read-ahead)
     /// that are consumed at fork-time construction — so one setup
-    /// serves a whole sweep over such a knob.
+    /// serves a whole sweep over such a knob. The edit is not in the
+    /// [`SetupKey`], which printed the configuration the setup ran under.
     ///
     /// Setup-relevant fields (protocol, volume size) must not be
     /// changed here; the forked mount would not match the images.
@@ -304,7 +343,6 @@ impl std::fmt::Debug for SnapshotCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testbed::Protocol;
 
     #[test]
     fn keys_are_seed_independent_but_config_sensitive() {
@@ -328,6 +366,87 @@ mod tests {
         );
         let topo = TopologyConfig::new(Protocol::NfsV3).with_clients(4);
         assert_ne!(SetupKey::new(&topo, "w"), SetupKey::for_config(&a, "w"));
+
+        // Every knob, a WAN link and the TCP transport each name a
+        // setup of their own.
+        let edits: [fn(&mut TestbedConfig); 6] = [
+            |c| c.readahead_max = 64,
+            |c| c.commit_interval = SimDuration::from_secs(30),
+            |c| c.nfs_max_dirty_pages = 16,
+            |c| c.nfs_metadata_timeout = SimDuration::ZERO,
+            |c| c.link = net::LinkParams::wan(SimDuration::from_millis(10)),
+            |c| {
+                c.link = c
+                    .link
+                    .with_transport(TransportModel::Tcp { connections: 1 })
+            },
+        ];
+        let mut keys = vec![SetupKey::for_config(&a, "w")];
+        for edit in edits {
+            let mut c = a.clone();
+            edit(&mut c);
+            keys.push(SetupKey::for_config(&c, "w"));
+        }
+        let distinct: std::collections::HashSet<&SetupKey> = keys.iter().collect();
+        assert_eq!(distinct.len(), keys.len(), "{keys:#?}");
+    }
+
+    /// The literal text and seed of three keys, recorded from the
+    /// `{:?}` rendering of the whole configuration that keys were
+    /// built from before the template: any change here re-seeds the
+    /// setups these keys name.
+    #[test]
+    fn key_text_and_seeds_are_pinned() {
+        let nfs = TestbedConfig::new(Protocol::NfsV3);
+        let key = SetupKey::for_config(&nfs, "ablation:blank");
+        assert_eq!(
+            key.as_str(),
+            "clients=1;cfg=TestbedConfig { protocol: NfsV3, seed: 0, link: LinkParams { \
+             rtt: SimDuration(200000), bandwidth_bps: 1000000000, loss: 0.0 }, \
+             volume_blocks: 1048576, enhancements: Enhancements { \
+             consistent_metadata_cache: false, directory_delegation: false, \
+             file_delegation: false }, readahead_max: None, commit_interval: None, \
+             nfs_max_dirty_pages: None, nfs_metadata_timeout: None, cost: CostModel { \
+             layer: SimDuration(50000), per_kib: SimDuration(8000), metadata_revisits: 3 } \
+             };workload=ablation:blank"
+        );
+        assert_eq!(key.setup_seed(), 15_271_779_658_317_274_967);
+
+        let sharded = TopologyConfig::new(Protocol::Iscsi)
+            .with_clients(4)
+            .with_servers(2);
+        let key = SetupKey::new(&sharded, "scale:files200");
+        assert_eq!(
+            key.as_str(),
+            "clients=4;cfg=TestbedConfig { protocol: Iscsi, seed: 0, link: LinkParams { \
+             rtt: SimDuration(200000), bandwidth_bps: 1000000000, loss: 0.0 }, \
+             volume_blocks: 1048576, enhancements: Enhancements { \
+             consistent_metadata_cache: false, directory_delegation: false, \
+             file_delegation: false }, readahead_max: None, commit_interval: None, \
+             nfs_max_dirty_pages: None, nfs_metadata_timeout: None, cost: CostModel { \
+             layer: SimDuration(50000), per_kib: SimDuration(8000), metadata_revisits: 3 } \
+             };workload=scale:files200;servers=2"
+        );
+        assert_eq!(key.setup_seed(), 584_248_118_149_617_622);
+
+        let mut tcp = nfs.clone();
+        tcp.link = tcp
+            .link
+            .with_transport(TransportModel::Tcp { connections: 2 });
+        let key = SetupKey::for_config(&tcp, "data:blank");
+        assert_eq!(
+            key.as_str(),
+            "clients=1;cfg=TestbedConfig { protocol: NfsV3, seed: 0, link: LinkParams { \
+             rtt: SimDuration(200000), bandwidth_bps: 1000000000, loss: 0.0, \
+             transport: Tcp { connections: 2 } }, \
+             volume_blocks: 1048576, enhancements: Enhancements { \
+             consistent_metadata_cache: false, directory_delegation: false, \
+             file_delegation: false }, readahead_max: None, commit_interval: None, \
+             nfs_max_dirty_pages: None, nfs_metadata_timeout: None, cost: CostModel { \
+             layer: SimDuration(50000), per_kib: SimDuration(8000), metadata_revisits: 3 } \
+             };workload=data:blank"
+        );
+        assert_eq!(key.setup_seed(), 3_873_317_287_592_947_076);
     }
 
     #[test]

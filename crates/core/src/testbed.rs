@@ -146,35 +146,36 @@ pub struct TestbedConfig {
     pub volume_blocks: u64,
     /// §7 enhancements (NFS protocols only).
     pub enhancements: Enhancements,
-    /// Override for the client ext3 read-ahead window (blocks).
-    pub readahead_max: Option<u32>,
-    /// Override for the ext3 journal commit interval (iSCSI side) —
-    /// the update-aggregation window ablation.
-    pub commit_interval: Option<SimDuration>,
-    /// Override for the NFS client's dirty-page limit — the
+    /// The client ext3 read-ahead window (blocks) — the read-ahead
+    /// ablation.
+    pub readahead_max: u32,
+    /// The client ext3 journal commit interval (iSCSI side) — the
+    /// update-aggregation window ablation.
+    pub commit_interval: SimDuration,
+    /// The NFS client's dirty-page limit — the
     /// pseudo-synchronous-write ablation.
-    pub nfs_max_dirty_pages: Option<usize>,
-    /// Override for the NFS meta-data cache timeout (Linux default
-    /// 3 s) — the consistency-check-traffic ablation.
-    pub nfs_metadata_timeout: Option<SimDuration>,
-    /// CPU cost model for both machines.
-    pub cost: CostModel,
+    pub nfs_max_dirty_pages: usize,
+    /// The NFS meta-data cache timeout (Linux default 3 s) — the
+    /// consistency-check-traffic ablation.
+    pub nfs_metadata_timeout: SimDuration,
 }
 
 impl TestbedConfig {
     /// The paper's default setup for the given protocol.
     pub fn new(protocol: Protocol) -> TestbedConfig {
+        let ext3 = calibration::client_ext3_options();
+        // The NFS client defaults are the same for every version.
+        let nfs = NfsConfig::for_version(Version::V3);
         TestbedConfig {
             protocol,
             seed: DEFAULT_SEED,
             link: LinkParams::gigabit_lan(),
             volume_blocks: calibration::VOLUME_BLOCKS,
             enhancements: Enhancements::default(),
-            readahead_max: None,
-            commit_interval: None,
-            nfs_max_dirty_pages: None,
-            nfs_metadata_timeout: None,
-            cost: CostModel::p3_933(),
+            readahead_max: ext3.readahead_max,
+            commit_interval: ext3.commit_interval,
+            nfs_max_dirty_pages: nfs.max_dirty_pages,
+            nfs_metadata_timeout: nfs.metadata_timeout,
         }
     }
 }
@@ -328,7 +329,7 @@ impl Testbed {
     /// clients than servers, or if the underlying mkfs fails (for
     /// iSCSI, each client's LUN partition must still hold a file
     /// system: keep `volume_blocks / clients` comfortably above
-    /// [`ext3::min_volume_blocks`]).
+    /// [`ext3::MIN_VOLUME_BLOCKS`]).
     pub fn build_topology(topo: TopologyConfig) -> Testbed {
         Self::construct(topo, None)
     }
@@ -346,6 +347,7 @@ impl Testbed {
         assert!(m >= 1, "a topology needs at least one server");
         assert!(n >= m, "need at least one client per server shard");
         let version = config.protocol.nfs_version();
+        let cost = CostModel::p3_933();
         let sim = Sim::new(config.seed);
         if let Some(r) = &resume {
             // Restore the captured epoch before any component exists:
@@ -393,7 +395,7 @@ impl Testbed {
         if version.is_some() {
             for (raid, cpu) in raids.iter().zip(&server_cpus) {
                 let fs = Self::server_fs(&sim, Rc::clone(raid), remount);
-                nfs_servers.push(Rc::new(NfsServer::new(fs, Rc::clone(cpu), config.cost)));
+                nfs_servers.push(Rc::new(NfsServer::new(fs, Rc::clone(cpu), cost)));
             }
         } else {
             let charged: Vec<Rc<dyn BlockDevice>> = raids
@@ -404,7 +406,7 @@ impl Testbed {
                         inner: Rc::clone(raid),
                         sim: sim.clone(),
                         cpu: Rc::clone(cpu),
-                        cost: config.cost,
+                        cost,
                     }) as Rc<dyn BlockDevice>
                 })
                 .collect();
@@ -459,7 +461,7 @@ impl Testbed {
                             Rc::clone(&nfs_servers[port as usize]),
                             cfg,
                             cpu.clone(),
-                            config.cost,
+                            cost,
                         ));
                         // The mount handshake (mountd for v2/v3,
                         // PUTROOTFH for v4) happens during setup,
@@ -482,7 +484,7 @@ impl Testbed {
                         );
                         let fs = Rc::new(Self::client_fs_init(&sim, disk, &config, remount, host));
                         MountKind::Iscsi {
-                            mount: LocalMount::new(fs, cpu.clone(), config.cost),
+                            mount: LocalMount::new(fs, cpu.clone(), cost),
                         }
                     }
                 };
@@ -682,8 +684,12 @@ impl Testbed {
         remount: bool,
         host: HostId,
     ) -> Ext3 {
-        let mut opts = Self::client_ext3_options(config);
-        opts.trace_host = host;
+        let opts = ext3::Options {
+            readahead_max: config.readahead_max,
+            commit_interval: config.commit_interval,
+            trace_host: host,
+            ..calibration::client_ext3_options()
+        };
         if remount {
             Ext3::mount(sim.clone(), dev, opts).expect("client mount")
         } else {
@@ -750,22 +756,19 @@ impl Testbed {
         }
     }
 
-    /// NFS client configuration for one host of the topology.
+    /// NFS client configuration for one host of the topology. Under
+    /// the modeled TCP transport the mount opens one flow per
+    /// link-level connection (nconnect); the pipe model reports 1,
+    /// leaving the paper-era single-connection mount untouched.
     fn nfs_config(config: &TestbedConfig, version: Version, client_id: u32) -> NfsConfig {
-        let mut cfg = NfsConfig::for_version(version);
-        cfg.enhancements = config.enhancements;
-        if let Some(limit) = config.nfs_max_dirty_pages {
-            cfg.max_dirty_pages = limit;
+        NfsConfig {
+            version,
+            metadata_timeout: config.nfs_metadata_timeout,
+            max_dirty_pages: config.nfs_max_dirty_pages,
+            enhancements: config.enhancements,
+            client_id,
+            nconnect: config.link.transport.connections(),
         }
-        if let Some(t) = config.nfs_metadata_timeout {
-            cfg.metadata_timeout = t;
-        }
-        cfg.client_id = client_id;
-        // Under the modeled TCP transport the mount opens one flow per
-        // link-level connection (nconnect); the pipe model reports 1,
-        // leaving the paper-era single-connection mount untouched.
-        cfg.nconnect = config.link.transport.connections();
-        cfg
     }
 
     /// iSCSI session parameters for the configured link: under the TCP
@@ -776,18 +779,6 @@ impl Testbed {
             connections: config.link.transport.connections(),
             ..SessionParams::default()
         }
-    }
-
-    /// Client-side ext3 options with the config's overrides applied.
-    fn client_ext3_options(config: &TestbedConfig) -> ext3::Options {
-        let mut opts = calibration::client_ext3_options();
-        if let Some(ra) = config.readahead_max {
-            opts.readahead_max = ra;
-        }
-        if let Some(ci) = config.commit_interval {
-            opts.commit_interval = ci;
-        }
-        opts
     }
 
     /// Convenience: build the default testbed for a protocol.

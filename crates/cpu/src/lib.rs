@@ -44,9 +44,6 @@ pub struct CostModel {
     pub layer: SimDuration,
     /// Extra cost per KiB of payload moved.
     pub per_kib: SimDuration,
-    /// Multiplier for meta-data-miss NFS requests, which re-traverse
-    /// the VFS/file-system/block layers several times (paper §5.4).
-    pub metadata_revisits: u32,
 }
 
 impl CostModel {
@@ -56,7 +53,6 @@ impl CostModel {
         CostModel {
             layer: SimDuration::from_micros(50),
             per_kib: SimDuration::from_micros(8),
-            metadata_revisits: 3,
         }
     }
 

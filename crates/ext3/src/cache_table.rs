@@ -23,7 +23,7 @@ mod reference {
         referenced: bool,
     }
 
-    pub struct RefCache {
+    pub(super) struct RefCache {
         capacity: usize,
         map: BTreeMap<BlockNo, Buf>,
         ring: VecDeque<BlockNo>,
@@ -33,7 +33,7 @@ mod reference {
     }
 
     impl RefCache {
-        pub fn new(capacity: usize) -> Self {
+        pub(super) fn new(capacity: usize) -> Self {
             RefCache {
                 capacity: capacity.max(8),
                 map: BTreeMap::new(),
@@ -44,19 +44,19 @@ mod reference {
             }
         }
 
-        pub fn len(&self) -> usize {
+        pub(super) fn len(&self) -> usize {
             self.map.len()
         }
 
-        pub fn is_empty(&self) -> bool {
+        pub(super) fn is_empty(&self) -> bool {
             self.map.is_empty()
         }
 
-        pub fn stats(&self) -> (u64, u64) {
+        pub(super) fn stats(&self) -> (u64, u64) {
             (self.hits, self.misses)
         }
 
-        pub fn get_or_load<E>(
+        pub(super) fn get_or_load<E>(
             &mut self,
             bno: BlockNo,
             load: impl FnOnce(&mut [u8; BLOCK_SIZE]) -> Result<(), E>,
@@ -83,15 +83,15 @@ mod reference {
             }
         }
 
-        pub fn contains(&self, bno: BlockNo) -> bool {
+        pub(super) fn contains(&self, bno: BlockNo) -> bool {
             self.map.contains_key(&bno)
         }
 
-        pub fn insert_clean(&mut self, bno: BlockNo, data: &[u8]) {
+        pub(super) fn insert_clean(&mut self, bno: BlockNo, data: &[u8]) {
             self.insert(bno, data, DirtyKind::Clean);
         }
 
-        pub fn insert(&mut self, bno: BlockNo, data: &[u8], dirty: DirtyKind) {
+        pub(super) fn insert(&mut self, bno: BlockNo, data: &[u8], dirty: DirtyKind) {
             match dirty {
                 DirtyKind::Data => {
                     self.dirty_data.insert(bno);
@@ -118,7 +118,7 @@ mod reference {
             }
         }
 
-        pub fn modify(
+        pub(super) fn modify(
             &mut self,
             bno: BlockNo,
             kind: DirtyKind,
@@ -144,18 +144,18 @@ mod reference {
             }
         }
 
-        pub fn dirty_kind(&self, bno: BlockNo) -> DirtyKind {
+        pub(super) fn dirty_kind(&self, bno: BlockNo) -> DirtyKind {
             self.map.get(&bno).map_or(DirtyKind::Clean, |b| b.dirty)
         }
 
-        pub fn mark_clean(&mut self, bno: BlockNo) {
+        pub(super) fn mark_clean(&mut self, bno: BlockNo) {
             if let Some(b) = self.map.get_mut(&bno) {
                 b.dirty = DirtyKind::Clean;
                 self.dirty_data.remove(&bno);
             }
         }
 
-        pub fn dirty_blocks(&self, kind: DirtyKind) -> Vec<BlockNo> {
+        pub(super) fn dirty_blocks(&self, kind: DirtyKind) -> Vec<BlockNo> {
             if kind == DirtyKind::Data {
                 return self.dirty_data.iter().copied().collect();
             }
@@ -166,22 +166,22 @@ mod reference {
                 .collect()
         }
 
-        pub fn dirty_data_prefix(&self, limit: usize) -> Vec<BlockNo> {
+        pub(super) fn dirty_data_prefix(&self, limit: usize) -> Vec<BlockNo> {
             self.dirty_data.iter().copied().take(limit).collect()
         }
 
-        pub fn dirty_count(&self, kind: DirtyKind) -> usize {
+        pub(super) fn dirty_count(&self, kind: DirtyKind) -> usize {
             if kind == DirtyKind::Data {
                 return self.dirty_data.len();
             }
             self.map.values().filter(|b| b.dirty == kind).count()
         }
 
-        pub fn peek(&self, bno: BlockNo) -> Option<&[u8; BLOCK_SIZE]> {
+        pub(super) fn peek(&self, bno: BlockNo) -> Option<&[u8; BLOCK_SIZE]> {
             self.map.get(&bno).map(|b| &*b.data)
         }
 
-        pub fn shrink_to_capacity(&mut self) -> usize {
+        pub(super) fn shrink_to_capacity(&mut self) -> usize {
             let mut evicted = 0;
             let mut budget = self.ring.len() * 2 + 2;
             while self.map.len() > self.capacity && budget > 0 {
@@ -205,7 +205,7 @@ mod reference {
             evicted
         }
 
-        pub fn clear(&mut self) {
+        pub(super) fn clear(&mut self) {
             self.map.clear();
             self.ring.clear();
             self.dirty_data.clear();

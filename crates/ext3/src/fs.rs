@@ -34,10 +34,11 @@ const MAX_WRITE_CMD_BLOCKS: u32 = 32;
 
 /// The tunables the testbed varies per file system. The calibrated
 /// client and server values live in `ipstorage_core::calibration`;
-/// [`Options::default`] (read-ahead 8, a 1024-block journal) is the
-/// standalone fixture the crate's own tests mount. Access times are
-/// always maintained (the ext3 default): atime updates are what give
-/// iSCSI its warm-read message overhead (paper §4.4).
+/// [`Options::default`] (read-ahead 8) is the standalone fixture the
+/// crate's own tests mount. The journal is always
+/// [`JOURNAL_BLOCKS`](crate::JOURNAL_BLOCKS) long, and access times
+/// are always maintained (the ext3 default): atime updates are what
+/// give iSCSI its warm-read message overhead (paper §4.4).
 #[derive(Debug, Clone, Copy)]
 pub struct Options {
     /// Buffer-cache capacity in blocks. The paper's client has 512 MB
@@ -47,8 +48,6 @@ pub struct Options {
     pub commit_interval: SimDuration,
     /// Maximum read-ahead window in blocks.
     pub readahead_max: u32,
-    /// Journal region length in blocks (fixed at mkfs).
-    pub journal_blocks: u64,
     /// CPU cost of moving one block between user and page cache;
     /// models the client-side memory path that bounds cached I/O.
     pub mem_copy_cost: SimDuration,
@@ -66,7 +65,6 @@ impl Default for Options {
             cache_blocks: 65_536,
             commit_interval: SimDuration::from_secs(5),
             readahead_max: 8,
-            journal_blocks: 1024,
             mem_copy_cost: SimDuration::from_micros(60),
             trace_host: simkit::HostId::SERVER,
         }
@@ -295,8 +293,8 @@ impl Ext3 {
     /// Fails if the device is too small or the initial writes fail.
     pub fn mkfs(sim: Rc<Sim>, dev: Rc<dyn BlockDevice>, opts: Options) -> FsResult<Ext3> {
         let blocks_count = dev.block_count();
-        let jlen = opts.journal_blocks;
-        let groups_count = groups_for(blocks_count, jlen);
+        let jlen = JOURNAL_BLOCKS;
+        let groups_count = groups_for(blocks_count);
         let sb = SuperBlock {
             blocks_count,
             groups_count,

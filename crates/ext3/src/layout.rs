@@ -359,24 +359,22 @@ pub(crate) fn group_layout(g: u32, journal_len: u64, blocks_count: u64) -> Group
 /// inode table) plus a few data blocks.
 const MIN_GROUP_BLOCKS: u64 = 2 + ITABLE_BLOCKS + 64;
 
-/// Smallest volume `groups_for` (hence mkfs) accepts with a journal
-/// of `journal_len` blocks: superblock, descriptors, the journal, and
-/// one block more than a minimal group. Callers that carve volumes
-/// (per-client iSCSI LUNs) size against this instead of repeating the
-/// arithmetic.
-pub const fn min_volume_blocks(journal_len: u64) -> u64 {
-    2 + journal_len + MIN_GROUP_BLOCKS + 1
-}
+/// Journal length in blocks (16 MiB) every mkfs lays out; a mount
+/// reads the length from the superblock.
+pub const JOURNAL_BLOCKS: u64 = 4096;
 
-/// Number of groups for a volume of `blocks_count` blocks and a
-/// journal of `journal_len` blocks (partial trailing groups allowed as
-/// long as they can hold their metadata).
-pub(crate) fn groups_for(blocks_count: u64, journal_len: u64) -> u32 {
-    assert!(
-        blocks_count >= min_volume_blocks(journal_len),
-        "volume too small"
-    );
-    let usable = blocks_count - (2 + journal_len);
+/// Smallest volume `groups_for` (hence mkfs) accepts: superblock,
+/// descriptors, the journal, and one block more than a minimal group.
+/// Callers that carve volumes (per-client iSCSI LUNs) size against
+/// this instead of repeating the arithmetic.
+pub const MIN_VOLUME_BLOCKS: u64 = 2 + JOURNAL_BLOCKS + MIN_GROUP_BLOCKS + 1;
+
+/// Number of groups mkfs lays out on a volume of `blocks_count` blocks
+/// (partial trailing groups allowed as long as they can hold their
+/// metadata).
+pub(crate) fn groups_for(blocks_count: u64) -> u32 {
+    assert!(blocks_count >= MIN_VOLUME_BLOCKS, "volume too small");
+    let usable = blocks_count - (2 + JOURNAL_BLOCKS);
     let full = usable / BLOCKS_PER_GROUP;
     let rem = usable % BLOCKS_PER_GROUP;
     (full + u64::from(rem >= MIN_GROUP_BLOCKS)).max(1) as u32
@@ -467,13 +465,13 @@ mod tests {
 
     #[test]
     fn groups_for_counts_partials() {
-        let jlen = 256;
+        let jlen = JOURNAL_BLOCKS;
         // Exactly one full group plus a viable partial.
         let blocks = 2 + jlen + BLOCKS_PER_GROUP + 2 + ITABLE_BLOCKS + 100;
-        assert_eq!(groups_for(blocks, jlen), 2);
+        assert_eq!(groups_for(blocks), 2);
         // A tiny tail is ignored.
         let blocks = 2 + jlen + BLOCKS_PER_GROUP + 10;
-        assert_eq!(groups_for(blocks, jlen), 1);
+        assert_eq!(groups_for(blocks), 1);
     }
 
     #[test]

@@ -61,7 +61,8 @@ pub use dir::DirEntry;
 pub use error::{read_to_vec, FsError, FsResult};
 pub use fs::{Attr, Ext3, Ino, Options, SetAttr, StatFs, DIRTY_LIMIT_BLOCKS, WRITEBACK_INTERVAL};
 pub use fsck::FsckReport;
-pub use layout::{min_volume_blocks, FileType, FAST_SYMLINK_MAX, NAME_MAX, ROOT_INO};
+pub use layout::{FileType, FAST_SYMLINK_MAX, NAME_MAX, ROOT_INO};
+pub use layout::{JOURNAL_BLOCKS, MIN_VOLUME_BLOCKS};
 
 #[cfg(test)]
 mod tests {
@@ -328,6 +329,45 @@ mod tests {
         assert!(fs2.fsck().unwrap().ok());
     }
 
+    /// Enough fsynced commits to run past the end of the journal: the
+    /// commit that no longer fits checkpoints first (the only path
+    /// that writes the superblock while the file system stays mounted
+    /// and its caches stay warm), and the log wraps to its start.
+    #[test]
+    fn a_full_journal_checkpoints_and_wraps() {
+        const FILES: usize = 1000;
+        let (sim, disk, fs) = newfs();
+        let on_disk_seq = || {
+            let mut sb = [0u8; blockdev::BLOCK_SIZE];
+            disk.read(0, 1, &mut sb).unwrap();
+            layout::SuperBlock::decode(&sb).unwrap().journal_seq
+        };
+        let seq_at_mkfs = on_disk_seq();
+        let d = fs.mkdir(fs.root(), "d", 0o755).unwrap();
+        let mut files = Vec::with_capacity(FILES);
+        let mut wrapped_at = None;
+        for i in 0..FILES {
+            let f = fs.create(d, &format!("f{i}"), 0o644).unwrap();
+            fs.fsync(f).unwrap();
+            files.push(f);
+            if wrapped_at.is_none() && on_disk_seq() != seq_at_mkfs {
+                wrapped_at = Some(i);
+            }
+        }
+        // A commit here logs a descriptor, a commit record and the few
+        // blocks the create changed, so the log holds hundreds of them.
+        let wrapped_at = wrapped_at.expect("the journal never filled");
+        assert!(wrapped_at > 100, "checkpointed after {wrapped_at} commits");
+        assert!(fs.fsck().unwrap().ok());
+
+        fs.unmount().unwrap();
+        let fs = Ext3::mount(sim, disk, Options::default()).unwrap();
+        for (i, &f) in files.iter().enumerate() {
+            assert_eq!(fs.lookup(d, &format!("f{i}")), Ok(f));
+        }
+        assert!(fs.fsck().unwrap().ok());
+    }
+
     #[test]
     fn journal_commit_is_two_write_transactions() {
         // Use an iSCSI-style counter: a raw MemDisk has no counters, so
@@ -387,8 +427,7 @@ mod tests {
         let fs2 = Ext3::mount(sim2, disk.clone(), Options::default()).unwrap();
         // Reach into the device and flip a bit in some inode bitmap.
         // Group 0 inode bitmap is at journal_end + 1.
-        let opts = Options::default();
-        let ib = 2 + opts.journal_blocks + 1;
+        let ib = 2 + JOURNAL_BLOCKS + 1;
         let mut img = vec![0u8; blockdev::BLOCK_SIZE];
         disk.read(ib, 1, &mut img).unwrap();
         img[100] = 0xFF; // mark 8 random inodes used

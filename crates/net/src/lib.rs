@@ -43,7 +43,6 @@ pub use tcp::{Direction, TcpEndpoint, TcpLink, Transfer, TransportModel, MSS};
 
 use simkit::units::{self, Bps, Bytes};
 use simkit::{Sim, SimDuration};
-use std::fmt;
 use std::rc::Rc;
 
 /// Transport used by a channel. The distinction matters for the RPC
@@ -70,7 +69,7 @@ impl Transport {
 }
 
 /// Physical parameters of the simulated link.
-#[derive(Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkParams {
     /// Round-trip time (propagation only, both directions).
     pub rtt: SimDuration,
@@ -83,26 +82,6 @@ pub struct LinkParams {
     /// or event-scheduled TCP flows with congestion
     /// ([`TransportModel::Tcp`]).
     pub transport: TransportModel,
-}
-
-/// Hand-rolled so the rendering is byte-identical to the pre-TCP
-/// derived output whenever the default pipe model is selected. The
-/// snapshot cache's `SetupKey` embeds `{:?}` of the testbed config —
-/// which contains this struct — and seeds every setup RNG from a hash
-/// of that string, so a new field appearing unconditionally would
-/// silently reseed (and break) every golden. The `transport` field is
-/// printed only when it deviates from the default.
-impl fmt::Debug for LinkParams {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut s = f.debug_struct("LinkParams");
-        s.field("rtt", &self.rtt)
-            .field("bandwidth_bps", &self.bandwidth_bps)
-            .field("loss", &self.loss);
-        if self.transport != TransportModel::Pipe {
-            s.field("transport", &self.transport);
-        }
-        s.finish()
-    }
 }
 
 impl LinkParams {

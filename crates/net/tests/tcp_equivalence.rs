@@ -107,20 +107,3 @@ fn accounting_is_model_independent() {
     };
     assert_eq!(run(pipe_net()), run(tcp_net(4)));
 }
-
-/// Selecting the pipe renders `LinkParams` exactly as it did before
-/// the TCP model existed, so every `{:?}`-keyed snapshot and golden
-/// stays byte-identical with the model merely compiled in.
-#[test]
-fn pipe_debug_format_hides_the_transport_field() {
-    let p = LinkParams::gigabit_lan();
-    assert!(
-        !format!("{p:?}").contains("transport"),
-        "Pipe must be invisible in Debug output: {p:?}"
-    );
-    let t = p.with_transport(TransportModel::Tcp { connections: 2 });
-    assert!(
-        format!("{t:?}").contains("transport"),
-        "Tcp selection must be visible in Debug output: {t:?}"
-    );
-}

@@ -13,6 +13,10 @@ use ext3::{Attr, DirEntry, Ext3, FsResult, SetAttr};
 use simkit::units::Bytes;
 use std::rc::Rc;
 
+/// Layer traversals a server buffer-cache miss adds to a procedure: a
+/// meta-data miss re-traverses VFS, file system and block (paper §5.4).
+const METADATA_REVISITS: u64 = 3;
+
 /// The server-side endpoint shared by all NFS versions.
 pub struct NfsServer {
     fs: Ext3,
@@ -112,7 +116,7 @@ impl NfsServer {
         let r = f(&self.fs);
         let misses = self.fs.cache_stats().1 - misses_before;
         if misses > 0 {
-            let extra = self.cost.layer * (u64::from(self.cost.metadata_revisits) * misses);
+            let extra = self.cost.layer * (METADATA_REVISITS * misses);
             self.cpu.charge_tagged(sim.now(), extra, "nfs.server");
             if proc_name != "write" {
                 sim.advance(extra);

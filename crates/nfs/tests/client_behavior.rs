@@ -11,19 +11,15 @@ use simkit::{Sim, SimDuration};
 use std::rc::Rc;
 
 fn setup_with(version: Version, enh: Enhancements) -> (Rc<Sim>, NfsClient) {
-    setup_costed(version, enh, CostModel::p3_933())
-}
-
-fn setup_costed(
-    version: Version,
-    enh: Enhancements,
-    server_cost: CostModel,
-) -> (Rc<Sim>, NfsClient) {
     let sim = Sim::new(5);
     let netw = Network::new(sim.clone(), LinkParams::gigabit_lan());
     let disk = Rc::new(MemDisk::new("srv", 300_000));
     let fs = Ext3::mkfs(sim.clone(), disk, ext3::Options::default()).unwrap();
-    let server = Rc::new(NfsServer::new(fs, Rc::new(CpuAccount::new()), server_cost));
+    let server = Rc::new(NfsServer::new(
+        fs,
+        Rc::new(CpuAccount::new()),
+        CostModel::p3_933(),
+    ));
     let rpcc = RpcClient::new(
         netw.channel("nfs", version.transport()),
         RpcConfig::default(),
@@ -283,27 +279,36 @@ fn server_cpu_accumulates_per_rpc() {
     assert!(c.server().cpu().total_busy() > cpu_before);
 }
 
-/// A server-side meta-data miss re-traverses the stack
-/// `metadata_revisits` times (paper §5.4), so a server that revisits
-/// nothing charges less for a cold lookup than the calibrated one.
+/// A server-side meta-data miss re-traverses the stack three times
+/// (paper §5.4): a cold lookup charges the server exactly three layer
+/// traversals per buffer-cache miss more than the same lookup warm.
 #[test]
 fn metadata_revisits_scale_the_cold_lookup_charge() {
-    let cold_lookup_cpu = |metadata_revisits| {
-        let cost = CostModel {
-            metadata_revisits,
-            ..CostModel::p3_933()
-        };
-        let (_sim, c) = setup_costed(Version::V3, Enhancements::default(), cost);
-        let d = c.mkdir(c.root(), "d", 0o755).unwrap();
-        c.create(d, "f", 0o644).unwrap();
+    const METADATA_REVISITS: u64 = 3;
+    let (_sim, c) = setup(Version::V3);
+    let d = c.mkdir(c.root(), "d", 0o755).unwrap();
+    c.create(d, "f", 0o644).unwrap();
+    // Returns the server CPU and the server buffer-cache misses of one
+    // lookup the client cannot answer from its own cache.
+    let lookup = |drop_server_cache: bool| {
         c.drop_caches();
-        c.server().drop_caches();
-        let before = c.server().cpu().total_busy();
+        if drop_server_cache {
+            c.server().drop_caches();
+        }
+        let cpu = c.server().cpu().total_busy();
+        let misses = c.server().fs().cache_stats().1;
         c.lookup(d, "f").unwrap();
-        c.server().cpu().total_busy().as_nanos() - before.as_nanos()
+        (
+            c.server().cpu().total_busy().as_nanos() - cpu.as_nanos(),
+            c.server().fs().cache_stats().1 - misses,
+        )
     };
-    let calibrated = cold_lookup_cpu(CostModel::p3_933().metadata_revisits);
-    assert!(cold_lookup_cpu(0) < calibrated);
+    let (cold_cpu, cold_misses) = lookup(true);
+    let (warm_cpu, warm_misses) = lookup(false);
+    assert!(cold_misses > 0, "a cold lookup misses the server cache");
+    assert_eq!(warm_misses, 0);
+    let layer = CostModel::p3_933().layer.as_nanos();
+    assert_eq!(cold_cpu - warm_cpu, layer * METADATA_REVISITS * cold_misses);
 }
 
 #[test]

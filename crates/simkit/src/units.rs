@@ -13,10 +13,9 @@
 //! Two contracts hold everywhere in this module:
 //!
 //! * **Rendering is the bare integer.** `Debug` and `Display` print
-//!   exactly what the wrapped `u64` would print. Goldens, JSON reports,
-//!   and the snapshot cache's `{:?}`-derived `SetupKey` strings are all
-//!   byte-compared across runs, so wrapping a quantity must never change
-//!   its rendering.
+//!   exactly what the wrapped `u64` would print. Goldens and JSON
+//!   reports are byte-compared across runs, so wrapping a quantity must
+//!   never change its rendering.
 //! * **Conversions are value-preserving.** [`transfer_time`] widens to
 //!   `u128` so `bytes × 8 × 10⁹` cannot overflow, and every float helper
 //!   reproduces the exact expression it replaced (`x as f64`,
@@ -217,8 +216,8 @@ impl From<u64> for Bps {
 }
 
 // Bare-integer rendering: see the module docs — `{:?}` of these types
-// is embedded in snapshot `SetupKey` strings and golden reports, which
-// are byte-compared across runs and refactors.
+// is embedded in golden reports, which are byte-compared across runs
+// and refactors.
 impl fmt::Debug for Bytes {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         fmt::Debug::fmt(&self.0, f)

@@ -53,7 +53,7 @@ proptest! {
 
     /// Ordering and rendering are the wrapped integer's: comparisons
     /// agree with `u64`, and Debug/Display print the bare number (the
-    /// golden/`SetupKey` byte-identity contract).
+    /// golden byte-identity contract).
     #[test]
     fn ordering_and_rendering_are_transparent(a in 0u64..u64::MAX, b in 0u64..u64::MAX) {
         prop_assert_eq!(Bytes::new(a).cmp(&Bytes::new(b)), a.cmp(&b));
