@@ -133,7 +133,8 @@ impl SetupKey {
 /// resumed from: what the setup cost in virtual time and protocol
 /// messages, so runners reporting whole-workload totals (Table 5's
 /// PostMark times include file-pool creation) can add it back in.
-#[derive(Debug, Clone)]
+/// A snapshot and its forks share one, read-only.
+#[derive(Debug)]
 pub struct SetupInfo {
     /// Seed the setup phase ran under ([`SetupKey::setup_seed`]).
     pub setup_seed: u64,
@@ -162,7 +163,8 @@ pub struct Snapshot {
     /// One image of each server's RAID-5 store.
     images: Vec<Arc<DiskImage>>,
     epoch: SimTime,
-    info: SetupInfo,
+    /// Shared with every fork, which only reads it.
+    info: Arc<SetupInfo>,
 }
 
 impl Snapshot {
@@ -183,11 +185,11 @@ impl Snapshot {
             topo: parts.topo,
             images: parts.images,
             epoch: parts.epoch,
-            info: SetupInfo {
+            info: Arc::new(SetupInfo {
                 setup_seed,
                 elapsed: parts.epoch.since(SimTime::ZERO),
                 counters: parts.counters,
-            },
+            }),
         }
     }
 
@@ -214,7 +216,7 @@ impl Snapshot {
         let mut topo = self.topo.clone();
         topo.base.seed = seed;
         tweak(&mut topo.base);
-        Testbed::resume(topo, &self.images, self.epoch, self.info.clone())
+        Testbed::resume(topo, &self.images, self.epoch, Arc::clone(&self.info))
     }
 
     /// Forks this *single-server* snapshot into an M-server sharded
@@ -238,7 +240,7 @@ impl Snapshot {
         topo.servers = servers;
         topo.clients = self.topo.clients * servers;
         let images = vec![Arc::clone(&self.images[0]); servers];
-        Testbed::resume(topo, &images, self.epoch, self.info.clone())
+        Testbed::resume(topo, &images, self.epoch, Arc::clone(&self.info))
     }
 
     /// Total blocks with captured content across the RAID-5 stores —
@@ -498,6 +500,20 @@ mod tests {
                 "fork resumes after the captured epoch"
             );
         }
+    }
+
+    /// Forks read the setup's provenance and never change it, so they
+    /// share the snapshot's one copy, a sharded fork included.
+    #[test]
+    fn forks_share_one_setup_info() {
+        let key = SetupKey::for_config(&TestbedConfig::new(Protocol::NfsV3), "shared-info");
+        let tb = Testbed::with_protocol_seeded(Protocol::NfsV3, key.setup_seed());
+        tb.fs().creat("/f").unwrap();
+        let snap = Snapshot::capture(tb, key);
+        let (a, b) = (snap.fork(1), snap.fork_sharded(2, 2));
+        let (a, b) = (a.setup_info().unwrap(), b.setup_info().unwrap());
+        assert!(Arc::ptr_eq(a, b), "two forks, one SetupInfo");
+        assert!(Arc::ptr_eq(a, &snap.info), "and it is the snapshot's");
     }
 
     #[test]

@@ -263,14 +263,14 @@ pub struct Testbed {
     /// occupancy); registered as a daemon, reset after construction.
     gauges: Rc<GaugeSampler>,
     /// Setup-phase provenance when resumed from a snapshot.
-    setup: Option<SetupInfo>,
+    setup: Option<Arc<SetupInfo>>,
 }
 
 /// Snapshot state a resumed construction starts from.
 struct Resume {
     images: Vec<Arc<DiskImage>>,
     epoch: SimTime,
-    info: SetupInfo,
+    info: Arc<SetupInfo>,
 }
 
 /// What a snapshot capture extracts from a quiesced testbed.
@@ -705,7 +705,7 @@ impl Testbed {
         topo: TopologyConfig,
         images: &[Arc<DiskImage>],
         epoch: SimTime,
-        info: SetupInfo,
+        info: Arc<SetupInfo>,
     ) -> Testbed {
         Self::construct(
             topo,
@@ -854,7 +854,7 @@ impl Testbed {
     /// from a [`Snapshot`](crate::snapshot::Snapshot): what the setup
     /// cost in virtual time and messages before the fork's books
     /// opened.
-    pub(crate) fn setup_info(&self) -> Option<&SetupInfo> {
+    pub(crate) fn setup_info(&self) -> Option<&Arc<SetupInfo>> {
         self.setup.as_ref()
     }
 

@@ -8,11 +8,12 @@ use crate::error::{FsError, FsResult};
 use crate::journal::Journal;
 use crate::layout::*;
 use blockdev::{BlockDevice, BlockNo, IoCost, BLOCK_SIZE};
-use simkit::{CounterHandle, Daemon, Sim, SimDuration, SimTime};
+use simkit::{CounterHandle, Daemon, MetricHandle, Sim, SimDuration, SimTime};
 use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::HashMap;
 use std::ops::{Deref, DerefMut};
 use std::rc::{Rc, Weak};
+use std::thread::LocalKey;
 
 /// Inode number.
 pub type Ino = u32;
@@ -169,6 +170,12 @@ pub(crate) struct Inner {
     /// Each [`Op`]'s counter in `sim.counters()`, resolved by the first
     /// [`Inner::count`] of that op.
     op_counters: [OnceCell<CounterHandle>; Op::COUNT],
+    /// `ext3.journal.commit` in `sim.metrics()` and
+    /// `ext3.writeback.blocks` in `sim.counters()`, resolved by their
+    /// first commit and first write-back (not at mount, so a file
+    /// system that never commits adds no empty entry to a report).
+    commit_time: OnceCell<MetricHandle>,
+    writeback_blocks: OnceCell<CounterHandle>,
 }
 
 /// What this file system counts once per occurrence: every file
@@ -460,6 +467,8 @@ impl Ext3 {
             fg_cost: Cell::new(SimDuration::ZERO),
             mode: Cell::new(IoMode::Foreground),
             op_counters: Default::default(),
+            commit_time: OnceCell::new(),
+            writeback_blocks: OnceCell::new(),
         });
         let timers: Rc<dyn Daemon> = Rc::new(JournalTimers {
             inner: Rc::downgrade(&inner),
@@ -875,44 +884,67 @@ pub(crate) fn group_of_ino(ino: Ino) -> u32 {
 thread_local! {
     /// Gather buffers of finished device commands, awaiting reuse.
     static GATHER: RefCell<Vec<Vec<u8>>> = const { RefCell::new(Vec::new()) };
+    /// Block lists of finished `fsync`s, awaiting reuse.
+    static BLOCK_LISTS: RefCell<Vec<Vec<BlockNo>>> = const { RefCell::new(Vec::new()) };
 }
+
+/// A scratch `Vec` from this thread's pool of its element type, which
+/// goes back to the pool when dropped: a thread keeps as many as it
+/// ever used at once (one, unless a use nests in another), each as
+/// large as its largest use, however many file systems it runs. Its
+/// contents mean nothing between uses.
+pub(crate) struct Pooled<T: 'static>(Vec<T>, &'static LocalKey<RefCell<Vec<Vec<T>>>>);
 
 /// A buffer in which one merged device command (a read-ahead run, a
 /// write-back run, a journal commit, a checkpoint run) is assembled.
-/// It comes from this thread's pool and goes back to it when dropped,
-/// so a thread keeps as many buffers as it ever used at once (one,
-/// unless a use nests in another), each as large as its largest
-/// command, however many file systems it runs. Its contents mean
-/// nothing between uses.
-pub(crate) struct Gather(Vec<u8>);
+pub(crate) type Gather = Pooled<u8>;
+
+/// The blocks one `fsync` writes back, gathered before the runs are.
+pub(crate) type BlockList = Pooled<BlockNo>;
 
 impl Gather {
-    /// A buffer from the pool, or a new empty one if the pool is empty
-    /// or the thread is tearing its locals down.
+    /// A buffer from the pool, or a new empty one.
     pub(crate) fn take() -> Gather {
-        let pooled = GATHER.try_with(|pool| pool.borrow_mut().pop());
-        Gather(pooled.ok().flatten().unwrap_or_default())
+        Pooled::pop(&GATHER)
     }
 }
 
-impl Drop for Gather {
+impl BlockList {
+    /// An empty list from the pool, or a new one.
+    pub(crate) fn take() -> BlockList {
+        let mut list = Pooled::pop(&BLOCK_LISTS);
+        list.clear();
+        list
+    }
+}
+
+impl<T> Pooled<T> {
+    /// A `Vec` from `pool`, or a new empty one if the pool is empty or
+    /// the thread is tearing its locals down.
+    fn pop(pool: &'static LocalKey<RefCell<Vec<Vec<T>>>>) -> Pooled<T> {
+        let pooled = pool.try_with(|p| p.borrow_mut().pop());
+        Pooled(pooled.ok().flatten().unwrap_or_default(), pool)
+    }
+}
+
+impl<T> Drop for Pooled<T> {
     fn drop(&mut self) {
         let buf = std::mem::take(&mut self.0);
         // Past the pool's own destructor the buffer is simply freed.
-        let _ = GATHER.try_with(move |pool| pool.borrow_mut().push(buf));
+        let _ = self.1.try_with(move |pool| pool.borrow_mut().push(buf));
     }
 }
 
-impl Deref for Gather {
-    type Target = Vec<u8>;
+impl<T> Deref for Pooled<T> {
+    type Target = Vec<T>;
 
-    fn deref(&self) -> &Vec<u8> {
+    fn deref(&self) -> &Vec<T> {
         &self.0
     }
 }
 
-impl DerefMut for Gather {
-    fn deref_mut(&mut self) -> &mut Vec<u8> {
+impl<T> DerefMut for Pooled<T> {
+    fn deref_mut(&mut self) -> &mut Vec<T> {
         &mut self.0
     }
 }
@@ -974,9 +1006,9 @@ pub(crate) fn commit_journal(inner: &Inner, st: &mut State) -> FsResult<()> {
         }
         inner.count(Op::JournalCommit);
         inner
-            .sim
-            .metrics()
-            .record_duration("ext3.journal.commit", commit_time);
+            .commit_time
+            .get_or_init(|| inner.sim.metrics().handle("ext3.journal.commit"))
+            .record_duration(commit_time);
         let now = inner.sim.now();
         let attrs = if ctx.is_disabled() {
             Vec::new()
@@ -1045,9 +1077,9 @@ pub(crate) fn flush_data(inner: &Inner, st: &mut State, limit: usize) -> FsResul
         }
     }
     inner
-        .sim
-        .counters()
-        .add("ext3.writeback.blocks", cleaned as u64);
+        .writeback_blocks
+        .get_or_init(|| inner.sim.counters().handle("ext3.writeback.blocks"))
+        .add(cleaned as u64);
     result
 }
 
@@ -1073,18 +1105,19 @@ pub(crate) fn write_back_run(
 }
 
 /// Coalesces sorted block numbers into `(start, len)` runs capped at
-/// [`MAX_WRITE_CMD_BLOCKS`] blocks each.
-pub(crate) fn merge_runs(blocks: impl IntoIterator<Item = BlockNo>) -> Vec<(BlockNo, u32)> {
-    let mut out: Vec<(BlockNo, u32)> = Vec::new();
-    for b in blocks {
-        match out.last_mut() {
-            Some((start, len)) if *start + *len as u64 == b && *len < MAX_WRITE_CMD_BLOCKS => {
-                *len += 1
-            }
-            _ => out.push((b, 1)),
+/// [`MAX_WRITE_CMD_BLOCKS`] blocks each, yielded one run at a time.
+pub(crate) fn merge_runs(
+    blocks: impl IntoIterator<Item = BlockNo>,
+) -> impl Iterator<Item = (BlockNo, u32)> {
+    let mut blocks = blocks.into_iter().peekable();
+    std::iter::from_fn(move || {
+        let start = blocks.next()?;
+        let mut len = 1;
+        while len < MAX_WRITE_CMD_BLOCKS && blocks.next_if_eq(&(start + len as u64)).is_some() {
+            len += 1;
         }
-    }
-    out
+        Some((start, len))
+    })
 }
 
 /// Throttles a writer when dirty data exceeds the limit: flushes a

@@ -142,28 +142,32 @@ impl Journal {
         let count = self.running.len().min(MAX_TXN_BLOCKS);
         let targets = || self.running.keys().copied().take(count);
 
+        // One reservation for the whole command, then each block
+        // written once: images are copied, not zero-filled first.
         out.clear();
-        out.resize((count + 2) * BLOCK_SIZE, 0);
-        let (desc, rest) = out.split_at_mut(BLOCK_SIZE);
-        let (images, commit) = rest.split_at_mut(count * BLOCK_SIZE);
+        out.reserve((count + 2) * BLOCK_SIZE);
 
         // Descriptor block.
-        desc[0..4].copy_from_slice(&DESC_MAGIC.to_le_bytes());
-        desc[4..12].copy_from_slice(&seq.to_le_bytes());
-        desc[12..16].copy_from_slice(&(count as u32).to_le_bytes());
+        out.resize(BLOCK_SIZE, 0);
+        out[0..4].copy_from_slice(&DESC_MAGIC.to_le_bytes());
+        out[4..12].copy_from_slice(&seq.to_le_bytes());
+        out[12..16].copy_from_slice(&(count as u32).to_le_bytes());
         for (i, t) in targets().enumerate() {
-            desc[16 + i * 8..24 + i * 8].copy_from_slice(&t.to_le_bytes());
+            out[16 + i * 8..24 + i * 8].copy_from_slice(&t.to_le_bytes());
         }
 
-        for (t, slot) in targets().zip(images.chunks_exact_mut(BLOCK_SIZE)) {
-            if let Some(img) = image_of(t) {
-                slot.copy_from_slice(img);
+        for t in targets() {
+            match image_of(t) {
+                Some(img) => out.extend_from_slice(img),
+                None => out.resize(out.len() + BLOCK_SIZE, 0),
             }
         }
 
         // Commit record.
-        commit[0..4].copy_from_slice(&COMMIT_MAGIC.to_le_bytes());
-        commit[4..12].copy_from_slice(&seq.to_le_bytes());
+        let commit = out.len();
+        out.resize(commit + BLOCK_SIZE, 0);
+        out[commit..commit + 4].copy_from_slice(&COMMIT_MAGIC.to_le_bytes());
+        out[commit + 4..commit + 12].copy_from_slice(&seq.to_le_bytes());
 
         let base = self.start + self.head;
         let commit_block = base + 1 + count as u64;

@@ -541,7 +541,7 @@ impl crate::Ext3 {
             // Collect this inode's dirty data blocks.
             let inode = live_inode(inner, st, ino)?;
             let nblocks = inode.size.div_ceil(BS);
-            let mut dirty = Vec::new();
+            let mut dirty = BlockList::take();
             for fb in 0..nblocks {
                 if let Some(bno) = bmap(inner, st, &inode, fb)? {
                     if st.cache.dirty_kind(bno) == DirtyKind::Data {
@@ -550,7 +550,7 @@ impl crate::Ext3 {
                 }
             }
             dirty.sort_unstable();
-            for (start, len) in merge_runs(dirty) {
+            for (start, len) in merge_runs(dirty.iter().copied()) {
                 write_back_run(inner, st, start, len)?;
             }
             Ok(())

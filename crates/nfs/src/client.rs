@@ -18,6 +18,7 @@
 //!   writes enter a bounded pipeline of unstable WRITE RPCs that
 //!   degenerates to write-through when the window fills (§4.5).
 
+use crate::name::Name;
 use crate::pagecache::{PageCache, PAGE_SIZE};
 use crate::server::NfsServer;
 use crate::{ClientId, Enhancements, Fh, Version};
@@ -115,7 +116,7 @@ pub struct OpenFile {
 }
 
 /// One directory's cached entries: child name → `(fh, generation)`.
-type DirEntries = BTreeMap<String, (Fh, u64)>;
+type DirEntries = BTreeMap<Name, (Fh, u64)>;
 
 /// The NFS client endpoint.
 pub struct NfsClient {
@@ -127,9 +128,10 @@ pub struct NfsClient {
     cost: CostModel,
     attrs: RefCell<BTreeMap<Fh, CachedAttr>>,
     /// Cached directory entries, keyed by directory then child name.
-    /// The two-level shape lets the hot lookup path probe with a
-    /// borrowed `&str` instead of building an owned `(Fh, String)` key
-    /// per resolution.
+    /// The two-level shape lets the hot lookup path probe with the
+    /// borrowed name's bytes instead of building an owned key per
+    /// resolution, and a [`Name`] keeps a short name in place, so
+    /// priming an entry allocates nothing either.
     dentries: RefCell<BTreeMap<Fh, DirEntries>>,
     /// Entries across all of `dentries`, maintained wherever the maps
     /// change so the gauge probe is a load, not a walk.
@@ -287,7 +289,7 @@ impl NfsClient {
 
     /// One synchronous RPC: accounting + clock advance, optionally
     /// amortized over a read pipeline.
-    fn rpc_sync(&self, proc_name: &str, req: Bytes, resp: Bytes, pipeline: u32) {
+    fn rpc_sync(&self, proc_name: &'static str, req: Bytes, resp: Bytes, pipeline: u32) {
         let out = self.rpc.call(proc_name, req, resp, SimDuration::ZERO);
         let latency = if pipeline > 1 {
             SimDuration::from_nanos(out.latency.as_nanos() / pipeline as u64)
@@ -317,14 +319,16 @@ impl NfsClient {
         );
     }
 
+    /// Caches `dir/name → fh` as of now. A refresh of an entry that is
+    /// already cached overwrites it in place and keeps its key.
     fn prime_dentry(&self, dir: Fh, name: &str, fh: Fh) {
-        let replaced = self
-            .dentries
-            .borrow_mut()
-            .entry(dir)
-            .or_default()
-            .insert(name.to_owned(), (fh, self.now_ns()));
-        if replaced.is_none() {
+        let entry = (fh, self.now_ns());
+        let mut dentries = self.dentries.borrow_mut();
+        let entries = dentries.entry(dir).or_default();
+        if let Some(cached) = entries.get_mut(name.as_bytes()) {
+            *cached = entry;
+        } else {
+            entries.insert(Name::new(name), entry);
             self.dentry_count.set(self.dentry_count.get() + 1);
         }
     }
@@ -336,7 +340,7 @@ impl NfsClient {
             .dentries
             .borrow_mut()
             .get_mut(&dir)
-            .and_then(|entries| entries.remove(name));
+            .and_then(|entries| entries.remove(name.as_bytes()));
         if removed.is_some() {
             self.dentry_count.set(self.dentry_count.get() - 1);
         }
@@ -348,7 +352,7 @@ impl NfsClient {
         self.dentries
             .borrow()
             .get(&dir)
-            .and_then(|entries| entries.get(name))
+            .and_then(|entries| entries.get(name.as_bytes()))
             .copied()
     }
 
@@ -479,7 +483,7 @@ impl NfsClient {
     fn update_op<T>(
         &self,
         dir: Fh,
-        procs: &[&str],
+        procs: &[&'static str],
         apply: impl FnOnce(&NfsServer) -> FsResult<T>,
     ) -> FsResult<T> {
         self.charge_client();
@@ -550,7 +554,7 @@ impl NfsClient {
     pub fn create(&self, dir: Fh, name: &str, perm: u16) -> FsResult<Fh> {
         self.lookup_expect_absent(dir, name)?;
         self.v4_bookkeeping("creat", self.attr_cached_fresh(dir) || self.delegated(dir));
-        let procs: &[&str] = match self.cfg.version {
+        let procs: &[&'static str] = match self.cfg.version {
             // v2 CREATE returns no attributes; the Linux v3 client
             // issues the same trailing GETATTR (paper Table 2).
             Version::V2 | Version::V3 => &["create", "getattr"],
@@ -597,7 +601,7 @@ impl NfsClient {
     pub fn link(&self, dir: Fh, name: &str, target: Fh) -> FsResult<()> {
         self.lookup_expect_absent(dir, name)?;
         self.v4_bookkeeping("link", self.attr_cached_fresh(target));
-        let procs: &[&str] = if self.cfg.version == Version::V3 {
+        let procs: &[&'static str] = if self.cfg.version == Version::V3 {
             &["link"]
         } else {
             &["link", "getattr"]
@@ -616,7 +620,7 @@ impl NfsClient {
     pub fn symlink(&self, dir: Fh, name: &str, target: &str) -> FsResult<Fh> {
         self.lookup_expect_absent(dir, name)?;
         self.v4_bookkeeping("symlink", self.attr_cached_fresh(dir));
-        let procs: &[&str] = if self.cfg.version == Version::V2 {
+        let procs: &[&'static str] = if self.cfg.version == Version::V2 {
             &["symlink", "getattr"] // v2 SYMLINK returns no attributes
         } else {
             &["symlink"]
@@ -652,7 +656,7 @@ impl NfsClient {
         // Destination existence check (may legitimately be absent).
         let _ = self.lookup_quiet(ddir, dname);
         self.v4_bookkeeping("rename", false);
-        let procs: &[&str] = if self.cfg.version == Version::V3 {
+        let procs: &[&'static str] = if self.cfg.version == Version::V3 {
             &["rename"]
         } else {
             &["rename", "getattr"]
@@ -675,7 +679,7 @@ impl NfsClient {
     pub fn setattr(&self, fh: Fh, set: SetAttr, op: &str) -> FsResult<Attr> {
         self.charge_client();
         self.v4_bookkeeping(op, self.attr_cached_fresh(fh));
-        let procs: &[&str] = match (self.cfg.version, op) {
+        let procs: &[&'static str] = match (self.cfg.version, op) {
             (Version::V3, "utime") | (Version::V2, "utime") => &["setattr"],
             (Version::V2, _) | (Version::V3, _) => &["setattr", "getattr"],
             (Version::V4, _) => &["setattr"],
@@ -1234,7 +1238,14 @@ mod tests {
             let root = c.root();
             let sub = c.mkdir(root, "d", 0o755).unwrap();
             let dir = |in_sub: bool| if in_sub { sub } else { root };
-            let name = |i: u8| format!("f{i}");
+            // Half the names are kept in place, half are boxed.
+            let name = |i: u8| {
+                if i < 3 {
+                    format!("f{i}")
+                } else {
+                    format!("a-name-past-the-inline-limit-{i}")
+                }
+            };
             for op in &ops {
                 match *op {
                     Op::Lookup(d, f) => {

@@ -26,6 +26,7 @@
 //! batches, like the ext3 journal).
 
 mod client;
+mod name;
 mod pagecache;
 mod server;
 pub mod xdr;

@@ -44,6 +44,7 @@ use simkit::units::{self, Bytes};
 use simkit::{CounterHandle, MetricHandle, Sim, SimDuration};
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
+use std::fmt::Write;
 use std::rc::Rc;
 
 /// Floor of the adaptive RTO. Linux 2.4's RPC engine is tick-based
@@ -105,8 +106,9 @@ pub struct RpcClient {
     retrans: CounterHandle,
     /// Per-procedure counter/histogram handles, resolved on first use
     /// of each procedure name. Steady-state calls bump handles only —
-    /// no name formatting, no registry lookups.
-    procs: RefCell<BTreeMap<String, ProcHandles>>,
+    /// no name formatting, no registry lookups — and the key is the
+    /// caller's static name, so a first use allocates no key either.
+    procs: RefCell<BTreeMap<&'static str, ProcHandles>>,
 }
 
 #[derive(Debug, Clone)]
@@ -132,21 +134,22 @@ impl RpcClient {
     }
 
     /// Handles for `proc_name`, formatted and registered on first use.
-    fn proc_handles(&self, proc_name: &str) -> ProcHandles {
+    fn proc_handles(&self, proc_name: &'static str) -> ProcHandles {
         if let Some(h) = self.procs.borrow().get(proc_name) {
             return h.clone();
         }
         let sim = self.sim();
         let label = self.chan.label();
-        let h = ProcHandles {
-            calls: sim
-                .counters()
-                .handle(&format!("proto.{label}.call.{proc_name}")),
-            latency: sim.metrics().handle(&format!("rpc.{label}.{proc_name}")),
-        };
-        self.procs
-            .borrow_mut()
-            .insert(proc_name.to_owned(), h.clone());
+        // Both names are formatted into one buffer, sized for the
+        // longer one.
+        let mut name = String::with_capacity(label.len() + proc_name.len() + 12);
+        let _ = write!(name, "proto.{label}.call.{proc_name}");
+        let calls = sim.counters().handle(&name);
+        name.clear();
+        let _ = write!(name, "rpc.{label}.{proc_name}");
+        let latency = sim.metrics().handle(&name);
+        let h = ProcHandles { calls, latency };
+        self.procs.borrow_mut().insert(proc_name, h.clone());
         h
     }
 
@@ -176,7 +179,7 @@ impl RpcClient {
     /// reply drains.
     pub fn call(
         &self,
-        proc_name: &str,
+        proc_name: &'static str,
         req_bytes: Bytes,
         resp_bytes: Bytes,
         server_time: SimDuration,

@@ -166,8 +166,30 @@ pub struct SharingPoint {
     pub written_by_multiple: f64,
 }
 
+/// The events at `lo <= t < hi`, found by binary search in `events`
+/// sorted by `t`.
+fn window(events: &[TraceEvent], lo: u64, hi: u64) -> &[TraceEvent] {
+    let start = events.partition_point(|e| e.t < lo);
+    let len = events[start..].partition_point(|e| e.t < hi);
+    &events[start..start + len]
+}
+
+/// Checks the precondition of [`window`]: `events` sorted by `t`, as
+/// [`generate`] returns them.
+fn assert_sorted(events: &[TraceEvent]) {
+    assert!(
+        events.is_sorted_by_key(|e| e.t),
+        "trace events must be sorted by t"
+    );
+}
+
 /// Computes the Figure 7 sharing curves for the given interval sizes.
+///
+/// # Panics
+///
+/// Panics unless `events` is sorted by `t`, as [`generate`] returns it.
 pub fn sharing_analysis(events: &[TraceEvent], intervals_s: &[u64]) -> Vec<SharingPoint> {
+    assert_sorted(events);
     let mut out = Vec::new();
     let t_end = events.last().map(|e| e.t + 1).unwrap_or(1);
     for &iv in intervals_s {
@@ -179,7 +201,7 @@ pub fn sharing_analysis(events: &[TraceEvent], intervals_s: &[u64]) -> Vec<Shari
             let hi = lo + iv;
             let mut readers: BTreeMap<u32, BTreeSet<u32>> = BTreeMap::new();
             let mut writers: BTreeMap<u32, BTreeSet<u32>> = BTreeMap::new();
-            for e in events.iter().filter(|e| e.t >= lo && e.t < hi) {
+            for e in window(events, lo, hi) {
                 match e.kind {
                     AccessKind::Read => readers.entry(e.dir).or_default().insert(e.client),
                     AccessKind::Write => writers.entry(e.dir).or_default().insert(e.client),
@@ -231,7 +253,12 @@ pub fn sharing_analysis(events: &[TraceEvent], intervals_s: &[u64]) -> Vec<Shari
 
 /// Fraction of directories that are read-write shared across clients
 /// (accessed by >1 client with at least one writer) at interval `iv`.
+///
+/// # Panics
+///
+/// Panics unless `events` is sorted by `t`, as [`generate`] returns it.
 pub fn rw_shared_fraction(events: &[TraceEvent], iv: u64) -> f64 {
+    assert_sorted(events);
     let t_end = events.last().map(|e| e.t + 1).unwrap_or(1);
     let nwin = t_end.div_ceil(iv).max(1);
     let mut acc = 0.0;
@@ -241,7 +268,7 @@ pub fn rw_shared_fraction(events: &[TraceEvent], iv: u64) -> f64 {
         let hi = lo + iv;
         let mut clients: BTreeMap<u32, BTreeSet<u32>> = BTreeMap::new();
         let mut wrote: BTreeSet<u32> = BTreeSet::new();
-        for e in events.iter().filter(|e| e.t >= lo && e.t < hi) {
+        for e in window(events, lo, hi) {
             clients.entry(e.dir).or_default().insert(e.client);
             if e.kind == AccessKind::Write {
                 wrote.insert(e.dir);
@@ -453,6 +480,33 @@ mod tests {
         let b = small(Profile::Eecs);
         assert_eq!(a, b);
         assert!(a.windows(2).all(|w| w[0].t <= w[1].t));
+    }
+
+    #[test]
+    fn windows_are_the_filtered_events() {
+        let ev = small(Profile::Campus);
+        for (lo, hi) in [
+            (0, 1),
+            (0, 100),
+            (4_321, 5_321),
+            (86_000, 87_000),
+            (90_000, 91_000),
+        ] {
+            let filtered: Vec<TraceEvent> = ev
+                .iter()
+                .filter(|e| e.t >= lo && e.t < hi)
+                .copied()
+                .collect();
+            assert_eq!(window(&ev, lo, hi), &filtered[..], "[{lo}, {hi})");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "sorted by t")]
+    fn unsorted_events_are_rejected() {
+        let mut ev = small(Profile::Eecs);
+        ev.reverse();
+        rw_shared_fraction(&ev, 1000);
     }
 
     #[test]

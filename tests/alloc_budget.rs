@@ -15,7 +15,10 @@
 //! on a thread takes its 4 KiB block images from the first one's, and
 //! a second file system its journal's gather buffer. A CPU account
 //! that nobody samples stops growing once it holds the samples a
-//! window could still count.
+//! window could still count. On the meta-data path, a cold or stale
+//! LOOKUP keeps its dentry name inside the map key, a warm `fsync`
+//! takes its block list and gather buffer from the thread's pools, and
+//! a second RPC client files a known procedure under its static name.
 //!
 //! The allocator counts per thread, so the tests stay independent
 //! under the harness's parallel runner.
@@ -28,6 +31,7 @@ use ext3::{BufferCache, DirtyKind, Ext3, Options};
 use net::{Fabric, LinkParams};
 use nfs::{NfsClient, NfsConfig, NfsServer, Version};
 use rpc::{RpcClient, RpcConfig};
+use simkit::units::Bytes;
 use simkit::{Daemon, GaugeSampler, HostId, Sim, SimDuration};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -93,11 +97,12 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// What a cold `NfsClient::lookup` allocates: the owned dentry name
-/// and nothing else once the cache maps have their nodes. 3ac4b8b
-/// measured 4: it also built the encoded LOOKUP arguments (a `Vec`
-/// grown twice) only to take their length.
-const COLD_LOOKUP_ALLOCS: u64 = 1;
+/// What a cold `NfsClient::lookup` allocates once the cache maps have
+/// their nodes: nothing. 3ac4b8b measured 4: it also built the encoded
+/// LOOKUP arguments (a `Vec` grown twice) only to take their length.
+/// 91aa698 measured 1, the owned `String` its dentry was keyed by; a
+/// name of up to 23 bytes is now kept inside the key.
+const COLD_LOOKUP_ALLOCS: u64 = 0;
 
 /// Heap allocations (including reallocations) this thread makes in `f`.
 fn allocs_in<T>(f: impl FnOnce() -> T) -> (u64, T) {
@@ -448,6 +453,116 @@ fn cold_nfs_lookup_does_not_allocate_to_size_its_call() {
         "the lookup went to the server"
     );
     assert_eq!(n, COLD_LOOKUP_ALLOCS, "LOOKUP call + reply, dentry primed");
+}
+
+/// Past the meta-data timeout a cached entry is stale: the lookup
+/// goes to the server again and refreshes the entry in place. It asks
+/// the allocator for nothing, for a name kept in place and for a boxed
+/// one alike; 91aa698 gave every refreshed entry a fresh `String` key.
+#[test]
+fn stale_nfs_lookup_refreshes_its_dentry_without_allocating() {
+    let sim = Sim::new(1);
+    let (client, root) = mounted_nfs_client(&sim);
+    let names = ["f", "a-name-past-the-inline-limit"];
+    for name in names {
+        client.create(root, name, 0o644).unwrap();
+    }
+    let timeout = NfsConfig::for_version(Version::V3).metadata_timeout;
+    sim.advance(timeout + SimDuration::from_millis(500));
+    for name in names {
+        let msgs = sim.counters().get("net.nfs.msgs");
+        let dentries = client.cached_dentry_count();
+        let (n, fh) = allocs_in(|| client.lookup(root, name));
+        fh.unwrap();
+        assert_eq!(
+            sim.counters().get("net.nfs.msgs"),
+            msgs + 2,
+            "{name}: the stale entry sent a LOOKUP"
+        );
+        assert_eq!(
+            client.cached_dentry_count(),
+            dentries,
+            "{name}: refreshed, not added"
+        );
+        assert_eq!(n, 0, "{name}: LOOKUP call + reply, dentry refreshed");
+    }
+}
+
+/// `fsync` gathers the file's dirty blocks in a list from the thread's
+/// pool and merges them into runs as it writes them back, so on a
+/// thread whose pools are warm, an fsync of a file with dirty data and
+/// a pending journal commit asks the allocator for nothing. 91aa698
+/// built two `Vec`s per call: the block list and the run list.
+#[test]
+fn warm_ext3_fsync_of_dirty_data_allocates_nothing() {
+    let sim = Sim::new(1);
+    let fs = Ext3::mkfs(
+        Rc::clone(&sim),
+        Rc::new(MemDisk::new("d0", 300_000)),
+        Options::default(),
+    )
+    .unwrap();
+    let f = fs.create(fs.root(), "f", 0o644).unwrap();
+    // Two runs: blocks 0-2 and 5-6 of the file.
+    let dirty = |fill: u8| {
+        fs.write(f, 0, &[fill; 3 * BLOCK_SIZE]).unwrap();
+        fs.write(f, 5 * BLOCK_SIZE as u64, &[fill; 2 * BLOCK_SIZE])
+            .unwrap();
+    };
+    dirty(1);
+    fs.fsync(f).unwrap(); // blocks mapped, pools and journal maps warm
+                          // The next commit's journal slots are blocks the disk has not
+                          // stored yet: stock the thread's free list of block images.
+    let warm = MemDisk::new("warm", 8);
+    warm.write(0, &[0u8; 8 * BLOCK_SIZE]).unwrap();
+    drop(warm);
+    dirty(2);
+    let writebacks = sim.counters().get("ext3.writeback.blocks");
+    let (n, done) = allocs_in(|| fs.fsync(f));
+    done.unwrap();
+    assert_eq!(n, 0, "commit + write-back of two runs");
+    assert_eq!(
+        sim.counters().get("ext3.writeback.blocks"),
+        writebacks,
+        "fsync wrote the runs itself, not the write-back daemon"
+    );
+    assert_eq!(fs.read(f, 5 * BLOCK_SIZE as u64, 1).unwrap(), [2]);
+}
+
+/// What the first call of a procedure costs a second `RpcClient` on
+/// the same label, whose counter and histogram the first client
+/// already registered: the one buffer it formats both names into to
+/// look them up. The handles are filed under the caller's static name,
+/// so no key is copied. 91aa698 measured 4: two formatted names, one
+/// of them grown once, and the owned key.
+const SECOND_CLIENT_FIRST_CALL_ALLOCS: u64 = 1;
+
+#[test]
+fn second_rpc_client_keys_a_known_procedure_by_its_static_name() {
+    let sim = Sim::new(1);
+    let fabric = Fabric::new(Rc::clone(&sim), LinkParams::gigabit_lan());
+    let transport = Version::V3.transport();
+    let client = |host| {
+        let chan = fabric.host(host).channel_flows("nfs", transport, Some(1));
+        RpcClient::new(chan, RpcConfig::default())
+    };
+    let call = |c: &RpcClient, proc_name| {
+        c.call(
+            proc_name,
+            Bytes::new(128),
+            Bytes::new(128),
+            SimDuration::ZERO,
+        )
+    };
+    let (first, second) = (client("c0"), client("c1"));
+    call(&first, "lookup");
+    call(&first, "getattr");
+    call(&second, "getattr"); // the second client's map has its node
+    let (n, _) = allocs_in(|| call(&second, "lookup"));
+    assert_eq!(n, SECOND_CLIENT_FIRST_CALL_ALLOCS, "one name buffer");
+    let (n, _) = allocs_in(|| call(&second, "lookup"));
+    assert_eq!(n, 0, "a later call bumps the handles only");
+    assert_eq!(sim.counters().get("proto.nfs.call.lookup"), 3);
 }
 
 #[test]
