@@ -103,7 +103,6 @@ pub fn section7_postmark(
     let enhanced = Enhancements {
         consistent_metadata_cache: true,
         directory_delegation: true,
-        ..Enhancements::default()
     };
     let cells = [
         ("NFS v4", Protocol::NfsV4, Enhancements::default()),

@@ -56,8 +56,9 @@ impl SetupKey {
     ///
     /// Each field prints in the text keys have always had: a knob at
     /// its default is `None`, a `Pipe` link omits its transport, the
-    /// CPU cost model (no longer a field) is a literal, and one server
-    /// omits `;servers=`.
+    /// fields that are no longer fields (the CPU cost model, link loss
+    /// and v4 file delegation) are literals, and one server omits
+    /// `;servers=`.
     pub(crate) fn new(topo: &TopologyConfig, workload: &str) -> SetupKey {
         fn knob<T: PartialEq + std::fmt::Display>(v: T, default: T) -> String {
             match v == default {
@@ -80,20 +81,18 @@ impl SetupKey {
         }
         let mut key = format!(
             "clients={};cfg=TestbedConfig {{ protocol: {protocol}, seed: 0, \
-             link: LinkParams {{ rtt: {}, bandwidth_bps: {}, loss: {:?}{transport} }}, \
+             link: LinkParams {{ rtt: {}, bandwidth_bps: {}, loss: 0.0{transport} }}, \
              volume_blocks: {}, enhancements: Enhancements {{ consistent_metadata_cache: {}, \
-             directory_delegation: {}, file_delegation: {} }}, readahead_max: {}, \
+             directory_delegation: {}, file_delegation: false }}, readahead_max: {}, \
              commit_interval: {}, nfs_max_dirty_pages: {}, nfs_metadata_timeout: {}, \
              cost: CostModel {{ layer: SimDuration(50000), per_kib: SimDuration(8000), \
              metadata_revisits: 3 }} }};workload={workload}",
             topo.clients,
             nanos(c.link.rtt),
             c.link.bandwidth_bps.get(),
-            c.link.loss,
             c.volume_blocks,
             e.consistent_metadata_cache,
             e.directory_delegation,
-            e.file_delegation,
             knob(c.readahead_max, d.readahead_max),
             knob(nanos(c.commit_interval), nanos(d.commit_interval)),
             knob(c.nfs_max_dirty_pages, d.nfs_max_dirty_pages),

@@ -777,7 +777,6 @@ impl Testbed {
     fn session_params(config: &TestbedConfig) -> SessionParams {
         SessionParams {
             connections: config.link.transport.connections(),
-            ..SessionParams::default()
         }
     }
 

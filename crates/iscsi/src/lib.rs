@@ -8,8 +8,10 @@
 //!
 //! The model covers what the paper's measurements depend on:
 //!
-//! * a login phase negotiating session parameters
-//!   ([`SessionParams`]: burst lengths, immediate data),
+//! * a login phase (two counted round trips) that settles on one set
+//!   of RFC 3720 keys — 256 KiB data segments, 64 KiB of immediate
+//!   data, no initial R2T — and the MC/S connection count of
+//!   [`SessionParams`],
 //! * command/status sequence numbers (`CmdSN`/`StatSN`) with ordering
 //!   checks,
 //! * data segmentation into `MaxRecvDataSegmentLength`-sized Data-In /
@@ -42,7 +44,7 @@ mod pdu;
 
 pub use pdu::{BasicHeader, Opcode, Pdu, BHS_LEN};
 
-use blockdev::{BlockDevice, BlockNo, IoCost, Result as BlockResult, BLOCK_SIZE};
+use blockdev::{BlockDevice, BlockError, BlockNo, IoCost, Result as BlockResult, BLOCK_SIZE};
 use net::Channel;
 use scsi::{Cdb, ScsiStatus, ScsiTarget, SenseKey};
 use simkit::units::Bytes;
@@ -52,22 +54,11 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::rc::Rc;
 
-/// Negotiated session parameters (a practical subset of RFC 3720
-/// login keys, plus the initiator's command queue depth).
+/// The login key a session may vary. Every other key is the one value
+/// the testbed negotiates (`MAX_RECV_DATA_SEGMENT`, `FIRST_BURST` and
+/// `QUEUE_DEPTH` beside [`RemoteDisk`]'s command path).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SessionParams {
-    /// Largest data segment either side will put in one PDU.
-    pub max_recv_data_segment: u32,
-    /// Unsolicited data the initiator may send with a command.
-    pub first_burst: u32,
-    /// Whether write data may ride along with the command PDU.
-    pub immediate_data: bool,
-    /// Whether the target demands an R2T before any data-out.
-    pub initial_r2t: bool,
-    /// Tagged commands kept in flight for sequential read streams:
-    /// back-to-back reads amortize the round-trip latency by this
-    /// factor.
-    pub queue_depth: u32,
     /// TCP connections multiplexed into this session (RFC 3720 MC/S;
     /// the paper's §2.2 feature (ii)). Data phases stripe across
     /// connections, dividing serialization delay.
@@ -76,14 +67,7 @@ pub struct SessionParams {
 
 impl Default for SessionParams {
     fn default() -> Self {
-        SessionParams {
-            max_recv_data_segment: 256 * 1024,
-            first_burst: 64 * 1024,
-            immediate_data: true,
-            initial_r2t: false,
-            queue_depth: 4,
-            connections: 1,
-        }
+        SessionParams { connections: 1 }
     }
 }
 
@@ -269,8 +253,8 @@ impl Initiator {
     ///
     /// # Errors
     ///
-    /// Returns [`IscsiError::LoginRejected`] if parameters are
-    /// unacceptable (zero burst sizes).
+    /// Returns [`IscsiError::LoginRejected`] if the target exports no
+    /// LUN 0.
     pub fn login(&self, params: SessionParams) -> Result<RemoteDisk, IscsiError> {
         self.login_lun(params, 0)
     }
@@ -282,12 +266,9 @@ impl Initiator {
     ///
     /// # Errors
     ///
-    /// Returns [`IscsiError::LoginRejected`] if parameters are
-    /// unacceptable (zero burst sizes) or `lun` was never exported.
+    /// Returns [`IscsiError::LoginRejected`] if `lun` was never
+    /// exported.
     pub fn login_lun(&self, params: SessionParams, lun: u32) -> Result<RemoteDisk, IscsiError> {
-        if params.max_recv_data_segment == 0 || params.first_burst == 0 {
-            return Err(IscsiError::LoginRejected("zero-length bursts"));
-        }
         let sim = self.chan.network().sim().clone();
         let session = self.target.open_session(lun)?;
         // Security negotiation stage, then operational stage.
@@ -357,6 +338,19 @@ impl fmt::Debug for RemoteDisk {
     }
 }
 
+/// Largest data segment either side puts in one PDU
+/// (`MaxRecvDataSegmentLength`).
+const MAX_RECV_DATA_SEGMENT: usize = 256 * 1024;
+
+/// Write data that rides with the command PDU (`FirstBurstLength`
+/// under `ImmediateData=Yes`). With `InitialR2T=No` the rest follows in
+/// data-out PDUs without waiting for an R2T.
+const FIRST_BURST: usize = 64 * 1024;
+
+/// Tagged commands kept in flight on a sequential read stream:
+/// back-to-back reads amortize the round-trip latency by this factor.
+const QUEUE_DEPTH: u64 = 4;
+
 impl RemoteDisk {
     /// Handles for `op`'s per-opcode counters, registered on first use.
     fn cmd_handles(&self, op: &'static str) -> CmdHandles {
@@ -396,28 +390,20 @@ impl RemoteDisk {
         self.txns.incr();
         cmd.count.incr();
 
-        let seg = self.params.max_recv_data_segment as usize;
         let p = self.chan.network().params();
         let conns = self.params.connections.max(1) as u64;
-        let mut wire = simkit::SimDuration::ZERO;
 
-        // Command PDU, possibly carrying immediate write data.
-        let immediate = if self.params.immediate_data {
-            data_out.len().min(self.params.first_burst as usize)
-        } else {
-            0
-        };
-        wire += send_accounted(&self.chan, Bytes::new(BHS_LEN as u64 + immediate as u64));
+        // Command PDU carrying the immediate write data.
+        let immediate = data_out.len().min(FIRST_BURST);
+        let mut wire = self
+            .chan
+            .send(Bytes::new(BHS_LEN as u64 + immediate as u64));
 
-        // Remaining data-out PDUs (solicited; we fold the R2T into the
-        // stream as one extra header when initial_r2t is set).
+        // Remaining data-out PDUs.
         let mut remaining = data_out.len() - immediate;
-        if remaining > 0 && self.params.initial_r2t {
-            wire += send_accounted(&self.chan, Bytes::new(BHS_LEN as u64)); // R2T
-        }
         let mut out_burst = Bytes::ZERO;
         while remaining > 0 {
-            let chunk = remaining.min(seg);
+            let chunk = remaining.min(MAX_RECV_DATA_SEGMENT);
             if self.chan.tcp_modeled() {
                 // MC/S under the flow model: the PDU stream is striped
                 // across the session's connections below (one burst
@@ -491,7 +477,7 @@ impl RemoteDisk {
             // for the shared bottleneck queue.
             let mut in_burst = Bytes::ZERO;
             while data_len > 0 {
-                let chunk = data_len.min(seg);
+                let chunk = data_len.min(MAX_RECV_DATA_SEGMENT);
                 let bytes = Bytes::new(BHS_LEN as u64 + chunk as u64);
                 in_burst += bytes;
                 self.account_bytes(bytes);
@@ -503,7 +489,7 @@ impl RemoteDisk {
         } else {
             let mut first = true;
             while data_len > 0 {
-                let chunk = data_len.min(seg);
+                let chunk = data_len.min(MAX_RECV_DATA_SEGMENT);
                 let bytes = Bytes::new(BHS_LEN as u64 + chunk as u64);
                 if first {
                     wire += p.one_way(bytes);
@@ -559,15 +545,20 @@ impl RemoteDisk {
     fn account_bytes(&self, bytes: Bytes) {
         self.chan.account_extra_bytes(bytes);
     }
-}
 
-/// Sends a one-way PDU through the channel (counted in `net.*`) and
-/// returns its latency.
-fn send_accounted(chan: &Channel, bytes: Bytes) -> simkit::SimDuration {
-    match chan.send(bytes) {
-        net::Delivery::Delivered(d) => d,
-        // iSCSI runs over TCP; loss is invisible above the transport.
-        net::Delivery::Lost => chan.network().params().one_way(bytes),
+    /// The READ(10)/WRITE(10) fields for `nblocks` blocks at `start`,
+    /// or [`BlockError::OutOfRange`] when the request does not fit the
+    /// CDB's 32-bit LBA and 16-bit length. Checked before any PDU is
+    /// sent.
+    fn rw10_fields(&self, start: BlockNo, nblocks: u64) -> BlockResult<(u32, u16)> {
+        match (u32::try_from(start), u16::try_from(nblocks)) {
+            (Ok(lba), Ok(blocks)) => Ok((lba, blocks)),
+            _ => Err(BlockError::OutOfRange {
+                start,
+                count: nblocks,
+                capacity: self.block_count(),
+            }),
+        }
     }
 }
 
@@ -595,44 +586,35 @@ impl BlockDevice for RemoteDisk {
 
     fn read(&self, start: BlockNo, nblocks: u32, buf: &mut [u8]) -> BlockResult<IoCost> {
         if buf.len() != nblocks as usize * BLOCK_SIZE {
-            return Err(blockdev::BlockError::Misaligned { len: buf.len() });
+            return Err(BlockError::Misaligned { len: buf.len() });
         }
+        let (lba, blocks) = self.rw10_fields(start, nblocks as u64)?;
         let sequential = self.read_head.get() == start;
         self.read_head.set(start + nblocks as u64);
         let (_completion, mut cost) = self
-            .transact(
-                Cdb::Read10 {
-                    lba: start as u32,
-                    blocks: nblocks as u16,
-                },
-                &[],
-                Some(buf),
-            )
-            .map_err(|e| blockdev::BlockError::DeviceFailed {
+            .transact(Cdb::Read10 { lba, blocks }, &[], Some(buf))
+            .map_err(|e| BlockError::DeviceFailed {
                 device: format!("{}: {e}", self.name),
             })?;
-        if sequential && self.params.queue_depth > 1 {
+        if sequential {
             // Tagged commands keep the pipe full on a sequential
             // stream: propagation is amortized across the queue depth.
             let rtt = self.chan.network().params().rtt;
-            let hidden = rtt - rtt / self.params.queue_depth as u64;
+            let hidden = rtt - rtt / QUEUE_DEPTH;
             cost = IoCost::new(cost.time.saturating_sub(hidden));
         }
         Ok(cost)
     }
 
     fn write(&self, start: BlockNo, data: &[u8]) -> BlockResult<IoCost> {
-        let nblocks = data.len() / BLOCK_SIZE;
+        if !data.len().is_multiple_of(BLOCK_SIZE) {
+            return Err(BlockError::Misaligned { len: data.len() });
+        }
+        let nblocks = (data.len() / BLOCK_SIZE) as u64;
+        let (lba, blocks) = self.rw10_fields(start, nblocks)?;
         let (_completion, cost) = self
-            .transact(
-                Cdb::Write10 {
-                    lba: start as u32,
-                    blocks: nblocks as u16,
-                },
-                data,
-                None,
-            )
-            .map_err(|e| blockdev::BlockError::DeviceFailed {
+            .transact(Cdb::Write10 { lba, blocks }, data, None)
+            .map_err(|e| BlockError::DeviceFailed {
                 device: format!("{}: {e}", self.name),
             })?;
         Ok(cost)
@@ -641,7 +623,7 @@ impl BlockDevice for RemoteDisk {
     fn flush(&self) -> BlockResult<IoCost> {
         let (_completion, cost) = self
             .transact(Cdb::SynchronizeCache10 { lba: 0, blocks: 0 }, &[], None)
-            .map_err(|e| blockdev::BlockError::DeviceFailed {
+            .map_err(|e| BlockError::DeviceFailed {
                 device: format!("{}: {e}", self.name),
             })?;
         Ok(cost)
@@ -697,19 +679,10 @@ mod tests {
 
     #[test]
     fn large_reads_segment_but_stay_one_transaction() {
-        let sim = Sim::new(3);
-        let netw = Network::new(sim.clone(), LinkParams::gigabit_lan());
-        let target = Rc::new(Target::new(Rc::new(MemDisk::new("lun0", 4096))));
-        let init = Initiator::new(netw.channel("iscsi", Transport::Tcp), target);
-        let disk = init
-            .login(SessionParams {
-                max_recv_data_segment: 8 * 1024,
-                ..SessionParams::default()
-            })
-            .unwrap();
+        let (sim, disk) = setup();
         let base = sim.counters().get("proto.iscsi.txns");
-        let mut buf = vec![0u8; 32 * BLOCK_SIZE]; // 128 KiB over 8 KiB segments
-        disk.read(0, 32, &mut buf).unwrap();
+        let mut buf = vec![0u8; 256 * BLOCK_SIZE]; // 1 MiB over 256 KiB segments
+        disk.read(0, 256, &mut buf).unwrap();
         assert_eq!(sim.counters().get("proto.iscsi.txns"), base + 1);
     }
 
@@ -754,17 +727,36 @@ mod tests {
     }
 
     #[test]
-    fn zero_burst_login_rejected() {
-        let sim = Sim::new(3);
-        let netw = Network::new(sim.clone(), LinkParams::gigabit_lan());
-        let target = Rc::new(Target::new(Rc::new(MemDisk::new("lun0", 64))));
-        let init = Initiator::new(netw.channel("iscsi", Transport::Tcp), target);
-        assert!(init
-            .login(SessionParams {
-                first_burst: 0,
-                ..SessionParams::default()
-            })
-            .is_err());
+    fn misaligned_write_is_rejected_before_any_pdu() {
+        let (sim, disk) = setup();
+        let bytes = sim.counters().get("net.iscsi.bytes");
+        let len = BLOCK_SIZE + 1;
+        let err = disk.write(0, &vec![1u8; len]).unwrap_err();
+        assert_eq!(err, BlockError::Misaligned { len });
+        assert_eq!(sim.counters().get("net.iscsi.bytes"), bytes);
+    }
+
+    #[test]
+    fn lba_or_length_past_the_cdb_fields_is_out_of_range() {
+        let (sim, disk) = setup();
+        disk.write(0, &vec![5u8; BLOCK_SIZE]).unwrap();
+        let bytes = sim.counters().get("net.iscsi.bytes");
+        // An LBA past 32 bits must not wrap onto block 0.
+        let far = 1u64 << 32;
+        let mut buf = vec![0u8; BLOCK_SIZE];
+        let err = disk.read(far, 1, &mut buf).unwrap_err();
+        assert!(matches!(err, BlockError::OutOfRange { start, .. } if start == far));
+        assert_eq!(buf, vec![0u8; BLOCK_SIZE]);
+        let err = disk.write(far, &vec![6u8; BLOCK_SIZE]).unwrap_err();
+        assert!(matches!(err, BlockError::OutOfRange { start, .. } if start == far));
+        // Nor a length past 16 bits onto a short one (the zeroed
+        // buffer is never touched).
+        let mut big = vec![0u8; 65_536 * BLOCK_SIZE];
+        let err = disk.read(0, 65_536, &mut big).unwrap_err();
+        assert!(matches!(err, BlockError::OutOfRange { count: 65_536, .. }));
+        assert_eq!(sim.counters().get("net.iscsi.bytes"), bytes);
+        disk.read(0, 1, &mut buf).unwrap();
+        assert_eq!(buf, vec![5u8; BLOCK_SIZE], "block 0 kept its data");
     }
 
     #[test]
@@ -845,59 +837,53 @@ mod write_tests {
     use simkit::Sim;
     use std::rc::Rc;
 
-    fn disk_with(params: SessionParams) -> (Rc<Sim>, RemoteDisk) {
+    fn disk() -> (Rc<Sim>, RemoteDisk) {
         let sim = Sim::new(8);
         let netw = Network::new(sim.clone(), LinkParams::gigabit_lan());
         let target = Rc::new(Target::new(Rc::new(MemDisk::new("lun0", 4096))));
         let init = Initiator::new(netw.channel("iscsi", Transport::Tcp), target);
-        let d = init.login(params).unwrap();
+        let d = init.login(SessionParams::default()).unwrap();
         (sim, d)
     }
 
+    /// `net.iscsi.bytes` and `net.iscsi.msgs` added by one write of
+    /// `len` bytes.
+    fn write_traffic(len: usize) -> (u64, u64) {
+        let (sim, d) = disk();
+        let c = sim.counters();
+        let (bytes, msgs) = (c.get("net.iscsi.bytes"), c.get("net.iscsi.msgs"));
+        d.write(0, &vec![9u8; len]).unwrap();
+        (
+            c.get("net.iscsi.bytes") - bytes,
+            c.get("net.iscsi.msgs") - msgs,
+        )
+    }
+
+    const BHS: u64 = BHS_LEN as u64;
+    /// The command PDU with a full 64 KiB first burst, plus the
+    /// Ethernet/IP/TCP headers of the one message it is counted as.
+    const COMMAND: u64 = BHS + 64 * 1024 + (14 + 20 + 32);
+
     #[test]
     fn large_write_segments_into_data_out_pdus() {
-        // 256 KiB write with 8 KiB segments and a 16 KiB first burst:
-        // one command + many data-out PDUs, still one transaction.
-        let (sim, d) = disk_with(SessionParams {
-            max_recv_data_segment: 8 * 1024,
-            first_burst: 16 * 1024,
-            immediate_data: true,
-            initial_r2t: false,
-            queue_depth: 4,
-            connections: 1,
-        });
-        let base = sim.counters().get("proto.iscsi.txns");
-        let bytes_before = sim.counters().get("net.iscsi.bytes");
-        d.write(0, &vec![9u8; 64 * BLOCK_SIZE]).unwrap();
-        assert_eq!(sim.counters().get("proto.iscsi.txns"), base + 1);
-        let sent = sim.counters().get("net.iscsi.bytes") - bytes_before;
-        assert!(
-            sent >= 64 * BLOCK_SIZE as u64,
-            "payload plus headers: {sent}"
-        );
+        // 1 MiB: the 64 KiB immediate burst, then 960 KiB in 256 KiB
+        // data-out PDUs (three full, one of 192 KiB), then the status.
+        let data_out = 4 * BHS + 960 * 1024;
+        assert_eq!(write_traffic(1 << 20), (COMMAND + data_out + BHS, 1));
     }
 
     #[test]
-    fn initial_r2t_adds_a_solicitation() {
-        let mk = |r2t| {
-            let (sim, d) = disk_with(SessionParams {
-                max_recv_data_segment: 8 * 1024,
-                first_burst: 8 * 1024,
-                immediate_data: true,
-                initial_r2t: r2t,
-                queue_depth: 4,
-                connections: 1,
-            });
-            let before = sim.counters().get("net.iscsi.msgs");
-            d.write(0, &vec![1u8; 16 * BLOCK_SIZE]).unwrap();
-            sim.counters().get("net.iscsi.msgs") - before
-        };
-        assert!(mk(true) > mk(false), "R2T costs an extra PDU");
+    fn immediate_data_carries_the_first_64_kib() {
+        // 64 KiB fits the first burst: no data-out PDU.
+        assert_eq!(write_traffic(64 * 1024), (COMMAND + BHS, 1));
+        // 128 KiB: exactly one data-out PDU for the second 64 KiB.
+        let data_out = BHS + 64 * 1024;
+        assert_eq!(write_traffic(128 * 1024), (COMMAND + data_out + BHS, 1));
     }
 
     #[test]
     fn sequential_read_stream_amortizes_rtt() {
-        let (_sim, d) = disk_with(SessionParams::default());
+        let (_sim, d) = disk();
         let mut buf = vec![0u8; BLOCK_SIZE];
         let first = d.read(10, 1, &mut buf).unwrap();
         let second = d.read(11, 1, &mut buf).unwrap(); // sequential
@@ -926,13 +912,10 @@ mod session_tests {
 
     #[test]
     fn multiple_connections_speed_large_transfers() {
-        let run = |conns| {
-            let (_sim, d) = disk_with(SessionParams {
-                max_recv_data_segment: 8 * 1024,
-                connections: conns,
-                ..SessionParams::default()
-            });
-            let mut buf = vec![0u8; 256 * BLOCK_SIZE]; // 1 MiB read
+        let run = |connections| {
+            let (_sim, d) = disk_with(SessionParams { connections });
+            // 1 MiB read: four 256 KiB data-in PDUs.
+            let mut buf = vec![0u8; 256 * BLOCK_SIZE];
             d.read(0, 256, &mut buf).unwrap().time
         };
         let one = run(1);
@@ -952,12 +935,7 @@ mod session_tests {
             let netw = Network::new(sim.clone(), link);
             let target = Rc::new(Target::new(Rc::new(MemDisk::new("lun0", 8192))));
             let init = Initiator::new(netw.channel("iscsi", Transport::Tcp), target);
-            let d = init
-                .login(SessionParams {
-                    connections: conns,
-                    ..SessionParams::default()
-                })
-                .unwrap();
+            let d = init.login(SessionParams { connections: conns }).unwrap();
             let mut buf = vec![0u8; 256 * BLOCK_SIZE];
             d.read(0, 256, &mut buf).unwrap().time
         };

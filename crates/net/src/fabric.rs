@@ -68,7 +68,7 @@ pub(crate) struct Port {
 ///   c2 c6 … c998 ── edge s2      c3 c7 … c999 ── edge s3
 /// ```
 ///
-/// The link parameters — RTT, loss, transport model, edge bandwidth —
+/// The link parameters — RTT, transport model, edge bandwidth —
 /// are stored once per fabric and fixed at construction; every endpoint
 /// reads them from there. [`Fabric::attach_sniffer`] likewise reaches
 /// every endpoint, present and future.
@@ -123,12 +123,7 @@ impl Fabric {
     /// Creates a fabric with one server port whose link has the given
     /// parameters: one server, any number of hosts. Call
     /// [`Fabric::add_port`] once per further server.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `params.loss` is outside `[0, 1)`.
     pub fn new(sim: Rc<Sim>, params: LinkParams) -> Rc<Self> {
-        params.validate();
         let f = Rc::new(Fabric {
             sim,
             link: params,
@@ -323,27 +318,11 @@ mod tests {
     #[test]
     fn link_parameters_are_fabric_wide() {
         let sim = Sim::new(11);
-        let link = LinkParams {
-            loss: 0.25,
-            ..LinkParams::wan(simkit::SimDuration::from_millis(30))
-        };
+        let link = LinkParams::wan(simkit::SimDuration::from_millis(30));
         let fabric = Fabric::new(sim, link);
         for host in [fabric.host_on(None, 0), fabric.host("c7")] {
             assert_eq!(host.params(), link);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "loss must be in [0,1)")]
-    fn fabric_rejects_invalid_loss() {
-        let sim = Sim::new(1);
-        let _ = Fabric::new(
-            sim,
-            LinkParams {
-                loss: -0.1,
-                ..LinkParams::gigabit_lan()
-            },
-        );
     }
 
     #[test]

@@ -5,10 +5,12 @@
 //! wide-area delay (§4.6). This crate models that link, and the
 //! multi-host topologies that generalize it, with one type: a
 //! [`Fabric`] of server ports holds the link parameters (round-trip
-//! time, bandwidth, an optional loss rate, the transport model), and
-//! each host's end of a port is a full-duplex [`Network`] endpoint
-//! that protocols open [`Channel`]s over. The paper's pair is the
-//! unnamed endpoint of a one-port fabric, [`Network::new`].
+//! time, bandwidth, the transport model), and each host's end of a
+//! port is a full-duplex [`Network`] endpoint that protocols open
+//! [`Channel`]s over. The paper's pair is the unnamed endpoint of a
+//! one-port fabric, [`Network::new`]. Links are loss-free, as the
+//! paper's isolated LAN is; under the TCP model a full bottleneck
+//! queue still drops segments.
 //!
 //! Channels do the accounting that every message-count column in the
 //! paper's tables is built from: each send bumps `net.<label>.msgs`
@@ -69,15 +71,12 @@ impl Transport {
 }
 
 /// Physical parameters of the simulated link.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LinkParams {
     /// Round-trip time (propagation only, both directions).
     pub rtt: SimDuration,
     /// Link bandwidth in bits per second, each direction.
     pub bandwidth_bps: Bps,
-    /// Probability in `[0, 1)` that a message is lost (UDP only; TCP
-    /// masks loss as latency). Zero on the paper's isolated LAN.
-    pub loss: f64,
     /// How transfer timing is modeled: the default closed-form pipe,
     /// or event-scheduled TCP flows with congestion
     /// ([`TransportModel::Tcp`]).
@@ -88,12 +87,7 @@ impl LinkParams {
     /// The paper's isolated Gigabit Ethernet LAN: sub-millisecond RTT
     /// (we use 200 µs), 1 Gb/s, no loss.
     pub fn gigabit_lan() -> Self {
-        LinkParams {
-            rtt: SimDuration::from_micros(200),
-            bandwidth_bps: Bps::new(1_000_000_000),
-            loss: 0.0,
-            transport: TransportModel::Pipe,
-        }
+        Self::wan(SimDuration::from_micros(200))
     }
 
     /// A wide-area emulation in the style of the paper's NISTNet
@@ -102,7 +96,6 @@ impl LinkParams {
         LinkParams {
             rtt,
             bandwidth_bps: Bps::new(1_000_000_000),
-            loss: 0.0,
             transport: TransportModel::Pipe,
         }
     }
@@ -112,21 +105,6 @@ impl LinkParams {
     pub fn with_transport(mut self, transport: TransportModel) -> Self {
         self.transport = transport;
         self
-    }
-
-    /// Checks the link invariants. `loss` must be a probability in
-    /// `[0, 1)`. Every link is built by [`Fabric::new`], which calls
-    /// this, so a hand-built struct cannot bypass the invariant.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `loss` is in `[0, 1)`.
-    pub(crate) fn validate(&self) {
-        assert!(
-            (0.0..1.0).contains(&self.loss),
-            "loss must be in [0,1), got {}",
-            self.loss
-        );
     }
 
     /// Serialization (transmission) delay for `bytes` on this link
@@ -159,10 +137,6 @@ pub struct Network {
 impl Network {
     /// The paper's point-to-point link: the unnamed endpoint of a
     /// one-port [`Fabric`] with the given parameters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `params.loss` is outside `[0, 1)`.
     pub fn new(sim: Rc<Sim>, params: LinkParams) -> Rc<Self> {
         Fabric::new(sim, params).host_on(None, 0)
     }
@@ -263,15 +237,6 @@ pub struct Channel {
     /// retransmit (reports list every created name), and once they do,
     /// per-transfer accounting must not re-format the key.
     retx: std::cell::RefCell<Option<(simkit::KeyId, simkit::KeyId)>>,
-}
-
-/// Outcome of an unreliable send.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Delivery {
-    /// The message arrives after the given delay.
-    Delivered(SimDuration),
-    /// The message was lost in transit (UDP only).
-    Lost,
 }
 
 impl Channel {
@@ -377,33 +342,25 @@ impl Channel {
         Some(t.duration)
     }
 
-    /// Sends one message of `payload` bytes; returns its fate. TCP
-    /// never reports `Lost` (under the pipe model loss below the
-    /// transport folds into serialization; under the flow model it is
-    /// retransmitted for real and shows up as latency).
-    pub fn send(&self, payload: Bytes) -> Delivery {
+    /// Sends one message of `payload` bytes; returns its one-way
+    /// delay. Under the flow model a lost segment is retransmitted and
+    /// shows up as latency.
+    pub fn send(&self, payload: Bytes) -> SimDuration {
         self.account(payload);
         if let Some(ep) = &self.tcp {
             let flow = ep.next_flow();
-            let d = self.tcp_leg(ep, self.net.sim().now(), payload, Direction::Up, flow);
-            return Delivery::Delivered(d);
+            return self.tcp_leg(ep, self.net.sim().now(), payload, Direction::Up, flow);
         }
-        let p = self.net.params();
-        if self.transport == Transport::Udp && p.loss > 0.0 {
-            let draw = units::unit_interval(self.net.sim().rng_u64());
-            if draw < p.loss {
-                return Delivery::Lost;
-            }
-        }
-        Delivery::Delivered(p.one_way(payload + self.transport.header_bytes()))
+        self.net
+            .params()
+            .one_way(payload + self.transport.header_bytes())
     }
 
-    /// A request-response exchange: two messages, both delivered
-    /// (callers needing loss semantics use [`send`](Channel::send)
-    /// twice). Returns the total elapsed time. Under the TCP model
-    /// both legs ride the same connection (per-connection allegiance);
-    /// successive exchanges rotate round-robin across the channel's
-    /// connections, which is exactly nconnect's dispatch rule.
+    /// A request-response exchange: two messages. Returns the total
+    /// elapsed time. Under the TCP model both legs ride the same
+    /// connection (per-connection allegiance); successive exchanges
+    /// rotate round-robin across the channel's connections, which is
+    /// exactly nconnect's dispatch rule.
     pub fn round_trip(&self, request: Bytes, response: Bytes) -> SimDuration {
         self.account(request);
         self.account(response);
@@ -482,37 +439,6 @@ mod tests {
         assert_eq!(sim.counters().get("net.total.msgs"), 2);
     }
 
-    /// A link with loss probability `loss`, otherwise the paper's LAN.
-    fn lossy(loss: f64) -> Rc<Network> {
-        let params = LinkParams {
-            loss,
-            ..LinkParams::gigabit_lan()
-        };
-        Network::new(Sim::new(7), params)
-    }
-
-    #[test]
-    fn udp_loses_messages_at_configured_rate() {
-        let ch = lossy(0.5).channel("u", Transport::Udp);
-        let mut lost = 0;
-        let n = 2000;
-        for _ in 0..n {
-            if ch.send(b(64)) == Delivery::Lost {
-                lost += 1;
-            }
-        }
-        let rate = lost as f64 / n as f64;
-        assert!((0.4..0.6).contains(&rate), "rate {rate}");
-    }
-
-    #[test]
-    fn tcp_never_reports_loss() {
-        let ch = lossy(0.9).channel("t", Transport::Tcp);
-        for _ in 0..100 {
-            assert!(matches!(ch.send(b(64)), Delivery::Delivered(_)));
-        }
-    }
-
     #[test]
     fn stream_pays_one_propagation() {
         let (_sim, net) = setup();
@@ -543,27 +469,6 @@ mod tests {
         ch.stream(b(512), 0);
         assert_eq!(sim.counters().get("net.z.msgs"), 0);
         assert_eq!(sim.counters().get("net.z.bytes"), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "loss must be in [0,1)")]
-    fn hand_built_loss_is_rejected_at_construction() {
-        let sim = Sim::new(7);
-        let params = LinkParams {
-            loss: 1.5,
-            ..LinkParams::gigabit_lan()
-        };
-        let _ = Network::new(sim, params);
-    }
-
-    #[test]
-    #[should_panic(expected = "loss must be in [0,1)")]
-    fn loss_of_exactly_one_is_rejected() {
-        LinkParams {
-            loss: 1.0,
-            ..LinkParams::gigabit_lan()
-        }
-        .validate();
     }
 
     #[test]

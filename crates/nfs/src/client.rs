@@ -151,9 +151,6 @@ pub struct NfsClient {
     /// §7 directory delegation: leased directories and their queued
     /// (not yet flushed) meta-data updates.
     delegations: RefCell<BTreeMap<Fh, u64>>,
-    /// v4 file delegations currently held (read delegations granted at
-    /// OPEN; the single-client testbed never recalls them).
-    file_delegations: RefCell<BTreeMap<Fh, ()>>,
     queued_updates: Cell<u64>,
 }
 
@@ -193,7 +190,6 @@ impl NfsClient {
             dirty_page_count: Cell::new(0),
             seq: RefCell::new(BTreeMap::new()),
             delegations: RefCell::new(BTreeMap::new()),
-            file_delegations: RefCell::new(BTreeMap::new()),
             queued_updates: Cell::new(0),
             cfg,
         }
@@ -266,7 +262,6 @@ impl NfsClient {
         self.pages.clear();
         self.seq.borrow_mut().clear();
         self.delegations.borrow_mut().clear();
-        self.file_delegations.borrow_mut().clear();
     }
 
     fn now_ns(&self) -> u64 {
@@ -731,11 +726,6 @@ impl NfsClient {
             self.rpc_sync("open", Bytes::new(256), Bytes::new(256), 1);
             let a = self.server.getattr(self.id(), fh)?;
             self.prime_attr(fh, &a);
-            if self.cfg.enhancements.file_delegation {
-                // The OPEN response carries a read delegation; cached
-                // data needs no revalidation until recall.
-                self.file_delegations.borrow_mut().insert(fh, ());
-            }
             a
         } else {
             self.getattr_revalidate(fh)?
@@ -758,8 +748,6 @@ impl NfsClient {
         }
         if self.cfg.version == Version::V4 {
             self.rpc_sync("close", Bytes::new(128), Bytes::new(128), 1);
-            // Delegations are returned with the close in this model.
-            self.file_delegations.borrow_mut().remove(&fh);
         }
         self.seq.borrow_mut().remove(&fh);
     }
@@ -893,9 +881,6 @@ impl NfsClient {
     fn revalidate_data(&self, fh: Fh) -> FsResult<()> {
         if self.cfg.enhancements.consistent_metadata_cache {
             return Ok(()); // server invalidates; no polling
-        }
-        if self.file_delegations.borrow().contains_key(&fh) {
-            return Ok(()); // v4 delegation: the server would recall
         }
         let now = self.now_ns();
         match self.pages.validation(fh) {

@@ -129,7 +129,6 @@ fn directory_delegation_batches_updates() {
         Enhancements {
             consistent_metadata_cache: true,
             directory_delegation: true,
-            ..Enhancements::default()
         },
     );
     for i in 0..64 {
@@ -331,8 +330,7 @@ fn symlink_and_readlink() {
 }
 
 #[test]
-fn v4_file_delegation_skips_data_revalidation() {
-    // Without delegation: a read 31s later pays a GETATTR check.
+fn v4_read_after_the_data_timeout_pays_one_getattr() {
     let (sim, plain) = setup(Version::V4);
     let f = plain.create(plain.root(), "f", 0o644).unwrap();
     plain.write(f, 0, &vec![1u8; 8192]).unwrap();
@@ -342,47 +340,6 @@ fn v4_file_delegation_skips_data_revalidation() {
     let before = msgs(&sim);
     plain.read(f, 0, 4096).unwrap();
     assert_eq!(msgs(&sim) - before, 1, "consistency GETATTR expected");
-
-    // With delegation: the same pattern is message-free.
-    let (sim2, deleg) = setup_with(
-        Version::V4,
-        Enhancements {
-            file_delegation: true,
-            ..Enhancements::default()
-        },
-    );
-    let f = deleg.create(deleg.root(), "f", 0o644).unwrap();
-    deleg.write(f, 0, &vec![1u8; 8192]).unwrap();
-    deleg.open(f).unwrap();
-    deleg.read(f, 0, 4096).unwrap();
-    sim2.advance(SimDuration::from_secs(31));
-    let before = msgs(&sim2);
-    deleg.read(f, 0, 4096).unwrap();
-    assert_eq!(msgs(&sim2) - before, 0, "delegation removes the check");
-}
-
-#[test]
-fn v4_close_returns_delegation() {
-    let (sim, c) = setup_with(
-        Version::V4,
-        Enhancements {
-            file_delegation: true,
-            ..Enhancements::default()
-        },
-    );
-    let f = c.create(c.root(), "f", 0o644).unwrap();
-    c.write(f, 0, &vec![1u8; 4096]).unwrap();
-    c.open(f).unwrap();
-    c.read(f, 0, 4096).unwrap();
-    c.close(f);
-    sim.advance(SimDuration::from_secs(31));
-    let before = msgs(&sim);
-    c.read(f, 0, 4096).unwrap();
-    assert_eq!(
-        msgs(&sim) - before,
-        1,
-        "after close the delegation is gone; revalidation returns"
-    );
 }
 
 #[test]

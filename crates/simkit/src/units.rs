@@ -131,13 +131,6 @@ pub fn duration_from_nanos_f64(ns: f64) -> SimDuration {
     SimDuration::from_nanos(ns as u64)
 }
 
-/// Maps a raw RNG draw onto `[0, 1)` with full-width division
-/// (`x as f64 / u64::MAX as f64`), exactly as the net-layer loss draw
-/// has always done.
-pub fn unit_interval(x: u64) -> f64 {
-    x as f64 / u64::MAX as f64
-}
-
 /// Maps a raw RNG draw onto `[0, 1)` using the top 53 bits
 /// (`(x >> 11) as f64 / 2⁵³`), the exact-mantissa form used by the RPC
 /// jitter draw.
@@ -301,10 +294,6 @@ mod tests {
         for &x in &[0u64, 1, 12345, u64::MAX - 1, u64::MAX] {
             assert_eq!(to_f64(x).to_bits(), (x as f64).to_bits());
             assert_eq!(
-                unit_interval(x).to_bits(),
-                (x as f64 / u64::MAX as f64).to_bits()
-            );
-            assert_eq!(
                 unit_interval_53(x).to_bits(),
                 ((x >> 11) as f64 / (1u64 << 53) as f64).to_bits()
             );
@@ -317,8 +306,6 @@ mod tests {
         assert_eq!(f64_to_u32(f64::NAN), 0);
         assert_eq!(duration_from_nanos_f64(1234.9).as_nanos(), 1234);
         assert_eq!(nanos_f64(SimDuration::from_micros(5)), 5000.0);
-        let u = unit_interval(u64::MAX);
-        assert!((0.0..=1.0).contains(&u));
         assert!(unit_interval_53(u64::MAX) < 1.0);
     }
 }

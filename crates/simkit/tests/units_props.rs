@@ -99,10 +99,6 @@ proptest! {
             (x as f64 / d as f64).to_bits()
         );
         prop_assert_eq!(
-            units::unit_interval(x).to_bits(),
-            (x as f64 / u64::MAX as f64).to_bits()
-        );
-        prop_assert_eq!(
             units::unit_interval_53(x).to_bits(),
             ((x >> 11) as f64 / (1u64 << 53) as f64).to_bits()
         );

@@ -38,7 +38,6 @@ fn main() {
     cfg.enhancements = Enhancements {
         consistent_metadata_cache: true,
         directory_delegation: false,
-        ..Enhancements::default()
     };
     run("NFS v4 + meta cache", Testbed::build(cfg));
 
@@ -46,7 +45,6 @@ fn main() {
     cfg.enhancements = Enhancements {
         consistent_metadata_cache: true,
         directory_delegation: true,
-        ..Enhancements::default()
     };
     run("NFS v4 + cache + deleg.", Testbed::build(cfg));
 
