@@ -154,6 +154,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "D4: a fresh thread has an empty free list"
+    )]
     fn fresh_images_are_zero_padded_too() {
         // A thread of its own: the free list starts empty.
         std::thread::spawn(|| {
@@ -174,6 +178,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "D4: the test exits threads to run their thread-local destructors"
+    )]
     fn images_outliving_the_free_list_free_normally() {
         thread_local! {
             static HELD: RefCell<Vec<Image>> = const { RefCell::new(Vec::new()) };

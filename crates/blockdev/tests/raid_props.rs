@@ -41,6 +41,7 @@ proptest! {
             model.insert(lb, tag);
         }
         let mut buf = vec![0u8; BLOCK_SIZE];
+        #[expect(clippy::iter_over_hash_type, reason = "D2: reads are checked one block at a time")]
         for (lb, tag) in model {
             r.read(lb, 1, &mut buf).unwrap();
             prop_assert_eq!(u16::from_le_bytes([buf[0], buf[1]]), tag);
@@ -66,6 +67,7 @@ proptest! {
         }
         r.fail_member(failed % members);
         let mut buf = vec![0u8; BLOCK_SIZE];
+        #[expect(clippy::iter_over_hash_type, reason = "D2: reads are checked one block at a time")]
         for (lb, tag) in model {
             r.read(lb, 1, &mut buf).unwrap();
             prop_assert_eq!(u16::from_le_bytes([buf[0], buf[1]]), tag);
@@ -93,6 +95,7 @@ proptest! {
         }
         // Still degraded: reads reconstruct.
         let mut buf = vec![0u8; BLOCK_SIZE];
+        #[expect(clippy::iter_over_hash_type, reason = "D2: reads are checked one block at a time")]
         for (&lb, &tag) in &model {
             r.read(lb, 1, &mut buf).unwrap();
             prop_assert_eq!(u16::from_le_bytes([buf[0], buf[1]]), tag);

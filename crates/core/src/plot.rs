@@ -89,9 +89,12 @@ impl Plot {
                 if !x.is_finite() || !y.is_finite() {
                     continue;
                 }
-                let cx = ((x - x0) / (x1 - x0) * units::usize_f64(self.width - 1)).round() as usize;
-                let cy =
-                    ((y - y0) / (y1 - y0) * units::usize_f64(self.height - 1)).round() as usize;
+                let cx = units::f64_to_usize(
+                    ((x - x0) / (x1 - x0) * units::usize_f64(self.width - 1)).round(),
+                );
+                let cy = units::f64_to_usize(
+                    ((y - y0) / (y1 - y0) * units::usize_f64(self.height - 1)).round(),
+                );
                 let row = self.height - 1 - cy.min(self.height - 1);
                 let col = cx.min(self.width - 1);
                 // Later series overwrite; collisions show the newest.

@@ -111,7 +111,7 @@ impl EventLog {
             return 0.0;
         }
         u.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let idx = ((pct / 100.0) * (units::usize_f64(u.len()) - 1.0)).round() as usize;
+        let idx = units::f64_to_usize(((pct / 100.0) * (units::usize_f64(u.len()) - 1.0)).round());
         u[idx.min(u.len() - 1)]
     }
 }

@@ -1,33 +1,28 @@
-//! `cargo run -p detlint` — lint the whole workspace for determinism
-//! violations (see the library docs for the D1–D6/U1–U2 catalogue).
+//! `cargo run -p detlint` — lint the whole workspace for the
+//! determinism and unit-safety rules clippy cannot state (see the
+//! library docs for the D5/D6/U1/U2 catalogue).
 //!
-//! Exit status: 0 when every finding is suppressed by `detlint.toml`,
-//! 1 when any finding remains (or the allowlist is malformed).
+//! Exit status: 0 when there is no finding, 1 otherwise. No finding
+//! can be suppressed.
 //!
 //! Flags:
 //!   --root <dir>    workspace root (default: two levels above this
 //!                   crate's manifest, i.e. the repo root)
-//!   --verbose       also print suppressed findings and their reasons
-//!   --no-allowlist  ignore detlint.toml (shows the raw findings)
 
-use detlint::{lint_source, parse_allowlist, Allowlist};
+use detlint::lint_source;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
-    let mut verbose = false;
-    let mut use_allowlist = true;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--root" => root = args.next().map(PathBuf::from),
-            "--verbose" => verbose = true,
-            "--no-allowlist" => use_allowlist = false,
             "--help" | "-h" => {
                 println!(
-                    "detlint: workspace determinism and unit-safety linter (D1-D6, U1-U2)\n\
-                     usage: detlint [--root <dir>] [--verbose] [--no-allowlist]"
+                    "detlint: workspace determinism and unit-safety linter (D5, D6, U1, U2)\n\
+                     usage: detlint [--root <dir>]"
                 );
                 return ExitCode::SUCCESS;
             }
@@ -39,23 +34,11 @@ fn main() -> ExitCode {
     }
     let root = root.unwrap_or_else(default_root);
 
-    let allowlist = if use_allowlist {
-        match load_allowlist(&root) {
-            Ok(a) => a,
-            Err(e) => {
-                eprintln!("detlint: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    } else {
-        Allowlist::default()
-    };
-
     let mut files = Vec::new();
     collect_rs_files(&root, &root, &mut files);
     files.sort();
 
-    let mut diags = Vec::new();
+    let mut findings = 0;
     for rel in &files {
         let src = match std::fs::read_to_string(root.join(rel)) {
             Ok(s) => s,
@@ -64,47 +47,16 @@ fn main() -> ExitCode {
                 continue;
             }
         };
-        diags.extend(lint_source(rel, &src));
-    }
-    let scanned = files.len();
-
-    let (kept, suppressed, unused) = allowlist.apply(diags);
-
-    for d in &kept {
-        println!("{d}");
-    }
-    if verbose {
-        for d in &suppressed {
-            let reason = allowlist
-                .entries
-                .iter()
-                .find(|e| e.matches(d))
-                .map(|e| e.reason.as_str())
-                .unwrap_or("");
-            println!("{d} [allowed: {reason}]");
+        for d in lint_source(rel, &src) {
+            println!("{d}");
+            findings += 1;
         }
     }
-    for i in &unused {
-        let e = &allowlist.entries[*i];
-        eprintln!(
-            "detlint: warning: unused allowlist entry at detlint.toml:{} ({} {}{}) — remove it",
-            e.defined_at,
-            e.lint,
-            e.path,
-            e.contains
-                .as_deref()
-                .map(|c| format!(" contains {c:?}"))
-                .unwrap_or_default()
-        );
-    }
     eprintln!(
-        "detlint: {scanned} files scanned, {} finding(s), {} suppressed, {} unused allowlist entr{}",
-        kept.len(),
-        suppressed.len(),
-        unused.len(),
-        if unused.len() == 1 { "y" } else { "ies" }
+        "detlint: {} files scanned, {findings} finding(s)",
+        files.len()
     );
-    if kept.is_empty() {
+    if findings == 0 {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
@@ -119,15 +71,6 @@ fn default_root() -> PathBuf {
         .and_then(Path::parent)
         .map(Path::to_path_buf)
         .unwrap_or_else(|| PathBuf::from("."))
-}
-
-fn load_allowlist(root: &Path) -> Result<Allowlist, String> {
-    let path = root.join("detlint.toml");
-    match std::fs::read_to_string(&path) {
-        Ok(text) => parse_allowlist(&text),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Allowlist::default()),
-        Err(e) => Err(format!("reading {}: {e}", path.display())),
-    }
 }
 
 /// Recursively collects workspace-relative paths of `.rs` files,

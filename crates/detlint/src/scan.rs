@@ -1,40 +1,8 @@
 //! The lint pass proper: word-bounded pattern matching over stripped
-//! source, plus the per-file hash-binding tracker behind D2.
+//! source.
 
 use crate::strip::{strip_source, test_lines};
 use crate::{Diagnostic, FileContext, Lint};
-use std::collections::BTreeSet;
-
-/// Token patterns whose presence (word-bounded) fires D1.
-const D1_PATTERNS: &[&str] = &[
-    "Instant::now",
-    "SystemTime",
-    "UNIX_EPOCH",
-    "thread::sleep",
-    "park_timeout",
-];
-
-/// Token patterns whose presence fires D3.
-const D3_PATTERNS: &[&str] = &[
-    "thread_rng",
-    "RandomState",
-    "DefaultHasher",
-    "OsRng",
-    "from_entropy",
-    "getrandom",
-    "rand::random",
-];
-
-/// Token patterns whose presence fires D4.
-const D4_PATTERNS: &[&str] = &[
-    "thread::spawn",
-    "thread::scope",
-    "thread::Builder",
-    "mpsc::",
-    "sync_channel",
-    "crossbeam",
-    "rayon::",
-];
 
 /// Bare integer types a U1 quantity name must not be declared with.
 const U1_INT_TYPES: &[&str] = &[
@@ -42,37 +10,22 @@ const U1_INT_TYPES: &[&str] = &[
 ];
 
 /// Float-producing method calls that mark a line as float context for
-/// U2's `as u64`/`as u32` check.
+/// U2's float→int check.
 const U2_FLOAT_CALLS: &[&str] = &[
     ".round()", ".ceil()", ".floor()", ".trunc()", ".ln(", ".log2(", ".log10(", ".sqrt(", ".exp(",
     ".powf(", ".powi(",
-];
-
-/// Methods whose call on a hash-typed binding fires D2.
-const HASH_ITER_METHODS: &[&str] = &[
-    ".iter()",
-    ".iter_mut()",
-    ".keys()",
-    ".values()",
-    ".values_mut()",
-    ".into_iter()",
-    ".into_keys()",
-    ".into_values()",
-    ".drain(",
-    ".retain(",
 ];
 
 /// Lints one file. `rel_path` must be workspace-relative and
 /// `/`-separated; `src` is the raw source text.
 pub fn lint_source(rel_path: &str, src: &str) -> Vec<Diagnostic> {
     let ctx = FileContext::new(rel_path);
-    if ctx.skip_entirely() {
+    // No lint applies to test code (see `FileContext::lint_applies`).
+    if ctx.skip_entirely() || ctx.whole_file_test() {
         return Vec::new();
     }
     let stripped = strip_source(src);
     let in_test = test_lines(&stripped);
-    let whole_file_test = ctx.whole_file_test();
-    let orig_lines: Vec<&str> = src.split('\n').collect();
     let lines: Vec<&str> = stripped.split('\n').collect();
 
     let mut out = Vec::new();
@@ -82,84 +35,12 @@ pub fn lint_source(rel_path: &str, src: &str) -> Vec<Diagnostic> {
             line: lineno0 + 1,
             lint,
             message,
-            source_line: orig_lines.get(lineno0).unwrap_or(&"").to_string(),
         });
     };
 
     let active = |lint: Lint, lineno0: usize| -> bool {
-        if !ctx.lint_applies(lint) {
-            return false;
-        }
-        let test_line = whole_file_test || in_test.get(lineno0).copied().unwrap_or(false);
-        !test_line || FileContext::lint_applies_in_tests(lint)
+        ctx.lint_applies(lint) && !in_test.get(lineno0).copied().unwrap_or(false)
     };
-
-    // D1 / D3 / D4: straight word-bounded pattern scans.
-    for (i, line) in lines.iter().enumerate() {
-        for pat in D1_PATTERNS {
-            if contains_word(line, pat) && active(Lint::D1, i) {
-                push(
-                    Lint::D1,
-                    i,
-                    format!(
-                        "wall-clock access `{pat}` — all timing must be virtual \
-                         (simkit::clock::SimTime); real time differs per run and host"
-                    ),
-                );
-            }
-        }
-        for pat in D3_PATTERNS {
-            if contains_word(line, pat) && active(Lint::D3, i) {
-                push(
-                    Lint::D3,
-                    i,
-                    format!(
-                        "ambient randomness `{pat}` — all randomness must flow from \
-                         simkit::rng::SplitMix64 so runs are a function of their seed"
-                    ),
-                );
-            }
-        }
-        for pat in D4_PATTERNS {
-            if contains_word(line, pat) && active(Lint::D4, i) {
-                push(
-                    Lint::D4,
-                    i,
-                    format!(
-                        "thread/channel primitive `{pat}` outside simkit::sweep — \
-                         parallelism has one sanctioned home so the --jobs N == --jobs 1 \
-                         proof stays small"
-                    ),
-                );
-            }
-        }
-    }
-
-    // D2: track hash-typed names, then flag iteration through them.
-    // Method chains are matched against whitespace-collapsed text so
-    // a chain split across lines (`self.m\n.borrow()\n.values()`) is
-    // still seen; `for` loops are matched per line.
-    let hash_names = collect_hash_names(&lines);
-    if !hash_names.is_empty() {
-        let mut flagged: BTreeSet<usize> = BTreeSet::new();
-        for (i, name) in chain_iteration_lines(&stripped, &hash_names) {
-            if active(Lint::D2, i) && !reordered_immediately(&lines, i) && flagged.insert(i) {
-                push(Lint::D2, i, d2_message(&name));
-            }
-        }
-        for (i, line) in lines.iter().enumerate() {
-            if !active(Lint::D2, i) || reordered_immediately(&lines, i) || flagged.contains(&i) {
-                continue;
-            }
-            for name in &hash_names {
-                if for_loop_over(line, name) {
-                    flagged.insert(i);
-                    push(Lint::D2, i, d2_message(name));
-                    break;
-                }
-            }
-        }
-    }
 
     // D6: a BinaryHeap ordered on bare SimTime. Like the other lints
     // this is a token heuristic: a line (or the line plus its
@@ -213,8 +94,9 @@ pub fn lint_source(rel_path: &str, src: &str) -> Vec<Diagnostic> {
 
     // U2: lossy numeric casts outside the sanctioned simkit::units
     // helpers. `as f64`/`as f32` always lose (u64 has more mantissa
-    // than f64); `as u64`/`as u32` are flagged only in float context —
-    // int→int narrowing is a different (documented, unlinted) class.
+    // than f64); `as u64`/`as u32`/`as usize` are flagged only in
+    // float context — int→int narrowing is a different (documented,
+    // unlinted) class.
     for (i, line) in lines.iter().enumerate() {
         for pat in ["as f64", "as f32"] {
             if contains_word(line, pat) && active(Lint::U2, i) {
@@ -229,13 +111,12 @@ pub fn lint_source(rel_path: &str, src: &str) -> Vec<Diagnostic> {
                 );
             }
         }
-        for pat in ["as u64", "as u32"] {
+        for (pat, helper) in [
+            ("as u64", "units::f64_to_u64"),
+            ("as u32", "units::f64_to_u32"),
+            ("as usize", "units::f64_to_usize"),
+        ] {
             if contains_word(line, pat) && float_context(line) && active(Lint::U2, i) {
-                let helper = if pat.ends_with("u64") {
-                    "units::f64_to_u64"
-                } else {
-                    "units::f64_to_u32"
-                };
                 push(
                     Lint::U2,
                     i,
@@ -297,144 +178,6 @@ fn contains_word(line: &str, pat: &str) -> bool {
         from = start + 1;
     }
     false
-}
-
-/// Names declared with a hash-ordered type anywhere in the file:
-/// `let x: HashMap<..>`, struct fields `x: RefCell<HashMap<..>>`,
-/// inference from `= HashMap::new()`, and `type Alias = HashMap<..>`
-/// (the alias then counts as a hash type for later declarations).
-fn collect_hash_names(lines: &[&str]) -> BTreeSet<String> {
-    let mut hash_types: Vec<String> = vec!["HashMap".into(), "HashSet".into()];
-    let mut names: BTreeSet<String> = BTreeSet::new();
-    // Two passes so an alias defined after its use still counts.
-    for _ in 0..2 {
-        for line in lines {
-            for ty in hash_types.clone() {
-                let mut from = 0;
-                while let Some(pos) = line[from..].find(ty.as_str()) {
-                    let start = from + pos;
-                    from = start + 1;
-                    // Word boundary on the type name.
-                    if line[..start].chars().next_back().is_some_and(is_ident_char)
-                        || line[start + ty.len()..]
-                            .chars()
-                            .next()
-                            .is_some_and(is_ident_char)
-                    {
-                        continue;
-                    }
-                    // `type Alias = HashMap<..>`?
-                    if let Some(alias) = type_alias_name(line, start) {
-                        if !hash_types.contains(&alias) {
-                            hash_types.push(alias);
-                        }
-                        continue;
-                    }
-                    if let Some(name) = declared_name(line, start) {
-                        names.insert(name);
-                    }
-                }
-            }
-        }
-    }
-    // Borrow aliases: `let guard = tracked.borrow();` makes `guard` a
-    // view of the hash container — iteration through it counts.
-    for _ in 0..2 {
-        for line in lines {
-            let Some(let_pos) = find_stmt_let(line) else {
-                continue;
-            };
-            let rest = &line[let_pos..];
-            let Some((lhs, rhs)) = rest.split_once('=') else {
-                continue;
-            };
-            let is_view = names.iter().any(|n| {
-                ["borrow()", "borrow_mut()", "lock().unwrap()"]
-                    .iter()
-                    .any(|acc| contains_word(rhs, &format!("{n}.{acc}")))
-            });
-            if !is_view {
-                continue;
-            }
-            let lhs = lhs.trim_end();
-            let lhs = lhs.strip_suffix(|c: char| c == ':').unwrap_or(lhs); // no annotation expected
-            if let Some(name) = trailing_ident(lhs.trim_end()) {
-                names.insert(name);
-            }
-        }
-    }
-    names
-}
-
-/// Byte offset just past a statement-initial `let [mut] `, if the
-/// line starts one.
-fn find_stmt_let(line: &str) -> Option<usize> {
-    let trimmed = line.trim_start();
-    let indent = line.len() - trimmed.len();
-    let rest = trimmed.strip_prefix("let ")?;
-    let skipped = trimmed.len() - rest.len();
-    let rest2 = rest.strip_prefix("mut ").unwrap_or(rest);
-    Some(indent + skipped + (rest.len() - rest2.len()))
-}
-
-/// If `line` is `type NAME = ...<hash at `at`>`, returns NAME.
-fn type_alias_name(line: &str, at: usize) -> Option<String> {
-    let head = &line[..at];
-    let eq = head.rfind('=')?;
-    let before_eq = head[..eq].trim_end();
-    let name_start = before_eq
-        .rfind(|c: char| !is_ident_char(c))
-        .map_or(0, |p| p + 1);
-    let name = &before_eq[name_start..];
-    let kw = before_eq[..name_start].trim_end();
-    (kw.ends_with("type") && !name.is_empty()).then(|| name.to_string())
-}
-
-/// The identifier a hash type at byte `at` is being declared into:
-/// the identifier before the nearest preceding `:` (skipping wrapper
-/// types like `RefCell<`/`Mutex<`), or the `let`-bound name for
-/// `let x = HashMap::new()`.
-fn declared_name(line: &str, at: usize) -> Option<String> {
-    let head = &line[..at];
-    // `let x = HashMap::new()` — inference form.
-    if let Some(eq) = head.rfind('=') {
-        let between = head[eq + 1..].trim();
-        if between.is_empty() || between == "&" {
-            let before = head[..eq].trim_end();
-            if let Some(name) = trailing_ident(before) {
-                let kw = before[..before.len() - name.len()].trim_end();
-                if kw.ends_with("let") || kw.ends_with("mut") {
-                    return Some(name);
-                }
-            }
-        }
-    }
-    // `name: Wrapper<Hash<..>>` — annotation form. Walk back past
-    // reference sigils and wrapper type idents + `<` to the colon.
-    let mut rest = head.trim_end();
-    while let Some(r) = rest.strip_suffix('&') {
-        rest = r.trim_end();
-    }
-    loop {
-        if let Some(stripped) = rest.strip_suffix('<') {
-            let r = stripped.trim_end();
-            match trailing_ident(r) {
-                Some(id) => {
-                    rest = r[..r.len() - id.len()].trim_end();
-                    continue;
-                }
-                None => return None,
-            }
-        }
-        break;
-    }
-    let rest = rest.strip_suffix(':')?;
-    if rest.ends_with(':') {
-        // `std::collections::HashMap` — a path segment, not a
-        // declaration site.
-        return None;
-    }
-    trailing_ident(rest.trim_end())
 }
 
 /// Trailing identifier of `s`, if any.
@@ -545,111 +288,6 @@ fn float_context(line: &str) -> bool {
     })
 }
 
-fn d2_message(name: &str) -> String {
-    format!(
-        "iteration over hash-ordered container `{name}` — iteration order is \
-         seeded per process; use BTreeMap/BTreeSet or sort before folding"
-    )
-}
-
-/// Interior-mutability accessors a hash binding may be reached
-/// through before iteration.
-const CHAINS: &[&str] = &["", ".borrow()", ".borrow_mut()", ".lock().unwrap()"];
-
-/// Finds `name<chain><iter-method>` matches in whitespace-collapsed
-/// stripped source and returns `(line0, name)` pairs. Collapsing
-/// whitespace lets the match cross line breaks inside a method chain.
-fn chain_iteration_lines(stripped: &str, names: &BTreeSet<String>) -> Vec<(usize, String)> {
-    // Normalized text plus a map from each normalized byte to its
-    // 0-based source line.
-    let mut norm = String::with_capacity(stripped.len());
-    let mut line_of: Vec<usize> = Vec::with_capacity(stripped.len());
-    let mut line = 0usize;
-    let mut pending_ws = false;
-    for c in stripped.chars() {
-        if c == '\n' {
-            line += 1;
-        }
-        if c.is_whitespace() {
-            pending_ws = true;
-            continue;
-        }
-        // A whitespace run between two identifier characters is a
-        // token boundary and must survive (`in overlay` must not
-        // become `inoverlay`); inside a method chain it vanishes.
-        if pending_ws && norm.chars().next_back().is_some_and(is_ident_char) && is_ident_char(c) {
-            norm.push(' ');
-            line_of.push(line);
-        }
-        pending_ws = false;
-        norm.push(c);
-        line_of.push(line);
-    }
-    let mut out = Vec::new();
-    for name in names {
-        for chain in CHAINS {
-            for m in HASH_ITER_METHODS {
-                let pat = format!("{name}{chain}{m}");
-                let mut from = 0;
-                while let Some(pos) = norm[from..].find(&pat) {
-                    let start = from + pos;
-                    from = start + 1;
-                    if norm[..start].chars().next_back().is_some_and(is_ident_char) {
-                        continue;
-                    }
-                    out.push((line_of[start], name.clone()));
-                }
-            }
-        }
-    }
-    out.sort();
-    out
-}
-
-/// Does `line` contain `for .. in [&[mut ]][self.]name` at a
-/// statement boundary? (`.values()`-style chains are handled by
-/// [`chain_iteration_lines`]; `.len()` etc. are not iteration.)
-fn for_loop_over(line: &str, name: &str) -> bool {
-    let mut from = 0;
-    while let Some(pos) = line[from..].find(" in ") {
-        let after = &line[from + pos + 4..];
-        from += pos + 1;
-        let after = after.trim_start();
-        let after = after.strip_prefix('&').unwrap_or(after);
-        let after = after.strip_prefix("mut ").unwrap_or(after).trim_start();
-        let after = after.strip_prefix("self.").unwrap_or(after);
-        if let Some(rest) = after.strip_prefix(name) {
-            let next = rest.chars().next();
-            if next.is_none() || matches!(next, Some(' ') | Some('{')) {
-                return true;
-            }
-        }
-    }
-    false
-}
-
-/// Is the iteration on line `i` immediately re-ordered? Accepts a
-/// `sort`-family call or a collect into an ordered container on the
-/// same or the next non-empty line.
-fn reordered_immediately(lines: &[&str], i: usize) -> bool {
-    let mut candidates = vec![lines[i]];
-    for next in lines.iter().skip(i + 1) {
-        if next.trim().is_empty() {
-            continue;
-        }
-        candidates.push(next);
-        break;
-    }
-    candidates.iter().any(|l| {
-        l.contains(".sort")
-            || l.contains("BTreeMap>")
-            || l.contains("BTreeSet>")
-            || l.contains("BTreeMap<")
-            || l.contains("BTreeSet<")
-            || l.contains("BinaryHeap")
-    })
-}
-
 /// Byte spans of arguments to `spawn(...)` calls (the closure body a
 /// worker thread runs).
 fn spawn_spans(stripped: &str) -> Vec<(usize, usize)> {
@@ -715,96 +353,6 @@ mod tests {
             .into_iter()
             .map(|d| (d.lint, d.line))
             .collect()
-    }
-
-    #[test]
-    fn d1_fires_on_wall_clock() {
-        let src = "fn f() { let t = std::time::Instant::now(); }\n";
-        assert_eq!(lints_of("crates/net/src/lib.rs", src), vec![(Lint::D1, 1)]);
-        // ...but not in the bench crate.
-        assert!(lints_of("crates/bench/src/bin/tables.rs", src).is_empty());
-    }
-
-    #[test]
-    fn d2_fires_on_hash_iteration_not_lookup() {
-        let src = "\
-use std::collections::HashMap;
-fn f() {
-    let mut m: HashMap<u32, u32> = HashMap::new();
-    m.insert(1, 2);
-    let _ = m.get(&1);
-    for (k, v) in &m { let _ = (k, v); }
-}
-";
-        assert_eq!(lints_of("crates/x/src/lib.rs", src), vec![(Lint::D2, 6)]);
-    }
-
-    #[test]
-    fn d2_tracks_fields_and_methods() {
-        let direct =
-            "struct S { procs: HashMap<String, u64> }\nfn f(s: &S) { let _ = s.procs.values(); }\n";
-        assert_eq!(lints_of("crates/x/src/lib.rs", direct), vec![(Lint::D2, 2)]);
-        // Iteration through an interior-mutability chain is seen too.
-        let chained = "\
-struct S { procs: RefCell<HashMap<String, u64>> }
-impl S {
-    fn dump(&self) { for v in self.procs.borrow().values() { let _ = v; } }
-}
-";
-        assert_eq!(
-            lints_of("crates/x/src/lib.rs", chained),
-            vec![(Lint::D2, 3)]
-        );
-    }
-
-    #[test]
-    fn d2_respects_immediate_sort() {
-        let src = "\
-fn f() {
-    let m: HashMap<u32, u32> = HashMap::new();
-    let mut v: Vec<_> = m.iter().collect();
-    v.sort();
-}
-";
-        assert!(lints_of("crates/x/src/lib.rs", src).is_empty());
-    }
-
-    #[test]
-    fn d2_tracks_type_aliases() {
-        let src = "\
-type DirEntries = HashMap<String, u64>;
-struct C { dentries: DirEntries }
-fn f(c: &C) { for e in c.dentries.keys() { let _ = e; } }
-";
-        assert_eq!(lints_of("crates/x/src/lib.rs", src), vec![(Lint::D2, 3)]);
-    }
-
-    #[test]
-    fn d3_fires_on_ambient_randomness() {
-        let src = "fn f() { let s = std::collections::hash_map::RandomState::new(); }\n";
-        assert_eq!(lints_of("crates/x/src/lib.rs", src), vec![(Lint::D3, 1)]);
-    }
-
-    #[test]
-    fn d4_fires_outside_sweep_only() {
-        let src = "fn f() { std::thread::spawn(|| {}); }\n";
-        assert_eq!(lints_of("crates/x/src/lib.rs", src), vec![(Lint::D4, 1)]);
-        assert!(lints_of("crates/simkit/src/sweep.rs", src).is_empty());
-    }
-
-    #[test]
-    fn d4_is_off_in_test_code() {
-        let src = "\
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn t() { std::thread::spawn(|| {}); }
-}
-";
-        assert!(lints_of("crates/x/src/lib.rs", src).is_empty());
-        // Whole-file integration tests too.
-        let plain = "fn t() { std::thread::spawn(|| {}); }\n";
-        assert!(lints_of("crates/x/tests/conc.rs", plain).is_empty());
     }
 
     #[test]
@@ -908,6 +456,14 @@ mod tests {
             vec![(Lint::U2, 1)]
         );
         // ...not for int→int narrowing or widening.
+        let index = "let i = (pct * 1.5).round() as usize;\n";
+        let d = &lint_source("crates/cpu/src/lib.rs", index);
+        assert_eq!(d.len(), 1);
+        assert!(
+            d[0].message.contains("units::f64_to_usize"),
+            "{}",
+            d[0].message
+        );
         let narrow = "let lo = (x >> 32) as u32;\n";
         assert!(lints_of("crates/cpu/src/lib.rs", narrow).is_empty());
         let widen = "let w = nblocks as u64 * 4096;\n";
@@ -925,22 +481,20 @@ mod tests {
     fn patterns_in_strings_and_comments_do_not_fire() {
         let src = "\
 fn f() {
-    // Instant::now() would be wrong here.
-    let msg = \"thread_rng, SystemTime, HashMap\";
+    // BinaryHeap<SimTime> would be wrong here.
+    let msg = \"n as f64, x.round() as u64, BinaryHeap<SimTime>\";
     let _ = msg;
 }
 ";
-        assert!(lints_of("crates/x/src/lib.rs", src).is_empty());
+        assert!(lints_of("crates/net/src/lib.rs", src).is_empty());
     }
 
     #[test]
     fn word_boundaries_hold() {
-        assert!(contains_word("let x = thread_rng();", "thread_rng"));
-        assert!(!contains_word(
-            "let x = other_thread_rng_state;",
-            "thread_rng"
-        ));
-        assert!(contains_word("std::time::SystemTime::now()", "SystemTime"));
-        assert!(!contains_word("MySystemTimeish", "SystemTime"));
+        assert!(contains_word("let h: BinaryHeap<SimTime>;", "SimTime"));
+        assert!(!contains_word("let t: SimTimeish;", "SimTime"));
+        assert!(contains_word("n as u64", "as u64"));
+        assert!(!contains_word("n as u640", "as u64"));
+        assert!(!contains_word("alias f64", "as f64"));
     }
 }

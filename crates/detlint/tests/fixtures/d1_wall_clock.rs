@@ -1,5 +1,5 @@
-//! Fixture: wall-clock reads outside the bench crate (D1).
-//! Expected: D1 at the `Instant::now` line and the `SystemTime` line.
+//! Fixture: wall-clock reads outside the bench crate (D1). Expected:
+//! D1 at `Instant::now` (5), the `SystemTime` type (9) and its `now` (10).
 
 pub fn elapsed_ms() -> u128 {
     let start = std::time::Instant::now();

@@ -1,6 +1,6 @@
-//! Fixture: HashMap/HashSet iteration feeding output (D2).
-//! Expected: D2 on the `.iter()` chain, the `for` loop, and the
-//! multi-line `.keys()` chain; NOT on the immediately-sorted case.
+//! Fixture: HashMap/HashSet iteration feeding output (D2). Expected: D2
+//! on the `.iter()` chain (8), the `for` loop (13) and the `.keys()` line
+//! of the multi-line chain (26); NOT on the sorted case (its `#[expect]`).
 
 use std::collections::{HashMap, HashSet};
 
@@ -28,6 +28,7 @@ impl Stats {
             .collect()
     }
 
+    #[expect(clippy::disallowed_methods, reason = "sorted on the next line")]
     pub fn sorted_names(&self) -> Vec<String> {
         let mut v: Vec<String> = self.counts.keys().cloned().collect();
         v.sort();

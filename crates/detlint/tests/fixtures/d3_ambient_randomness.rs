@@ -1,7 +1,7 @@
 //! Fixture: ambient (seed-free) randomness (D3).
-//! Expected: D3 on the `RandomState` line and the `DefaultHasher`
-//! line. All simulation randomness must flow from
-//! `simkit::rng::SplitMix64` streams forked per cell.
+//! Expected: D3 on the `use` (6), `RandomState::new` (10) and the
+//! `DefaultHasher` type and call (14, 15). All simulation randomness
+//! must flow from `simkit::rng::SplitMix64` streams forked per cell.
 
 use std::collections::hash_map::{DefaultHasher, RandomState};
 use std::hash::BuildHasher;

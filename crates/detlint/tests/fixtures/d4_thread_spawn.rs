@@ -1,7 +1,7 @@
 //! Fixture: ad-hoc threading outside `simkit::sweep` (D4).
-//! Expected: D4 on the `thread::spawn` line and the `mpsc::channel`
-//! line. Parallelism belongs in the sweep executor, where results
-//! return in index order.
+//! Expected: D4 on the `mpsc::channel` line (10) and the
+//! `thread::spawn` line (11). Parallelism belongs in the sweep
+//! executor, where results return in index order.
 
 use std::sync::mpsc;
 use std::thread;

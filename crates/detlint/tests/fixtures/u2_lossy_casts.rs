@@ -1,7 +1,7 @@
-//! Fixture: lossy numeric casts outside `simkit::units`. Expected:
-//! U2 on the `as f64` widening, the `.round() as u64` truncation, and
-//! the `* 1e9` scaling truncation — and nothing for int→int
-//! narrowing/widening, hex literals, or test code.
+//! Fixture: lossy numeric casts outside `simkit::units`. Expected: U2
+//! on the `as f64` widening, the `.round() as u64` truncation, the
+//! `* 1e9` scaling truncation and the `as usize` index — and nothing
+//! for int→int narrowing/widening, hex literals, or test code.
 
 /// u64 → f64 loses bits above 2^53: fires.
 pub fn throughput(n: u64, secs: f64) -> f64 {
@@ -27,6 +27,11 @@ pub fn low_word(x: u64) -> u32 {
 /// exponent): clean.
 pub fn widen(x: u32) -> u64 {
     x as u64 | 0x1e9
+}
+
+/// Float → index truncation: fires.
+pub fn bucket(frac: f64) -> usize {
+    (frac * 100.0).floor() as usize
 }
 
 #[cfg(test)]

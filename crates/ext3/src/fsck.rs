@@ -8,7 +8,7 @@
 
 use crate::alloc;
 use crate::dir;
-use crate::error::{FsError, FsResult};
+use crate::error::FsResult;
 use crate::fs::*;
 use crate::layout::*;
 use crate::ops::bmap;
@@ -241,7 +241,3 @@ impl std::fmt::Display for FsckReport {
         }
     }
 }
-
-// Suppress an unused-import lint if FsError is only used in docs here.
-#[allow(unused_imports)]
-use FsError as _FsError;

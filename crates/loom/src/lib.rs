@@ -99,6 +99,10 @@ pub mod thread {
     /// Like `std::thread::spawn`, but the thread begins with a
     /// schedule-derived stagger so spawn order and first-access order
     /// decouple across iterations.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "D4: spawning threads on perturbed schedules is this shim's purpose"
+    )]
     pub fn spawn<F, T>(f: F) -> JoinHandle<T>
     where
         F: FnOnce() -> T + Send + 'static,

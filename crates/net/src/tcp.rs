@@ -52,7 +52,7 @@ const MAX_RTO: SimDuration = SimDuration::from_secs(60);
 /// FIFO queue whose occupancy induces RTT and whose finite capacity
 /// induces loss. Segment completions are scheduled on a
 /// [`simkit::EventQueue`] keyed by `(time, host, seq)` — the same
-/// total order as the rest of the event core (detlint rule D6) — so
+/// total order as the rest of the event core (rule D6, DESIGN.md §8) — so
 /// the model is deterministic and needs no randomness: the only loss
 /// is deterministic tail drop when a window burst overruns the queue.
 ///
@@ -496,7 +496,7 @@ impl TcpEndpoint {
             ($s:expr, $t:expr) => {{
                 loop {
                     let snd = &senders[$s];
-                    let window = self.flows[snd.flow].cwnd.get().max(1.0) as usize;
+                    let window = units::f64_to_usize(self.flows[snd.flow].cwnd.get().max(1.0));
                     if snd.next >= snd.segs.len() || snd.next - snd.acked >= window {
                         break;
                     }
@@ -510,9 +510,10 @@ impl TcpEndpoint {
             }};
         }
 
-        // Indexed loop: `try_send!` borrows `senders` mutably, so no
-        // iterator may hold it across the macro body.
-        #[allow(clippy::needless_range_loop)]
+        #[allow(
+            clippy::needless_range_loop,
+            reason = "`try_send!` borrows `senders` mutably, so no iterator may hold it across the macro body"
+        )]
         for s in 0..senders.len() {
             if !senders[s].done {
                 try_send!(s, now);

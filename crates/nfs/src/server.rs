@@ -28,7 +28,8 @@ pub struct NfsServer {
     clients: std::cell::Cell<u32>,
     /// Interned `nfs.server.proc.<p>` counter ids, filled on each
     /// procedure's first call so the per-RPC path stops formatting
-    /// keys. Lookup-only maps (never iterated — detlint D2).
+    /// keys. Lookup-only maps (never iterated — rule D2, which clippy
+    /// enforces).
     procs: std::cell::RefCell<std::collections::HashMap<&'static str, simkit::KeyId>>,
     /// Interned `nfs.server.c<i>.<p>` ids, keyed `(client, proc)`.
     client_procs: std::cell::RefCell<std::collections::HashMap<(u32, &'static str), simkit::KeyId>>,

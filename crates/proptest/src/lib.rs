@@ -165,7 +165,7 @@ macro_rules! tuple_strategy {
     ($(($($name:ident),+))+) => {$(
         impl<$($name: Strategy),+> Strategy for ($($name,)+) {
             type Value = ($($name::Value,)+);
-            #[allow(non_snake_case)]
+            #[allow(non_snake_case, reason = "the tuple's type parameters double as its binding names")]
             fn generate(&self, rng: &mut TestRng) -> Self::Value {
                 let ($($name,)+) = self;
                 ($($name.generate(rng),)+)
@@ -359,7 +359,7 @@ macro_rules! __proptest_impl {
                 $(inputs.push_str(&$crate::render_input(stringify!($arg), &$arg));)+
                 let outcome: ::std::result::Result<(), ::std::string::String> = (|| {
                     $body
-                    #[allow(unreachable_code)]
+                    #[allow(unreachable_code, reason = "a body that always returns early makes this `Ok(())` unreachable")]
                     Ok(())
                 })();
                 (inputs, outcome)
@@ -415,7 +415,6 @@ mod tests {
     fn failing_case_reports_inputs() {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(4))]
-            #[allow(dead_code)]
             fn always_fails(x in 0u8..4) {
                 prop_assert!(x > 100, "x was {}", x);
             }

@@ -12,8 +12,8 @@
 //!   sequence number that makes every key unique. Because no two keys
 //!   ever compare equal, the binary heap's pop order is a pure
 //!   function of the schedule calls — never of allocation addresses or
-//!   heap internals. `detlint` rule D6 bans ordering raw `SimTime`
-//!   keys in a heap without this wrapper.
+//!   heap internals. Rule D6 (DESIGN.md §8, checked by `detlint`)
+//!   bans ordering raw `SimTime` keys in a heap without this wrapper.
 //! * **The arena.** Event records live in a slab (`Vec` of slots)
 //!   addressed by [`EventId`] handles; a free list recycles slots and
 //!   a per-slot generation counter invalidates stale handles. No

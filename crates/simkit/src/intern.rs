@@ -17,9 +17,9 @@
 //!   (`SymbolTable::sorted_ids`) is produced in lexicographic *name*
 //!   order, so report bytes are independent of intern order.
 //! * The internal `HashMap` is used for lookup only and never
-//!   iterated — hash iteration order is the nondeterminism detlint D2
-//!   bans; ordered walks come from the insertion-ordered name vector
-//!   or from `sorted_ids`.
+//!   iterated — hash iteration order is the nondeterminism rule D2
+//!   bans (clippy enforces it, DESIGN.md §8); ordered walks come from
+//!   the insertion-ordered name vector or from `sorted_ids`.
 
 use std::cell::RefCell;
 use std::collections::HashMap;

@@ -148,6 +148,10 @@ where
     run_threaded(jobs.clamp(1, max_jobs()), n, Some(costs), f)
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "D4: the one sanctioned home of threads; results return in index order"
+)]
 fn run_threaded<T, F>(jobs: usize, n: usize, costs: Option<&[u64]>, f: F) -> Vec<T>
 where
     T: Send,

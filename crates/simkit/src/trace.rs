@@ -353,7 +353,10 @@ impl Tracer {
         self.record_leaf(parent, host, layer, op, start, end, attrs);
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "one argument per `SpanRecord` field"
+    )]
     fn record_leaf(
         &self,
         parent: Option<SpanCtx>,
@@ -382,7 +385,10 @@ impl Tracer {
         );
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "one argument per `SpanRecord` field"
+    )]
     fn push_record(
         &self,
         trace: TraceId,

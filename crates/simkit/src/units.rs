@@ -6,9 +6,9 @@
 //! and nanosecond timelines; a silent `bytes`/`bits` or `u64 as f64`
 //! slip distorts every comparison downstream. Like
 //! [`SimTime`](crate::SimTime)/[`SimDuration`], these newtypes make the
-//! dimension part of the API signature, and detlint's U1/U2 passes keep
-//! bare integers and ad-hoc casts from creeping back in (see
-//! DESIGN.md §8).
+//! dimension part of the API signature, and rules U1/U2 (checked by
+//! `detlint`, DESIGN.md §8) keep bare integers and ad-hoc casts from
+//! creeping back in.
 //!
 //! Two contracts hold everywhere in this module:
 //!
@@ -115,9 +115,15 @@ pub fn f64_to_u64(x: f64) -> u64 {
 }
 
 /// The exact `x as u32` float truncation (saturating, NaN → 0).
-/// Public because detlint's U1 message names it as the sanctioned cast.
+/// Public because detlint's U2 message names it as the sanctioned cast.
 pub fn f64_to_u32(x: f64) -> u32 {
     x as u32
+}
+
+/// The exact `x as usize` float truncation (saturating, NaN → 0), for
+/// indices and counts computed in floating point.
+pub fn f64_to_usize(x: f64) -> usize {
+    x as usize
 }
 
 /// A duration's nanosecond count as a float (`as_nanos() as f64`).

@@ -2,7 +2,8 @@
 //! every map section of the machine-readable report (`tables --json`
 //! emits one [`RunReport`] line per runner) must list its keys in
 //! sorted order, so equal-seed runs are byte-comparable across
-//! processes. This is what the detlint D2 lint enforces statically;
+//! processes. Rule D2 (clippy's hash-iteration bans in `clippy.toml`)
+//! enforces this statically;
 //! these tests pin the observable behavior after the HashMap→BTreeMap
 //! conversions in `traces`, `rpc`, `iscsi`, `nfs`, and `ext3`.
 

@@ -64,6 +64,10 @@ fn concurrent_runs_with_different_options_do_not_interfere() {
     assert_ne!(alone[0], alone[1], "attribution must show in the report");
 
     let start = Barrier::new(2);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "D4: the test races two runs on purpose"
+    )]
     let together = std::thread::scope(|s| {
         let spawn = |options| {
             let start = &start;
@@ -148,6 +152,10 @@ fn concurrent_forks_match_sequential_forks() {
         (tb.now().since(t0), tb.messages() - m0)
     };
     let sequential: Vec<_> = (0..4).map(measure).collect();
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "D4: the test forks one snapshot from four threads on purpose"
+    )]
     let concurrent: Vec<_> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..4).map(|seed| s.spawn(move || measure(seed))).collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
