@@ -9,8 +9,8 @@
 //! Everything recorded is *virtual*-time data from the deterministic
 //! simulation (aggregate transactions/sec under the overlap model,
 //! server CPU utilization, messages per client, worst per-client p95),
-//! so the committed file is reproducible bit-for-bit on any host —
-//! unlike `BENCH_sweep.json`, no host section is needed.
+//! so the committed file is reproducible bit-for-bit on any host and
+//! needs no host section.
 
 use ipstorage_core::experiments::scale;
 use ipstorage_core::RunOptions;

@@ -1,16 +1,14 @@
 //! Benchmark harness crate. Its entry point is the `tables` binary that
 //! regenerates every table and figure of the paper (`src/bin/tables.rs`);
-//! the `*_bench` binaries regenerate the `BENCH_*.json` files, and host
-//! time is measured by the separate `hostbench` package. What lives
-//! here is `tables`' command line, so it can be tested, and what the
-//! `*_bench` binaries share: their flags, the `host` section, the
-//! write-and-print tail and the counting allocator.
+//! `scale_bench` and `tcp_bench` regenerate the virtual-time
+//! `BENCH_scale.json` and `BENCH_tcp.json`, and host time is measured
+//! by the separate `hostbench` package (`hostbench/`). What lives here
+//! is `tables`' command line, so it can be tested, and what the two
+//! `*_bench` binaries share: their flags and the write-and-print tail.
 
 use ipstorage_core::experiments::{Experiment, REGISTRY};
 use ipstorage_core::RunOptions;
-use simkit::{json, Json};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use simkit::Json;
 
 /// What a `tables` command line asks for.
 #[derive(Debug, Clone)]
@@ -87,21 +85,9 @@ fn usage(problem: &str) -> String {
     )
 }
 
-/// Whether a `*_bench` command line holds `flag` (`--quick`, `--full`).
+/// Whether a `*_bench` command line holds `flag` (`--quick`).
 pub fn flag(flag: &str) -> bool {
     std::env::args().any(|a| a == flag)
-}
-
-/// A `*_bench` binary's `--jobs N`, else the host's available
-/// parallelism; at least 1.
-pub fn jobs() -> usize {
-    let jobs = value_of("--jobs").and_then(|v| v.parse().ok());
-    jobs.unwrap_or_else(cores).max(1)
-}
-
-/// The `host` section of a file that records host time.
-pub fn host() -> Json {
-    json!({ "cores": cores(), "os": std::env::consts::OS, "arch": std::env::consts::ARCH })
 }
 
 /// Writes `doc` and a newline to a `*_bench` binary's `--out PATH`
@@ -113,40 +99,9 @@ pub fn publish(default_out: &str, doc: &Json) {
     eprintln!("wrote {out}");
 }
 
-/// The system allocator, counting every `alloc` and `realloc` in
-/// [`ALLOCATIONS`]: the `#[global_allocator]` of the `*_bench`
-/// binaries that report allocations per operation.
-pub struct CountingAlloc;
-
-/// Allocations made through [`CountingAlloc`] so far.
-pub static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// so `System`'s guarantees are this allocator's; the counter is a
-// statistic that orders nothing else, hence `Relaxed`.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
 /// The argument after the first `flag` on the command line, if any.
 fn value_of(flag: &str) -> Option<String> {
     std::env::args().skip_while(|a| a != flag).nth(1)
-}
-
-fn cores() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 #[cfg(test)]

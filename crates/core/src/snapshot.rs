@@ -244,7 +244,7 @@ impl Snapshot {
 
     /// Total blocks with captured content across the RAID-5 stores —
     /// the state a fork shares instead of rebuilding.
-    pub fn touched_blocks(&self) -> usize {
+    pub(crate) fn touched_blocks(&self) -> usize {
         self.images.iter().map(|i| i.touched_blocks()).sum()
     }
 }
@@ -315,7 +315,7 @@ impl SnapshotCache {
 
     /// How many setups have actually been built (cache misses, or
     /// every request when sharing is off).
-    pub fn builds(&self) -> usize {
+    pub(crate) fn builds(&self) -> usize {
         self.builds.load(Ordering::Relaxed)
     }
 

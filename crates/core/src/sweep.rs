@@ -190,12 +190,6 @@ impl Sweep {
         }
     }
 
-    /// The setup-snapshot cache this sweep's cells share: built once
-    /// per unique [`SetupKey`], handed read-only to every worker.
-    pub fn snapshots(&self) -> &SnapshotCache {
-        &self.snapshots
-    }
-
     /// Runs `body` once per cell and returns the results in cell order
     /// plus the cells' report fragments merged, in cell order, into one
     /// report named `name`.

@@ -25,7 +25,8 @@
 //! There is no `syn` available to an offline workspace, so this is a
 //! *token* scanner, not an AST pass: source is stripped of comments
 //! and string literals (preserving line structure), `#[cfg(test)]`
-//! regions are tracked by brace depth, and each lint matches
+//! regions are tracked by brace depth (a file declared as
+//! `#[cfg(test)] mod name;` is skipped whole), and each lint matches
 //! word-bounded token patterns on a line (D6 also looks at the next
 //! line, for declarations whose generics wrap). A heap key built far
 //! from its declaration, or a float reached through a variable with
@@ -37,7 +38,7 @@ use std::fmt;
 mod scan;
 mod strip;
 
-pub use scan::lint_source;
+pub use scan::{lint_files, lint_source};
 
 /// A determinism lint class. See the crate docs for the catalogue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]

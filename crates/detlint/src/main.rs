@@ -9,7 +9,8 @@
 //!   --root <dir>    workspace root (default: two levels above this
 //!                   crate's manifest, i.e. the repo root)
 
-use detlint::lint_source;
+use detlint::lint_files;
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -34,29 +35,18 @@ fn main() -> ExitCode {
     }
     let root = root.unwrap_or_else(default_root);
 
-    let mut files = Vec::new();
-    collect_rs_files(&root, &root, &mut files);
-    files.sort();
-
-    let mut findings = 0;
-    for rel in &files {
-        let src = match std::fs::read_to_string(root.join(rel)) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("detlint: skipping {rel}: {e}");
-                continue;
-            }
-        };
-        for d in lint_source(rel, &src) {
-            println!("{d}");
-            findings += 1;
-        }
+    let mut sources = BTreeMap::new();
+    collect_rs_files(&root, &root, &mut sources);
+    let findings = lint_files(&sources);
+    for d in &findings {
+        println!("{d}");
     }
     eprintln!(
-        "detlint: {} files scanned, {findings} finding(s)",
-        files.len()
+        "detlint: {} files scanned, {} finding(s)",
+        sources.len(),
+        findings.len()
     );
-    if findings == 0 {
+    if findings.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
@@ -73,10 +63,10 @@ fn default_root() -> PathBuf {
         .unwrap_or_else(|| PathBuf::from("."))
 }
 
-/// Recursively collects workspace-relative paths of `.rs` files,
+/// Recursively reads `.rs` files, keyed by workspace-relative path,
 /// skipping build output, VCS metadata, and the linter's own
 /// intentionally-violating fixtures.
-fn collect_rs_files(root: &Path, dir: &Path, out: &mut Vec<String>) {
+fn collect_rs_files(root: &Path, dir: &Path, out: &mut BTreeMap<String, String>) {
     let entries = match std::fs::read_dir(dir) {
         Ok(e) => e,
         Err(_) => return,
@@ -91,8 +81,13 @@ fn collect_rs_files(root: &Path, dir: &Path, out: &mut Vec<String>) {
             }
             collect_rs_files(root, &path, out);
         } else if name.ends_with(".rs") {
-            if let Ok(rel) = path.strip_prefix(root) {
-                out.push(rel.to_string_lossy().replace('\\', "/"));
+            let rel = path.strip_prefix(root).unwrap_or(&path);
+            let rel = rel.to_string_lossy().replace('\\', "/");
+            match std::fs::read_to_string(&path) {
+                Ok(src) => {
+                    out.insert(rel, src);
+                }
+                Err(e) => eprintln!("detlint: skipping {rel}: {e}"),
             }
         }
     }

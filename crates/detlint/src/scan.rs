@@ -1,8 +1,9 @@
 //! The lint pass proper: word-bounded pattern matching over stripped
-//! source.
+//! source, and the walk from a module declaration to its file.
 
 use crate::strip::{strip_source, test_lines};
 use crate::{Diagnostic, FileContext, Lint};
+use std::collections::BTreeMap;
 
 /// Bare integer types a U1 quantity name must not be declared with.
 const U1_INT_TYPES: &[&str] = &[
@@ -15,6 +16,43 @@ const U2_FLOAT_CALLS: &[&str] = &[
     ".round()", ".ceil()", ".floor()", ".trunc()", ".ln(", ".log2(", ".log10(", ".sqrt(", ".exp(",
     ".powf(", ".powi(",
 ];
+
+/// Lints a tree of files, each keyed by its workspace-relative,
+/// `/`-separated path. A module that its parent declares as
+/// `#[cfg(test)] mod name;` is test code as a whole, with every module
+/// below it; every other file goes through [`lint_source`].
+pub fn lint_files(files: &BTreeMap<String, String>) -> Vec<Diagnostic> {
+    let tests: Vec<String> = files
+        .iter()
+        .flat_map(|(path, src)| test_module_prefixes(path, src))
+        .collect();
+    files
+        .iter()
+        .filter(|(path, _)| !tests.iter().any(|t| path.starts_with(t.as_str())))
+        .flat_map(|(path, src)| lint_source(path, src))
+        .collect()
+}
+
+/// Path prefixes of the out-of-line modules `src` declares on test
+/// lines: `name.rs` and `name/`, beside a `lib.rs`, `main.rs` or
+/// `mod.rs` and below any other file. `#[path]` is not followed.
+fn test_module_prefixes(rel_path: &str, src: &str) -> Vec<String> {
+    let stem = rel_path.trim_end_matches(".rs");
+    let dir = match stem.rsplit_once('/') {
+        Some((dir, "lib" | "main" | "mod")) => dir,
+        _ => stem,
+    };
+    let stripped = strip_source(src);
+    let lines = stripped.split('\n').zip(test_lines(&stripped));
+    lines
+        .filter(|&(_, test)| test)
+        .filter_map(|(line, _)| {
+            let mut words = line.split_whitespace().skip_while(|&w| w != "mod");
+            words.nth(1)?.strip_suffix(';')
+        })
+        .flat_map(|name| [format!("{dir}/{name}.rs"), format!("{dir}/{name}/")])
+        .collect()
+}
 
 /// Lints one file. `rel_path` must be workspace-relative and
 /// `/`-separated; `src` is the raw source text.
@@ -487,6 +525,27 @@ fn f() {
 }
 ";
         assert!(lints_of("crates/net/src/lib.rs", src).is_empty());
+    }
+
+    #[test]
+    fn test_modules_resolve_next_to_their_parent() {
+        let src = "mod dir;\n#[cfg(test)]\nmod cache_table;\n#[cfg(test)]\nmod tests {}\n";
+        let lib = test_module_prefixes("crates/ext3/src/lib.rs", src);
+        assert_eq!(
+            lib,
+            [
+                "crates/ext3/src/cache_table.rs",
+                "crates/ext3/src/cache_table/"
+            ]
+        );
+        let fs = test_module_prefixes("crates/ext3/src/fs.rs", src);
+        assert_eq!(
+            fs,
+            [
+                "crates/ext3/src/fs/cache_table.rs",
+                "crates/ext3/src/fs/cache_table/"
+            ]
+        );
     }
 
     #[test]

@@ -158,13 +158,17 @@ fn char_literal_end(b: &[u8], i: usize) -> Option<usize> {
 }
 
 /// Returns, for each line of *stripped* source, whether it lies inside
-/// a `#[cfg(test)]`-gated item (tracked by brace depth).
+/// a `#[cfg(test)]`-gated item (tracked by brace depth) or ends a
+/// bodiless one (`#[cfg(test)] mod name;`).
 pub(crate) fn test_lines(stripped: &str) -> Vec<bool> {
     let mut out = Vec::new();
     let mut depth: usize = 0;
     // Depths at which an active test region began.
     let mut test_stack: Vec<usize> = Vec::new();
     let mut pending_attr = false;
+    // `(` and `[` opened since the pending attribute: a `;` inside
+    // them (an array type) does not end the attributed item.
+    let mut nest: usize = 0;
     for line in stripped.split('\n') {
         let mut is_test = !test_stack.is_empty();
         if line.contains("cfg(test")
@@ -172,6 +176,7 @@ pub(crate) fn test_lines(stripped: &str) -> Vec<bool> {
             || line.contains("cfg(any(test")
         {
             pending_attr = true;
+            nest = 0;
         }
         for c in line.chars() {
             match c {
@@ -188,6 +193,14 @@ pub(crate) fn test_lines(stripped: &str) -> Vec<bool> {
                         test_stack.pop();
                     }
                     depth = depth.saturating_sub(1);
+                }
+                '(' | '[' if pending_attr => nest += 1,
+                ')' | ']' if pending_attr => nest = nest.saturating_sub(1),
+                // An item without a body (`#[cfg(test)] mod name;`)
+                // takes the attribute with it.
+                ';' if pending_attr && nest == 0 => {
+                    pending_attr = false;
+                    is_test = true;
                 }
                 _ => {}
             }
@@ -246,12 +259,16 @@ mod tests {
     fn t() {}
 }
 fn also_real() {}
+#[cfg(test)] mod event_log;
+fn array_arg(x: [u8; 2]) {}
 ";
         let flags = test_lines(&strip_source(src));
         assert!(!flags[0], "real fn");
         assert!(flags[2], "mod tests line");
         assert!(flags[3], "inside tests");
         assert!(!flags[5], "after tests");
+        assert!(flags[6], "out-of-line test module declaration");
+        assert!(!flags[7], "the `;` ended the attributed item");
     }
 
     #[test]

@@ -1,0 +1,3 @@
+struct Toy {
+    heap: BinaryHeap<std::cmp::Reverse<SimTime>>,
+}

@@ -1,0 +1,5 @@
+mod helpers;
+
+struct Toy {
+    heap: BinaryHeap<std::cmp::Reverse<SimTime>>,
+}

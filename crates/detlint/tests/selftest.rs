@@ -155,6 +155,26 @@ fn binary_exits_nonzero_on_fixture_violations() {
     }
 }
 
+/// A module file declared `#[cfg(test)] mod name;` by its parent is
+/// test code, as is every module below it, whether it lives in
+/// `name.rs` or `name/mod.rs`; a library module beside it is linted.
+/// Each of the four module files in `fixtures/test_modules` holds the
+/// same D6 line.
+#[test]
+fn binary_skips_out_of_line_test_modules() {
+    let tree = format!("{}/tests/fixtures/test_modules", env!("CARGO_MANIFEST_DIR"));
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_detlint"))
+        .args(["--root", &tree])
+        .output()
+        .expect("run detlint");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let found: Vec<&str> = stdout
+        .lines()
+        .map(|l| &l[..l.find(" heap").unwrap()])
+        .collect();
+    assert_eq!(found, ["src/cal.rs:4: D6:"], "{stdout}");
+}
+
 /// The binary against the real workspace (its default root): the gate
 /// CI runs must pass.
 #[test]

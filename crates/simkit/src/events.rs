@@ -74,8 +74,9 @@ struct SlotRec<T> {
     state: Slot<T>,
 }
 
-/// Counters describing a queue's lifetime activity, reported by
-/// `event_bench` (BENCH_events.json).
+/// Counters describing a queue's lifetime activity; hostbench reports
+/// them per operation (`simkit.events.fired_per_op`, `.stale_ratio`,
+/// `.max_heap`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EventQueueStats {
     /// Events scheduled (including the schedule half of reschedules).

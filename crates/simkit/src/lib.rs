@@ -157,8 +157,8 @@ impl Sim {
         self.events.borrow_mut().schedule(at, host, d)
     }
 
-    /// Lifetime activity counters of the event calendar (the
-    /// `event_bench` binary reports these).
+    /// Lifetime activity counters of the event calendar (hostbench
+    /// reports these as `simkit.events.*`).
     pub fn event_stats(&self) -> EventQueueStats {
         self.events.borrow().stats()
     }

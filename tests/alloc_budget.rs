@@ -19,6 +19,9 @@
 //! LOOKUP keeps its dentry name inside the map key, a warm `fsync`
 //! takes its block list and gather buffer from the thread's pools, and
 //! a second RPC client files a known procedure under its static name.
+//! Through the whole testbed, an NFSv3 `chmod` round trip allocates
+//! nothing and a cold iSCSI 4 KiB read only its result; a counter add,
+//! by handle or by interned name, allocates nothing.
 //!
 //! The allocator counts per thread, so the tests stay independent
 //! under the harness's parallel runner.
@@ -28,11 +31,12 @@ use blockdev::{
 };
 use cpu::{CostModel, CpuAccount};
 use ext3::{BufferCache, DirtyKind, Ext3, Options};
+use ipstorage_core::{Protocol, Testbed};
 use net::{Fabric, LinkParams};
 use nfs::{NfsClient, NfsConfig, NfsServer, Version};
 use rpc::{RpcClient, RpcConfig};
 use simkit::units::Bytes;
-use simkit::{Daemon, GaugeSampler, HostId, Sim, SimDuration};
+use simkit::{Counters, Daemon, GaugeSampler, HostId, Sim, SimDuration};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::rc::Rc;
@@ -587,6 +591,80 @@ fn gauge_tick_allocates_nothing() {
     let stats = g.stats();
     assert_eq!(stats.len(), 8);
     assert!(stats.values().all(|s| (s.samples, s.sum) == (1, 7)));
+}
+
+/// The per-request counter paths: an add through a `CounterHandle`
+/// bumps a shared cell, and a named add on an interned name looks the
+/// id up in place. Before interning, every add allocated its key.
+#[test]
+fn counter_adds_allocate_nothing() {
+    let c = Counters::new();
+    let handle = c.handle("proto.nfs.txns");
+    c.add("net.total.bytes", 0);
+    let (n, ()) = allocs_in(|| {
+        for _ in 0..1_000 {
+            handle.incr();
+            c.add("net.total.bytes", 4096);
+        }
+    });
+    assert_eq!(n, 0, "1 000 handle adds and 1 000 named adds");
+    let got = (c.get("proto.nfs.txns"), c.get("net.total.bytes"));
+    assert_eq!(got, (1_000, 1_000 * 4096));
+}
+
+/// A `chmod` on the full NFSv3 testbed goes to the server every time
+/// (a GETATTR and a SETATTR, with their CPU and wire accounting) and
+/// asks the allocator for nothing once its maps have their nodes.
+#[test]
+fn nfs3_chmod_round_trip_allocates_nothing() {
+    let tb = Testbed::with_protocol(Protocol::NfsV3);
+    let fs = tb.fs();
+    fs.creat("/probe").unwrap();
+    tb.settle();
+    let mut mode = 0o600u16;
+    let mut chmod = || {
+        mode ^= 0o011;
+        fs.chmod("/probe", mode).unwrap();
+    };
+    chmod();
+    let setattrs = tb.sim().counters().get("proto.nfs.call.setattr");
+    let (n, ()) = allocs_in(|| (0..200).for_each(|_| chmod()));
+    assert_eq!(
+        tb.sim().counters().get("proto.nfs.call.setattr"),
+        setattrs + 200,
+        "every chmod went to the server"
+    );
+    assert_eq!(n, 0, "200 chmod round trips");
+}
+
+/// A 4 KiB `read` of a file the iSCSI client has not cached sends a
+/// READ command through the initiator to the target; it allocates
+/// exactly the `Vec` it returns.
+#[test]
+fn iscsi_cold_4k_read_allocates_only_its_result() {
+    let tb = Testbed::with_protocol(Protocol::Iscsi);
+    let fs = tb.fs();
+    fs.creat("/probe").unwrap();
+    let fd = fs.open("/probe").unwrap();
+    for i in 0..256u64 {
+        fs.write(fd, i * BLOCK_SIZE as u64, &[5u8; BLOCK_SIZE])
+            .unwrap();
+    }
+    fs.fsync(fd).unwrap();
+    tb.settle();
+    tb.cold_caches();
+    let fd = fs.open("/probe").unwrap();
+    fs.read(fd, 0, BLOCK_SIZE).unwrap();
+    let reads = tb.sim().counters().get("proto.iscsi.cmd.read");
+    for i in 1..128u64 {
+        let (n, got) = allocs_in(|| fs.read(fd, i * BLOCK_SIZE as u64, BLOCK_SIZE).unwrap());
+        assert_eq!(n, 1, "read {i}: only the returned Vec is allowed");
+        assert_eq!(got, [5u8; BLOCK_SIZE]);
+    }
+    assert!(
+        tb.sim().counters().get("proto.iscsi.cmd.read") >= reads + 127,
+        "every read missed the client cache"
+    );
 }
 
 /// Accepts the calls PostMark makes and does nothing; reads come back
