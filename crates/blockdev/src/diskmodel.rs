@@ -7,7 +7,7 @@
 
 use crate::{BlockDevice, BlockNo, IoCost, Result, BLOCK_SIZE};
 use simkit::units::Bytes;
-use simkit::{MetricHandle, Sim, SimDuration};
+use simkit::{MetricHandle, Sim, SimDuration, StatKey};
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
@@ -107,10 +107,16 @@ impl<D: BlockDevice> DiskModel<D> {
     /// Attaches an observability handle: every serviced request is
     /// then recorded in the `disk.<name>.service` histogram and (when
     /// tracing is enabled) as a `disk` span.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the device name is longer than a [`StatKey`] label
+    /// ([`StatKey::MAX_LABEL`] bytes), which a device of this crate
+    /// rejects when it is built.
     pub fn instrument(&self, sim: Rc<Sim>) {
         let service = sim
             .metrics()
-            .handle(&format!("disk.{}.service", self.inner.name()));
+            .handle(StatKey::new("disk").text(self.inner.name()).push("service"));
         *self.sim.borrow_mut() = Some((sim, service));
     }
 
@@ -213,6 +219,24 @@ mod tests {
 
     fn disk() -> DiskModel<MemDisk> {
         DiskModel::new(MemDisk::new("d", 100_000), DiskParams::ultra160_10k())
+    }
+
+    #[test]
+    fn the_longest_device_name_labels_its_histogram() {
+        let name = "sd-0123456789";
+        assert_eq!(name.len(), StatKey::MAX_LABEL);
+        let d = DiskModel::new(MemDisk::new(name, 8), DiskParams::ultra160_10k());
+        let sim = Rc::new(Sim::new(1));
+        d.instrument(Rc::clone(&sim));
+        d.read(0, 1, &mut [0; BLOCK_SIZE]).unwrap();
+        let service = sim.metrics().histogram("disk.sd-0123456789.service");
+        assert_eq!(service.map(|h| h.count()), Some(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "a device name holds at most 13 bytes")]
+    fn a_device_name_longer_than_a_label_is_rejected_when_built() {
+        let _ = MemDisk::new("sd-0123456789a", 8);
     }
 
     #[test]

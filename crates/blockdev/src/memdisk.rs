@@ -87,9 +87,14 @@ pub struct MemDisk {
 
 impl MemDisk {
     /// Creates a disk of `blocks` 4 KiB blocks, all initially zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `name` is longer than [`simkit::StatKey::MAX_LABEL`]
+    /// bytes.
     pub fn new(name: impl Into<String>, blocks: u64) -> Self {
         MemDisk {
-            name: name.into(),
+            name: crate::device_name(name),
             blocks,
             base: RefCell::new(None),
             data: RefCell::new(HashMap::default()),

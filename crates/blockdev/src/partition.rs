@@ -25,7 +25,8 @@ impl Partition {
     /// # Panics
     ///
     /// Panics if the slice is empty or extends past the end of
-    /// `inner`.
+    /// `inner`, or if `name` is longer than
+    /// [`simkit::StatKey::MAX_LABEL`] bytes.
     pub fn new(
         name: impl Into<String>,
         inner: Rc<dyn BlockDevice>,
@@ -39,7 +40,7 @@ impl Partition {
             "partition [{first}, {first}+{blocks}) exceeds device capacity {cap}"
         );
         Partition {
-            name: name.into(),
+            name: crate::device_name(name),
             inner,
             first,
             blocks,

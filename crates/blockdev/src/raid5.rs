@@ -31,7 +31,7 @@
 //! charges one write of each remembered block, in block order.
 
 use crate::{check_request, BlockDevice, BlockError, BlockNo, IoCost, MemDisk, Result, BLOCK_SIZE};
-use simkit::{MetricHandle, Sim, SimDuration};
+use simkit::{MetricHandle, Sim, SimDuration, StatKey};
 use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::rc::Rc;
@@ -93,8 +93,9 @@ impl Raid5 {
     ///
     /// # Panics
     ///
-    /// Panics if fewer than three members are supplied or their sizes
-    /// differ.
+    /// Panics if fewer than three members are supplied, their sizes
+    /// differ, or `name` is longer than [`simkit::StatKey::MAX_LABEL`]
+    /// bytes.
     pub fn new(
         name: impl Into<String>,
         members: Vec<Rc<dyn BlockDevice>>,
@@ -114,7 +115,8 @@ impl Raid5 {
     /// # Panics
     ///
     /// Panics if fewer than three members are supplied, their sizes
-    /// differ, or `store` is smaller than the array.
+    /// differ, `store` is smaller than the array, or `name` is longer
+    /// than [`simkit::StatKey::MAX_LABEL`] bytes.
     pub fn with_store(
         name: impl Into<String>,
         members: Vec<Rc<dyn BlockDevice>>,
@@ -137,7 +139,7 @@ impl Raid5 {
         );
         let count = members.len();
         Raid5 {
-            name: name.into(),
+            name: crate::device_name(name),
             members,
             geometry,
             failed: RefCell::new(vec![false; count]),
@@ -154,7 +156,7 @@ impl Raid5 {
     pub fn instrument(&self, sim: Rc<Sim>) {
         let parity_update = sim
             .metrics()
-            .handle(&format!("raid5.{}.parity_update", self.name));
+            .handle(StatKey::new("raid5").text(&self.name).push("parity_update"));
         *self.sim.borrow_mut() = Some((sim, parity_update));
     }
 
@@ -370,6 +372,21 @@ mod tests {
 
     fn block(fill: u8) -> Vec<u8> {
         vec![fill; BLOCK_SIZE]
+    }
+
+    #[test]
+    #[should_panic(expected = "a device name holds at most 13 bytes")]
+    fn an_array_name_longer_than_a_label_is_rejected_when_built() {
+        let ms: Vec<Rc<dyn BlockDevice>> = (0..3)
+            .map(|i| Rc::new(MemDisk::new(format!("m{i}"), 8)) as Rc<dyn BlockDevice>)
+            .collect();
+        let store = Rc::new(MemDisk::new("store", 16));
+        let _ = Raid5::with_store(
+            "raid5-0123456789",
+            ms,
+            Raid5Geometry { stripe_unit: 4 },
+            store,
+        );
     }
 
     #[test]

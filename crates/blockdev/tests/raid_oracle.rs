@@ -17,7 +17,7 @@ use blockdev::{
 };
 use proptest::prelude::*;
 use simkit::units::Bytes;
-use simkit::{Histogram, MetricHandle, Sim, SimDuration, SpanRecord};
+use simkit::{Histogram, MetricHandle, Sim, SimDuration, SpanRecord, StatKey};
 use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::rc::Rc;
@@ -41,7 +41,9 @@ impl EagerRaid5 {
     fn new(name: &str, members: Vec<Rc<dyn BlockDevice>>, sim: Rc<Sim>) -> Self {
         let n = members.len() as u64;
         let capacity = members[0].block_count() / STRIPE_UNIT * STRIPE_UNIT * (n - 1);
-        let parity_update = sim.metrics().handle(&format!("raid5.{name}.parity_update"));
+        let parity_update = sim
+            .metrics()
+            .handle(StatKey::new("raid5").text(name).push("parity_update"));
         EagerRaid5 {
             name: name.to_owned(),
             failed: RefCell::new(vec![false; members.len()]),

@@ -47,7 +47,7 @@ use crate::snapshot::SetupKey;
 use crate::sweep::{CellCtx, RunOptions, Sweep};
 use crate::table::{fmt_f, Table};
 use crate::{Protocol, TopologyConfig};
-use simkit::{Histogram, SimDuration};
+use simkit::{Histogram, SimDuration, StatKey};
 
 /// One (protocol, client-count) cell of the scaling experiment.
 #[derive(Debug, Clone, Copy)]
@@ -104,13 +104,13 @@ fn scale_cell(
     });
 
     let mut latency = vec![Histogram::new(); clients];
-    // Per-client latency series, interned once — the per-transaction
-    // path must not format a key per step.
+    // Per-client latency series, resolved once — the per-transaction
+    // path must not look a key up per step.
     let txn_metric: Vec<simkit::MetricHandle> = (0..clients)
         .map(|i| {
             tb.sim()
                 .metrics()
-                .handle(&format!("scale.{}.txn", tb.host_name(i)))
+                .handle(StatKey::new("scale").host(tb.host(i)).push("txn"))
         })
         .collect();
     let run = run_clients(&tb, files, transactions, |i, d| {

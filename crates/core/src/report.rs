@@ -11,8 +11,7 @@
 //! lines that can be diffed directly.
 
 use crate::Testbed;
-use simkit::intern::SymbolTable;
-use simkit::{json, GaugeStats, Histogram, Json};
+use simkit::{json, Counters, GaugeStats, Histogram, Json};
 use std::collections::BTreeMap;
 
 /// Per-channel wire summary copied out of a [`net::Sniffer`].
@@ -106,12 +105,9 @@ impl RunReport {
 #[derive(Debug, Default)]
 pub struct ReportBuilder {
     report: RunReport,
-    /// Counter names interned once per builder; absorbing or merging
-    /// folds values into dense slots (no per-row string allocation on
-    /// the hot path) and [`finish`](Self::finish) materializes the
-    /// sorted name map exactly as the direct fold produced it.
-    counter_ids: SymbolTable,
-    counter_slots: Vec<u64>,
+    /// Absorbed testbeds' counters, folded by key (no name is rendered
+    /// per row); [`finish`](Self::finish) renders the sorted name map.
+    counters: Counters,
 }
 
 impl ReportBuilder {
@@ -122,18 +118,8 @@ impl ReportBuilder {
                 name: name.into(),
                 ..RunReport::default()
             },
-            counter_ids: SymbolTable::new(),
-            counter_slots: Vec::new(),
+            counters: Counters::new(),
         }
-    }
-
-    /// Adds `v` to the builder's slot for counter `name`.
-    fn fold_counter(&mut self, name: &str, v: u64) {
-        let id = self.counter_ids.intern(name);
-        if self.counter_slots.len() <= id.index() {
-            self.counter_slots.resize(id.index() + 1, 0);
-        }
-        self.counter_slots[id.index()] += v;
     }
 
     /// Folds one testbed's counters, latency histograms, and CPU
@@ -146,16 +132,7 @@ impl ReportBuilder {
     /// `client.c<i>.<tag>`. A *sharded* topology (multiple servers)
     /// splits the server side per shard instead: `server.s<j>.<tag>`.
     pub fn absorb(&mut self, tb: &Testbed) {
-        let mut fold = std::mem::take(&mut self.counter_slots);
-        let ids = &self.counter_ids;
-        tb.sim().counters().for_each(|name, v| {
-            let id = ids.intern(name);
-            if fold.len() <= id.index() {
-                fold.resize(id.index() + 1, 0);
-            }
-            fold[id.index()] += v;
-        });
-        self.counter_slots = fold;
+        tb.sim().counters().for_each(|k, v| self.counters.add(k, v));
         let r = &mut self.report;
         r.runs += 1;
         r.sim_time_ns += tb.now().as_nanos();
@@ -172,7 +149,7 @@ impl ReportBuilder {
         }
         if tb.client_count() > 1 {
             for i in 0..tb.client_count() {
-                let host = tb.host_name(i);
+                let host = tb.host(i);
                 for (tag, busy) in tb.client_cpu_at(i).busy_by_tag() {
                     *r.cpu_busy_ns
                         .entry(format!("client.{host}.{tag}"))
@@ -211,17 +188,19 @@ impl ReportBuilder {
     /// driver fold fragments in cell-index order and produce output
     /// byte-identical to a sequential run.
     ///
-    /// Counters fold by interned id: each distinct name is interned
-    /// (and its `String` allocated) once per builder, and every later
-    /// fragment adds into a dense slot — merging J fragments of C
-    /// counters costs O(J·C) hash lookups but only O(C) allocations,
-    /// where the old name-keyed fold cloned every key of every
-    /// fragment.
+    /// A fragment's counters are already rendered, so they fold by
+    /// name; a name is copied only the first time it is seen, so
+    /// merging J fragments of C counters allocates O(C) strings.
     pub fn merge_report(&mut self, frag: &RunReport) {
-        for (name, v) in &frag.counters {
-            self.fold_counter(name, *v);
-        }
         let r = &mut self.report;
+        for (name, &v) in &frag.counters {
+            match r.counters.get_mut(name) {
+                Some(sum) => *sum += v,
+                None => {
+                    r.counters.insert(name.clone(), v);
+                }
+            }
+        }
         r.runs += frag.runs;
         r.sim_time_ns += frag.sim_time_ns;
         for (name, h) in &frag.histograms {
@@ -254,14 +233,13 @@ impl ReportBuilder {
         }
     }
 
-    /// The finished report, with the id-folded counters materialized
-    /// into the sorted name map.
+    /// The finished report, with the key-folded counters rendered into
+    /// the sorted name map.
     pub fn finish(self) -> RunReport {
         let mut report = self.report;
-        let slots = &self.counter_slots;
-        self.counter_ids.for_each(|id, name| {
-            *report.counters.entry(name.to_string()).or_insert(0) += slots[id.index()];
-        });
+        for (name, v) in self.counters.to_vec() {
+            *report.counters.entry(name).or_insert(0) += v;
+        }
         report
     }
 }

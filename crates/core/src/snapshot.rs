@@ -32,7 +32,7 @@
 use crate::testbed::{Protocol, Testbed, TestbedConfig, TopologyConfig};
 use blockdev::DiskImage;
 use net::TransportModel;
-use simkit::{SimDuration, SimTime};
+use simkit::{SimDuration, SimTime, StatKey};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -140,15 +140,16 @@ pub struct SetupInfo {
     /// Virtual time consumed by the setup, through quiesce.
     pub elapsed: SimDuration,
     /// Counter totals at capture (setup-phase traffic).
-    counters: Vec<(String, u64)>,
+    counters: Vec<(StatKey, u64)>,
 }
 
 impl SetupInfo {
-    /// Value of a named counter at capture time (0 if absent).
-    pub(crate) fn counter(&self, name: &str) -> u64 {
+    /// Value of counter `key` at capture time (0 if absent).
+    pub(crate) fn counter(&self, key: impl Into<StatKey>) -> u64 {
+        let key = key.into();
         self.counters
             .iter()
-            .find(|(n, _)| n == name)
+            .find(|(k, _)| *k == key)
             .map_or(0, |&(_, v)| v)
     }
 }

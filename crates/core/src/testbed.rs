@@ -32,7 +32,7 @@ use net::{Fabric, LinkParams};
 use nfs::{Enhancements, NfsClient, NfsConfig, NfsServer, Version};
 use rpc::{RpcClient, RpcConfig};
 use simkit::units::Bytes;
-use simkit::{GaugeSampler, HostId, Sim, SimDuration, SimTime};
+use simkit::{GaugeSampler, HostId, Sim, SimDuration, SimTime, StatKey};
 use std::cell::Cell;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -235,9 +235,9 @@ impl TopologyConfig {
     }
 }
 
-/// One client host of the topology: its name, CPU account and mount.
+/// One client host of the topology: its id, CPU account and mount.
 struct ClientHost {
-    name: String,
+    host: HostId,
     cpu: Rc<CpuAccount>,
     kind: MountKind,
 }
@@ -279,7 +279,7 @@ pub(crate) struct CapturedParts {
     /// One image of each server's RAID-5 store (server 0's first).
     pub images: Vec<Arc<DiskImage>>,
     pub epoch: SimTime,
-    pub counters: Vec<(String, u64)>,
+    pub counters: Vec<(StatKey, u64)>,
 }
 
 enum MountKind {
@@ -440,14 +440,13 @@ impl Testbed {
 
         let clients: Vec<ClientHost> = (0..n)
             .map(|i| {
-                let name = format!("c{i}");
                 let host = HostId::client(i as u32);
                 let port = ports[i];
                 let cpu = Rc::new(CpuAccount::new());
                 cpu.instrument(sim.clone(), host);
                 // The pair's endpoint is unnamed, so it has no per-host
                 // `net.c0.*` counters.
-                let link = fabric.host_on((n > 1).then_some(name.as_str()), port as usize);
+                let link = fabric.host_on((n > 1).then_some(host), port as usize);
                 let kind = match version {
                     Some(version) => {
                         let cfg = Self::nfs_config(&config, version, i as u32);
@@ -488,7 +487,7 @@ impl Testbed {
                         }
                     }
                 };
-                ClientHost { name, cpu, kind }
+                ClientHost { host, cpu, kind }
             })
             .collect();
 
@@ -740,7 +739,8 @@ impl Testbed {
             }
         }
         let epoch = self.sim.now();
-        let counters = self.sim.counters().to_vec();
+        let mut counters = Vec::new();
+        self.sim.counters().for_each(|k, v| counters.push((k, v)));
         let images = self.stores.iter().map(|s| Arc::new(s.image())).collect();
         let clients = self.clients.len();
         let servers = self.server_cpus.len();
@@ -814,10 +814,10 @@ impl Testbed {
         self.clients.len()
     }
 
-    /// Host name of client `i` (`c<i>`): the prefix of its per-host
+    /// Host of client `i` (`c<i>`): the prefix of its per-host
     /// counters (`net.<host>.<label>.*`) in multi-client topologies.
-    pub(crate) fn host_name(&self, i: usize) -> &str {
-        &self.clients[i].name
+    pub(crate) fn host(&self, i: usize) -> HostId {
+        self.clients[i].host
     }
 
     /// The simulation context.

@@ -298,10 +298,10 @@ impl BufferCache {
             .collect()
     }
 
-    /// The first `limit` dirty-data blocks, in block order (the
-    /// write-back path's working set).
-    pub(crate) fn dirty_data_prefix(&self, limit: usize) -> Vec<BlockNo> {
-        self.dirty_data.iter().copied().take(limit).collect()
+    /// Appends the first `limit` dirty-data blocks, in block order (the
+    /// write-back path's working set), to `out`.
+    pub(crate) fn dirty_data_prefix(&self, limit: usize, out: &mut Vec<BlockNo>) {
+        out.extend(self.dirty_data.iter().copied().take(limit));
     }
 
     /// Count of dirty blocks of the given kind.

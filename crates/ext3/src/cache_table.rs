@@ -166,8 +166,8 @@ mod reference {
                 .collect()
         }
 
-        pub(super) fn dirty_data_prefix(&self, limit: usize) -> Vec<BlockNo> {
-            self.dirty_data.iter().copied().take(limit).collect()
+        pub(super) fn dirty_data_prefix(&self, limit: usize, out: &mut Vec<BlockNo>) {
+            out.extend(self.dirty_data.iter().copied().take(limit));
         }
 
         pub(super) fn dirty_count(&self, kind: DirtyKind) -> usize {
@@ -339,10 +339,12 @@ fn step(table: &mut BufferCache, reference: &mut RefCache, op: &Op) -> Result<()
         Op::DirtyKindOf(b) => prop_assert_eq!(table.dirty_kind(b), reference.dirty_kind(b)),
         Op::DirtyBlocks(k) => prop_assert_eq!(table.dirty_blocks(k), reference.dirty_blocks(k)),
         Op::DirtyCount(k) => prop_assert_eq!(table.dirty_count(k), reference.dirty_count(k)),
-        Op::DirtyPrefix(n) => prop_assert_eq!(
-            table.dirty_data_prefix(n as usize),
-            reference.dirty_data_prefix(n as usize)
-        ),
+        Op::DirtyPrefix(n) => {
+            let (mut got, mut want) = (vec![1], vec![1]);
+            table.dirty_data_prefix(n as usize, &mut got);
+            reference.dirty_data_prefix(n as usize, &mut want);
+            prop_assert_eq!(got, want)
+        }
     }
     prop_assert_eq!(table.len(), reference.len());
     prop_assert_eq!(table.is_empty(), reference.is_empty());

@@ -623,9 +623,9 @@ impl Ext3 {
 }
 
 impl Inner {
-    /// Bumps `op`'s counter through its handle. The name is interned
-    /// on the first bump, not at mount, so an operation that never ran
-    /// leaves no zero row in any report.
+    /// Bumps `op`'s counter through its handle. The counter is
+    /// registered on the first bump, not at mount, so an operation that
+    /// never ran leaves no zero row in any report.
     pub(crate) fn count(&self, op: Op) {
         self.op_counters[op as usize]
             .get_or_init(|| self.sim.counters().handle(op.counter_name()))
@@ -884,7 +884,7 @@ pub(crate) fn group_of_ino(ino: Ino) -> u32 {
 thread_local! {
     /// Gather buffers of finished device commands, awaiting reuse.
     static GATHER: RefCell<Vec<Vec<u8>>> = const { RefCell::new(Vec::new()) };
-    /// Block lists of finished `fsync`s, awaiting reuse.
+    /// Block lists of finished `fsync`s and write-backs, awaiting reuse.
     static BLOCK_LISTS: RefCell<Vec<Vec<BlockNo>>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -899,7 +899,8 @@ pub(crate) struct Pooled<T: 'static>(Vec<T>, &'static LocalKey<RefCell<Vec<Vec<T
 /// write-back run, a journal commit, a checkpoint run) is assembled.
 pub(crate) type Gather = Pooled<u8>;
 
-/// The blocks one `fsync` writes back, gathered before the runs are.
+/// The blocks one `fsync` or data write-back writes, gathered before
+/// the runs are.
 pub(crate) type BlockList = Pooled<BlockNo>;
 
 impl Gather {
@@ -1063,11 +1064,12 @@ pub(crate) fn checkpoint(inner: &Inner, st: &mut State) -> FsResult<()> {
 ///
 /// The first run's device error, after the remaining runs were tried.
 pub(crate) fn flush_data(inner: &Inner, st: &mut State, limit: usize) -> FsResult<()> {
-    let dirty = st.cache.dirty_data_prefix(limit);
+    let mut dirty = BlockList::take();
+    st.cache.dirty_data_prefix(limit, &mut dirty);
     if dirty.is_empty() {
         return Ok(());
     }
-    let runs = merge_runs(dirty);
+    let runs = merge_runs(dirty.iter().copied());
     let mut cleaned = 0usize;
     let mut result = Ok(());
     for (start, len) in runs {

@@ -48,7 +48,7 @@ use blockdev::{BlockDevice, BlockError, BlockNo, IoCost, Result as BlockResult, 
 use net::Channel;
 use scsi::{Cdb, ScsiStatus, ScsiTarget, SenseKey};
 use simkit::units::Bytes;
-use simkit::{CounterHandle, MetricHandle};
+use simkit::{CounterHandle, MetricHandle, StatKey};
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -275,7 +275,8 @@ impl Initiator {
         for stage in ["security", "operational"] {
             let d = self.chan.round_trip(Bytes::new(512), Bytes::new(512));
             sim.counters().incr("proto.iscsi.txns");
-            sim.counters().incr(&format!("proto.iscsi.login.{stage}"));
+            sim.counters()
+                .incr(StatKey::new("proto.iscsi.login").push(stage));
             sim.advance(d);
         }
         Ok(RemoteDisk {
@@ -359,8 +360,10 @@ impl RemoteDisk {
         }
         let sim = self.chan.network().sim().clone();
         let h = CmdHandles {
-            count: sim.counters().handle(&format!("proto.iscsi.cmd.{op}")),
-            latency: sim.metrics().handle(&format!("iscsi.cdb.{op}")),
+            count: sim
+                .counters()
+                .handle(StatKey::new("proto.iscsi.cmd").push(op)),
+            latency: sim.metrics().handle(StatKey::new("iscsi.cdb").push(op)),
         };
         self.cmds.borrow_mut().insert(op, h.clone());
         h

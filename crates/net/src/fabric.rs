@@ -5,8 +5,9 @@
 use crate::tcp::TcpLink;
 use crate::{LinkParams, Network, Sniffer};
 use simkit::units::Bps;
-use simkit::Sim;
+use simkit::{HostId, Sim};
 use std::cell::{Cell, RefCell};
+use std::fmt::{self, Write as _};
 use std::rc::Rc;
 
 /// One port's edge link: hosts actively contending for a link of
@@ -73,12 +74,12 @@ pub(crate) struct Port {
 /// reads them from there. [`Fabric::attach_sniffer`] likewise reaches
 /// every endpoint, present and future.
 ///
-/// Counter layering: the host name is data. A channel opened on the
-/// endpoint named `c1` with label `nfs` bumps `net.c1.nfs.msgs` /
+/// Counter layering: the host is data. A channel opened on the
+/// endpoint of host `c1` with label `nfs` bumps `net.c1.nfs.msgs` /
 /// `net.c1.nfs.bytes` *in addition to* the per-label names
 /// (`net.nfs.*`) and the grand totals (`net.total.*`); an unnamed
 /// endpoint registers only the latter two. Endpoints carry no identity
-/// beyond their name and port, so asking for the same host twice gives
+/// beyond their host and port, so asking for the same host twice gives
 /// two handles that account under the same names and share the port.
 ///
 /// Contention model: a server NIC serializes at its edge `bandwidth_bps`
@@ -164,13 +165,24 @@ impl Fabric {
         self.ports.borrow()[port].share.set_active(n);
     }
 
-    /// An endpoint named `name` on port 0.
+    /// The endpoint of client `c<i>`, named `name`, on port 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `name` is a client host's name as [`HostId`]
+    /// displays it: `c` and an index with no sign or leading zero.
     pub fn host(self: &Rc<Self>, name: &str) -> Rc<Network> {
-        self.host_on(Some(name), 0)
+        let host = name
+            .strip_prefix('c')
+            .and_then(|i| i.parse().ok())
+            .map(HostId::client)
+            .filter(|&h| displays_as(h, name))
+            .unwrap_or_else(|| panic!("a host name is c<index>, not {name:?}"));
+        self.host_on(Some(host), 0)
     }
 
-    /// An endpoint attached to server port `port`. `Some(name)` makes
-    /// its channels also account under `net.<name>.<label>.*`; `None`
+    /// An endpoint attached to server port `port`. `Some(host)` makes
+    /// its channels also account under `net.<host>.<label>.*`; `None`
     /// registers only the per-label and total names (the paper's
     /// point-to-point pair). The endpoint shares the port's edge
     /// bandwidth with the port's other hosts.
@@ -178,11 +190,11 @@ impl Fabric {
     /// # Panics
     ///
     /// Panics if `port` is out of bounds.
-    pub fn host_on(self: &Rc<Self>, name: Option<&str>, port: usize) -> Rc<Network> {
+    pub fn host_on(self: &Rc<Self>, host: Option<HostId>, port: usize) -> Rc<Network> {
         Rc::new(Network {
             fabric: Rc::clone(self),
             port: Rc::clone(&self.ports.borrow()[port]),
-            host: name.map(str::to_string),
+            host,
         })
     }
 
@@ -194,11 +206,25 @@ impl Fabric {
     }
 }
 
+/// Whether `host` displays as `name`, checked without allocating.
+fn displays_as(host: HostId, name: &str) -> bool {
+    struct Rest<'a>(&'a str);
+    impl fmt::Write for Rest<'_> {
+        fn write_str(&mut self, s: &str) -> fmt::Result {
+            self.0 = self.0.strip_prefix(s).ok_or(fmt::Error)?;
+            Ok(())
+        }
+    }
+    let mut rest = Rest(name);
+    write!(rest, "{host}").is_ok() && rest.0.is_empty()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::Transport;
     use simkit::Bytes;
+    use std::panic::AssertUnwindSafe;
 
     fn b(n: u64) -> Bytes {
         Bytes::new(n)
@@ -213,19 +239,33 @@ mod tests {
     #[test]
     fn the_host_name_is_the_only_counter_difference() {
         // Every counter name one round trip registers, in order.
-        let registered = |host: Option<&str>| {
+        let registered = |host: Option<HostId>| {
             let (sim, fabric) = setup();
             let ch = fabric.host_on(host, 0).channel("rpc", Transport::Tcp);
             ch.round_trip(b(1), b(1));
             let mut names = Vec::new();
-            sim.counters().for_each(|n, _| names.push(n.to_string()));
+            sim.counters().for_each(|k, _| names.push(k.to_string()));
             names
         };
         let pair = ["net.rpc.msgs", "net.rpc.bytes", "net.total.msgs"];
         let pair = [&pair[..], &["net.total.bytes"]].concat();
         assert_eq!(registered(None), pair);
         let named = [&pair[..], &["net.c0.rpc.msgs", "net.c0.rpc.bytes"]].concat();
-        assert_eq!(registered(Some("c0")), named);
+        assert_eq!(registered(Some(HostId::client(0))), named);
+    }
+
+    #[test]
+    fn a_host_name_must_display_as_itself() {
+        let (sim, fabric) = setup();
+        fabric
+            .host("c731")
+            .channel("rpc", Transport::Tcp)
+            .send(b(1));
+        assert_eq!(sim.counters().get("net.c731.rpc.msgs"), 1);
+        for name in ["c07", "c+5", "c", "s1", "server", "c70000", "c7 "] {
+            let host = std::panic::catch_unwind(AssertUnwindSafe(|| fabric.host(name)));
+            assert!(host.is_err(), "{name:?} is not a client host's name");
+        }
     }
 
     #[test]
@@ -339,8 +379,8 @@ mod tests {
         let sim = Sim::new(3);
         let fabric = Fabric::new(sim, LinkParams::gigabit_lan());
         let p1 = fabric.add_port();
-        let a = fabric.host_on(Some("c0"), 0);
-        let b = fabric.host_on(Some("c1"), p1);
+        let a = fabric.host_on(Some(HostId::client(0)), 0);
+        let b = fabric.host_on(Some(HostId::client(1)), p1);
         fabric.set_port_active(0, 4);
         assert_eq!(
             a.params().bandwidth_bps,
@@ -359,9 +399,9 @@ mod tests {
         let sim = Sim::new(3);
         let fabric = Fabric::new(sim, LinkParams::gigabit_lan());
         let p1 = fabric.add_port();
-        let a = fabric.host_on(Some("c0"), 0);
-        let b = fabric.host_on(Some("c1"), 0);
-        let c = fabric.host_on(Some("c2"), p1);
+        let a = fabric.host_on(Some(HostId::client(0)), 0);
+        let b = fabric.host_on(Some(HostId::client(1)), 0);
+        let c = fabric.host_on(Some(HostId::client(2)), p1);
         assert!(Rc::ptr_eq(&a.port.tcp_link, &b.port.tcp_link));
         assert!(!Rc::ptr_eq(&a.port.tcp_link, &c.port.tcp_link));
     }
@@ -381,6 +421,6 @@ mod tests {
         let sim = Sim::new(3);
         let fabric = Fabric::new(sim, LinkParams::gigabit_lan());
         fabric.add_port();
-        let _ = fabric.host_on(Some("c0"), 2);
+        let _ = fabric.host_on(Some(HostId::client(0)), 2);
     }
 }

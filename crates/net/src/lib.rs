@@ -44,7 +44,7 @@ pub use sniffer::{PacketRecord, SegKind, Sniffer};
 pub use tcp::{Direction, TcpEndpoint, TcpLink, Transfer, TransportModel, MSS};
 
 use simkit::units::{self, Bps, Bytes};
-use simkit::{Sim, SimDuration};
+use simkit::{HostId, Sim, SimDuration, StatKey};
 use std::rc::Rc;
 
 /// Transport used by a channel. The distinction matters for the RPC
@@ -122,8 +122,8 @@ impl LinkParams {
 
 /// One host's end of a [`Fabric`] port: the link its channels time and
 /// account against. Link parameters live in the fabric, contention
-/// state in the port; the endpoint itself holds only its counter
-/// prefix. Built by [`Fabric::host_on`] (or [`Network::new`]).
+/// state in the port; the endpoint itself holds only its host, the
+/// counter prefix. Built by [`Fabric::host_on`] (or [`Network::new`]).
 #[derive(Debug)]
 pub struct Network {
     fabric: Rc<Fabric>,
@@ -131,7 +131,7 @@ pub struct Network {
     /// `Some(host)`: channels also account under
     /// `net.<host>.<label>.*`. `None`: the paper's unnamed pair, which
     /// registers only the per-label and total names.
-    host: Option<String>,
+    host: Option<HostId>,
 }
 
 impl Network {
@@ -159,7 +159,7 @@ impl Network {
 
     /// Opens an accounting channel. The label appears in counter names
     /// (`net.<label>.msgs`, `net.<label>.bytes`).
-    pub fn channel(self: &Rc<Self>, label: impl Into<String>, transport: Transport) -> Channel {
+    pub fn channel(self: &Rc<Self>, label: &'static str, transport: Transport) -> Channel {
         self.channel_flows(label, transport, None)
     }
 
@@ -171,25 +171,26 @@ impl Network {
     /// [`TransportModel::Pipe`].
     pub fn channel_flows(
         self: &Rc<Self>,
-        label: impl Into<String>,
+        label: &'static str,
         transport: Transport,
         flows: Option<u32>,
     ) -> Channel {
-        let label = label.into();
         let c = self.sim().counters();
-        // Counter names are formatted once here; the per-message path
-        // (`account`) only bumps the resolved handles.
-        let msgs = c.handle(&format!("net.{label}.msgs"));
-        let bytes = c.handle(&format!("net.{label}.bytes"));
+        // Counters are resolved once here; the per-message path
+        // (`account`) only bumps the handles.
+        let net = StatKey::new("net");
+        let msgs = c.handle(net.push(label).push("msgs"));
+        let bytes = c.handle(net.push(label).push("bytes"));
         let total_msgs = c.handle("net.total.msgs");
         let total_bytes = c.handle("net.total.bytes");
         // Named endpoints additionally account per host, layered over
         // the per-label and grand totals. The unnamed pair registers no
         // extra names, keeping single-client reports byte-identical.
-        let host = self.host.as_ref().map(|h| {
+        let host = self.host.map(|h| {
+            let per_host = net.host(h).push(label);
             (
-                c.handle(&format!("net.{h}.{label}.msgs")),
-                c.handle(&format!("net.{h}.{label}.bytes")),
+                c.handle(per_host.push("msgs")),
+                c.handle(per_host.push("bytes")),
             )
         });
         // Under the TCP model, stream-transport channels get their own
@@ -212,7 +213,6 @@ impl Network {
             total_bytes,
             host,
             tcp,
-            retx: Default::default(),
         }
     }
 }
@@ -221,7 +221,7 @@ impl Network {
 #[derive(Debug, Clone)]
 pub struct Channel {
     net: Rc<Network>,
-    label: String,
+    label: &'static str,
     transport: Transport,
     msgs: simkit::CounterHandle,
     bytes: simkit::CounterHandle,
@@ -232,17 +232,12 @@ pub struct Channel {
     /// Congestion-modeled flows when the link selects
     /// [`TransportModel::Tcp`] and this channel is stream transport.
     tcp: Option<Rc<TcpEndpoint>>,
-    /// Lazily-interned `(net.tcp.retx_segs, net.<label>.retx_segs)`
-    /// ids: retransmit counters must not exist until the first actual
-    /// retransmit (reports list every created name), and once they do,
-    /// per-transfer accounting must not re-format the key.
-    retx: std::cell::RefCell<Option<(simkit::KeyId, simkit::KeyId)>>,
 }
 
 impl Channel {
     /// The channel's accounting label.
-    pub fn label(&self) -> &str {
-        &self.label
+    pub fn label(&self) -> &'static str {
+        self.label
     }
 
     /// The network this channel runs over.
@@ -265,7 +260,7 @@ impl Channel {
     fn account(&self, payload: Bytes) {
         let fabric = &self.net.fabric;
         if let Some(s) = fabric.sniffer.borrow().as_ref() {
-            s.observe(fabric.sim.now(), &self.label, payload);
+            s.observe(fabric.sim.now(), self.label, payload);
         }
         let wire = payload + self.transport.header_bytes();
         self.msgs.incr();
@@ -293,15 +288,14 @@ impl Channel {
         let sim = self.net.sim();
         if t.retrans_segments > 0 {
             self.account_extra_bytes(t.retrans_bytes);
+            // Retransmit counters exist only once a segment is resent
+            // (reports list every created series).
             let c = sim.counters();
-            let (total, per_label) = *self.retx.borrow_mut().get_or_insert_with(|| {
-                (
-                    c.id("net.tcp.retx_segs"),
-                    c.id(&format!("net.{}.retx_segs", self.label)),
-                )
-            });
-            c.add_id(total, t.retrans_segments);
-            c.add_id(per_label, t.retrans_segments);
+            c.add("net.tcp.retx_segs", t.retrans_segments);
+            c.add(
+                StatKey::new("net").push(self.label).push("retx_segs"),
+                t.retrans_segments,
+            );
         }
         if t.dup_acks > 0 {
             sim.counters().add("net.tcp.dup_acks", t.dup_acks);
@@ -309,10 +303,10 @@ impl Channel {
         if let Some(s) = self.net.fabric.sniffer.borrow().as_ref() {
             let now = sim.now();
             for _ in 0..t.retrans_segments {
-                s.observe_kind(now, &self.label, Bytes::new(tcp::MSS), SegKind::Retransmit);
+                s.observe_kind(now, self.label, Bytes::new(tcp::MSS), SegKind::Retransmit);
             }
             for _ in 0..t.dup_acks {
-                s.observe_kind(now, &self.label, Bytes::ZERO, SegKind::DupAck);
+                s.observe_kind(now, self.label, Bytes::ZERO, SegKind::DupAck);
             }
         }
     }

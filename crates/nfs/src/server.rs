@@ -11,6 +11,7 @@ use crate::{ClientId, Fh};
 use cpu::{CostModel, CpuAccount};
 use ext3::{Attr, DirEntry, Ext3, FsResult, SetAttr};
 use simkit::units::Bytes;
+use simkit::{HostId, StatKey};
 use std::rc::Rc;
 
 /// Layer traversals a server buffer-cache miss adds to a procedure: a
@@ -26,13 +27,6 @@ pub struct NfsServer {
     /// procedure counters are only emitted once more than one client
     /// is registered, so single-client runs register no extra names.
     clients: std::cell::Cell<u32>,
-    /// Interned `nfs.server.proc.<p>` counter ids, filled on each
-    /// procedure's first call so the per-RPC path stops formatting
-    /// keys. Lookup-only maps (never iterated — rule D2, which clippy
-    /// enforces).
-    procs: std::cell::RefCell<std::collections::HashMap<&'static str, simkit::KeyId>>,
-    /// Interned `nfs.server.c<i>.<p>` ids, keyed `(client, proc)`.
-    client_procs: std::cell::RefCell<std::collections::HashMap<(u32, &'static str), simkit::KeyId>>,
 }
 
 impl std::fmt::Debug for NfsServer {
@@ -49,8 +43,6 @@ impl NfsServer {
             cpu,
             cost,
             clients: std::cell::Cell::new(0),
-            procs: Default::default(),
-            client_procs: Default::default(),
         }
     }
 
@@ -90,19 +82,12 @@ impl NfsServer {
     ) -> FsResult<T> {
         let sim = self.fs.sim().clone();
         let counters = sim.counters();
-        let pid = *self
-            .procs
-            .borrow_mut()
-            .entry(proc_name)
-            .or_insert_with(|| counters.id(&format!("nfs.server.proc.{proc_name}")));
-        counters.add_id(pid, 1);
+        // Typed keys: the per-RPC path formats and allocates nothing
+        // once a series exists.
+        let server = StatKey::new("nfs.server");
+        counters.incr(server.push("proc").push(proc_name));
         if self.clients.get() > 1 {
-            let cid = *self
-                .client_procs
-                .borrow_mut()
-                .entry((who.0, proc_name))
-                .or_insert_with(|| counters.id(&format!("nfs.server.{who}.{proc_name}")));
-            counters.add_id(cid, 1);
+            counters.incr(server.host(HostId::client(who.0)).push(proc_name));
         }
         let c = self.cost.nfs_request(bytes);
         self.cpu.charge_tagged(sim.now(), c, "nfs.server");

@@ -41,10 +41,9 @@ pub mod wire;
 
 use net::Channel;
 use simkit::units::{self, Bytes};
-use simkit::{CounterHandle, MetricHandle, Sim, SimDuration};
+use simkit::{CounterHandle, MetricHandle, Sim, SimDuration, StatKey};
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
-use std::fmt::Write;
 use std::rc::Rc;
 
 /// Floor of the adaptive RTO. Linux 2.4's RPC engine is tick-based
@@ -121,9 +120,9 @@ impl RpcClient {
     /// Creates a client over `chan`.
     pub fn new(chan: Channel, _config: RpcConfig) -> Self {
         let sim = chan.network().sim().clone();
-        let label = chan.label();
-        let txns = sim.counters().handle(&format!("proto.{label}.txns"));
-        let retrans = sim.counters().handle(&format!("proto.{label}.retrans"));
+        let proto = StatKey::new("proto").push(chan.label());
+        let txns = sim.counters().handle(proto.push("txns"));
+        let retrans = sim.counters().handle(proto.push("retrans"));
         RpcClient {
             chan,
             srtt: Cell::new(SimDuration::ZERO),
@@ -133,21 +132,22 @@ impl RpcClient {
         }
     }
 
-    /// Handles for `proc_name`, formatted and registered on first use.
+    /// Handles for `proc_name`, registered on first use.
     fn proc_handles(&self, proc_name: &'static str) -> ProcHandles {
         if let Some(h) = self.procs.borrow().get(proc_name) {
             return h.clone();
         }
         let sim = self.sim();
         let label = self.chan.label();
-        // Both names are formatted into one buffer, sized for the
-        // longer one.
-        let mut name = String::with_capacity(label.len() + proc_name.len() + 12);
-        let _ = write!(name, "proto.{label}.call.{proc_name}");
-        let calls = sim.counters().handle(&name);
-        name.clear();
-        let _ = write!(name, "rpc.{label}.{proc_name}");
-        let latency = sim.metrics().handle(&name);
+        let calls = sim.counters().handle(
+            StatKey::new("proto")
+                .push(label)
+                .push("call")
+                .push(proc_name),
+        );
+        let latency = sim
+            .metrics()
+            .handle(StatKey::new("rpc").push(label).push(proc_name));
         let h = ProcHandles { calls, latency };
         self.procs.borrow_mut().insert(proc_name, h.clone());
         h

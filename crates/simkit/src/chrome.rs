@@ -44,7 +44,7 @@ pub fn export(tracer: &Tracer) -> String {
     for (pid_n, (host, layers)) in hosts.iter().enumerate() {
         let pid = pid_n as u64 + 1;
         pid_of.insert(*host, pid);
-        let hname = crate::trace::HostId(*host).label();
+        let hname = crate::trace::HostId(*host).to_string();
         events.push(name_event("process_name", pid, 0, &hname));
         for (tid_n, layer) in layers.iter().enumerate() {
             let tid = tid_n as u64 + 1;

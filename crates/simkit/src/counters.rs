@@ -1,27 +1,25 @@
-//! Named monotonic counters for message/byte accounting.
+//! Monotonic counters for message/byte accounting.
 //!
 //! Counters are the raw data behind every message-count column in the
 //! paper's tables: protocol layers bump counters as they exchange
 //! messages, and the experiment harness snapshots/deltas them around
 //! each measured operation.
 //!
-//! Names are interned (see [`crate::intern`]): each distinct name is
-//! assigned a dense [`KeyId`] once, values live in a `Vec` indexed by
-//! id, and the string map is only materialized — in name order, so
-//! report bytes never depend on intern order — at snapshot/report
-//! time.
+//! Series are named by typed [`StatKey`]s:
+//! values live in dense slots, and a dotted name is rendered — in name
+//! order, so report bytes never depend on registration order — only
+//! when a listing asks for it.
 
-use crate::intern::{KeyId, SymbolTable};
-use std::cell::{Cell, RefCell};
-use std::rc::Rc;
+use crate::stat::{Chunk, Slots, StatKey};
+use std::cell::Cell;
 
-/// A set of named monotonic `u64` counters.
+/// A set of monotonic `u64` counters, one per [`StatKey`].
 ///
 /// Hot paths should obtain a [`CounterHandle`] once (at wiring time)
 /// and bump it directly — a handle add is a single `Cell` store with
-/// no map lookup, no string formatting, and no allocation. Paths that
-/// keep a dynamic name can pre-intern it with [`Counters::id`] and use
-/// [`Counters::add_id`], which is a bare `Vec` index.
+/// no lookup, no string formatting, and no allocation. An add by key
+/// hashes the key's rendered name and allocates nothing once the
+/// series exists.
 ///
 /// # Example
 ///
@@ -36,11 +34,10 @@ use std::rc::Rc;
 /// ```
 #[derive(Debug, Default)]
 pub struct Counters {
-    table: SymbolTable,
-    slots: RefCell<Vec<Rc<Cell<u64>>>>,
+    slots: Slots<Cell<u64>>,
 }
 
-/// A live reference to one named counter.
+/// A live reference to one counter.
 ///
 /// Handles stay valid across [`Counters::reset`] (reset zeroes the
 /// shared cell in place), so components wired before a measurement
@@ -56,13 +53,27 @@ pub struct Counters {
 /// h.add(4);
 /// assert_eq!(c.get("net.msgs"), 5);
 /// ```
-#[derive(Debug, Clone)]
-pub struct CounterHandle(Rc<Cell<u64>>);
+#[derive(Clone)]
+pub struct CounterHandle {
+    chunk: Chunk<Cell<u64>>,
+    at: u32,
+}
+
+impl std::fmt::Debug for CounterHandle {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "CounterHandle({})", self.get())
+    }
+}
 
 impl CounterHandle {
+    fn cell(&self) -> &Cell<u64> {
+        &self.chunk[self.at as usize].value
+    }
+
     /// Adds `n` to the counter.
     pub fn add(&self, n: u64) {
-        self.0.set(self.0.get() + n);
+        let c = self.cell();
+        c.set(c.get() + n);
     }
 
     /// Increments the counter by one.
@@ -72,26 +83,20 @@ impl CounterHandle {
 
     /// Current value.
     pub fn get(&self) -> u64 {
-        self.0.get()
+        self.cell().get()
     }
 }
 
 /// A point-in-time copy of all counters, used to compute per-operation
 /// deltas.
 ///
-/// Values are stored positionally by [`KeyId`], so a snapshot is only
+/// Values are stored positionally by slot, so a snapshot is only
 /// meaningful against the [`Counters`] it was taken from (which is how
-/// every caller uses it — the ids of a different registry would not
+/// every caller uses it — the slots of a different registry would not
 /// line up).
 #[derive(Debug, Clone, Default)]
 pub struct CounterSnapshot {
     values: Vec<u64>,
-}
-
-impl CounterSnapshot {
-    fn value_of(&self, id: KeyId) -> u64 {
-        self.values.get(id.index()).copied().unwrap_or(0)
-    }
 }
 
 impl Counters {
@@ -100,110 +105,79 @@ impl Counters {
         Counters::default()
     }
 
-    /// Interns `name` and returns its dense id, creating the counter
-    /// at zero if absent. The id stays valid for the life of this
-    /// registry (including across [`reset`](Counters::reset)).
-    pub fn id(&self, name: &str) -> KeyId {
-        let id = self.table.intern(name);
-        let mut slots = self.slots.borrow_mut();
-        while slots.len() <= id.index() {
-            slots.push(Rc::new(Cell::new(0)));
-        }
-        id
+    fn value(&self, slot: u32) -> u64 {
+        self.slots.with_entry(slot, |e| e.value.get())
     }
 
-    /// Adds `n` to the counter behind `id`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` was not issued by this registry's
-    /// [`id`](Counters::id)/[`handle`](Counters::handle) calls.
-    pub fn add_id(&self, id: KeyId, n: u64) {
-        let slots = self.slots.borrow();
-        let c = &slots[id.index()];
-        c.set(c.get() + n);
+    /// Adds `n` to counter `key`, creating it at zero if absent.
+    pub fn add(&self, key: impl Into<StatKey>, n: u64) {
+        let slot = self.slots.slot(key.into());
+        self.slots
+            .with_entry(slot, |e| e.value.set(e.value.get() + n));
     }
 
-    /// Current value of the counter behind `id`.
-    pub(crate) fn get_id(&self, id: KeyId) -> u64 {
-        self.slots.borrow()[id.index()].get()
+    /// Increments counter `key` by one.
+    pub fn incr(&self, key: impl Into<StatKey>) {
+        self.add(key, 1);
     }
 
-    /// Adds `n` to counter `name`, creating it at zero if absent.
-    pub fn add(&self, name: &str, n: u64) {
-        match self.table.lookup(name) {
-            Some(id) => self.add_id(id, n),
-            None => self.add_id(self.id(name), n),
-        }
-    }
-
-    /// Increments counter `name` by one.
-    pub fn incr(&self, name: &str) {
-        self.add(name, 1);
-    }
-
-    /// Returns a live handle to counter `name`, creating it at zero if
+    /// Returns a live handle to counter `key`, creating it at zero if
     /// absent. See [`CounterHandle`].
-    pub fn handle(&self, name: &str) -> CounterHandle {
-        let id = self.id(name);
-        CounterHandle(Rc::clone(&self.slots.borrow()[id.index()]))
+    pub fn handle(&self, key: impl Into<StatKey>) -> CounterHandle {
+        let (chunk, at) = self.slots.chunk_of(self.slots.slot(key.into()));
+        CounterHandle { chunk, at }
     }
 
-    /// Current value of counter `name` (zero if never touched; does
-    /// not create the counter).
+    /// Current value of the counter named `name` (zero if never
+    /// touched; does not create the counter, allocates nothing).
     pub fn get(&self, name: &str) -> u64 {
-        self.table.lookup(name).map_or(0, |id| self.get_id(id))
+        self.slots.lookup_name(name).map_or(0, |s| self.value(s))
     }
 
     /// Copies all counters for later delta computation.
     pub fn snapshot(&self) -> CounterSnapshot {
-        CounterSnapshot {
-            values: self.slots.borrow().iter().map(|c| c.get()).collect(),
-        }
+        let mut values = Vec::with_capacity(self.slots.len() as usize);
+        self.slots.for_each(|_, v| values.push(v.get()));
+        CounterSnapshot { values }
     }
 
-    /// Growth of counter `name` since `snap` was taken. Saturates at
-    /// zero if the counter shrank (e.g. a `reset()` after the
-    /// snapshot) rather than panicking on u64 underflow.
+    /// Growth of the counter named `name` since `snap` was taken.
+    /// Saturates at zero if the counter shrank (e.g. a `reset()` after
+    /// the snapshot) rather than panicking on u64 underflow.
     pub fn delta_since(&self, snap: &CounterSnapshot, name: &str) -> u64 {
-        match self.table.lookup(name) {
-            Some(id) => self.get_id(id).saturating_sub(snap.value_of(id)),
-            None => 0,
-        }
+        self.slots.lookup_name(name).map_or(0, |s| {
+            let then = snap.values.get(s as usize).copied().unwrap_or(0);
+            self.value(s).saturating_sub(then)
+        })
     }
 
-    /// Visits every `(name, value)` pair in id (first-intern) order
-    /// without materializing owned strings — the allocation-free way
-    /// to fold counters into an aggregate (reports intern the names
-    /// once on their side and add by slot thereafter).
-    pub fn for_each(&self, mut f: impl FnMut(&str, u64)) {
-        let slots = self.slots.borrow();
-        self.table
-            .for_each(|id, name| f(name, slots[id.index()].get()));
+    /// Visits every `(key, value)` pair in registration order without
+    /// rendering a name — the allocation-free way to fold counters into
+    /// an aggregate.
+    pub fn for_each(&self, mut f: impl FnMut(StatKey, u64)) {
+        self.slots.for_each(|k, v| f(k, v.get()));
     }
 
     /// All `(name, value)` pairs in name order.
     pub fn to_vec(&self) -> Vec<(String, u64)> {
-        let slots = self.slots.borrow();
-        self.table
-            .sorted_ids()
+        self.slots
+            .sorted()
             .into_iter()
-            .map(|id| (self.table.name(id), slots[id.index()].get()))
+            .map(|(k, s)| (k.to_string(), self.value(s)))
             .collect()
     }
 
-    /// Resets every counter to zero. Names are retained and existing
+    /// Resets every counter to zero. Keys are retained and existing
     /// [`CounterHandle`]s stay attached to their (zeroed) counters.
     pub fn reset(&self) {
-        for v in self.slots.borrow().iter() {
-            v.set(0);
-        }
+        self.slots.for_each(|_, v| v.set(0));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::HostId;
 
     #[test]
     fn add_and_get() {
@@ -285,16 +259,29 @@ mod tests {
     }
 
     #[test]
-    fn ids_are_stable_and_fast_path_matches_names() {
+    fn typed_and_named_keys_meet_in_one_series() {
         let c = Counters::new();
-        let id = c.id("net.c0.msgs");
-        c.add_id(id, 3);
+        let typed = StatKey::new("net").host(HostId::client(0)).push("msgs");
+        let h = c.handle(typed);
+        h.add(3);
         c.add("net.c0.msgs", 2);
-        assert_eq!(c.get_id(id), 5);
         assert_eq!(c.get("net.c0.msgs"), 5);
+        assert_eq!(c.to_vec(), [("net.c0.msgs".to_string(), 5)]);
         c.reset();
-        c.add_id(id, 1);
-        assert_eq!(c.get("net.c0.msgs"), 1, "id survives reset");
+        h.incr();
+        assert_eq!(c.get("net.c0.msgs"), 1, "handle survives reset");
+    }
+
+    #[test]
+    fn handles_stay_valid_as_the_registry_grows() {
+        let c = Counters::new();
+        let first = c.handle("first");
+        for i in 0..500 {
+            c.incr(StatKey::new("n").host(HostId::client(i)));
+        }
+        first.add(9);
+        assert_eq!(c.get("first"), 9);
+        assert_eq!(c.get("n.c499"), 1);
     }
 
     #[test]

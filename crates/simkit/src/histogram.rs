@@ -9,10 +9,9 @@
 //! byte-compared across runs.
 
 use crate::clock::SimDuration;
-use crate::intern::{KeyId, SymbolTable};
+use crate::stat::{Chunk, Slots, StatKey};
 use crate::{json, Json};
 use std::cell::RefCell;
-use std::rc::Rc;
 
 /// Sub-buckets per power of two (as a shift).
 const SUB_BITS: u32 = 3;
@@ -175,35 +174,53 @@ impl From<&Histogram> for Json {
     }
 }
 
-/// A registry of named [`Histogram`]s, shared via [`crate::Sim`] so
-/// any layer can record latencies under a dotted name such as
-/// `rpc.nfs.lookup` or `disk.m0.service`.
+/// A registry of [`Histogram`]s, one per [`StatKey`], shared via
+/// [`crate::Sim`] so any layer can record latencies under a key such as
+/// `rpc.nfs.lookup` or `disk.sd0.service`.
 ///
 /// Hot paths should obtain a [`MetricHandle`] once at wiring time and
 /// record through it — a handle record touches the histogram directly,
-/// with no per-sample name formatting or map lookup.
+/// with no per-sample name formatting or lookup.
 ///
-/// Names are interned (see [`crate::intern`]): series live in a `Vec`
-/// indexed by dense [`KeyId`], and name-keyed listings are materialized
-/// in name order only at snapshot time.
+/// Series live in dense slots (see [`StatKey`]); a series' buckets
+/// are allocated by its first sample, and name-keyed listings are
+/// rendered in name order only at snapshot time.
 #[derive(Debug, Default)]
 pub struct Metrics {
-    table: SymbolTable,
-    slots: RefCell<Vec<Rc<RefCell<Histogram>>>>,
+    slots: Slots<Series>,
 }
 
-/// A live reference to one named histogram.
+/// One series: empty until its first sample.
+type Series = RefCell<Option<Histogram>>;
+
+/// A live reference to one histogram.
 ///
 /// Handles stay valid across [`Metrics::reset`] (reset empties the
 /// shared histogram in place), so components wired before a
 /// measurement window keep recording into the same series afterwards.
-#[derive(Debug, Clone)]
-pub struct MetricHandle(Rc<RefCell<Histogram>>);
+#[derive(Clone)]
+pub struct MetricHandle {
+    chunk: Chunk<Series>,
+    at: u32,
+}
+
+impl std::fmt::Debug for MetricHandle {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("MetricHandle")
+    }
+}
+
+fn record_into(series: &Series, v: u64) {
+    series
+        .borrow_mut()
+        .get_or_insert_with(Histogram::new)
+        .record(v);
+}
 
 impl MetricHandle {
     /// Records one sample.
     pub(crate) fn record(&self, v: u64) {
-        self.0.borrow_mut().record(v);
+        record_into(&self.chunk[self.at as usize].value, v);
     }
 
     /// Records a duration as its nanosecond count.
@@ -218,76 +235,51 @@ impl Metrics {
         Metrics::default()
     }
 
-    /// Interns `name` and returns its dense id, creating an empty
-    /// series if absent. The id stays valid for the life of this
-    /// registry (including across [`reset`](Metrics::reset)).
-    pub(crate) fn id(&self, name: &str) -> KeyId {
-        let id = self.table.intern(name);
-        let mut slots = self.slots.borrow_mut();
-        while slots.len() <= id.index() {
-            slots.push(Rc::new(RefCell::new(Histogram::new())));
-        }
-        id
+    /// Records `v` into the histogram `key`, creating it if absent.
+    pub(crate) fn record(&self, key: impl Into<StatKey>, v: u64) {
+        let slot = self.slots.slot(key.into());
+        self.slots.with_entry(slot, |e| record_into(&e.value, v));
     }
 
-    /// Records `v` into the series behind `id`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` was not issued by this registry.
-    pub(crate) fn record_id(&self, id: KeyId, v: u64) {
-        self.slots.borrow()[id.index()].borrow_mut().record(v);
+    /// Records a duration (in nanoseconds) under `key`.
+    pub fn record_duration(&self, key: impl Into<StatKey>, d: SimDuration) {
+        self.record(key, d.as_nanos());
     }
 
-    /// Records `v` into the histogram named `name`, creating it if
-    /// absent.
-    pub(crate) fn record(&self, name: &str, v: u64) {
-        match self.table.lookup(name) {
-            Some(id) => self.record_id(id, v),
-            None => self.record_id(self.id(name), v),
-        }
-    }
-
-    /// Records a duration (in nanoseconds) under `name`.
-    pub fn record_duration(&self, name: &str, d: SimDuration) {
-        self.record(name, d.as_nanos());
-    }
-
-    /// Returns a live handle to the histogram named `name`, creating
-    /// an empty one if absent. See [`MetricHandle`].
-    pub fn handle(&self, name: &str) -> MetricHandle {
-        let id = self.id(name);
-        MetricHandle(Rc::clone(&self.slots.borrow()[id.index()]))
+    /// Returns a live handle to the histogram `key`, creating an empty
+    /// one if absent. See [`MetricHandle`].
+    pub fn handle(&self, key: impl Into<StatKey>) -> MetricHandle {
+        let (chunk, at) = self.slots.chunk_of(self.slots.slot(key.into()));
+        MetricHandle { chunk, at }
     }
 
     /// A copy of the histogram named `name`, if any samples were
     /// recorded under it.
     pub fn histogram(&self, name: &str) -> Option<Histogram> {
-        self.table
-            .lookup(name)
-            .map(|id| self.slots.borrow()[id.index()].borrow().clone())
+        let slot = self.slots.lookup_name(name)?;
+        self.slots
+            .with_entry(slot, |e| e.value.borrow().clone())
             .filter(|h| h.count() > 0)
     }
 
-    /// Copies of all non-empty histograms, in name order. Names that
+    /// Copies of all non-empty histograms, in name order. Keys that
     /// exist only as never-recorded (or reset) handles are skipped, so
     /// reports only ever show series with samples.
     pub fn snapshot(&self) -> Vec<(String, Histogram)> {
-        let slots = self.slots.borrow();
-        self.table
-            .sorted_ids()
+        self.slots
+            .sorted()
             .into_iter()
-            .filter(|id| slots[id.index()].borrow().count() > 0)
-            .map(|id| (self.table.name(id), slots[id.index()].borrow().clone()))
+            .filter_map(|(k, s)| {
+                let h = self.slots.with_entry(s, |e| e.value.borrow().clone())?;
+                (h.count() > 0).then(|| (k.to_string(), h))
+            })
             .collect()
     }
 
-    /// Empties every histogram. Names are retained and existing
+    /// Empties every histogram. Keys are retained and existing
     /// [`MetricHandle`]s stay attached to their (now empty) series.
     pub fn reset(&self) {
-        for v in self.slots.borrow().iter() {
-            *v.borrow_mut() = Histogram::new();
-        }
+        self.slots.for_each(|_, v| *v.borrow_mut() = None);
     }
 }
 

@@ -10,7 +10,8 @@
 //!   the gauge sampler that must fire while the virtual clock advances
 //!   through a foreground operation,
 //! * a seeded, deterministic random number generator ([`SplitMix64`]),
-//! * named [`Counters`] used for message/byte accounting.
+//! * [`Counters`] used for message/byte accounting, keyed by typed
+//!   [`StatKey`]s.
 //!
 //! The simulation is deliberately single threaded: determinism is what
 //! lets the experiment harness regenerate the paper's tables exactly on
@@ -36,9 +37,9 @@ pub mod critpath;
 pub mod events;
 mod gauge;
 mod histogram;
-pub mod intern;
 mod json;
 mod rng;
+mod stat;
 pub mod sweep;
 mod trace;
 pub mod units;
@@ -48,9 +49,9 @@ pub use counters::{CounterHandle, CounterSnapshot, Counters};
 pub use events::{EventId, EventKey, EventQueue, EventQueueStats};
 pub use gauge::{GaugeSampler, GaugeStats};
 pub use histogram::{Histogram, MetricHandle, Metrics};
-pub use intern::KeyId;
 pub use json::Json;
 pub use rng::SplitMix64;
+pub use stat::StatKey;
 pub use trace::{HostId, SpanCtx, SpanId, SpanRecord, TraceId, Tracer, DEFAULT_TRACE_CAPACITY};
 pub use units::{Bps, Bytes};
 

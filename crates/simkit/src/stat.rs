@@ -1,0 +1,677 @@
+//! Typed stat keys and the dense slot store behind [`crate::Counters`]
+//! and [`crate::Metrics`].
+//!
+//! A [`StatKey`] names one counter or histogram series without owning
+//! a string: it is a `Copy` value of up to four `&'static str` parts
+//! (a layer, a channel label, a procedure, an op; a part may itself be
+//! dotted) plus at most one short run-time label (a host `c731`, a
+//! device `sd3`), rendered into the key's own bytes when the key is
+//! built. The dotted name is produced only when a report or a listing
+//! asks for it.
+//!
+//! # Contract
+//!
+//! * **Equal names are one series.** Equality and ordering are defined
+//!   on the rendered name, so `StatKey::new("net").push("total.bytes")`
+//!   and `StatKey::new("net.total.bytes")` are the same key, and a
+//!   by-name read meets the typed writer's series.
+//! * **Listings sort by the rendered name**, as the interned names did,
+//!   so report bytes never depend on registration order.
+//! * **A key does not depend on the run.** It holds no id assigned in
+//!   registration order, so one cell's key set is comparable across
+//!   worker counts and snapshot modes.
+//! * The slot store's index is probed by a hash of the rendered name,
+//!   and is never iterated, so no hash order reaches a report (rule D2).
+
+use crate::HostId;
+use std::cell::{Cell, OnceCell, RefCell};
+use std::cmp::Ordering;
+use std::fmt;
+use std::rc::Rc;
+
+/// Static parts a key holds.
+const SEGS: usize = 4;
+/// Bytes of the run-time label.
+const LABEL: usize = 13;
+/// `label_at` value of a key without a run-time label.
+const NO_LABEL: u8 = u8::MAX;
+
+/// The name of one counter or histogram series.
+///
+/// # Example
+///
+/// ```
+/// use simkit::{HostId, StatKey};
+/// let k = StatKey::new("net").host(HostId::client(7)).push("nfs").push("msgs");
+/// assert_eq!(k.to_string(), "net.c7.nfs.msgs");
+/// assert_eq!(k, StatKey::from("net.c7.nfs.msgs"));
+/// ```
+#[derive(Clone, Copy)]
+pub struct StatKey {
+    segs: [&'static str; SEGS],
+    len: u8,
+    /// The run-time label sits before `segs[label_at]` (after the last
+    /// part when `label_at == len`); `NO_LABEL` if there is none.
+    label_at: u8,
+    label_len: u8,
+    label: [u8; LABEL],
+}
+
+impl StatKey {
+    /// Bytes a run-time label ([`StatKey::text`]) may hold.
+    pub const MAX_LABEL: usize = LABEL;
+
+    /// A key of one part, which may be a whole dotted name.
+    #[inline]
+    pub const fn new(first: &'static str) -> StatKey {
+        StatKey {
+            segs: [first, "", "", ""],
+            len: 1,
+            label_at: NO_LABEL,
+            label_len: 0,
+            label: [0; LABEL],
+        }
+    }
+
+    /// This key with `part` appended.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the key already holds four static parts.
+    #[inline]
+    pub const fn push(mut self, part: &'static str) -> StatKey {
+        assert!(
+            (self.len as usize) < SEGS,
+            "a stat key holds four static parts"
+        );
+        self.segs[self.len as usize] = part;
+        self.len += 1;
+        self
+    }
+
+    /// This key with `label` as the next part, such as a device name
+    /// (`sd3`). The label is copied into the key itself, so nothing is
+    /// allocated.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the key already has a label, or if `label` is longer
+    /// than [`StatKey::MAX_LABEL`] bytes.
+    pub fn text(self, label: &str) -> StatKey {
+        let mut w = Label::default();
+        w.put(label.as_bytes());
+        self.with_label(w)
+    }
+
+    /// This key with `host` (`c731`, `s2`, `server`) as the next part,
+    /// its digits written without the formatter: per-call keys carry a
+    /// host.
+    #[inline]
+    pub fn host(self, host: HostId) -> StatKey {
+        let mut w = Label::default();
+        let (prefix, index) = host.name_parts();
+        w.put(prefix.as_bytes());
+        if let Some(mut n) = index {
+            let mut digits = [0; 5];
+            let mut at = digits.len();
+            loop {
+                at -= 1;
+                // `n % 10` is a decimal digit.
+                digits[at] = b'0' + (n % 10) as u8;
+                n /= 10;
+                if n == 0 {
+                    break;
+                }
+            }
+            w.put(&digits[at..]);
+        }
+        self.with_label(w)
+    }
+
+    #[inline]
+    fn with_label(mut self, w: Label) -> StatKey {
+        assert_eq!(self.label_at, NO_LABEL, "a stat key holds one label");
+        self.label_at = self.len;
+        self.label_len = w.len;
+        self.label = w.buf;
+        self
+    }
+
+    /// The rendered name's pieces in order, the parts and the label;
+    /// the name is these joined by dots.
+    #[inline]
+    fn pieces(&self) -> impl Iterator<Item = &[u8]> {
+        let segs = &self.segs[..usize::from(self.len)];
+        let (head, tail) = segs.split_at(usize::from(self.label_at).min(segs.len()));
+        let label = (self.label_at != NO_LABEL).then(|| &self.label[..usize::from(self.label_len)]);
+        head.iter()
+            .map(|s| s.as_bytes())
+            .chain(label)
+            .chain(tail.iter().map(|s| s.as_bytes()))
+    }
+
+    /// The rendered name's bytes.
+    fn bytes(&self) -> impl Iterator<Item = u8> + '_ {
+        self.pieces()
+            .enumerate()
+            .flat_map(|(i, p)| (i > 0).then_some(b'.').into_iter().chain(p.iter().copied()))
+    }
+
+    /// The hash of the rendered name, however it is split into parts:
+    /// equal names, equal hashes, on every run.
+    #[inline]
+    fn name_hash(&self) -> u64 {
+        let mut h = NameHash::default();
+        for p in self.pieces() {
+            h.piece(p);
+        }
+        h.finish()
+    }
+
+    /// Whether this key renders to `name`.
+    fn is_named(&self, name: &str) -> bool {
+        let mut rest = name.as_bytes();
+        for (i, p) in self.pieces().enumerate() {
+            if i > 0 {
+                match rest.split_first() {
+                    Some((b'.', r)) => rest = r,
+                    _ => return false,
+                }
+            }
+            match rest.strip_prefix(p) {
+                Some(r) => rest = r,
+                None => return false,
+            }
+        }
+        rest.is_empty()
+    }
+}
+
+impl From<&'static str> for StatKey {
+    fn from(name: &'static str) -> StatKey {
+        StatKey::new(name)
+    }
+}
+
+/// By rendered name.
+impl PartialEq for StatKey {
+    fn eq(&self, other: &StatKey) -> bool {
+        // Keys cut alike compare part by part: the common case of a
+        // lookup, which runs on every add by key.
+        let cut_alike = self.len == other.len && self.label_at == other.label_at;
+        if cut_alike
+            && self.label[..usize::from(self.label_len)]
+                == other.label[..usize::from(other.label_len)]
+            && self.segs[..usize::from(self.len)] == other.segs[..usize::from(self.len)]
+        {
+            return true;
+        }
+        self.bytes().eq(other.bytes())
+    }
+}
+
+impl Eq for StatKey {}
+
+impl PartialOrd for StatKey {
+    fn partial_cmp(&self, other: &StatKey) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// By rendered name, byte-wise: the order of a sorted listing.
+impl Ord for StatKey {
+    fn cmp(&self, other: &StatKey) -> Ordering {
+        self.bytes().cmp(other.bytes())
+    }
+}
+
+/// The dotted name.
+impl fmt::Display for StatKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for (i, p) in self.pieces().enumerate() {
+            if i > 0 {
+                f.write_str(".")?;
+            }
+            // Every piece is a whole `str`: a part, or a label copied
+            // in full.
+            f.write_str(std::str::from_utf8(p).map_err(|_| fmt::Error)?)?;
+        }
+        Ok(())
+    }
+}
+
+impl fmt::Debug for StatKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "StatKey({self})")
+    }
+}
+
+/// A label being written into a key's fixed buffer.
+#[derive(Default)]
+struct Label {
+    buf: [u8; LABEL],
+    len: u8,
+}
+
+impl Label {
+    fn put(&mut self, s: &[u8]) {
+        let at = usize::from(self.len);
+        self.buf
+            .get_mut(at..at + s.len())
+            .expect("a stat key label fits in 13 bytes")
+            .copy_from_slice(s);
+        self.len += s.len() as u8; // at most 13, checked above
+    }
+}
+
+fn mix(h: u64, w: u64) -> u64 {
+    (h.rotate_left(5) ^ w).wrapping_mul(0x517c_c1b7_2722_0a95)
+}
+
+/// The hash of a dotted name fed piece by piece, eight bytes at a
+/// time however the name is cut into pieces.
+#[derive(Default)]
+struct NameHash {
+    h: u64,
+    /// Bytes of a word not yet mixed in, and how many.
+    word: u64,
+    filled: u32,
+    total: u64,
+    pieces: u32,
+}
+
+impl NameHash {
+    /// Feeds the next piece of the name, after a dot unless it is the
+    /// first.
+    #[inline]
+    fn piece(&mut self, p: &[u8]) {
+        if self.pieces > 0 {
+            self.bytes(b".");
+        }
+        self.pieces += 1;
+        self.bytes(p);
+    }
+
+    #[inline]
+    fn bytes(&mut self, mut s: &[u8]) {
+        self.total += s.len() as u64;
+        // Top up a word an earlier piece began.
+        while self.filled > 0 {
+            let Some((&b, rest)) = s.split_first() else {
+                return;
+            };
+            self.word |= u64::from(b) << (8 * self.filled);
+            s = rest;
+            self.filled = (self.filled + 1) % 8;
+            if self.filled == 0 {
+                self.h = mix(self.h, self.word);
+                self.word = 0;
+            }
+        }
+        let mut words = s.chunks_exact(8);
+        for w in &mut words {
+            self.h = mix(self.h, u64::from_le_bytes(w.try_into().expect("8 bytes")));
+        }
+        for &b in words.remainder() {
+            self.word |= u64::from(b) << (8 * self.filled);
+            self.filled += 1;
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        finish(mix(mix(self.h, self.word), self.total))
+    }
+}
+
+/// Spreads every bit of `h` over the high and low halves (the index
+/// probes by the low bits and tags by the high).
+fn finish(h: u64) -> u64 {
+    let h = (h ^ (h >> 33)).wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^ (h >> 33)
+}
+
+/// A name's hash, equal to [`StatKey::name_hash`] of a key rendering it.
+fn hash_name(name: &str) -> u64 {
+    let mut h = NameHash::default();
+    h.piece(name.as_bytes());
+    h.finish()
+}
+
+/// Slots in the first chunk; chunk `c` holds `FIRST_CHUNK << c`.
+const FIRST_CHUNK: usize = 16;
+/// An empty index bucket.
+const EMPTY: u32 = u32::MAX;
+
+/// One series: its key and its value.
+#[derive(Default)]
+pub(crate) struct Entry<T> {
+    key: OnceCell<StatKey>,
+    pub(crate) value: T,
+}
+
+/// A chunk of entries, shared by the store and every handle into it.
+pub(crate) type Chunk<T> = Rc<[Entry<T>]>;
+
+/// Dense series slots behind a key-to-slot index.
+///
+/// Entries live in chunks that double in size and never move, so a
+/// handle is the chunk's `Rc` and an offset, and an add through it is
+/// one store. Registering a series allocates only when a chunk or the
+/// index fills: O(log n) allocations for n series.
+///
+/// The index finds a slot by its name's hash (`name_hash`), so a typed
+/// key, a by-name read and a key that builds the same name another way
+/// all find the one slot.
+pub(crate) struct Slots<T> {
+    chunks: RefCell<Vec<Chunk<T>>>,
+    len: Cell<u32>,
+    /// Open-addressed `(slot, hash >> 32)` pairs, one per slot, probed
+    /// linearly from the hash's low bits and kept at most half full.
+    /// Lookup only, never iterated.
+    index: RefCell<Vec<(u32, u32)>>,
+}
+
+impl<T> Default for Slots<T> {
+    fn default() -> Self {
+        Slots {
+            chunks: RefCell::new(Vec::new()),
+            len: Cell::new(0),
+            index: RefCell::new(Vec::new()),
+        }
+    }
+}
+
+/// `(chunk, offset)` of slot `i`.
+fn locate(i: u32) -> (usize, usize) {
+    let q = i as usize / FIRST_CHUNK + 1;
+    let c = (usize::BITS - 1 - q.leading_zeros()) as usize;
+    (c, i as usize - FIRST_CHUNK * ((1 << c) - 1))
+}
+
+impl<T: Default> Slots<T> {
+    /// Number of registered series.
+    pub(crate) fn len(&self) -> u32 {
+        self.len.get()
+    }
+
+    fn key(&self, slot: u32) -> StatKey {
+        self.with_entry(slot, |e| *e.key.get().expect("a registered slot has a key"))
+    }
+
+    /// The slot whose key satisfies `is`, probing from `hash`.
+    fn find(&self, hash: u64, is: impl Fn(&StatKey) -> bool) -> Option<u32> {
+        let index = self.index.borrow();
+        if index.is_empty() {
+            return None;
+        }
+        let mask = index.len() - 1;
+        let tag = (hash >> 32) as u32;
+        let mut b = hash as usize & mask;
+        loop {
+            let (slot, t) = index[b];
+            if slot == EMPTY {
+                return None;
+            }
+            if t == tag && self.with_entry(slot, |e| e.key.get().is_some_and(&is)) {
+                return Some(slot);
+            }
+            b = (b + 1) & mask;
+        }
+    }
+
+    /// The slot of the series named `name`, if registered. Allocates
+    /// nothing.
+    pub(crate) fn lookup_name(&self, name: &str) -> Option<u32> {
+        self.find(hash_name(name), |k| k.is_named(name))
+    }
+
+    /// The slot of `key`, registering it if new.
+    pub(crate) fn slot(&self, key: StatKey) -> u32 {
+        let hash = key.name_hash();
+        if let Some(s) = self.find(hash, |k| *k == key) {
+            return s;
+        }
+        let s = self.len.get();
+        let (c, off) = locate(s);
+        {
+            let mut chunks = self.chunks.borrow_mut();
+            if chunks.len() == c {
+                chunks.push((0..FIRST_CHUNK << c).map(|_| Entry::default()).collect());
+            }
+            let fresh = chunks[c][off].key.set(key).is_ok();
+            debug_assert!(fresh, "slot {s} is registered once");
+        }
+        self.len.set(s + 1);
+        if 2 * (s as usize + 1) > self.index.borrow().len() {
+            // Double the index and re-place every earlier slot.
+            let cap = (self.index.borrow().len() * 2).max(2 * FIRST_CHUNK);
+            *self.index.borrow_mut() = vec![(EMPTY, 0); cap];
+            for earlier in 0..s {
+                self.place(earlier, self.key(earlier).name_hash());
+            }
+        }
+        self.place(s, hash);
+        s
+    }
+
+    /// Puts `slot` in the first free bucket from `hash`'s.
+    fn place(&self, slot: u32, hash: u64) {
+        let mut index = self.index.borrow_mut();
+        let mask = index.len() - 1;
+        let mut b = hash as usize & mask;
+        while index[b].0 != EMPTY {
+            b = (b + 1) & mask;
+        }
+        index[b] = (slot, (hash >> 32) as u32);
+    }
+
+    /// Runs `f` on the entry at `slot`.
+    pub(crate) fn with_entry<R>(&self, slot: u32, f: impl FnOnce(&Entry<T>) -> R) -> R {
+        let (c, off) = locate(slot);
+        f(&self.chunks.borrow()[c][off])
+    }
+
+    /// The chunk holding `slot` and the slot's offset in it.
+    pub(crate) fn chunk_of(&self, slot: u32) -> (Chunk<T>, u32) {
+        let (c, off) = locate(slot);
+        (Rc::clone(&self.chunks.borrow()[c]), off as u32)
+    }
+
+    /// Calls `f` on every series in slot (registration) order.
+    pub(crate) fn for_each(&self, mut f: impl FnMut(StatKey, &T)) {
+        let mut left = self.len.get() as usize;
+        for chunk in self.chunks.borrow().iter() {
+            for e in chunk.iter().take(left) {
+                f(*e.key.get().expect("a registered slot has a key"), &e.value);
+            }
+            left = left.saturating_sub(chunk.len());
+        }
+    }
+
+    /// Every slot, sorted by its key's rendered name.
+    pub(crate) fn sorted(&self) -> Vec<(StatKey, u32)> {
+        let mut v = Vec::with_capacity(self.len.get() as usize);
+        let mut slot = 0;
+        self.for_each(|k, _| {
+            v.push((k, slot));
+            slot += 1;
+        });
+        v.sort_unstable_by_key(|a| a.0);
+        v
+    }
+}
+
+impl<T> fmt::Debug for Slots<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Slots")
+            .field("len", &self.len.get())
+            .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn keys_render_dotted_with_the_label_in_place() {
+        let k = StatKey::new("nfs.server").text("c12").push("lookup");
+        assert_eq!(k.to_string(), "nfs.server.c12.lookup");
+        let tail = StatKey::new("disk").push("x").text("sd3");
+        assert_eq!(tail.to_string(), "disk.x.sd3");
+        let host = StatKey::new("net").host(HostId::server(2)).push("nfs");
+        assert_eq!(host.to_string(), "net.s2.nfs");
+        for h in [
+            HostId::SERVER,
+            HostId::client(0),
+            HostId::client(731),
+            HostId::server(9),
+        ] {
+            assert_eq!(StatKey::new("x").host(h).to_string(), format!("x.{h}"));
+        }
+    }
+
+    #[test]
+    fn equal_names_are_equal_keys_with_equal_name_hashes() {
+        let typed = StatKey::new("net").push("total").push("bytes");
+        let named = StatKey::from("net.total.bytes");
+        assert_eq!(typed, named);
+        assert_eq!(typed.name_hash(), named.name_hash());
+        assert_eq!(typed.name_hash(), hash_name("net.total.bytes"));
+        assert!(typed.is_named("net.total.bytes"));
+        assert!(!typed.is_named("net.total.byte"));
+        assert!(!typed.is_named("net.total.bytes."));
+        assert_ne!(typed, StatKey::from("net.total"));
+        let split = StatKey::new("nfs.server").text("c123").push("readdirplus");
+        assert_eq!(split.name_hash(), hash_name("nfs.server.c123.readdirplus"));
+    }
+
+    /// A key's hash is a function of its rendered name alone: the same
+    /// on every run, whatever ran before and wherever the key's parts
+    /// live, which a digest folding counters under their keys needs.
+    #[test]
+    fn name_hashes_are_pinned() {
+        let per_host = StatKey::new("net")
+            .host(HostId::client(7))
+            .push("nfs")
+            .push("msgs");
+        assert_eq!(per_host.name_hash(), 0xb07e_8c25_b6ba_b18c);
+        assert_eq!(hash_name("net.c7.nfs.msgs"), per_host.name_hash());
+        assert_eq!(hash_name("proto.nfs.txns"), 0x9be7_b1f9_bfc4_b018);
+        assert_eq!(
+            hash_name("disk.sd-0123456789.service"),
+            0x7a2d_57eb_c215_668e
+        );
+    }
+
+    #[test]
+    fn every_cut_of_a_name_hashes_and_compares_as_the_name() {
+        // Parts that cross the hasher's eight-byte words at every offset.
+        const NAME: &str = "nfs.server.c12345678.readdirplus.x";
+        let dots: Vec<usize> = NAME.match_indices('.').map(|(i, _)| i).collect();
+        for cuts in (0u32..1 << dots.len()).filter(|c| c.count_ones() <= 3) {
+            let mut key: Option<StatKey> = None;
+            let mut start = 0;
+            for (j, &d) in dots.iter().enumerate() {
+                if cuts & 1 << j != 0 {
+                    let part = &NAME[start..d];
+                    key = Some(key.map_or(StatKey::new(part), |k| k.push(part)));
+                    start = d + 1;
+                }
+            }
+            let last = &NAME[start..];
+            let key = key.map_or(StatKey::new(last), |k| k.push(last));
+            assert_eq!(key.to_string(), NAME, "cuts {cuts:b}");
+            assert_eq!(key.name_hash(), hash_name(NAME), "cuts {cuts:b}");
+            assert!(key.is_named(NAME), "cuts {cuts:b}");
+            assert_eq!(key, StatKey::new(NAME), "cuts {cuts:b}");
+            assert!(StatKey::new("nfs.server") < key, "cuts {cuts:b}");
+            assert!(key < StatKey::new("nfs.server.c2"), "cuts {cuts:b}");
+        }
+        let labelled = StatKey::new("nfs.server")
+            .text("c12345678")
+            .push("readdirplus.x");
+        assert_eq!(labelled.name_hash(), hash_name(NAME));
+        assert_eq!(labelled, StatKey::new(NAME));
+    }
+
+    #[test]
+    fn keys_order_by_rendered_name() {
+        let mut v = [
+            StatKey::new("net").text("c10"),
+            StatKey::new("net.c1"),
+            StatKey::new("net").push("c2"),
+            StatKey::new("n"),
+        ];
+        v.sort();
+        let names: Vec<String> = v.iter().map(ToString::to_string).collect();
+        assert_eq!(names, ["n", "net.c1", "net.c10", "net.c2"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "13 bytes")]
+    fn an_overlong_label_is_rejected() {
+        let _ = StatKey::new("disk").text("a-very-long-device");
+    }
+
+    #[test]
+    fn slots_are_dense_stable_and_found_by_name() {
+        let s: Slots<Cell<u64>> = Slots::default();
+        let keys: Vec<StatKey> = (0..1000)
+            .map(|i| StatKey::new("net").host(HostId::client(i)).push("msgs"))
+            .collect();
+        for (i, &k) in keys.iter().enumerate() {
+            assert_eq!(s.slot(k), i as u32);
+        }
+        for (i, &k) in keys.iter().enumerate() {
+            assert_eq!(s.slot(k), i as u32, "re-registering finds the slot");
+        }
+        assert_eq!(s.lookup_name("net.c731.msgs"), Some(731));
+        assert_eq!(s.lookup_name("net.c1000.msgs"), None);
+        assert_eq!(s.len(), 1000);
+        let (chunk, off) = s.chunk_of(999);
+        chunk[off as usize].value.set(5);
+        assert_eq!(s.with_entry(999, |e| e.value.get()), 5);
+        let sorted = s.sorted();
+        assert_eq!(sorted[0].0.to_string(), "net.c0.msgs");
+        assert_eq!(sorted[1].0.to_string(), "net.c1.msgs");
+        assert_eq!(sorted[2].0.to_string(), "net.c10.msgs");
+    }
+
+    #[test]
+    fn one_name_split_any_way_is_one_slot() {
+        let s: Slots<Cell<u64>> = Slots::default();
+        let ways = [
+            StatKey::new("nfs.server.proc.getattr"),
+            StatKey::new("nfs")
+                .push("server")
+                .push("proc")
+                .push("getattr"),
+            StatKey::new("nfs.server").push("proc.getattr"),
+            StatKey::new("nfs.server").text("proc").push("getattr"),
+        ];
+        for (i, &k) in ways.iter().enumerate() {
+            assert_eq!(s.slot(k), 0, "way {i}");
+        }
+        // Enough further keys to rebuild the index several times: every
+        // way still finds the one slot.
+        for i in 0..300 {
+            s.slot(StatKey::new("n.x").host(HostId::client(i)));
+        }
+        for (i, &k) in ways.iter().enumerate() {
+            assert_eq!(s.slot(k), 0, "way {i} after growth");
+        }
+        assert_eq!(s.lookup_name("nfs.server.proc.getattr"), Some(0));
+        assert_eq!(s.lookup_name("n.x.c299"), Some(300));
+        assert_eq!(s.len(), 301);
+    }
+
+    #[test]
+    fn slot_locations_tile_the_chunks() {
+        assert_eq!(locate(0), (0, 0));
+        assert_eq!(locate(15), (0, 15));
+        assert_eq!(locate(16), (1, 0));
+        assert_eq!(locate(47), (1, 31));
+        assert_eq!(locate(48), (2, 0));
+    }
+}

@@ -95,15 +95,28 @@ impl HostId {
         );
         HostId(Self::SERVER_BASE + j as u16)
     }
+}
 
-    /// Display name: `server`, `s<j>`, or `c<i>`.
-    pub(crate) fn label(self) -> String {
+/// The display name: `server`, `s<j>`, or `c<i>`.
+impl std::fmt::Display for HostId {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self.name_parts() {
+            (prefix, Some(n)) => write!(f, "{prefix}{n}"),
+            (name, None) => f.write_str(name),
+        }
+    }
+}
+
+impl HostId {
+    /// The display name as a prefix and an index: `("server", None)`,
+    /// `("s", Some(j))` or `("c", Some(i))`.
+    pub(crate) fn name_parts(self) -> (&'static str, Option<u16>) {
         if self.0 == 0 {
-            "server".to_string()
+            ("server", None)
         } else if self.0 >= Self::SERVER_BASE && self.0 != u16::MAX {
-            format!("s{}", self.0 - Self::SERVER_BASE)
+            ("s", Some(self.0 - Self::SERVER_BASE))
         } else {
-            format!("c{}", self.0 - 1)
+            ("c", Some(self.0 - 1))
         }
     }
 }

@@ -21,7 +21,8 @@
 //! a second RPC client files a known procedure under its static name.
 //! Through the whole testbed, an NFSv3 `chmod` round trip allocates
 //! nothing and a cold iSCSI 4 KiB read only its result; a counter add,
-//! by handle or by interned name, allocates nothing.
+//! by handle or by name, allocates nothing, and registering a series
+//! allocates only the registry's amortized growth.
 //!
 //! The allocator counts per thread, so the tests stay independent
 //! under the harness's parallel runner.
@@ -36,7 +37,7 @@ use net::{Fabric, LinkParams};
 use nfs::{NfsClient, NfsConfig, NfsServer, Version};
 use rpc::{RpcClient, RpcConfig};
 use simkit::units::Bytes;
-use simkit::{Counters, Daemon, GaugeSampler, HostId, Sim, SimDuration};
+use simkit::{Counters, Daemon, GaugeSampler, HostId, Sim, SimDuration, StatKey};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::rc::Rc;
@@ -535,11 +536,12 @@ fn warm_ext3_fsync_of_dirty_data_allocates_nothing() {
 
 /// What the first call of a procedure costs a second `RpcClient` on
 /// the same label, whose counter and histogram the first client
-/// already registered: the one buffer it formats both names into to
-/// look them up. The handles are filed under the caller's static name,
-/// so no key is copied. 91aa698 measured 4: two formatted names, one
-/// of them grown once, and the owned key.
-const SECOND_CLIENT_FIRST_CALL_ALLOCS: u64 = 1;
+/// already registered: nothing, because both are looked up by a typed
+/// `StatKey` and the handles are filed under the caller's static name.
+/// 91aa698 measured 4: two formatted names, one of them grown once,
+/// and the owned key; 02b24bd measured 1, the buffer both names were
+/// formatted into.
+const SECOND_CLIENT_FIRST_CALL_ALLOCS: u64 = 0;
 
 #[test]
 fn second_rpc_client_keys_a_known_procedure_by_its_static_name() {
@@ -563,7 +565,7 @@ fn second_rpc_client_keys_a_known_procedure_by_its_static_name() {
     call(&first, "getattr");
     call(&second, "getattr"); // the second client's map has its node
     let (n, _) = allocs_in(|| call(&second, "lookup"));
-    assert_eq!(n, SECOND_CLIENT_FIRST_CALL_ALLOCS, "one name buffer");
+    assert_eq!(n, SECOND_CLIENT_FIRST_CALL_ALLOCS, "no name buffer");
     let (n, _) = allocs_in(|| call(&second, "lookup"));
     assert_eq!(n, 0, "a later call bumps the handles only");
     assert_eq!(sim.counters().get("proto.nfs.call.lookup"), 3);
@@ -594,8 +596,9 @@ fn gauge_tick_allocates_nothing() {
 }
 
 /// The per-request counter paths: an add through a `CounterHandle`
-/// bumps a shared cell, and a named add on an interned name looks the
-/// id up in place. Before interning, every add allocated its key.
+/// bumps a shared cell, and a named add on a registered name looks the
+/// slot up in place. Under the string-keyed map the symbol table
+/// replaced, every add allocated its key.
 #[test]
 fn counter_adds_allocate_nothing() {
     let c = Counters::new();
@@ -610,6 +613,33 @@ fn counter_adds_allocate_nothing() {
     assert_eq!(n, 0, "1 000 handle adds and 1 000 named adds");
     let got = (c.get("proto.nfs.txns"), c.get("net.total.bytes"));
     assert_eq!(got, (1_000, 1_000 * 4096));
+}
+
+/// Registering a thousand per-host series (`net.c<i>.nfs.msgs`, one
+/// per client of a frontier cell) allocates no block per key: only the
+/// registry's amortized growth, O(log n) slot chunks and index tables.
+/// 02b24bd made 3–4 allocations per name: the formatted `String`, the
+/// symbol table's two copies of it and an `Rc` per slot.
+#[test]
+fn registering_per_host_keys_allocates_only_amortized_growth() {
+    let c = Counters::new();
+    let keys: Vec<StatKey> = (0..1_000)
+        .map(|i| {
+            StatKey::new("net")
+                .host(HostId::client(i))
+                .push("nfs")
+                .push("msgs")
+        })
+        .collect();
+    let (n, ()) = allocs_in(|| {
+        for &k in &keys {
+            c.incr(k);
+        }
+    });
+    // 2·⌈log2 1000⌉: each of the two growing structures doubles at
+    // most once per power of two.
+    assert!(n <= 20, "1 000 keys took {n} allocations");
+    assert_eq!(c.get("net.c731.nfs.msgs"), 1);
 }
 
 /// A `chmod` on the full NFSv3 testbed goes to the server every time

@@ -1,9 +1,8 @@
-//! Properties of interned counter keys and the sharded frontier
-//! (tier 1): symbol ids are a private encoding — report bytes must
-//! never depend on intern order, worker count, or snapshot sharing —
-//! and a thousand-client sharded cell must stay cheap enough for
-//! every `cargo test`. CI additionally diffs full `tables --json
-//! frontier` output across `--jobs` and `--no-snapshot`.
+//! Properties of typed counter keys and the sharded frontier (tier 1):
+//! report bytes must never depend on registration order, worker count,
+//! or snapshot sharing, and a thousand-client sharded cell must stay
+//! cheap enough for every `cargo test`. CI additionally diffs full
+//! `tables --json frontier` output across `--jobs` and `--no-snapshot`.
 
 use ipstorage_core::experiments::frontier::{frontier, frontier_run};
 use ipstorage_core::report::{ReportBuilder, RunReport};
@@ -54,9 +53,9 @@ fn frontier_is_transparent_to_snapshot_sharing() {
     );
 }
 
-/// Interning names in different orders assigns different ids, but ids
-/// never reach the observable surface: snapshots, deltas, and the
-/// sorted dump read identically.
+/// Registering names in different orders fills different slots, but
+/// slots never reach the observable surface: snapshots, deltas, and
+/// the sorted dump read identically.
 #[test]
 fn counter_bytes_are_independent_of_intern_order() {
     let ab = Counters::new();
@@ -70,8 +69,8 @@ fn counter_bytes_are_independent_of_intern_order() {
     assert_eq!(ab.get("net.bytes"), 9);
 }
 
-/// Merging report fragments folds counters by per-builder id; the
-/// finished report must not remember the merge order.
+/// Merging report fragments folds counters by name; the finished
+/// report must not remember the merge order.
 #[test]
 fn report_merge_is_order_independent() {
     let frag = |pairs: &[(&str, u64)]| {
