@@ -50,7 +50,7 @@ mod testbed;
 
 pub use attribution::{attribution_table, gauge_table};
 pub(crate) use plot::Plot;
-pub use report::{ChannelStats, ReportBuilder, RunReport};
+pub use report::{ReportBuilder, RunReport};
 pub use snapshot::{SetupInfo, SetupKey, Snapshot, SnapshotCache};
 pub use sweep::RunOptions;
 pub use table::Table;

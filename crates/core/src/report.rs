@@ -14,17 +14,6 @@ use crate::Testbed;
 use simkit::{json, Counters, GaugeStats, Histogram, Json};
 use std::collections::BTreeMap;
 
-/// Per-channel wire summary copied out of a [`net::Sniffer`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ChannelStats {
-    /// Messages captured.
-    pub messages: u64,
-    /// Payload bytes captured.
-    pub bytes: simkit::units::Bytes,
-    /// Messages lost to the capture bound.
-    pub dropped: u64,
-}
-
 /// The machine-readable result of one experiment runner.
 #[derive(Debug, Clone, Default)]
 pub struct RunReport {
@@ -39,7 +28,7 @@ pub struct RunReport {
     /// Per-layer latency histograms merged across runs.
     pub histograms: BTreeMap<String, Histogram>,
     /// Per-channel wire summaries from attached sniffers.
-    pub channels: BTreeMap<String, ChannelStats>,
+    pub channels: BTreeMap<String, net::ChannelSummary>,
     /// CPU busy ns per `<machine>.<tag>` (e.g. `server.nfs.server`).
     pub cpu_busy_ns: BTreeMap<String, u64>,
     /// Critical-path attribution folded from traced spans (attribution
@@ -70,7 +59,7 @@ impl RunReport {
     /// Schema: `{"report":name,"runs":n,"sim_time_ns":t,
     /// "counters":{name:value},
     /// "histograms":{name:{"count","p50","p90","p99","max","mean"}},
-    /// "channels":{name:{"messages","bytes","dropped"}},
+    /// "channels":{name:{"messages","bytes","dropped","retransmits","dup_acks"}},
     /// "cpu_busy_ns":{tag:ns},"attribution":{key:value},
     /// "gauges":{name:{"samples","min","max","sum"}}}` — all values
     /// are integers (nanoseconds for times), so equal-seed runs
@@ -86,7 +75,13 @@ impl RunReport {
             "counters": section(&self.counters, |&v| v.into()),
             "histograms": section(&self.histograms, |h| h.into()),
             "channels": section(&self.channels, |c| {
-                json!({ "messages": c.messages, "bytes": c.bytes.get(), "dropped": c.dropped })
+                json!({
+                    "messages": c.messages,
+                    "bytes": c.bytes.get(),
+                    "dropped": c.dropped,
+                    "retransmits": c.retransmits,
+                    "dup_acks": c.dup_acks,
+                })
             }),
             "cpu_busy_ns": section(&self.cpu_busy_ns, |&v| v.into()),
             "attribution": section(&self.attribution, |&v| v.into()),
@@ -206,11 +201,8 @@ impl ReportBuilder {
         for (name, h) in &frag.histograms {
             r.histograms.entry(name.clone()).or_default().merge(h);
         }
-        for (chan, s) in &frag.channels {
-            let e = r.channels.entry(chan.clone()).or_default();
-            e.messages += s.messages;
-            e.bytes += s.bytes;
-            e.dropped += s.dropped;
+        for (chan, &s) in &frag.channels {
+            *r.channels.entry(chan.clone()).or_default() += s;
         }
         for (tag, busy) in &frag.cpu_busy_ns {
             *r.cpu_busy_ns.entry(tag.clone()).or_insert(0) += busy;
@@ -226,10 +218,7 @@ impl ReportBuilder {
     /// Folds a sniffer's per-channel capture summary into the report.
     pub fn absorb_sniffer(&mut self, sniffer: &net::Sniffer) {
         for (chan, s) in sniffer.summary() {
-            let e = self.report.channels.entry(chan).or_default();
-            e.messages += s.messages;
-            e.bytes += s.bytes;
-            e.dropped += s.dropped;
+            *self.report.channels.entry(chan).or_default() += s;
         }
     }
 
@@ -346,6 +335,16 @@ mod tests {
             h.record(v);
         }
         r.histograms.insert("rpc.read".into(), h);
+        r.channels.insert(
+            "iscsi".into(),
+            net::ChannelSummary {
+                messages: 2,
+                bytes: 8.into(),
+                dropped: 1,
+                retransmits: 3,
+                dup_acks: 4,
+            },
+        );
         r.cpu_busy_ns.insert("server.nfs".into(), 42);
         assert_eq!(
             r.to_json(),
@@ -354,7 +353,9 @@ mod tests {
                 r#""counters":{"net.\"q\"\\b\n":7,"rpc.calls":3},"#,
                 r#""histograms":{"rpc.read":{"count":2,"p50":103,"p90":300,"#,
                 r#""p99":300,"max":300,"mean":200}},"#,
-                r#""channels":{},"cpu_busy_ns":{"server.nfs":42},"attribution":{},"gauges":{}}"#
+                r#""channels":{"iscsi":{"messages":2,"bytes":8,"dropped":1,"#,
+                r#""retransmits":3,"dup_acks":4}},"#,
+                r#""cpu_busy_ns":{"server.nfs":42},"attribution":{},"gauges":{}}"#
             )
         );
     }

@@ -220,7 +220,9 @@ impl TopologyConfig {
         }
     }
 
-    /// Sets the client count.
+    /// Sets the client count. A client is named by its
+    /// [`HostId::client`], so building a topology of more than 65 023
+    /// clients panics.
     #[must_use]
     pub fn with_clients(mut self, clients: usize) -> TopologyConfig {
         self.clients = clients;

@@ -40,7 +40,7 @@ mod sniffer;
 mod tcp;
 
 pub use fabric::Fabric;
-pub use sniffer::{PacketRecord, SegKind, Sniffer};
+pub use sniffer::{ChannelSummary, PacketRecord, SegKind, Sniffer};
 pub use tcp::{Direction, TcpEndpoint, TcpLink, Transfer, TransportModel, MSS};
 
 use simkit::units::{self, Bps, Bytes};

@@ -80,6 +80,17 @@ pub struct ChannelSummary {
     pub dup_acks: u64,
 }
 
+/// Field by field, as a report folds the captures of several runs.
+impl std::ops::AddAssign for ChannelSummary {
+    fn add_assign(&mut self, other: ChannelSummary) {
+        self.messages += other.messages;
+        self.bytes += other.bytes;
+        self.dropped += other.dropped;
+        self.retransmits += other.retransmits;
+        self.dup_acks += other.dup_acks;
+    }
+}
+
 impl Sniffer {
     /// Creates an empty tap.
     pub fn new() -> Rc<Sniffer> {

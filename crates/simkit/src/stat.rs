@@ -2,39 +2,33 @@
 //! and [`crate::Metrics`].
 //!
 //! A [`StatKey`] names one counter or histogram series without owning
-//! a string: it is a `Copy` value of up to four `&'static str` parts
-//! (a layer, a channel label, a procedure, an op; a part may itself be
-//! dotted) plus at most one short run-time label (a host `c731`, a
-//! device `sd3`), rendered into the key's own bytes when the key is
-//! built. The dotted name is produced only when a report or a listing
-//! asks for it.
+//! a string: it is a `Copy` value holding the rendered dotted name
+//! inline, at most 63 bytes. A key is built by appending parts, each
+//! after a dot: `&'static str` parts (a layer, a channel label, a
+//! procedure, an op; a part may itself be dotted) and short run-time
+//! labels (a host `c731`, a device `sd3`).
 //!
 //! # Contract
 //!
-//! * **Equal names are one series.** Equality and ordering are defined
-//!   on the rendered name, so `StatKey::new("net").push("total.bytes")`
+//! * **A key is its rendered name.** Equality, ordering and the hash
+//!   are the name's bytes, so `StatKey::new("net").push("total.bytes")`
 //!   and `StatKey::new("net.total.bytes")` are the same key, and a
 //!   by-name read meets the typed writer's series.
-//! * **Listings sort by the rendered name**, as the interned names did,
-//!   so report bytes never depend on registration order.
+//! * **Listings sort by the rendered name**, byte-wise, so report
+//!   bytes never depend on registration order.
 //! * **A key does not depend on the run.** It holds no id assigned in
 //!   registration order, so one cell's key set is comparable across
 //!   worker counts and snapshot modes.
-//! * The slot store's index is probed by a hash of the rendered name,
-//!   and is never iterated, so no hash order reaches a report (rule D2).
+//! * The slot store's index is probed by a hash of the name, and is
+//!   never iterated, so no hash order reaches a report (rule D2).
 
 use crate::HostId;
 use std::cell::{Cell, OnceCell, RefCell};
-use std::cmp::Ordering;
 use std::fmt;
 use std::rc::Rc;
 
-/// Static parts a key holds.
-const SEGS: usize = 4;
-/// Bytes of the run-time label.
-const LABEL: usize = 13;
-/// `label_at` value of a key without a run-time label.
-const NO_LABEL: u8 = u8::MAX;
+/// Bytes of a key's rendered name.
+const NAME: usize = 63;
 
 /// The name of one counter or histogram series.
 ///
@@ -46,46 +40,45 @@ const NO_LABEL: u8 = u8::MAX;
 /// assert_eq!(k.to_string(), "net.c7.nfs.msgs");
 /// assert_eq!(k, StatKey::from("net.c7.nfs.msgs"));
 /// ```
-#[derive(Clone, Copy)]
+///
+/// Equality and order are derived, and are those of the rendered name:
+/// the buffer is zero past the name, so comparing the whole buffer and
+/// then the length orders names byte-wise, a prefix first.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct StatKey {
-    segs: [&'static str; SEGS],
+    /// The dotted name in `name[..len]`; zeros after it.
+    name: [u8; NAME],
     len: u8,
-    /// The run-time label sits before `segs[label_at]` (after the last
-    /// part when `label_at == len`); `NO_LABEL` if there is none.
-    label_at: u8,
-    label_len: u8,
-    label: [u8; LABEL],
 }
 
 impl StatKey {
     /// Bytes a run-time label ([`StatKey::text`]) may hold.
-    pub const MAX_LABEL: usize = LABEL;
+    pub const MAX_LABEL: usize = 13;
 
     /// A key of one part, which may be a whole dotted name.
-    #[inline]
-    pub const fn new(first: &'static str) -> StatKey {
-        StatKey {
-            segs: [first, "", "", ""],
-            len: 1,
-            label_at: NO_LABEL,
-            label_len: 0,
-            label: [0; LABEL],
-        }
-    }
-
-    /// This key with `part` appended.
     ///
     /// # Panics
     ///
-    /// Panics if the key already holds four static parts.
+    /// Panics if `first` is longer than 63 bytes.
+    #[inline]
+    pub const fn new(first: &'static str) -> StatKey {
+        let mut k = StatKey {
+            name: [0; NAME],
+            len: 0,
+        };
+        k.put(first.as_bytes());
+        k
+    }
+
+    /// This key with `part` appended after a dot.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the name would exceed 63 bytes.
     #[inline]
     pub const fn push(mut self, part: &'static str) -> StatKey {
-        assert!(
-            (self.len as usize) < SEGS,
-            "a stat key holds four static parts"
-        );
-        self.segs[self.len as usize] = part;
-        self.len += 1;
+        self.put(b".");
+        self.put(part.as_bytes());
         self
     }
 
@@ -95,22 +88,26 @@ impl StatKey {
     ///
     /// # Panics
     ///
-    /// Panics if the key already has a label, or if `label` is longer
-    /// than [`StatKey::MAX_LABEL`] bytes.
-    pub fn text(self, label: &str) -> StatKey {
-        let mut w = Label::default();
-        w.put(label.as_bytes());
-        self.with_label(w)
+    /// Panics if `label` is longer than [`StatKey::MAX_LABEL`] bytes,
+    /// or the name would exceed 63 bytes.
+    pub fn text(mut self, label: &str) -> StatKey {
+        assert!(
+            label.len() <= Self::MAX_LABEL,
+            "a stat key label fits in 13 bytes"
+        );
+        self.put(b".");
+        self.put(label.as_bytes());
+        self
     }
 
     /// This key with `host` (`c731`, `s2`, `server`) as the next part,
     /// its digits written without the formatter: per-call keys carry a
     /// host.
     #[inline]
-    pub fn host(self, host: HostId) -> StatKey {
-        let mut w = Label::default();
+    pub fn host(mut self, host: HostId) -> StatKey {
         let (prefix, index) = host.name_parts();
-        w.put(prefix.as_bytes());
+        self.put(b".");
+        self.put(prefix.as_bytes());
         if let Some(mut n) = index {
             let mut digits = [0; 5];
             let mut at = digits.len();
@@ -123,67 +120,33 @@ impl StatKey {
                     break;
                 }
             }
-            w.put(&digits[at..]);
+            self.put(&digits[at..]);
         }
-        self.with_label(w)
-    }
-
-    #[inline]
-    fn with_label(mut self, w: Label) -> StatKey {
-        assert_eq!(self.label_at, NO_LABEL, "a stat key holds one label");
-        self.label_at = self.len;
-        self.label_len = w.len;
-        self.label = w.buf;
         self
     }
 
-    /// The rendered name's pieces in order, the parts and the label;
-    /// the name is these joined by dots.
+    /// Appends `s` to the name. In place, not by value: building a
+    /// per-call key stays a few stores.
     #[inline]
-    fn pieces(&self) -> impl Iterator<Item = &[u8]> {
-        let segs = &self.segs[..usize::from(self.len)];
-        let (head, tail) = segs.split_at(usize::from(self.label_at).min(segs.len()));
-        let label = (self.label_at != NO_LABEL).then(|| &self.label[..usize::from(self.label_len)]);
-        head.iter()
-            .map(|s| s.as_bytes())
-            .chain(label)
-            .chain(tail.iter().map(|s| s.as_bytes()))
+    const fn put(&mut self, s: &[u8]) {
+        let at = self.len as usize;
+        assert!(s.len() <= NAME - at, "a stat key's name fits in 63 bytes");
+        let (_, free) = self.name.split_at_mut(at);
+        free.split_at_mut(s.len()).0.copy_from_slice(s);
+        self.len = (at + s.len()) as u8; // at most 63, checked above
     }
 
     /// The rendered name's bytes.
-    fn bytes(&self) -> impl Iterator<Item = u8> + '_ {
-        self.pieces()
-            .enumerate()
-            .flat_map(|(i, p)| (i > 0).then_some(b'.').into_iter().chain(p.iter().copied()))
+    #[inline]
+    fn as_bytes(&self) -> &[u8] {
+        &self.name[..usize::from(self.len)]
     }
 
-    /// The hash of the rendered name, however it is split into parts:
-    /// equal names, equal hashes, on every run.
+    /// The hash of the rendered name: equal names, equal hashes, on
+    /// every run.
     #[inline]
     fn name_hash(&self) -> u64 {
-        let mut h = NameHash::default();
-        for p in self.pieces() {
-            h.piece(p);
-        }
-        h.finish()
-    }
-
-    /// Whether this key renders to `name`.
-    fn is_named(&self, name: &str) -> bool {
-        let mut rest = name.as_bytes();
-        for (i, p) in self.pieces().enumerate() {
-            if i > 0 {
-                match rest.split_first() {
-                    Some((b'.', r)) => rest = r,
-                    _ => return false,
-                }
-            }
-            match rest.strip_prefix(p) {
-                Some(r) => rest = r,
-                None => return false,
-            }
-        }
-        rest.is_empty()
+        hash_name(self.as_bytes())
     }
 }
 
@@ -193,50 +156,11 @@ impl From<&'static str> for StatKey {
     }
 }
 
-/// By rendered name.
-impl PartialEq for StatKey {
-    fn eq(&self, other: &StatKey) -> bool {
-        // Keys cut alike compare part by part: the common case of a
-        // lookup, which runs on every add by key.
-        let cut_alike = self.len == other.len && self.label_at == other.label_at;
-        if cut_alike
-            && self.label[..usize::from(self.label_len)]
-                == other.label[..usize::from(other.label_len)]
-            && self.segs[..usize::from(self.len)] == other.segs[..usize::from(self.len)]
-        {
-            return true;
-        }
-        self.bytes().eq(other.bytes())
-    }
-}
-
-impl Eq for StatKey {}
-
-impl PartialOrd for StatKey {
-    fn partial_cmp(&self, other: &StatKey) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// By rendered name, byte-wise: the order of a sorted listing.
-impl Ord for StatKey {
-    fn cmp(&self, other: &StatKey) -> Ordering {
-        self.bytes().cmp(other.bytes())
-    }
-}
-
 /// The dotted name.
 impl fmt::Display for StatKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (i, p) in self.pieces().enumerate() {
-            if i > 0 {
-                f.write_str(".")?;
-            }
-            // Every piece is a whole `str`: a part, or a label copied
-            // in full.
-            f.write_str(std::str::from_utf8(p).map_err(|_| fmt::Error)?)?;
-        }
-        Ok(())
+        // The name is whole `str`s joined by dots.
+        f.write_str(std::str::from_utf8(self.as_bytes()).map_err(|_| fmt::Error)?)
     }
 }
 
@@ -246,95 +170,21 @@ impl fmt::Debug for StatKey {
     }
 }
 
-/// A label being written into a key's fixed buffer.
-#[derive(Default)]
-struct Label {
-    buf: [u8; LABEL],
-    len: u8,
-}
-
-impl Label {
-    fn put(&mut self, s: &[u8]) {
-        let at = usize::from(self.len);
-        self.buf
-            .get_mut(at..at + s.len())
-            .expect("a stat key label fits in 13 bytes")
-            .copy_from_slice(s);
-        self.len += s.len() as u8; // at most 13, checked above
+/// A name's hash: its 8-byte little-endian words, the zero-padded
+/// tail word and the length, mixed in that order, then spread so that
+/// every bit of it reaches the high and low halves (the index probes
+/// by the low bits and tags by the high).
+fn hash_name(name: &[u8]) -> u64 {
+    let mix = |h: u64, w: u64| (h.rotate_left(5) ^ w).wrapping_mul(0x517c_c1b7_2722_0a95);
+    let mut words = name.chunks_exact(8);
+    let mut h = 0;
+    for w in &mut words {
+        h = mix(h, u64::from_le_bytes(w.try_into().expect("8 bytes")));
     }
-}
-
-fn mix(h: u64, w: u64) -> u64 {
-    (h.rotate_left(5) ^ w).wrapping_mul(0x517c_c1b7_2722_0a95)
-}
-
-/// The hash of a dotted name fed piece by piece, eight bytes at a
-/// time however the name is cut into pieces.
-#[derive(Default)]
-struct NameHash {
-    h: u64,
-    /// Bytes of a word not yet mixed in, and how many.
-    word: u64,
-    filled: u32,
-    total: u64,
-    pieces: u32,
-}
-
-impl NameHash {
-    /// Feeds the next piece of the name, after a dot unless it is the
-    /// first.
-    #[inline]
-    fn piece(&mut self, p: &[u8]) {
-        if self.pieces > 0 {
-            self.bytes(b".");
-        }
-        self.pieces += 1;
-        self.bytes(p);
-    }
-
-    #[inline]
-    fn bytes(&mut self, mut s: &[u8]) {
-        self.total += s.len() as u64;
-        // Top up a word an earlier piece began.
-        while self.filled > 0 {
-            let Some((&b, rest)) = s.split_first() else {
-                return;
-            };
-            self.word |= u64::from(b) << (8 * self.filled);
-            s = rest;
-            self.filled = (self.filled + 1) % 8;
-            if self.filled == 0 {
-                self.h = mix(self.h, self.word);
-                self.word = 0;
-            }
-        }
-        let mut words = s.chunks_exact(8);
-        for w in &mut words {
-            self.h = mix(self.h, u64::from_le_bytes(w.try_into().expect("8 bytes")));
-        }
-        for &b in words.remainder() {
-            self.word |= u64::from(b) << (8 * self.filled);
-            self.filled += 1;
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        finish(mix(mix(self.h, self.word), self.total))
-    }
-}
-
-/// Spreads every bit of `h` over the high and low halves (the index
-/// probes by the low bits and tags by the high).
-fn finish(h: u64) -> u64 {
+    let tail = (words.remainder().iter().rev()).fold(0, |w, &b| w << 8 | u64::from(b));
+    let h = mix(mix(h, tail), name.len() as u64);
     let h = (h ^ (h >> 33)).wrapping_mul(0xff51_afd7_ed55_8ccd);
     h ^ (h >> 33)
-}
-
-/// A name's hash, equal to [`StatKey::name_hash`] of a key rendering it.
-fn hash_name(name: &str) -> u64 {
-    let mut h = NameHash::default();
-    h.piece(name.as_bytes());
-    h.finish()
 }
 
 /// Slots in the first chunk; chunk `c` holds `FIRST_CHUNK << c`.
@@ -359,7 +209,7 @@ pub(crate) type Chunk<T> = Rc<[Entry<T>]>;
 /// one store. Registering a series allocates only when a chunk or the
 /// index fills: O(log n) allocations for n series.
 ///
-/// The index finds a slot by its name's hash (`name_hash`), so a typed
+/// The index finds a slot by its name's hash (`hash_name`), so a typed
 /// key, a by-name read and a key that builds the same name another way
 /// all find the one slot.
 pub(crate) struct Slots<T> {
@@ -394,16 +244,18 @@ impl<T: Default> Slots<T> {
         self.len.get()
     }
 
-    fn key(&self, slot: u32) -> StatKey {
-        self.with_entry(slot, |e| *e.key.get().expect("a registered slot has a key"))
+    /// The slot of the series named `name`, if registered. Allocates
+    /// nothing.
+    pub(crate) fn lookup_name(&self, name: &str) -> Option<u32> {
+        self.find(name.as_bytes())
     }
 
-    /// The slot whose key satisfies `is`, probing from `hash`.
-    fn find(&self, hash: u64, is: impl Fn(&StatKey) -> bool) -> Option<u32> {
+    fn find(&self, name: &[u8]) -> Option<u32> {
         let index = self.index.borrow();
         if index.is_empty() {
             return None;
         }
+        let hash = hash_name(name);
         let mask = index.len() - 1;
         let tag = (hash >> 32) as u32;
         let mut b = hash as usize & mask;
@@ -412,23 +264,18 @@ impl<T: Default> Slots<T> {
             if slot == EMPTY {
                 return None;
             }
-            if t == tag && self.with_entry(slot, |e| e.key.get().is_some_and(&is)) {
+            if t == tag
+                && self.with_entry(slot, |e| e.key.get().is_some_and(|k| k.as_bytes() == name))
+            {
                 return Some(slot);
             }
             b = (b + 1) & mask;
         }
     }
 
-    /// The slot of the series named `name`, if registered. Allocates
-    /// nothing.
-    pub(crate) fn lookup_name(&self, name: &str) -> Option<u32> {
-        self.find(hash_name(name), |k| k.is_named(name))
-    }
-
     /// The slot of `key`, registering it if new.
     pub(crate) fn slot(&self, key: StatKey) -> u32 {
-        let hash = key.name_hash();
-        if let Some(s) = self.find(hash, |k| *k == key) {
+        if let Some(s) = self.find(key.as_bytes()) {
             return s;
         }
         let s = self.len.get();
@@ -447,15 +294,21 @@ impl<T: Default> Slots<T> {
             let cap = (self.index.borrow().len() * 2).max(2 * FIRST_CHUNK);
             *self.index.borrow_mut() = vec![(EMPTY, 0); cap];
             for earlier in 0..s {
-                self.place(earlier, self.key(earlier).name_hash());
+                self.place(earlier);
             }
         }
-        self.place(s, hash);
+        self.place(s);
         s
     }
 
-    /// Puts `slot` in the first free bucket from `hash`'s.
-    fn place(&self, slot: u32, hash: u64) {
+    /// Puts `slot` in the first free bucket from its name's hash's.
+    fn place(&self, slot: u32) {
+        let hash = self.with_entry(slot, |e| {
+            e.key
+                .get()
+                .expect("a registered slot has a key")
+                .name_hash()
+        });
         let mut index = self.index.borrow_mut();
         let mask = index.len() - 1;
         let mut b = hash as usize & mask;
@@ -537,13 +390,10 @@ mod tests {
         let named = StatKey::from("net.total.bytes");
         assert_eq!(typed, named);
         assert_eq!(typed.name_hash(), named.name_hash());
-        assert_eq!(typed.name_hash(), hash_name("net.total.bytes"));
-        assert!(typed.is_named("net.total.bytes"));
-        assert!(!typed.is_named("net.total.byte"));
-        assert!(!typed.is_named("net.total.bytes."));
+        assert_eq!(typed.name_hash(), hash_name(b"net.total.bytes"));
         assert_ne!(typed, StatKey::from("net.total"));
         let split = StatKey::new("nfs.server").text("c123").push("readdirplus");
-        assert_eq!(split.name_hash(), hash_name("nfs.server.c123.readdirplus"));
+        assert_eq!(split.name_hash(), hash_name(b"nfs.server.c123.readdirplus"));
     }
 
     /// A key's hash is a function of its rendered name alone: the same
@@ -556,10 +406,10 @@ mod tests {
             .push("nfs")
             .push("msgs");
         assert_eq!(per_host.name_hash(), 0xb07e_8c25_b6ba_b18c);
-        assert_eq!(hash_name("net.c7.nfs.msgs"), per_host.name_hash());
-        assert_eq!(hash_name("proto.nfs.txns"), 0x9be7_b1f9_bfc4_b018);
+        assert_eq!(hash_name(b"net.c7.nfs.msgs"), per_host.name_hash());
+        assert_eq!(hash_name(b"proto.nfs.txns"), 0x9be7_b1f9_bfc4_b018);
         assert_eq!(
-            hash_name("disk.sd-0123456789.service"),
+            hash_name(b"disk.sd-0123456789.service"),
             0x7a2d_57eb_c215_668e
         );
     }
@@ -582,8 +432,7 @@ mod tests {
             let last = &NAME[start..];
             let key = key.map_or(StatKey::new(last), |k| k.push(last));
             assert_eq!(key.to_string(), NAME, "cuts {cuts:b}");
-            assert_eq!(key.name_hash(), hash_name(NAME), "cuts {cuts:b}");
-            assert!(key.is_named(NAME), "cuts {cuts:b}");
+            assert_eq!(key.name_hash(), hash_name(NAME.as_bytes()), "cuts {cuts:b}");
             assert_eq!(key, StatKey::new(NAME), "cuts {cuts:b}");
             assert!(StatKey::new("nfs.server") < key, "cuts {cuts:b}");
             assert!(key < StatKey::new("nfs.server.c2"), "cuts {cuts:b}");
@@ -591,7 +440,7 @@ mod tests {
         let labelled = StatKey::new("nfs.server")
             .text("c12345678")
             .push("readdirplus.x");
-        assert_eq!(labelled.name_hash(), hash_name(NAME));
+        assert_eq!(labelled.name_hash(), hash_name(NAME.as_bytes()));
         assert_eq!(labelled, StatKey::new(NAME));
     }
 
@@ -602,16 +451,31 @@ mod tests {
             StatKey::new("net.c1"),
             StatKey::new("net").push("c2"),
             StatKey::new("n"),
+            StatKey::new("n\0"),
         ];
         v.sort();
         let names: Vec<String> = v.iter().map(ToString::to_string).collect();
-        assert_eq!(names, ["n", "net.c1", "net.c10", "net.c2"]);
+        assert_eq!(names, ["n", "n\0", "net.c1", "net.c10", "net.c2"]);
     }
 
     #[test]
     #[should_panic(expected = "13 bytes")]
     fn an_overlong_label_is_rejected() {
         let _ = StatKey::new("disk").text("a-very-long-device");
+    }
+
+    #[test]
+    fn a_key_is_64_bytes_and_holds_a_63_byte_name() {
+        assert!(std::mem::size_of::<StatKey>() <= 64);
+        const NAME_63: &str = "a.name.of.63.bytes.abcdefghijklmnopqrstuvwxyz.0123456789.abcdef";
+        assert_eq!(StatKey::new(NAME_63).to_string(), NAME_63);
+    }
+
+    #[test]
+    #[should_panic(expected = "63 bytes")]
+    fn a_64_byte_name_is_rejected() {
+        let _ = StatKey::new("a.name.of.64.bytes")
+            .push("abcdefghijklmnopqrstuvwxyz.0123456789.abcdefg");
     }
 
     #[test]
@@ -628,6 +492,8 @@ mod tests {
         }
         assert_eq!(s.lookup_name("net.c731.msgs"), Some(731));
         assert_eq!(s.lookup_name("net.c1000.msgs"), None);
+        assert_eq!(s.lookup_name("net.c731.msg"), None);
+        assert_eq!(s.lookup_name("net.c731.msgs."), None);
         assert_eq!(s.len(), 1000);
         let (chunk, off) = s.chunk_of(999);
         chunk[off as usize].value.set(5);

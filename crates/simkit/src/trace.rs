@@ -73,7 +73,15 @@ impl HostId {
     const SERVER_BASE: u16 = 0xFE00;
 
     /// Client host `c<i>`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` would reach the server range (≥ 65 023).
     pub fn client(i: u32) -> HostId {
+        assert!(
+            i < (Self::SERVER_BASE - 1) as u32,
+            "client index {i} out of range"
+        );
         HostId(1 + i as u16)
     }
 
@@ -532,6 +540,15 @@ mod tests {
 
     fn t(us: u64) -> SimTime {
         SimTime::ZERO + SimDuration::from_micros(us)
+    }
+
+    #[test]
+    fn the_last_client_id_sits_below_the_server_range() {
+        assert_eq!(HostId::client(0xFDFE).to_string(), "c65022");
+        for i in [0xFDFF, 0xFFFE, 0xFFFF, 65_536] {
+            let caught = std::panic::catch_unwind(|| HostId::client(i));
+            assert!(caught.is_err(), "client({i}) must panic");
+        }
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //! conversions in `traces`, `rpc`, `iscsi`, `nfs`, and `ext3`.
 
 use ipstorage::core::experiments::micro::{matrix, CacheState};
-use ipstorage::core::report::{ChannelStats, RunReport};
+use ipstorage::core::report::RunReport;
 use ipstorage::core::RunOptions;
+use ipstorage::net::ChannelSummary;
 
 /// Extracts the top-level keys of the JSON object that follows
 /// `"section":{` — enough of a parser for the report's flat schema
@@ -96,10 +97,10 @@ fn adversarial_insertion_order_serializes_sorted() {
         r.cpu_busy_ns.insert(key.into(), 2);
         r.channels.insert(
             key.into(),
-            ChannelStats {
+            ChannelSummary {
                 messages: 1,
                 bytes: 8.into(),
-                dropped: 0,
+                ..ChannelSummary::default()
             },
         );
     }
