@@ -110,9 +110,8 @@ impl<D: BlockDevice> DiskModel<D> {
     ///
     /// # Panics
     ///
-    /// Panics if the device name is longer than a [`StatKey`] label
-    /// ([`StatKey::MAX_LABEL`] bytes), which a device of this crate
-    /// rejects when it is built.
+    /// Panics if the histogram's name is longer than a [`StatKey`]'s
+    /// 63 bytes.
     pub fn instrument(&self, sim: Rc<Sim>) {
         let service = sim
             .metrics()
@@ -219,24 +218,6 @@ mod tests {
 
     fn disk() -> DiskModel<MemDisk> {
         DiskModel::new(MemDisk::new("d", 100_000), DiskParams::ultra160_10k())
-    }
-
-    #[test]
-    fn the_longest_device_name_labels_its_histogram() {
-        let name = "sd-0123456789";
-        assert_eq!(name.len(), StatKey::MAX_LABEL);
-        let d = DiskModel::new(MemDisk::new(name, 8), DiskParams::ultra160_10k());
-        let sim = Rc::new(Sim::new(1));
-        d.instrument(Rc::clone(&sim));
-        d.read(0, 1, &mut [0; BLOCK_SIZE]).unwrap();
-        let service = sim.metrics().histogram("disk.sd-0123456789.service");
-        assert_eq!(service.map(|h| h.count()), Some(1));
-    }
-
-    #[test]
-    #[should_panic(expected = "a device name holds at most 13 bytes")]
-    fn a_device_name_longer_than_a_label_is_rejected_when_built() {
-        let _ = MemDisk::new("sd-0123456789a", 8);
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub use partition::Partition;
 pub use raid5::{Raid5, Raid5Geometry};
 pub use writecache::WriteCache;
 
-use simkit::{SimDuration, StatKey};
+use simkit::SimDuration;
 use std::fmt;
 
 /// Fixed simulation block size: 4 KiB, matching the ext3 configuration
@@ -217,22 +217,6 @@ impl<T: BlockDevice + ?Sized> BlockDevice for std::rc::Rc<T> {
     fn charge(&self, start: BlockNo, nblocks: u32, write: bool) -> Result<IoCost> {
         (**self).charge(start, nblocks, write)
     }
-}
-
-/// `name` as a device name: it labels the device's histograms once
-/// the device is instrumented, so it must fit in a [`StatKey`] label.
-///
-/// # Panics
-///
-/// Panics if `name` is longer than [`StatKey::MAX_LABEL`] bytes.
-pub(crate) fn device_name(name: impl Into<String>) -> String {
-    let name = name.into();
-    assert!(
-        name.len() <= StatKey::MAX_LABEL,
-        "a device name holds at most {} bytes, not {name:?}",
-        StatKey::MAX_LABEL
-    );
-    name
 }
 
 /// Validates a request range and buffer alignment; shared by all

@@ -87,14 +87,9 @@ pub struct MemDisk {
 
 impl MemDisk {
     /// Creates a disk of `blocks` 4 KiB blocks, all initially zero.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `name` is longer than [`simkit::StatKey::MAX_LABEL`]
-    /// bytes.
     pub fn new(name: impl Into<String>, blocks: u64) -> Self {
         MemDisk {
-            name: crate::device_name(name),
+            name: name.into(),
             blocks,
             base: RefCell::new(None),
             data: RefCell::new(HashMap::default()),

@@ -25,8 +25,7 @@ impl Partition {
     /// # Panics
     ///
     /// Panics if the slice is empty or extends past the end of
-    /// `inner`, or if `name` is longer than
-    /// [`simkit::StatKey::MAX_LABEL`] bytes.
+    /// `inner`.
     pub fn new(
         name: impl Into<String>,
         inner: Rc<dyn BlockDevice>,
@@ -40,7 +39,7 @@ impl Partition {
             "partition [{first}, {first}+{blocks}) exceeds device capacity {cap}"
         );
         Partition {
-            name: crate::device_name(name),
+            name: name.into(),
             inner,
             first,
             blocks,

@@ -93,9 +93,8 @@ impl Raid5 {
     ///
     /// # Panics
     ///
-    /// Panics if fewer than three members are supplied, their sizes
-    /// differ, or `name` is longer than [`simkit::StatKey::MAX_LABEL`]
-    /// bytes.
+    /// Panics if fewer than three members are supplied or their sizes
+    /// differ.
     pub fn new(
         name: impl Into<String>,
         members: Vec<Rc<dyn BlockDevice>>,
@@ -115,8 +114,7 @@ impl Raid5 {
     /// # Panics
     ///
     /// Panics if fewer than three members are supplied, their sizes
-    /// differ, `store` is smaller than the array, or `name` is longer
-    /// than [`simkit::StatKey::MAX_LABEL`] bytes.
+    /// differ, or `store` is smaller than the array.
     pub fn with_store(
         name: impl Into<String>,
         members: Vec<Rc<dyn BlockDevice>>,
@@ -139,7 +137,7 @@ impl Raid5 {
         );
         let count = members.len();
         Raid5 {
-            name: crate::device_name(name),
+            name: name.into(),
             members,
             geometry,
             failed: RefCell::new(vec![false; count]),
@@ -372,21 +370,6 @@ mod tests {
 
     fn block(fill: u8) -> Vec<u8> {
         vec![fill; BLOCK_SIZE]
-    }
-
-    #[test]
-    #[should_panic(expected = "a device name holds at most 13 bytes")]
-    fn an_array_name_longer_than_a_label_is_rejected_when_built() {
-        let ms: Vec<Rc<dyn BlockDevice>> = (0..3)
-            .map(|i| Rc::new(MemDisk::new(format!("m{i}"), 8)) as Rc<dyn BlockDevice>)
-            .collect();
-        let store = Rc::new(MemDisk::new("store", 16));
-        let _ = Raid5::with_store(
-            "raid5-0123456789",
-            ms,
-            Raid5Geometry { stripe_unit: 4 },
-            store,
-        );
     }
 
     #[test]

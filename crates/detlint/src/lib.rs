@@ -118,8 +118,8 @@ impl<'a> FileContext<'a> {
 
     /// Crates whose code models physical quantities — where the U1/U2
     /// unit-safety lints apply. `bench`, `traces`, `detlint` and the
-    /// vendored `loom`/`proptest` shims move tool-side numbers, not
-    /// modeled bytes or bandwidths.
+    /// vendored `proptest` shim move tool-side numbers, not modeled
+    /// bytes or bandwidths.
     fn in_model_crate(&self) -> bool {
         const MODEL_CRATES: &[&str] = &[
             "simkit",
@@ -156,15 +156,13 @@ impl<'a> FileContext<'a> {
     /// pop order the assertion itself pins down, and compare newtype
     /// arithmetic against raw-integer reference formulas.
     ///
-    /// * `crates/loom` is the concurrency-exploration shim: its whole
-    ///   purpose is running closures on perturbed schedules — D5 off.
-    /// * U1/U2 apply only in model crates (see `in_model_crate`),
-    ///   and never in `simkit`'s `units`/`clock`/`rng` modules — those
-    ///   are where the raw-integer math is supposed to live.
+    /// D5 and D6 apply everywhere. U1/U2 apply only in model crates
+    /// (see `in_model_crate`), and never in `simkit`'s
+    /// `units`/`clock`/`rng` modules — those are where the raw-integer
+    /// math is supposed to live.
     pub(crate) fn lint_applies(&self, lint: Lint) -> bool {
         match lint {
-            Lint::D5 => !self.in_crate("loom"),
-            Lint::D6 => true,
+            Lint::D5 | Lint::D6 => true,
             Lint::U1 | Lint::U2 => self.in_model_crate() && !self.units_sanctioned(),
         }
     }
@@ -179,9 +177,6 @@ mod tests {
         let sweep = FileContext::new("crates/simkit/src/sweep.rs");
         assert!(sweep.lint_applies(Lint::D5));
 
-        let loom = FileContext::new("crates/loom/src/lib.rs");
-        assert!(!loom.lint_applies(Lint::D5));
-
         let fixtures = FileContext::new("crates/detlint/tests/fixtures/d5.rs");
         assert!(fixtures.skip_entirely());
 
@@ -191,7 +186,6 @@ mod tests {
         // D6 applies in every crate's library code — including the
         // event module that defines the sanctioned wrapper.
         assert!(FileContext::new("crates/simkit/src/events.rs").lint_applies(Lint::D6));
-        assert!(loom.lint_applies(Lint::D6));
 
         // U1/U2: model crates only, minus the sanctioned units trio.
         let net = FileContext::new("crates/net/src/lib.rs");
@@ -210,7 +204,6 @@ mod tests {
         for tool in [
             "crates/bench/src/bin/tables.rs",
             "crates/detlint/src/scan.rs",
-            "crates/loom/src/lib.rs",
             "crates/proptest/src/lib.rs",
             "crates/traces/src/lib.rs",
         ] {

@@ -52,9 +52,6 @@ pub struct StatKey {
 }
 
 impl StatKey {
-    /// Bytes a run-time label ([`StatKey::text`]) may hold.
-    pub const MAX_LABEL: usize = 13;
-
     /// A key of one part, which may be a whole dotted name.
     ///
     /// # Panics
@@ -88,13 +85,8 @@ impl StatKey {
     ///
     /// # Panics
     ///
-    /// Panics if `label` is longer than [`StatKey::MAX_LABEL`] bytes,
-    /// or the name would exceed 63 bytes.
+    /// Panics if the name would exceed 63 bytes.
     pub fn text(mut self, label: &str) -> StatKey {
-        assert!(
-            label.len() <= Self::MAX_LABEL,
-            "a stat key label fits in 13 bytes"
-        );
         self.put(b".");
         self.put(label.as_bytes());
         self
@@ -456,12 +448,6 @@ mod tests {
         v.sort();
         let names: Vec<String> = v.iter().map(ToString::to_string).collect();
         assert_eq!(names, ["n", "n\0", "net.c1", "net.c10", "net.c2"]);
-    }
-
-    #[test]
-    #[should_panic(expected = "13 bytes")]
-    fn an_overlong_label_is_rejected() {
-        let _ = StatKey::new("disk").text("a-very-long-device");
     }
 
     #[test]

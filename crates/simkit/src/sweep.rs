@@ -18,7 +18,6 @@
 //! core count only add scheduler churn (an oversubscribed sweep on a
 //! small host used to run *slower* than sequential).
 
-use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Environment variable consulted by [`default_jobs`].
@@ -48,64 +47,6 @@ pub fn default_jobs() -> usize {
     max_jobs()
 }
 
-/// One write-once result slot per cell index — the lock-free ordered
-/// result store behind [`run_indexed`].
-///
-/// The claim counter hands each index to exactly one worker, so each
-/// slot has exactly one writer and needs no lock; `thread::scope`
-/// joins every worker before the slots are read, which provides the
-/// happens-before edge that makes the reads sound.
-///
-/// Public so the feature-gated loom model tests (and any future
-/// executor) can check the publish/claim protocol directly; ordinary
-/// callers should use [`run_indexed`].
-pub struct Slots<T> {
-    cells: Vec<UnsafeCell<Option<T>>>,
-}
-
-// SAFETY: distinct workers only ever touch distinct slots (unique
-// fetch_add claims), and the results are read only after all workers
-// have been joined.
-unsafe impl<T: Send> Sync for Slots<T> {}
-
-impl<T> Slots<T> {
-    /// Creates `n` empty slots. Public for the loom model test
-    /// (`tests/loom_slots.rs`).
-    pub fn new(n: usize) -> Slots<T> {
-        Slots {
-            cells: (0..n).map(|_| UnsafeCell::new(None)).collect(),
-        }
-    }
-
-    /// Stores the result for cell `i`.
-    ///
-    /// # Safety
-    ///
-    /// The caller must be the unique claimant of index `i` (e.g. via a
-    /// shared `fetch_add` counter), and no reads may happen before all
-    /// writers are joined.
-    pub unsafe fn set(&self, i: usize, value: T) {
-        *self.cells[i].get() = Some(value);
-    }
-
-    /// Consumes the slots in index order. Call only after every writer
-    /// has been joined.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any slot was never written. Public for the loom model
-    /// test.
-    pub fn into_results(self) -> Vec<T> {
-        self.cells
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("every cell index was claimed exactly once")
-            })
-            .collect()
-    }
-}
-
 /// Runs `f(0) .. f(n - 1)` on up to `jobs` worker threads and returns
 /// the results in index order.
 ///
@@ -113,10 +54,12 @@ impl<T> Slots<T> {
 /// on the caller's thread in ascending index order — the exact
 /// sequential execution a non-sweep caller would have written. With
 /// more workers, indices are claimed from a shared counter so threads
-/// steal whatever cell is next; results land in a per-index slot, so
-/// the returned `Vec` ordering is independent of scheduling. The
-/// worker count is clamped to the machine's available parallelism. A
-/// panic in any cell propagates to the caller once all workers stop.
+/// steal whatever cell is next; each worker hands its `(index,
+/// result)` pairs back through its join handle and the caller places
+/// them by index, so the returned `Vec` ordering is independent of
+/// scheduling. The worker count is clamped to the machine's available
+/// parallelism. A panic in any cell propagates to the caller, with
+/// the cell's own payload, once all workers stop.
 pub fn run_indexed<T, F>(jobs: usize, n: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -163,23 +106,36 @@ where
     let order: Option<Vec<usize>> = costs.map(claim_order);
     let workers = jobs.min(n);
     let next = AtomicUsize::new(0);
-    let slots = Slots::new(n);
+    let mut results: Vec<Option<T>> = (0..n).map(|_| None).collect();
     std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let pos = next.fetch_add(1, Ordering::Relaxed);
-                if pos >= n {
-                    break;
-                }
-                let i = order.as_ref().map_or(pos, |o| o[pos]);
-                let result = f(i);
-                // SAFETY: `i` is unique to this claim, so this is the
-                // only write to slot `i`; see `Slots`.
-                unsafe { slots.set(i, result) };
-            });
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let pos = next.fetch_add(1, Ordering::Relaxed);
+                        if pos >= n {
+                            return done;
+                        }
+                        let i = order.as_ref().map_or(pos, |o| o[pos]);
+                        done.push((i, f(i)));
+                    }
+                })
+            })
+            .collect();
+        for handle in handles {
+            let done = handle
+                .join()
+                .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+            for (i, result) in done {
+                results[i] = Some(result);
+            }
         }
     });
-    slots.into_results()
+    results
+        .into_iter()
+        .map(|r| r.expect("every cell index was claimed exactly once"))
+        .collect()
 }
 
 /// Claim-order permutation for a hinted run: most expensive first.
@@ -220,6 +176,20 @@ mod tests {
         // Exercise the threaded path even on a single-core host,
         // where the public entry points clamp to one worker.
         assert_eq!(run_indexed(1, 40, f), run_threaded(4, 40, None, f));
+    }
+
+    #[test]
+    fn a_cell_panic_reaches_the_caller_with_its_own_message() {
+        let caught = std::panic::catch_unwind(|| {
+            run_threaded(2, 8, None, |i| {
+                if i == 5 {
+                    panic!("cell 5 failed");
+                }
+                i
+            })
+        });
+        let payload = caught.expect_err("the cell's panic propagates");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"cell 5 failed"));
     }
 
     #[test]

@@ -27,6 +27,11 @@
 //! The allocator counts per thread, so the tests stay independent
 //! under the harness's parallel runner.
 
+#![expect(
+    unsafe_code,
+    reason = "a counting GlobalAlloc implements an unsafe trait"
+)]
+
 use blockdev::{
     BlockDevice, DiskModel, DiskParams, MemDisk, Raid5, Raid5Geometry, WriteCache, BLOCK_SIZE,
 };
