@@ -14,16 +14,17 @@
 //! tables --attribution      # trace every request and append the
 //!                           # critical-path attribution and gauge
 //!                           # tables to each runner's output
+//! tables --record .         # rewrite the committed record at paper
+//!                           # scale: results/*.txt and BENCH_*.json
+//!                           # (CI diffs a fresh copy with the checkout)
 //! ```
 //!
 //! The selections, their print order, which of them are opt-in, and
 //! their paper-scale and `--quick` parameters are
 //! `ipstorage_core::experiments::REGISTRY`; the command line is
 //! `bench::parse_tables_args`, which exits 2 on anything it does not
-//! know. What is left here is the loop that prints.
-
-use ipstorage_core::experiments::Artifact;
-use ipstorage_core::{attribution_table, gauge_table};
+//! know, and the print loop is `bench::run_tables`, whose failure to
+//! write exits 1.
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -31,20 +32,8 @@ fn main() {
         eprintln!("{problem}");
         std::process::exit(2);
     });
-    for experiment in &run.experiments {
-        for artifact in (experiment.run)(run.options, run.quick) {
-            match artifact {
-                Artifact::Text(text) => println!("{text}\n"),
-                Artifact::Report(report) => {
-                    if run.options.attribution {
-                        println!("{}\n", attribution_table(&report).render());
-                        println!("{}\n", gauge_table(&report).render());
-                    }
-                    if run.json {
-                        println!("{}", report.to_json());
-                    }
-                }
-            }
-        }
+    if let Err(problem) = bench::run_tables(&run, &mut std::io::stdout().lock()) {
+        eprintln!("tables: {problem}");
+        std::process::exit(1);
     }
 }

@@ -191,13 +191,11 @@ pub struct LatencyPoint {
 /// a `FILE_MB` file). Render it with [`figure6_table`] and
 /// `figure6_plots`.
 pub fn figure6(options: RunOptions, rtts_ms: &[u64], mb: u64) -> (Vec<LatencyPoint>, RunReport) {
-    let mut cells: Vec<(u64, Protocol, Pattern, bool)> = Vec::new();
-    for &rtt in rtts_ms {
-        for proto in [Protocol::NfsV3, Protocol::Iscsi] {
-            for pattern in [Pattern::Sequential, Pattern::Random] {
-                cells.push((rtt, proto, pattern, true)); // read
-                cells.push((rtt, proto, pattern, false)); // write
-            }
+    let mut cells = Vec::new();
+    for (rtt, proto) in super::both_protocols(rtts_ms) {
+        for pattern in [Pattern::Sequential, Pattern::Random] {
+            cells.push((rtt, proto, pattern, true)); // read
+            cells.push((rtt, proto, pattern, false)); // write
         }
     }
     // Setup (file creation, mkfs) runs once per protocol under the
@@ -242,8 +240,8 @@ pub fn figure6(options: RunOptions, rtts_ms: &[u64], mb: u64) -> (Vec<LatencyPoi
     )
 }
 
-/// Renders already-collected Figure 6 data as a table.
-pub fn figure6_table(data: &[LatencyPoint], rtts_ms: &[u64], mb: u64) -> Table {
+/// Renders [`figure6`]'s points as a table: one row per RTT.
+pub fn figure6_table(data: &[LatencyPoint], mb: u64) -> Table {
     let mut t = Table::new(
         format!("Figure 6: completion time (s) vs RTT, {mb} MB file"),
         &[
@@ -258,29 +256,12 @@ pub fn figure6_table(data: &[LatencyPoint], rtts_ms: &[u64], mb: u64) -> Table {
             "iSCSI rand write",
         ],
     );
-    for &rtt in rtts_ms {
-        let cell = |proto, pattern, is_read| {
-            data.iter()
-                .find(|p| {
-                    p.protocol == proto
-                        && p.pattern == pattern
-                        && p.is_read == is_read
-                        && p.rtt_ms == rtt
-                })
-                .map(|p| fmt_secs(p.time))
-                .unwrap_or_default()
-        };
-        t.row(&[
-            rtt.to_string(),
-            cell(Protocol::NfsV3, Pattern::Sequential, true),
-            cell(Protocol::NfsV3, Pattern::Random, true),
-            cell(Protocol::Iscsi, Pattern::Sequential, true),
-            cell(Protocol::Iscsi, Pattern::Random, true),
-            cell(Protocol::NfsV3, Pattern::Sequential, false),
-            cell(Protocol::NfsV3, Pattern::Random, false),
-            cell(Protocol::Iscsi, Pattern::Sequential, false),
-            cell(Protocol::Iscsi, Pattern::Random, false),
-        ]);
+    // Each RTT's eight points run NFS then iSCSI, sequential then
+    // random, read then write; the table lists the reads first.
+    for points in data.chunks(8) {
+        let mut row = vec![points[0].rtt_ms.to_string()];
+        row.extend([0, 2, 4, 6, 1, 3, 5, 7].map(|i| fmt_secs(points[i].time)));
+        t.row(&row);
     }
     t
 }
@@ -339,14 +320,8 @@ pub fn figure6_tcp(
     options: RunOptions,
     rtts_ms: &[u64],
     mb: u64,
-    connections: u32,
 ) -> (Vec<TcpLatencyPoint>, RunReport) {
-    let mut cells: Vec<(u64, Protocol)> = Vec::new();
-    for &rtt in rtts_ms {
-        for proto in [Protocol::NfsV3, Protocol::Iscsi] {
-            cells.push((rtt, proto));
-        }
-    }
+    let cells = super::both_protocols(rtts_ms);
     // Setup is shared with the pipe-model Figure 6: the key tags the
     // *default* config, and both the WAN RTT and the transport model
     // are measure-phase knobs applied when the cell forks.
@@ -357,7 +332,7 @@ pub fn figure6_tcp(
             key,
             |c| {
                 c.link = net::LinkParams::wan(SimDuration::from_millis(rtt_ms))
-                    .with_transport(net::TransportModel::Tcp { connections });
+                    .with_transport(net::TransportModel::Tcp { connections: 1 });
             },
             |setup_seed| Testbed::with_protocol_seeded(protocol, setup_seed),
         );
@@ -377,8 +352,8 @@ pub fn figure6_tcp(
     })
 }
 
-/// Renders already-collected Figure-6-under-TCP data as a table.
-pub fn figure6_tcp_table(data: &[TcpLatencyPoint], rtts_ms: &[u64], mb: u64) -> Table {
+/// Renders [`figure6_tcp`]'s points as a table: one row per RTT.
+pub fn figure6_tcp_table(data: &[TcpLatencyPoint], mb: u64) -> Table {
     let mut t = Table::new(
         format!("Figure 6 under TCP: {mb} MB sequential write vs RTT (modeled flows)"),
         &[
@@ -390,26 +365,34 @@ pub fn figure6_tcp_table(data: &[TcpLatencyPoint], rtts_ms: &[u64], mb: u64) -> 
             "iSCSI tcp retx",
         ],
     );
-    for &rtt in rtts_ms {
-        let find = |proto| {
-            data.iter()
-                .find(|p| p.protocol == proto && p.rtt_ms == rtt)
-                .copied()
-        };
-        let nfs = find(Protocol::NfsV3);
-        let scsi = find(Protocol::Iscsi);
+    for pair in data.chunks(2) {
+        let (nfs, scsi) = (pair[0], pair[1]);
         t.row(&[
-            rtt.to_string(),
-            nfs.map(|p| fmt_secs(p.time)).unwrap_or_default(),
-            nfs.map(|p| p.rpc_retransmits.to_string())
-                .unwrap_or_default(),
-            nfs.map(|p| p.tcp_retx_segs.to_string()).unwrap_or_default(),
-            scsi.map(|p| fmt_secs(p.time)).unwrap_or_default(),
-            scsi.map(|p| p.tcp_retx_segs.to_string())
-                .unwrap_or_default(),
+            nfs.rtt_ms.to_string(),
+            fmt_secs(nfs.time),
+            nfs.rpc_retransmits.to_string(),
+            nfs.tcp_retx_segs.to_string(),
+            fmt_secs(scsi.time),
+            scsi.tcp_retx_segs.to_string(),
         ]);
     }
     t
+}
+
+/// The iSCSI MC/S comparison (Kumar et al.): the `(write, read)` times
+/// of an `mb`-megabyte sequential transfer over a `rtt_ms` modeled-TCP
+/// link, logged in with 1 and then 4 connections (the link sets the
+/// count; see `Testbed::session_params`).
+pub(crate) fn mcs_pair(mb: u64, rtt_ms: u64) -> [(SimDuration, SimDuration); 2] {
+    [1, 4].map(|connections| {
+        let mut cfg = TestbedConfig::new(Protocol::Iscsi);
+        cfg.link = net::LinkParams::wan(SimDuration::from_millis(rtt_ms))
+            .with_transport(net::TransportModel::Tcp { connections });
+        let tb = Testbed::build(cfg);
+        let w = write_file(&tb, "/f", mb, Pattern::Sequential);
+        let r = read_file(&tb, "/f", mb, Pattern::Sequential);
+        (w.time, r.time)
+    })
 }
 
 #[cfg(test)]
@@ -417,10 +400,19 @@ mod tests {
     use super::*;
 
     #[test]
+    fn mcs_connections_change_iscsi_sequential_transfer_on_a_congested_link() {
+        let [one, four] = mcs_pair(4, 20);
+        assert_ne!(
+            one, four,
+            "MC/S 1 -> 4 connections left the (write, read) times unchanged"
+        );
+    }
+
+    #[test]
     fn tcp_sweep_retransmits_emerge_at_wide_area_rtt() {
         // No loss parameter, no injected jitter: at 90 ms the write
         // bursts overflow the modeled bottleneck queue on their own.
-        let (data, _) = figure6_tcp(RunOptions::default(), &[90], 8, 1);
+        let (data, _) = figure6_tcp(RunOptions::default(), &[90], 8);
         let nfs = data
             .iter()
             .find(|p| p.protocol == Protocol::NfsV3)

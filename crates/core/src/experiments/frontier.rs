@@ -189,17 +189,11 @@ pub fn frontier(
     files: usize,
     transactions: usize,
 ) -> (Table, RunReport) {
-    let mut cells: Vec<(usize, usize, Protocol)> = Vec::new();
-    for &(n, m) in grid {
-        for proto in [Protocol::NfsV3, Protocol::Iscsi] {
-            cells.push((n, m, proto));
-        }
-    }
     let (runs, report) = Sweep::new(options).run_cells(
         "frontier",
-        &cells,
-        Some(|&(n, _, _)| n as u64),
-        |&(n, m, proto), ctx| frontier_cell(proto, n, m, files, transactions, ctx),
+        &super::both_protocols(grid),
+        Some(|&((n, _), _)| n as u64),
+        |&((n, m), proto), ctx| frontier_cell(proto, n, m, files, transactions, ctx),
     );
     let mut t = Table::new(
         format!("Frontier: {transactions} transactions spread over N clients x M shards"),

@@ -106,12 +106,7 @@ pub fn table5(
     file_counts: &[usize],
     transactions: usize,
 ) -> (Table, RunReport) {
-    let mut cells: Vec<(usize, Protocol)> = Vec::new();
-    for &files in file_counts {
-        for proto in [Protocol::NfsV3, Protocol::Iscsi] {
-            cells.push((files, proto));
-        }
-    }
+    let cells = super::both_protocols(file_counts);
     let (runs, report) =
         Sweep::new(options).run_cells("table5", &cells, None, |&(files, proto), ctx| {
             postmark_cell(proto, Enhancements::default(), files, transactions, ctx)

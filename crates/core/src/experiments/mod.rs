@@ -18,7 +18,8 @@ pub mod micro;
 pub mod scale;
 
 use crate::sweep::RunOptions;
-use crate::{RunReport, Table};
+use crate::{Protocol, RunReport, Table};
+use simkit::{json, Json, SimDuration};
 use workloads::{DssConfig, OltpConfig, TreeSpec};
 
 /// One thing a registered experiment hands the CLI to print.
@@ -30,6 +31,10 @@ pub enum Artifact {
     /// attribution and gauge tables (`--attribution`) and as one JSON
     /// line (`--json`).
     Report(RunReport),
+    /// A document of the committed record: its path from the checkout
+    /// root and its content. Only a paper-scale run yields one, and
+    /// only `tables --record DIR` writes it (to `DIR/<path>`).
+    Record(&'static str, Json),
 }
 
 /// One entry of the [`REGISTRY`].
@@ -48,6 +53,13 @@ impl Experiment {
     pub fn answers_to(&self, selection: &str) -> bool {
         self.name.split('|').any(|n| n == selection)
     }
+}
+
+/// A two-protocol sweep's cells: each of `params` with NFS v3, then
+/// with iSCSI.
+fn both_protocols<T: Copy>(params: &[T]) -> Vec<(T, Protocol)> {
+    let both = |&p: &T| [(p, Protocol::NfsV3), (p, Protocol::Iscsi)];
+    params.iter().flat_map(both).collect()
 }
 
 fn table_and_report((table, report): (Table, RunReport)) -> Vec<Artifact> {
@@ -92,7 +104,7 @@ pub const REGISTRY: [Experiment; 18] = [
         let (points, report) = data::figure6(o, rtts, mb);
         let (reads, writes) = data::figure6_plots(&points);
         vec![
-            Artifact::Text(data::figure6_table(&points, rtts, mb).render()),
+            Artifact::Text(data::figure6_table(&points, mb).render()),
             Artifact::Text(format!("{}\n{}", reads.render(), writes.render())),
             Artifact::Report(report),
         ]
@@ -137,7 +149,22 @@ pub const REGISTRY: [Experiment; 18] = [
             (&[1, 2, 4, 8, 12, 16], 500, 2000)
         };
         let (runs, report) = scale::scale(o, counts, files, txns, None);
-        table_and_report((scale::scale_table(&runs, txns), report))
+        let mut out = table_and_report((scale::scale_table(&runs, txns), report));
+        if !quick {
+            let cells = runs.iter().map(|r| {
+                json!({
+                    "protocol": protocol_name(r.protocol), "clients": r.clients,
+                    "ops_per_sec": two_places(r.ops_per_sec),
+                    "server_cpu_pct": two_places(r.server_cpu_pct),
+                    "completion_ns": r.completion.as_nanos(), "msgs_per_client": r.msgs_per_client,
+                    "p95_us": r.p95_us, "getattrs": r.getattrs,
+                })
+            });
+            let doc = json!({ "bench": "scale", "files": files, "transactions": txns,
+                "quick": false, "cells": cells.collect::<Json>() });
+            out.push(Artifact::Record("BENCH_scale.json", doc));
+        }
+        out
     }),
     default("figure7", |_, _| {
         vec![Artifact::Text(enhance::figure7().render())]
@@ -150,16 +177,55 @@ pub const REGISTRY: [Experiment; 18] = [
         out
     }),
     // Opt-in: the default run stays byte-identical to the pipe-only
-    // goldens even with the TCP model compiled in.
+    // goldens even with the TCP model compiled in. At paper scale it
+    // also yields `BENCH_tcp.json`: its sweep, the iSCSI MC/S pair (8 MB
+    // at 20 ms, 1 vs 4 connections; Kumar et al.) and the congested
+    // N = 1, 2, 4 scale grid.
     opt_in("tcp", |o, quick| {
         let (rtts, mb): (&[u64], u64) = if quick {
             (&[10, 90], 4)
         } else {
-            (&PAPER_RTTS_MS, data::FILE_MB)
+            (&PAPER_RTTS_MS, 8)
         };
-        let (points, report) = data::figure6_tcp(o, rtts, mb, 1);
-        let table = data::figure6_tcp_table(&points, rtts, mb);
-        table_and_report((table, report))
+        let (points, report) = data::figure6_tcp(o, rtts, mb);
+        let table = data::figure6_tcp_table(&points, mb);
+        let mut out = table_and_report((table, report));
+        if !quick {
+            let (mcs_mb, rtt_ms, files, txns) = (8, 20, 200, 500);
+            let [conn1, conn4] = data::mcs_pair(mcs_mb, rtt_ms);
+            let congested = net::LinkParams::wan(SimDuration::from_millis(rtt_ms))
+                .with_transport(net::TransportModel::Tcp { connections: 1 });
+            let (grid, _) = scale::scale(o, &[1, 2, 4], files, txns, Some(congested));
+            // The NFS cell at the widest (last) RTT retransmits at the RPC
+            // and TCP layers with no loss parameter: the paper's §4.6 cliff.
+            let cliff = points[points.len() - 2];
+            let emergent = cliff.rpc_retransmits > 0 && cliff.tcp_retx_segs > 0;
+            let sweep = points.iter().map(|p| {
+                json!({
+                    "protocol": protocol_name(p.protocol), "rtt_ms": p.rtt_ms,
+                    "write_ns": p.time.as_nanos(), "rpc_retransmits": p.rpc_retransmits,
+                    "tcp_retx_segs": p.tcp_retx_segs,
+                })
+            });
+            let grid = grid.iter().map(|r| {
+                json!({
+                    "protocol": protocol_name(r.protocol), "clients": r.clients,
+                    "ops_per_sec": two_places(r.ops_per_sec),
+                    "completion_ns": r.completion.as_nanos(), "tcp_retx_segs": r.tcp_retx_segs,
+                })
+            });
+            let doc = json!({
+                "bench": "tcp", "quick": false, "emergent_retransmits": emergent,
+                "mcs_throughput_changes": conn1 != conn4,
+                "mcs": { "mb": mcs_mb, "rtt_ms": rtt_ms,
+                    "conn1": { "write_ns": conn1.0.as_nanos(), "read_ns": conn1.1.as_nanos() },
+                    "conn4": { "write_ns": conn4.0.as_nanos(), "read_ns": conn4.1.as_nanos() } },
+                "figure6": { "mb": mb, "connections": 1u64, "cells": sweep.collect::<Json>() },
+                "scale": { "files": files, "transactions": txns, "cells": grid.collect::<Json>() },
+            });
+            out.push(Artifact::Record("BENCH_tcp.json", doc));
+        }
+        out
     }),
     // Opt-in: the sharded iso-throughput frontier (N clients over M
     // server shards at a fixed aggregate transaction budget).
@@ -168,18 +234,8 @@ pub const REGISTRY: [Experiment; 18] = [
             frontier::frontier(o, &[(4, 1), (4, 2), (8, 2), (8, 4)], 100, 2_000)
         } else {
             // The same N spread over 1, 2 and 4 shards.
-            let grid = [
-                (4, 1),
-                (4, 2),
-                (4, 4),
-                (8, 1),
-                (8, 2),
-                (8, 4),
-                (16, 1),
-                (16, 2),
-                (16, 4),
-            ];
-            frontier::frontier(o, &grid, 200, 16_000)
+            let grid = [4, 8, 16].map(|n| [1, 2, 4].map(|m| (n, m)));
+            frontier::frontier(o, grid.as_flattened(), 200, 16_000)
         })
     }),
     opt_in("ablations", |o, _| {
@@ -189,6 +245,16 @@ pub const REGISTRY: [Experiment; 18] = [
             .collect()
     }),
 ];
+
+// The record documents keep the keys and decimal places their files
+// have always had.
+fn protocol_name(protocol: Protocol) -> String {
+    format!("{protocol:?}").to_lowercase()
+}
+
+fn two_places(x: f64) -> Json {
+    Json::Num(format!("{x:.2}"))
+}
 
 #[cfg(test)]
 mod tests {

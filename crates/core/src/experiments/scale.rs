@@ -151,12 +151,7 @@ pub fn scale(
     transactions: usize,
     link: Option<net::LinkParams>,
 ) -> (Vec<ScaleRun>, RunReport) {
-    let mut cells: Vec<(usize, Protocol)> = Vec::new();
-    for &n in client_counts {
-        for proto in [Protocol::NfsV3, Protocol::Iscsi] {
-            cells.push((n, proto));
-        }
-    }
+    let cells = super::both_protocols(client_counts);
     // Cost hint: a cell's work scales with its client count, so
     // workers claim the big topologies first.
     Sweep::new(options).run_cells(

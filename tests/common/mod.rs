@@ -43,11 +43,11 @@ pub const MICRO_AND_DATA: &[Runner] = &[
     ("table4", |o| printed(data::table4(o, 8))),
     ("figure6", |o| {
         let (points, r) = data::figure6(o, &[10, 50], 8);
-        printed((data::figure6_table(&points, &[10, 50], 8), r))
+        printed((data::figure6_table(&points, 8), r))
     }),
     ("tcp", |o| {
-        let (points, r) = data::figure6_tcp(o, &[10, 90], 2, 1);
-        printed((data::figure6_tcp_table(&points, &[10, 90], 2), r))
+        let (points, r) = data::figure6_tcp(o, &[10, 90], 2);
+        printed((data::figure6_tcp_table(&points, 2), r))
     }),
 ];
 
